@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .grading import (
     CoalgebraElement,
@@ -71,6 +71,16 @@ class LInftyStructure:
         if got is None:
             return MultiMap(self.space, self.space, n, 2 - n)
         return got
+
+    def apply(self, n: int, elements: Sequence[Element]) -> Element:
+        """Q_n on elements of the space; zero where the structure has no map."""
+        for e in elements:
+            if e.space is not self.space and e.space != self.space:
+                raise InputError("element does not live in the structure's space")
+        q = self.maps.get(n)
+        if q is None:
+            return Element.zero(self.space, sum(e.degree for e in elements) + 2 - n)
+        return q.apply(elements)
 
     def words(self, max_weight: int | None = None) -> list[Word]:
         top = self.cap if max_weight is None else max_weight

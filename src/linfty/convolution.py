@@ -19,9 +19,19 @@ Sign conventions (the one table everything below refers to):
     u crosses a block B at cost ``(-1)**((u-1)*(deg B - weight B))``, and
     each application of a weight-k component or of Q'_n contributes the
     desuspension sign of its arguments' plain degrees;
+  * q_n carries one constant for its arguments, the desuspension sign of
+    their shifted degrees u_1 - 1, ..., u_n - 1 (that of u_1, ..., u_n
+    times ``(-1)**(n*(n-1)/2)``); it is +1 when every u_i = 1 or when only
+    the last is 0, and it makes q_n graded-antisymmetric in the word
+    convention, so the mapping space is a structure in the same convention
+    as its source and target;
   * with these choices the degree-2 curvature of a degree-1 element equals
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
+
+:class:`ConvolutionAlgebra` offers ``cap`` and ``apply(n, elements)`` on
+hom-space coordinates, which is all the Maurer-Cartan calculus of
+:mod:`linfty.mc` and :mod:`linfty.homotopy` reads.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -48,6 +57,7 @@ from .grading import (
 )
 from .algebra import LInftyStructure, check_relations, lift_coderivation
 from .morphism import MorphismComponents, _set_partitions
+from .mc import twisting_series
 
 
 def iterated_coproduct(
@@ -261,7 +271,6 @@ class ConvolutionAlgebra:
                 self._basis_pairs.append((word, name))
         self.hom_space = GradedSpace(basis)
         self._lift = lift_coderivation(source)
-        self._linfty: LInftyStructure | None = None
 
     # -- conversions ------------------------------------------------------
 
@@ -277,6 +286,8 @@ class ConvolutionAlgebra:
         return Element(self.hom_space, alpha.u_degree, coeffs)
 
     def element_to_hom(self, element: Element) -> HomElement:
+        if element.space is not self.hom_space and element.space != self.hom_space:
+            raise InputError("element does not live in the mapping space")
         per_weight: dict[int, dict[Word, dict[str, Fraction]]] = {}
         for hom_name, c in element.coeffs.items():
             word, name = self._basis_pairs[self.hom_space.index(hom_name)]
@@ -330,18 +341,17 @@ class ConvolutionAlgebra:
         return self._assemble(alpha.u_degree + 1, comps)
 
     def bracket(self, alphas: Sequence[HomElement]) -> HomElement:
-        """The n-ary operation on n mapping-space elements (n >= 2)."""
+        """The n-ary operation on n mapping-space elements."""
         n = len(alphas)
         if n == 1:
             return self.differential(alphas[0])
-        if n > self.cap:
-            return self.zero_hom(sum(a.u_degree for a in alphas) + 2 - n)
-        qn = self.target.maps.get(n)
         u_out = sum(a.u_degree for a in alphas) + 2 - n
+        qn = self.target.maps.get(n)
         if qn is None:
             return self.zero_hom(u_out)
         src_space = self.source.space
         hom_shift = [a.u_degree - 1 for a in alphas]
+        constant = desuspension_sign(hom_shift)
         comps: dict[int, dict[Word, Element]] = {}
         for word in self.words:
             m = word.weight
@@ -349,14 +359,14 @@ class ConvolutionAlgebra:
                 continue
             degrees = src_space.degrees_of(word.factors)
             shifted = [d - 1 for d in degrees]
-            chi_word = desuspension_sign(degrees)
+            word_sign = constant * desuspension_sign(degrees)
             total = Element.zero(
                 self.target.space, word.degree + u_out - m
             )
             for blocks in _ordered_splittings(m, n):
                 vals: list[Element] = []
                 ok = True
-                sign = chi_word
+                sign = word_sign
                 block_shifted_degrees = []
                 for i, block in enumerate(blocks):
                     bdeg = [degrees[p] for p in block]
@@ -401,64 +411,17 @@ class ConvolutionAlgebra:
         }
         return HomElement(self.source, self.target, u_degree, built)
 
+    def apply(self, n: int, elements: Sequence[Element]) -> Element:
+        """The n-ary operation on hom-space coordinates."""
+        return self.hom_to_element(
+            self.bracket([self.element_to_hom(x) for x in elements])
+        )
+
     def mc_residual(self, alpha: HomElement) -> HomElement:
         """Curvature of a degree-1 element in the truncated mapping space."""
         if alpha.u_degree != 1:
             raise InputError("curvature is defined for degree-1 elements")
-        total = self.zero_hom(2)
-        for n in range(1, self.cap + 1):
-            term = self.bracket([alpha] * n)
-            if not term.is_zero():
-                total = total + term.scale(Fraction(1, factorial(n)))
-        return total
-
-    # -- the truncation as an ordinary structure --------------------------
-
-    def as_linfty(self) -> LInftyStructure:
-        """The quotient by maps of weight above the cap, as a finite structure."""
-        if self._linfty is None:
-            maps = {
-                n: _ConvolutionMap(self, n) for n in range(1, self.cap + 1)
-            }
-            structure = LInftyStructure.__new__(LInftyStructure)
-            structure.space = self.hom_space
-            structure.cap = self.cap
-            structure.maps = maps
-            structure.verified = True
-            self._linfty = structure
-        return self._linfty
-
-
-class _ConvolutionMap(MultiMap):
-    """Structure map of the truncated mapping space, computed on demand."""
-
-    def __init__(self, conv: ConvolutionAlgebra, weight: int):
-        super().__init__(conv.hom_space, conv.hom_space, weight, 2 - weight, {})
-        self._conv = conv
-
-    def value(self, word: Word) -> Element:
-        cached = self.values.get(word)
-        if cached is not None:
-            return cached
-        conv = self._conv
-        alphas = []
-        for hom_name in word.factors:
-            w, name = conv._basis_pairs[conv.hom_space.index(hom_name)]
-            alphas.append(conv.basis_hom(w, name))
-        n = self.weight
-        # desuspension of the argument degrees, times the n-ary suspension
-        # constant; the pair makes the plain curvature of a degree-1 element
-        # equal the one computed by ConvolutionAlgebra.mc_residual
-        sign = desuspension_sign([a.u_degree for a in alphas])
-        if (n * (n - 1) // 2) % 2:
-            sign = -sign
-        result = conv.bracket(alphas)
-        element = conv.hom_to_element(result).scale(Fraction(sign))
-        self.values[word] = element
-        return element
-
-    def is_zero(self) -> bool:
-        return False
+        return twisting_series(lambda n, alphas: self.bracket(alphas), self.cap, alpha)
 
 
 def coalgebra_partitions(

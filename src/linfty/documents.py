@@ -49,6 +49,25 @@ def _parse_fraction(text: str) -> Fraction:
         raise DocumentError("bad rational %r" % text) from exc
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DocumentError("%s is not an integer: %r" % (what, text)) from None
+
+
+def _header(doc: dict, key: str, integer: bool = False):
+    """A required header, as text or parsed as an integer."""
+    value = doc["headers"].get(key)
+    if value is None:
+        raise DocumentError("%s document lacks %r" % (doc["kind"], key))
+    return _integer(value, key) if integer else value
+
+
+def _section_weight(name: str) -> int:
+    return _integer(name.partition(" ")[2], "weight of section %r" % name)
+
+
 def _format_fraction(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -129,6 +148,22 @@ def parse_element(space: GradedSpace, text: str) -> Element:
     return Element(space, degrees.pop(), combo)
 
 
+def _parse_entry(line: str, source: GradedSpace, weight: int) -> tuple[Word, int, str]:
+    """Split ``factors -> value`` into the canonical word, its sign and the value text."""
+    if " -> " not in line:
+        raise DocumentError("map entry %r lacks ' -> '" % line)
+    lhs, _, rhs = line.partition(" -> ")
+    factors = tuple(lhs.split())
+    if len(factors) != weight:
+        raise DocumentError(
+            "entry %r has %d factors in a weight-%d map" % (line, len(factors), weight)
+        )
+    word, sign = canonicalize_word(factors, source)
+    if word is None:
+        raise DocumentError("entry %r is on a vanishing word" % line)
+    return word, sign, rhs
+
+
 def _parse_map_section(
     lines: list[str],
     source: GradedSpace,
@@ -138,17 +173,7 @@ def _parse_map_section(
 ) -> MultiMap:
     values: dict[Word, Element] = {}
     for line in lines:
-        if " -> " not in line:
-            raise DocumentError("map entry %r lacks ' -> '" % line)
-        lhs, _, rhs = line.partition(" -> ")
-        factors = tuple(lhs.split())
-        if len(factors) != weight:
-            raise DocumentError(
-                "entry %r has %d factors in a weight-%d map" % (line, len(factors), weight)
-            )
-        word, sign = canonicalize_word(factors, source)
-        if word is None:
-            raise DocumentError("entry %r is on a vanishing word" % line)
+        word, sign, rhs = _parse_entry(line, source, weight)
         value = parse_element(target, rhs).scale(Fraction(sign))
         if word in values:
             raise DocumentError("duplicate entry for word %r" % (word.factors,))
@@ -181,17 +206,14 @@ def algebra_from_document(doc: dict, cap_override: int | None = None) -> LInftyS
         except ValueError as exc:
             raise DocumentError("bad degree in basis entry %r" % line) from exc
     space = GradedSpace(basis)
-    cap = cap_override if cap_override is not None else int(headers.get("cap", "0"))
+    cap = cap_override if cap_override is not None else _integer(headers.get("cap", "0"), "cap")
     if cap < 1:
         raise DocumentError("algebra cap must be a positive integer")
     maps: dict[int, MultiMap] = {}
     for name, lines in sections.items():
         if not name.startswith("map "):
             continue
-        try:
-            weight = int(name.split()[1])
-        except (IndexError, ValueError) as exc:
-            raise DocumentError("bad map section %r" % name) from exc
+        weight = _section_weight(name)
         maps[weight] = _parse_map_section(lines, space, space, weight, 2 - weight)
     return make_linfty(space, maps, cap)
 
@@ -240,18 +262,16 @@ def load_morphism(
     doc = load_document(path)
     if doc["kind"] != "morphism":
         raise DocumentError("%s is a %s document, expected morphism" % (path, doc["kind"]))
-    headers = doc["headers"]
-    for key in ("source", "target", "cap"):
-        if key not in headers:
-            raise DocumentError("morphism document lacks %r" % key)
-    source = load_algebra(_resolve(path, headers["source"]), cap_override)
-    target = load_algebra(_resolve(path, headers["target"]), cap_override)
-    cap = cap_override if cap_override is not None else int(headers["cap"])
+    source = load_algebra(_resolve(path, _header(doc, "source")), cap_override)
+    target = load_algebra(_resolve(path, _header(doc, "target")), cap_override)
+    cap = _header(doc, "cap", integer=True)
+    if cap_override is not None:
+        cap = cap_override
     if source.cap != cap or target.cap != cap:
         raise DocumentError("morphism cap %d disagrees with its structures" % cap)
     components: dict[int, MultiMap] = {}
     for name, lines in doc["sections"].items():
-        weight = int(name.split()[1])
+        weight = _section_weight(name)
         components[weight] = _parse_map_section(
             lines, source.space, target.space, weight, 1 - weight
         )
@@ -280,9 +300,8 @@ def load_mc_element(path: str, cap_override: int | None = None):
     doc = load_document(path)
     if doc["kind"] != "mc-element":
         raise DocumentError("%s is a %s document, expected mc-element" % (path, doc["kind"]))
-    headers = doc["headers"]
-    structure = load_algebra(_resolve(path, headers["algebra"]), cap_override)
-    value = parse_element(structure.space, headers["value"])
+    structure = load_algebra(_resolve(path, _header(doc, "algebra")), cap_override)
+    value = parse_element(structure.space, _header(doc, "value"))
     return structure, value
 
 
@@ -299,11 +318,10 @@ def load_map(path: str, cap_override: int | None = None):
     doc = load_document(path)
     if doc["kind"] != "map":
         raise DocumentError("%s is a %s document, expected map" % (path, doc["kind"]))
-    headers = doc["headers"]
-    source = load_algebra(_resolve(path, headers["source"]), cap_override)
-    target = load_algebra(_resolve(path, headers["target"]), cap_override)
-    weight = int(headers["weight"])
-    degree = int(headers["degree"])
+    source = load_algebra(_resolve(path, _header(doc, "source")), cap_override)
+    target = load_algebra(_resolve(path, _header(doc, "target")), cap_override)
+    weight = _header(doc, "weight", integer=True)
+    degree = _header(doc, "degree", integer=True)
     section = doc["sections"].get("map %d" % weight)
     if section is None:
         raise DocumentError("map document lacks its 'map %d' section" % weight)
@@ -330,9 +348,8 @@ def load_request(path: str, cap_override: int | None = None):
     doc = load_document(path)
     if doc["kind"] != "request":
         raise DocumentError("%s is a %s document, expected request" % (path, doc["kind"]))
-    headers = doc["headers"]
-    morphism = load_morphism(_resolve(path, headers["morphism"]), cap_override)
-    weight = int(headers["weight"])
+    morphism = load_morphism(_resolve(path, _header(doc, "morphism")), cap_override)
+    weight = _header(doc, "weight", integer=True)
     section = doc["sections"].get("map %d" % weight)
     if section is None:
         raise DocumentError("request lacks its 'map %d' section" % weight)
@@ -369,11 +386,7 @@ def _parse_poly_section(
 ) -> dict[Word, dict[str, list[Fraction]]]:
     out: dict[Word, dict[str, list[Fraction]]] = {}
     for line in lines:
-        lhs, _, rhs = line.partition(" -> ")
-        factors = tuple(lhs.split())
-        word, sign = canonicalize_word(factors, source)
-        if word is None:
-            raise DocumentError("entry %r on a vanishing word" % line)
+        word, sign, rhs = _parse_entry(line, source, weight)
         combo: dict[str, list[Fraction]] = {}
         for term in rhs.split(" + "):
             coeff_text, _, name = term.partition("*")
@@ -390,14 +403,13 @@ def load_homotopy(path: str, cap_override: int | None = None):
     doc = load_document(path)
     if doc["kind"] != "homotopy":
         raise DocumentError("%s is a %s document, expected homotopy" % (path, doc["kind"]))
-    headers = doc["headers"]
-    first = load_morphism(_resolve(path, headers["first"]), cap_override)
-    second = load_morphism(_resolve(path, headers["second"]), cap_override)
+    first = load_morphism(_resolve(path, _header(doc, "first")), cap_override)
+    second = load_morphism(_resolve(path, _header(doc, "second")), cap_override)
     parts: dict[str, dict[int, dict]] = {"h0": {}, "h1": {}}
     for name, lines in doc["sections"].items():
-        tag, weight_text = name.split()
-        parts[tag][int(weight_text)] = _parse_poly_section(
-            lines, first.source.space, first.target.space, int(weight_text)
+        weight = _section_weight(name)
+        parts[name.partition(" ")[0]][weight] = _parse_poly_section(
+            lines, first.source.space, first.target.space, weight
         )
     return first, second, parts["h0"], parts["h1"]
 

@@ -11,19 +11,24 @@ elements (the dt-free part) and the evolution equation
 
 (the dt part, up to the recorded overall sign).  Gauge flows produce such
 homotopies with h1 constant in t.
+
+Like :mod:`linfty.mc`, the path algebra reads its base only through ``cap``
+and ``apply(n, elements)``: a structure, or the mapping space
+:class:`~linfty.convolution.ConvolutionAlgebra` in which homotopies of
+morphisms live.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import partial
 
 from .grading import Element, InputError, StructureError
 from .algebra import LInftyStructure, check_relations
 from .morphism import MorphismComponents, check_morphism
 from .convolution import ConvolutionAlgebra, HomElement, build_convolution, morphism_to_mc
-from .mc import PolyPath, apply_to_paths, gauge_flow
+from .mc import PolyPath, apply_to_paths, gauge_flow, mc_residual, twisting_series
 
 
 class PathDegreeOverflow(RuntimeError):
@@ -87,11 +92,13 @@ class PathAlgebra:
     sign of a differential entering a tensor product.  Polynomial degrees
     above the guard raise :class:`PathDegreeOverflow`: flows in nilpotent
     truncations provably stay below it, so hitting the guard means the cap
-    or guard was misconfigured, not a numerical problem.
+    or guard was misconfigured, not a numerical problem.  A structure base is
+    checked against its relations; a mapping-space base was checked through
+    its source and target when it was built.
     """
 
-    def __init__(self, base: LInftyStructure, t_cap: int):
-        if not base.verified:
+    def __init__(self, base, t_cap: int):
+        if isinstance(base, LInftyStructure) and not base.verified:
             if not check_relations(base).passed:
                 raise StructureError("path algebra over a structure failing relations")
         self.base = base
@@ -118,22 +125,19 @@ class PathAlgebra:
         if len(elements) != n:
             raise InputError("weight-%d map applied to %d path elements" % (n, len(elements)))
         degree = sum(e.degree for e in elements) + 2 - n
-        space = self.base.space
-        q = self.base.maps.get(n)
-        even = PolyPath(space, degree)
+        space = elements[0].space
+        even = apply_to_paths(self.base, n, [e.even for e in elements])
         odd = PolyPath(space, degree - 1)
-        if q is not None:
-            even = apply_to_paths(q, [e.even for e in elements])
-            for i, e in enumerate(elements):
-                if e.odd.is_zero():
-                    continue
-                crossing = sum(elements[j].degree for j in range(i + 1, n))
-                args = [elements[j].even for j in range(n)]
-                args[i] = e.odd
-                term = apply_to_paths(q, args)
-                if crossing % 2:
-                    term = term.scale(Fraction(-1))
-                odd = odd + term
+        for i, e in enumerate(elements):
+            if e.odd.is_zero():
+                continue
+            crossing = sum(elements[j].degree for j in range(i + 1, n))
+            args = [elements[j].even for j in range(n)]
+            args[i] = e.odd
+            term = apply_to_paths(self.base, n, args)
+            if crossing % 2:
+                term = term.scale(Fraction(-1))
+            odd = odd + term
         if n == 1:
             e = elements[0]
             derivative = e.even.derivative()
@@ -146,12 +150,7 @@ class PathAlgebra:
         """Flatness defect of a degree-1 path element, summed to the cap."""
         if pe.degree != 1:
             raise InputError("curvature is defined for degree-1 path elements")
-        total = PathElement(self.base.space, 2)
-        for n in range(1, self.base.cap + 1):
-            term = self.q_eval(n, [pe] * n)
-            if not term.is_zero():
-                total = total + term.scale(Fraction(1, factorial(n)))
-        return total
+        return twisting_series(self.q_eval, self.base.cap, pe)
 
 
 def build_path_algebra(base: LInftyStructure, t_cap: int | None = None) -> PathAlgebra:
@@ -202,37 +201,20 @@ def gauge_to_homotopy(
     alpha = conv.hom_to_element(morphism_to_mc(morphism))
     xi = conv.hom_to_element(direction)
     bound = iteration_bound if iteration_bound is not None else morphism.cap + 2
-    h0 = gauge_flow(conv.as_linfty(), alpha, xi, iteration_bound=bound)
+    h0 = gauge_flow(conv, alpha, xi, iteration_bound=bound)
     h1 = PolyPath.constant(xi)
     return HomotopyElement(conv, h0, h1)
 
 
 def flatness_residual(h: HomotopyElement) -> PolyPath:
     """Curvature of the dt-free part, as a polynomial family (zero iff flat)."""
-    u = h.conv.as_linfty()
-    total = PolyPath(u.space, 2)
-    for n in range(1, u.cap + 1):
-        q = u.maps.get(n)
-        if q is None:
-            continue
-        term = apply_to_paths(q, [h.h0] * n)
-        if not term.is_zero():
-            total = total + term.scale(Fraction(1, factorial(n)))
-    return total
+    return twisting_series(partial(apply_to_paths, h.conv), h.conv.cap, h.h0)
 
 
 def evolution_residual(h: HomotopyElement) -> PolyPath:
     """d h0/dt minus the h1-twisted differential along h0 (zero iff evolving)."""
-    u = h.conv.as_linfty()
-    total = h.h0.derivative()
-    for m in range(0, u.cap):
-        q = u.maps.get(m + 1)
-        if q is None:
-            continue
-        term = apply_to_paths(q, [h.h0] * m + [h.h1])
-        if not term.is_zero():
-            total = total - term.scale(Fraction(1, factorial(m)))
-    return total
+    twisted = twisting_series(partial(apply_to_paths, h.conv), h.conv.cap, h.h0, [h.h1])
+    return h.h0.derivative() - twisted
 
 
 def unsplit_residual(h: HomotopyElement, t_cap: int | None = None) -> PathElement:
@@ -242,11 +224,10 @@ def unsplit_residual(h: HomotopyElement, t_cap: int | None = None) -> PathElemen
     minus :func:`evolution_residual`; the decomposition is the recorded
     content of "flat in the path algebra" splitting in dt-degree.
     """
-    u = h.conv.as_linfty()
     if t_cap is None:
-        t_cap = max(h.h0.max_power(), h.h1.max_power()) * u.cap + 2
-    path_algebra = PathAlgebra(u, t_cap)
-    combined = PathElement(u.space, 1, h.h0, h.h1)
+        t_cap = max(h.h0.max_power(), h.h1.max_power()) * h.conv.cap + 2
+    path_algebra = PathAlgebra(h.conv, t_cap)
+    combined = PathElement(h.h0.space, 1, h.h0, h.h1)
     return path_algebra.curvature(combined)
 
 
@@ -307,15 +288,12 @@ def check_homotopy(
         or second.target.space != conv.target.space
     ):
         raise InputError("morphisms and homotopy live on different pairs")
-    from .mc import mc_residual as structure_mc_residual
-
-    u = conv.as_linfty()
     flat = flatness_residual(h)
     evolution = evolution_residual(h)
     starts = h.h0.evaluate(Fraction(0)) == conv.hom_to_element(morphism_to_mc(first))
     ends = h.h0.evaluate(Fraction(1)) == conv.hom_to_element(morphism_to_mc(second))
     sample_residuals = {
-        t: structure_mc_residual(u, h.h0.evaluate(t)) for t in samples
+        t: mc_residual(conv, h.h0.evaluate(t)) for t in samples
     }
     return HomotopyReport(
         cap=conv.cap,

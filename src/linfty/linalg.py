@@ -93,8 +93,3 @@ def reduce_spanning_set(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     reduced, _ = row_reduce(rows)
     return [r for r in reduced if any(x != 0 for x in r)]
 
-
-def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
-    ra = reduce_spanning_set(a)
-    rb = reduce_spanning_set(b)
-    return ra == rb

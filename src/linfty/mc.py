@@ -8,14 +8,24 @@ flow integrates d/dt pi_t = Q_1^{pi_t}(xi) by Picard iteration with exact
 polynomial coefficients in t; in a nilpotent structure each iteration gains
 one level of the lower central filtration, so the iteration reaches an exact
 fixpoint or the structure was not nilpotent.
+
+The curvature, the twisted differential and the flow read an algebra only
+through ``cap`` and ``apply(n, elements)``, the n-ary operation evaluated on
+elements and zero where the algebra has no map.  An
+:class:`~linfty.algebra.LInftyStructure` and the mapping space
+:class:`~linfty.convolution.ConvolutionAlgebra` both offer them, so flows
+of morphisms run in the mapping space directly; :func:`twist`, strict
+curvature and the default flow bound need the structure maps themselves.
+All sums of this kind go through :func:`twisting_series`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .grading import Element, InputError, MultiMap, Word, wedge_basis
 from .algebra import FiltrationChain, LInftyStructure, lower_central_series
@@ -33,8 +43,40 @@ class FlatnessError(ValueError):
         self.residual = residual
 
 
+def twisting_series(apply, cap: int, pi, args: Sequence = ()):
+    """sum over m of 1/m! * apply(m + k, [pi] * m + args), k = len(args).
+
+    ``apply(n, elements)`` is an n-ary operation; m runs up to the weight
+    cap, from 1 when there are no further arguments (the curvature) and
+    from 0 otherwise (the twisted operations).  Terms need ``+``, ``scale``
+    and ``is_zero``, so elements, polynomial paths and path-algebra
+    elements all go through here.
+
+    >>> from linfty.grading import GradedSpace
+    >>> V = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
+    >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("x", "y"): {"z": Fraction(1)}})
+    >>> heis = LInftyStructure(V, {2: q2}, cap=3)
+    >>> pi = Element(V, 1, {"x": Fraction(2), "y": Fraction(3)})
+    >>> twisting_series(heis.apply, heis.cap, pi)
+    6*z
+    >>> twisting_series(heis.apply, heis.cap, pi, [Element.basis(V, "y")])
+    2*z
+    """
+    k = len(args)
+    total = None
+    for m in range(0 if k else 1, cap - k + 1):
+        term = apply(m + k, [pi] * m + list(args))
+        if m > 1:
+            term = term.scale(Fraction(1, factorial(m)))
+        if total is None:
+            total = term
+        elif not term.is_zero():
+            total = total + term
+    return total
+
+
 def mc_residual(
-    structure: LInftyStructure,
+    algebra,
     value: Element,
     evidence: FiltrationChain | None = None,
     require_nilpotent: bool = False,
@@ -42,29 +84,19 @@ def mc_residual(
     """Exact curvature of a degree-1 element, summed up to the cap.
 
     Termination is automatic because maps above the cap vanish; pass
-    ``require_nilpotent=True`` to refuse instead when neither ``evidence``
-    nor a fresh lower-central run certifies nilpotency.
+    ``require_nilpotent=True`` (structures only) to refuse instead when
+    neither ``evidence`` nor a fresh lower-central run certifies nilpotency.
     """
     if value.degree != 1:
         raise InputError("Maurer-Cartan candidates must have degree 1")
-    if value.space != structure.space:
-        raise InputError("element does not live in the structure's space")
     if require_nilpotent:
-        chain = evidence or lower_central_series(structure)
+        chain = evidence or lower_central_series(algebra)
         if not chain.nilpotent:
             raise NonConvergenceError(
                 "structure is not certified nilpotent within the bound; "
-                "the curvature sum is only guaranteed up to cap %d" % structure.cap
+                "the curvature sum is only guaranteed up to cap %d" % algebra.cap
             )
-    total = Element.zero(structure.space, 2)
-    for n in range(1, structure.cap + 1):
-        q = structure.maps.get(n)
-        if q is None:
-            continue
-        term = q.apply([value] * n)
-        if not term.is_zero():
-            total = total + term.scale(Fraction(1, factorial(n)))
-    return total
+    return twisting_series(algebra.apply, algebra.cap, value)
 
 
 @dataclass
@@ -103,14 +135,7 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
         values: dict[Word, Element] = {}
         for word in wedge_basis(space, n):
             args = [Element.basis(space, name) for name in word.factors]
-            total = Element.zero(space, word.degree + 2 - n)
-            for m in range(0, structure.cap - n + 1):
-                q = structure.maps.get(m + n)
-                if q is None:
-                    continue
-                term = q.apply([pi.value] * m + args)
-                if not term.is_zero():
-                    total = total + term.scale(Fraction(1, factorial(m)))
+            total = twisting_series(structure.apply, structure.cap, pi.value, args)
             if not total.is_zero():
                 values[word] = total
         if values:
@@ -208,10 +233,10 @@ class PolyPath:
         )
 
 
-def apply_to_paths(qmap: MultiMap, paths: list[PolyPath]) -> PolyPath:
-    """Multilinear evaluation of a structure map on polynomial paths."""
-    degree = sum(p.degree for p in paths) + qmap.degree
-    out = PolyPath(qmap.target, degree, {})
+def apply_to_paths(algebra, n: int, paths: list[PolyPath]) -> PolyPath:
+    """Multilinear evaluation of ``algebra.apply(n, .)`` on polynomial paths."""
+    space = paths[0].space
+    degree = sum(p.degree for p in paths) + 2 - n
     stack: list[tuple[int, list[Element]]] = [(0, [])]
     for path in paths:
         stack = [
@@ -221,41 +246,35 @@ def apply_to_paths(qmap: MultiMap, paths: list[PolyPath]) -> PolyPath:
         ]
     acc: dict[int, Element] = {}
     for power, elems in stack:
-        term = qmap.apply(elems)
+        term = algebra.apply(n, elems)
         if term.is_zero():
             continue
         acc[power] = acc[power] + term if power in acc else term
-    return PolyPath(qmap.target, degree, acc)
+    return PolyPath(space, degree, acc)
 
 
-def twisted_differential_of(
-    structure: LInftyStructure, pi_path: PolyPath, xi: Element
-) -> PolyPath:
+def twisted_differential_of(algebra, pi_path: PolyPath, xi: Element) -> PolyPath:
     """Q_1^{pi_t}(xi) = sum over m of 1/m! Q_{m+1}(pi_t, ..., pi_t, xi)."""
-    out = PolyPath(structure.space, xi.degree + 1, {})
-    xi_path = PolyPath.constant(xi)
-    for m in range(0, structure.cap):
-        q = structure.maps.get(m + 1)
-        if q is None:
-            continue
-        term = apply_to_paths(q, [pi_path] * m + [xi_path])
-        if not term.is_zero():
-            out = out + term.scale(Fraction(1, factorial(m)))
-    return out
+    return twisting_series(
+        partial(apply_to_paths, algebra), algebra.cap, pi_path, [PolyPath.constant(xi)]
+    )
 
 
 def gauge_flow(
-    structure: LInftyStructure,
+    algebra,
     pi0: MCElement | Element,
     xi: Element,
     iteration_bound: int | None = None,
 ) -> PolyPath:
     """Picard iteration of pi_t = pi0 + integral of Q_1^{pi_t}(xi).
 
-    Returns the exact polynomial fixpoint.  Raises
+    Returns the exact polynomial fixpoint; ``iteration_bound`` counts Picard
+    steps, the last of them the one that reproduces the fixpoint.  Raises
     :class:`NonConvergenceError` when the bound is exhausted, the diagnostic
     for a structure that is not nilpotent (pronilpotence is what guarantees
-    convergence of the iteration).
+    convergence of the iteration).  The default bound reads the lower
+    central series, so an algebra that is not an :class:`LInftyStructure`
+    must pass one.
     """
     if isinstance(pi0, MCElement):
         start = pi0.value
@@ -266,13 +285,13 @@ def gauge_flow(
     if start.degree != 1:
         raise InputError("flow starts at a degree-1 element")
     if iteration_bound is None:
-        chain = lower_central_series(structure)
+        chain = lower_central_series(algebra)
         depth = chain.depth if chain.nilpotent else len(chain.subspaces)
         iteration_bound = depth + 2
     current = PolyPath.constant(start)
     base = PolyPath.constant(start)
     for _ in range(iteration_bound):
-        updated = base + twisted_differential_of(structure, current, xi).integrate()
+        updated = base + twisted_differential_of(algebra, current, xi).integrate()
         if updated == current:
             return current
         current = updated
@@ -280,20 +299,3 @@ def gauge_flow(
         "gauge flow did not reach a fixpoint within %d iterations; "
         "the structure is not nilpotent within the bound" % iteration_bound
     )
-
-
-def flow_iteration_count(
-    structure: LInftyStructure,
-    pi0: Element,
-    xi: Element,
-    iteration_bound: int,
-) -> int:
-    """Number of Picard steps until the fixpoint repeats itself."""
-    current = PolyPath.constant(pi0)
-    base = PolyPath.constant(pi0)
-    for count in range(1, iteration_bound + 1):
-        updated = base + twisted_differential_of(structure, current, xi).integrate()
-        if updated == current:
-            return count
-        current = updated
-    raise NonConvergenceError("no fixpoint within %d iterations" % iteration_bound)

@@ -73,8 +73,7 @@ def flow_morphism(
     conv = build_convolution(morphism.source, morphism.target, morphism.cap)
     alpha = conv.hom_to_element(morphism_to_mc(morphism))
     xi = conv.hom_to_element(direction_element(conv, request.weight, request.correction))
-    truncation = conv.as_linfty()
-    path = gauge_flow(truncation, alpha, xi, iteration_bound=morphism.cap + 2)
+    path = gauge_flow(conv, alpha, xi, iteration_bound=morphism.cap + 2)
     endpoint = conv.element_to_hom(path.evaluate(Fraction(1)))
     perturbed = mc_to_morphism(endpoint)
     return perturbed, path, conv

@@ -195,3 +195,25 @@ def random_component_family(src, tgt, cap, rng, density=0.6):
         if entries:
             comps[n] = MultiMap.from_entries(src.space, tgt.space, n, 1 - n, entries)
     return comps
+
+
+def materialized_hom_structure(conv):
+    """Test reference: the mapping space as an ordinary structure, built eagerly.
+
+    Every canonical word of hom-space basis elements up to the cap gets the
+    bracket of the corresponding basis homs, and the maps go through the
+    ``LInftyStructure`` constructor; ``conv.apply`` must agree with it on
+    arbitrary arguments.
+    """
+    space = conv.hom_space
+    basis = {name: conv.element_to_hom(Element.basis(space, name)) for name in space.names}
+    maps = {}
+    for n in range(1, conv.cap + 1):
+        values = {}
+        for word in wedge_basis(space, n):
+            value = conv.hom_to_element(conv.bracket([basis[name] for name in word.factors]))
+            if not value.is_zero():
+                values[word] = value
+        if values:
+            maps[n] = MultiMap(space, space, n, 2 - n, values)
+    return make_linfty(space, maps, conv.cap)

@@ -1,6 +1,10 @@
 import io
 import json
 import os
+import re
+import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from linfty.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(*argv):
@@ -164,3 +169,34 @@ def test_outputs_deterministic():
         first = run(*argv)
         second = run(*argv)
         assert first == second
+
+
+# (command, corpus file, line pattern, replacement): one malformed header,
+# section weight or missing required header each
+MALFORMED = {
+    "morphism-section-weight": ("check-morphism", "id_twoterm.mor", r"^map 1:$", "map x:"),
+    "algebra-cap": ("check-linfty", "twoterm.alg", r"^cap: 3$", "cap: three"),
+    "mc-element-without-algebra": ("mc-check", "heis_pi.mc", r"^algebra: .*\n", ""),
+    "homotopy-section-weight": ("homotopy-check", "flow.hom", r"^h0 1:$", "h0 a:"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, pattern, replacement", list(MALFORMED.values()), ids=list(MALFORMED)
+)
+def test_malformed_document_is_an_input_error(tmp_path, command, name, pattern, replacement):
+    corpus = tmp_path / "data"
+    shutil.copytree(DATA, corpus)
+    with open(corpus / name) as fh:
+        text = fh.read()
+    broken = re.sub(pattern, replacement, text, count=1, flags=re.M)
+    assert broken != text
+    (corpus / name).write_text(broken)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "linfty.cli", command, name],
+        cwd=corpus, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("input error:")
+    assert "Traceback" not in done.stderr

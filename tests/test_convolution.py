@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,12 +22,20 @@ from linfty import (
     mc_to_morphism,
     morphism_to_mc,
     partial_derivation,
+    unsplit_residual,
 )
 from linfty.convolution import HomElement
+from linfty.homotopy import HomotopyElement, evolution_residual, flatness_residual
+from linfty.mc import PolyPath, gauge_flow
 from linfty.morphism import MorphismComponents
 from linfty.grading import canonicalize_word
 
-from conftest import SMALL_SPACES, random_component_family, random_valid_structure
+from conftest import (
+    SMALL_SPACES,
+    materialized_hom_structure,
+    random_component_family,
+    random_valid_structure,
+)
 
 F = Fraction
 
@@ -118,8 +127,7 @@ def test_correspondence_with_higher_maps():
     conv = build_convolution(structure, structure, 3)
     alpha = morphism_to_mc(identity_morphism(structure))
     assert conv.mc_residual(alpha).is_zero()
-    u = conv.as_linfty()
-    assert mc_residual(u, conv.hom_to_element(alpha)).is_zero()
+    assert mc_residual(conv, conv.hom_to_element(alpha)).is_zero()
 
 
 def test_filtration_compatibility():
@@ -140,18 +148,59 @@ def test_filtration_compatibility():
 
 def test_truncation_passes_relations(two_term, end_dgla):
     conv = build_convolution(two_term, end_dgla, 3)
-    assert check_relations(conv.as_linfty()).passed
+    assert check_relations(materialized_hom_structure(conv)).passed
 
 
 def test_materialized_matches_direct(two_term, end_dgla):
     rng = random.Random(109)
     conv = build_convolution(two_term, end_dgla, 3)
-    u = conv.as_linfty()
+    u = materialized_hom_structure(conv)
     for _ in range(4):
         alpha = random_hom(conv, 1, rng, density=0.4)
         direct = conv.hom_to_element(conv.mc_residual(alpha))
         materialized = mc_residual(u, conv.hom_to_element(alpha))
         assert direct == materialized
+
+
+def random_path(conv, u_degree, rng, max_power=1):
+    return PolyPath(conv.hom_space, u_degree, {
+        p: conv.hom_to_element(random_hom(conv, u_degree, rng, density=0.4))
+        for p in range(max_power + 1)
+    })
+
+
+def test_direct_operations_match_materialized_structure():
+    # the mapping space evaluated directly against the structure built from
+    # brackets of basis homs: the n-ary operations on random arguments of
+    # every degree pattern in 0-2, and every flow and homotopy residual
+    rng = random.Random(134)
+    nonzero = {1: 0, 2: 0, 3: 0}
+    for trial in range(3):
+        source = random_valid_structure(SMALL_SPACES[trial], 3, rng)
+        target = random_valid_structure(SMALL_SPACES[(trial + 1) % 3], 3, rng)
+        conv = build_convolution(source, target, 3)
+        reference = materialized_hom_structure(conv)
+        for n in (1, 2, 3):
+            for u_degrees in product([0, 1, 2], repeat=n):
+                xs = [conv.hom_to_element(random_hom(conv, u, rng)) for u in u_degrees]
+                direct = conv.apply(n, xs)
+                assert direct == reference.map_at(n).apply(xs)
+                nonzero[n] += not direct.is_zero()
+        alpha = conv.hom_to_element(random_hom(conv, 1, rng))
+        xi = conv.hom_to_element(random_hom(conv, 0, rng))
+        path = gauge_flow(conv, alpha, xi, iteration_bound=5)
+        assert path == gauge_flow(reference, alpha, xi, iteration_bound=5)
+        h0 = path + random_path(conv, 1, rng)
+        h1 = random_path(conv, 0, rng)
+        on_conv = HomotopyElement(conv, h0, h1)
+        on_reference = HomotopyElement(reference, h0, h1)
+        flat = flatness_residual(on_conv)
+        evolution = evolution_residual(on_conv)
+        assert not flat.is_zero() and not evolution.is_zero()
+        assert flat == flatness_residual(on_reference)
+        assert evolution == evolution_residual(on_reference)
+        assert unsplit_residual(on_conv) == unsplit_residual(on_reference)
+    assert all(nonzero.values())
 
 
 def test_hom_element_round_trip(heisenberg):
