@@ -14,17 +14,21 @@ Sign conventions (the one table everything below refers to):
 
   * evaluation, storage and the public splitting signs follow the word
     convention of :mod:`linfty.grading` (``-(-1)**(p*q)`` per swap);
-  * block bookkeeping inside q_n is done on shifted degrees: splittings are
-    signed classically on degrees lowered by one, a map collection of degree
-    u crosses a block B at cost ``(-1)**((u-1)*(deg B - weight B))``, and
-    each application of a weight-k component or of Q'_n contributes the
-    desuspension sign of its arguments' plain degrees;
-  * q_n carries one constant for its arguments, the desuspension sign of
-    their shifted degrees u_1 - 1, ..., u_n - 1 (that of u_1, ..., u_n
-    times ``(-1)**(n*(n-1)/2)``); it is +1 when every u_i = 1 or when only
-    the last is 0, and it makes q_n graded-antisymmetric in the word
-    convention, so the mapping space is a structure in the same convention
-    as its source and target;
+  * block bookkeeping inside q_n is done on shifted degrees: the n-block
+    splittings of a word and their signs are those of
+    :func:`linfty.grading.signed_blocks`, the kernel the morphism lift uses
+    too;
+  * q_n's sign on a splitting B_1, ..., B_n is that kernel sign times the
+    crossing ``(-1)**sum_{i<j} (u_j - 1)*(deg B_i - weight B_i)`` of each
+    argument past the earlier blocks.  Spelled out, Q'_n also contributes
+    the desuspension sign of its arguments' degrees, suspended(B_i) +
+    (u_i - 1), and q_n a constant, the desuspension sign of the u_i - 1
+    that makes q_n graded-antisymmetric in the word convention (so the
+    mapping space is a structure in the same convention as its source and
+    target).  The desuspension sign has the linear exponent
+    ``sum d_i*(n-1-i)``, so it is multiplicative over elementwise sums of
+    degrees: the constant cancels the u_i - 1 part and leaves the kernel's
+    suspended-degree factor;
   * with these choices the degree-2 curvature of a degree-1 element equals
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
@@ -37,8 +41,6 @@ hom-space coordinates, which is all the Maurer-Cartan calculus of
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -49,14 +51,12 @@ from .grading import (
     MultiMap,
     StructureError,
     Word,
-    canonicalize_word,
-    classical_koszul_sign,
-    desuspension_sign,
     koszul_sign,
+    signed_blocks,
     subword,
 )
 from .algebra import LInftyStructure, check_relations, lift_coderivation
-from .morphism import MorphismComponents, _set_partitions
+from .morphism import MorphismComponents
 from .mc import twisting_series
 
 
@@ -77,11 +77,8 @@ def iterated_coproduct(
     out: dict[tuple[Word, ...], Fraction] = {}
     space = element.space
     for word, coeff in element.terms.items():
-        m = word.weight
-        if n > m:
-            continue
         degrees = space.degrees_of(word.factors)
-        for blocks in _ordered_splittings(m, n):
+        for _, blocks in signed_blocks(degrees, n):
             arrangement = [i for b in blocks for i in b]
             sign = koszul_sign(arrangement, degrees)
             key = tuple(subword(word, b, space) for b in blocks)
@@ -92,31 +89,6 @@ def iterated_coproduct(
             else:
                 out.pop(key, None)
     return out
-
-
-@lru_cache(maxsize=None)
-def _ordered_splittings(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Ordered partitions of range(m) into n nonempty blocks (blocks sorted)."""
-
-    def go(remaining: tuple[int, ...], blocks_left: int):
-        if blocks_left == 1:
-            yield (remaining,)
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        # anchoring the first remaining position enumerates unordered partitions
-        for extra in range(0, len(rest) - blocks_left + 2):
-            for chosen in combinations(rest, extra):
-                block = (first,) + chosen
-                left = tuple(p for p in rest if p not in chosen)
-                for tail in go(left, blocks_left - 1):
-                    yield (block,) + tail
-
-    out = []
-    for blocks in go(tuple(range(m)), n):
-        for order in permutations(range(n)):
-            out.append(tuple(blocks[i] for i in order))
-    return tuple(out)
 
 
 class HomElement:
@@ -350,48 +322,28 @@ class ConvolutionAlgebra:
         if qn is None:
             return self.zero_hom(u_out)
         src_space = self.source.space
-        hom_shift = [a.u_degree - 1 for a in alphas]
-        constant = desuspension_sign(hom_shift)
         comps: dict[int, dict[Word, Element]] = {}
         for word in self.words:
             m = word.weight
             if m < n:
                 continue
             degrees = src_space.degrees_of(word.factors)
-            shifted = [d - 1 for d in degrees]
-            word_sign = constant * desuspension_sign(degrees)
-            total = Element.zero(
-                self.target.space, word.degree + u_out - m
-            )
-            for blocks in _ordered_splittings(m, n):
+            total = Element.zero(self.target.space, word.degree + u_out - m)
+            for sign, blocks in signed_blocks(degrees, n):
                 vals: list[Element] = []
-                ok = True
-                sign = word_sign
-                block_shifted_degrees = []
-                for i, block in enumerate(blocks):
-                    bdeg = [degrees[p] for p in block]
-                    block_shifted_degrees.append(sum(bdeg) - len(block))
+                crossing = prefix = 0
+                for alpha, block in zip(alphas, blocks):
                     wpart = subword(word, block, src_space)
-                    val = alphas[i].component(len(block)).value(wpart)
+                    val = alpha.component(len(block)).value(wpart)
                     if val.is_zero():
-                        ok = False
                         break
-                    sign *= desuspension_sign(bdeg)
                     vals.append(val)
-                if not ok:
-                    continue
-                arrangement = [p for b in blocks for p in b]
-                sign *= classical_koszul_sign(arrangement, shifted)
-                crossing = 0
-                for j in range(n):
-                    for i in range(j):
-                        crossing += hom_shift[j] * block_shifted_degrees[i]
-                if crossing % 2:
-                    sign = -sign
-                sign *= desuspension_sign([v.degree for v in vals])
-                term = qn.apply(vals)
-                if not term.is_zero():
-                    total = total + term.scale(Fraction(sign))
+                    crossing += (alpha.u_degree - 1) * prefix
+                    prefix += wpart.degree - len(block)
+                else:
+                    term = qn.apply(vals)
+                    if not term.is_zero():
+                        total = total + term.scale(-sign if crossing % 2 else sign)
             if not total.is_zero():
                 comps.setdefault(m, {})[word] = total
         return self._assemble(u_out, comps)
@@ -430,29 +382,13 @@ def coalgebra_partitions(
     """Unordered partitions of a word into sub-words, suspension-signed.
 
     This is the comonad coproduct of the free coalgebra in component form:
-    blocks are ordered by their minimal position and the sign combines the
-    shifted-degree rearrangement with the desuspension signs of the blocks
-    and of the resulting word of blocks.
+    the blocks and signs of :func:`linfty.grading.signed_blocks`, with each
+    block read off as a sub-word.
     """
-    m = word.weight
-    degrees = space.degrees_of(word.factors)
-    chi_in = desuspension_sign(degrees)
-    shifted = [d - 1 for d in degrees]
-    out: list[tuple[int, list[Word]]] = []
-    for blocks in _set_partitions(tuple(range(m))):
-        arrangement = [p for b in blocks for p in b]
-        sign = chi_in * classical_koszul_sign(arrangement, shifted)
-        words = []
-        outer_degrees = []
-        for block in blocks:
-            bdeg = [degrees[p] for p in block]
-            sign *= desuspension_sign(bdeg)
-            wpart = subword(word, block, space)
-            words.append(wpart)
-            outer_degrees.append(wpart.suspended_degree())
-        sign *= desuspension_sign(outer_degrees)
-        out.append((sign, words))
-    return out
+    return [
+        (sign, [subword(word, block, space) for block in blocks])
+        for sign, blocks in signed_blocks(space.degrees_of(word.factors))
+    ]
 
 
 def partial_derivation(
@@ -481,26 +417,14 @@ def partial_derivation(
         prefix = sum(w.suspended_degree() for w in blocks[:i])
         slot_sign = -1 if (b_degree * (gamma_degree + prefix)) % 2 else 1
         vals: list[Element] = []
-        ok = True
         for j, w in enumerate(blocks):
             hom = b if j == i else f
             val = hom.component(w.weight).value(w)
             if val.is_zero():
-                ok = False
                 break
             vals.append(val)
-        if not ok:
-            continue
-        sign = slot_sign
-        for combo in product(*(v.items() for v in vals)):
-            names = tuple(name for name, _ in combo)
-            coeff = Fraction(sign)
-            for _, c in combo:
-                coeff *= c
-            new_word, csign = canonicalize_word(names, tgt_space)
-            if new_word is None:
-                continue
-            out.add_term(new_word, coeff * csign)
+        else:
+            out.add_product(vals, slot_sign)
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from itertools import zip_longest
 
 from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word
 from .algebra import LInftyStructure, make_linfty
@@ -115,8 +116,8 @@ def parse_document(text: str) -> dict:
     return {"kind": kind, "headers": headers, "sections": sections}
 
 
-def _parse_combination(space: GradedSpace, text: str) -> dict[str, Fraction]:
-    combo: dict[str, Fraction] = {}
+def _terms(space: GradedSpace, text: str):
+    """Split ``c*name + ...`` into (coefficient text, name) pairs, names checked."""
     for term in text.split(" + "):
         term = term.strip()
         if not term:
@@ -126,6 +127,12 @@ def _parse_combination(space: GradedSpace, text: str) -> dict[str, Fraction]:
         coeff_text, _, name = term.partition("*")
         if name not in space:
             raise DocumentError("unknown basis name %r" % name)
+        yield coeff_text, name
+
+
+def _parse_combination(space: GradedSpace, text: str) -> dict[str, Fraction]:
+    combo: dict[str, Fraction] = {}
+    for coeff_text, name in _terms(space, text):
         combo[name] = combo.get(name, Fraction(0)) + _parse_fraction(coeff_text)
     return {n: c for n, c in combo.items() if c}
 
@@ -388,12 +395,13 @@ def _parse_poly_section(
     for line in lines:
         word, sign, rhs = _parse_entry(line, source, weight)
         combo: dict[str, list[Fraction]] = {}
-        for term in rhs.split(" + "):
-            coeff_text, _, name = term.partition("*")
-            if name not in target:
-                raise DocumentError("unknown basis name %r" % name)
+        for coeff_text, name in _terms(target, rhs):
             poly = [c * sign for c in _parse_poly(coeff_text)]
-            combo[name] = poly
+            combo[name] = [
+                a + b for a, b in zip_longest(combo.get(name, []), poly, fillvalue=0)
+            ]
+        if word in out:
+            raise DocumentError("duplicate entry for word %r" % (word.factors,))
         out[word] = combo
     return out
 

@@ -19,7 +19,8 @@ basis of the n-th graded wedge power.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import permutations, product
 from typing import Iterable, Mapping, Sequence
 
 
@@ -84,6 +85,62 @@ def desuspension_sign(degrees: Sequence[int]) -> int:
         exponent += running * d
         running += 1
     return -1 if exponent % 2 else 1
+
+
+def _partitions(items: tuple[int, ...]):
+    """Unordered partitions into nonempty blocks, blocks ordered by minimum."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for sub in _partitions(rest):
+        yield ((first,),) + sub
+        for i in range(len(sub)):
+            yield ((first,) + sub[i],) + sub[:i] + sub[i + 1 :]
+
+
+@lru_cache(maxsize=None)
+def signed_blocks(
+    degrees: tuple[int, ...], n: int | None = None
+) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """Block splittings of a word with these factor degrees, with their signs.
+
+    With ``n`` None: the unordered set partitions of the positions, blocks
+    ordered by their minimum; with an integer ``n``: every ordering of every
+    partition into ``n`` blocks.  This is the comultiplication of the cofree
+    coalgebra in component form, shared by the morphism lift, the
+    mapping-space operations and both coproducts.  The sign is the
+    desuspension sign of the word, times the classical Koszul sign of the
+    rearrangement on degrees lowered by one, times the desuspension sign of
+    each block, times that of the blocks' suspended degrees
+    ``plain + 1 - weight``.  Blocks are tuples of sorted positions.
+
+    >>> signed_blocks((0, 1))
+    ((1, ((0,), (1,))), (1, ((0, 1),)))
+    >>> signed_blocks((0, 1), 2)
+    ((1, ((0,), (1,))), (-1, ((1,), (0,))))
+    """
+    partitions = _partitions(tuple(range(len(degrees))))
+    if n is not None:
+        partitions = (
+            tuple(blocks[i] for i in order)
+            for blocks in partitions
+            if len(blocks) == n
+            for order in permutations(range(n))
+        )
+    word_sign = desuspension_sign(degrees)
+    shifted = [d - 1 for d in degrees]
+    out = []
+    for blocks in partitions:
+        arrangement = [p for block in blocks for p in block]
+        sign = word_sign * classical_koszul_sign(arrangement, shifted)
+        suspended = []
+        for block in blocks:
+            block_degrees = [degrees[p] for p in block]
+            sign *= desuspension_sign(block_degrees)
+            suspended.append(sum(block_degrees) + 1 - len(block))
+        out.append((sign * desuspension_sign(suspended), blocks))
+    return tuple(out)
 
 
 class GradedSpace:
@@ -485,6 +542,17 @@ class CoalgebraElement:
         else:
             self.terms[word] = new
 
+    def add_product(self, values: Sequence[Element], coeff):
+        """Add ``coeff`` times the product of ``values``, expanded and canonicalised."""
+        for combo in product(*(v.items() for v in values)):
+            word, sign = canonicalize_word(tuple(name for name, _ in combo), self.space)
+            if word is None:
+                continue
+            term = coeff * sign
+            for _, c in combo:
+                term *= c
+            self.add_term(word, term)
+
     def __add__(self, other: "CoalgebraElement") -> "CoalgebraElement":
         out = CoalgebraElement(self.space, dict(self.terms))
         for w, c in other.terms.items():
@@ -551,25 +619,18 @@ def reduced_coproduct(
 
     This is the coproduct for which the coderivation lift satisfies
     Delta o Q = (Q (x) id + id (x) Q) o Delta, the tensor crossing using the
-    degree ``plain - weight`` of the first factor.  Reporting-level
-    splittings signed purely by :func:`koszul_sign` live in the convolution
-    module instead.
+    degree ``plain - weight`` of the first factor.  Its sign is that of
+    :func:`signed_blocks` with two blocks, times ``(-1)**`` the suspended
+    degree of the left block.  Reporting-level splittings signed purely by
+    :func:`koszul_sign` live in the convolution module instead.
     """
-    m = word.weight
     degrees = space.degrees_of(word.factors)
-    chi_in = desuspension_sign(degrees)
-    shifted = [d - 1 for d in degrees]
     out: dict[tuple[Word, Word], int] = {}
-    for r in range(1, m):
-        for left in combinations(range(m), r):
-            right = tuple(i for i in range(m) if i not in left)
-            arrangement = list(left) + list(right)
-            sign = chi_in * classical_koszul_sign(arrangement, shifted)
-            ldeg = [degrees[i] for i in left]
-            rdeg = [degrees[i] for i in right]
-            sign *= desuspension_sign(ldeg) * desuspension_sign(rdeg)
-            lword = Word(tuple(word.factors[i] for i in left), sum(ldeg))
-            rword = Word(tuple(word.factors[i] for i in right), sum(rdeg))
-            key = (lword, rword)
-            out[key] = out.get(key, 0) + sign
+    for sign, (left, right) in signed_blocks(degrees, 2):
+        lword = subword(word, left, space)
+        rword = subword(word, right, space)
+        if lword.suspended_degree() % 2:
+            sign = -sign
+        key = (lword, rword)
+        out[key] = out.get(key, 0) + sign
     return {k: s for k, s in out.items() if s}

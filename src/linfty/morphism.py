@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Mapping
 
 from .grading import (
@@ -26,9 +25,7 @@ from .grading import (
     MultiMap,
     StructureError,
     Word,
-    canonicalize_word,
-    classical_koszul_sign,
-    desuspension_sign,
+    signed_blocks,
     subword,
     wedge_basis,
 )
@@ -103,18 +100,6 @@ def identity_morphism(structure: LInftyStructure) -> MorphismComponents:
     return morphism
 
 
-def _set_partitions(items: tuple[int, ...]):
-    """Unordered partitions into nonempty blocks, blocks ordered by minimum."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield [[first]] + sub
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-
-
 class MorphismLift:
     """Coalgebra-map extension of the components to the truncation."""
 
@@ -128,42 +113,21 @@ class MorphismLift:
             return cached
         F = self.morphism
         src = F.source.space
-        tgt = F.target.space
-        m = word.weight
-        degrees = src.degrees_of(word.factors)
-        chi_in = desuspension_sign(degrees)
-        out = CoalgebraElement(tgt)
-        for blocks in _set_partitions(tuple(range(m))):
-            arrangement = [i for block in blocks for i in block]
-            shifted = classical_koszul_sign(
-                arrangement, [degrees[i] - 1 for i in range(m)]
-            )
-            sign = chi_in * shifted
+        out = CoalgebraElement(F.target.space)
+        # F_k has degree 1 - k, so each value's degree is the suspended degree
+        # of its block and the kernel sign is the whole sign of the term.
+        for sign, blocks in signed_blocks(src.degrees_of(word.factors)):
             vals: list[Element] = []
-            ok = True
             for block in blocks:
                 comp = F.components.get(len(block))
                 if comp is None:
-                    ok = False
                     break
-                sign *= desuspension_sign([degrees[i] for i in block])
                 val = comp.value(subword(word, block, src))
                 if val.is_zero():
-                    ok = False
                     break
                 vals.append(val)
-            if not ok:
-                continue
-            sign *= desuspension_sign([v.degree for v in vals])
-            for combo in product(*(v.items() for v in vals)):
-                names = tuple(name for name, _ in combo)
-                coeff = Fraction(sign)
-                for _, c in combo:
-                    coeff *= c
-                new_word, csign = canonicalize_word(names, tgt)
-                if new_word is None:
-                    continue
-                out.add_term(new_word, coeff * csign)
+            else:
+                out.add_product(vals, sign)
         self._cache[word] = out
         return out
 

@@ -217,3 +217,83 @@ def materialized_hom_structure(conv):
         if values:
             maps[n] = MultiMap(space, space, n, 2 - n, values)
     return make_linfty(space, maps, conv.cap)
+
+
+# Test reference for linfty.grading.signed_blocks: the block-splitting sign of
+# each call site (morphism lift, mapping-space bracket, the two coproducts)
+# written out in full, on sign helpers independent of linfty.grading.  The
+# call sites share one kernel, so their correspondence tests alone cannot
+# catch a sign bug in it.
+
+
+def _desuspension(degrees):
+    """``(-1)**sum(degrees[i])`` over all pairs i < j."""
+    exponent = sum(
+        degrees[i] for j in range(len(degrees)) for i in range(j)
+    )
+    return -1 if exponent % 2 else 1
+
+
+def _classical_koszul(arrangement, degrees):
+    """``(-1)**(p*q)`` for every pair of symbols the arrangement swaps."""
+    exponent = sum(
+        degrees[a] * degrees[b]
+        for i, a in enumerate(arrangement)
+        for b in arrangement[i + 1 :]
+        if a > b
+    )
+    return -1 if exponent % 2 else 1
+
+
+def _shifted_rearrangement(degrees, blocks):
+    arrangement = [p for block in blocks for p in block]
+    return _desuspension(degrees) * _classical_koszul(
+        arrangement, [d - 1 for d in degrees]
+    )
+
+
+def lift_sign_reference(degrees, blocks):
+    """Sign of ``MorphismLift.on_word`` and ``coalgebra_partitions``.
+
+    F_k has degree 1 - k, so the value degrees of the lift are the blocks'
+    suspended degrees, which is what ``coalgebra_partitions`` used.
+    """
+    sign = _shifted_rearrangement(degrees, blocks)
+    values = []
+    for block in blocks:
+        block_degrees = [degrees[p] for p in block]
+        sign *= _desuspension(block_degrees)
+        values.append(sum(block_degrees) + 1 - len(block))
+    return sign * _desuspension(values)
+
+
+def reduced_coproduct_sign_reference(degrees, left, right):
+    """Sign of the two-block splitting in ``reduced_coproduct``."""
+    sign = _shifted_rearrangement(degrees, (left, right))
+    for block in (left, right):
+        sign *= _desuspension([degrees[p] for p in block])
+    return sign
+
+
+def bracket_sign_reference(degrees, blocks, u_degrees):
+    """Sign of one splitting in ``ConvolutionAlgebra.bracket``.
+
+    Includes the folded constant (the desuspension sign of the u_i - 1), the
+    crossing of each argument past the earlier blocks and the desuspension
+    sign of the value degrees that Q'_n receives.
+    """
+    hom_shift = [u - 1 for u in u_degrees]
+    sign = _desuspension(hom_shift) * _shifted_rearrangement(degrees, blocks)
+    block_shifted = []
+    values = []
+    for block, u in zip(blocks, u_degrees):
+        block_degrees = [degrees[p] for p in block]
+        sign *= _desuspension(block_degrees)
+        block_shifted.append(sum(block_degrees) - len(block))
+        values.append(sum(block_degrees) + u - len(block))
+    crossing = sum(
+        hom_shift[j] * block_shifted[i] for j in range(len(blocks)) for i in range(j)
+    )
+    if crossing % 2:
+        sign = -sign
+    return sign * _desuspension(values)

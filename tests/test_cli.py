@@ -172,12 +172,18 @@ def test_outputs_deterministic():
 
 
 # (command, corpus file, line pattern, replacement): one malformed header,
-# section weight or missing required header each
+# section weight, missing required header or malformed homotopy entry each
 MALFORMED = {
     "morphism-section-weight": ("check-morphism", "id_twoterm.mor", r"^map 1:$", "map x:"),
     "algebra-cap": ("check-linfty", "twoterm.alg", r"^cap: 3$", "cap: three"),
     "mc-element-without-algebra": ("mc-check", "heis_pi.mc", r"^algebra: .*\n", ""),
     "homotopy-section-weight": ("homotopy-check", "flow.hom", r"^h0 1:$", "h0 a:"),
+    "homotopy-repeated-word": (
+        "homotopy-check", "flow.hom", r"^  b -> 1\*b$", "  b -> 1*b\n  b -> 5*b"
+    ),
+    "homotopy-term-without-coefficient": (
+        "homotopy-check", "flow.hom", r"^  b -> 1\*b$", "  b -> b"
+    ),
 }
 
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,18 @@ def test_load_homotopy_document():
     assert first.cap == second.cap == 3
     assert set(h0_parts) == {1, 2}
     assert set(h1_parts) == {2}
+
+
+def test_homotopy_entries_sum_repeated_names(tmp_path):
+    corpus = tmp_path / "data"
+    shutil.copytree(DATA, corpus)
+    path = corpus / "flow.hom"
+    text = path.read_text()
+    assert "  b -> 1*b\n" in text
+    path.write_text(text.replace("  b -> 1*b\n", "  b -> 1*b + 5*b\n"))
+    _, _, h0_parts, _ = load_homotopy(str(path))
+    (word,) = [w for w in h0_parts[1] if w.factors == ("b",)]
+    assert h0_parts[1][word] == {"b": [F(6)]}
 
 
 def test_parse_element_mixed_degree_rejected(two_term):

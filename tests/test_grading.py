@@ -1,13 +1,12 @@
-import doctest
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import linfty.grading as grading
 from linfty import (
     Element,
     GradedSpace,
@@ -17,13 +16,15 @@ from linfty import (
     koszul_sign,
     wedge_basis,
 )
+from linfty.grading import signed_blocks
+
+from conftest import (
+    bracket_sign_reference,
+    lift_sign_reference,
+    reduced_coproduct_sign_reference,
+)
 
 F = Fraction
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(grading)
-    assert failures == 0
 
 
 def test_koszul_sign_pinned_cases():
@@ -182,3 +183,46 @@ def test_multimap_evaluate_on_vanishing_tuple():
     m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1)}})
     assert m.evaluate(("a", "a")).is_zero()
     assert m.evaluate(("b", "a")) == Element(V, 1, {"b": F(-1)})
+
+
+def _stirling2(m, n):
+    """Number of partitions of m positions into n nonempty blocks."""
+    if m == n:
+        return 1
+    if n == 0 or n > m:
+        return 0
+    return n * _stirling2(m - 1, n) + _stirling2(m - 1, n - 1)
+
+
+def test_signed_blocks_match_the_inline_formulas():
+    rng = random.Random(331)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        degrees = tuple(rng.randint(-2, 3) for _ in range(m))
+        unordered = signed_blocks(degrees)
+        partitions = {frozenset(map(frozenset, blocks)) for _, blocks in unordered}
+        assert len(unordered) == len(partitions)
+        assert len(partitions) == sum(_stirling2(m, n) for n in range(1, m + 1))
+        for sign, blocks in unordered:
+            assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+            assert sign == lift_sign_reference(degrees, blocks)
+        for n in range(1, m + 1):
+            ordered = signed_blocks(degrees, n)
+            splittings = {tuple(map(frozenset, blocks)) for _, blocks in ordered}
+            assert len(ordered) == len(splittings) == factorial(n) * _stirling2(m, n)
+            for sign, blocks in ordered:
+                assert sorted(p for block in blocks for p in block) == list(range(m))
+                assert all(list(block) == sorted(block) for block in blocks)
+                assert sign == lift_sign_reference(degrees, blocks)
+                u_degrees = [rng.randint(-1, 2) for _ in blocks]
+                crossing, prefix = 0, 0
+                for u, block in zip(u_degrees, blocks):
+                    crossing += (u - 1) * prefix
+                    prefix += sum(degrees[p] for p in block) - len(block)
+                expected = -sign if crossing % 2 else sign
+                assert bracket_sign_reference(degrees, blocks, u_degrees) == expected
+                if n == 2:
+                    left, right = blocks
+                    suspended = sum(degrees[p] for p in left) + 1 - len(left)
+                    expected = -sign if suspended % 2 else sign
+                    assert reduced_coproduct_sign_reference(degrees, left, right) == expected
