@@ -33,8 +33,7 @@ from .grading import (
     StructureError,
     Word,
     canonicalize_word,
-    subword,
-    unshuffle_sign,
+    unshuffles,
     wedge_basis,
 )
 from . import linalg
@@ -136,34 +135,31 @@ class Coderivation:
     def __init__(self, structure: LInftyStructure):
         self.structure = structure
         self._cache: dict[Word, CoalgebraElement] = {}
+        # Q_k's values keyed by factor tuples, so a sub-word is looked up
+        # before any sign or Word is built for it.
+        self._values = {
+            k: {w.factors: v for w, v in q.values.items()}
+            for k, q in structure.maps.items()
+        }
 
     def on_word(self, word: Word) -> CoalgebraElement:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
-        L = self.structure
-        space = L.space
-        m = word.weight
+        space = self.structure.space
+        factors = word.factors
+        degrees = space.degrees_of(factors)
         out = CoalgebraElement(space)
-        for k in range(1, min(m, L.cap) + 1):
-            q = L.maps.get(k)
-            if q is None:
-                continue
-            cross = -1 if (k * (m - k)) % 2 else 1
-            for positions in combinations(range(m), k):
-                sign = unshuffle_sign(word, positions, space)
-                inner = subword(word, positions, space)
-                value = q.value(inner)
-                if value.is_zero():
+        for k, values in self._values.items():
+            for sign, chosen, rest in unshuffles(degrees, k):
+                value = values.get(tuple(factors[i] for i in chosen))
+                if value is None:
                     continue
-                rest = tuple(
-                    word.factors[i] for i in range(m) if i not in positions
-                )
+                rest_names = tuple(factors[i] for i in rest)
                 for name, coeff in value.coeffs.items():
-                    new_word, csign = canonicalize_word((name,) + rest, space)
-                    if new_word is None:
-                        continue
-                    out.add_term(new_word, Fraction(cross * sign * csign) * coeff)
+                    new_word, csign = canonicalize_word((name,) + rest_names, space)
+                    if new_word is not None:
+                        out.add_term(new_word, sign * csign * coeff)
         self._cache[word] = out
         return out
 
@@ -197,19 +193,19 @@ class RelationReport:
 
 
 def check_relations(structure: LInftyStructure) -> RelationReport:
-    """Project Q*Q to cogenerators on every canonical word up to the cap."""
+    """Residuals of Q*Q on every canonical word up to the cap.
+
+    The residual at a word w is the structure maps evaluated on the lift's
+    image, the sum of c*Q_|u|(u) over the terms c*u of Q(w).  That is the
+    cogenerator part of Q*Q, which determines the whole coderivation Q*Q.
+    """
     lift = lift_coderivation(structure)
     report = RelationReport(cap=structure.cap)
     for word in structure.words():
-        image = lift.apply(lift.on_word(word))
-        # cogenerator part of Q*Q: plain degree rises by 2 along the two
-        # suspended-degree-1 steps, i.e. to word.degree + 3 - weight
-        residual = Element.zero(structure.space, word.degree + 3 - word.weight)
-        for w, c in image.terms.items():
-            if w.weight == 1:
-                residual = residual + Element.basis(
-                    structure.space, w.factors[0], c
-                )
+        # Q*Q raises the suspended degree, plain + 1 - weight, by 2
+        residual = lift.on_word(word).through(
+            structure.maps, structure.space, word.degree + 3 - word.weight
+        )
         if not residual.is_zero():
             report.residuals[word] = residual
     structure.verified = report.passed

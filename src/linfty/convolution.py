@@ -165,7 +165,7 @@ class HomElement:
         return HomElement(self.source, self.target, self.u_degree, comps)
 
     def __sub__(self, other: "HomElement") -> "HomElement":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, scalar) -> "HomElement":
         comps = {
@@ -299,15 +299,12 @@ class ConvolutionAlgebra:
         comps: dict[int, dict[Word, Element]] = {}
         for word in self.words:
             m = word.weight
-            total = Element.zero(tgt.space, word.degree + alpha.u_degree + 1 - m)
+            total = self._lift.on_word(word).through(
+                alpha.components, tgt.space, word.degree + alpha.u_degree + 1 - m
+            ).scale(-cross)
             val = alpha.component(m).value(word)
             if q1 is not None and not val.is_zero():
-                total = total + q1.apply([val])
-            pre = self._lift.on_word(word)
-            for w2, c in pre.terms.items():
-                inner = alpha.component(w2.weight).value(w2)
-                if not inner.is_zero():
-                    total = total - inner.scale(Fraction(cross) * c)
+                total = q1.apply([val]) + total
             if not total.is_zero():
                 comps.setdefault(m, {})[word] = total
         return self._assemble(alpha.u_degree + 1, comps)

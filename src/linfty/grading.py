@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Mapping, Sequence
 
 
@@ -140,6 +140,26 @@ def signed_blocks(
             sign *= desuspension_sign(block_degrees)
             suspended.append(sum(block_degrees) + 1 - len(block))
         out.append((sign * desuspension_sign(suspended), blocks))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def unshuffles(degrees: tuple[int, ...], k: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """Signed (k, m - k)-unshuffles ``(sign, chosen, rest)`` of a word.
+
+    ``chosen`` runs over the sorted k-subsets of the positions and ``rest``
+    is its sorted complement.  The sign is the coderivation lift's,
+    ``(-1)**(k*(m-k))`` times the sign of moving ``chosen`` to the front.
+
+    >>> unshuffles((0, 1), 1)
+    ((-1, (0,), (1,)), (1, (1,), (0,)))
+    """
+    m = len(degrees)
+    cross = -1 if (k * (m - k)) % 2 else 1
+    out = []
+    for chosen in combinations(range(m), k):
+        rest = tuple(p for p in range(m) if p not in chosen)
+        out.append((cross * koszul_sign(chosen + rest, degrees), chosen, rest))
     return tuple(out)
 
 
@@ -447,7 +467,7 @@ class MultiMap:
             word, sign = canonicalize_word(tuple(names), source)
             if word is None:
                 raise InputError("entry on %r, which canonicalizes to zero" % (names,))
-            value = parse_combination(target, combo).scale(Fraction(sign))
+            value = parse_combination(target, combo).scale(sign)
             expected = word.degree + degree
             if value.degree != expected:
                 raise StructureError(
@@ -470,7 +490,7 @@ class MultiMap:
         if word is None:
             degree = sum(self.source.degree(n) for n in names) + self.degree
             return Element.zero(self.target, degree)
-        return self.value(word).scale(Fraction(sign))
+        return self.value(word).scale(sign)
 
     def apply(self, elements: Sequence[Element]) -> Element:
         """Multilinear evaluation on elements (expanded over their supports)."""
@@ -496,9 +516,6 @@ class MultiMap:
 
     def is_zero(self) -> bool:
         return not self.values
-
-    def support(self) -> list[Word]:
-        return sorted(self.values, key=lambda w: w.factors)
 
     def __eq__(self, other):
         return (
@@ -553,6 +570,22 @@ class CoalgebraElement:
                 term *= c
             self.add_term(word, term)
 
+    def through(self, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int) -> Element:
+        """Sum of ``c * maps[|u|](u)`` over the terms ``c*u``, in ``space`` and ``degree``.
+
+        On the lift's image of a word this is the cogenerator (weight-1) part
+        of its composite with the map or coderivation whose weight-n maps are
+        ``maps``, without building that composite.
+        """
+        coeffs: dict = {}
+        for word, c in self.terms.items():
+            m = maps.get(word.weight)
+            value = None if m is None else m.values.get(word)
+            if value is not None:
+                for name, v in value.coeffs.items():
+                    coeffs[name] = coeffs.get(name, 0) + c * v
+        return Element(space, degree, coeffs)
+
     def __add__(self, other: "CoalgebraElement") -> "CoalgebraElement":
         out = CoalgebraElement(self.space, dict(self.terms))
         for w, c in other.terms.items():
@@ -571,14 +604,6 @@ class CoalgebraElement:
         return CoalgebraElement(
             self.space, {w: scalar * c for w, c in self.terms.items()}
         )
-
-    def weight_part(self, weight: int) -> "CoalgebraElement":
-        return CoalgebraElement(
-            self.space, {w: c for w, c in self.terms.items() if w.weight == weight}
-        )
-
-    def weights(self) -> tuple[int, ...]:
-        return tuple(sorted({w.weight for w in self.terms}))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -603,13 +628,6 @@ def subword(word: Word, positions: Sequence[int], space: GradedSpace) -> Word:
     """Sub-word at the given (sorted) positions; stays canonical."""
     names = tuple(word.factors[i] for i in positions)
     return Word(names, sum(space.degree(n) for n in names))
-
-
-def unshuffle_sign(word: Word, positions: Sequence[int], space: GradedSpace) -> int:
-    """Sign (in this module's convention) of moving ``positions`` to the front."""
-    rest = [i for i in range(word.weight) if i not in positions]
-    perm = list(positions) + rest
-    return koszul_sign(perm, space.degrees_of(word.factors))
 
 
 def reduced_coproduct(

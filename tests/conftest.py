@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -195,6 +194,15 @@ def random_component_family(src, tgt, cap, rng, density=0.6):
         if entries:
             comps[n] = MultiMap.from_entries(src.space, tgt.space, n, 1 - n, entries)
     return comps
+
+
+def weight_one_part(element, degree):
+    """Test reference: the weight-1 terms of a coalgebra element, read one by one."""
+    out = Element.zero(element.space, degree)
+    for w, c in element.terms.items():
+        if w.weight == 1:
+            out = out + Element.basis(element.space, w.factors[0], c)
+    return out
 
 
 def materialized_hom_structure(conv):

@@ -6,14 +6,11 @@ to see the verdict lines.
 """
 
 import io
-import json
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
-
-import pytest
 
 from linfty import (
     Element,
@@ -35,7 +32,6 @@ from linfty import (
     mc_element,
     mc_residual,
     mc_to_morphism,
-    morphism_to_mc,
     perturb,
     twist,
     unshuffle_residual,
@@ -49,7 +45,7 @@ from linfty.morphism import MorphismComponents
 from linfty.perturbation import PerturbationRequest, direction_element, flow_morphism
 from linfty.cli import main as cli_main
 
-from conftest import SMALL_SPACES, random_candidate, random_component_family
+from conftest import SMALL_SPACES, random_candidate
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(__file__), "data")

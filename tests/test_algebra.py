@@ -15,11 +15,10 @@ from linfty import (
     make_linfty,
     reduced_coproduct,
     unshuffle_residual,
-    wedge_basis,
 )
-from linfty.grading import CoalgebraElement, canonicalize_word
+from linfty.grading import canonicalize_word
 
-from conftest import SMALL_SPACES, endomorphism_dgla, random_candidate
+from conftest import SMALL_SPACES, endomorphism_dgla, random_candidate, weight_one_part
 
 F = Fraction
 
@@ -27,11 +26,7 @@ F = Fraction
 def residual_via_lift(structure, word):
     lift = lift_coderivation(structure)
     image = lift.apply(lift.on_word(word))
-    out = Element.zero(structure.space, word.degree + 3 - word.weight)
-    for w, c in image.terms.items():
-        if w.weight == 1:
-            out = out + Element.basis(structure.space, w.factors[0], c)
-    return out
+    return weight_one_part(image, word.degree + 3 - word.weight)
 
 
 def test_make_linfty_rejects_wrong_degree():
@@ -137,6 +132,23 @@ def test_oracle_duality_randomized():
             assert residual_via_lift(structure, word) == unshuffle_residual(
                 structure, word
             )
+
+
+def test_check_relations_matches_the_full_composite():
+    # check_relations projects the lift's image through the structure maps;
+    # residual_via_lift builds the whole of Q*Q and keeps its weight-1 terms
+    rng = random.Random(83)
+    failing = 0
+    for trial in range(24):
+        space = SMALL_SPACES[trial % len(SMALL_SPACES)]
+        structure = random_candidate(space, 3 + trial % 2, rng, density=1.0)
+        report = check_relations(structure)
+        failing += not report.passed
+        assert all(not r.is_zero() for r in report.residuals.values())
+        for word in structure.words():
+            want = residual_via_lift(structure, word)
+            assert report.residuals.get(word, Element.zero(space, want.degree)) == want
+    assert failing > 12
 
 
 def test_from_dgla_end_complex(end_dgla):

@@ -27,7 +27,6 @@ from linfty import (
 from linfty.convolution import HomElement
 from linfty.homotopy import HomotopyElement, evolution_residual, flatness_residual
 from linfty.mc import PolyPath, gauge_flow
-from linfty.morphism import MorphismComponents
 from linfty.grading import canonicalize_word
 
 from conftest import (

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from linfty import documents
 from linfty.documents import (
     DocumentError,
     algebra_from_document,

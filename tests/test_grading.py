@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -16,7 +16,7 @@ from linfty import (
     koszul_sign,
     wedge_basis,
 )
-from linfty.grading import signed_blocks
+from linfty.grading import signed_blocks, unshuffles
 
 from conftest import (
     bracket_sign_reference,
@@ -226,3 +226,19 @@ def test_signed_blocks_match_the_inline_formulas():
                     suspended = sum(degrees[p] for p in left) + 1 - len(left)
                     expected = -sign if suspended % 2 else sign
                     assert reduced_coproduct_sign_reference(degrees, left, right) == expected
+
+
+def test_unshuffles_match_the_lift_sign_reference():
+    # the lift's unshuffle sign is (-1)**(m-k) times the block-splitting sign
+    # of ``chosen`` followed by each position of ``rest`` alone
+    rng = random.Random(347)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        degrees = tuple(rng.randint(-2, 3) for _ in range(m))
+        for k in range(1, m + 1):
+            entries = unshuffles(degrees, k)
+            assert [chosen for _, chosen, _ in entries] == list(combinations(range(m), k))
+            for sign, chosen, rest in entries:
+                assert rest == tuple(p for p in range(m) if p not in chosen)
+                blocks = (chosen,) + tuple((p,) for p in rest)
+                assert sign == (-1) ** (m - k) * lift_sign_reference(degrees, blocks)

@@ -10,7 +10,6 @@ from linfty import (
     MultiMap,
     PathDegreeOverflow,
     PolyPath,
-    build_convolution,
     build_path_algebra,
     check_homotopy,
     gauge_to_homotopy,

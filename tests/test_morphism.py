@@ -9,7 +9,6 @@ from linfty import (
     InputError,
     MultiMap,
     check_morphism,
-    check_relations,
     cohomology,
     compose,
     identity_morphism,
@@ -19,7 +18,7 @@ from linfty import (
     make_linfty,
     reduced_coproduct,
 )
-from linfty.morphism import MorphismComponents, project
+from linfty.morphism import MorphismComponents
 from linfty.grading import canonicalize_word
 
 from conftest import (
@@ -27,6 +26,7 @@ from conftest import (
     random_candidate,
     random_component_family,
     random_valid_structure,
+    weight_one_part,
 )
 
 F = Fraction
@@ -92,11 +92,8 @@ def test_round_trip_projection():
         )
         lift = lift_morphism(morphism)
         for word in setting.words():
-            got = project(lift.on_word(word))
             want = morphism.component(word.weight).value(word)
-            if got is None:
-                got = Element.zero(space, want.degree)
-            assert got == want
+            assert weight_one_part(lift.on_word(word), want.degree) == want
 
 
 def test_check_morphism_identity(heisenberg):
@@ -138,6 +135,30 @@ def test_check_morphism_iff_full_lift_commutes():
             for w in setting.words()
         )
         assert report.passed == full_zero
+
+
+def test_check_morphism_residuals_match_the_full_composite():
+    # check_morphism projects the two lifts' images; the reference builds
+    # Q'F - FQ on the whole truncation and keeps its weight-1 terms
+    rng = random.Random(89)
+    failing = 0
+    for trial in range(15):
+        cap = 3 + trial % 2
+        source = random_valid_structure(SMALL_SPACES[trial % 3], cap, rng)
+        target = random_valid_structure(SMALL_SPACES[(trial + 1) % 3], cap, rng)
+        morphism = MorphismComponents(
+            source, target, random_component_family(source, target, cap, rng)
+        )
+        report = check_morphism(morphism)
+        failing += not report.passed
+        assert all(not r.is_zero() for r in report.residuals.values())
+        lift = lift_morphism(morphism)
+        q_src, q_tgt = lift_coderivation(source), lift_coderivation(target)
+        for word in source.words():
+            full = q_tgt.apply(lift.on_word(word)) - lift.apply(q_src.on_word(word))
+            want = weight_one_part(full, word.degree + 2 - word.weight)
+            assert report.residuals.get(word, Element.zero(target.space, want.degree)) == want
+    assert failing > 7
 
 
 def test_compose_with_identity(heisenberg):

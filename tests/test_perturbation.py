@@ -5,7 +5,6 @@ import pytest
 
 from linfty import (
     Element,
-    GradedSpace,
     InputError,
     MultiMap,
     StructureError,
@@ -14,7 +13,6 @@ from linfty import (
     differential_correction,
     identity_morphism,
     is_quasi_iso,
-    morphism_to_mc,
     perturb,
     wedge_basis,
 )
