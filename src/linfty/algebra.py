@@ -135,12 +135,6 @@ class Coderivation:
     def __init__(self, structure: LInftyStructure):
         self.structure = structure
         self._cache: dict[Word, CoalgebraElement] = {}
-        # Q_k's values keyed by factor tuples, so a sub-word is looked up
-        # before any sign or Word is built for it.
-        self._values = {
-            k: {w.factors: v for w, v in q.values.items()}
-            for k, q in structure.maps.items()
-        }
 
     def on_word(self, word: Word) -> CoalgebraElement:
         cached = self._cache.get(word)
@@ -150,9 +144,9 @@ class Coderivation:
         factors = word.factors
         degrees = space.degrees_of(factors)
         out = CoalgebraElement(space)
-        for k, values in self._values.items():
+        for k, q in self.structure.maps.items():
             for sign, chosen, rest in unshuffles(degrees, k):
-                value = values.get(tuple(factors[i] for i in chosen))
+                value = q.by_factors.get(tuple(factors[i] for i in chosen))
                 if value is None:
                     continue
                 rest_names = tuple(factors[i] for i in rest)

@@ -181,7 +181,7 @@ def _parse_map_section(
     values: dict[Word, Element] = {}
     for line in lines:
         word, sign, rhs = _parse_entry(line, source, weight)
-        value = parse_element(target, rhs).scale(Fraction(sign))
+        value = parse_element(target, rhs).scale(sign)
         if word in values:
             raise DocumentError("duplicate entry for word %r" % (word.factors,))
         values[word] = value

@@ -192,7 +192,10 @@ class GradedSpace:
             raise InputError("unknown basis name %r" % name) from None
 
     def index(self, name: str) -> int:
-        return self._order[name]
+        try:
+            return self._order[name]
+        except KeyError:
+            raise InputError("unknown basis name %r" % name) from None
 
     def degrees_of(self, names: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.degree(n) for n in names)
@@ -435,6 +438,9 @@ class MultiMap:
         self.weight = weight
         self.degree = degree
         self.values: dict[Word, Element] = {}
+        # The same values keyed by factor tuples, so a tuple of names is
+        # looked up before any sign or Word is built for it.
+        self.by_factors: dict[tuple[str, ...], Element] = {}
         for word, value in (values or {}).items():
             self._store(word, value)
 
@@ -451,6 +457,7 @@ class MultiMap:
             )
         if not value.is_zero():
             self.values[word] = value
+            self.by_factors[word.factors] = value
 
     @classmethod
     def from_entries(
@@ -493,26 +500,28 @@ class MultiMap:
         return self.value(word).scale(sign)
 
     def apply(self, elements: Sequence[Element]) -> Element:
-        """Multilinear evaluation on elements (expanded over their supports)."""
+        """Multilinear evaluation on elements (expanded over their supports).
+
+        Each tuple of argument names is looked up by its sorted factors; the
+        sign and the coefficient product are formed only for stored words.
+        """
         if len(elements) != self.weight:
             raise InputError(
                 "map of weight %d applied to %d arguments"
                 % (self.weight, len(elements))
             )
-        degree = sum(e.degree for e in elements) + self.degree
-        total = Element.zero(self.target, degree)
-        stack = [((), Fraction(1))]
-        for e in elements:
-            stack = [
-                (names + (n,), c * coeff)
-                for names, c in stack
-                for n, coeff in e.coeffs.items()
-            ]
-        for names, c in stack:
-            term = self.evaluate(names)
-            if not term.is_zero():
-                total = total + term.scale(c)
-        return total
+        index = self.source.index
+        coeffs: dict = {}
+        for names in product(*(e.coeffs for e in elements)):
+            value = self.by_factors.get(tuple(sorted(names, key=index)))
+            if value is None:
+                continue
+            c = canonicalize_word(names, self.source)[1]
+            for e, name in zip(elements, names):
+                c *= e.coeffs[name]
+            for name, v in value.coeffs.items():
+                coeffs[name] = coeffs.get(name, 0) + c * v
+        return Element(self.target, sum(e.degree for e in elements) + self.degree, coeffs)
 
     def is_zero(self) -> bool:
         return not self.values

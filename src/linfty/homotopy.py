@@ -136,13 +136,13 @@ class PathAlgebra:
             args[i] = e.odd
             term = apply_to_paths(self.base, n, args)
             if crossing % 2:
-                term = term.scale(Fraction(-1))
+                term = term.scale(-1)
             odd = odd + term
         if n == 1:
             e = elements[0]
             derivative = e.even.derivative()
             if e.degree % 2:
-                derivative = derivative.scale(Fraction(-1))
+                derivative = derivative.scale(-1)
             odd = odd + derivative
         return self._guard(PathElement(space, degree, even, odd))
 

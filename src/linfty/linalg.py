@@ -1,8 +1,12 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Matrices are lists of row lists with Fraction entries.  Everything here is
-plain Gaussian elimination; exactness of the field makes ranks and kernels
-certificate-free.
+Gauss-Jordan elimination that scales the pivot row, and subtracts it from
+the other rows, over the pivot row's nonzero columns only; exactness of the
+field makes ranks and kernels certificate-free.  The pivot columns of a
+reduction are the greedy choice of columns outside the span of the columns
+before them, which is how ``morphism.cohomology`` picks its representatives:
+one reduction of the transposed ``[image; kernel]`` matrix per degree.
 """
 
 from __future__ import annotations
@@ -27,12 +31,17 @@ def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        row = m[r]
+        inv = Fraction(1, 1) / row[c]
+        # Rows from r on are zero left of c, so the support starts at c.
+        support = [j for j in range(c, ncols) if row[j] != 0]
+        for j in support:
+            row[j] *= inv
+        for i, other in enumerate(m):
+            factor = other[c]
+            if i != r and factor != 0:
+                for j in support:
+                    other[j] -= factor * row[j]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -57,16 +66,6 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             vec[p] = -reduced[r][f]
         basis.append(vec)
     return basis
-
-
-def in_span(rows: list[list[Fraction]], vector: list[Fraction]) -> bool:
-    """Whether ``vector`` lies in the row span of ``rows``."""
-    if all(x == 0 for x in vector):
-        return True
-    if not rows:
-        return False
-    before = rank(rows)
-    return rank(rows + [vector]) == before
 
 
 def solve(

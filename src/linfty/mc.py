@@ -179,18 +179,13 @@ class PolyPath:
         return PolyPath(self.space, self.degree, coeffs)
 
     def __sub__(self, other: "PolyPath") -> "PolyPath":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, scalar) -> "PolyPath":
         return PolyPath(
             self.space,
             self.degree,
             {p: e.scale(scalar) for p, e in self.coefficients.items()},
-        )
-
-    def shift_power(self, by: int) -> "PolyPath":
-        return PolyPath(
-            self.space, self.degree, {p + by: e for p, e in self.coefficients.items()}
         )
 
     def integrate(self) -> "PolyPath":

@@ -277,15 +277,14 @@ def cohomology(structure: LInftyStructure) -> CohomologyReport:
         kernels[d] = kernel
         images[d] = image
         dims[d] = len(kernel) - len(image)
-        chosen: list[Element] = []
-        spanning = [list(r) for r in image]
-        for vec in kernel:
-            if not linalg.in_span(spanning, vec):
-                spanning.append(vec)
-                chosen.append(
-                    Element(space, d, {n: c for n, c in zip(names, vec) if c})
-                )
-        reps[d] = chosen
+        # Kernel vectors outside the span of the image and the vectors before them.
+        stacked = image + kernel
+        _, pivots = linalg.row_reduce([[v[i] for v in stacked] for i in range(len(names))])
+        reps[d] = [
+            Element(space, d, {n: c for n, c in zip(names, stacked[p]) if c})
+            for p in pivots
+            if p >= len(image)
+        ]
     return CohomologyReport(space, dims, reps, kernels, images)
 
 

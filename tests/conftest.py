@@ -8,6 +8,7 @@ from linfty import (
     MultiMap,
     check_relations,
     from_dgla,
+    linalg,
     make_linfty,
     wedge_basis,
 )
@@ -305,3 +306,72 @@ def bracket_sign_reference(degrees, blocks, u_degrees):
     if crossing % 2:
         sign = -sign
     return sign * _desuspension(values)
+
+
+# Test references for the exact kernels: the code that ``MultiMap.apply``,
+# ``linalg.row_reduce`` and the choice of cohomology representatives
+# replaced, kept to compare them against on random inputs.
+
+
+def reference_apply(m, elements):
+    """``MultiMap.apply`` as every tuple of names through ``MultiMap.evaluate``."""
+    degree = sum(e.degree for e in elements) + m.degree
+    total = Element.zero(m.target, degree)
+    stack = [((), F(1))]
+    for e in elements:
+        stack = [
+            (names + (n,), c * coeff)
+            for names, c in stack
+            for n, coeff in e.coeffs.items()
+        ]
+    for names, c in stack:
+        term = m.evaluate(names)
+        if not term.is_zero():
+            total = total + term.scale(c)
+    return total
+
+
+def reference_row_reduce(rows):
+    """Dense Gauss-Jordan elimination: every column of every row is updated."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = F(1, 1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def in_span(rows, vector):
+    """Whether ``vector`` lies in the row span of ``rows``, by comparing ranks."""
+    if all(x == 0 for x in vector):
+        return True
+    if not rows:
+        return False
+    return linalg.rank(rows + [vector]) == linalg.rank(rows)
+
+
+def reference_representatives(space, degree, kernel, image):
+    """Kernel vectors kept greedily when outside the span of the image and those kept."""
+    names = space.basis_of_degree(degree)
+    chosen = []
+    spanning = [list(r) for r in image]
+    for vec in kernel:
+        if not in_span(spanning, vec):
+            spanning.append(vec)
+            chosen.append(Element(space, degree, {n: c for n, c in zip(names, vec) if c}))
+    return chosen

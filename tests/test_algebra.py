@@ -18,7 +18,7 @@ from linfty import (
 )
 from linfty.grading import canonicalize_word
 
-from conftest import SMALL_SPACES, endomorphism_dgla, random_candidate, weight_one_part
+from conftest import SMALL_SPACES, endomorphism_dgla, in_span, random_candidate, weight_one_part
 
 F = Fraction
 
@@ -97,9 +97,11 @@ def test_lift_heisenberg_example(heisenberg):
 
 def test_coderivation_law():
     rng = random.Random(3)
+    failing = 0
     for trial in range(15):
         space = SMALL_SPACES[trial % len(SMALL_SPACES)]
-        structure = random_candidate(space, 4, rng)
+        structure = random_candidate(space, 4, rng, density=1.0)
+        failing += not check_relations(structure).passed
         lift = lift_coderivation(structure)
         for word in structure.words():
             lhs = {}
@@ -121,17 +123,22 @@ def test_coderivation_law():
             assert {k: v for k, v in lhs.items() if v} == {
                 k: v for k, v in rhs.items() if v
             }
+    # the law holds for any candidate, lawful or not; keep unlawful ones in the sample
+    assert failing > 5
 
 
 def test_oracle_duality_randomized():
     rng = random.Random(11)
+    failing = 0
     for trial in range(30):
         space = SMALL_SPACES[trial % len(SMALL_SPACES)]
-        structure = random_candidate(space, 4, rng)
+        structure = random_candidate(space, 4, rng, density=1.0)
+        failing += not check_relations(structure).passed
         for word in structure.words():
             assert residual_via_lift(structure, word) == unshuffle_residual(
                 structure, word
             )
+    assert failing > 10
 
 
 def test_check_relations_matches_the_full_composite():
@@ -245,10 +252,8 @@ def test_lower_central_q1_stability(step_nilpotent, two_term):
                     continue
                 names = structure.space.basis_of_degree(image.degree)
                 vec = [F(image.coeffs.get(n, 0)) for n in names]
-                from linfty import linalg
-
                 level_rows = chain.subspaces[level - 1].get(image.degree, [])
-                assert linalg.in_span([list(r) for r in level_rows], vec)
+                assert in_span([list(r) for r in level_rows], vec)
 
 
 def test_report_names_cap(heisenberg):

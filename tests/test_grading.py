@@ -19,9 +19,12 @@ from linfty import (
 from linfty.grading import signed_blocks, unshuffles
 
 from conftest import (
+    SMALL_SPACES,
     bracket_sign_reference,
     lift_sign_reference,
+    random_map_family,
     reduced_coproduct_sign_reference,
+    reference_apply,
 )
 
 F = Fraction
@@ -183,6 +186,45 @@ def test_multimap_evaluate_on_vanishing_tuple():
     m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1)}})
     assert m.evaluate(("a", "a")).is_zero()
     assert m.evaluate(("b", "a")) == Element(V, 1, {"b": F(-1)})
+
+
+def test_multimap_apply_matches_the_tuple_by_tuple_reference():
+    rng = random.Random(41)
+    nonzero = 0
+    for trial in range(60):
+        space = SMALL_SPACES[trial % len(SMALL_SPACES)]
+        for n, m in random_map_family(space, 3, rng, density=1.0).items():
+            for _ in range(4):
+                # the degrees of a stored word in a random order, or any degrees
+                degrees = list(space.degrees_of(rng.choice(list(m.values)).factors))
+                rng.shuffle(degrees)
+                if rng.random() < 0.3:
+                    degrees = rng.choices(space.degrees_present(), k=n)
+                elements = []
+                for d in degrees:
+                    names = space.basis_of_degree(d)
+                    elements.append(Element(space, d, {
+                        name: F(rng.randint(-3, 3), rng.randint(1, 3))
+                        for name in names
+                        if rng.random() < 0.7
+                    }))
+                got = m.apply(elements)
+                assert got == reference_apply(m, elements)
+                nonzero += not got.is_zero()
+    assert nonzero > 200
+    # odd-degree and even-degree repeats, a non-canonical order, a zero argument
+    V = SMALL_SPACES[1]
+    m = MultiMap.from_entries(
+        V, V, 2, 0, {("a", "b"): {"b": F(2)}, ("b", "b"): {"c": F(-1, 2)}}
+    )
+    a, b = Element.basis(V, "a", F(3)), Element(V, 1, {"b": F(1, 3)})
+    for args in ([b, b], [a, a], [b, a], [a, b], [a, Element.zero(V, 1)]):
+        assert m.apply(args) == reference_apply(m, args)
+    assert m.apply([b, b]) == Element(V, 2, {"c": F(-1, 18)})
+    assert m.apply([b, a]) == Element(V, 1, {"b": F(-2)})
+    other = GradedSpace([("z", 1)])
+    with pytest.raises(InputError):
+        m.apply([a, Element.basis(other, "z")])
 
 
 def _stirling2(m, n):
