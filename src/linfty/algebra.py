@@ -32,6 +32,7 @@ from .grading import (
     MultiMap,
     StructureError,
     Word,
+    add_scaled,
     canonicalize_word,
     unshuffles,
     wedge_basis,
@@ -163,6 +164,37 @@ class Coderivation:
             out = out + self.on_word(word).scale(coeff)
         return out
 
+    def project(
+        self, word: Word, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int
+    ) -> Element:
+        """``on_word(word).through(maps, space, degree)``, built from what ``maps`` reads.
+
+        Q_k turns a weight-m word into words of weight m - k + 1, which
+        ``maps`` sends to the cogenerators only when it stores that weight;
+        every other Q_k is skipped, and each surviving word is evaluated
+        where it is produced instead of being collected in a coalgebra
+        element.
+        """
+        src = self.structure.space
+        factors = word.factors
+        m = len(factors)
+        degrees = src.degrees_of(factors)
+        coeffs: dict = {}
+        for k, q in self.structure.maps.items():
+            f = maps.get(m - k + 1)
+            if f is None:
+                continue
+            for sign, chosen, rest in unshuffles(degrees, k):
+                value = q.by_factors.get(tuple(factors[i] for i in chosen))
+                if value is None:
+                    continue
+                rest_names = tuple(factors[i] for i in rest)
+                for name, coeff in value.coeffs.items():
+                    found = f.lookup((name,) + rest_names)
+                    if found is not None:
+                        add_scaled(coeffs, found[1], sign * found[0] * coeff)
+        return Element(space, degree, coeffs)
+
 
 def lift_coderivation(structure: LInftyStructure) -> Coderivation:
     return Coderivation(structure)
@@ -192,16 +224,24 @@ def check_relations(structure: LInftyStructure) -> RelationReport:
     The residual at a word w is the structure maps evaluated on the lift's
     image, the sum of c*Q_|u|(u) over the terms c*u of Q(w).  That is the
     cogenerator part of Q*Q, which determines the whole coderivation Q*Q.
+    On a weight-m word it is the sum of Q_j∘Q_k over j + k = m + 1, since Q_k
+    leaves words of weight m - k + 1 and only Q_j with j = m - k + 1 sends
+    them to the cogenerators.  Words are therefore visited only at the
+    weights j + k - 1 of stored pairs; at any other weight no pair of stored
+    maps meets and the residual is zero term by term.
     """
     lift = lift_coderivation(structure)
     report = RelationReport(cap=structure.cap)
-    for word in structure.words():
-        # Q*Q raises the suspended degree, plain + 1 - weight, by 2
-        residual = lift.on_word(word).through(
-            structure.maps, structure.space, word.degree + 3 - word.weight
-        )
-        if not residual.is_zero():
-            report.residuals[word] = residual
+    stored = structure.maps
+    weights = {j + k - 1 for j in stored for k in stored if j + k - 1 <= structure.cap}
+    for m in sorted(weights):
+        for word in wedge_basis(structure.space, m):
+            # Q*Q raises the suspended degree, plain + 1 - weight, by 2
+            residual = lift.on_word(word).through(
+                structure.maps, structure.space, word.degree + 3 - m
+            )
+            if not residual.is_zero():
+                report.residuals[word] = residual
     structure.verified = report.passed
     return report
 

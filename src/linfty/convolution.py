@@ -35,12 +35,16 @@ Sign conventions (the one table everything below refers to):
 
 :class:`ConvolutionAlgebra` offers ``cap`` and ``apply(n, elements)`` on
 hom-space coordinates, which is all the Maurer-Cartan calculus of
-:mod:`linfty.mc` and :mod:`linfty.homotopy` reads.
+:mod:`linfty.mc` and :mod:`linfty.homotopy` reads.  The coordinates (the
+graded space ``hom_space`` of names ``word>name``) are built on first use:
+``bracket``, ``differential`` and ``mc_residual`` work on
+:class:`HomElement` and never read them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -234,27 +238,37 @@ class ConvolutionAlgebra:
         self.target = target
         self.cap = cap
         self.words: list[Word] = source.words()
-        basis = []
-        self._basis_pairs: list[tuple[Word, str]] = []
-        for word in self.words:
-            for name in target.space.names:
-                u = target.space.degree(name) - word.degree + word.weight
-                basis.append(("%s>%s" % (word.label(), name), u))
-                self._basis_pairs.append((word, name))
-        self.hom_space = GradedSpace(basis)
         self._lift = lift_coderivation(source)
+        # (word factors, n) -> signed n-block splittings, see _splittings
+        self._splitting_cache: dict[tuple[tuple[str, ...], int], tuple] = {}
 
     # -- conversions ------------------------------------------------------
 
+    @cached_property
+    def _basis_pairs(self) -> list[tuple[Word, str]]:
+        """The hom-space basis as (source word, target name), in basis order."""
+        return [(word, name) for word in self.words for name in self.target.space.names]
+
+    @cached_property
+    def hom_space(self) -> GradedSpace:
+        """Coordinates ``word>name`` of the mapping space, built on first use."""
+        target = self.target.space
+        return GradedSpace(
+            (
+                "%s>%s" % (word.label(), name),
+                target.degree(name) - word.degree + word.weight,
+            )
+            for word, name in self._basis_pairs
+        )
+
     def hom_to_element(self, alpha: HomElement) -> Element:
+        """Coordinates of a mapping-space element, read off its stored values."""
         coeffs: dict[str, Fraction] = {}
-        for (word, name), hom_name in zip(self._basis_pairs, self.hom_space.names):
-            comp = alpha.components.get(word.weight)
-            if comp is None:
-                continue
-            c = comp.value(word).coeffs.get(name)
-            if c:
-                coeffs[hom_name] = c
+        for comp in alpha.components.values():
+            for word, value in comp.values.items():
+                label = word.label()
+                for name, c in value.coeffs.items():
+                    coeffs["%s>%s" % (label, name)] = c
         return Element(self.hom_space, alpha.u_degree, coeffs)
 
     def element_to_hom(self, element: Element) -> HomElement:
@@ -292,15 +306,19 @@ class ConvolutionAlgebra:
     # -- structure maps ---------------------------------------------------
 
     def differential(self, alpha: HomElement) -> HomElement:
-        """Mapping-space differential: Q'_1 after, minus signed Q before."""
+        """Mapping-space differential: Q'_1 after, minus signed Q before.
+
+        The second term reads the source lift only through ``alpha``'s
+        stored weights (:meth:`~linfty.algebra.Coderivation.project`).
+        """
         tgt = self.target
         q1 = tgt.maps.get(1)
         cross = -1 if (alpha.u_degree - 1) % 2 else 1
         comps: dict[int, dict[Word, Element]] = {}
         for word in self.words:
             m = word.weight
-            total = self._lift.on_word(word).through(
-                alpha.components, tgt.space, word.degree + alpha.u_degree + 1 - m
+            total = self._lift.project(
+                word, alpha.components, tgt.space, word.degree + alpha.u_degree + 1 - m
             ).scale(-cross)
             val = alpha.component(m).value(word)
             if q1 is not None and not val.is_zero():
@@ -309,8 +327,36 @@ class ConvolutionAlgebra:
                 comps.setdefault(m, {})[word] = total
         return self._assemble(alpha.u_degree + 1, comps)
 
+    def _splittings(self, word: Word, n: int) -> tuple:
+        """Signed ordered n-block splittings of a source word, computed once.
+
+        Each entry is ``(sign, block factors, block shifted degrees)``: the
+        :func:`~linfty.grading.signed_blocks` sign, each block's names and
+        each block's ``degree - weight``.  The cache lives on the algebra,
+        whose words are fixed, and goes with it.
+        """
+        key = (word.factors, n)
+        got = self._splitting_cache.get(key)
+        if got is None:
+            factors = word.factors
+            degrees = self.source.space.degrees_of(factors)
+            got = tuple(
+                (
+                    sign,
+                    tuple(tuple(factors[p] for p in block) for block in blocks),
+                    tuple(sum(degrees[p] for p in block) - len(block) for block in blocks),
+                )
+                for sign, blocks in signed_blocks(degrees, n)
+            )
+            self._splitting_cache[key] = got
+        return got
+
     def bracket(self, alphas: Sequence[HomElement]) -> HomElement:
-        """The n-ary operation on n mapping-space elements."""
+        """The n-ary operation on n mapping-space elements.
+
+        Each splitting looks its block values up in the arguments before any
+        product is formed, and the terms of one word go into one dict.
+        """
         n = len(alphas)
         if n == 1:
             return self.differential(alphas[0])
@@ -318,29 +364,31 @@ class ConvolutionAlgebra:
         qn = self.target.maps.get(n)
         if qn is None:
             return self.zero_hom(u_out)
-        src_space = self.source.space
+        # each argument's stored values keyed by factors, all weights in one dict
+        lookups = [
+            {f: v for comp in a.components.values() for f, v in comp.by_factors.items()}
+            for a in alphas
+        ]
+        shifts = [a.u_degree - 1 for a in alphas]
         comps: dict[int, dict[Word, Element]] = {}
         for word in self.words:
             m = word.weight
             if m < n:
                 continue
-            degrees = src_space.degrees_of(word.factors)
-            total = Element.zero(self.target.space, word.degree + u_out - m)
-            for sign, blocks in signed_blocks(degrees, n):
+            coeffs: dict = {}
+            for sign, parts, shifted in self._splittings(word, n):
                 vals: list[Element] = []
                 crossing = prefix = 0
-                for alpha, block in zip(alphas, blocks):
-                    wpart = subword(word, block, src_space)
-                    val = alpha.component(len(block)).value(wpart)
-                    if val.is_zero():
+                for lookup, shift, part, s in zip(lookups, shifts, parts, shifted):
+                    val = lookup.get(part)
+                    if val is None:
                         break
                     vals.append(val)
-                    crossing += (alpha.u_degree - 1) * prefix
-                    prefix += wpart.degree - len(block)
+                    crossing += shift * prefix
+                    prefix += s
                 else:
-                    term = qn.apply(vals)
-                    if not term.is_zero():
-                        total = total + term.scale(-sign if crossing % 2 else sign)
+                    qn.accumulate(coeffs, vals, -sign if crossing % 2 else sign)
+            total = Element(self.target.space, word.degree + u_out - m, coeffs)
             if not total.is_zero():
                 comps.setdefault(m, {})[word] = total
         return self._assemble(u_out, comps)

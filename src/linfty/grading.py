@@ -144,6 +144,25 @@ def signed_blocks(
 
 
 @lru_cache(maxsize=None)
+def signed_blocks_by_count(
+    degrees: tuple[int, ...]
+) -> tuple[tuple[tuple[int, tuple[tuple[int, ...], ...]], ...], ...]:
+    """The unordered :func:`signed_blocks` of a word, grouped by block count.
+
+    Entry n holds the partitions into n blocks, in their order in
+    :func:`signed_blocks`, so a caller that reads only some block counts
+    never visits the others.
+
+    >>> signed_blocks_by_count((0, 1))
+    ((), ((1, ((0, 1),)),), ((1, ((0,), (1,))),))
+    """
+    grouped: list[list] = [[] for _ in range(len(degrees) + 1)]
+    for sign, blocks in signed_blocks(degrees):
+        grouped[len(blocks)].append((sign, blocks))
+    return tuple(tuple(group) for group in grouped)
+
+
+@lru_cache(maxsize=None)
 def unshuffles(degrees: tuple[int, ...], k: int) -> tuple[tuple[int, tuple, tuple], ...]:
     """Signed (k, m - k)-unshuffles ``(sign, chosen, rest)`` of a word.
 
@@ -321,6 +340,12 @@ def _coeff_is_zero(c) -> bool:
     return not c
 
 
+def add_scaled(coeffs: dict, element: "Element", scalar) -> None:
+    """Add ``scalar * element`` into a name -> coefficient dict, in place."""
+    for name, c in element.coeffs.items():
+        coeffs[name] = coeffs.get(name, 0) + scalar * c
+
+
 class Element:
     """Homogeneous element of a graded space: name -> exact coefficient.
 
@@ -455,7 +480,11 @@ class MultiMap:
                 "value on %r has degree %d, expected %d"
                 % (word.factors, value.degree, word.degree + self.degree)
             )
-        if not value.is_zero():
+        if value.is_zero():
+            # entries on two orderings of one word may cancel
+            self.values.pop(word, None)
+            self.by_factors.pop(word.factors, None)
+        else:
             self.values[word] = value
             self.by_factors[word.factors] = value
 
@@ -499,29 +528,38 @@ class MultiMap:
             return Element.zero(self.target, degree)
         return self.value(word).scale(sign)
 
-    def apply(self, elements: Sequence[Element]) -> Element:
-        """Multilinear evaluation on elements (expanded over their supports).
+    def lookup(self, names: Sequence[str]) -> tuple[int, Element] | None:
+        """Sign and stored value of an ordered tuple of names; None when nothing is stored.
 
-        Each tuple of argument names is looked up by its sorted factors; the
-        sign and the coefficient product are formed only for stored words.
+        The tuple is looked up by its sorted factors, so the sign is formed
+        only for stored words.
         """
+        value = self.by_factors.get(tuple(sorted(names, key=self.source.index)))
+        if value is None:
+            return None
+        return canonicalize_word(names, self.source)[1], value
+
+    def apply(self, elements: Sequence[Element]) -> Element:
+        """Multilinear evaluation on elements (expanded over their supports)."""
         if len(elements) != self.weight:
             raise InputError(
                 "map of weight %d applied to %d arguments"
                 % (self.weight, len(elements))
             )
-        index = self.source.index
         coeffs: dict = {}
+        self.accumulate(coeffs, elements, 1)
+        return Element(self.target, sum(e.degree for e in elements) + self.degree, coeffs)
+
+    def accumulate(self, coeffs: dict, elements: Sequence[Element], scalar) -> None:
+        """Add ``scalar`` times the value on ``elements`` into a name -> coefficient dict."""
         for names in product(*(e.coeffs for e in elements)):
-            value = self.by_factors.get(tuple(sorted(names, key=index)))
-            if value is None:
+            found = self.lookup(names)
+            if found is None:
                 continue
-            c = canonicalize_word(names, self.source)[1]
+            c = scalar * found[0]
             for e, name in zip(elements, names):
                 c *= e.coeffs[name]
-            for name, v in value.coeffs.items():
-                coeffs[name] = coeffs.get(name, 0) + c * v
-        return Element(self.target, sum(e.degree for e in elements) + self.degree, coeffs)
+            add_scaled(coeffs, found[1], c)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -591,8 +629,7 @@ class CoalgebraElement:
             m = maps.get(word.weight)
             value = None if m is None else m.values.get(word)
             if value is not None:
-                for name, v in value.coeffs.items():
-                    coeffs[name] = coeffs.get(name, 0) + c * v
+                add_scaled(coeffs, value, c)
         return Element(space, degree, coeffs)
 
     def __add__(self, other: "CoalgebraElement") -> "CoalgebraElement":

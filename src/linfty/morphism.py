@@ -26,6 +26,7 @@ from .grading import (
     StructureError,
     Word,
     signed_blocks,
+    signed_blocks_by_count,
     subword,
     wedge_basis,
 )
@@ -101,7 +102,15 @@ def identity_morphism(structure: LInftyStructure) -> MorphismComponents:
 
 
 class MorphismLift:
-    """Coalgebra-map extension of the components to the truncation."""
+    """Coalgebra-map extension of the components to the truncation.
+
+    The image of a word sums over its unordered set partitions; an n-block
+    partition contributes the product of the components' values on its
+    blocks, a combination of weight-n words.  :meth:`on_word` builds the
+    whole image.  :meth:`project` evaluates a family of maps on it and so
+    reads only the partitions whose block count n has a stored map: the
+    others give words of a weight the family sends to zero.
+    """
 
     def __init__(self, morphism: MorphismComponents):
         self.morphism = morphism
@@ -136,6 +145,36 @@ class MorphismLift:
         for word, coeff in element.terms.items():
             out = out + self.on_word(word).scale(coeff)
         return out
+
+    def project(
+        self, word: Word, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int
+    ) -> Element:
+        """``on_word(word).through(maps, space, degree)``, built from what ``maps`` reads.
+
+        Only the n-block partitions with a stored ``maps[n]`` are visited,
+        and ``maps[n]`` is evaluated on each one's block values directly, so
+        the product of the values is never expanded into words.
+        """
+        components = self.morphism.components
+        factors = word.factors
+        by_count = signed_blocks_by_count(self.morphism.source.space.degrees_of(factors))
+        coeffs: dict = {}
+        for n, q in maps.items():
+            if n > len(factors):
+                continue
+            for sign, blocks in by_count[n]:
+                vals: list[Element] = []
+                for block in blocks:
+                    comp = components.get(len(block))
+                    val = None if comp is None else comp.by_factors.get(
+                        tuple(factors[i] for i in block)
+                    )
+                    if val is None:
+                        break
+                    vals.append(val)
+                else:
+                    q.accumulate(coeffs, vals, sign)
+        return Element(space, degree, coeffs)
 
 
 def lift_morphism(morphism: MorphismComponents) -> MorphismLift:
@@ -172,7 +211,11 @@ def check_morphism(morphism: MorphismComponents) -> MorphismReport:
 
     The residual at a word w is the target's structure maps evaluated on the
     lift's image F(w), minus the components evaluated on Q(w).  That is the
-    cogenerator part of Q'F - FQ, which determines all of it.
+    cogenerator part of Q'F - FQ, which determines all of it.  On a weight-m
+    word, the left side reads only the set partitions of w into n blocks
+    with Q'_n stored, and the right side only the Q_k with F_{m-k+1} stored:
+    every other term leaves a word of a weight that no stored map sends to
+    the cogenerators, so it contributes exactly zero.
     """
     _require_verified(morphism.source, "source structure")
     _require_verified(morphism.target, "target structure")
@@ -182,8 +225,8 @@ def check_morphism(morphism: MorphismComponents) -> MorphismReport:
     report = MorphismReport(cap=morphism.cap)
     for word in morphism.source.words():
         degree = word.degree + 2 - word.weight
-        left = lift.on_word(word).through(target.maps, target.space, degree)
-        right = q_src.on_word(word).through(morphism.components, target.space, degree)
+        left = lift.project(word, target.maps, target.space, degree)
+        right = q_src.project(word, morphism.components, target.space, degree)
         residual = left - right
         if not residual.is_zero():
             report.residuals[word] = residual
@@ -200,8 +243,8 @@ def compose(g: MorphismComponents, f: MorphismComponents) -> MorphismComponents:
     for n in range(1, f.cap + 1):
         values: dict[Word, Element] = {}
         for word in wedge_basis(f.source.space, n):
-            total = lift_f.on_word(word).through(
-                g.components, g.target.space, word.degree + 1 - n
+            total = lift_f.project(
+                word, g.components, g.target.space, word.degree + 1 - n
             )
             if not total.is_zero():
                 values[word] = total
@@ -263,15 +306,16 @@ def cohomology(structure: LInftyStructure) -> CohomologyReport:
     reps: dict[int, list[Element]] = {}
     kernels: dict[int, list[list[Fraction]]] = {}
     images: dict[int, list[list[Fraction]]] = {}
+    matrices = {d: _q1_matrix(structure, d) for d in degrees}
     for d in degrees:
         names = space.basis_of_degree(d)
-        outgoing = _q1_matrix(structure, d)
+        outgoing = matrices[d]
         ncols_out = len(outgoing[0]) if outgoing else 0
         transposed = [
             [outgoing[r][c] for r in range(len(names))] for c in range(ncols_out)
         ]
         kernel = linalg.nullspace(transposed, len(names))
-        incoming = _q1_matrix(structure, d - 1)
+        incoming = matrices.get(d - 1, [])
         image = linalg.reduce_spanning_set(incoming) if incoming else []
         image = [row for row in image if any(x != 0 for x in row)]
         kernels[d] = kernel
@@ -306,7 +350,7 @@ class QuasiIsoReport:
 def is_quasi_iso(morphism: MorphismComponents) -> QuasiIsoReport:
     """Whether the weight-1 component induces isomorphisms on cohomology."""
     src_h = cohomology(morphism.source)
-    tgt_h = cohomology(morphism.target)
+    tgt_h = src_h if morphism.target is morphism.source else cohomology(morphism.target)
     f1 = morphism.components.get(1)
     per_degree: dict[int, bool] = {}
     degrees = sorted(set(src_h.nonzero_degrees()) | set(tgt_h.nonzero_degrees()))

@@ -8,10 +8,12 @@ from linfty import (
     MultiMap,
     check_relations,
     from_dgla,
+    lift_coderivation,
     linalg,
     make_linfty,
     wedge_basis,
 )
+from linfty.grading import signed_blocks, subword
 
 F = Fraction
 
@@ -375,3 +377,77 @@ def reference_representatives(space, degree, kernel, image):
             spanning.append(vec)
             chosen.append(Element(space, degree, {n: c for n, c in zip(names, vec) if c}))
     return chosen
+
+
+# Test references for the mapping-space operations: the code that
+# ``ConvolutionAlgebra.bracket``, ``differential`` and ``hom_to_element``
+# replaced.  The bracket rebuilds every sub-word of every splitting, the
+# differential builds the source lift's whole image, and the coordinates walk
+# the whole hom basis.
+
+
+def reference_hom_to_element(conv, alpha):
+    coeffs = {}
+    for (word, name), hom_name in zip(conv._basis_pairs, conv.hom_space.names):
+        comp = alpha.components.get(word.weight)
+        if comp is None:
+            continue
+        c = comp.value(word).coeffs.get(name)
+        if c:
+            coeffs[hom_name] = c
+    return Element(conv.hom_space, alpha.u_degree, coeffs)
+
+
+def _reference_differential(conv, alpha):
+    tgt = conv.target
+    q1 = tgt.maps.get(1)
+    lift = lift_coderivation(conv.source)
+    cross = -1 if (alpha.u_degree - 1) % 2 else 1
+    comps = {}
+    for word in conv.words:
+        m = word.weight
+        total = lift.on_word(word).through(
+            alpha.components, tgt.space, word.degree + alpha.u_degree + 1 - m
+        ).scale(-cross)
+        val = alpha.component(m).value(word)
+        if q1 is not None and not val.is_zero():
+            total = q1.apply([val]) + total
+        if not total.is_zero():
+            comps.setdefault(m, {})[word] = total
+    return conv._assemble(alpha.u_degree + 1, comps)
+
+
+def reference_bracket(conv, alphas):
+    n = len(alphas)
+    if n == 1:
+        return _reference_differential(conv, alphas[0])
+    u_out = sum(a.u_degree for a in alphas) + 2 - n
+    qn = conv.target.maps.get(n)
+    if qn is None:
+        return conv.zero_hom(u_out)
+    src_space = conv.source.space
+    comps = {}
+    for word in conv.words:
+        m = word.weight
+        if m < n:
+            continue
+        degrees = src_space.degrees_of(word.factors)
+        total = Element.zero(conv.target.space, word.degree + u_out - m)
+        for sign, blocks in signed_blocks(degrees, n):
+            vals = []
+            crossing = prefix = 0
+            for alpha, block in zip(alphas, blocks):
+                wpart = subword(word, block, src_space)
+                val = alpha.component(len(block)).value(wpart)
+                if val.is_zero():
+                    break
+                vals.append(val)
+                crossing += (alpha.u_degree - 1) * prefix
+                prefix += wpart.degree - len(block)
+            else:
+                term = qn.apply(vals)
+                if not term.is_zero():
+                    total = total + term.scale(-sign if crossing % 2 else sign)
+        if not total.is_zero():
+            comps.setdefault(m, {})[word] = total
+    return conv._assemble(u_out, comps)

@@ -16,9 +16,17 @@ from linfty import (
     reduced_coproduct,
     unshuffle_residual,
 )
-from linfty.grading import canonicalize_word
+from linfty.algebra import Coderivation
+from linfty.grading import canonicalize_word, wedge_basis
 
-from conftest import SMALL_SPACES, endomorphism_dgla, in_span, random_candidate, weight_one_part
+from conftest import (
+    SMALL_SPACES,
+    endomorphism_dgla,
+    in_span,
+    random_candidate,
+    random_map_family,
+    weight_one_part,
+)
 
 F = Fraction
 
@@ -156,6 +164,45 @@ def test_check_relations_matches_the_full_composite():
             want = residual_via_lift(structure, word)
             assert report.residuals.get(word, Element.zero(space, want.degree)) == want
     assert failing > 12
+
+
+def test_check_relations_matches_the_oracle_on_every_word():
+    # check_relations visits only the weights where two stored maps meet;
+    # unshuffle_residual runs on every word, so the skipped weights must be
+    # zero there too
+    rng = random.Random(157)
+    patterns = [(2,), (1, 3), (3,), (2, 4), (1, 2), (1, 4), (2, 3)]
+    failing = 0
+    skipped = 0
+    for trial, weights in enumerate(patterns * 3):
+        space = SMALL_SPACES[trial % len(SMALL_SPACES)]
+        cap = 4 + trial % 2
+        maps = random_map_family(space, cap, rng, density=1.0)
+        structure = make_linfty(space, {n: m for n, m in maps.items() if n in weights}, cap)
+        report = check_relations(structure)
+        failing += not report.passed
+        for word in structure.words():
+            want = unshuffle_residual(structure, word)
+            assert report.residuals.get(word, Element.zero(space, want.degree)) == want
+            stored = structure.maps
+            skipped += not any(j + k == word.weight + 1 for j in stored for k in stored)
+    assert failing > 8 and skipped > 150
+
+
+def test_check_relations_visits_only_weights_where_two_maps_meet(monkeypatch):
+    space = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
+    q2 = MultiMap.from_entries(space, space, 2, 0, {("x", "y"): {"z": F(1)}})
+    structure = make_linfty(space, {2: q2}, cap=5)
+    visited = []
+    on_word = Coderivation.on_word
+
+    def spy(self, word):
+        visited.append(word)
+        return on_word(self, word)
+
+    monkeypatch.setattr(Coderivation, "on_word", spy)
+    assert check_relations(structure).passed
+    assert visited == wedge_basis(space, 3)
 
 
 def test_from_dgla_end_complex(end_dgla):

@@ -34,6 +34,8 @@ from conftest import (
     materialized_hom_structure,
     random_component_family,
     random_valid_structure,
+    reference_bracket,
+    reference_hom_to_element,
 )
 
 F = Fraction
@@ -200,6 +202,43 @@ def test_direct_operations_match_materialized_structure():
         assert evolution == evolution_residual(on_reference)
         assert unsplit_residual(on_conv) == unsplit_residual(on_reference)
     assert all(nonzero.values())
+
+
+def _coefficients(alpha):
+    return alpha.u_degree, {
+        (n, word): value.coeffs
+        for n, comp in alpha.components.items()
+        for word, value in comp.values.items()
+    }
+
+
+def test_bracket_and_coordinates_match_the_basis_walk_references():
+    # bracket reads cached splittings by lookup and hom_to_element walks the
+    # support; the references rebuild every sub-word and walk the hom basis
+    rng = random.Random(167)
+    nonzero = {1: 0, 2: 0, 3: 0}
+    for trial in range(3):
+        source = random_valid_structure(SMALL_SPACES[trial], 3, rng)
+        target = random_valid_structure(SMALL_SPACES[(trial + 1) % 3], 3, rng)
+        conv = build_convolution(source, target, 3)
+        for n in (1, 2, 3):
+            for u_degrees in product([0, 1, 2], repeat=n):
+                alphas = [random_hom(conv, u, rng, density=1.0) for u in u_degrees]
+                got = conv.bracket(alphas)
+                assert _coefficients(got) == _coefficients(reference_bracket(conv, alphas))
+                nonzero[n] += not got.is_zero()
+                for alpha in alphas + [got]:
+                    want = reference_hom_to_element(conv, alpha)
+                    assert conv.hom_to_element(alpha).coeffs == want.coeffs
+    assert all(count > 3 for count in nonzero.values())
+
+
+def test_curvature_builds_no_coordinates(two_term):
+    # random_hom reads the coordinates of its own algebra, so use a fresh one
+    alpha = random_hom(build_convolution(two_term, two_term, 3), 1, random.Random(173))
+    conv = build_convolution(two_term, two_term, 3)
+    assert not conv.mc_residual(alpha).is_zero()
+    assert "hom_space" not in vars(conv) and "_basis_pairs" not in vars(conv)
 
 
 def test_hom_element_round_trip(heisenberg):

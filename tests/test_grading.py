@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -16,7 +16,7 @@ from linfty import (
     koszul_sign,
     wedge_basis,
 )
-from linfty.grading import signed_blocks, unshuffles
+from linfty.grading import signed_blocks, signed_blocks_by_count, unshuffles
 
 from conftest import (
     SMALL_SPACES,
@@ -188,6 +188,49 @@ def test_multimap_evaluate_on_vanishing_tuple():
     assert m.evaluate(("b", "a")) == Element(V, 1, {"b": F(-1)})
 
 
+def test_from_entries_drops_a_word_whose_orderings_cancel():
+    V = GradedSpace([("a", 0), ("b", 0), ("c", 0)])
+    m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"c": 1}, ("b", "a"): {"c": 1}})
+    assert m.is_zero() and m.values == {} and m.by_factors == {}
+    assert m.apply([Element.basis(V, "a"), Element.basis(V, "b")]).is_zero()
+
+
+def test_from_entries_is_the_sum_of_its_signed_entries():
+    rng = random.Random(179)
+    cancelled = 0
+    for trial in range(80):
+        space = SMALL_SPACES[trial % len(SMALL_SPACES)]
+        n = rng.randint(1, 3)
+        entries = {}
+        for word in rng.sample(wedge_basis(space, n), k=min(3, len(wedge_basis(space, n)))):
+            targets = space.basis_of_degree(word.degree)
+            if not targets:
+                continue
+            orderings = list(dict.fromkeys(permutations(word.factors)))
+            rng.shuffle(orderings)
+            first = orderings[0]
+            combo = {t: F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2)) for t in targets}
+            entries[first] = combo
+            for names in orderings[1 : rng.randint(1, 3)]:
+                if rng.random() < 0.5:
+                    # the same value with the opposite sign: the word cancels
+                    flip = canonicalize_word(first, space)[1] * canonicalize_word(names, space)[1]
+                    entries[names] = {t: -flip * c for t, c in combo.items()}
+                else:
+                    entries[names] = {t: F(rng.choice((-2, -1, 1, 2))) for t in targets}
+        m = MultiMap.from_entries(space, space, n, 0, entries)
+        want = {}
+        for names, combo in entries.items():
+            single = MultiMap.from_entries(space, space, n, 0, {names: combo})
+            for word, value in single.values.items():
+                want[word] = want[word] + value if word in want else value
+        want = {w: v for w, v in want.items() if not v.is_zero()}
+        cancelled += len({canonicalize_word(k, space)[0] for k in entries}) - len(want)
+        assert m.values == want
+        assert m.by_factors == {w.factors: v for w, v in want.items()}
+    assert cancelled > 12
+
+
 def test_multimap_apply_matches_the_tuple_by_tuple_reference():
     rng = random.Random(41)
     nonzero = 0
@@ -248,6 +291,9 @@ def test_signed_blocks_match_the_inline_formulas():
         for sign, blocks in unordered:
             assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
             assert sign == lift_sign_reference(degrees, blocks)
+        by_count = signed_blocks_by_count(degrees)
+        assert [len(group) for group in by_count] == [_stirling2(m, n) for n in range(m + 1)]
+        assert sorted(unordered) == sorted(entry for group in by_count for entry in group)
         for n in range(1, m + 1):
             ordered = signed_blocks(degrees, n)
             splittings = {tuple(map(frozenset, blocks)) for _, blocks in ordered}

@@ -20,6 +20,7 @@ from linfty import (
     reduced_coproduct,
 )
 from linfty import linalg
+import linfty.morphism as morphism_module
 from linfty.morphism import MorphismComponents
 from linfty.grading import canonicalize_word
 
@@ -27,6 +28,7 @@ from conftest import (
     SMALL_SPACES,
     random_candidate,
     random_component_family,
+    random_map_family,
     random_valid_structure,
     reference_representatives,
     weight_one_part,
@@ -167,6 +169,50 @@ def test_check_morphism_residuals_match_the_full_composite():
     assert failing > 7
 
 
+def _target_with_gaps(space, cap, rng, weights):
+    """A structure that stores only maps of the given weights and passes its relations."""
+    while True:
+        maps = random_map_family(space, cap, rng, density=1.0)
+        candidate = make_linfty(space, {n: m for n, m in maps.items() if n in weights}, cap)
+        if candidate.maps and check_relations(candidate).passed:
+            return candidate
+
+
+def test_projected_checks_match_the_full_lifts_through_the_maps():
+    # check_morphism and compose evaluate only the partitions and the Q_k
+    # that a stored map reads; the reference pushes the whole images of
+    # on_word through the maps, on targets whose stored weights have gaps
+    rng = random.Random(163)
+    failing = 0
+    for trial in range(12):
+        cap = 3 + trial % 2
+        source = random_valid_structure(SMALL_SPACES[trial % 3], cap, rng)
+        weights = [(3,), (2, 3), (1, 3), (2,)][trial % 4]
+        target = _target_with_gaps(SMALL_SPACES[(trial + 1) % 3], cap, rng, weights)
+        components = random_component_family(source, target, cap, rng, density=1.0)
+        morphism = MorphismComponents(source, target, components)
+        report = check_morphism(morphism)
+        failing += not report.passed
+        lift = lift_morphism(morphism)
+        q_src = lift_coderivation(source)
+        for word in source.words():
+            degree = word.degree + 2 - word.weight
+            left = lift.on_word(word).through(target.maps, target.space, degree)
+            right = q_src.on_word(word).through(components, target.space, degree)
+            assert report.residuals.get(word, Element.zero(target.space, degree)) == left - right
+        g_weights = [(2,), (1, 3), (3,)][trial % 3]
+        g_components = random_component_family(target, target, cap, rng, density=1.0)
+        g = MorphismComponents(
+            target, target, {n: c for n, c in g_components.items() if n in g_weights}
+        )
+        gf = compose(g, morphism)
+        for word in source.words():
+            n = word.weight
+            want = lift.on_word(word).through(g.components, target.space, word.degree + 1 - n)
+            assert gf.component(n).value(word) == want
+    assert failing > 8
+
+
 def test_compose_with_identity(heisenberg):
     rng = random.Random(61)
     comps = random_component_family(heisenberg, heisenberg, 4, rng)
@@ -253,6 +299,20 @@ def test_quasi_iso_zero_with_cohomology(two_term_with_h):
     report = is_quasi_iso(zero)
     assert not report.verdict
     assert report.per_degree[1] is False
+
+
+def test_quasi_iso_of_an_endomorphism_builds_each_matrix_once(monkeypatch, two_term_with_h):
+    built = []
+    q1_matrix = morphism_module._q1_matrix
+
+    def spy(structure, degree):
+        built.append(degree)
+        return q1_matrix(structure, degree)
+
+    monkeypatch.setattr(morphism_module, "_q1_matrix", spy)
+    zero = MorphismComponents(two_term_with_h, two_term_with_h, {})
+    assert is_quasi_iso(zero).per_degree == {1: False}
+    assert sorted(built) == list(two_term_with_h.space.degrees_present())
 
 
 def test_weight_one_chain_map_property():
