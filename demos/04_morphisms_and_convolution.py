@@ -55,4 +55,4 @@ print("identity is flat in the mapping space:",
 
 # Filtration levels count the lowest weight where a component survives.
 print("level of the identity:", morphism_to_mc(idm).filtration_level)
-print("level of the zero element:", conv.zero_hom(1).filtration_level)
+print("level of the zero element:", conv.zero(1).filtration_level)

@@ -33,12 +33,12 @@ Sign conventions (the one table everything below refers to):
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
 
-:class:`ConvolutionAlgebra` offers ``cap`` and ``apply(n, elements)`` on
-hom-space coordinates, which is all the Maurer-Cartan calculus of
-:mod:`linfty.mc` and :mod:`linfty.homotopy` reads.  The coordinates (the
-graded space ``hom_space`` of names ``word>name``) are built on first use:
-``bracket``, ``differential`` and ``mc_residual`` work on
-:class:`HomElement` and never read them.
+:class:`HomElement` is the mapping space's only vector.  The calculus of
+:mod:`linfty.mc` and :mod:`linfty.homotopy` reads a :class:`ConvolutionAlgebra`
+through ``cap``, ``space`` and ``apply(n, elements)``, which is ``bracket``,
+so flows, homotopies and their documents stay on component maps.  The
+coordinates ``hom_space`` (names ``word>name``) and ``hom_to_element`` are a
+view for tests and tracing, built on first use and read by no computation.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .grading import (
 )
 from .algebra import LInftyStructure, check_relations, lift_coderivation
 from .morphism import MorphismComponents
-from .mc import twisting_series
+from .mc import mc_residual
 
 
 def iterated_coproduct(
@@ -96,13 +96,13 @@ def iterated_coproduct(
 
 
 class HomElement:
-    """Weight-indexed component maps viewed as one element of the mapping space."""
+    """Weight-indexed component maps: one mapping-space vector of degree ``degree``."""
 
     def __init__(
         self,
         source: LInftyStructure,
         target: LInftyStructure,
-        u_degree: int,
+        degree: int,
         components: Mapping[int, MultiMap],
     ):
         if source.cap != target.cap:
@@ -110,17 +110,17 @@ class HomElement:
         self.source = source
         self.target = target
         self.cap = source.cap
-        self.u_degree = u_degree
+        self.degree = degree
         self.components: dict[int, MultiMap] = {}
         for n, comp in sorted(components.items()):
             if comp is None or comp.is_zero():
                 continue
             if comp.weight != n or n > self.cap:
                 raise StructureError("component stored at weight %d is invalid" % n)
-            if comp.degree != u_degree - n:
+            if comp.degree != degree - n:
                 raise StructureError(
                     "weight-%d component has degree %d, expected %d"
-                    % (n, comp.degree, u_degree - n)
+                    % (n, comp.degree, degree - n)
                 )
             if comp.source != source.space or comp.target != target.space:
                 raise StructureError("component %d maps between the wrong spaces" % n)
@@ -137,7 +137,7 @@ class HomElement:
         got = self.components.get(n)
         if got is None:
             return MultiMap(
-                self.source.space, self.target.space, n, self.u_degree - n
+                self.source.space, self.target.space, n, self.degree - n
             )
         return got
 
@@ -163,10 +163,10 @@ class HomElement:
             for w, v in b.values.items():
                 values[w] = values[w] + v if w in values else v
             comps[n] = MultiMap(
-                a.source, a.target, n, self.u_degree - n,
+                a.source, a.target, n, self.degree - n,
                 {w: v for w, v in values.items() if not v.is_zero()},
             )
-        return HomElement(self.source, self.target, self.u_degree, comps)
+        return HomElement(self.source, self.target, self.degree, comps)
 
     def __sub__(self, other: "HomElement") -> "HomElement":
         return self + other.scale(-1)
@@ -174,18 +174,18 @@ class HomElement:
     def scale(self, scalar) -> "HomElement":
         comps = {
             n: MultiMap(
-                c.source, c.target, n, self.u_degree - n,
+                c.source, c.target, n, self.degree - n,
                 {w: v.scale(scalar) for w, v in c.values.items()},
             )
             for n, c in self.components.items()
         }
-        return HomElement(self.source, self.target, self.u_degree, comps)
+        return HomElement(self.source, self.target, self.degree, comps)
 
     def _check(self, other: "HomElement"):
         if (
             self.source.space != other.source.space
             or self.target.space != other.target.space
-            or self.u_degree != other.u_degree
+            or self.degree != other.degree
         ):
             raise InputError("mapping-space elements are incompatible")
 
@@ -194,13 +194,13 @@ class HomElement:
             isinstance(other, HomElement)
             and self.source.space == other.source.space
             and self.target.space == other.target.space
-            and self.u_degree == other.u_degree
+            and self.degree == other.degree
             and self.components == other.components
         )
 
     def __repr__(self):
-        return "HomElement(u_degree=%d, weights=%s, level=%d)" % (
-            self.u_degree,
+        return "HomElement(degree=%d, weights=%s, level=%d)" % (
+            self.degree,
             sorted(self.components),
             self.filtration_level,
         )
@@ -213,10 +213,10 @@ def morphism_to_mc(morphism: MorphismComponents) -> HomElement:
 
 def mc_to_morphism(alpha: HomElement) -> MorphismComponents:
     """Inverse repackaging; only degree-1 elements are morphism-shaped."""
-    if alpha.u_degree != 1:
+    if alpha.degree != 1:
         raise InputError(
             "only degree-1 elements correspond to morphisms, got degree %d"
-            % alpha.u_degree
+            % alpha.degree
         )
     return MorphismComponents(alpha.source, alpha.target, alpha.components)
 
@@ -242,7 +242,7 @@ class ConvolutionAlgebra:
         # (word factors, n) -> signed n-block splittings, see _splittings
         self._splitting_cache: dict[tuple[tuple[str, ...], int], tuple] = {}
 
-    # -- conversions ------------------------------------------------------
+    # -- coordinates and basis -------------------------------------------
 
     @cached_property
     def _basis_pairs(self) -> list[tuple[Word, str]]:
@@ -269,25 +269,7 @@ class ConvolutionAlgebra:
                 label = word.label()
                 for name, c in value.coeffs.items():
                     coeffs["%s>%s" % (label, name)] = c
-        return Element(self.hom_space, alpha.u_degree, coeffs)
-
-    def element_to_hom(self, element: Element) -> HomElement:
-        if element.space is not self.hom_space and element.space != self.hom_space:
-            raise InputError("element does not live in the mapping space")
-        per_weight: dict[int, dict[Word, dict[str, Fraction]]] = {}
-        for hom_name, c in element.coeffs.items():
-            word, name = self._basis_pairs[self.hom_space.index(hom_name)]
-            per_weight.setdefault(word.weight, {}).setdefault(word, {})[name] = c
-        comps = {}
-        for n, words in per_weight.items():
-            values = {
-                w: Element(self.target.space, w.degree + element.degree - n, combo)
-                for w, combo in words.items()
-            }
-            comps[n] = MultiMap(
-                self.source.space, self.target.space, n, element.degree - n, values
-            )
-        return HomElement(self.source, self.target, element.degree, comps)
+        return Element(self.hom_space, alpha.degree, coeffs)
 
     def basis_hom(self, word: Word, name: str) -> HomElement:
         u = self.target.space.degree(name) - word.degree + word.weight
@@ -300,8 +282,13 @@ class ConvolutionAlgebra:
         )
         return HomElement(self.source, self.target, u, {word.weight: comp})
 
-    def zero_hom(self, u_degree: int) -> HomElement:
-        return HomElement(self.source, self.target, u_degree, {})
+    @property
+    def space(self) -> "ConvolutionAlgebra":
+        """Where this algebra's elements live, as a path reads it: the algebra itself."""
+        return self
+
+    def zero(self, degree: int) -> HomElement:
+        return HomElement(self.source, self.target, degree, {})
 
     # -- structure maps ---------------------------------------------------
 
@@ -313,19 +300,19 @@ class ConvolutionAlgebra:
         """
         tgt = self.target
         q1 = tgt.maps.get(1)
-        cross = -1 if (alpha.u_degree - 1) % 2 else 1
+        cross = -1 if (alpha.degree - 1) % 2 else 1
         comps: dict[int, dict[Word, Element]] = {}
         for word in self.words:
             m = word.weight
             total = self._lift.project(
-                word, alpha.components, tgt.space, word.degree + alpha.u_degree + 1 - m
+                word, alpha.components, tgt.space, word.degree + alpha.degree + 1 - m
             ).scale(-cross)
             val = alpha.component(m).value(word)
             if q1 is not None and not val.is_zero():
                 total = q1.apply([val]) + total
             if not total.is_zero():
                 comps.setdefault(m, {})[word] = total
-        return self._assemble(alpha.u_degree + 1, comps)
+        return self._assemble(alpha.degree + 1, comps)
 
     def _splittings(self, word: Word, n: int) -> tuple:
         """Signed ordered n-block splittings of a source word, computed once.
@@ -355,21 +342,27 @@ class ConvolutionAlgebra:
         """The n-ary operation on n mapping-space elements.
 
         Each splitting looks its block values up in the arguments before any
-        product is formed, and the terms of one word go into one dict.
+        product is formed, and the terms of one word go into one dict.  An
+        argument from another source/target pair or cap raises
+        :class:`~linfty.grading.InputError`.
         """
+        pair = (self.cap, self.source.space, self.target.space)
+        for a in alphas:
+            if not isinstance(a, HomElement) or (a.cap, a.source.space, a.target.space) != pair:
+                raise InputError("argument is not an element of this mapping space")
         n = len(alphas)
         if n == 1:
             return self.differential(alphas[0])
-        u_out = sum(a.u_degree for a in alphas) + 2 - n
+        u_out = sum(a.degree for a in alphas) + 2 - n
         qn = self.target.maps.get(n)
         if qn is None:
-            return self.zero_hom(u_out)
+            return self.zero(u_out)
         # each argument's stored values keyed by factors, all weights in one dict
         lookups = [
             {f: v for comp in a.components.values() for f, v in comp.by_factors.items()}
             for a in alphas
         ]
-        shifts = [a.u_degree - 1 for a in alphas]
+        shifts = [a.degree - 1 for a in alphas]
         comps: dict[int, dict[Word, Element]] = {}
         for word in self.words:
             m = word.weight
@@ -394,31 +387,27 @@ class ConvolutionAlgebra:
         return self._assemble(u_out, comps)
 
     def _assemble(
-        self, u_degree: int, comps: Mapping[int, Mapping[Word, Element]]
+        self, degree: int, comps: Mapping[int, Mapping[Word, Element]]
     ) -> HomElement:
         built = {
             n: MultiMap(
                 self.source.space,
                 self.target.space,
                 n,
-                u_degree - n,
+                degree - n,
                 dict(values),
             )
             for n, values in comps.items()
         }
-        return HomElement(self.source, self.target, u_degree, built)
+        return HomElement(self.source, self.target, degree, built)
 
-    def apply(self, n: int, elements: Sequence[Element]) -> Element:
-        """The n-ary operation on hom-space coordinates."""
-        return self.hom_to_element(
-            self.bracket([self.element_to_hom(x) for x in elements])
-        )
+    def apply(self, n: int, elements: Sequence[HomElement]) -> HomElement:
+        """The n-ary operation as :mod:`linfty.mc` calls it: ``bracket(elements)``."""
+        return self.bracket(elements)
 
     def mc_residual(self, alpha: HomElement) -> HomElement:
         """Curvature of a degree-1 element in the truncated mapping space."""
-        if alpha.u_degree != 1:
-            raise InputError("curvature is defined for degree-1 elements")
-        return twisting_series(lambda n, alphas: self.bracket(alphas), self.cap, alpha)
+        return mc_residual(self, alpha)
 
 
 def coalgebra_partitions(
@@ -449,13 +438,13 @@ def partial_derivation(
     :func:`coalgebra_partitions` this rebuilds a compatibility defect from
     its cogenerator part exactly.
     """
-    if f.u_degree != 1:
+    if f.degree != 1:
         raise InputError("the passive map must have degree 0 (element degree 1)")
     n = len(blocks)
     if n == 0:
         raise InputError("need at least one slot")
     tgt_space = b.target.space
-    b_degree = b.u_degree - 1
+    b_degree = b.degree - 1
     out = CoalgebraElement(tgt_space)
     gamma_degree = n - 1
     for i in range(n):

@@ -423,9 +423,9 @@ def load_homotopy(path: str, cap_override: int | None = None):
 
 
 def homotopy_parts_to_polypaths(conv, h0_parts, h1_parts) -> tuple[PolyPath, PolyPath]:
-    """Assemble parsed per-weight polynomial entries into mapping-space paths."""
+    """Assemble parsed per-weight polynomial entries into paths over ``conv``."""
 
-    def build(parts, u_degree):
+    def build(parts, degree):
         per_power: dict[int, dict[int, dict[Word, dict[str, Fraction]]]] = {}
         for weight, entries in parts.items():
             for word, combo in entries.items():
@@ -441,7 +441,7 @@ def homotopy_parts_to_polypaths(conv, h0_parts, h1_parts) -> tuple[PolyPath, Pol
             for weight, words in weights.items():
                 values = {
                     w: Element(
-                        conv.target.space, w.degree + u_degree - weight, combo
+                        conv.target.space, w.degree + degree - weight, combo
                     )
                     for w, combo in words.items()
                 }
@@ -449,12 +449,11 @@ def homotopy_parts_to_polypaths(conv, h0_parts, h1_parts) -> tuple[PolyPath, Pol
                     conv.source.space,
                     conv.target.space,
                     weight,
-                    u_degree - weight,
+                    degree - weight,
                     values,
                 )
-            hom = HomElement(conv.source, conv.target, u_degree, comps)
-            coefficients[power] = conv.hom_to_element(hom)
-        return PolyPath(conv.hom_space, u_degree, coefficients)
+            coefficients[power] = HomElement(conv.source, conv.target, degree, comps)
+        return PolyPath(conv, degree, coefficients)
 
     return build(h0_parts, 1), build(h1_parts, 0)
 
@@ -471,8 +470,7 @@ def homotopy_to_document(
     for tag, path in (("h0", h0), ("h1", h1)):
         per_weight: dict[int, dict[Word, dict[str, list[Fraction]]]] = {}
         for power in sorted(path.coefficients):
-            hom = conv.element_to_hom(path.coefficients[power])
-            for weight, comp in hom.components.items():
+            for weight, comp in path.coefficients[power].components.items():
                 for word, value in comp.values.items():
                     for name, coeff in value.coeffs.items():
                         poly = (

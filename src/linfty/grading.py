@@ -216,6 +216,9 @@ class GradedSpace:
         except KeyError:
             raise InputError("unknown basis name %r" % name) from None
 
+    def zero(self, degree: int) -> "Element":
+        return Element(self, degree)
+
     def degrees_of(self, names: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.degree(n) for n in names)
 

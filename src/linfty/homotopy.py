@@ -12,10 +12,10 @@ elements (the dt-free part) and the evolution equation
 (the dt part, up to the recorded overall sign).  Gauge flows produce such
 homotopies with h1 constant in t.
 
-Like :mod:`linfty.mc`, the path algebra reads its base only through ``cap``
-and ``apply(n, elements)``: a structure, or the mapping space
-:class:`~linfty.convolution.ConvolutionAlgebra` in which homotopies of
-morphisms live.
+Like :mod:`linfty.mc`, the path algebra reads its base only through
+``cap``, ``space`` and ``apply(n, elements)``: a structure, or the mapping
+space :class:`~linfty.convolution.ConvolutionAlgebra`, over which the parts
+of a homotopy of morphisms are paths with ``HomElement`` coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .grading import Element, InputError, StructureError
+from .grading import InputError, StructureError
 from .algebra import LInftyStructure, check_relations
 from .morphism import MorphismComponents, check_morphism
 from .convolution import ConvolutionAlgebra, HomElement, build_convolution, morphism_to_mc
@@ -111,13 +111,12 @@ class PathAlgebra:
             )
         return out
 
-    def embed(self, element: Element) -> PathElement:
+    def embed(self, element) -> PathElement:
         """Constant path with no dt part (the inclusion of the base)."""
-        return PathElement(
-            element.space, element.degree, PolyPath.constant(element), None
-        )
+        space = self.base.space
+        return PathElement(space, element.degree, PolyPath(space, element.degree, {0: element}))
 
-    def at_time(self, pe: PathElement, t: Fraction) -> Element:
+    def at_time(self, pe: PathElement, t: Fraction):
         """Evaluate the even part and discard dt; t = 0, 1 are the endpoints."""
         return pe.even.evaluate(t)
 
@@ -163,9 +162,9 @@ def build_path_algebra(base: LInftyStructure, t_cap: int | None = None) -> PathA
 class HomotopyElement:
     """h = h0 + h1 dt in the mapping space into the path algebra over the target.
 
-    Both parts are polynomial paths of elements of the truncated mapping
-    space: h0 of degree 1 (a family of morphism-shaped elements), h1 of
-    degree 0 (the gauge direction when the homotopy comes from a flow).
+    Both parts are polynomial paths over ``conv`` with HomElement
+    coefficients: h0 of degree 1 (a family of morphism-shaped elements), h1
+    of degree 0 (the gauge direction when the homotopy comes from a flow).
     """
 
     conv: ConvolutionAlgebra
@@ -177,7 +176,7 @@ class HomotopyElement:
             raise InputError("homotopy parts must have degrees 1 and 0")
 
     def endpoint(self, t: Fraction) -> HomElement:
-        return self.conv.element_to_hom(self.h0.evaluate(t))
+        return self.h0.evaluate(t)
 
 
 def gauge_to_homotopy(
@@ -191,19 +190,16 @@ def gauge_to_homotopy(
     itself, so the evolution equation holds by construction and the
     endpoints are the original morphism and the flowed one.
     """
-    if direction.u_degree != 0:
+    if direction.degree != 0:
         raise InputError("gauge directions have degree 0")
     if not morphism.verified:
         report = check_morphism(morphism)
         if not report.passed:
             raise StructureError("cannot flow: morphism fails its compatibility check")
     conv = build_convolution(morphism.source, morphism.target, morphism.cap)
-    alpha = conv.hom_to_element(morphism_to_mc(morphism))
-    xi = conv.hom_to_element(direction)
     bound = iteration_bound if iteration_bound is not None else morphism.cap + 2
-    h0 = gauge_flow(conv, alpha, xi, iteration_bound=bound)
-    h1 = PolyPath.constant(xi)
-    return HomotopyElement(conv, h0, h1)
+    h0 = gauge_flow(conv, morphism_to_mc(morphism), direction, iteration_bound=bound)
+    return HomotopyElement(conv, h0, PolyPath(conv, 0, {0: direction}))
 
 
 def flatness_residual(h: HomotopyElement) -> PolyPath:
@@ -238,7 +234,7 @@ class HomotopyReport:
     evolution: PolyPath
     starts_at_first: bool
     ends_at_second: bool
-    sample_residuals: dict[Fraction, Element]
+    sample_residuals: dict[Fraction, HomElement]
 
     @property
     def passed(self) -> bool:
@@ -290,8 +286,8 @@ def check_homotopy(
         raise InputError("morphisms and homotopy live on different pairs")
     flat = flatness_residual(h)
     evolution = evolution_residual(h)
-    starts = h.h0.evaluate(Fraction(0)) == conv.hom_to_element(morphism_to_mc(first))
-    ends = h.h0.evaluate(Fraction(1)) == conv.hom_to_element(morphism_to_mc(second))
+    starts = h.endpoint(Fraction(0)) == morphism_to_mc(first)
+    ends = h.endpoint(Fraction(1)) == morphism_to_mc(second)
     sample_residuals = {
         t: mc_residual(conv, h.h0.evaluate(t)) for t in samples
     }

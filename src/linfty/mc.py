@@ -10,12 +10,12 @@ one level of the lower central filtration, so the iteration reaches an exact
 fixpoint or the structure was not nilpotent.
 
 The curvature, the twisted differential and the flow read an algebra only
-through ``cap`` and ``apply(n, elements)``, the n-ary operation evaluated on
-elements and zero where the algebra has no map.  An
-:class:`~linfty.algebra.LInftyStructure` and the mapping space
-:class:`~linfty.convolution.ConvolutionAlgebra` both offer them, so flows
-of morphisms run in the mapping space directly; :func:`twist`, strict
-curvature and the default flow bound need the structure maps themselves.
+through ``cap``, ``space`` (where its vectors live) and ``apply(n, elements)``,
+the n-ary operation, zero where the algebra has no map.  A structure offers
+them on ``Element`` values of its graded space, the mapping space
+:class:`~linfty.convolution.ConvolutionAlgebra` on ``HomElement`` values,
+so flows of morphisms run on component maps directly; :func:`twist`,
+strict curvature and the default flow bound need the structure maps.
 All sums of this kind go through :func:`twisting_series`.
 """
 
@@ -145,29 +145,25 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
 
 
 class PolyPath:
-    """Element-valued polynomial in a formal time variable, exact throughout."""
+    """Vector-valued polynomial in a formal time variable, exact throughout.
+
+    Coefficients are ``Element`` values over a ``GradedSpace`` space, or
+    ``HomElement`` values over a ``ConvolutionAlgebra``; ``space.zero(degree)``
+    is the value of an empty path.  Paths compare by their coefficients, which
+    carry their spaces, so equal flows over two algebras of one pair agree.
+    """
 
     __slots__ = ("space", "degree", "coefficients")
 
-    def __init__(self, space, degree: int, coefficients: Mapping[int, Element] | None = None):
+    def __init__(self, space, degree: int, coefficients: Mapping | None = None):
         self.space = space
         self.degree = degree
-        self.coefficients: dict[int, Element] = {}
+        self.coefficients: dict = {}
         for power, elem in (coefficients or {}).items():
             if elem.degree != degree:
                 raise InputError("path coefficient of degree %d in a degree-%d path" % (elem.degree, degree))
             if not elem.is_zero():
                 self.coefficients[int(power)] = elem
-
-    @classmethod
-    def constant(cls, element: Element) -> "PolyPath":
-        return cls(element.space, element.degree, {0: element})
-
-    def coefficient(self, power: int) -> Element:
-        got = self.coefficients.get(power)
-        if got is None:
-            return Element.zero(self.space, self.degree)
-        return got
 
     def max_power(self) -> int:
         return max(self.coefficients, default=0)
@@ -203,8 +199,8 @@ class PolyPath:
             {p - 1: e.scale(Fraction(p)) for p, e in self.coefficients.items() if p},
         )
 
-    def evaluate(self, t: Fraction) -> Element:
-        total = Element.zero(self.space, self.degree)
+    def evaluate(self, t: Fraction):
+        total = self.space.zero(self.degree)
         for p, e in self.coefficients.items():
             total = total + e.scale(Fraction(t) ** p)
         return total
@@ -215,7 +211,6 @@ class PolyPath:
     def __eq__(self, other):
         return (
             isinstance(other, PolyPath)
-            and self.space == other.space
             and self.degree == other.degree
             and self.coefficients == other.coefficients
         )
@@ -232,14 +227,14 @@ def apply_to_paths(algebra, n: int, paths: list[PolyPath]) -> PolyPath:
     """Multilinear evaluation of ``algebra.apply(n, .)`` on polynomial paths."""
     space = paths[0].space
     degree = sum(p.degree for p in paths) + 2 - n
-    stack: list[tuple[int, list[Element]]] = [(0, [])]
+    stack: list[tuple[int, list]] = [(0, [])]
     for path in paths:
         stack = [
             (power + p, elems + [e])
             for power, elems in stack
             for p, e in path.coefficients.items()
         ]
-    acc: dict[int, Element] = {}
+    acc: dict = {}
     for power, elems in stack:
         term = algebra.apply(n, elems)
         if term.is_zero():
@@ -248,17 +243,16 @@ def apply_to_paths(algebra, n: int, paths: list[PolyPath]) -> PolyPath:
     return PolyPath(space, degree, acc)
 
 
-def twisted_differential_of(algebra, pi_path: PolyPath, xi: Element) -> PolyPath:
+def twisted_differential_of(algebra, pi_path: PolyPath, xi) -> PolyPath:
     """Q_1^{pi_t}(xi) = sum over m of 1/m! Q_{m+1}(pi_t, ..., pi_t, xi)."""
-    return twisting_series(
-        partial(apply_to_paths, algebra), algebra.cap, pi_path, [PolyPath.constant(xi)]
-    )
+    xi_path = PolyPath(pi_path.space, xi.degree, {0: xi})
+    return twisting_series(partial(apply_to_paths, algebra), algebra.cap, pi_path, [xi_path])
 
 
 def gauge_flow(
     algebra,
-    pi0: MCElement | Element,
-    xi: Element,
+    pi0,
+    xi,
     iteration_bound: int | None = None,
 ) -> PolyPath:
     """Picard iteration of pi_t = pi0 + integral of Q_1^{pi_t}(xi).
@@ -269,7 +263,8 @@ def gauge_flow(
     for a structure that is not nilpotent (pronilpotence is what guarantees
     convergence of the iteration).  The default bound reads the lower
     central series, so an algebra that is not an :class:`LInftyStructure`
-    must pass one.
+    must pass one.  ``pi0``, ``xi`` and the path's coefficients are vectors
+    of ``algebra.space``.
     """
     if isinstance(pi0, MCElement):
         start = pi0.value
@@ -283,8 +278,7 @@ def gauge_flow(
         chain = lower_central_series(algebra)
         depth = chain.depth if chain.nilpotent else len(chain.subspaces)
         iteration_bound = depth + 2
-    current = PolyPath.constant(start)
-    base = PolyPath.constant(start)
+    base = current = PolyPath(algebra.space, 1, {0: start})
     for _ in range(iteration_bound):
         updated = base + twisted_differential_of(algebra, current, xi).integrate()
         if updated == current:

@@ -17,8 +17,9 @@ from fractions import Fraction
 from .grading import Element, InputError, MultiMap, StructureError, Word, wedge_basis
 from .algebra import LInftyStructure
 from .morphism import MorphismComponents, check_morphism
-from .convolution import ConvolutionAlgebra, HomElement, build_convolution, mc_to_morphism, morphism_to_mc
-from .mc import PolyPath, gauge_flow
+from .convolution import ConvolutionAlgebra, HomElement, mc_to_morphism
+from .mc import PolyPath
+from .homotopy import gauge_to_homotopy
 
 
 @dataclass
@@ -53,30 +54,27 @@ class PerturbationRequest:
 
 
 def direction_element(
-    conv: ConvolutionAlgebra, weight: int, correction: MultiMap
+    pair: ConvolutionAlgebra | MorphismComponents, weight: int, correction: MultiMap
 ) -> HomElement:
-    """The degree-0 mapping-space element supported at one weight."""
+    """The degree-0 element at one weight of the mapping space of ``pair``'s source and target."""
     return HomElement(
-        conv.source, conv.target, 0, {weight: correction} if not correction.is_zero() else {}
+        pair.source, pair.target, 0, {weight: correction} if not correction.is_zero() else {}
     )
 
 
 def flow_morphism(
     request: PerturbationRequest,
 ) -> tuple[MorphismComponents, PolyPath, ConvolutionAlgebra]:
-    """Run the gauge flow; returns the endpoint morphism and the whole path."""
+    """The t = 1 endpoint of the request's gauge homotopy, its flow and its algebra."""
     morphism = request.morphism
     if not morphism.verified:
         report = check_morphism(morphism)
         if not report.passed:
             raise StructureError("cannot perturb: the input fails its morphism check")
-    conv = build_convolution(morphism.source, morphism.target, morphism.cap)
-    alpha = conv.hom_to_element(morphism_to_mc(morphism))
-    xi = conv.hom_to_element(direction_element(conv, request.weight, request.correction))
-    path = gauge_flow(conv, alpha, xi, iteration_bound=morphism.cap + 2)
-    endpoint = conv.element_to_hom(path.evaluate(Fraction(1)))
-    perturbed = mc_to_morphism(endpoint)
-    return perturbed, path, conv
+    h = gauge_to_homotopy(
+        morphism, direction_element(morphism, request.weight, request.correction)
+    )
+    return mc_to_morphism(h.endpoint(Fraction(1))), h.h0, h.conv
 
 
 def perturb(request: PerturbationRequest) -> MorphismComponents:

@@ -5,15 +5,21 @@ import pytest
 from linfty import (
     Element,
     GradedSpace,
+    InputError,
     MultiMap,
+    build_convolution,
     check_relations,
+    documents,
     from_dgla,
     lift_coderivation,
     linalg,
     make_linfty,
     wedge_basis,
 )
+from linfty.convolution import HomElement
 from linfty.grading import signed_blocks, subword
+from linfty.homotopy import HomotopyElement
+from linfty.mc import PolyPath
 
 F = Fraction
 
@@ -214,10 +220,10 @@ def materialized_hom_structure(conv):
     Every canonical word of hom-space basis elements up to the cap gets the
     bracket of the corresponding basis homs, and the maps go through the
     ``LInftyStructure`` constructor; ``conv.apply`` must agree with it on
-    arbitrary arguments.
+    the coordinates of arbitrary arguments.
     """
     space = conv.hom_space
-    basis = {name: conv.element_to_hom(Element.basis(space, name)) for name in space.names}
+    basis = {name: element_to_hom(conv, Element.basis(space, name)) for name in space.names}
     maps = {}
     for n in range(1, conv.cap + 1):
         values = {}
@@ -383,7 +389,35 @@ def reference_representatives(space, degree, kernel, image):
 # ``ConvolutionAlgebra.bracket``, ``differential`` and ``hom_to_element``
 # replaced.  The bracket rebuilds every sub-word of every splitting, the
 # differential builds the source lift's whole image, and the coordinates walk
-# the whole hom basis.
+# the whole hom basis.  ``element_to_hom`` reads coordinates back into
+# component maps, so coordinate references such as
+# ``materialized_hom_structure`` can feed and check the HomElement code.
+
+
+def element_to_hom(conv, element):
+    if element.space != conv.hom_space:
+        raise InputError("element does not live in the mapping space")
+    per_weight = {}
+    for hom_name, c in element.coeffs.items():
+        word, name = conv._basis_pairs[conv.hom_space.index(hom_name)]
+        per_weight.setdefault(word.weight, {}).setdefault(word, {})[name] = c
+    comps = {}
+    for n, words in per_weight.items():
+        values = {
+            w: Element(conv.target.space, w.degree + element.degree - n, combo)
+            for w, combo in words.items()
+        }
+        comps[n] = MultiMap(
+            conv.source.space, conv.target.space, n, element.degree - n, values
+        )
+    return HomElement(conv.source, conv.target, element.degree, comps)
+
+
+def coordinate_path(conv, path):
+    """A path of HomElements as a path of their coordinates over ``hom_space``."""
+    return PolyPath(conv.hom_space, path.degree, {
+        p: conv.hom_to_element(e) for p, e in path.coefficients.items()
+    })
 
 
 def reference_hom_to_element(conv, alpha):
@@ -395,36 +429,36 @@ def reference_hom_to_element(conv, alpha):
         c = comp.value(word).coeffs.get(name)
         if c:
             coeffs[hom_name] = c
-    return Element(conv.hom_space, alpha.u_degree, coeffs)
+    return Element(conv.hom_space, alpha.degree, coeffs)
 
 
 def _reference_differential(conv, alpha):
     tgt = conv.target
     q1 = tgt.maps.get(1)
     lift = lift_coderivation(conv.source)
-    cross = -1 if (alpha.u_degree - 1) % 2 else 1
+    cross = -1 if (alpha.degree - 1) % 2 else 1
     comps = {}
     for word in conv.words:
         m = word.weight
         total = lift.on_word(word).through(
-            alpha.components, tgt.space, word.degree + alpha.u_degree + 1 - m
+            alpha.components, tgt.space, word.degree + alpha.degree + 1 - m
         ).scale(-cross)
         val = alpha.component(m).value(word)
         if q1 is not None and not val.is_zero():
             total = q1.apply([val]) + total
         if not total.is_zero():
             comps.setdefault(m, {})[word] = total
-    return conv._assemble(alpha.u_degree + 1, comps)
+    return conv._assemble(alpha.degree + 1, comps)
 
 
 def reference_bracket(conv, alphas):
     n = len(alphas)
     if n == 1:
         return _reference_differential(conv, alphas[0])
-    u_out = sum(a.u_degree for a in alphas) + 2 - n
+    u_out = sum(a.degree for a in alphas) + 2 - n
     qn = conv.target.maps.get(n)
     if qn is None:
-        return conv.zero_hom(u_out)
+        return conv.zero(u_out)
     src_space = conv.source.space
     comps = {}
     for word in conv.words:
@@ -442,7 +476,7 @@ def reference_bracket(conv, alphas):
                 if val.is_zero():
                     break
                 vals.append(val)
-                crossing += (alpha.u_degree - 1) * prefix
+                crossing += (alpha.degree - 1) * prefix
                 prefix += wpart.degree - len(block)
             else:
                 term = qn.apply(vals)
@@ -451,3 +485,25 @@ def reference_bracket(conv, alphas):
         if not total.is_zero():
             comps.setdefault(m, {})[word] = total
     return conv._assemble(u_out, comps)
+
+
+def homotopy_round_trip(h, first, second, directory):
+    """Write a homotopy and its two morphisms as documents and load them back.
+
+    Returns the loaded morphisms and the homotopy over a newly built algebra.
+    """
+    files = {
+        "source.txt": documents.algebra_to_document(first.source),
+        "target.txt": documents.algebra_to_document(first.target),
+        "first.txt": documents.morphism_to_document(first, "source.txt", "target.txt"),
+        "second.txt": documents.morphism_to_document(second, "source.txt", "target.txt"),
+        "homotopy.txt": documents.homotopy_to_document(
+            h.conv, h.h0, h.h1, "first.txt", "second.txt"
+        ),
+    }
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    first, second, h0_parts, h1_parts = documents.load_homotopy(str(directory / "homotopy.txt"))
+    conv = build_convolution(first.source, first.target, first.cap)
+    h0, h1 = documents.homotopy_parts_to_polypaths(conv, h0_parts, h1_parts)
+    return first, second, HomotopyElement(conv, h0, h1)

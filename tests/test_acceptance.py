@@ -351,9 +351,7 @@ def test_criterion_7_homotopy_split():
             if not extra_entries:
                 continue
             extra = MultiMap.from_entries(base.space, base.space, 1, -1, extra_entries)
-            bad_h1 = h.h1 + PolyPath.constant(
-                conv.hom_to_element(direction_element(conv, 1, extra))
-            )
+            bad_h1 = h.h1 + PolyPath(conv, 0, {0: direction_element(conv, 1, extra)})
             corrupted = HomotopyElement(conv, h.h0, bad_h1)
             if evolution_residual(corrupted).is_zero():
                 ok = False

@@ -12,7 +12,9 @@ from linfty import (
     check_morphism,
     check_relations,
     build_convolution,
+    check_homotopy,
     coalgebra_partitions,
+    gauge_to_homotopy,
     identity_morphism,
     iterated_coproduct,
     lift_coderivation,
@@ -22,15 +24,20 @@ from linfty import (
     mc_to_morphism,
     morphism_to_mc,
     partial_derivation,
+    perturb,
     unsplit_residual,
 )
-from linfty.convolution import HomElement
+from linfty.convolution import ConvolutionAlgebra, HomElement
 from linfty.homotopy import HomotopyElement, evolution_residual, flatness_residual
 from linfty.mc import PolyPath, gauge_flow
+from linfty.perturbation import PerturbationRequest, direction_element
 from linfty.grading import canonicalize_word
 
 from conftest import (
     SMALL_SPACES,
+    coordinate_path,
+    element_to_hom,
+    homotopy_round_trip,
     materialized_hom_structure,
     random_component_family,
     random_valid_structure,
@@ -42,7 +49,7 @@ F = Fraction
 
 
 def random_hom(conv, u_degree, rng, density=0.6):
-    total = conv.zero_hom(u_degree)
+    total = conv.zero(u_degree)
     for (w, name), hname in zip(conv._basis_pairs, conv.hom_space.names):
         if conv.hom_space.degree(hname) != u_degree:
             continue
@@ -89,7 +96,7 @@ def test_filtration_levels(heisenberg):
     conv = build_convolution(heisenberg, heisenberg, 4)
     idm = morphism_to_mc(identity_morphism(heisenberg))
     assert idm.filtration_level == 1
-    assert conv.zero_hom(1).filtration_level == 5
+    assert conv.zero(1).filtration_level == 5
     rng = random.Random(3)
     f2_only = {
         2: random_component_family(heisenberg, heisenberg, 2, rng)[2]
@@ -128,7 +135,8 @@ def test_correspondence_with_higher_maps():
     conv = build_convolution(structure, structure, 3)
     alpha = morphism_to_mc(identity_morphism(structure))
     assert conv.mc_residual(alpha).is_zero()
-    assert mc_residual(conv, conv.hom_to_element(alpha)).is_zero()
+    reference = materialized_hom_structure(conv)
+    assert mc_residual(reference, conv.hom_to_element(alpha)).is_zero()
 
 
 def test_filtration_compatibility():
@@ -164,16 +172,16 @@ def test_materialized_matches_direct(two_term, end_dgla):
 
 
 def random_path(conv, u_degree, rng, max_power=1):
-    return PolyPath(conv.hom_space, u_degree, {
-        p: conv.hom_to_element(random_hom(conv, u_degree, rng, density=0.4))
-        for p in range(max_power + 1)
+    return PolyPath(conv, u_degree, {
+        p: random_hom(conv, u_degree, rng, density=0.4) for p in range(max_power + 1)
     })
 
 
 def test_direct_operations_match_materialized_structure():
     # the mapping space evaluated directly against the structure built from
     # brackets of basis homs: the n-ary operations on random arguments of
-    # every degree pattern in 0-2, and every flow and homotopy residual
+    # every degree pattern in 0-2, and every flow and homotopy residual, each
+    # compared in coordinates
     rng = random.Random(134)
     nonzero = {1: 0, 2: 0, 3: 0}
     for trial in range(3):
@@ -183,29 +191,37 @@ def test_direct_operations_match_materialized_structure():
         reference = materialized_hom_structure(conv)
         for n in (1, 2, 3):
             for u_degrees in product([0, 1, 2], repeat=n):
-                xs = [conv.hom_to_element(random_hom(conv, u, rng)) for u in u_degrees]
-                direct = conv.apply(n, xs)
-                assert direct == reference.map_at(n).apply(xs)
+                alphas = [random_hom(conv, u, rng) for u in u_degrees]
+                direct = conv.apply(n, alphas)
+                xs = [conv.hom_to_element(a) for a in alphas]
+                assert conv.hom_to_element(direct) == reference.map_at(n).apply(xs)
                 nonzero[n] += not direct.is_zero()
-        alpha = conv.hom_to_element(random_hom(conv, 1, rng))
-        xi = conv.hom_to_element(random_hom(conv, 0, rng))
+        alpha = random_hom(conv, 1, rng)
+        xi = random_hom(conv, 0, rng)
         path = gauge_flow(conv, alpha, xi, iteration_bound=5)
-        assert path == gauge_flow(reference, alpha, xi, iteration_bound=5)
+        assert coordinate_path(conv, path) == gauge_flow(
+            reference, conv.hom_to_element(alpha), conv.hom_to_element(xi), iteration_bound=5
+        )
         h0 = path + random_path(conv, 1, rng)
         h1 = random_path(conv, 0, rng)
         on_conv = HomotopyElement(conv, h0, h1)
-        on_reference = HomotopyElement(reference, h0, h1)
+        on_reference = HomotopyElement(
+            reference, coordinate_path(conv, h0), coordinate_path(conv, h1)
+        )
         flat = flatness_residual(on_conv)
         evolution = evolution_residual(on_conv)
         assert not flat.is_zero() and not evolution.is_zero()
-        assert flat == flatness_residual(on_reference)
-        assert evolution == evolution_residual(on_reference)
-        assert unsplit_residual(on_conv) == unsplit_residual(on_reference)
+        assert coordinate_path(conv, flat) == flatness_residual(on_reference)
+        assert coordinate_path(conv, evolution) == evolution_residual(on_reference)
+        unsplit = unsplit_residual(on_conv)
+        want = unsplit_residual(on_reference)
+        assert coordinate_path(conv, unsplit.even) == want.even
+        assert coordinate_path(conv, unsplit.odd) == want.odd
     assert all(nonzero.values())
 
 
 def _coefficients(alpha):
-    return alpha.u_degree, {
+    return alpha.degree, {
         (n, word): value.coeffs
         for n, comp in alpha.components.items()
         for word, value in comp.values.items()
@@ -233,12 +249,50 @@ def test_bracket_and_coordinates_match_the_basis_walk_references():
     assert all(count > 3 for count in nonzero.values())
 
 
-def test_curvature_builds_no_coordinates(two_term):
-    # random_hom reads the coordinates of its own algebra, so use a fresh one
+def test_curvature_builds_no_coordinates(two_term, tmp_path, monkeypatch):
+    # random_hom reads the coordinates of its own algebra, so draw before
+    # recording every algebra that curvature, flows, homotopy checks and the
+    # homotopy document round trip build
     alpha = random_hom(build_convolution(two_term, two_term, 3), 1, random.Random(173))
+    built = []
+    init = ConvolutionAlgebra.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ConvolutionAlgebra, "__init__", recording_init)
     conv = build_convolution(two_term, two_term, 3)
     assert not conv.mc_residual(alpha).is_zero()
-    assert "hom_space" not in vars(conv) and "_basis_pairs" not in vars(conv)
+    idm = identity_morphism(two_term)
+    correction = MultiMap.from_entries(
+        two_term.space, two_term.space, 2, -2, {("b", "b"): {"a": F(1)}}
+    )
+    perturbed = perturb(PerturbationRequest(idm, 2, correction))
+    h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
+    assert check_homotopy(idm, perturbed, h).passed
+    assert unsplit_residual(h).is_zero()
+    homotopy_round_trip(h, idm, perturbed, tmp_path)
+    assert len(built) == 4
+    for algebra in built:
+        assert "hom_space" not in vars(algebra) and "_basis_pairs" not in vars(algebra)
+
+
+def test_apply_and_bracket_reject_foreign_arguments(two_term, heisenberg):
+    conv = build_convolution(two_term, two_term, 3)
+    alpha = morphism_to_mc(identity_morphism(two_term))
+    deeper = make_linfty(two_term.space, dict(two_term.maps), cap=4)
+    foreign = [
+        morphism_to_mc(identity_morphism(heisenberg)),
+        HomElement(deeper, deeper, 1, {}),
+        conv.hom_to_element(alpha),
+    ]
+    for other in foreign:
+        for args in ([other], [alpha, other]):
+            with pytest.raises(InputError):
+                conv.apply(len(args), args)
+            with pytest.raises(InputError):
+                conv.bracket(args)
 
 
 def test_hom_element_round_trip(heisenberg):
@@ -246,7 +300,7 @@ def test_hom_element_round_trip(heisenberg):
     conv = build_convolution(heisenberg, heisenberg, 4)
     alpha = random_hom(conv, 1, rng)
     elem = conv.hom_to_element(alpha)
-    assert conv.element_to_hom(elem) == alpha
+    assert element_to_hom(conv, elem) == alpha
 
 
 def test_morphism_mc_round_trip(heisenberg):
@@ -263,7 +317,7 @@ def test_non_flat_alpha_names_offending_words(two_term):
     # a -> a alone (killing b) is not a chain map
     word_a, _ = canonicalize_word(("a",), two_term.space)
     alpha = conv.basis_hom(word_a, "a")
-    assert alpha.u_degree == 1
+    assert alpha.degree == 1
     residual = conv.mc_residual(alpha)
     report = check_morphism(mc_to_morphism(alpha))
     assert not report.passed and not residual.is_zero()
@@ -302,7 +356,7 @@ def test_reconstruction_from_cogenerators():
 def test_partial_derivation_edges(two_term):
     conv = build_convolution(two_term, two_term, 3)
     alpha = morphism_to_mc(identity_morphism(two_term))
-    zero_defect = conv.zero_hom(2)
+    zero_defect = conv.zero(2)
     word, _ = canonicalize_word(("a", "b"), two_term.space)
     out = partial_derivation(zero_defect, alpha, [word])
     assert out.is_zero()

@@ -25,7 +25,10 @@ from linfty.homotopy import (
     evolution_residual,
     flatness_residual,
 )
+from linfty.grading import canonicalize_word
 from linfty.perturbation import PerturbationRequest, direction_element, flow_morphism
+
+from conftest import homotopy_round_trip
 
 F = Fraction
 
@@ -124,7 +127,7 @@ def test_leibniz_on_linear_path(end_dgla):
     assert out.even == PolyPath(
         end_dgla.space, 1, {1: end_dgla.maps[1].apply([g])}
     )
-    assert out.odd == PolyPath.constant(g)
+    assert out.odd == PolyPath(end_dgla.space, 0, {0: g})
 
 
 def test_dt_squared_vanishes(end_dgla):
@@ -133,7 +136,7 @@ def test_dt_squared_vanishes(end_dgla):
         end_dgla.space,
         1,
         None,
-        PolyPath.constant(Element(end_dgla.space, 0, {"e00": F(1)})),
+        PolyPath(end_dgla.space, 0, {0: Element(end_dgla.space, 0, {"e00": F(1)})}),
     )
     assert algebra.q_eval(2, [odd_only, odd_only]).is_zero()
 
@@ -173,14 +176,14 @@ def test_gauge_homotopy_verifies(flowed_pair):
 def test_gauge_homotopy_h1_constant(flowed_pair):
     idm, perturbed, conv, correction = flowed_pair
     h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
-    xi = conv.hom_to_element(direction_element(conv, 2, correction))
-    assert h.h1 == PolyPath.constant(xi)
+    xi = direction_element(conv, 2, correction)
+    assert h.h1 == PolyPath(conv, 0, {0: xi})
     assert h.endpoint(F(0)) == morphism_to_mc(idm)
 
 
 def test_constant_homotopy(flowed_pair):
     idm, _, conv, _ = flowed_pair
-    h = gauge_to_homotopy(idm, conv.zero_hom(0))
+    h = gauge_to_homotopy(idm, conv.zero(0))
     report = check_homotopy(idm, idm, h)
     assert report.passed
 
@@ -201,9 +204,7 @@ def test_corrupted_h1_detected(flowed_pair):
     extra = MultiMap.from_entries(
         idm.source.space, idm.target.space, 1, -1, {("b",): {"a": F(1)}}
     )
-    bad_h1 = h.h1 + PolyPath.constant(
-        conv.hom_to_element(direction_element(conv, 1, extra))
-    )
+    bad_h1 = h.h1 + PolyPath(conv, 0, {0: direction_element(conv, 1, extra)})
     corrupted = HomotopyElement(conv, h.h0, bad_h1)
     report = check_homotopy(idm, perturbed, corrupted)
     assert not report.passed
@@ -211,6 +212,36 @@ def test_corrupted_h1_detected(flowed_pair):
     assert flatness_residual(corrupted).is_zero()
     combined = unsplit_residual(corrupted)
     assert combined.even.is_zero() and not combined.odd.is_zero()
+
+
+def test_gauge_homotopies_compare_by_value(flowed_pair):
+    # each gauge_to_homotopy call builds its own mapping space; paths over
+    # the two compare by their HomElement coefficients
+    idm, _, conv, correction = flowed_pair
+    direction = direction_element(conv, 2, correction)
+    one, other = gauge_to_homotopy(idm, direction), gauge_to_homotopy(idm, direction)
+    assert one.conv is not other.conv
+    assert one.h0 == other.h0 and one.h1 == other.h1
+    # a non-flat bump in h0 and a doubled h1 make both residual parts nonzero
+    word_a, _ = canonicalize_word(("a",), idm.source.space)
+    bump = PolyPath(conv, 1, {1: conv.basis_hom(word_a, "a")})
+    one, other = (
+        HomotopyElement(h.conv, h.h0 + bump, h.h1.scale(F(2))) for h in (one, other)
+    )
+    combined = unsplit_residual(one)
+    assert not combined.even.is_zero() and not combined.odd.is_zero()
+    assert combined.even == flatness_residual(other)
+    assert combined.odd == evolution_residual(other).scale(F(-1))
+
+
+def test_homotopy_document_round_trip(flowed_pair, tmp_path):
+    idm, perturbed, conv, correction = flowed_pair
+    h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
+    first, second, loaded = homotopy_round_trip(h, idm, perturbed, tmp_path)
+    assert loaded.conv is not h.conv
+    assert not loaded.h1.is_zero() and loaded.h0.max_power() > 0
+    assert loaded.h0 == h.h0 and loaded.h1 == h.h1
+    assert check_homotopy(first, second, loaded).passed
 
 
 def test_wrong_endpoint_detected(flowed_pair):

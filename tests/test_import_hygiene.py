@@ -1,0 +1,54 @@
+"""Every module in ``src/linfty`` and ``tests`` uses each name it imports.
+
+``__init__.py`` is exempt: it imports names to export them.  A name counts
+as used when the module's syntax tree reads it anywhere, including inside a
+quoted annotation; ``from __future__`` imports are compiler directives.
+"""
+
+import ast
+import os
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src", "linfty")
+
+
+def _modules():
+    for directory in (SRC_DIR, TESTS_DIR):
+        for name in sorted(os.listdir(directory)):
+            if name.endswith(".py") and name != "__init__.py":
+                yield os.path.join(directory, name)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            quoted = ast.parse(annotation.value, mode="eval")
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted("%s (line %d)" % (name, line) for name, line in imported.items() if name not in used)
+
+
+def test_modules_use_every_import():
+    offenders = {}
+    for path in _modules():
+        with open(path, encoding="utf-8") as fh:
+            unused = unused_imports(fh.read())
+        if unused:
+            offenders[os.path.relpath(path, os.path.dirname(TESTS_DIR))] = unused
+    assert offenders == {}
+
+
+def test_unused_import_is_reported():
+    source = "import os\nfrom typing import Mapping, Sequence\nx: 'Mapping[str, int]' = os.sep\n"
+    assert unused_imports(source) == ["Sequence (line 2)"]

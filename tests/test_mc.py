@@ -95,7 +95,7 @@ def test_twist_rejects_non_flat(heisenberg):
 def test_flow_constant_for_zero_direction(heisenberg):
     pi0 = Element(heisenberg.space, 1, {"x": F(1)})
     path = gauge_flow(heisenberg, pi0, Element(heisenberg.space, 0, {}))
-    assert path == PolyPath.constant(pi0)
+    assert path == PolyPath(heisenberg.space, 1, {0: pi0})
 
 
 def test_flow_linear_example(two_term):
@@ -195,7 +195,7 @@ def test_twisted_differential_matches_series(step_nilpotent):
     space = step_nilpotent.space
     pi = Element(space, 1, {"q": F(2)})
     xi = Element(space, 0, {"p": F(1)})
-    out = twisted_differential_of(step_nilpotent, PolyPath.constant(pi), xi)
+    out = twisted_differential_of(step_nilpotent, PolyPath(space, 1, {0: pi}), xi)
     q2 = step_nilpotent.maps[2]
     want = q2.apply([pi, xi])
     assert out == PolyPath(space, 1, {0: want})
