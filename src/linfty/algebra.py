@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -73,7 +73,9 @@ class LInftyStructure:
         return got
 
     def apply(self, n: int, elements: Sequence[Element]) -> Element:
-        """Q_n on elements of the space; zero where the structure has no map."""
+        """Q_n on n elements of the space; zero where the structure has no map."""
+        if len(elements) != n:
+            raise InputError("Q_%d applied to %d arguments" % (n, len(elements)))
         for e in elements:
             if e.space is not self.space and e.space != self.space:
                 raise InputError("element does not live in the structure's space")
@@ -167,13 +169,13 @@ class Coderivation:
     def project(
         self, word: Word, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int
     ) -> Element:
-        """``on_word(word).through(maps, space, degree)``, built from what ``maps`` reads.
+        """The sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(word)``.
 
-        Q_k turns a weight-m word into words of weight m - k + 1, which
-        ``maps`` sends to the cogenerators only when it stores that weight;
-        every other Q_k is skipped, and each surviving word is evaluated
-        where it is produced instead of being collected in a coalgebra
-        element.
+        Only what ``maps`` reads is built.  Q_k turns a weight-m word into
+        words of weight m - k + 1, which ``maps`` sends to the cogenerators
+        only when it stores that weight; every other Q_k is skipped, and each
+        surviving word is evaluated where it is produced instead of being
+        collected in a coalgebra element.
         """
         src = self.structure.space
         factors = word.factors
@@ -228,7 +230,9 @@ def check_relations(structure: LInftyStructure) -> RelationReport:
     leaves words of weight m - k + 1 and only Q_j with j = m - k + 1 sends
     them to the cogenerators.  Words are therefore visited only at the
     weights j + k - 1 of stored pairs; at any other weight no pair of stored
-    maps meets and the residual is zero term by term.
+    maps meets and the residual is zero term by term.  Within a word,
+    :meth:`Coderivation.project` skips each Q_k whose output no stored Q_j
+    reads, and evaluates the rest without building the lift's image.
     """
     lift = lift_coderivation(structure)
     report = RelationReport(cap=structure.cap)
@@ -237,9 +241,7 @@ def check_relations(structure: LInftyStructure) -> RelationReport:
     for m in sorted(weights):
         for word in wedge_basis(structure.space, m):
             # Q*Q raises the suspended degree, plain + 1 - weight, by 2
-            residual = lift.on_word(word).through(
-                structure.maps, structure.space, word.degree + 3 - m
-            )
+            residual = lift.project(word, stored, structure.space, word.degree + 3 - m)
             if not residual.is_zero():
                 report.residuals[word] = residual
     structure.verified = report.passed
@@ -300,15 +302,7 @@ class FiltrationChain:
     depth: int | None  # first i with F^i = 0 when nilpotent
 
     def spanning_elements(self, level: int) -> list[Element]:
-        space = self.structure.space
-        out = []
-        for degree, rows in sorted(self.subspaces[level - 1].items()):
-            names = space.basis_of_degree(degree)
-            for row in rows:
-                coeffs = {n: c for n, c in zip(names, row) if c}
-                if coeffs:
-                    out.append(Element(space, degree, coeffs))
-        return out
+        return _subspace_elements(self.subspaces[level - 1], self.structure.space)
 
     def verdict(self) -> str:
         if self.nilpotent:
@@ -336,18 +330,15 @@ def _subspace_elements(sub: dict[int, list[list[Fraction]]], space: GradedSpace)
     return out
 
 
-def _subspace_eq(a: dict[int, list[list[Fraction]]], b: dict[int, list[list[Fraction]]]) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[d] == b[d] for d in a)
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+def _nondecreasing_compositions(
+    total: int, parts: int, least: int = 1
+) -> list[tuple[int, ...]]:
+    """Non-decreasing compositions of ``total`` into ``parts`` parts of at least ``least``."""
     if parts == 1:
-        return [(total,)]
+        return [(total,)] if total >= least else []
     out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(least, total // parts + 1):
+        for rest in _nondecreasing_compositions(total - first, parts - 1, first):
             out.append((first,) + rest)
     return out
 
@@ -359,7 +350,9 @@ def lower_central_series(
 
     F^1 = L and F^i is the span fixpoint of all Q_k(F^{i_1}, ..., F^{i_k})
     over compositions i_1 + ... + i_k = i, the k = 1 term making each level
-    closed under Q_1.
+    closed under Q_1.  Q_k is graded-symmetric (``MultiMap`` stores it on
+    canonical words and signs every reordering), so a permuted composition
+    spans the same subspace and only non-decreasing ones are evaluated.
     """
     space = structure.space
     if depth_bound is None:
@@ -368,6 +361,8 @@ def lower_central_series(
         [Element.basis(space, n) for n in space.names], space
     )
     levels: list[dict[int, list[list[Fraction]]]] = [full]
+    pools = [_subspace_elements(full, space)]  # spanning elements of each level
+    q1 = structure.maps.get(1)
     nilpotent = False
     depth = None
     stabilized = False
@@ -377,33 +372,26 @@ def lower_central_series(
             q = structure.maps.get(k)
             if q is None:
                 continue
-            for comp in _compositions(i, k):
-                if any(part >= i for part in comp):
-                    continue
-                pools = [
-                    _subspace_elements(levels[part - 1], space) for part in comp
-                ]
-                stack = [()]
-                for pool in pools:
-                    stack = [tup + (e,) for tup in stack for e in pool]
-                for tup in stack:
-                    generators.append(q.apply(list(tup)))
+            for comp in _nondecreasing_compositions(i, k):
+                for args in product(*(pools[part - 1] for part in comp)):
+                    generators.append(q.apply(args))
         current = _subspace_of(generators, space)
+        spanning = _subspace_elements(current, space)
         # close under Q_1
-        q1 = structure.maps.get(1)
         while q1 is not None:
-            extra = [q1.apply([e]) for e in _subspace_elements(current, space)]
-            merged = _subspace_of(_subspace_elements(current, space) + extra, space)
-            if _subspace_eq(merged, current):
+            merged = _subspace_of(spanning + [q1.apply([e]) for e in spanning], space)
+            if merged == current:
                 break
             current = merged
+            spanning = _subspace_elements(current, space)
         levels.append(current)
+        pools.append(spanning)
         if not current:
             nilpotent = True
             depth = i
             stabilized = True
             break
-        if _subspace_eq(current, levels[-2]):
+        if current == levels[-2]:
             stabilized = True
             break
     return FiltrationChain(

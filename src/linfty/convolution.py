@@ -402,7 +402,9 @@ class ConvolutionAlgebra:
         return HomElement(self.source, self.target, degree, built)
 
     def apply(self, n: int, elements: Sequence[HomElement]) -> HomElement:
-        """The n-ary operation as :mod:`linfty.mc` calls it: ``bracket(elements)``."""
+        """The n-ary operation as :mod:`linfty.mc` calls it: ``bracket`` of n elements."""
+        if len(elements) != n:
+            raise InputError("%d-ary bracket applied to %d arguments" % (n, len(elements)))
         return self.bracket(elements)
 
     def mc_residual(self, alpha: HomElement) -> HomElement:

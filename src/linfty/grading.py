@@ -535,12 +535,17 @@ class MultiMap:
         """Sign and stored value of an ordered tuple of names; None when nothing is stored.
 
         The tuple is looked up by its sorted factors, so the sign is formed
-        only for stored words.
+        only for stored words.  A stored word is canonical and does not
+        vanish, so the sign is the Koszul sign of the sort, as in
+        :func:`canonicalize_word`, with no word built.
         """
-        value = self.by_factors.get(tuple(sorted(names, key=self.source.index)))
+        index = self.source.index
+        value = self.by_factors.get(tuple(sorted(names, key=index)))
         if value is None:
             return None
-        return canonicalize_word(names, self.source)[1], value
+        positions = [index(n) for n in names]
+        order = sorted(range(len(names)), key=positions.__getitem__)
+        return koszul_sign(order, self.source.degrees_of(names)), value
 
     def apply(self, elements: Sequence[Element]) -> Element:
         """Multilinear evaluation on elements (expanded over their supports)."""
@@ -619,21 +624,6 @@ class CoalgebraElement:
             for _, c in combo:
                 term *= c
             self.add_term(word, term)
-
-    def through(self, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int) -> Element:
-        """Sum of ``c * maps[|u|](u)`` over the terms ``c*u``, in ``space`` and ``degree``.
-
-        On the lift's image of a word this is the cogenerator (weight-1) part
-        of its composite with the map or coderivation whose weight-n maps are
-        ``maps``, without building that composite.
-        """
-        coeffs: dict = {}
-        for word, c in self.terms.items():
-            m = maps.get(word.weight)
-            value = None if m is None else m.values.get(word)
-            if value is not None:
-                add_scaled(coeffs, value, c)
-        return Element(space, degree, coeffs)
 
     def __add__(self, other: "CoalgebraElement") -> "CoalgebraElement":
         out = CoalgebraElement(self.space, dict(self.terms))

@@ -15,7 +15,8 @@ the n-ary operation, zero where the algebra has no map.  A structure offers
 them on ``Element`` values of its graded space, the mapping space
 :class:`~linfty.convolution.ConvolutionAlgebra` on ``HomElement`` values,
 so flows of morphisms run on component maps directly; :func:`twist`,
-strict curvature and the default flow bound need the structure maps.
+strict curvature and the default flow bound, once it runs out, need the
+structure maps.
 All sums of this kind go through :func:`twisting_series`.
 """
 
@@ -261,10 +262,19 @@ def gauge_flow(
     steps, the last of them the one that reproduces the fixpoint.  Raises
     :class:`NonConvergenceError` when the bound is exhausted, the diagnostic
     for a structure that is not nilpotent (pronilpotence is what guarantees
-    convergence of the iteration).  The default bound reads the lower
-    central series, so an algebra that is not an :class:`LInftyStructure`
-    must pass one.  ``pi0``, ``xi`` and the path's coefficients are vectors
-    of ``algebra.space``.
+    convergence of the iteration).  ``pi0``, ``xi`` and the path's
+    coefficients are vectors of ``algebra.space``.
+
+    The default bound is ``dim + 3`` steps, ``dim`` the dimension of
+    ``algebra.space``: each step gains a level of the lower central
+    filtration, whose strictly decreasing chain dies by depth ``dim + 1``,
+    so this is at least the depth + 2 that the series certifies.  The series
+    is computed only when that bound runs out; if it certifies nilpotency
+    at a larger depth + 2 (a chain that is not monotone, possible with
+    Q_k for k >= 3) the iteration continues to that bound.  A large
+    structure that is not nilpotent therefore takes dim + 3 steps to be
+    refused.  The default reads the structure maps once it runs out, so an
+    algebra that is not an :class:`LInftyStructure` must pass a bound.
     """
     if isinstance(pi0, MCElement):
         start = pi0.value
@@ -274,17 +284,22 @@ def gauge_flow(
         raise InputError("gauge directions must have degree 0")
     if start.degree != 1:
         raise InputError("flow starts at a degree-1 element")
-    if iteration_bound is None:
-        chain = lower_central_series(algebra)
-        depth = chain.depth if chain.nilpotent else len(chain.subspaces)
-        iteration_bound = depth + 2
+    extend = iteration_bound is None
+    bound = algebra.space.dimension() + 3 if extend else iteration_bound
     base = current = PolyPath(algebra.space, 1, {0: start})
-    for _ in range(iteration_bound):
+    steps = 0
+    while steps < bound:
+        steps += 1
         updated = base + twisted_differential_of(algebra, current, xi).integrate()
         if updated == current:
             return current
         current = updated
+        if extend and steps == bound:
+            extend = False
+            chain = lower_central_series(algebra)
+            if chain.nilpotent:
+                bound = max(bound, chain.depth + 2)
     raise NonConvergenceError(
         "gauge flow did not reach a fixpoint within %d iterations; "
-        "the structure is not nilpotent within the bound" % iteration_bound
+        "the structure is not nilpotent within the bound" % bound
     )

@@ -149,11 +149,12 @@ class MorphismLift:
     def project(
         self, word: Word, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int
     ) -> Element:
-        """``on_word(word).through(maps, space, degree)``, built from what ``maps`` reads.
+        """The sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(word)``.
 
-        Only the n-block partitions with a stored ``maps[n]`` are visited,
-        and ``maps[n]`` is evaluated on each one's block values directly, so
-        the product of the values is never expanded into words.
+        Only what ``maps`` reads is built: the n-block partitions with a
+        stored ``maps[n]`` are visited, and ``maps[n]`` is evaluated on each
+        one's block values directly, so the product of the values is never
+        expanded into words.
         """
         components = self.morphism.components
         factors = word.factors

@@ -16,6 +16,7 @@ from linfty import (
     make_linfty,
     wedge_basis,
 )
+from linfty.algebra import FiltrationChain
 from linfty.convolution import HomElement
 from linfty.grading import signed_blocks, subword
 from linfty.homotopy import HomotopyElement
@@ -187,6 +188,20 @@ def random_valid_structure(space, cap, rng, density=0.5):
             return candidate
 
 
+def q1_q3_structures(rng, count=12):
+    """Random candidates and lawful structures that store Q1 and Q3."""
+    out = []
+    trial = 0
+    while len(out) < count:
+        trial += 1
+        space = SMALL_SPACES[trial % len(SMALL_SPACES)]
+        make = random_candidate if len(out) < count // 2 else random_valid_structure
+        structure = make(space, 3 + trial % 2, rng, density=0.6)
+        if 1 in structure.maps and 3 in structure.maps:
+            out.append(structure)
+    return out
+
+
 def random_component_family(src, tgt, cap, rng, density=0.6):
     comps = {}
     for n in range(1, cap + 1):
@@ -203,6 +218,22 @@ def random_component_family(src, tgt, cap, rng, density=0.6):
         if entries:
             comps[n] = MultiMap.from_entries(src.space, tgt.space, n, 1 - n, entries)
     return comps
+
+
+def through(element, maps, space, degree):
+    """Test reference: sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of a coalgebra element.
+
+    On the lift's image of a word this is the cogenerator part of its
+    composite with the maps, which the lifts' ``project`` methods compute
+    without building the image.
+    """
+    total = Element.zero(space, degree)
+    for word, c in element.terms.items():
+        m = maps.get(word.weight)
+        value = None if m is None else m.values.get(word)
+        if value is not None:
+            total = total + value.scale(c)
+    return total
 
 
 def weight_one_part(element, degree):
@@ -234,6 +265,118 @@ def materialized_hom_structure(conv):
         if values:
             maps[n] = MultiMap(space, space, n, 2 - n, values)
     return make_linfty(space, maps, conv.cap)
+
+
+def shift(m, n, rng, cap=3):
+    """p_a (degree 0) acting on q_i (degree 1) by Q2(p_a, q_i) = c q_{i+a}.
+
+    The coefficient is lambda_a * s_{i+a} / s_i with seeded nonzero lambda
+    and s, a diagonal conjugate of the plain shift, so the operators ad(p_a)
+    commute and Jacobi holds.  Nilpotent of depth n + 1.
+    """
+    space = GradedSpace(
+        [("p%d" % a, 0) for a in range(1, m + 1)] + [("q%d" % i, 1) for i in range(1, n + 1)]
+    )
+
+    def coeff():
+        return F(rng.choice((1, 2, 3)), rng.choice((1, 2))) * rng.choice((1, -1))
+
+    lam = [coeff() for _ in range(m + 1)]
+    scale = [coeff() for _ in range(n + 1)]
+    q2 = {
+        ("p%d" % a, "q%d" % i): {"q%d" % (i + a): lam[a] * scale[i + a] / scale[i]}
+        for a in range(1, m + 1)
+        for i in range(1, n + 1 - a)
+    }
+    return make_linfty(space, {2: MultiMap.from_entries(space, space, 2, 0, q2)}, cap)
+
+
+# Test reference for linfty.algebra.lower_central_series: the version that
+# evaluated Q_k on every ordered composition and rebuilt the spanning
+# elements of each level for every composition.
+
+
+def _reference_subspace_of(elements, space):
+    by_degree = {}
+    for e in elements:
+        if e.is_zero():
+            continue
+        names = space.basis_of_degree(e.degree)
+        row = [F(e.coeffs.get(n, 0)) for n in names]
+        by_degree.setdefault(e.degree, []).append(row)
+    return {d: linalg.reduce_spanning_set(rows) for d, rows in by_degree.items() if rows}
+
+
+def _reference_subspace_elements(sub, space):
+    out = []
+    for degree, rows in sorted(sub.items()):
+        names = space.basis_of_degree(degree)
+        for row in rows:
+            out.append(Element(space, degree, {n: c for n, c in zip(names, row) if c}))
+    return out
+
+
+def _reference_compositions(total, parts):
+    if parts == 1:
+        return [(total,)]
+    out = []
+    for first in range(1, total - parts + 2):
+        for rest in _reference_compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return out
+
+
+def reference_lower_central_series(structure, depth_bound=None):
+    space = structure.space
+    if depth_bound is None:
+        depth_bound = space.dimension() + 2
+    full = _reference_subspace_of([Element.basis(space, n) for n in space.names], space)
+    levels = [full]
+    nilpotent = False
+    depth = None
+    stabilized = False
+    for i in range(2, depth_bound + 1):
+        generators = []
+        for k in range(2, min(i, structure.cap) + 1):
+            q = structure.maps.get(k)
+            if q is None:
+                continue
+            for comp in _reference_compositions(i, k):
+                if any(part >= i for part in comp):
+                    continue
+                pools = [
+                    _reference_subspace_elements(levels[part - 1], space) for part in comp
+                ]
+                stack = [()]
+                for pool in pools:
+                    stack = [tup + (e,) for tup in stack for e in pool]
+                for tup in stack:
+                    generators.append(q.apply(list(tup)))
+        current = _reference_subspace_of(generators, space)
+        q1 = structure.maps.get(1)
+        while q1 is not None:
+            elements = _reference_subspace_elements(current, space)
+            extra = [q1.apply([e]) for e in elements]
+            merged = _reference_subspace_of(elements + extra, space)
+            if merged == current:
+                break
+            current = merged
+        levels.append(current)
+        if not current:
+            nilpotent = True
+            depth = i
+            stabilized = True
+            break
+        if current == levels[-2]:
+            stabilized = True
+            break
+    return FiltrationChain(
+        structure=structure,
+        subspaces=levels,
+        stabilized=stabilized,
+        nilpotent=nilpotent,
+        depth=depth,
+    )
 
 
 # Test reference for linfty.grading.signed_blocks: the block-splitting sign of
@@ -440,7 +583,8 @@ def _reference_differential(conv, alpha):
     comps = {}
     for word in conv.words:
         m = word.weight
-        total = lift.on_word(word).through(
+        total = through(
+            lift.on_word(word),
             alpha.components, tgt.space, word.degree + alpha.degree + 1 - m
         ).scale(-cross)
         val = alpha.component(m).value(word)

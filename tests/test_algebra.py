@@ -6,14 +6,19 @@ import pytest
 from linfty import (
     Element,
     GradedSpace,
+    InputError,
     MultiMap,
     StructureError,
+    algebra,
     check_relations,
     from_dgla,
+    gauge_flow,
+    grading,
     lift_coderivation,
     lower_central_series,
     make_linfty,
     reduced_coproduct,
+    twist,
     unshuffle_residual,
 )
 from linfty.algebra import Coderivation
@@ -25,6 +30,9 @@ from conftest import (
     in_span,
     random_candidate,
     random_map_family,
+    q1_q3_structures,
+    reference_lower_central_series,
+    shift,
     weight_one_part,
 )
 
@@ -194,13 +202,13 @@ def test_check_relations_visits_only_weights_where_two_maps_meet(monkeypatch):
     q2 = MultiMap.from_entries(space, space, 2, 0, {("x", "y"): {"z": F(1)}})
     structure = make_linfty(space, {2: q2}, cap=5)
     visited = []
-    on_word = Coderivation.on_word
+    project = Coderivation.project
 
-    def spy(self, word):
+    def spy(self, word, maps, space, degree):
         visited.append(word)
-        return on_word(self, word)
+        return project(self, word, maps, space, degree)
 
-    monkeypatch.setattr(Coderivation, "on_word", spy)
+    monkeypatch.setattr(Coderivation, "project", spy)
     assert check_relations(structure).passed
     assert visited == wedge_basis(space, 3)
 
@@ -301,6 +309,73 @@ def test_lower_central_q1_stability(step_nilpotent, two_term):
                 vec = [F(image.coeffs.get(n, 0)) for n in names]
                 level_rows = chain.subspaces[level - 1].get(image.degree, [])
                 assert in_span([list(r) for r in level_rows], vec)
+
+
+def test_lower_central_series_matches_the_reference(
+    heisenberg, step_nilpotent, two_term, sl2, non_nilpotent
+):
+    # the series evaluates only non-decreasing compositions; the reference
+    # evaluates every ordered one, so equal RREF rows show that a permuted
+    # composition adds nothing, on chains that are not monotone too
+    rng = random.Random(211)
+    family = [shift(1 + n % 4, n, rng) for n in range(6, 11)]
+    family += [heisenberg, step_nilpotent, two_term, sl2, non_nilpotent]
+    family += q1_q3_structures(rng)
+    shapes = set()
+    for structure in family:
+        got = lower_central_series(structure)
+        want = reference_lower_central_series(structure)
+        assert got.subspaces == want.subspaces
+        assert (got.depth, got.stabilized, got.nilpotent) == (
+            want.depth,
+            want.stabilized,
+            want.nilpotent,
+        )
+        dims = [sum(len(rows) for rows in level.values()) for level in got.subspaces]
+        shapes.add(("nilpotent" if got.nilpotent else "stable", any(
+            a < b for a, b in zip(dims, dims[1:])
+        )))
+    assert {("nilpotent", False), ("stable", False), ("stable", True)} <= shapes
+
+
+def test_work_of_relation_checks_and_series(monkeypatch):
+    # machine-independent counts on shift(4, 8): the relation check of its
+    # twist builds no lift image and canonicalizes no word, and the series
+    # evaluates Q2 on non-decreasing compositions only (the ordered ones
+    # took 1,390 calls)
+    structure = shift(4, 8, random.Random(0))
+    pi0 = Element(structure.space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
+    xi = Element(structure.space, 0, {"p1": F(1), "p2": F(3)})
+    twisted = twist(structure, gauge_flow(structure, pi0, xi).evaluate(F(1)))
+    assert sorted(twisted.maps) == [1, 2]
+    counts = {"canonicalize_word": 0, "on_word": 0, "apply": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def spy(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counting(grading, "canonicalize_word", "canonicalize_word")
+    counting(algebra, "canonicalize_word", "canonicalize_word")
+    counting(Coderivation, "on_word", "on_word")
+    counting(MultiMap, "apply", "apply")
+    assert check_relations(twisted).passed
+    assert counts == {"canonicalize_word": 0, "on_word": 0, "apply": 0}
+    chain = lower_central_series(structure)
+    assert chain.nilpotent and chain.depth == 9
+    assert counts["apply"] <= 822
+
+
+def test_apply_rejects_a_wrong_argument_count(two_term):
+    zero = Element.zero(two_term.space, 1)
+    assert two_term.apply(3, [zero, zero, zero]).is_zero()
+    for n, args in ((3, [zero]), (1, [zero, zero]), (2, [zero])):
+        with pytest.raises(InputError):
+            two_term.apply(n, args)
 
 
 def test_report_names_cap(heisenberg):

@@ -295,6 +295,16 @@ def test_apply_and_bracket_reject_foreign_arguments(two_term, heisenberg):
                 conv.bracket(args)
 
 
+def test_apply_rejects_a_wrong_argument_count(two_term):
+    conv = build_convolution(two_term, two_term, 3)
+    word_a, _ = canonicalize_word(("a",), two_term.space)
+    x = conv.basis_hom(word_a, "a")
+    assert not conv.apply(1, [x]).is_zero()
+    for n, args in ((2, [x]), (1, [x, x]), (3, [x, x])):
+        with pytest.raises(InputError):
+            conv.apply(n, args)
+
+
 def test_hom_element_round_trip(heisenberg):
     rng = random.Random(113)
     conv = build_convolution(heisenberg, heisenberg, 4)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,14 @@ from linfty import (
     gauge_flow,
     lower_central_series,
     make_linfty,
+    mc,
     mc_element,
     mc_residual,
     twist,
 )
 from linfty.mc import twisted_differential_of
+
+from conftest import q1_q3_structures, reference_lower_central_series, shift
 
 F = Fraction
 
@@ -199,3 +203,82 @@ def test_twisted_differential_matches_series(step_nilpotent):
     q2 = step_nilpotent.maps[2]
     want = q2.apply([pi, xi])
     assert out == PolyPath(space, 1, {0: want})
+
+
+def old_default_bound(structure):
+    """The default iteration bound before it stopped reading the series."""
+    chain = reference_lower_central_series(structure)
+    return (chain.depth if chain.nilpotent else len(chain.subspaces)) + 2
+
+
+def random_vector(structure, degree, rng):
+    names = structure.space.basis_of_degree(degree)
+    return Element(structure.space, degree, {n: F(rng.randint(-2, 2)) for n in names})
+
+
+def test_default_bound_reads_no_series_when_the_flow_converges(
+    monkeypatch, heisenberg, step_nilpotent, two_term
+):
+    rng = random.Random(307)
+    family = [shift(1 + n % 4, n, rng) for n in range(6, 11)]
+    family += [heisenberg, step_nilpotent, two_term]
+    family += q1_q3_structures(rng)
+    family = [s for s in family if reference_lower_central_series(s).nilpotent]
+    read = []
+    series = mc.lower_central_series
+
+    def spy(structure):
+        read.append(structure)
+        return series(structure)
+
+    monkeypatch.setattr(mc, "lower_central_series", spy)
+    converged = 0
+    for structure in family:
+        bound = old_default_bound(structure)
+        for _ in range(3):
+            pi0 = random_vector(structure, 1, rng)
+            xi = random_vector(structure, 0, rng)
+            try:
+                want = gauge_flow(structure, pi0, xi, iteration_bound=bound)
+            except NonConvergenceError:
+                continue
+            converged += 1
+            assert gauge_flow(structure, pi0, xi) == want
+    assert read == []
+    assert len(family) >= 10 and converged >= 20
+
+
+def test_default_bound_refuses_non_nilpotent_with_the_old_message(non_nilpotent):
+    space = non_nilpotent.space
+    pi0 = Element(space, 1, {"v": F(1)})
+    xi = Element(space, 0, {"w": F(1)})
+    bound = old_default_bound(non_nilpotent)
+    with pytest.raises(NonConvergenceError) as old:
+        gauge_flow(non_nilpotent, pi0, xi, iteration_bound=bound)
+    with pytest.raises(NonConvergenceError) as new:
+        gauge_flow(non_nilpotent, pi0, xi)
+    assert str(new.value) == str(old.value)
+    assert "within 5 iterations" in str(new.value)
+
+
+def test_default_bound_extends_to_the_series_depth(monkeypatch, step_nilpotent):
+    # dim + 3 steps cover a monotone chain; a space that reports dimension
+    # -1 cuts them to 2, which this flow outruns, so the flow must read the
+    # series and continue to its depth + 2 = 6
+    space = step_nilpotent.space
+    pi0 = Element(space, 1, {"q": F(1)})
+    xi = Element(space, 0, {"p": F(1)})
+    want = gauge_flow(step_nilpotent, pi0, xi)
+    with pytest.raises(NonConvergenceError):
+        gauge_flow(step_nilpotent, pi0, xi, iteration_bound=2)
+    read = []
+    series = mc.lower_central_series
+
+    def true_depth_series(structure):
+        read.append(structure)
+        return series(structure, depth_bound=6)
+
+    monkeypatch.setattr(mc, "lower_central_series", true_depth_series)
+    monkeypatch.setattr(space, "dimension", lambda degree=None: -1)
+    assert gauge_flow(step_nilpotent, pi0, xi) == want
+    assert read == [step_nilpotent]

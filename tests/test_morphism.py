@@ -31,6 +31,7 @@ from conftest import (
     random_map_family,
     random_valid_structure,
     reference_representatives,
+    through,
     weight_one_part,
 )
 
@@ -197,8 +198,8 @@ def test_projected_checks_match_the_full_lifts_through_the_maps():
         q_src = lift_coderivation(source)
         for word in source.words():
             degree = word.degree + 2 - word.weight
-            left = lift.on_word(word).through(target.maps, target.space, degree)
-            right = q_src.on_word(word).through(components, target.space, degree)
+            left = through(lift.on_word(word), target.maps, target.space, degree)
+            right = through(q_src.on_word(word), components, target.space, degree)
             assert report.residuals.get(word, Element.zero(target.space, degree)) == left - right
         g_weights = [(2,), (1, 3), (3,)][trial % 3]
         g_components = random_component_family(target, target, cap, rng, density=1.0)
@@ -208,7 +209,7 @@ def test_projected_checks_match_the_full_lifts_through_the_maps():
         gf = compose(g, morphism)
         for word in source.words():
             n = word.weight
-            want = lift.on_word(word).through(g.components, target.space, word.degree + 1 - n)
+            want = through(lift.on_word(word), g.components, target.space, word.degree + 1 - n)
             assert gf.component(n).value(word) == want
     assert failing > 8
 
