@@ -1,127 +1,70 @@
-"""Exact computation with finite-dimensional, weight-truncated L-infinity algebras."""
+"""Exact computation with finite-dimensional, weight-truncated L-infinity algebras.
 
-from .grading import (
-    CoalgebraElement,
-    Element,
-    GradedSpace,
-    InputError,
-    MultiMap,
-    StructureError,
-    Word,
-    canonicalize_word,
-    koszul_sign,
-    reduced_coproduct,
-    wedge_basis,
-)
-from .algebra import (
-    FiltrationChain,
-    LInftyStructure,
-    check_relations,
-    from_dgla,
-    lift_coderivation,
-    lower_central_series,
-    make_linfty,
-    unshuffle_residual,
-)
-from .morphism import (
-    CohomologyReport,
-    MorphismComponents,
-    check_morphism,
-    cohomology,
-    compose,
-    identity_morphism,
-    is_quasi_iso,
-    lift_morphism,
-)
-from .mc import (
-    FlatnessError,
-    MCElement,
-    NonConvergenceError,
-    PolyPath,
-    gauge_flow,
-    mc_element,
-    mc_residual,
-    twist,
-)
-from .convolution import (
-    ConvolutionAlgebra,
-    HomElement,
-    build_convolution,
-    coalgebra_partitions,
-    iterated_coproduct,
-    mc_to_morphism,
-    morphism_to_mc,
-    partial_derivation,
-)
-from .perturbation import (
-    PerturbationRequest,
-    differential_correction,
-    perturb,
-)
-from .homotopy import (
-    HomotopyElement,
-    PathAlgebra,
-    PathDegreeOverflow,
-    PathElement,
-    build_path_algebra,
-    check_homotopy,
-    gauge_to_homotopy,
-    unsplit_residual,
-)
+Each exported name is imported from its module on first access, so
+``import linfty`` and the command line load only the modules they use.
+"""
 
-__all__ = [
-    "CoalgebraElement",
-    "CohomologyReport",
-    "ConvolutionAlgebra",
-    "Element",
-    "FiltrationChain",
-    "FlatnessError",
-    "GradedSpace",
-    "HomElement",
-    "HomotopyElement",
-    "InputError",
-    "LInftyStructure",
-    "MCElement",
-    "MorphismComponents",
-    "MultiMap",
-    "NonConvergenceError",
-    "PathAlgebra",
-    "PathDegreeOverflow",
-    "PathElement",
-    "PerturbationRequest",
-    "PolyPath",
-    "StructureError",
-    "Word",
-    "build_convolution",
-    "build_path_algebra",
-    "canonicalize_word",
-    "check_homotopy",
-    "check_morphism",
-    "check_relations",
-    "coalgebra_partitions",
-    "cohomology",
-    "compose",
-    "differential_correction",
-    "from_dgla",
-    "gauge_flow",
-    "gauge_to_homotopy",
-    "identity_morphism",
-    "is_quasi_iso",
-    "iterated_coproduct",
-    "koszul_sign",
-    "lift_coderivation",
-    "lift_morphism",
-    "lower_central_series",
-    "make_linfty",
-    "mc_element",
-    "mc_residual",
-    "mc_to_morphism",
-    "morphism_to_mc",
-    "partial_derivation",
-    "perturb",
-    "reduced_coproduct",
-    "twist",
-    "unshuffle_residual",
-    "unsplit_residual",
-    "wedge_basis",
-]
+from importlib import import_module
+
+# exported name -> the module that defines it
+_EXPORTS = {
+    "CoalgebraElement": "grading",
+    "CohomologyReport": "morphism",
+    "ConvolutionAlgebra": "convolution",
+    "Element": "grading",
+    "FiltrationChain": "algebra",
+    "FlatnessError": "grading",
+    "GradedSpace": "grading",
+    "HomElement": "convolution",
+    "HomotopyElement": "homotopy",
+    "InputError": "grading",
+    "LInftyStructure": "algebra",
+    "MCElement": "mc",
+    "MorphismComponents": "morphism",
+    "MultiMap": "grading",
+    "NonConvergenceError": "grading",
+    "PathAlgebra": "homotopy",
+    "PathDegreeOverflow": "homotopy",
+    "PathElement": "homotopy",
+    "PerturbationRequest": "perturbation",
+    "PolyPath": "mc",
+    "StructureError": "grading",
+    "Word": "grading",
+    "build_convolution": "convolution",
+    "build_path_algebra": "homotopy",
+    "canonicalize_word": "grading",
+    "check_homotopy": "homotopy",
+    "check_morphism": "morphism",
+    "check_relations": "algebra",
+    "cohomology": "morphism",
+    "compose": "morphism",
+    "differential_correction": "perturbation",
+    "from_dgla": "algebra",
+    "gauge_flow": "mc",
+    "gauge_to_homotopy": "homotopy",
+    "identity_morphism": "morphism",
+    "is_quasi_iso": "morphism",
+    "koszul_sign": "grading",
+    "lift_coderivation": "algebra",
+    "lift_morphism": "morphism",
+    "lower_central_series": "algebra",
+    "make_linfty": "algebra",
+    "mc_element": "mc",
+    "mc_residual": "mc",
+    "mc_to_morphism": "convolution",
+    "morphism_to_mc": "convolution",
+    "perturb": "perturbation",
+    "twist": "mc",
+    "unshuffle_residual": "algebra",
+    "unsplit_residual": "homotopy",
+    "wedge_basis": "grading",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + module, __name__), name)

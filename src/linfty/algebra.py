@@ -19,7 +19,6 @@ coefficients (-1)**(i*(j-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
@@ -160,12 +159,6 @@ class Coderivation:
         self._cache[word] = out
         return out
 
-    def apply(self, element: CoalgebraElement) -> CoalgebraElement:
-        out = CoalgebraElement(element.space)
-        for word, coeff in element.terms.items():
-            out = out + self.on_word(word).scale(coeff)
-        return out
-
     def project(
         self, word: Word, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int
     ) -> Element:
@@ -202,10 +195,10 @@ def lift_coderivation(structure: LInftyStructure) -> Coderivation:
     return Coderivation(structure)
 
 
-@dataclass
 class RelationReport:
-    cap: int
-    residuals: dict[Word, Element] = field(default_factory=dict)
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.residuals: dict[Word, Element] = {}
 
     @property
     def passed(self) -> bool:
@@ -291,15 +284,22 @@ def unshuffle_residual(structure: LInftyStructure, word: Word) -> Element:
     return total
 
 
-@dataclass
 class FiltrationChain:
     """Lower central filtration F^1 >= F^2 >= ..., each given by spanning elements."""
 
-    structure: LInftyStructure
-    subspaces: list[dict[int, list[list[Fraction]]]]
-    stabilized: bool
-    nilpotent: bool
-    depth: int | None  # first i with F^i = 0 when nilpotent
+    def __init__(
+        self,
+        structure: LInftyStructure,
+        subspaces: list[dict[int, list[list[Fraction]]]],
+        stabilized: bool,
+        nilpotent: bool,
+        depth: int | None,  # first i with F^i = 0 when nilpotent
+    ):
+        self.structure = structure
+        self.subspaces = subspaces
+        self.stabilized = stabilized
+        self.nilpotent = nilpotent
+        self.depth = depth
 
     def spanning_elements(self, level: int) -> list[Element]:
         return _subspace_elements(self.subspaces[level - 1], self.structure.space)

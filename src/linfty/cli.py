@@ -3,6 +3,9 @@
 Exit codes: 0 when the mathematical check passes, 1 when it fails (the
 report carries residuals), 2 on input errors.  Reports are deterministic
 and name the weight cap in every verdict.
+
+Each command imports the kernels it runs inside its handler, so a command
+loads only the modules it executes.
 """
 
 from __future__ import annotations
@@ -12,20 +15,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .grading import InputError, StructureError
+from .grading import FlatnessError, InputError, NonConvergenceError, StructureError
 from .algebra import check_relations
-from .morphism import check_morphism, cohomology, is_quasi_iso
-from .mc import (
-    FlatnessError,
-    NonConvergenceError,
-    gauge_flow,
-    mc_element,
-    mc_residual,
-    twist,
-)
-from .convolution import build_convolution, morphism_to_mc
-from .perturbation import PerturbationRequest, perturb
-from .homotopy import check_homotopy, HomotopyElement
 from . import documents
 from .documents import DocumentError
 
@@ -67,6 +58,8 @@ def _cmd_check_linfty(args) -> int:
 
 
 def _cmd_check_morphism(args) -> int:
+    from .morphism import check_morphism
+
     morphism = documents.load_morphism(args.file, args.cap)
     report = check_morphism(morphism)
     _emit(
@@ -83,6 +76,8 @@ def _cmd_check_morphism(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    from .morphism import cohomology
+
     structure = documents.load_algebra(args.file, args.cap)
     report = cohomology(structure)
     payload = {
@@ -99,6 +94,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_quasi_iso(args) -> int:
+    from .morphism import check_morphism, is_quasi_iso
+
     morphism = documents.load_morphism(args.file, args.cap)
     report = check_morphism(morphism)
     if not report.passed:
@@ -130,6 +127,8 @@ def _load_pi(args, structure):
 
 
 def _cmd_mc_check(args) -> int:
+    from .mc import mc_residual
+
     if args.file.endswith(".mc") or args.pi is None:
         structure, value = documents.load_mc_element(args.file, args.cap)
     else:
@@ -158,6 +157,8 @@ def _cmd_mc_check(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    from .mc import mc_element, twist
+
     structure = documents.load_algebra(args.file, args.cap)
     report = check_relations(structure)
     if not report.passed:
@@ -167,8 +168,7 @@ def _cmd_twist(args) -> int:
     twisted = twist(structure, mc_element(structure, value))
     text = documents.algebra_to_document(twisted)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        documents.write_document(args.out, text)
         print("twisted structure written to %s (cap %d)" % (args.out, twisted.cap))
     else:
         sys.stdout.write(text)
@@ -176,6 +176,8 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_gauge_flow(args) -> int:
+    from .mc import gauge_flow, mc_element, mc_residual
+
     structure = documents.load_algebra(args.file, args.cap)
     report = check_relations(structure)
     if not report.passed:
@@ -205,14 +207,17 @@ def _cmd_gauge_flow(args) -> int:
     for p, e in sorted(path.coefficients.items()):
         lines.append("  t^%d: %r" % (p, e))
     lines.append("endpoint at t=1: %r" % endpoint)
-    _emit(payload, "\n".join(lines), args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(documents.mc_to_document(endpoint, args.algebra_ref or args.file))
+        documents.write_document(
+            args.out, documents.mc_to_document(endpoint, args.algebra_ref or args.file)
+        )
+    _emit(payload, "\n".join(lines), args.format)
     return PASS if all(sample_ok.values()) else FAIL
 
 
 def _cmd_lemma1(args) -> int:
+    from .perturbation import PerturbationRequest, perturb
+
     morphism = documents.load_morphism(args.file, args.cap)
     if args.request is not None:
         morphism, weight, correction = documents.load_request(args.request, args.cap)
@@ -229,8 +234,7 @@ def _cmd_lemma1(args) -> int:
         args.target_ref or "target.alg",
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        documents.write_document(args.out, text)
         print(
             "perturbed morphism written to %s (weight %d, cap %d)"
             % (args.out, weight, morphism.cap)
@@ -241,6 +245,10 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_homotopy_check(args) -> int:
+    from .morphism import check_morphism
+    from .convolution import build_convolution
+    from .homotopy import HomotopyElement, check_homotopy
+
     first, second, h0_parts, h1_parts = documents.load_homotopy(args.file, args.cap)
     for label, mor in (("first", first), ("second", second)):
         rep = check_morphism(mor)
@@ -267,6 +275,8 @@ def _cmd_homotopy_check(args) -> int:
 
 
 def _cmd_convolution_mc(args) -> int:
+    from .convolution import build_convolution, morphism_to_mc
+
     morphism = documents.load_morphism(args.file, args.cap)
     conv = build_convolution(morphism.source, morphism.target, morphism.cap)
     residual = conv.mc_residual(morphism_to_mc(morphism))

@@ -48,51 +48,17 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .grading import (
-    CoalgebraElement,
     Element,
     GradedSpace,
     InputError,
     MultiMap,
     StructureError,
     Word,
-    koszul_sign,
     signed_blocks,
-    subword,
 )
 from .algebra import LInftyStructure, check_relations, lift_coderivation
 from .morphism import MorphismComponents
 from .mc import mc_residual
-
-
-def iterated_coproduct(
-    element: CoalgebraElement | Word, n: int, space: GradedSpace | None = None
-) -> dict[tuple[Word, ...], Fraction]:
-    """Reduced n-fold coproduct: ordered splittings signed by the word rule.
-
-    Zero on words of weight below n; the two-block splitting of a weight-2
-    word (a, b) with degrees 0, 1 is a(x)b - b(x)a.
-    """
-    if n < 2:
-        raise InputError("iterated coproduct needs n >= 2")
-    if isinstance(element, Word):
-        if space is None:
-            raise InputError("a bare word needs its space")
-        element = CoalgebraElement.from_word(space, element)
-    out: dict[tuple[Word, ...], Fraction] = {}
-    space = element.space
-    for word, coeff in element.terms.items():
-        degrees = space.degrees_of(word.factors)
-        for _, blocks in signed_blocks(degrees, n):
-            arrangement = [i for b in blocks for i in b]
-            sign = koszul_sign(arrangement, degrees)
-            key = tuple(subword(word, b, space) for b in blocks)
-            prev = out.get(key, Fraction(0))
-            new = prev + coeff * sign
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
 
 
 class HomElement:
@@ -410,58 +376,6 @@ class ConvolutionAlgebra:
     def mc_residual(self, alpha: HomElement) -> HomElement:
         """Curvature of a degree-1 element in the truncated mapping space."""
         return mc_residual(self, alpha)
-
-
-def coalgebra_partitions(
-    word: Word, space: GradedSpace
-) -> list[tuple[int, list[Word]]]:
-    """Unordered partitions of a word into sub-words, suspension-signed.
-
-    This is the comonad coproduct of the free coalgebra in component form:
-    the blocks and signs of :func:`linfty.grading.signed_blocks`, with each
-    block read off as a sub-word.
-    """
-    return [
-        (sign, [subword(word, block, space) for block in blocks])
-        for sign, blocks in signed_blocks(space.degrees_of(word.factors))
-    ]
-
-
-def partial_derivation(
-    b: HomElement, f: HomElement, blocks: Sequence[Word]
-) -> CoalgebraElement:
-    """One-slot replacement sum over a word of coalgebra elements.
-
-    Every slot but one is fed to the degree-0 map ``f``, the chosen slot to
-    ``b``; the term's sign is ``(-1)**(|b| * (n - 1 + sum of earlier slot
-    degrees))`` with slot degrees read in the coalgebra grading and n - 1
-    the degree of the weight-n cooperad coefficient.  Output words assemble
-    with the plain convention signs; together with
-    :func:`coalgebra_partitions` this rebuilds a compatibility defect from
-    its cogenerator part exactly.
-    """
-    if f.degree != 1:
-        raise InputError("the passive map must have degree 0 (element degree 1)")
-    n = len(blocks)
-    if n == 0:
-        raise InputError("need at least one slot")
-    tgt_space = b.target.space
-    b_degree = b.degree - 1
-    out = CoalgebraElement(tgt_space)
-    gamma_degree = n - 1
-    for i in range(n):
-        prefix = sum(w.suspended_degree() for w in blocks[:i])
-        slot_sign = -1 if (b_degree * (gamma_degree + prefix)) % 2 else 1
-        vals: list[Element] = []
-        for j, w in enumerate(blocks):
-            hom = b if j == i else f
-            val = hom.component(w.weight).value(w)
-            if val.is_zero():
-                break
-            vals.append(val)
-        else:
-            out.add_product(vals, slot_sign)
-    return out
 
 
 def build_convolution(

@@ -7,6 +7,10 @@ always explicit (``1*x``, never ``x``), words are space-separated canonical
 factors, and entries are sorted by basis order, so parsing followed by
 serializing reproduces a canonical document byte for byte.  Objects refer
 to each other by relative file path, never by inline duplication.
+
+Morphisms, mapping-space elements and paths are built by the loaders that
+need them, which import their modules, so reading an algebra loads only
+the grading and algebra layers.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ import os
 import re
 from fractions import Fraction
 from itertools import zip_longest
+from typing import TYPE_CHECKING
 
 from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word
 from .algebra import LInftyStructure, make_linfty
-from .morphism import MorphismComponents
-from .convolution import HomElement
-from .mc import PolyPath
+
+if TYPE_CHECKING:
+    from .morphism import MorphismComponents
+    from .mc import PolyPath
 
 KINDS = ("algebra", "morphism", "mc-element", "map", "request", "homotopy")
 
@@ -252,6 +258,14 @@ def load_document(path: str) -> dict:
     return doc
 
 
+def write_document(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError("cannot write %s: %s" % (path, exc)) from exc
+
+
 def _resolve(base_path: str, reference: str) -> str:
     return os.path.normpath(os.path.join(os.path.dirname(base_path), reference))
 
@@ -266,6 +280,8 @@ def load_algebra(path: str, cap_override: int | None = None) -> LInftyStructure:
 def load_morphism(
     path: str, cap_override: int | None = None
 ) -> MorphismComponents:
+    from .morphism import MorphismComponents
+
     doc = load_document(path)
     if doc["kind"] != "morphism":
         raise DocumentError("%s is a %s document, expected morphism" % (path, doc["kind"]))
@@ -424,6 +440,8 @@ def load_homotopy(path: str, cap_override: int | None = None):
 
 def homotopy_parts_to_polypaths(conv, h0_parts, h1_parts) -> tuple[PolyPath, PolyPath]:
     """Assemble parsed per-weight polynomial entries into paths over ``conv``."""
+    from .convolution import HomElement
+    from .mc import PolyPath
 
     def build(parts, degree):
         per_power: dict[int, dict[int, dict[Word, dict[str, Fraction]]]] = {}

@@ -32,6 +32,18 @@ class StructureError(ValueError):
     """A structure map violates its declared weight/degree contract."""
 
 
+class NonConvergenceError(RuntimeError):
+    """Picard iteration failed to stabilize; the structure looks non-nilpotent."""
+
+
+class FlatnessError(ValueError):
+    """An operation required a Maurer-Cartan element; carries the residual."""
+
+    def __init__(self, message: str, residual: "Element"):
+        super().__init__(message)
+        self.residual = residual
+
+
 def _inversion_pairs(perm: Sequence[int]):
     n = len(perm)
     for i in range(n):
@@ -108,8 +120,8 @@ def signed_blocks(
     With ``n`` None: the unordered set partitions of the positions, blocks
     ordered by their minimum; with an integer ``n``: every ordering of every
     partition into ``n`` blocks.  This is the comultiplication of the cofree
-    coalgebra in component form, shared by the morphism lift, the
-    mapping-space operations and both coproducts.  The sign is the
+    coalgebra in component form, shared by the morphism lift and the
+    mapping-space operations.  The sign is the
     desuspension sign of the word, times the classical Koszul sign of the
     rearrangement on degrees lowered by one, times the desuspension sign of
     each block, times that of the blocks' suspended degrees
@@ -667,27 +679,3 @@ def subword(word: Word, positions: Sequence[int], space: GradedSpace) -> Word:
     """Sub-word at the given (sorted) positions; stays canonical."""
     names = tuple(word.factors[i] for i in positions)
     return Word(names, sum(space.degree(n) for n in names))
-
-
-def reduced_coproduct(
-    word: Word, space: GradedSpace
-) -> dict[tuple[Word, Word], int]:
-    """Two-block splittings with suspension-consistent signs.
-
-    This is the coproduct for which the coderivation lift satisfies
-    Delta o Q = (Q (x) id + id (x) Q) o Delta, the tensor crossing using the
-    degree ``plain - weight`` of the first factor.  Its sign is that of
-    :func:`signed_blocks` with two blocks, times ``(-1)**`` the suspended
-    degree of the left block.  Reporting-level splittings signed purely by
-    :func:`koszul_sign` live in the convolution module instead.
-    """
-    degrees = space.degrees_of(word.factors)
-    out: dict[tuple[Word, Word], int] = {}
-    for sign, (left, right) in signed_blocks(degrees, 2):
-        lword = subword(word, left, space)
-        rword = subword(word, right, space)
-        if lword.suspended_degree() % 2:
-            sign = -sign
-        key = (lword, rword)
-        out[key] = out.get(key, 0) + sign
-    return {k: s for k, s in out.items() if s}

@@ -20,7 +20,6 @@ of a homotopy of morphisms are paths with ``HomElement`` coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -158,7 +157,6 @@ def build_path_algebra(base: LInftyStructure, t_cap: int | None = None) -> PathA
     return PathAlgebra(base, t_cap)
 
 
-@dataclass
 class HomotopyElement:
     """h = h0 + h1 dt in the mapping space into the path algebra over the target.
 
@@ -167,13 +165,12 @@ class HomotopyElement:
     of degree 0 (the gauge direction when the homotopy comes from a flow).
     """
 
-    conv: ConvolutionAlgebra
-    h0: PolyPath
-    h1: PolyPath
-
-    def __post_init__(self):
-        if self.h0.degree != 1 or self.h1.degree != 0:
+    def __init__(self, conv: ConvolutionAlgebra, h0: PolyPath, h1: PolyPath):
+        if h0.degree != 1 or h1.degree != 0:
             raise InputError("homotopy parts must have degrees 1 and 0")
+        self.conv = conv
+        self.h0 = h0
+        self.h1 = h1
 
     def endpoint(self, t: Fraction) -> HomElement:
         return self.h0.evaluate(t)
@@ -227,14 +224,22 @@ def unsplit_residual(h: HomotopyElement, t_cap: int | None = None) -> PathElemen
     return path_algebra.curvature(combined)
 
 
-@dataclass
 class HomotopyReport:
-    cap: int
-    flat: PolyPath
-    evolution: PolyPath
-    starts_at_first: bool
-    ends_at_second: bool
-    sample_residuals: dict[Fraction, HomElement]
+    def __init__(
+        self,
+        cap: int,
+        flat: PolyPath,
+        evolution: PolyPath,
+        starts_at_first: bool,
+        ends_at_second: bool,
+        sample_residuals: dict[Fraction, HomElement],
+    ):
+        self.cap = cap
+        self.flat = flat
+        self.evolution = evolution
+        self.starts_at_first = starts_at_first
+        self.ends_at_second = ends_at_second
+        self.sample_residuals = sample_residuals
 
     @property
     def passed(self) -> bool:

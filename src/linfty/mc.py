@@ -22,26 +22,21 @@ All sums of this kind go through :func:`twisting_series`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
 from typing import Mapping, Sequence
 
-from .grading import Element, InputError, MultiMap, Word, wedge_basis
+from .grading import (
+    Element,
+    FlatnessError,
+    InputError,
+    MultiMap,
+    NonConvergenceError,
+    Word,
+    wedge_basis,
+)
 from .algebra import FiltrationChain, LInftyStructure, lower_central_series
-
-
-class NonConvergenceError(RuntimeError):
-    """Picard iteration failed to stabilize; the structure looks non-nilpotent."""
-
-
-class FlatnessError(ValueError):
-    """An operation required a Maurer-Cartan element; carries the residual."""
-
-    def __init__(self, message: str, residual: Element):
-        super().__init__(message)
-        self.residual = residual
 
 
 def twisting_series(apply, cap: int, pi, args: Sequence = ()):
@@ -100,13 +95,13 @@ def mc_residual(
     return twisting_series(algebra.apply, algebra.cap, value)
 
 
-@dataclass
 class MCElement:
     """A degree-1 element together with its verified curvature."""
 
-    algebra: LInftyStructure
-    value: Element
-    residual: Element
+    def __init__(self, algebra: LInftyStructure, value: Element, residual: Element):
+        self.algebra = algebra
+        self.value = value
+        self.residual = residual
 
     @property
     def is_flat(self) -> bool:
@@ -262,7 +257,8 @@ def gauge_flow(
     steps, the last of them the one that reproduces the fixpoint.  Raises
     :class:`NonConvergenceError` when the bound is exhausted, the diagnostic
     for a structure that is not nilpotent (pronilpotence is what guarantees
-    convergence of the iteration).  ``pi0``, ``xi`` and the path's
+    convergence of the iteration), and :class:`InputError` for a bound
+    below 1, which allows no step at all.  ``pi0``, ``xi`` and the path's
     coefficients are vectors of ``algebra.space``.
 
     The default bound is ``dim + 3`` steps, ``dim`` the dimension of
@@ -284,6 +280,8 @@ def gauge_flow(
         raise InputError("gauge directions must have degree 0")
     if start.degree != 1:
         raise InputError("flow starts at a degree-1 element")
+    if iteration_bound is not None and iteration_bound < 1:
+        raise InputError("the iteration bound must be at least 1, got %d" % iteration_bound)
     extend = iteration_bound is None
     bound = algebra.space.dimension() + 3 if extend else iteration_bound
     base = current = PolyPath(algebra.space, 1, {0: start})

@@ -13,7 +13,6 @@ with the coderivations on the whole truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -140,12 +139,6 @@ class MorphismLift:
         self._cache[word] = out
         return out
 
-    def apply(self, element: CoalgebraElement) -> CoalgebraElement:
-        out = CoalgebraElement(self.morphism.target.space)
-        for word, coeff in element.terms.items():
-            out = out + self.on_word(word).scale(coeff)
-        return out
-
     def project(
         self, word: Word, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int
     ) -> Element:
@@ -182,10 +175,10 @@ def lift_morphism(morphism: MorphismComponents) -> MorphismLift:
     return MorphismLift(morphism)
 
 
-@dataclass
 class MorphismReport:
-    cap: int
-    residuals: dict[Word, Element] = field(default_factory=dict)
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.residuals: dict[Word, Element] = {}
 
     @property
     def passed(self) -> bool:
@@ -258,15 +251,22 @@ def compose(g: MorphismComponents, f: MorphismComponents) -> MorphismComponents:
     return out
 
 
-@dataclass
 class CohomologyReport:
     """Exact ranks of the weight-1 differential, with chosen representatives."""
 
-    space: GradedSpace
-    dimensions: dict[int, int]
-    representatives: dict[int, list[Element]]
-    kernels: dict[int, list[list[Fraction]]]
-    images: dict[int, list[list[Fraction]]]
+    def __init__(
+        self,
+        space: GradedSpace,
+        dimensions: dict[int, int],
+        representatives: dict[int, list[Element]],
+        kernels: dict[int, list[list[Fraction]]],
+        images: dict[int, list[list[Fraction]]],
+    ):
+        self.space = space
+        self.dimensions = dimensions
+        self.representatives = representatives
+        self.kernels = kernels
+        self.images = images
 
     def dimension(self, degree: int) -> int:
         return self.dimensions.get(degree, 0)
@@ -333,9 +333,9 @@ def cohomology(structure: LInftyStructure) -> CohomologyReport:
     return CohomologyReport(space, dims, reps, kernels, images)
 
 
-@dataclass
 class QuasiIsoReport:
-    per_degree: dict[int, bool]
+    def __init__(self, per_degree: dict[int, bool]):
+        self.per_degree = per_degree
 
     @property
     def verdict(self) -> bool:

@@ -11,7 +11,6 @@ the weight-1 component changes, if at all, by a chain homotopy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .grading import Element, InputError, MultiMap, StructureError, Word, wedge_basis
@@ -22,35 +21,34 @@ from .mc import PolyPath
 from .homotopy import gauge_to_homotopy
 
 
-@dataclass
 class PerturbationRequest:
-    morphism: MorphismComponents
-    weight: int
-    correction: MultiMap  # weight n, degree -n
+    """Perturb ``morphism`` at ``weight`` n by ``correction``, of weight n and degree -n."""
 
-    def __post_init__(self):
-        n = self.weight
+    def __init__(self, morphism: MorphismComponents, weight: int, correction: MultiMap):
+        n = weight
         if n < 1:
             raise InputError("perturbation weight must be >= 1")
-        if self.correction.weight != n:
+        if correction.weight != n:
             raise StructureError(
-                "correction has weight %d, requested weight %d"
-                % (self.correction.weight, n)
+                "correction has weight %d, requested weight %d" % (correction.weight, n)
             )
-        if self.correction.degree != -n:
+        if correction.degree != -n:
             raise StructureError(
                 "correction at weight %d must have degree %d, got %d"
-                % (n, -n, self.correction.degree)
+                % (n, -n, correction.degree)
             )
-        if self.morphism.cap < n + 1:
+        if morphism.cap < n + 1:
             raise InputError(
                 "cap %d too small: the weight-%d statement needs cap >= %d"
-                % (self.morphism.cap, n, n + 1)
+                % (morphism.cap, n, n + 1)
             )
-        if self.correction.source != self.morphism.source.space:
+        if correction.source != morphism.source.space:
             raise StructureError("correction is not defined on the source space")
-        if self.correction.target != self.morphism.target.space:
+        if correction.target != morphism.target.space:
             raise StructureError("correction does not land in the target space")
+        self.morphism = morphism
+        self.weight = weight
+        self.correction = correction
 
 
 def direction_element(

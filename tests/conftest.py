@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from linfty import (
+    CoalgebraElement,
     Element,
     GradedSpace,
     InputError,
@@ -11,6 +12,7 @@ from linfty import (
     check_relations,
     documents,
     from_dgla,
+    koszul_sign,
     lift_coderivation,
     linalg,
     make_linfty,
@@ -234,6 +236,104 @@ def through(element, maps, space, degree):
         if value is not None:
             total = total + value.scale(c)
     return total
+
+
+def apply_lift(lift, element, space):
+    """Test reference: a ``Coderivation`` or ``MorphismLift`` on a coalgebra element.
+
+    Sums ``c * lift.on_word(u)`` over the terms ``c*u``; the result lives in
+    ``space``, the lift's target.  This is the full composite that the
+    lifts' ``project`` methods replace.
+    """
+    out = CoalgebraElement(space)
+    for word, coeff in element.terms.items():
+        out = out + lift.on_word(word).scale(coeff)
+    return out
+
+
+def reduced_coproduct(word, space):
+    """Test reference: two-block splittings with suspension-consistent signs.
+
+    This is the coproduct for which the coderivation lift satisfies
+    Delta o Q = (Q (x) id + id (x) Q) o Delta, the tensor crossing using the
+    degree ``plain - weight`` of the first factor.  Its sign is that of
+    ``signed_blocks`` with two blocks, times ``(-1)**`` the suspended
+    degree of the left block.
+    """
+    degrees = space.degrees_of(word.factors)
+    out = {}
+    for sign, (left, right) in signed_blocks(degrees, 2):
+        lword = subword(word, left, space)
+        rword = subword(word, right, space)
+        if lword.suspended_degree() % 2:
+            sign = -sign
+        key = (lword, rword)
+        out[key] = out.get(key, 0) + sign
+    return {k: s for k, s in out.items() if s}
+
+
+def iterated_coproduct(word, n, space):
+    """Test reference: the reduced n-fold coproduct of a word, ordered splittings signed by the word rule.
+
+    Zero on words of weight below n; the two-block splitting of a weight-2
+    word (a, b) with degrees 0, 1 is a(x)b - b(x)a.
+    """
+    if n < 2:
+        raise InputError("iterated coproduct needs n >= 2")
+    degrees = space.degrees_of(word.factors)
+    out = {}
+    for _, blocks in signed_blocks(degrees, n):
+        arrangement = [i for b in blocks for i in b]
+        key = tuple(subword(word, b, space) for b in blocks)
+        total = out.get(key, F(0)) + koszul_sign(arrangement, degrees)
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def coalgebra_partitions(word, space):
+    """Test reference: unordered partitions of a word into sub-words, suspension-signed.
+
+    The comonad coproduct of the free coalgebra in component form: the
+    blocks and signs of ``signed_blocks``, each block read off as a sub-word.
+    """
+    return [
+        (sign, [subword(word, block, space) for block in blocks])
+        for sign, blocks in signed_blocks(space.degrees_of(word.factors))
+    ]
+
+
+def partial_derivation(b, f, blocks):
+    """Test reference: one-slot replacement sum over a word of coalgebra elements.
+
+    Every slot but one is fed to the degree-0 map ``f``, the chosen slot to
+    ``b``; the term's sign is ``(-1)**(|b| * (n - 1 + sum of earlier slot
+    degrees))`` with slot degrees read in the coalgebra grading and n - 1
+    the degree of the weight-n cooperad coefficient.  Output words assemble
+    with the plain convention signs; together with ``coalgebra_partitions``
+    this rebuilds a compatibility defect from its cogenerator part exactly.
+    """
+    if f.degree != 1:
+        raise InputError("the passive map must have degree 0 (element degree 1)")
+    n = len(blocks)
+    if n == 0:
+        raise InputError("need at least one slot")
+    b_degree = b.degree - 1
+    out = CoalgebraElement(b.target.space)
+    for i in range(n):
+        prefix = sum(w.suspended_degree() for w in blocks[:i])
+        slot_sign = -1 if (b_degree * (n - 1 + prefix)) % 2 else 1
+        vals = []
+        for j, w in enumerate(blocks):
+            val = (b if j == i else f).component(w.weight).value(w)
+            if val.is_zero():
+                break
+            vals.append(val)
+        else:
+            out.add_product(vals, slot_sign)
+    return out
 
 
 def weight_one_part(element, degree):

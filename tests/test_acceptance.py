@@ -45,7 +45,7 @@ from linfty.morphism import MorphismComponents
 from linfty.perturbation import PerturbationRequest, direction_element, flow_morphism
 from linfty.cli import main as cli_main
 
-from conftest import SMALL_SPACES, random_candidate
+from conftest import SMALL_SPACES, apply_lift, random_candidate
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -134,7 +134,7 @@ def test_criterion_2_oracle_duality():
         any_residual = False
         for word in structure.words():
             via_lift = Element.zero(space, word.degree + 3 - word.weight)
-            for w, c in lift.apply(lift.on_word(word)).terms.items():
+            for w, c in apply_lift(lift, lift.on_word(word), space).terms.items():
                 if w.weight == 1:
                     via_lift = via_lift + Element.basis(space, w.factors[0], c)
             via_unshuffles = unshuffle_residual(structure, word)

@@ -17,7 +17,6 @@ from linfty import (
     lift_coderivation,
     lower_central_series,
     make_linfty,
-    reduced_coproduct,
     twist,
     unshuffle_residual,
 )
@@ -26,11 +25,13 @@ from linfty.grading import canonicalize_word, wedge_basis
 
 from conftest import (
     SMALL_SPACES,
+    apply_lift,
     endomorphism_dgla,
     in_span,
     random_candidate,
     random_map_family,
     q1_q3_structures,
+    reduced_coproduct,
     reference_lower_central_series,
     shift,
     weight_one_part,
@@ -41,7 +42,7 @@ F = Fraction
 
 def residual_via_lift(structure, word):
     lift = lift_coderivation(structure)
-    image = lift.apply(lift.on_word(word))
+    image = apply_lift(lift, lift.on_word(word), structure.space)
     return weight_one_part(image, word.degree + 3 - word.weight)
 
 

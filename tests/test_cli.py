@@ -108,6 +108,16 @@ def test_gauge_flow():
     assert "t^2" in out
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_gauge_flow_bound_below_one_is_an_input_error(bound):
+    code, out, err = run(
+        "gauge-flow", path("flow.alg"), "--pi", "1*q", "--xi", "1*p", "--bound", bound
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "at least 1" in err
+
+
 def test_gauge_flow_non_nilpotent_diagnostic():
     code, _, err = run(
         "gauge-flow", path("nonnilp.alg"), "--pi", "1*v", "--xi", "1*w"
@@ -146,6 +156,26 @@ def test_lemma1_request_document(tmp_path):
     with open(out_file) as fh:
         text = fh.read()
     assert "a b -> -1*a" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("twist", "heis.alg", "--pi", "1*x"),
+        ("gauge-flow", "flow.alg", "--pi", "1*q", "--xi", "1*p"),
+        ("lemma1", "id_twoterm.mor", "--n", "2", "--H", "corr.map"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_an_input_error(tmp_path, argv):
+    command, name, *rest = argv
+    rest = [path(a) if a.endswith(".map") else a for a in rest]
+    target = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run(command, path(name), *rest, "--out", target)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: cannot write %s" % target)
+    assert not os.path.exists(target)
 
 
 def test_homotopy_check():

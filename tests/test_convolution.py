@@ -13,17 +13,14 @@ from linfty import (
     check_relations,
     build_convolution,
     check_homotopy,
-    coalgebra_partitions,
     gauge_to_homotopy,
     identity_morphism,
-    iterated_coproduct,
     lift_coderivation,
     lift_morphism,
     make_linfty,
     mc_residual,
     mc_to_morphism,
     morphism_to_mc,
-    partial_derivation,
     perturb,
     unsplit_residual,
 )
@@ -35,10 +32,14 @@ from linfty.grading import canonicalize_word
 
 from conftest import (
     SMALL_SPACES,
+    apply_lift,
+    coalgebra_partitions,
     coordinate_path,
     element_to_hom,
     homotopy_round_trip,
+    iterated_coproduct,
     materialized_hom_structure,
+    partial_derivation,
     random_component_family,
     random_valid_structure,
     reference_bracket,
@@ -355,7 +356,9 @@ def test_reconstruction_from_cogenerators():
         q_src = lift_coderivation(source)
         q_tgt = lift_coderivation(target)
         for word in source.words():
-            full = q_tgt.apply(lift.on_word(word)) - lift.apply(q_src.on_word(word))
+            full = apply_lift(q_tgt, lift.on_word(word), tgt_space) - apply_lift(
+                lift, q_src.on_word(word), tgt_space
+            )
             rebuilt = None
             for sign, blocks in coalgebra_partitions(word, src_space):
                 part = partial_derivation(defect, alpha, blocks).scale(F(sign))

@@ -1,0 +1,96 @@
+"""What importing the package loads, and its lazily resolved exports.
+
+A command loads only the modules it runs: ``linfty`` resolves each exported
+name from its module on first access, and ``linfty.cli`` imports a
+command's kernels inside its handler.  The footprint is measured in a
+fresh interpreter, since this process has loaded every module already.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import linfty
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS_DIR), "src")
+HEIS = os.path.join(TESTS_DIR, "data", "heis.alg")
+MODULES = (
+    "algebra", "cli", "convolution", "documents", "grading", "homotopy",
+    "linalg", "mc", "morphism", "perturbation",
+)
+
+PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "linfty")
+import linfty.cli
+after_import = loaded()
+dataclasses = "dataclasses" in sys.modules
+code = linfty.cli.main(["check-linfty", sys.argv[1]])
+print(json.dumps([after_import, dataclasses, code, loaded()]))
+"""
+
+
+def test_cli_loads_only_what_a_command_runs():
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, HEIS],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
+    )
+    after_import, dataclasses, code, after_check = json.loads(done.stdout.splitlines()[-1])
+    assert set(after_import) == {
+        "linfty", "linfty.cli", "linfty.grading", "linfty.algebra",
+        "linfty.linalg", "linfty.documents",
+    }
+    assert not dataclasses
+    assert code == 0
+    kernels = {"morphism", "mc", "convolution", "homotopy", "perturbation"}
+    assert not {"linfty." + m for m in kernels} & set(after_check)
+
+
+def test_flow_errors_live_in_grading():
+    from linfty import grading, mc
+
+    assert mc.NonConvergenceError is grading.NonConvergenceError
+    assert mc.FlatnessError is grading.FlatnessError
+
+
+def test_exports_are_the_attributes_of_their_modules():
+    assert set(linfty._EXPORTS) == set(linfty.__all__)
+    assert len(linfty.__all__) == len(set(linfty.__all__))
+    for name, module in linfty._EXPORTS.items():
+        owner = importlib.import_module("linfty." + module)
+        assert getattr(linfty, name) is getattr(owner, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from linfty import *", namespace)
+    assert set(linfty.__all__) <= set(namespace)
+    assert namespace["check_relations"] is importlib.import_module("linfty.algebra").check_relations
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["no_such_name", "coalgebra_partitions", "iterated_coproduct",
+     "partial_derivation", "reduced_coproduct"],
+)
+def test_unknown_or_removed_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError):
+        getattr(linfty, name)
+
+
+def test_from_import_still_returns_submodules():
+    # the form bench/tracing.py uses
+    from linfty import (
+        algebra, cli, convolution, documents, grading, homotopy, linalg, mc, morphism, perturbation,
+    )
+
+    imported = (
+        algebra, cli, convolution, documents, grading, homotopy, linalg, mc, morphism, perturbation,
+    )
+    assert imported == tuple(sys.modules["linfty." + name] for name in MODULES)

@@ -166,6 +166,19 @@ def test_flow_fixpoint_within_depth(step_nilpotent, two_term):
         gauge_flow(structure, start, direction, iteration_bound=chain.depth)
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_flow_bound_below_one_is_an_input_error(step_nilpotent, bound):
+    # a bound that allows no step says nothing about nilpotency
+    space = step_nilpotent.space
+    with pytest.raises(InputError, match="at least 1"):
+        gauge_flow(
+            step_nilpotent,
+            Element(space, 1, {"q": F(1)}),
+            Element(space, 0, {"p": F(1)}),
+            iteration_bound=bound,
+        )
+
+
 def test_flow_rejects_non_nilpotent(non_nilpotent):
     with pytest.raises(NonConvergenceError):
         gauge_flow(
