@@ -145,7 +145,7 @@ class Coderivation:
         space = self.structure.space
         factors = word.factors
         degrees = space.degrees_of(factors)
-        out = CoalgebraElement(space)
+        terms: dict = {}
         for k, q in self.structure.maps.items():
             for sign, chosen, rest in unshuffles(degrees, k):
                 value = q.by_factors.get(tuple(factors[i] for i in chosen))
@@ -155,7 +155,10 @@ class Coderivation:
                 for name, coeff in value.coeffs.items():
                     new_word, csign = canonicalize_word((name,) + rest_names, space)
                     if new_word is not None:
-                        out.add_term(new_word, sign * csign * coeff)
+                        add_scaled(
+                            terms, CoalgebraElement.from_word(space, new_word), sign * csign * coeff
+                        )
+        out = CoalgebraElement(space, terms)
         self._cache[word] = out
         return out
 
@@ -252,7 +255,7 @@ def unshuffle_residual(structure: LInftyStructure, word: Word) -> Element:
     space = L.space
     n = word.weight
     degrees = space.degrees_of(word.factors)
-    total = Element.zero(space, word.degree + 3 - n)
+    coeffs: dict = {}
     for i in range(1, n + 1):
         j = n - i + 1
         if j > L.cap or i > L.cap:
@@ -279,9 +282,8 @@ def unshuffle_residual(structure: LInftyStructure, word: Word) -> Element:
             rest_names = tuple(word.factors[p] for p in rest)
             for name, c in inner.coeffs.items():
                 outer = qj.evaluate((name,) + rest_names)
-                if not outer.is_zero():
-                    total = total + outer.scale(Fraction(coeff_sign * sign) * c)
-    return total
+                add_scaled(coeffs, outer, Fraction(coeff_sign * sign) * c)
+    return Element(space, word.degree + 3 - n, coeffs)
 
 
 class FiltrationChain:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -208,9 +209,9 @@ def _cmd_gauge_flow(args) -> int:
         lines.append("  t^%d: %r" % (p, e))
     lines.append("endpoint at t=1: %r" % endpoint)
     if args.out:
-        documents.write_document(
-            args.out, documents.mc_to_document(endpoint, args.algebra_ref or args.file)
-        )
+        # a reference resolves against the directory of the document holding it
+        ref = args.algebra_ref or os.path.relpath(args.file, os.path.dirname(args.out))
+        documents.write_document(args.out, documents.mc_to_document(endpoint, ref))
     _emit(payload, "\n".join(lines), args.format)
     return PASS if all(sample_ok.values()) else FAIL
 

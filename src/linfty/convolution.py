@@ -48,12 +48,14 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .grading import (
+    Combination,
     Element,
     GradedSpace,
     InputError,
     MultiMap,
     StructureError,
     Word,
+    add_scaled,
     signed_blocks,
 )
 from .algebra import LInftyStructure, check_relations, lift_coderivation
@@ -61,8 +63,10 @@ from .morphism import MorphismComponents
 from .mc import mc_residual
 
 
-class HomElement:
+class HomElement(Combination):
     """Weight-indexed component maps: one mapping-space vector of degree ``degree``."""
+
+    components = Combination.terms
 
     def __init__(
         self,
@@ -77,9 +81,9 @@ class HomElement:
         self.target = target
         self.cap = source.cap
         self.degree = degree
-        self.components: dict[int, MultiMap] = {}
+        terms: dict[int, MultiMap] = {}
         for n, comp in sorted(components.items()):
-            if comp is None or comp.is_zero():
+            if not comp:
                 continue
             if comp.weight != n or n > self.cap:
                 raise StructureError("component stored at weight %d is invalid" % n)
@@ -90,7 +94,14 @@ class HomElement:
                 )
             if comp.source != source.space or comp.target != target.space:
                 raise StructureError("component %d maps between the wrong spaces" % n)
-            self.components[n] = comp
+            terms[n] = comp
+        self.terms = terms
+
+    def _home(self) -> tuple:
+        return self.source.space, self.target.space, self.degree
+
+    def _like(self, terms: dict) -> "HomElement":
+        return HomElement(self.source, self.target, self.degree, terms)
 
     @property
     def filtration_level(self) -> int:
@@ -109,60 +120,6 @@ class HomElement:
 
     def value(self, word: Word) -> Element:
         return self.component(word.weight).value(word)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __add__(self, other: "HomElement") -> "HomElement":
-        self._check(other)
-        comps: dict[int, MultiMap] = {}
-        for n in sorted(set(self.components) | set(other.components)):
-            a = self.components.get(n)
-            b = other.components.get(n)
-            if a is None:
-                comps[n] = b
-                continue
-            if b is None:
-                comps[n] = a
-                continue
-            values = dict(a.values)
-            for w, v in b.values.items():
-                values[w] = values[w] + v if w in values else v
-            comps[n] = MultiMap(
-                a.source, a.target, n, self.degree - n,
-                {w: v for w, v in values.items() if not v.is_zero()},
-            )
-        return HomElement(self.source, self.target, self.degree, comps)
-
-    def __sub__(self, other: "HomElement") -> "HomElement":
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> "HomElement":
-        comps = {
-            n: MultiMap(
-                c.source, c.target, n, self.degree - n,
-                {w: v.scale(scalar) for w, v in c.values.items()},
-            )
-            for n, c in self.components.items()
-        }
-        return HomElement(self.source, self.target, self.degree, comps)
-
-    def _check(self, other: "HomElement"):
-        if (
-            self.source.space != other.source.space
-            or self.target.space != other.target.space
-            or self.degree != other.degree
-        ):
-            raise InputError("mapping-space elements are incompatible")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomElement)
-            and self.source.space == other.source.space
-            and self.target.space == other.target.space
-            and self.degree == other.degree
-            and self.components == other.components
-        )
 
     def __repr__(self):
         return "HomElement(degree=%d, weights=%s, level=%d)" % (
@@ -253,6 +210,17 @@ class ConvolutionAlgebra:
         """Where this algebra's elements live, as a path reads it: the algebra itself."""
         return self
 
+    def __eq__(self, other):
+        # the cap and the two spaces fix the mapping space, so paths over two
+        # algebras of one pair add and compare equal
+        return isinstance(other, ConvolutionAlgebra) and self._pair() == other._pair()
+
+    def __hash__(self):
+        return hash(self._pair())
+
+    def _pair(self) -> tuple:
+        return self.cap, self.source.space, self.target.space
+
     def zero(self, degree: int) -> HomElement:
         return HomElement(self.source, self.target, degree, {})
 
@@ -270,13 +238,15 @@ class ConvolutionAlgebra:
         comps: dict[int, dict[Word, Element]] = {}
         for word in self.words:
             m = word.weight
-            total = self._lift.project(
-                word, alpha.components, tgt.space, word.degree + alpha.degree + 1 - m
-            ).scale(-cross)
+            degree = word.degree + alpha.degree + 1 - m
+            coeffs: dict = {}
             val = alpha.component(m).value(word)
-            if q1 is not None and not val.is_zero():
-                total = q1.apply([val]) + total
-            if not total.is_zero():
+            if q1 is not None and val:
+                add_scaled(coeffs, q1.apply([val]), 1)
+            before = self._lift.project(word, alpha.components, tgt.space, degree)
+            add_scaled(coeffs, before, -cross)
+            total = Element(tgt.space, degree, coeffs)
+            if total:
                 comps.setdefault(m, {})[word] = total
         return self._assemble(alpha.degree + 1, comps)
 
@@ -312,7 +282,7 @@ class ConvolutionAlgebra:
         argument from another source/target pair or cap raises
         :class:`~linfty.grading.InputError`.
         """
-        pair = (self.cap, self.source.space, self.target.space)
+        pair = self._pair()
         for a in alphas:
             if not isinstance(a, HomElement) or (a.cap, a.source.space, a.target.space) != pair:
                 raise InputError("argument is not an element of this mapping space")

@@ -351,17 +351,79 @@ def wedge_basis(space: GradedSpace, weight: int) -> list[Word]:
     return words
 
 
-def _coeff_is_zero(c) -> bool:
-    return not c
+def add_scaled(terms: dict, vector: "Combination", scalar) -> None:
+    """Add ``scalar * vector`` into a key -> coefficient dict, in place.
+
+    The one accumulator for building a result: keys that cancel keep a zero
+    coefficient until the dict goes through a constructor, which drops them.
+    """
+    items = vector.terms.items()
+    if scalar != 1:
+        items = [(key, c * scalar) for key, c in items]
+    for key, c in items:
+        got = terms.get(key)
+        terms[key] = c if got is None else got + c
 
 
-def add_scaled(coeffs: dict, element: "Element", scalar) -> None:
-    """Add ``scalar * element`` into a name -> coefficient dict, in place."""
-    for name, c in element.coeffs.items():
-        coeffs[name] = coeffs.get(name, 0) + scalar * c
+class Combination:
+    """Immutable sparse linear combination: ``terms`` maps a key to a nonzero coefficient.
+
+    A coefficient is an exact scalar or a vector of the same kind, and counts
+    as zero when it is false; a vector is false when it is zero.  A subclass
+    supplies ``_home()``, what must match for ``+``, ``-`` and ``==``, and
+    ``_like(terms)``, a rebuild through its own constructor, which validates
+    the terms and drops zero coefficients.  Combining vectors of different
+    homes raises :class:`InputError`.
+    """
+
+    __slots__ = ("terms",)
+
+    def _home(self) -> tuple:
+        raise NotImplementedError
+
+    def _like(self, terms: dict):
+        raise NotImplementedError
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _merged(self, other, scalar):
+        if type(other) is not type(self) or other._home() != self._home():
+            raise InputError(
+                "%s vectors live in different spaces or degrees" % type(self).__name__
+            )
+        terms = dict(self.terms)
+        add_scaled(terms, other, scalar)
+        return self._like(terms)
+
+    def __add__(self, other):
+        return self._merged(other, 1)
+
+    def __sub__(self, other):
+        return self._merged(other, -1)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, scalar):
+        if not scalar:
+            return self._like({})
+        return self._like({key: c * scalar for key, c in self.terms.items()})
+
+    __mul__ = scale
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._home() == other._home()
+            and self.terms == other.terms
+        )
 
 
-class Element:
+class Element(Combination):
     """Homogeneous element of a graded space: name -> exact coefficient.
 
     Coefficients are ``Fraction`` in ordinary use; any exact ring element
@@ -369,7 +431,8 @@ class Element:
     coefficients ride through the same code paths).
     """
 
-    __slots__ = ("space", "degree", "coeffs")
+    __slots__ = ("space", "degree")
+    coeffs = Combination.terms
 
     def __init__(self, space: GradedSpace, degree: int, coeffs: Mapping | None = None):
         self.space = space
@@ -381,9 +444,15 @@ class Element:
                     "basis name %r has degree %d, element declared degree %d"
                     % (name, space.degree(name), degree)
                 )
-            if not _coeff_is_zero(c):
+            if c:
                 clean[name] = c
-        self.coeffs = clean
+        self.terms = clean
+
+    def _home(self) -> tuple:
+        return self.space, self.degree
+
+    def _like(self, terms: dict) -> "Element":
+        return Element(self.space, self.degree, terms)
 
     @classmethod
     def zero(cls, space: GradedSpace, degree: int) -> "Element":
@@ -393,47 +462,8 @@ class Element:
     def basis(cls, space: GradedSpace, name: str, coeff=Fraction(1)) -> "Element":
         return cls(space, space.degree(name), {name: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def items(self):
         return sorted(self.coeffs.items(), key=lambda kv: self.space.index(kv[0]))
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, 0) + c
-        return Element(self.space, self.degree, coeffs)
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, 0) - c
-        return Element(self.space, self.degree, coeffs)
-
-    def __neg__(self) -> "Element":
-        return self.scale(-1)
-
-    def scale(self, scalar) -> "Element":
-        if _coeff_is_zero(scalar):
-            return Element(self.space, self.degree, {})
-        return Element(
-            self.space, self.degree, {n: scalar * c for n, c in self.coeffs.items()}
-        )
-
-    def _check_compatible(self, other: "Element"):
-        if self.space != other.space or self.degree != other.degree:
-            raise InputError("elements live in different spaces or degrees")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.space == other.space
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
 
     def __hash__(self):
         return hash((self.degree, tuple(sorted(self.coeffs))))
@@ -454,7 +484,7 @@ def parse_combination(space: GradedSpace, terms: Mapping[str, Fraction]) -> Elem
     return Element(space, degrees.pop(), dict(terms))
 
 
-class MultiMap:
+class MultiMap(Combination):
     """Weight-n graded-antisymmetric multilinear map, stored sparsely.
 
     Values live on canonical words only; evaluation on an arbitrary tuple is
@@ -462,6 +492,8 @@ class MultiMap:
     canonicalizes to zero.  A weight-n map of degree d sends a word of degree
     w to an element of degree w + d.
     """
+
+    values = Combination.terms
 
     def __init__(
         self,
@@ -477,7 +509,7 @@ class MultiMap:
         self.target = target
         self.weight = weight
         self.degree = degree
-        self.values: dict[Word, Element] = {}
+        self.terms: dict[Word, Element] = {}
         # The same values keyed by factor tuples, so a tuple of names is
         # looked up before any sign or Word is built for it.
         self.by_factors: dict[tuple[str, ...], Element] = {}
@@ -495,7 +527,7 @@ class MultiMap:
                 "value on %r has degree %d, expected %d"
                 % (word.factors, value.degree, word.degree + self.degree)
             )
-        if value.is_zero():
+        if not value:
             # entries on two orderings of one word may cancel
             self.values.pop(word, None)
             self.by_factors.pop(word.factors, None)
@@ -528,6 +560,12 @@ class MultiMap:
             current = m.values.get(word)
             m._store(word, value if current is None else current + value)
         return m
+
+    def _home(self) -> tuple:
+        return self.source, self.target, self.weight, self.degree
+
+    def _like(self, terms: dict) -> "MultiMap":
+        return MultiMap(self.source, self.target, self.weight, self.degree, terms)
 
     def value(self, word: Word) -> Element:
         got = self.values.get(word)
@@ -581,19 +619,6 @@ class MultiMap:
                 c *= e.coeffs[name]
             add_scaled(coeffs, found[1], c)
 
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.weight == other.weight
-            and self.degree == other.degree
-            and self.values == other.values
-        )
-
     def __repr__(self):
         return "MultiMap(weight=%d, degree=%d, %d entries)" % (
             self.weight,
@@ -602,72 +627,41 @@ class MultiMap:
         )
 
 
-class CoalgebraElement:
+class CoalgebraElement(Combination):
     """Sparse combination of canonical words across weights 1..cap."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
 
     def __init__(self, space: GradedSpace, terms: Mapping[Word, Fraction] | None = None):
         self.space = space
-        self.terms: dict[Word, Fraction] = {
-            w: c for w, c in (terms or {}).items() if not _coeff_is_zero(c)
-        }
+        self.terms: dict[Word, Fraction] = {w: c for w, c in (terms or {}).items() if c}
+
+    def _home(self) -> tuple:
+        return (self.space,)
+
+    def _like(self, terms: dict) -> "CoalgebraElement":
+        return CoalgebraElement(self.space, terms)
 
     @classmethod
     def from_word(cls, space: GradedSpace, word: Word, coeff=Fraction(1)):
         return cls(space, {word: coeff})
 
-    def add_term(self, word: Word, coeff):
-        if _coeff_is_zero(coeff):
-            return
-        new = self.terms.get(word, 0) + coeff
-        if _coeff_is_zero(new):
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = new
-
-    def add_product(self, values: Sequence[Element], coeff):
-        """Add ``coeff`` times the product of ``values``, expanded and canonicalised."""
+    @classmethod
+    def wedge(cls, space: GradedSpace, values: Sequence[Element]) -> "CoalgebraElement":
+        """The product of ``values``, expanded over their supports and canonicalised."""
+        terms: dict = {}
         for combo in product(*(v.items() for v in values)):
-            word, sign = canonicalize_word(tuple(name for name, _ in combo), self.space)
+            word, sign = canonicalize_word(tuple(name for name, _ in combo), space)
             if word is None:
                 continue
-            term = coeff * sign
+            coeff = sign
             for _, c in combo:
-                term *= c
-            self.add_term(word, term)
-
-    def __add__(self, other: "CoalgebraElement") -> "CoalgebraElement":
-        out = CoalgebraElement(self.space, dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def __sub__(self, other: "CoalgebraElement") -> "CoalgebraElement":
-        out = CoalgebraElement(self.space, dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, -c)
-        return out
-
-    def scale(self, scalar) -> "CoalgebraElement":
-        if _coeff_is_zero(scalar):
-            return CoalgebraElement(self.space)
-        return CoalgebraElement(
-            self.space, {w: scalar * c for w, c in self.terms.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+                coeff *= c
+            add_scaled(terms, cls.from_word(space, word), coeff)
+        return cls(space, terms)
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].factors)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoalgebraElement)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         if not self.terms:

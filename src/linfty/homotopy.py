@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .grading import InputError, StructureError
+from .grading import Combination, InputError, StructureError, add_scaled
 from .algebra import LInftyStructure, check_relations
 from .morphism import MorphismComponents, check_morphism
 from .convolution import ConvolutionAlgebra, HomElement, build_convolution, morphism_to_mc
@@ -34,54 +34,48 @@ class PathDegreeOverflow(RuntimeError):
     """A polynomial exceeded the configured degree guard."""
 
 
-class PathElement:
+class PathElement(Combination):
     """Element of (base tensor polynomial forms): an even and a dt part.
 
-    Both parts are polynomial paths of base elements; the dt part sits one
-    degree lower, dt itself carrying degree 1.
+    Both parts are polynomial paths of base elements, keyed by their power
+    of dt; the dt part sits one degree lower, dt itself carrying degree 1.
+    Only nonzero parts are stored.
     """
 
-    __slots__ = ("space", "degree", "even", "odd")
+    __slots__ = ("space", "degree")
 
     def __init__(self, space, degree: int, even: PolyPath | None = None, odd: PolyPath | None = None):
         self.space = space
         self.degree = degree
-        self.even = even if even is not None else PolyPath(space, degree)
-        self.odd = odd if odd is not None else PolyPath(space, degree - 1)
-        if self.even.degree != degree or self.odd.degree != degree - 1:
-            raise InputError("path element parts have inconsistent degrees")
+        terms = {}
+        for power, part in ((0, even), (1, odd)):
+            if part is None:
+                continue
+            if part.degree != degree - power:
+                raise InputError("path element parts have inconsistent degrees")
+            if part:
+                terms[power] = part
+        self.terms = terms
 
-    def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
+    def _home(self) -> tuple:
+        return self.space, self.degree
 
-    def __add__(self, other: "PathElement") -> "PathElement":
-        return PathElement(
-            self.space, self.degree, self.even + other.even, self.odd + other.odd
-        )
+    def _like(self, terms: dict) -> "PathElement":
+        return PathElement(self.space, self.degree, terms.get(0), terms.get(1))
 
-    def __sub__(self, other: "PathElement") -> "PathElement":
-        return PathElement(
-            self.space, self.degree, self.even - other.even, self.odd - other.odd
-        )
+    @property
+    def even(self) -> PolyPath:
+        return self.terms.get(0) or PolyPath(self.space, self.degree)
 
-    def scale(self, scalar) -> "PathElement":
-        return PathElement(
-            self.space, self.degree, self.even.scale(scalar), self.odd.scale(scalar)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PathElement)
-            and self.degree == other.degree
-            and self.even == other.even
-            and self.odd == other.odd
-        )
+    @property
+    def odd(self) -> PolyPath:
+        return self.terms.get(1) or PolyPath(self.space, self.degree - 1)
 
     def __repr__(self):
         return "PathElement(even=%r, odd=(%r) dt)" % (self.even, self.odd)
 
     def max_power(self) -> int:
-        return max(self.even.max_power(), self.odd.max_power())
+        return max((part.max_power() for part in self.terms.values()), default=0)
 
 
 class PathAlgebra:
@@ -125,24 +119,18 @@ class PathAlgebra:
         degree = sum(e.degree for e in elements) + 2 - n
         space = elements[0].space
         even = apply_to_paths(self.base, n, [e.even for e in elements])
-        odd = PolyPath(space, degree - 1)
+        odd: dict = {}
         for i, e in enumerate(elements):
-            if e.odd.is_zero():
+            if not e.odd:
                 continue
             crossing = sum(elements[j].degree for j in range(i + 1, n))
             args = [elements[j].even for j in range(n)]
             args[i] = e.odd
-            term = apply_to_paths(self.base, n, args)
-            if crossing % 2:
-                term = term.scale(-1)
-            odd = odd + term
+            add_scaled(odd, apply_to_paths(self.base, n, args), -1 if crossing % 2 else 1)
         if n == 1:
             e = elements[0]
-            derivative = e.even.derivative()
-            if e.degree % 2:
-                derivative = derivative.scale(-1)
-            odd = odd + derivative
-        return self._guard(PathElement(space, degree, even, odd))
+            add_scaled(odd, e.even.derivative(), -1 if e.degree % 2 else 1)
+        return self._guard(PathElement(space, degree, even, PolyPath(space, degree - 1, odd)))
 
     def curvature(self, pe: PathElement) -> PathElement:
         """Flatness defect of a degree-1 path element, summed to the cap."""

@@ -28,12 +28,14 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .grading import (
+    Combination,
     Element,
     FlatnessError,
     InputError,
     MultiMap,
     NonConvergenceError,
     Word,
+    add_scaled,
     wedge_basis,
 )
 from .algebra import FiltrationChain, LInftyStructure, lower_central_series
@@ -44,9 +46,9 @@ def twisting_series(apply, cap: int, pi, args: Sequence = ()):
 
     ``apply(n, elements)`` is an n-ary operation; m runs up to the weight
     cap, from 1 when there are no further arguments (the curvature) and
-    from 0 otherwise (the twisted operations).  Terms need ``+``, ``scale``
-    and ``is_zero``, so elements, polynomial paths and path-algebra
-    elements all go through here.
+    from 0 otherwise (the twisted operations).  Terms are vectors of one
+    :class:`~linfty.grading.Combination` kind, so elements, polynomial paths
+    and path-algebra elements all go through here.
 
     >>> from linfty.grading import GradedSpace
     >>> V = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
@@ -59,16 +61,11 @@ def twisting_series(apply, cap: int, pi, args: Sequence = ()):
     2*z
     """
     k = len(args)
-    total = None
+    terms: dict = {}
     for m in range(0 if k else 1, cap - k + 1):
         term = apply(m + k, [pi] * m + list(args))
-        if m > 1:
-            term = term.scale(Fraction(1, factorial(m)))
-        if total is None:
-            total = term
-        elif not term.is_zero():
-            total = total + term
-    return total
+        add_scaled(terms, term, Fraction(1, factorial(m)) if m > 1 else 1)
+    return term._like(terms)
 
 
 def mc_residual(
@@ -140,45 +137,40 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
     return twisted
 
 
-class PolyPath:
+class PolyPath(Combination):
     """Vector-valued polynomial in a formal time variable, exact throughout.
 
-    Coefficients are ``Element`` values over a ``GradedSpace`` space, or
-    ``HomElement`` values over a ``ConvolutionAlgebra``; ``space.zero(degree)``
-    is the value of an empty path.  Paths compare by their coefficients, which
-    carry their spaces, so equal flows over two algebras of one pair agree.
+    Powers of t map to coefficients: ``Element`` values over a
+    ``GradedSpace`` space, or ``HomElement`` values over a
+    ``ConvolutionAlgebra``; ``space.zero(degree)`` is the value of an empty
+    path.  Two algebras of one pair are one space, so equal flows over them
+    agree.
     """
 
-    __slots__ = ("space", "degree", "coefficients")
+    __slots__ = ("space", "degree")
+    coefficients = Combination.terms
 
     def __init__(self, space, degree: int, coefficients: Mapping | None = None):
         self.space = space
         self.degree = degree
-        self.coefficients: dict = {}
+        terms: dict = {}
         for power, elem in (coefficients or {}).items():
             if elem.degree != degree:
-                raise InputError("path coefficient of degree %d in a degree-%d path" % (elem.degree, degree))
-            if not elem.is_zero():
-                self.coefficients[int(power)] = elem
+                raise InputError(
+                    "path coefficient of degree %d in a degree-%d path" % (elem.degree, degree)
+                )
+            if elem:
+                terms[int(power)] = elem
+        self.terms = terms
 
     def max_power(self) -> int:
         return max(self.coefficients, default=0)
 
-    def __add__(self, other: "PolyPath") -> "PolyPath":
-        coeffs = dict(self.coefficients)
-        for p, e in other.coefficients.items():
-            coeffs[p] = coeffs[p] + e if p in coeffs else e
-        return PolyPath(self.space, self.degree, coeffs)
+    def _home(self) -> tuple:
+        return self.space, self.degree
 
-    def __sub__(self, other: "PolyPath") -> "PolyPath":
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> "PolyPath":
-        return PolyPath(
-            self.space,
-            self.degree,
-            {p: e.scale(scalar) for p, e in self.coefficients.items()},
-        )
+    def _like(self, terms: dict) -> "PolyPath":
+        return PolyPath(self.space, self.degree, terms)
 
     def integrate(self) -> "PolyPath":
         """Formal antiderivative vanishing at t = 0."""
@@ -196,20 +188,10 @@ class PolyPath:
         )
 
     def evaluate(self, t: Fraction):
-        total = self.space.zero(self.degree)
+        terms: dict = {}
         for p, e in self.coefficients.items():
-            total = total + e.scale(Fraction(t) ** p)
-        return total
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyPath)
-            and self.degree == other.degree
-            and self.coefficients == other.coefficients
-        )
+            add_scaled(terms, e, Fraction(t) ** p)
+        return self.space.zero(self.degree)._like(terms)
 
     def __repr__(self):
         if not self.coefficients:
@@ -230,13 +212,10 @@ def apply_to_paths(algebra, n: int, paths: list[PolyPath]) -> PolyPath:
             for power, elems in stack
             for p, e in path.coefficients.items()
         ]
-    acc: dict = {}
+    terms: dict = {}
     for power, elems in stack:
-        term = algebra.apply(n, elems)
-        if term.is_zero():
-            continue
-        acc[power] = acc[power] + term if power in acc else term
-    return PolyPath(space, degree, acc)
+        add_scaled(terms, PolyPath(space, degree, {power: algebra.apply(n, elems)}), 1)
+    return PolyPath(space, degree, terms)
 
 
 def twisted_differential_of(algebra, pi_path: PolyPath, xi) -> PolyPath:

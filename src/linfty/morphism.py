@@ -24,6 +24,7 @@ from .grading import (
     MultiMap,
     StructureError,
     Word,
+    add_scaled,
     signed_blocks,
     signed_blocks_by_count,
     subword,
@@ -121,7 +122,8 @@ class MorphismLift:
             return cached
         F = self.morphism
         src = F.source.space
-        out = CoalgebraElement(F.target.space)
+        space = F.target.space
+        terms: dict = {}
         # F_k has degree 1 - k, so each value's degree is the suspended degree
         # of its block and the kernel sign is the whole sign of the term.
         for sign, blocks in signed_blocks(src.degrees_of(word.factors)):
@@ -135,7 +137,8 @@ class MorphismLift:
                     break
                 vals.append(val)
             else:
-                out.add_product(vals, sign)
+                add_scaled(terms, CoalgebraElement.wedge(space, vals), sign)
+        out = CoalgebraElement(space, terms)
         self._cache[word] = out
         return out
 

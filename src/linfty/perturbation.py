@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .grading import Element, InputError, MultiMap, StructureError, Word, wedge_basis
+from .grading import Element, InputError, MultiMap, StructureError, Word, add_scaled, wedge_basis
 from .algebra import LInftyStructure
 from .morphism import MorphismComponents, check_morphism
 from .convolution import ConvolutionAlgebra, HomElement, mc_to_morphism
@@ -110,10 +110,10 @@ def differential_correction(
     values: dict[Word, Element] = {}
     for word in wedge_basis(space, n):
         degrees = space.degrees_of(word.factors)
-        total = Element.zero(target.space, word.degree + 1 - n)
+        coeffs: dict = {}
         head = correction.value(word)
-        if q1_tgt is not None and not head.is_zero():
-            total = total + q1_tgt.apply([head])
+        if q1_tgt is not None and head:
+            add_scaled(coeffs, q1_tgt.apply([head]), 1)
         if q1_src is not None:
             for i in range(n):
                 exponent = n + sum(degrees[:i])
@@ -124,8 +124,8 @@ def differential_correction(
                         word.factors[:i] + (name,) + word.factors[i + 1 :]
                     )
                     term = correction.evaluate(tuple_in_place)
-                    if not term.is_zero():
-                        total = total - term.scale(Fraction(slot_sign) * c)
-        if not total.is_zero():
+                    add_scaled(coeffs, term, Fraction(-slot_sign) * c)
+        total = Element(target.space, word.degree + 1 - n, coeffs)
+        if total:
             values[word] = total
     return MultiMap(space, target.space, n, 1 - n, values)

@@ -20,7 +20,7 @@ from linfty import (
 )
 from linfty.algebra import FiltrationChain
 from linfty.convolution import HomElement
-from linfty.grading import signed_blocks, subword
+from linfty.grading import add_scaled, signed_blocks, subword
 from linfty.homotopy import HomotopyElement
 from linfty.mc import PolyPath
 
@@ -321,7 +321,8 @@ def partial_derivation(b, f, blocks):
     if n == 0:
         raise InputError("need at least one slot")
     b_degree = b.degree - 1
-    out = CoalgebraElement(b.target.space)
+    space = b.target.space
+    terms = {}
     for i in range(n):
         prefix = sum(w.suspended_degree() for w in blocks[:i])
         slot_sign = -1 if (b_degree * (n - 1 + prefix)) % 2 else 1
@@ -332,8 +333,8 @@ def partial_derivation(b, f, blocks):
                 break
             vals.append(val)
         else:
-            out.add_product(vals, slot_sign)
-    return out
+            add_scaled(terms, CoalgebraElement.wedge(space, vals), slot_sign)
+    return CoalgebraElement(space, terms)
 
 
 def weight_one_part(element, degree):

@@ -118,6 +118,23 @@ def test_gauge_flow_bound_below_one_is_an_input_error(bound):
     assert err.startswith("input error:") and "at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "out, ref",
+    [("end.mc", "flow.alg"), (os.path.join("out", "end.mc"), os.path.join("..", "flow.alg"))],
+)
+def test_gauge_flow_out_refers_to_its_algebra_from_its_own_directory(
+    tmp_path, monkeypatch, out, ref
+):
+    shutil.copy(path("flow.alg"), tmp_path)
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run("gauge-flow", "flow.alg", "--pi", "1*q", "--xi", "1*p", "--out", out)
+    assert code == 0
+    with open(out) as fh:
+        assert "algebra: %s\n" % ref in fh.read()
+    assert run("mc-check", out)[0] == 0
+
+
 def test_gauge_flow_non_nilpotent_diagnostic():
     code, _, err = run(
         "gauge-flow", path("nonnilp.alg"), "--pi", "1*v", "--xi", "1*w"

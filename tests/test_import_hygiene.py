@@ -3,6 +3,9 @@
 ``__init__.py`` is exempt: it imports names to export them.  A name counts
 as used when the module's syntax tree reads it anywhere, including inside a
 quoted annotation; ``from __future__`` imports are compiler directives.
+
+Vector arithmetic is defined once, on ``grading.Combination``: no other
+class in ``src/linfty`` defines it again.
 """
 
 import ast
@@ -52,3 +55,33 @@ def test_modules_use_every_import():
 def test_unused_import_is_reported():
     source = "import os\nfrom typing import Mapping, Sequence\nx: 'Mapping[str, int]' = os.sep\n"
     assert unused_imports(source) == ["Sequence (line 2)"]
+
+
+ARITHMETIC = {"__add__", "__sub__", "__neg__", "scale", "is_zero"}
+
+
+def arithmetic_definitions(source: str) -> list[str]:
+    """``Class.method`` for each arithmetic method defined outside ``Combination``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name != "Combination":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in ARITHMETIC:
+                    found.append("%s.%s" % (node.name, item.name))
+    return found
+
+
+def test_only_the_base_defines_vector_arithmetic():
+    offenders = {}
+    for name in sorted(os.listdir(SRC_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_DIR, name), encoding="utf-8") as fh:
+                found = arithmetic_definitions(fh.read())
+            if found:
+                offenders[name] = found
+    assert offenders == {}
+
+
+def test_arithmetic_definition_is_reported():
+    source = "class Combination:\n    def scale(self): pass\nclass V:\n    def __neg__(self): pass\n"
+    assert arithmetic_definitions(source) == ["V.__neg__"]
