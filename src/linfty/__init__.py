@@ -15,7 +15,7 @@ _EXPORTS = {
     "FiltrationChain": "algebra",
     "FlatnessError": "grading",
     "GradedSpace": "grading",
-    "HomElement": "convolution",
+    "HomElement": "morphism",
     "HomotopyElement": "homotopy",
     "InputError": "grading",
     "LInftyStructure": "algebra",

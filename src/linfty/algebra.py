@@ -33,6 +33,7 @@ from .grading import (
     Word,
     add_scaled,
     canonicalize_word,
+    map_family,
     unshuffles,
     wedge_basis,
 )
@@ -47,22 +48,7 @@ class LInftyStructure:
             raise InputError("cap must be >= 1")
         self.space = space
         self.cap = cap
-        self.maps: dict[int, MultiMap] = {}
-        for n, m in sorted(maps.items()):
-            if m is None or m.is_zero():
-                continue
-            if n != m.weight:
-                raise StructureError("map stored at weight %d has weight %d" % (n, m.weight))
-            if n > cap:
-                raise StructureError("map of weight %d exceeds cap %d" % (n, cap))
-            if m.degree != 2 - n:
-                raise StructureError(
-                    "structure map of weight %d has degree %d, expected %d"
-                    % (n, m.degree, 2 - n)
-                )
-            if m.source != space or m.target != space:
-                raise StructureError("structure map of weight %d is not an endomap" % n)
-            self.maps[n] = m
+        self.maps: dict[int, MultiMap] = map_family(maps, space, space, cap, 2)
         self.verified = False
 
     def map_at(self, n: int) -> MultiMap:
@@ -117,18 +103,9 @@ def from_dgla(
     The differential (weight 1, degree 1) and bracket (weight 2, degree 0)
     go in untwisted; with the lift convention above this is exactly the
     embedding for which the relation check reduces to d*d = 0, the graded
-    Jacobi identity and the derivation rule.
+    Jacobi identity and the derivation rule.  A missing map is zero.
     """
-    maps: dict[int, MultiMap] = {}
-    if differential is not None and not differential.is_zero():
-        if differential.weight != 1 or differential.degree != 1:
-            raise StructureError("differential must have weight 1 and degree 1")
-        maps[1] = differential
-    if bracket is not None and not bracket.is_zero():
-        if bracket.weight != 2 or bracket.degree != 0:
-            raise StructureError("bracket must have weight 2 and degree 0")
-        maps[2] = bracket
-    return LInftyStructure(space, maps, cap)
+    return LInftyStructure(space, {1: differential, 2: bracket}, cap)
 
 
 class Coderivation:
@@ -242,6 +219,12 @@ def check_relations(structure: LInftyStructure) -> RelationReport:
                 report.residuals[word] = residual
     structure.verified = report.passed
     return report
+
+
+def require_verified(structure: LInftyStructure, label: str):
+    """Raise :class:`StructureError` unless ``structure`` passes its relation check."""
+    if not structure.verified and not check_relations(structure).passed:
+        raise StructureError("%s fails its relation check" % label)
 
 
 def unshuffle_residual(structure: LInftyStructure, word: Word) -> Element:

@@ -121,6 +121,14 @@ def _cmd_quasi_iso(args) -> int:
     return PASS if verdict.verdict else FAIL
 
 
+def _relations_hold(structure) -> bool:
+    """Check the relations a command builds on; on failure print the report's summary."""
+    report = check_relations(structure)
+    if not report.passed:
+        print(report.summary())
+    return report.passed
+
+
 def _load_pi(args, structure):
     if args.pi is not None:
         return documents.parse_element(structure.space, args.pi)
@@ -135,7 +143,8 @@ def _cmd_mc_check(args) -> int:
     else:
         structure = documents.load_algebra(args.file, args.cap)
         value = _load_pi(args, structure)
-    check_relations(structure)
+    if not _relations_hold(structure):
+        return FAIL
     if value.degree != 1:
         raise InputError("Maurer-Cartan candidates must have degree 1")
     residual = mc_residual(structure, value)
@@ -161,9 +170,7 @@ def _cmd_twist(args) -> int:
     from .mc import mc_element, twist
 
     structure = documents.load_algebra(args.file, args.cap)
-    report = check_relations(structure)
-    if not report.passed:
-        print(report.summary())
+    if not _relations_hold(structure):
         return FAIL
     value = _load_pi(args, structure)
     twisted = twist(structure, mc_element(structure, value))
@@ -180,9 +187,7 @@ def _cmd_gauge_flow(args) -> int:
     from .mc import gauge_flow, mc_element, mc_residual
 
     structure = documents.load_algebra(args.file, args.cap)
-    report = check_relations(structure)
-    if not report.passed:
-        print(report.summary())
+    if not _relations_hold(structure):
         return FAIL
     pi0 = _load_pi(args, structure)
     xi = documents.parse_element(structure.space, args.xi)

@@ -33,7 +33,10 @@ Sign conventions (the one table everything below refers to):
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
 
-:class:`HomElement` is the mapping space's only vector.  The calculus of
+The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
+defined with the morphisms it generalises (a morphism is its degree-1
+vector) and re-exported here; both operations assemble their result word by
+word through :func:`~linfty.grading.tabulate`.  The calculus of
 :mod:`linfty.mc` and :mod:`linfty.homotopy` reads a :class:`ConvolutionAlgebra`
 through ``cap``, ``space`` and ``apply(n, elements)``, which is ``bracket``,
 so flows, homotopies and their documents stay on component maps.  The
@@ -45,88 +48,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .grading import (
-    Combination,
     Element,
     GradedSpace,
     InputError,
     MultiMap,
-    StructureError,
     Word,
     add_scaled,
     signed_blocks,
+    tabulate,
 )
-from .algebra import LInftyStructure, check_relations, lift_coderivation
-from .morphism import MorphismComponents
+from .algebra import LInftyStructure, lift_coderivation, require_verified
+from .morphism import HomElement, MorphismComponents
 from .mc import mc_residual
-
-
-class HomElement(Combination):
-    """Weight-indexed component maps: one mapping-space vector of degree ``degree``."""
-
-    components = Combination.terms
-
-    def __init__(
-        self,
-        source: LInftyStructure,
-        target: LInftyStructure,
-        degree: int,
-        components: Mapping[int, MultiMap],
-    ):
-        if source.cap != target.cap:
-            raise InputError("source and target caps differ")
-        self.source = source
-        self.target = target
-        self.cap = source.cap
-        self.degree = degree
-        terms: dict[int, MultiMap] = {}
-        for n, comp in sorted(components.items()):
-            if not comp:
-                continue
-            if comp.weight != n or n > self.cap:
-                raise StructureError("component stored at weight %d is invalid" % n)
-            if comp.degree != degree - n:
-                raise StructureError(
-                    "weight-%d component has degree %d, expected %d"
-                    % (n, comp.degree, degree - n)
-                )
-            if comp.source != source.space or comp.target != target.space:
-                raise StructureError("component %d maps between the wrong spaces" % n)
-            terms[n] = comp
-        self.terms = terms
-
-    def _home(self) -> tuple:
-        return self.source.space, self.target.space, self.degree
-
-    def _like(self, terms: dict) -> "HomElement":
-        return HomElement(self.source, self.target, self.degree, terms)
-
-    @property
-    def filtration_level(self) -> int:
-        """Smallest weight carrying a nonzero component; cap+1 when zero."""
-        if not self.components:
-            return self.cap + 1
-        return min(self.components)
-
-    def component(self, n: int) -> MultiMap:
-        got = self.components.get(n)
-        if got is None:
-            return MultiMap(
-                self.source.space, self.target.space, n, self.degree - n
-            )
-        return got
-
-    def value(self, word: Word) -> Element:
-        return self.component(word.weight).value(word)
-
-    def __repr__(self):
-        return "HomElement(degree=%d, weights=%s, level=%d)" % (
-            self.degree,
-            sorted(self.components),
-            self.filtration_level,
-        )
 
 
 def morphism_to_mc(morphism: MorphismComponents) -> HomElement:
@@ -153,10 +89,8 @@ class ConvolutionAlgebra:
                 "convolution cap %d must match source cap %d and target cap %d"
                 % (cap, source.cap, target.cap)
             )
-        for structure, label in ((source, "source"), (target, "target")):
-            if not structure.verified:
-                if not check_relations(structure).passed:
-                    raise StructureError("%s structure fails its relations" % label)
+        require_verified(source, "source structure")
+        require_verified(target, "target structure")
         self.source = source
         self.target = target
         self.cap = cap
@@ -235,8 +169,8 @@ class ConvolutionAlgebra:
         tgt = self.target
         q1 = tgt.maps.get(1)
         cross = -1 if (alpha.degree - 1) % 2 else 1
-        comps: dict[int, dict[Word, Element]] = {}
-        for word in self.words:
+
+        def value(word: Word) -> Element:
             m = word.weight
             degree = word.degree + alpha.degree + 1 - m
             coeffs: dict = {}
@@ -245,10 +179,11 @@ class ConvolutionAlgebra:
                 add_scaled(coeffs, q1.apply([val]), 1)
             before = self._lift.project(word, alpha.components, tgt.space, degree)
             add_scaled(coeffs, before, -cross)
-            total = Element(tgt.space, degree, coeffs)
-            if total:
-                comps.setdefault(m, {})[word] = total
-        return self._assemble(alpha.degree + 1, comps)
+            return Element(tgt.space, degree, coeffs)
+
+        u_out = alpha.degree + 1
+        comps = tabulate(self.source.space, tgt.space, u_out, self.words, value)
+        return HomElement(self.source, self.target, u_out, comps)
 
     def _splittings(self, word: Word, n: int) -> tuple:
         """Signed ordered n-block splittings of a source word, computed once.
@@ -299,7 +234,7 @@ class ConvolutionAlgebra:
             for a in alphas
         ]
         shifts = [a.degree - 1 for a in alphas]
-        comps: dict[int, dict[Word, Element]] = {}
+        totals: dict[Word, Element] = {}
         for word in self.words:
             m = word.weight
             if m < n:
@@ -317,25 +252,10 @@ class ConvolutionAlgebra:
                     prefix += s
                 else:
                     qn.accumulate(coeffs, vals, -sign if crossing % 2 else sign)
-            total = Element(self.target.space, word.degree + u_out - m, coeffs)
-            if not total.is_zero():
-                comps.setdefault(m, {})[word] = total
-        return self._assemble(u_out, comps)
-
-    def _assemble(
-        self, degree: int, comps: Mapping[int, Mapping[Word, Element]]
-    ) -> HomElement:
-        built = {
-            n: MultiMap(
-                self.source.space,
-                self.target.space,
-                n,
-                degree - n,
-                dict(values),
-            )
-            for n, values in comps.items()
-        }
-        return HomElement(self.source, self.target, degree, built)
+            if coeffs:
+                totals[word] = Element(self.target.space, word.degree + u_out - m, coeffs)
+        comps = tabulate(self.source.space, self.target.space, u_out, totals, totals.__getitem__)
+        return HomElement(self.source, self.target, u_out, comps)
 
     def apply(self, n: int, elements: Sequence[HomElement]) -> HomElement:
         """The n-ary operation as :mod:`linfty.mc` calls it: ``bracket`` of n elements."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import TYPE_CHECKING
 
-from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word
+from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word, tabulate
 from .algebra import LInftyStructure, make_linfty
 
 if TYPE_CHECKING:
@@ -440,36 +440,29 @@ def load_homotopy(path: str, cap_override: int | None = None):
 
 def homotopy_parts_to_polypaths(conv, h0_parts, h1_parts) -> tuple[PolyPath, PolyPath]:
     """Assemble parsed per-weight polynomial entries into paths over ``conv``."""
-    from .convolution import HomElement
+    from .morphism import HomElement
     from .mc import PolyPath
 
+    target = conv.target.space
+
     def build(parts, degree):
-        per_power: dict[int, dict[int, dict[Word, dict[str, Fraction]]]] = {}
-        for weight, entries in parts.items():
+        # every word of a weight-n section has weight n
+        per_power: dict[int, dict[Word, dict[str, Fraction]]] = {}
+        for entries in parts.values():
             for word, combo in entries.items():
                 for name, poly in combo.items():
                     for power, coeff in enumerate(poly):
                         if coeff:
-                            per_power.setdefault(power, {}).setdefault(
-                                weight, {}
-                            ).setdefault(word, {})[name] = coeff
+                            per_power.setdefault(power, {}).setdefault(word, {})[name] = coeff
         coefficients = {}
-        for power, weights in per_power.items():
-            comps = {}
-            for weight, words in weights.items():
-                values = {
-                    w: Element(
-                        conv.target.space, w.degree + degree - weight, combo
-                    )
-                    for w, combo in words.items()
-                }
-                comps[weight] = MultiMap(
-                    conv.source.space,
-                    conv.target.space,
-                    weight,
-                    degree - weight,
-                    values,
-                )
+        for power, combos in per_power.items():
+            comps = tabulate(
+                conv.source.space,
+                target,
+                degree,
+                combos,
+                lambda w: Element(target, w.degree + degree - w.weight, combos[w]),
+            )
             coefficients[power] = HomElement(conv.source, conv.target, degree, comps)
         return PolyPath(conv, degree, coefficients)
 

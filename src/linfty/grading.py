@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -527,11 +527,7 @@ class MultiMap(Combination):
                 "value on %r has degree %d, expected %d"
                 % (word.factors, value.degree, word.degree + self.degree)
             )
-        if not value:
-            # entries on two orderings of one word may cancel
-            self.values.pop(word, None)
-            self.by_factors.pop(word.factors, None)
-        else:
+        if value:
             self.values[word] = value
             self.by_factors[word.factors] = value
 
@@ -544,8 +540,11 @@ class MultiMap(Combination):
         degree: int,
         entries: Mapping[Sequence[str], Mapping[str, Fraction]],
     ) -> "MultiMap":
-        """Build from raw tuples; entries on non-canonical tuples are signed in."""
-        m = cls(source, target, weight, degree)
+        """Build from raw tuples; entries on non-canonical tuples are signed in.
+
+        Entries on two orderings of one word add up, and may cancel.
+        """
+        values: dict[Word, Element] = {}
         for names, combo in entries.items():
             word, sign = canonicalize_word(tuple(names), source)
             if word is None:
@@ -557,9 +556,9 @@ class MultiMap(Combination):
                     "value on %r has degree %d, expected %d"
                     % (names, value.degree, expected)
                 )
-            current = m.values.get(word)
-            m._store(word, value if current is None else current + value)
-        return m
+            got = values.get(word)
+            values[word] = value if got is None else got + value
+        return cls(source, target, weight, degree, values)
 
     def _home(self) -> tuple:
         return self.source, self.target, self.weight, self.degree
@@ -625,6 +624,53 @@ class MultiMap(Combination):
             self.degree,
             len(self.values),
         )
+
+
+def map_family(
+    maps: Mapping[int, MultiMap | None],
+    source: GradedSpace,
+    target: GradedSpace,
+    cap: int,
+    degree: int,
+) -> dict[int, MultiMap]:
+    """The nonzero maps of a degree-``degree`` family, checked against its contract.
+
+    Weight n holds a map ``source -> target`` of weight n and degree
+    ``degree - n``, n up to ``cap``: structure maps are the degree-2 family,
+    morphism components a degree-1 one.  A breach raises :class:`StructureError`.
+    """
+    family: dict[int, MultiMap] = {}
+    for n, m in sorted(maps.items()):
+        if not m:
+            continue
+        if n != m.weight:
+            raise StructureError("map stored at weight %d has weight %d" % (n, m.weight))
+        if n > cap:
+            raise StructureError("map of weight %d exceeds cap %d" % (n, cap))
+        if m.degree != degree - n:
+            raise StructureError(
+                "map of weight %d has degree %d, expected %d" % (n, m.degree, degree - n)
+            )
+        if m.source != source or m.target != target:
+            raise StructureError("map of weight %d maps between the wrong spaces" % n)
+        family[n] = m
+    return family
+
+
+def tabulate(
+    source: GradedSpace,
+    target: GradedSpace,
+    degree: int,
+    words: Iterable[Word],
+    value: Callable[[Word], Element],
+) -> dict[int, MultiMap]:
+    """The degree-``degree`` family taking each of ``words`` to ``value(word)``, zeros dropped."""
+    per_weight: dict[int, dict[Word, Element]] = {}
+    for word in words:
+        got = value(word)
+        if got:
+            per_weight.setdefault(word.weight, {})[word] = got
+    return {n: MultiMap(source, target, n, degree - n, v) for n, v in per_weight.items()}
 
 
 class CoalgebraElement(Combination):

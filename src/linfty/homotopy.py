@@ -24,9 +24,9 @@ from fractions import Fraction
 from functools import partial
 
 from .grading import Combination, InputError, StructureError, add_scaled
-from .algebra import LInftyStructure, check_relations
-from .morphism import MorphismComponents, check_morphism
-from .convolution import ConvolutionAlgebra, HomElement, build_convolution, morphism_to_mc
+from .algebra import LInftyStructure, require_verified
+from .morphism import HomElement, MorphismComponents, check_morphism
+from .convolution import ConvolutionAlgebra, build_convolution, morphism_to_mc
 from .mc import PolyPath, apply_to_paths, gauge_flow, mc_residual, twisting_series
 
 
@@ -91,9 +91,8 @@ class PathAlgebra:
     """
 
     def __init__(self, base, t_cap: int):
-        if isinstance(base, LInftyStructure) and not base.verified:
-            if not check_relations(base).passed:
-                raise StructureError("path algebra over a structure failing relations")
+        if isinstance(base, LInftyStructure):
+            require_verified(base, "the path algebra's base structure")
         self.base = base
         self.t_cap = t_cap
 

@@ -32,11 +32,10 @@ from .grading import (
     Element,
     FlatnessError,
     InputError,
-    MultiMap,
     NonConvergenceError,
     Word,
     add_scaled,
-    wedge_basis,
+    tabulate,
 )
 from .algebra import FiltrationChain, LInftyStructure, lower_central_series
 
@@ -50,7 +49,7 @@ def twisting_series(apply, cap: int, pi, args: Sequence = ()):
     :class:`~linfty.grading.Combination` kind, so elements, polynomial paths
     and path-algebra elements all go through here.
 
-    >>> from linfty.grading import GradedSpace
+    >>> from linfty.grading import GradedSpace, MultiMap
     >>> V = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
     >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("x", "y"): {"z": Fraction(1)}})
     >>> heis = LInftyStructure(V, {2: q2}, cap=3)
@@ -123,18 +122,13 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
             pi.residual,
         )
     space = structure.space
-    maps: dict[int, MultiMap] = {}
-    for n in range(1, structure.cap + 1):
-        values: dict[Word, Element] = {}
-        for word in wedge_basis(space, n):
-            args = [Element.basis(space, name) for name in word.factors]
-            total = twisting_series(structure.apply, structure.cap, pi.value, args)
-            if not total.is_zero():
-                values[word] = total
-        if values:
-            maps[n] = MultiMap(space, space, n, 2 - n, values)
-    twisted = LInftyStructure(space, maps, structure.cap)
-    return twisted
+
+    def value(word: Word) -> Element:
+        args = [Element.basis(space, name) for name in word.factors]
+        return twisting_series(structure.apply, structure.cap, pi.value, args)
+
+    maps = tabulate(space, space, 2, structure.words(), value)
+    return LInftyStructure(space, maps, structure.cap)
 
 
 class PolyPath(Combination):

@@ -9,6 +9,9 @@ size.  Compatibility with the two coderivations is measured per weight by
 
 which vanishes for every weight up to the cap exactly when the lift commutes
 with the coderivations on the whole truncation.
+
+A family {a_n} with a_n of weight n and degree u - n is a degree-u vector of
+the mapping space, :class:`HomElement`; a morphism is a degree-1 vector.
 """
 
 from __future__ import annotations
@@ -18,29 +21,36 @@ from typing import Mapping
 
 from .grading import (
     CoalgebraElement,
+    Combination,
     Element,
     GradedSpace,
     InputError,
     MultiMap,
-    StructureError,
     Word,
     add_scaled,
+    map_family,
     signed_blocks,
     signed_blocks_by_count,
     subword,
-    wedge_basis,
+    tabulate,
 )
-from .algebra import LInftyStructure, check_relations, lift_coderivation
+from .algebra import LInftyStructure, lift_coderivation, require_verified
 from . import linalg
 
 
-class MorphismComponents:
-    """Component maps {F_n} of a morphism between two structures."""
+class HomElement(Combination):
+    """Weight-indexed component maps: one mapping-space vector of degree ``degree``.
+
+    Vectors add and compare when their spaces, cap and degree agree.
+    """
+
+    components = Combination.terms
 
     def __init__(
         self,
         source: LInftyStructure,
         target: LInftyStructure,
+        degree: int,
         components: Mapping[int, MultiMap],
     ):
         if source.cap != target.cap:
@@ -50,37 +60,54 @@ class MorphismComponents:
         self.source = source
         self.target = target
         self.cap = source.cap
-        self.components: dict[int, MultiMap] = {}
-        for n, f in sorted(components.items()):
-            if f is None or f.is_zero():
-                continue
-            if n != f.weight:
-                raise StructureError("component at weight %d has weight %d" % (n, f.weight))
-            if n > self.cap:
-                raise StructureError("component weight %d exceeds cap %d" % (n, self.cap))
-            if f.degree != 1 - n:
-                raise StructureError(
-                    "component of weight %d has degree %d, expected %d"
-                    % (n, f.degree, 1 - n)
-                )
-            if f.source != source.space or f.target != target.space:
-                raise StructureError("component %d maps between the wrong spaces" % n)
-            self.components[n] = f
-        self.verified = False
+        self.degree = degree
+        self.terms = map_family(components, source.space, target.space, self.cap, degree)
+
+    def _home(self) -> tuple:
+        return self.source.space, self.target.space, self.cap, self.degree
+
+    def _like(self, terms: dict) -> "HomElement":
+        return HomElement(self.source, self.target, self.degree, terms)
+
+    @property
+    def filtration_level(self) -> int:
+        """Smallest weight carrying a nonzero component; cap+1 when zero."""
+        if not self.components:
+            return self.cap + 1
+        return min(self.components)
 
     def component(self, n: int) -> MultiMap:
         got = self.components.get(n)
         if got is None:
-            return MultiMap(self.source.space, self.target.space, n, 1 - n)
+            return MultiMap(self.source.space, self.target.space, n, self.degree - n)
         return got
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MorphismComponents)
-            and self.source.space == other.source.space
-            and self.target.space == other.target.space
-            and self.components == other.components
+    def value(self, word: Word) -> Element:
+        return self.component(word.weight).value(word)
+
+    def __repr__(self):
+        return "HomElement(degree=%d, weights=%s, level=%d)" % (
+            self.degree,
+            sorted(self.components),
+            self.filtration_level,
         )
+
+
+class MorphismComponents(HomElement):
+    """Component maps {F_n} of a morphism, the degree-1 vectors.
+
+    ``verified`` is set once the components are known to be compatible; a
+    sum or multiple is a plain :class:`HomElement`.
+    """
+
+    def __init__(
+        self,
+        source: LInftyStructure,
+        target: LInftyStructure,
+        components: Mapping[int, MultiMap],
+    ):
+        super().__init__(source, target, 1, components)
+        self.verified = False
 
     def __repr__(self):
         return "MorphismComponents(weights=%s, cap=%d)" % (
@@ -91,12 +118,10 @@ class MorphismComponents:
 
 def identity_morphism(structure: LInftyStructure) -> MorphismComponents:
     space = structure.space
-    values = {}
-    for name in space.names:
-        word = Word((name,), space.degree(name))
-        values[word] = Element.basis(space, name)
-    f1 = MultiMap(space, space, 1, 0, values)
-    morphism = MorphismComponents(structure, structure, {1: f1})
+    components = tabulate(
+        space, space, 1, structure.words(1), lambda word: Element.basis(space, word.factors[0])
+    )
+    morphism = MorphismComponents(structure, structure, components)
     morphism.verified = True
     return morphism
 
@@ -196,13 +221,6 @@ class MorphismReport:
         return "\n".join(lines)
 
 
-def _require_verified(structure: LInftyStructure, label: str):
-    if not structure.verified:
-        report = check_relations(structure)
-        if not report.passed:
-            raise StructureError("%s fails its relation check" % label)
-
-
 def check_morphism(morphism: MorphismComponents) -> MorphismReport:
     """Per-weight compatibility residuals of the lifted morphism.
 
@@ -214,8 +232,8 @@ def check_morphism(morphism: MorphismComponents) -> MorphismReport:
     every other term leaves a word of a weight that no stored map sends to
     the cogenerators, so it contributes exactly zero.
     """
-    _require_verified(morphism.source, "source structure")
-    _require_verified(morphism.target, "target structure")
+    require_verified(morphism.source, "source structure")
+    require_verified(morphism.target, "target structure")
     lift = lift_morphism(morphism)
     q_src = lift_coderivation(morphism.source)
     target = morphism.target
@@ -236,19 +254,14 @@ def compose(g: MorphismComponents, f: MorphismComponents) -> MorphismComponents:
     if f.target.space != g.source.space or f.target.cap != g.source.cap:
         raise InputError("middle structures of the composition do not match")
     lift_f = lift_morphism(f)
-    components: dict[int, MultiMap] = {}
-    for n in range(1, f.cap + 1):
-        values: dict[Word, Element] = {}
-        for word in wedge_basis(f.source.space, n):
-            total = lift_f.project(
-                word, g.components, g.target.space, word.degree + 1 - n
-            )
-            if not total.is_zero():
-                values[word] = total
-        if values:
-            components[n] = MultiMap(
-                f.source.space, g.target.space, n, 1 - n, values
-            )
+    target = g.target.space
+    components = tabulate(
+        f.source.space,
+        target,
+        1,
+        f.source.words(),
+        lambda word: lift_f.project(word, g.components, target, word.degree + 1 - word.weight),
+    )
     out = MorphismComponents(f.source, g.target, components)
     out.verified = f.verified and g.verified
     return out
@@ -303,7 +316,7 @@ def _q1_matrix(structure: LInftyStructure, degree: int) -> list[list[Fraction]]:
 
 def cohomology(structure: LInftyStructure) -> CohomologyReport:
     """Per-degree cohomology of the weight-1 differential, exact over Q."""
-    _require_verified(structure, "structure")
+    require_verified(structure, "structure")
     space = structure.space
     degrees = space.degrees_present()
     dims: dict[int, int] = {}

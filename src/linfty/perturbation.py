@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .grading import Element, InputError, MultiMap, StructureError, Word, add_scaled, wedge_basis
 from .algebra import LInftyStructure
-from .morphism import MorphismComponents, check_morphism
-from .convolution import ConvolutionAlgebra, HomElement, mc_to_morphism
+from .morphism import HomElement, MorphismComponents, check_morphism
+from .convolution import ConvolutionAlgebra, mc_to_morphism
 from .mc import PolyPath
 from .homotopy import gauge_to_homotopy
 
@@ -65,10 +65,6 @@ def flow_morphism(
 ) -> tuple[MorphismComponents, PolyPath, ConvolutionAlgebra]:
     """The t = 1 endpoint of the request's gauge homotopy, its flow and its algebra."""
     morphism = request.morphism
-    if not morphism.verified:
-        report = check_morphism(morphism)
-        if not report.passed:
-            raise StructureError("cannot perturb: the input fails its morphism check")
     h = gauge_to_homotopy(
         morphism, direction_element(morphism, request.weight, request.correction)
     )

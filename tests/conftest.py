@@ -638,6 +638,15 @@ def reference_representatives(space, degree, kernel, image):
 # ``materialized_hom_structure`` can feed and check the HomElement code.
 
 
+def assemble(conv, degree, comps):
+    """The degree-``degree`` mapping-space element with values ``comps[n][word]``."""
+    maps = {
+        n: MultiMap(conv.source.space, conv.target.space, n, degree - n, dict(values))
+        for n, values in comps.items()
+    }
+    return HomElement(conv.source, conv.target, degree, maps)
+
+
 def element_to_hom(conv, element):
     if element.space != conv.hom_space:
         raise InputError("element does not live in the mapping space")
@@ -693,7 +702,7 @@ def _reference_differential(conv, alpha):
             total = q1.apply([val]) + total
         if not total.is_zero():
             comps.setdefault(m, {})[word] = total
-    return conv._assemble(alpha.degree + 1, comps)
+    return assemble(conv, alpha.degree + 1, comps)
 
 
 def reference_bracket(conv, alphas):
@@ -729,7 +738,7 @@ def reference_bracket(conv, alphas):
                     total = total + term.scale(-sign if crossing % 2 else sign)
         if not total.is_zero():
             comps.setdefault(m, {})[word] = total
-    return conv._assemble(u_out, comps)
+    return assemble(conv, u_out, comps)
 
 
 def homotopy_round_trip(h, first, second, directory):

@@ -90,6 +90,22 @@ def test_mc_check_bad_element():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-check", "--pi", "1*b"],
+        ["twist", "--pi", "1*b"],
+        ["gauge-flow", "--pi", "1*b", "--xi", "1*a"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_refuse_a_structure_failing_its_relations(argv):
+    code, out, _ = run(argv[0], path("broken.alg"), *argv[1:])
+    assert code == 1
+    assert out.startswith("relations fail up to weight cap 3:")
+    assert "a -> 1*c" in out and "curvature" not in out
+
+
 def test_twist_writes_valid_algebra(tmp_path):
     out_file = str(tmp_path / "twisted.alg")
     code, _, _ = run("twist", path("heis.alg"), "--pi", "1*x", "--out", out_file)

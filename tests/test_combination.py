@@ -124,6 +124,22 @@ def test_hom_elements_compare_spaces_not_structures():
     assert (moved + a).components == a.scale(2).components
 
 
+def test_hom_elements_of_two_caps_are_different_vectors():
+    rng = random.Random(5)
+    comps = {n: multimap(rng, V, n, 1 - n) for n in (1, 2)}
+    at3 = HomElement(LInftyStructure(V, {}, cap=3), LInftyStructure(V, {}, cap=3), 1, comps)
+    high = LInftyStructure(V, {}, cap=4)
+    at4 = HomElement(high, high, 1, comps)
+    assert at3.components == at4.components and at3 != at4
+    top = MultiMap.from_entries(V, V, 4, -3, {("x", "x", "x", "x"): {"x": F(1)}})
+    deep = HomElement(high, high, 1, {**comps, 4: top})
+    for x, y in ((at3, deep), (deep, at3), (at3, at4)):
+        with pytest.raises(InputError):
+            x + y
+        with pytest.raises(InputError):
+            x - y
+
+
 def test_paths_over_two_algebras_of_one_pair_are_equal(two_term):
     copy = make_linfty(two_term.space, two_term.maps, two_term.cap)
     first = build_convolution(two_term, two_term, two_term.cap)

@@ -33,6 +33,7 @@ from linfty.grading import canonicalize_word
 from conftest import (
     SMALL_SPACES,
     apply_lift,
+    assemble,
     coalgebra_partitions,
     coordinate_path,
     element_to_hom,
@@ -351,7 +352,7 @@ def test_reconstruction_from_cogenerators():
         comps = {}
         for w, e in report.residuals.items():
             comps.setdefault(w.weight, {})[w] = e
-        defect = conv._assemble(2, comps)
+        defect = assemble(conv, 2, comps)
         lift = lift_morphism(morphism)
         q_src = lift_coderivation(source)
         q_tgt = lift_coderivation(target)
@@ -376,7 +377,7 @@ def test_partial_derivation_edges(two_term):
     # single slot acts as the replacement map alone
     word_b, _ = canonicalize_word(("b",), two_term.space)
     word_a, _ = canonicalize_word(("a",), two_term.space)
-    defect = conv._assemble(2, {1: {word_a: Element(two_term.space, 1, {"b": F(2)})}})
+    defect = assemble(conv, 2, {1: {word_a: Element(two_term.space, 1, {"b": F(2)})}})
     out = partial_derivation(defect, alpha, [word_a])
     assert out.terms == {word_b: F(2)}
     with pytest.raises(InputError):

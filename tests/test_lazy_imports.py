@@ -19,6 +19,7 @@ import linfty
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS_DIR), "src")
 HEIS = os.path.join(TESTS_DIR, "data", "heis.alg")
+ID_TWOTERM = os.path.join(TESTS_DIR, "data", "id_twoterm.mor")
 MODULES = (
     "algebra", "cli", "convolution", "documents", "grading", "homotopy",
     "linalg", "mc", "morphism", "perturbation",
@@ -31,17 +32,22 @@ def loaded():
 import linfty.cli
 after_import = loaded()
 dataclasses = "dataclasses" in sys.modules
-code = linfty.cli.main(["check-linfty", sys.argv[1]])
+code = linfty.cli.main(sys.argv[1:])
 print(json.dumps([after_import, dataclasses, code, loaded()]))
 """
 
 
-def test_cli_loads_only_what_a_command_runs():
+def probe(*argv):
+    """What a fresh interpreter loads importing the CLI, then running ``argv``."""
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, HEIS],
+        [sys.executable, "-c", PROBE, *argv],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
     )
-    after_import, dataclasses, code, after_check = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_loads_only_what_a_command_runs():
+    after_import, dataclasses, code, after_check = probe("check-linfty", HEIS)
     assert set(after_import) == {
         "linfty", "linfty.cli", "linfty.grading", "linfty.algebra",
         "linfty.linalg", "linfty.documents",
@@ -50,6 +56,15 @@ def test_cli_loads_only_what_a_command_runs():
     assert code == 0
     kernels = {"morphism", "mc", "convolution", "homotopy", "perturbation"}
     assert not {"linfty." + m for m in kernels} & set(after_check)
+
+
+def test_check_morphism_loads_no_mapping_space_module():
+    # a morphism is a HomElement, which lives in morphism, not convolution
+    _, _, code, loaded = probe("check-morphism", ID_TWOTERM)
+    assert code == 0
+    assert "linfty.morphism" in loaded
+    kernels = {"convolution", "mc", "homotopy", "perturbation"}
+    assert not {"linfty." + m for m in kernels} & set(loaded)
 
 
 def test_flow_errors_live_in_grading():

@@ -6,8 +6,13 @@ import pytest
 from linfty import (
     Element,
     GradedSpace,
+    HomElement,
     InputError,
+    LInftyStructure,
     MultiMap,
+    StructureError,
+    build_convolution,
+    build_path_algebra,
     check_morphism,
     check_relations,
     cohomology,
@@ -21,7 +26,8 @@ from linfty import (
 from linfty import linalg
 import linfty.morphism as morphism_module
 from linfty.morphism import MorphismComponents
-from linfty.grading import canonicalize_word
+from linfty.grading import canonicalize_word, wedge_basis
+from linfty.perturbation import PerturbationRequest, perturb
 
 from conftest import (
     SMALL_SPACES,
@@ -386,3 +392,97 @@ def test_cohomology_representatives_match_the_greedy_reference():
             assert report.representatives[d] == want
             several += len(want) > 1 and bool(report.images[d])
     assert several > 12
+
+
+# The weight-graded family contract, shared by every class that stores one.
+V = GradedSpace([("w", 0), ("x", 1), ("y", 1), ("z", 2)])
+W = GradedSpace([("w", 0), ("x", 1), ("y", 1), ("u", 2)])
+
+
+def nonzero_map(src, tgt, n, degree):
+    """A weight-n map of the given degree with one nonzero value."""
+    for word in wedge_basis(src, n):
+        names = tgt.basis_of_degree(word.degree + degree)
+        if names:
+            return MultiMap(src, tgt, n, degree, {word: Element.basis(tgt, names[0])})
+    raise AssertionError("no weight-%d word of %r reaches the target" % (n, src))
+
+
+def structure_family(maps):
+    return LInftyStructure(V, maps, cap=3).maps
+
+
+def morphism_family(maps):
+    return MorphismComponents(LInftyStructure(V, {}, 3), LInftyStructure(W, {}, 3), maps).components
+
+
+def hom_family(degree):
+    def build(maps):
+        return HomElement(LInftyStructure(V, {}, 3), LInftyStructure(W, {}, 3), degree, maps).components
+    return build
+
+
+FAMILIES = [
+    ("LInftyStructure", 2, V, structure_family),
+    ("MorphismComponents", 1, W, morphism_family),
+    ("HomElement-0", 0, W, hom_family(0)),
+    ("HomElement-2", 2, W, hom_family(2)),
+]
+
+
+@pytest.mark.parametrize("degree, target, build", [f[1:] for f in FAMILIES], ids=[f[0] for f in FAMILIES])
+def test_every_map_family_keeps_one_contract(degree, target, build):
+    good = {n: nonzero_map(V, target, n, degree - n) for n in (1, 2, 3)}
+    assert build(good) == good
+    zero = MultiMap(V, target, 1, degree - 1)
+    assert build({1: zero, 2: good[2], 3: None}) == {2: good[2]}
+    faults = {
+        "weight": {2: good[1]},
+        "cap": {4: nonzero_map(V, target, 4, degree - 4)},
+        "degree": {1: nonzero_map(V, target, 1, degree)},
+        "spaces": {1: nonzero_map(W, W, 1, degree - 1)},
+    }
+    messages = {
+        "weight": "stored at weight 2 has weight 1",
+        "cap": "weight 4 exceeds cap 3",
+        "degree": "has degree %d, expected %d" % (degree, degree - 1),
+        "spaces": "wrong spaces",
+    }
+    for fault, maps in faults.items():
+        with pytest.raises(StructureError, match=messages[fault]):
+            build(maps)
+
+
+def test_a_morphism_is_a_degree_one_hom_element(two_term):
+    f = identity_morphism(two_term)
+    assert isinstance(f, HomElement) and f.degree == 1
+    same = MorphismComponents(two_term, two_term, f.components)
+    assert same == f and not same.verified
+    total = f + same
+    assert type(total) is HomElement and total.degree == 1
+    assert total.components == f.scale(2).components
+
+
+def test_a_structure_failing_its_relations_is_refused_everywhere():
+    space = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+    chain = MultiMap.from_entries(space, space, 1, 1, {("a",): {"b": F(1)}, ("b",): {"c": F(1)}})
+    refusals = [
+        lambda s: check_morphism(MorphismComponents(s, s, {})),
+        cohomology,
+        lambda s: build_convolution(s, s, s.cap),
+        build_path_algebra,
+    ]
+    for refuse in refusals:
+        broken = make_linfty(space, {1: chain}, cap=3)
+        with pytest.raises(StructureError, match="fails its relation check"):
+            refuse(broken)
+
+
+def test_perturbing_a_map_that_is_no_morphism_is_refused(two_term):
+    space = two_term.space
+    only_a = MultiMap.from_entries(space, space, 1, 0, {("a",): {"a": F(1)}})
+    not_a_morphism = MorphismComponents(two_term, two_term, {1: only_a})
+    correction = MultiMap.from_entries(space, space, 1, -1, {("b",): {"a": F(1)}})
+    with pytest.raises(StructureError, match="fails its compatibility check"):
+        perturb(PerturbationRequest(not_a_morphism, 1, correction))
+    assert not not_a_morphism.verified
