@@ -1,4 +1,4 @@
-# Gauge flows: exact Picard iteration of d/dt pi_t = Q_1^{pi_t}(xi).
+# Gauge flows: d/dt pi_t = Q_1^{pi_t}(xi) solved exactly, one power of t at a time.
 
 from fractions import Fraction
 
@@ -32,8 +32,8 @@ print("flow of q along p:", repr(path))
 for t in (F(0), F(1, 2), F(1)):
     print("  curvature at t = %s:" % t, repr(mc_residual(structure, path.evaluate(t))))
 
-# On a structure whose lower central series never dies the iteration
-# cannot stabilize, and the flow refuses with a diagnostic.
+# On a structure whose lower central series never dies the powers of t
+# never die, and the flow refuses with a diagnostic.
 bad_space = GradedSpace([("w", 0), ("v", 1)])
 bad = make_linfty(
     bad_space,

@@ -42,9 +42,7 @@ def _emit(report: dict, text: str, fmt: str):
         print(text)
 
 
-def _cmd_check_linfty(args) -> int:
-    structure = documents.load_algebra(args.file, args.cap)
-    report = check_relations(structure)
+def _emit_relations(report, fmt: str):
     _emit(
         {
             "command": "check-linfty",
@@ -53,8 +51,14 @@ def _cmd_check_linfty(args) -> int:
             "residuals": _residuals_json(report.residuals),
         },
         report.summary(),
-        args.format,
+        fmt,
     )
+
+
+def _cmd_check_linfty(args) -> int:
+    structure = documents.load_algebra(args.file, args.cap)
+    report = check_relations(structure)
+    _emit_relations(report, args.format)
     return PASS if report.passed else FAIL
 
 
@@ -121,11 +125,11 @@ def _cmd_quasi_iso(args) -> int:
     return PASS if verdict.verdict else FAIL
 
 
-def _relations_hold(structure) -> bool:
-    """Check the relations a command builds on; on failure print the report's summary."""
+def _relations_hold(structure, fmt: str) -> bool:
+    """Check the relations a command builds on; on failure emit the ``check-linfty`` report."""
     report = check_relations(structure)
     if not report.passed:
-        print(report.summary())
+        _emit_relations(report, fmt)
     return report.passed
 
 
@@ -143,7 +147,7 @@ def _cmd_mc_check(args) -> int:
     else:
         structure = documents.load_algebra(args.file, args.cap)
         value = _load_pi(args, structure)
-    if not _relations_hold(structure):
+    if not _relations_hold(structure, args.format):
         return FAIL
     if value.degree != 1:
         raise InputError("Maurer-Cartan candidates must have degree 1")
@@ -170,7 +174,7 @@ def _cmd_twist(args) -> int:
     from .mc import mc_element, twist
 
     structure = documents.load_algebra(args.file, args.cap)
-    if not _relations_hold(structure):
+    if not _relations_hold(structure, args.format):
         return FAIL
     value = _load_pi(args, structure)
     twisted = twist(structure, mc_element(structure, value))
@@ -187,7 +191,7 @@ def _cmd_gauge_flow(args) -> int:
     from .mc import gauge_flow, mc_element, mc_residual
 
     structure = documents.load_algebra(args.file, args.cap)
-    if not _relations_hold(structure):
+    if not _relations_hold(structure, args.format):
         return FAIL
     pi0 = _load_pi(args, structure)
     xi = documents.parse_element(structure.space, args.xi)

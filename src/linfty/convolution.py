@@ -174,8 +174,9 @@ class ConvolutionAlgebra:
             m = word.weight
             degree = word.degree + alpha.degree + 1 - m
             coeffs: dict = {}
-            val = alpha.component(m).value(word)
-            if q1 is not None and val:
+            comp = alpha.components.get(m)
+            val = None if q1 is None or comp is None else comp.values.get(word)
+            if val is not None:
                 add_scaled(coeffs, q1.apply([val]), 1)
             before = self._lift.project(word, alpha.components, tgt.space, degree)
             add_scaled(coeffs, before, -cross)

@@ -33,7 +33,7 @@ class StructureError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Picard iteration failed to stabilize; the structure looks non-nilpotent."""
+    """A gauge flow's powers of t did not die within its bound; the structure looks non-nilpotent."""
 
 
 class FlatnessError(ValueError):

@@ -39,7 +39,7 @@ class PathElement(Combination):
 
     Both parts are polynomial paths of base elements, keyed by their power
     of dt; the dt part sits one degree lower, dt itself carrying degree 1.
-    Only nonzero parts are stored.
+    Both are paths over ``space``.  Only nonzero parts are stored.
     """
 
     __slots__ = ("space", "degree")
@@ -53,6 +53,8 @@ class PathElement(Combination):
                 continue
             if part.degree != degree - power:
                 raise InputError("path element parts have inconsistent degrees")
+            if part._home() != PolyPath(space, part.degree)._home():
+                raise InputError("path element part does not live in the element's space")
             if part:
                 terms[power] = part
         self.terms = terms

@@ -4,10 +4,12 @@ The curvature of a degree-1 element is sum(1/n! * Q_n(pi, ..., pi)); with
 maps vanishing above the weight cap the sum is finite and every statement is
 "up to the cap".  Twisting inserts a flat element into the front slots of
 every structure map, the untwisted map being the zeroth term.  The gauge
-flow integrates d/dt pi_t = Q_1^{pi_t}(xi) by Picard iteration with exact
-polynomial coefficients in t; in a nilpotent structure each iteration gains
-one level of the lower central filtration, so the iteration reaches an exact
-fixpoint or the structure was not nilpotent.
+flow integrates d/dt pi_t = Q_1^{pi_t}(xi) one power of t at a time, with
+exact coefficients: the coefficient of t^(k+1) reads only the coefficients
+of t^0 ... t^k.  In a nilpotent structure the coefficient of t^k lies in
+level k of the lower central filtration, so the coefficients die out and one
+exact fixpoint check of the integral equation certifies the polynomial path;
+coefficients that never die mean the structure was not nilpotent.
 
 The curvature, the twisted differential and the flow read an algebra only
 through ``cap``, ``space`` (where its vectors live) and ``apply(n, elements)``,
@@ -137,8 +139,8 @@ class PolyPath(Combination):
     Powers of t map to coefficients: ``Element`` values over a
     ``GradedSpace`` space, or ``HomElement`` values over a
     ``ConvolutionAlgebra``; ``space.zero(degree)`` is the value of an empty
-    path.  Two algebras of one pair are one space, so equal flows over them
-    agree.
+    path, and every coefficient must share its home.  Two algebras of one
+    pair are one space, so equal flows over them agree.
     """
 
     __slots__ = ("space", "degree")
@@ -148,11 +150,16 @@ class PolyPath(Combination):
         self.space = space
         self.degree = degree
         terms: dict = {}
+        home = None
         for power, elem in (coefficients or {}).items():
             if elem.degree != degree:
                 raise InputError(
                     "path coefficient of degree %d in a degree-%d path" % (elem.degree, degree)
                 )
+            if home is None:
+                home = space.zero(degree)._home()
+            if elem._home() != home:
+                raise InputError("path coefficient does not live in the path's space")
             if elem:
                 terms[int(power)] = elem
         self.terms = terms
@@ -206,10 +213,12 @@ def apply_to_paths(algebra, n: int, paths: list[PolyPath]) -> PolyPath:
             for power, elems in stack
             for p, e in path.coefficients.items()
         ]
-    terms: dict = {}
+    # power -> the terms of that power's coefficient, summed in place
+    sums: dict[int, dict] = {}
     for power, elems in stack:
-        add_scaled(terms, PolyPath(space, degree, {power: algebra.apply(n, elems)}), 1)
-    return PolyPath(space, degree, terms)
+        add_scaled(sums.setdefault(power, {}), algebra.apply(n, elems), 1)
+    zero = space.zero(degree)
+    return PolyPath(space, degree, {p: zero._like(terms) for p, terms in sums.items()})
 
 
 def twisted_differential_of(algebra, pi_path: PolyPath, xi) -> PolyPath:
@@ -218,32 +227,65 @@ def twisted_differential_of(algebra, pi_path: PolyPath, xi) -> PolyPath:
     return twisting_series(partial(apply_to_paths, algebra), algebra.cap, pi_path, [xi_path])
 
 
+def _compositions(total: int, parts: int, support: Sequence[int]):
+    """Ordered tuples of ``parts`` entries of ``support`` (ascending) summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+    elif parts == 1:
+        if total in support:
+            yield (total,)
+    else:
+        for first in support:
+            if first > total:
+                break
+            for rest in _compositions(total - first, parts - 1, support):
+                yield (first,) + rest
+
+
 def gauge_flow(
     algebra,
     pi0,
     xi,
     iteration_bound: int | None = None,
 ) -> PolyPath:
-    """Picard iteration of pi_t = pi0 + integral of Q_1^{pi_t}(xi).
+    """Solve pi_t = pi0 + integral of Q_1^{pi_t}(xi) one power of t at a time.
 
-    Returns the exact polynomial fixpoint; ``iteration_bound`` counts Picard
-    steps, the last of them the one that reproduces the fixpoint.  Raises
-    :class:`NonConvergenceError` when the bound is exhausted, the diagnostic
-    for a structure that is not nilpotent (pronilpotence is what guarantees
-    convergence of the iteration), and :class:`InputError` for a bound
-    below 1, which allows no step at all.  ``pi0``, ``xi`` and the path's
-    coefficients are vectors of ``algebra.space``.
+    With pi_t = sum of a_k t^k, a_0 = pi0 and
 
-    The default bound is ``dim + 3`` steps, ``dim`` the dimension of
-    ``algebra.space``: each step gains a level of the lower central
-    filtration, whose strictly decreasing chain dies by depth ``dim + 1``,
-    so this is at least the depth + 2 that the series certifies.  The series
-    is computed only when that bound runs out; if it certifies nilpotency
-    at a larger depth + 2 (a chain that is not monotone, possible with
-    Q_k for k >= 3) the iteration continues to that bound.  A large
-    structure that is not nilpotent therefore takes dim + 3 steps to be
-    refused.  The default reads the structure maps once it runs out, so an
-    algebra that is not an :class:`LInftyStructure` must pass a bound.
+        a_{k+1} = 1/(k+1) * sum over m of 1/m! *
+                  sum over k_1 + ... + k_m = k of Q_{m+1}(a_{k_1}, ..., a_{k_m}, xi),
+
+    the t^k part of the twisted series; compositions that read a zero
+    coefficient are skipped.  Each zero coefficient a_{k+1} triggers one
+    exact check that a_0 + ... + a_k t^k satisfies the integral equation
+    (``twisted_differential_of``, the series on the whole path); the first
+    path that passes is returned, and it is the unique fixpoint.
+
+    ``iteration_bound`` counts the powers computed, a_1 the first, so a
+    path of degree D needs D + 1.  With Q_1 and Q_2 alone that is the
+    number of Picard steps that used to reproduce the same path; with Q_k
+    for k >= 3 a Picard iterate can reach the fixpoint a step early or
+    carry spurious higher powers for a few steps, so an explicit bound near
+    D + 1 can give another verdict than it did as a step count.  Raises
+    :class:`NonConvergenceError` when the bound is exhausted, the
+    diagnostic for a structure that is not nilpotent, and
+    :class:`InputError` for a bound below 1, which allows no power at all.
+    ``pi0``, ``xi`` and the path's coefficients are vectors of
+    ``algebra.space``.
+
+    The default bound is ``dim + 3`` powers, ``dim`` the dimension of
+    ``algebra.space``: a_k lies in level k of the lower central filtration,
+    whose strictly decreasing chain dies by depth ``dim + 1``, so this is at
+    least the depth + 2 that the series certifies.  The series is computed
+    only when that bound runs out; if it certifies nilpotency at a larger
+    depth + 2 (a chain that is not monotone, possible with Q_k for k >= 3)
+    the flow continues to that bound.  A structure that is not nilpotent is
+    refused after dim + 3 powers, at a cost polynomial in the bound: power
+    k evaluates at most one Q_{m+1} per composition of k into m parts, and
+    a zero power one series over the path.  The default reads the structure
+    maps once it runs out, so an algebra that is not an
+    :class:`LInftyStructure` must pass a bound.
     """
     if isinstance(pi0, MCElement):
         start = pi0.value
@@ -255,17 +297,31 @@ def gauge_flow(
         raise InputError("flow starts at a degree-1 element")
     if iteration_bound is not None and iteration_bound < 1:
         raise InputError("the iteration bound must be at least 1, got %d" % iteration_bound)
+    space = algebra.space
     extend = iteration_bound is None
-    bound = algebra.space.dimension() + 3 if extend else iteration_bound
-    base = current = PolyPath(algebra.space, 1, {0: start})
-    steps = 0
-    while steps < bound:
-        steps += 1
-        updated = base + twisted_differential_of(algebra, current, xi).integrate()
-        if updated == current:
-            return current
-        current = updated
-        if extend and steps == bound:
+    bound = space.dimension() + 3 if extend else iteration_bound
+    base = PolyPath(space, 1, {0: start})
+    zero = space.zero(1)
+    coefficients = [start]
+    support = [0] if start else []
+    powers = 0
+    while powers < bound:
+        terms: dict = {}
+        for m in range(algebra.cap):
+            scalar = Fraction(1, (powers + 1) * factorial(m))
+            for parts in _compositions(powers, m, support):
+                args = [coefficients[p] for p in parts] + [xi]
+                add_scaled(terms, algebra.apply(m + 1, args), scalar)
+        powers += 1
+        coefficient = zero._like(terms)
+        coefficients.append(coefficient)
+        if coefficient:
+            support.append(powers)
+        else:
+            path = PolyPath(space, 1, dict(enumerate(coefficients)))
+            if base + twisted_differential_of(algebra, path, xi).integrate() == path:
+                return path
+        if extend and powers == bound:
             extend = False
             chain = lower_central_series(algebra)
             if chain.nilpotent:

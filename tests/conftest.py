@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from linfty import (
     GradedSpace,
     InputError,
     MultiMap,
+    NonConvergenceError,
     build_convolution,
     check_relations,
     documents,
@@ -15,6 +17,7 @@ from linfty import (
     koszul_sign,
     lift_coderivation,
     linalg,
+    lower_central_series,
     make_linfty,
     wedge_basis,
 )
@@ -22,7 +25,7 @@ from linfty.algebra import FiltrationChain
 from linfty.convolution import HomElement
 from linfty.grading import add_scaled, signed_blocks, subword
 from linfty.homotopy import HomotopyElement
-from linfty.mc import PolyPath
+from linfty.mc import MCElement, PolyPath, twisted_differential_of
 
 F = Fraction
 
@@ -204,12 +207,13 @@ def q1_q3_structures(rng, count=12):
     return out
 
 
-def random_component_family(src, tgt, cap, rng, density=0.6):
+def random_component_family(src, tgt, cap, rng, density=0.6, degree=1):
+    """Random maps of weight n and degree ``degree - n``: a mapping-space vector's components."""
     comps = {}
     for n in range(1, cap + 1):
         entries = {}
         for w in wedge_basis(src.space, n):
-            value_degree = w.degree + 1 - n
+            value_degree = w.degree + degree - n
             targets = tgt.space.basis_of_degree(value_degree)
             combo = {
                 t: F(rng.randint(-2, 2)) for t in targets if rng.random() < density
@@ -218,7 +222,7 @@ def random_component_family(src, tgt, cap, rng, density=0.6):
             if combo:
                 entries[w.factors] = combo
         if entries:
-            comps[n] = MultiMap.from_entries(src.space, tgt.space, n, 1 - n, entries)
+            comps[n] = MultiMap.from_entries(src.space, tgt.space, n, degree - n, entries)
     return comps
 
 
@@ -390,6 +394,70 @@ def shift(m, n, rng, cap=3):
         for i in range(1, n + 1 - a)
     }
     return make_linfty(space, {2: MultiMap.from_entries(space, space, 2, 0, q2)}, cap)
+
+
+def twostep3(n, rng, cap=3, triples=True):
+    """x_i (degree 1) with central Q2(x_i, x_j) = c z_ij and, with ``triples``,
+    central Q3(x_i, x_j, x_k) = d w_ijk (degree 2); ``heis`` is the case
+    without triples.  Every output is central, so all relations hold.
+    """
+    pairs = list(combinations(range(1, n + 1), 2))
+    threes = list(combinations(range(1, n + 1), 3)) if triples else []
+    space = GradedSpace(
+        [("x%d" % i, 1) for i in range(1, n + 1)]
+        + [("z%d%d" % p, 2) for p in pairs]
+        + [("w%d%d%d" % t, 2) for t in threes]
+    )
+
+    def coeff():
+        return F(rng.choice((1, 2, 3)), rng.choice((1, 2))) * rng.choice((1, -1))
+
+    maps = {2: MultiMap.from_entries(space, space, 2, 0, {
+        ("x%d" % i, "x%d" % j): {"z%d%d" % (i, j): coeff()} for i, j in pairs
+    })}
+    if threes:
+        maps[3] = MultiMap.from_entries(space, space, 3, -1, {
+            tuple("x%d" % i for i in t): {"w%d%d%d" % t: coeff()} for t in threes
+        })
+    return make_linfty(space, maps, cap)
+
+
+def heis(n, rng, cap=3):
+    return twostep3(n, rng, cap, triples=False)
+
+
+# Test reference for linfty.mc.gauge_flow: the Picard iteration it replaced,
+# which re-evaluated the whole twisted series on the whole path every step;
+# ``iteration_bound`` counts those steps.
+
+
+def reference_gauge_flow(algebra, pi0, xi, iteration_bound=None):
+    start = pi0.value if isinstance(pi0, MCElement) else pi0
+    if xi.degree != 0:
+        raise InputError("gauge directions must have degree 0")
+    if start.degree != 1:
+        raise InputError("flow starts at a degree-1 element")
+    if iteration_bound is not None and iteration_bound < 1:
+        raise InputError("the iteration bound must be at least 1, got %d" % iteration_bound)
+    extend = iteration_bound is None
+    bound = algebra.space.dimension() + 3 if extend else iteration_bound
+    base = current = PolyPath(algebra.space, 1, {0: start})
+    steps = 0
+    while steps < bound:
+        steps += 1
+        updated = base + twisted_differential_of(algebra, current, xi).integrate()
+        if updated == current:
+            return current
+        current = updated
+        if extend and steps == bound:
+            extend = False
+            chain = lower_central_series(algebra)
+            if chain.nilpotent:
+                bound = max(bound, chain.depth + 2)
+    raise NonConvergenceError(
+        "gauge flow did not reach a fixpoint within %d iterations; "
+        "the structure is not nilpotent within the bound" % bound
+    )
 
 
 # Test reference for linfty.algebra.lower_central_series: the version that

@@ -106,6 +106,23 @@ def test_commands_refuse_a_structure_failing_its_relations(argv):
     assert "a -> 1*c" in out and "curvature" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-check", "--pi", "1*b"],
+        ["twist", "--pi", "1*b"],
+        ["gauge-flow", "--pi", "1*b", "--xi", "1*a"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_refusal_of_a_structure_failing_its_relations(argv):
+    code, out, _ = run(argv[0], path("broken.alg"), *argv[1:], "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report == json.loads(run("check-linfty", path("broken.alg"), "--format", "json")[1])
+    assert report["passed"] is False and report["residuals"]
+
+
 def test_twist_writes_valid_algebra(tmp_path):
     out_file = str(tmp_path / "twisted.alg")
     code, _, _ = run("twist", path("heis.alg"), "--pi", "1*x", "--out", out_file)

@@ -11,18 +11,32 @@ from linfty import (
     MultiMap,
     NonConvergenceError,
     PolyPath,
+    build_convolution,
     check_relations,
     gauge_flow,
+    gauge_to_homotopy,
+    identity_morphism,
     lower_central_series,
     make_linfty,
     mc,
     mc_element,
     mc_residual,
+    morphism_to_mc,
     twist,
 )
+from linfty.homotopy import PathElement
+from linfty.morphism import HomElement
 from linfty.mc import twisted_differential_of
 
-from conftest import q1_q3_structures, reference_lower_central_series, shift
+from conftest import (
+    heis,
+    q1_q3_structures,
+    random_component_family,
+    reference_gauge_flow,
+    reference_lower_central_series,
+    shift,
+    twostep3,
+)
 
 F = Fraction
 
@@ -207,6 +221,29 @@ def test_polypath_calculus(two_term):
     assert path.integrate().evaluate(F(0)).is_zero()
 
 
+def test_path_constructors_check_the_space(two_term, heisenberg):
+    # a coefficient or part from another space used to be accepted, so a sum
+    # of paths from two spaces was a path "in" the first
+    V, W = heisenberg.space, two_term.space
+    x, b = Element(V, 1, {"x": F(1)}), Element(W, 1, {"b": F(1)})
+    with pytest.raises(InputError, match="space"):
+        PolyPath(V, 1, {0: b})
+    with pytest.raises(InputError, match="space"):
+        PolyPath(V, 1, {0: x, 1: Element.zero(W, 1)})
+    with pytest.raises(InputError, match="space"):
+        PathElement(V, 1, PolyPath(W, 1, {0: b}))
+    with pytest.raises(InputError, match="space"):
+        PathElement(V, 1, PolyPath(V, 1, {0: x}), PolyPath(W, 0))
+    # mapping-space coefficients carry their pair and cap
+    conv = build_convolution(heisenberg, heisenberg, heisenberg.cap)
+    other = build_convolution(two_term, two_term, two_term.cap)
+    with pytest.raises(InputError, match="space"):
+        PolyPath(conv, 0, {0: other.zero(0)})
+    with pytest.raises(InputError, match="space"):
+        PathElement(conv, 1, PolyPath(other, 1))
+    assert PathElement(V, 1, PolyPath(V, 1, {0: x})).even == PolyPath(V, 1, {0: x})
+
+
 def test_twisted_differential_matches_series(step_nilpotent):
     # Q_1^{pi}(xi) with constant pi agrees with the series expansion
     space = step_nilpotent.space
@@ -295,3 +332,147 @@ def test_default_bound_extends_to_the_series_depth(monkeypatch, step_nilpotent):
     monkeypatch.setattr(space, "dimension", lambda degree=None: -1)
     assert gauge_flow(step_nilpotent, pi0, xi) == want
     assert read == [step_nilpotent]
+
+
+def flow_outcome(flow, algebra, pi0, xi, bound):
+    """The path, or the message of the :class:`NonConvergenceError` raised."""
+    try:
+        return flow(algebra, pi0, xi, bound)
+    except NonConvergenceError as exc:
+        return str(exc)
+
+
+def assert_flow_matches_reference(algebra, pi0, xi, bound, exact):
+    """The flow equals the Picard reference: identical paths or identical refusals.
+
+    Unless ``exact``, a verdict may differ because an explicit bound counts
+    powers, not Picard steps: then the side that returned a path P returned
+    the one fixpoint, and the flow returns it exactly when P's degree + 1
+    powers fit in the bound.
+    """
+    new = flow_outcome(gauge_flow, algebra, pi0, xi, bound)
+    old = flow_outcome(reference_gauge_flow, algebra, pi0, xi, bound)
+    if new == old:
+        return
+    assert not exact
+    path = new if isinstance(new, PolyPath) else old
+    assert isinstance(path, PolyPath)
+    if path is new:
+        assert reference_gauge_flow(algebra, pi0, xi, bound + 4) == path
+    else:
+        assert gauge_flow(algebra, pi0, xi, path.max_power() + 1) == path
+    assert (path is new) == (path.max_power() + 1 <= bound)
+
+
+def test_flow_matches_the_picard_reference_on_random_families(
+    heisenberg, step_nilpotent, two_term, non_nilpotent
+):
+    rng = random.Random(1207)
+    structures = [shift(1 + n % 3, n, rng) for n in (5, 7, 9)]
+    structures += [heis(3, rng), twostep3(3, rng, cap=4), heisenberg, step_nilpotent]
+    structures += [two_term, non_nilpotent] + q1_q3_structures(rng, 10)
+    cases = 0
+    for structure in structures:
+        chain = reference_lower_central_series(structure)
+        bounds = {None, 1, 2, 3, 4, 5}
+        if chain.nilpotent:
+            bounds |= {chain.depth, chain.depth + 2}
+        # a flow that is not a polynomial makes a Picard iterate's degree
+        # multiply by up to (top stored weight - 1) per step, so the
+        # reference runs only at bounds that keep that degree small
+        growth = max(structure.maps) - 1
+        default = structure.space.dimension() + 3
+        bounds = {b for b in bounds if growth ** (b or default) <= 81}
+        for _ in range(2):
+            pi0 = random_vector(structure, 1, rng)
+            xi = random_vector(structure, 0, rng)
+            for bound in sorted(bounds, key=lambda b: b or 0):
+                assert_flow_matches_reference(structure, pi0, xi, bound, exact=bound is None)
+                cases += 1
+    assert cases >= 200
+
+
+def test_mapping_space_flow_matches_the_picard_reference():
+    rng = random.Random(1208)
+    bases = [heis(2, rng), twostep3(3, rng)]
+    bases += [s for s in q1_q3_structures(rng, 8) if check_relations(s).passed][:2]
+    for base in bases:
+        cap = base.cap
+        conv = build_convolution(base, base, cap)
+        idm = identity_morphism(base)
+        direction = HomElement(base, base, 0, random_component_family(base, base, cap, rng, 0.5, 0))
+        # gauge_to_homotopy's default bound, cap + 2, reaches the new flow
+        h = gauge_to_homotopy(idm, direction)
+        assert h.h0 == reference_gauge_flow(conv, morphism_to_mc(idm), direction, cap + 2)
+        alpha = HomElement(base, base, 1, random_component_family(base, base, cap, rng, 0.5))
+        for bound in (cap + 2, 1, 2, 3, 4, 5):
+            assert_flow_matches_reference(conv, alpha, direction, bound, exact=bound == cap + 2)
+
+
+def test_an_explicit_bound_counts_powers_not_picard_steps():
+    # the verdict change the randomized tests allow, pinned: this mapping-space
+    # flow is pi0 + a_1 t + a_3 t^3, which the Picard iterate reached at its
+    # third step, while the power count needs four (the zero a_2 runs one
+    # failing check first)
+    space = GradedSpace([("a", 0), ("b", 1)])
+    q1 = MultiMap.from_entries(space, space, 1, 1, {("a",): {"b": F(-2)}})
+    q3 = MultiMap.from_entries(space, space, 3, -1, {("a", "b", "b"): {"b": F(-2)}})
+    base = make_linfty(space, {1: q1, 3: q3}, cap=4)
+    assert check_relations(base).passed
+    conv = build_convolution(base, base, 4)
+
+    def hom(degree, entries):
+        return HomElement(base, base, degree, {
+            n: MultiMap.from_entries(space, space, n, degree - n, e) for n, e in entries.items()
+        })
+
+    alpha = hom(1, {3: {("b", "b", "b"): {"b": F(-1)}}, 4: {("b",) * 4: {"b": F(1)}}})
+    xi = hom(0, {1: {("b",): {"a": F(1)}}, 2: {("b", "b"): {"a": F(1)}}})
+    path = reference_gauge_flow(conv, alpha, xi, 3)
+    assert sorted(path.coefficients) == [0, 1, 3]
+    with pytest.raises(NonConvergenceError, match="within 3 iterations"):
+        gauge_flow(conv, alpha, xi, 3)
+    assert gauge_flow(conv, alpha, xi, 4) == path
+
+
+def count_applies(monkeypatch, structure):
+    """Record the arity of every ``apply`` call the structure receives."""
+    calls = []
+    apply = structure.apply
+
+    def counting(n, elements):
+        calls.append(n)
+        return apply(n, elements)
+
+    monkeypatch.setattr(structure, "apply", counting)
+    return calls
+
+
+def test_refusal_work_grows_polynomially_in_the_bound(monkeypatch):
+    # {w:0, v:1} with Q2(w,v) = v and Q3(w,v,v) = v: the flow of v along w is
+    # 2 / (1 + e^t) v, not a polynomial.  Its even powers above t^0 vanish,
+    # so at bound 12 the powers cost 36 calls and the six fixpoint checks,
+    # each over a path with s = 2 ... 7 nonzero powers, 1 + s + s^2 calls;
+    # Picard's iterate doubled its degree every step instead
+    space = GradedSpace([("w", 0), ("v", 1)])
+    q2 = MultiMap.from_entries(space, space, 2, 0, {("w", "v"): {"v": F(1)}})
+    q3 = MultiMap.from_entries(space, space, 3, -1, {("w", "v", "v"): {"v": F(1)}})
+    structure = make_linfty(space, {2: q2, 3: q3}, cap=3)
+    calls = count_applies(monkeypatch, structure)
+    with pytest.raises(NonConvergenceError, match="within 12 iterations"):
+        gauge_flow(structure, Element(space, 1, {"v": F(1)}), Element(space, 0, {"w": F(1)}), 12)
+    assert len(calls) == 208
+
+
+def test_deep_flow_work_is_pinned(monkeypatch):
+    # shift(4, 64): a path of degree 63 takes 64 powers (1 + 64 + 2080 calls,
+    # Q3 on every ordered pair of nonzero powers) and one fixpoint check over
+    # the whole path (1 + 64 + 64 * 64)
+    structure = shift(4, 64, random.Random(64))
+    space = structure.space
+    pi0 = Element(space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
+    xi = Element(space, 0, {"p1": F(1), "p2": F(3)})
+    calls = count_applies(monkeypatch, structure)
+    path = gauge_flow(structure, pi0, xi)
+    assert path.max_power() == 63
+    assert len(calls) == 6306
