@@ -270,19 +270,21 @@ def unshuffle_residual(structure: LInftyStructure, word: Word) -> Element:
 
 
 class FiltrationChain:
-    """Lower central filtration F^1 >= F^2 >= ..., each given by spanning elements."""
+    """Lower central filtration F^1 >= F^2 >= ..., each given by spanning elements.
+
+    ``nilpotent`` says the chain reached zero, first at level ``depth``;
+    otherwise it stopped where a level repeated the one before.
+    """
 
     def __init__(
         self,
         structure: LInftyStructure,
         subspaces: list[dict[int, list[list[Fraction]]]],
-        stabilized: bool,
         nilpotent: bool,
         depth: int | None,  # first i with F^i = 0 when nilpotent
     ):
         self.structure = structure
         self.subspaces = subspaces
-        self.stabilized = stabilized
         self.nilpotent = nilpotent
         self.depth = depth
 
@@ -328,36 +330,55 @@ def _nondecreasing_compositions(
     return out
 
 
-def lower_central_series(
-    structure: LInftyStructure, depth_bound: int | None = None
-) -> FiltrationChain:
-    """Iterated structure-map images; termination certifies nilpotency.
+def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
+    """The least decreasing filtration the structure maps respect; zero certifies nilpotency.
 
-    F^1 = L and F^i is the span fixpoint of all Q_k(F^{i_1}, ..., F^{i_k})
-    over compositions i_1 + ... + i_k = i, the k = 1 term making each level
-    closed under Q_1.  Q_k is graded-symmetric (``MultiMap`` stores it on
-    canonical words and signs every reordering), so a permuted composition
-    spans the same subspace and only non-decreasing ones are evaluated.
+    F^1 = L and, for i >= 2, F^i is the Q_1-closure of the span of all
+    Q_k(F^{i_1}, ..., F^{i_k}) with k >= 2 and i_1 + ... + i_k >= i: the
+    least decreasing filtration with Q_k(F^{i_1}, ...) inside F^{i_1 + ...}.
+    Every level lies in the one before: by induction F^i lies in F^{i-1}, so
+    lowering each part i of a generator of F^{i+1} to i - 1 gives one of
+    F^i.  Lowering a part therefore only enlarges a generator's span, and it
+    suffices to evaluate Q_k on the compositions of exactly max(i, k).  Q_k is
+    graded-symmetric (``MultiMap`` stores it on canonical words and signs
+    every reordering), so a permuted composition spans the same subspace and
+    only non-decreasing ones are evaluated.
+
+    The series stops at the first level that is zero (nilpotent, ``depth``
+    that level) or equal to the one before (no certificate).  Each level
+    before the depth is strictly smaller than the one before, so a certified
+    depth is at most dim + 1.  With Q_k for k >= 3 a repeated level need not
+    repeat for ever: on {x:1, y:2} with Q3(x,x,x) = y levels 2 and 3 are
+    span(y) and level 4 is zero, and the series certifies nothing there.
+    Q_k for k >= 3 reaches every level below k, where compositions of i
+    alone would miss it:
+
+    >>> V = GradedSpace([("a", -1), ("b", 0), ("c", 1)])
+    >>> def q(n, entries):
+    ...     return MultiMap.from_entries(V, V, n, 2 - n, entries)
+    >>> L = make_linfty(V, {1: q(1, {("b",): {"c": Fraction(-1)}}),
+    ...                     3: q(3, {("a", "b", "c"): {"a": Fraction(-1)}}),
+    ...                     4: q(4, {("b", "c", "c", "c"): {"c": Fraction(-1)}})}, cap=4)
+    >>> check_relations(L).passed
+    True
+    >>> chain = lower_central_series(L)
+    >>> chain.verdict(), chain.spanning_elements(2)
+    ('not within bound', [1*a, 1*c])
     """
     space = structure.space
-    if depth_bound is None:
-        depth_bound = space.dimension() + 2
-    full = _subspace_of(
-        [Element.basis(space, n) for n in space.names], space
-    )
+    full = _subspace_of([Element.basis(space, n) for n in space.names], space)
     levels: list[dict[int, list[list[Fraction]]]] = [full]
     pools = [_subspace_elements(full, space)]  # spanning elements of each level
     q1 = structure.maps.get(1)
-    nilpotent = False
-    depth = None
-    stabilized = False
-    for i in range(2, depth_bound + 1):
+    i = 1
+    while True:
+        i += 1
         generators: list[Element] = []
-        for k in range(2, min(i, structure.cap) + 1):
+        for k in range(2, structure.cap + 1):
             q = structure.maps.get(k)
             if q is None:
                 continue
-            for comp in _nondecreasing_compositions(i, k):
+            for comp in _nondecreasing_compositions(max(i, k), k):
                 for args in product(*(pools[part - 1] for part in comp)):
                     generators.append(q.apply(args))
         current = _subspace_of(generators, space)
@@ -371,18 +392,5 @@ def lower_central_series(
             spanning = _subspace_elements(current, space)
         levels.append(current)
         pools.append(spanning)
-        if not current:
-            nilpotent = True
-            depth = i
-            stabilized = True
-            break
-        if current == levels[-2]:
-            stabilized = True
-            break
-    return FiltrationChain(
-        structure=structure,
-        subspaces=levels,
-        stabilized=stabilized,
-        nilpotent=nilpotent,
-        depth=depth,
-    )
+        if not current or current == levels[-2]:
+            return FiltrationChain(structure, levels, not current, None if current else i)

@@ -197,7 +197,10 @@ def _cmd_gauge_flow(args) -> int:
     xi = documents.parse_element(structure.space, args.xi)
     start = mc_element(structure, pi0)
     if not start.is_flat:
-        print("starting element is not Maurer-Cartan: %r" % start.residual)
+        reason = "starting element is not Maurer-Cartan"
+        payload = {"command": "gauge-flow", "cap": structure.cap, "passed": False,
+                   "reason": reason, "residual": _element_json(start.residual)}
+        _emit(payload, "%s: %r" % (reason, start.residual), args.format)
         return FAIL
     path = gauge_flow(structure, start, xi, args.bound)
     samples = [Fraction(0), Fraction(1, 2), Fraction(1)]
@@ -263,7 +266,10 @@ def _cmd_homotopy_check(args) -> int:
     for label, mor in (("first", first), ("second", second)):
         rep = check_morphism(mor)
         if not rep.passed:
-            print("%s morphism fails its check; %s" % (label, rep.summary()))
+            reason = "%s morphism fails its check" % label
+            payload = {"command": "homotopy-check", "cap": rep.cap, "passed": False,
+                       "reason": reason, "residuals": _residuals_json(rep.residuals)}
+            _emit(payload, "%s; %s" % (reason, rep.summary()), args.format)
             return FAIL
     conv = build_convolution(first.source, first.target, first.cap)
     h0, h1 = documents.homotopy_parts_to_polypaths(conv, h0_parts, h1_parts)

@@ -9,16 +9,17 @@ exact coefficients: the coefficient of t^(k+1) reads only the coefficients
 of t^0 ... t^k.  In a nilpotent structure the coefficient of t^k lies in
 level k of the lower central filtration, so the coefficients die out and one
 exact fixpoint check of the integral equation certifies the polynomial path;
-coefficients that never die mean the structure was not nilpotent.
+coefficients that never die mean the structure was not nilpotent.  A
+certified depth is at most dim + 1 (the levels before it strictly shrink),
+so the default bound of dim + 3 powers never needs the series.
 
 The curvature, the twisted differential and the flow read an algebra only
 through ``cap``, ``space`` (where its vectors live) and ``apply(n, elements)``,
 the n-ary operation, zero where the algebra has no map.  A structure offers
 them on ``Element`` values of its graded space, the mapping space
 :class:`~linfty.convolution.ConvolutionAlgebra` on ``HomElement`` values,
-so flows of morphisms run on component maps directly; :func:`twist`,
-strict curvature and the default flow bound, once it runs out, need the
-structure maps.
+so flows of morphisms run on component maps directly; :func:`twist` and
+strict curvature need the structure maps.
 All sums of this kind go through :func:`twisting_series`.
 """
 
@@ -39,7 +40,7 @@ from .grading import (
     add_scaled,
     tabulate,
 )
-from .algebra import FiltrationChain, LInftyStructure, lower_central_series
+from .algebra import LInftyStructure, lower_central_series
 
 
 def twisting_series(apply, cap: int, pi, args: Sequence = ()):
@@ -69,23 +70,17 @@ def twisting_series(apply, cap: int, pi, args: Sequence = ()):
     return term._like(terms)
 
 
-def mc_residual(
-    algebra,
-    value: Element,
-    evidence: FiltrationChain | None = None,
-    require_nilpotent: bool = False,
-) -> Element:
+def mc_residual(algebra, value: Element, require_nilpotent: bool = False) -> Element:
     """Exact curvature of a degree-1 element, summed up to the cap.
 
     Termination is automatic because maps above the cap vanish; pass
-    ``require_nilpotent=True`` (structures only) to refuse instead when
-    neither ``evidence`` nor a fresh lower-central run certifies nilpotency.
+    ``require_nilpotent=True`` (structures only) to refuse instead when the
+    lower central series does not certify nilpotency.
     """
     if value.degree != 1:
         raise InputError("Maurer-Cartan candidates must have degree 1")
     if require_nilpotent:
-        chain = evidence or lower_central_series(algebra)
-        if not chain.nilpotent:
+        if not lower_central_series(algebra).nilpotent:
             raise NonConvergenceError(
                 "structure is not certified nilpotent within the bound; "
                 "the curvature sum is only guaranteed up to cap %d" % algebra.cap
@@ -106,10 +101,8 @@ class MCElement:
         return self.residual.is_zero()
 
 
-def mc_element(
-    structure: LInftyStructure, value: Element, evidence: FiltrationChain | None = None
-) -> MCElement:
-    return MCElement(structure, value, mc_residual(structure, value, evidence))
+def mc_element(structure: LInftyStructure, value: Element) -> MCElement:
+    return MCElement(structure, value, mc_residual(structure, value))
 
 
 def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructure:
@@ -243,12 +236,7 @@ def _compositions(total: int, parts: int, support: Sequence[int]):
                 yield (first,) + rest
 
 
-def gauge_flow(
-    algebra,
-    pi0,
-    xi,
-    iteration_bound: int | None = None,
-) -> PolyPath:
+def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath:
     """Solve pi_t = pi0 + integral of Q_1^{pi_t}(xi) one power of t at a time.
 
     With pi_t = sum of a_k t^k, a_0 = pi0 and
@@ -275,22 +263,21 @@ def gauge_flow(
     ``algebra.space``.
 
     The default bound is ``dim + 3`` powers, ``dim`` the dimension of
-    ``algebra.space``: a_k lies in level k of the lower central filtration,
-    whose strictly decreasing chain dies by depth ``dim + 1``, so this is at
-    least the depth + 2 that the series certifies.  The series is computed
-    only when that bound runs out; if it certifies nilpotency at a larger
-    depth + 2 (a chain that is not monotone, possible with Q_k for k >= 3)
-    the flow continues to that bound.  A structure that is not nilpotent is
-    refused after dim + 3 powers, at a cost polynomial in the bound: power
-    k evaluates at most one Q_{m+1} per composition of k into m parts, and
-    a zero power one series over the path.  The default reads the structure
-    maps once it runs out, so an algebra that is not an
-    :class:`LInftyStructure` must pass a bound.
+    ``algebra.space``, and it covers every structure that
+    :func:`~linfty.algebra.lower_central_series` certifies nilpotent.  The
+    levels F^i of that series satisfy Q_k(F^{i_1}, ...) in F^{i_1 + ...}, and
+    pi0, xi lie in F^1, so by induction a_k lies in F^k.  A certified chain
+    shrinks strictly at every level until it is zero at its depth D, so
+    D <= dim + 1; then a_D = 0, the check at power D meets the exact
+    solution, and the flow takes at most dim + 1 powers.  A structure that
+    is not nilpotent is refused after dim + 3 powers (so may a nilpotent
+    one whose chain repeats a level, which the series does not certify
+    either), at a cost polynomial in the bound: power k evaluates at most one Q_{m+1} per composition of k
+    into m parts, and a zero power one series over the path.  The flow
+    never computes the series; the default reads ``space.dimension()``,
+    which the mapping space does not offer, so its flows pass a bound.
     """
-    if isinstance(pi0, MCElement):
-        start = pi0.value
-    else:
-        start = pi0
+    start = pi0.value if isinstance(pi0, MCElement) else pi0
     if xi.degree != 0:
         raise InputError("gauge directions must have degree 0")
     if start.degree != 1:
@@ -298,8 +285,7 @@ def gauge_flow(
     if iteration_bound is not None and iteration_bound < 1:
         raise InputError("the iteration bound must be at least 1, got %d" % iteration_bound)
     space = algebra.space
-    extend = iteration_bound is None
-    bound = space.dimension() + 3 if extend else iteration_bound
+    bound = space.dimension() + 3 if iteration_bound is None else iteration_bound
     base = PolyPath(space, 1, {0: start})
     zero = space.zero(1)
     coefficients = [start]
@@ -321,11 +307,6 @@ def gauge_flow(
             path = PolyPath(space, 1, dict(enumerate(coefficients)))
             if base + twisted_differential_of(algebra, path, xi).integrate() == path:
                 return path
-        if extend and powers == bound:
-            extend = False
-            chain = lower_central_series(algebra)
-            if chain.nilpotent:
-                bound = max(bound, chain.depth + 2)
     raise NonConvergenceError(
         "gauge flow did not reach a fixpoint within %d iterations; "
         "the structure is not nilpotent within the bound" % bound

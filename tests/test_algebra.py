@@ -8,6 +8,7 @@ from linfty import (
     GradedSpace,
     InputError,
     MultiMap,
+    NonConvergenceError,
     StructureError,
     algebra,
     check_relations,
@@ -17,6 +18,7 @@ from linfty import (
     lift_coderivation,
     lower_central_series,
     make_linfty,
+    mc_residual,
     twist,
     unshuffle_residual,
 )
@@ -26,7 +28,9 @@ from linfty.grading import canonicalize_word, wedge_basis
 from conftest import (
     SMALL_SPACES,
     apply_lift,
+    assert_decreasing,
     endomorphism_dgla,
+    heis,
     in_span,
     random_candidate,
     random_map_family,
@@ -34,6 +38,7 @@ from conftest import (
     reduced_coproduct,
     reference_lower_central_series,
     shift,
+    twostep3,
     weight_one_part,
 )
 
@@ -288,7 +293,6 @@ def test_lower_central_two_step():
 def test_lower_central_non_nilpotent(non_nilpotent):
     chain = lower_central_series(non_nilpotent)
     assert not chain.nilpotent
-    assert chain.stabilized
     assert chain.verdict() == "not within bound"
     level2 = chain.spanning_elements(2)
     assert level2 == [Element(non_nilpotent.space, 1, {"v": F(1)})]
@@ -313,30 +317,43 @@ def test_lower_central_q1_stability(step_nilpotent, two_term):
 
 
 def test_lower_central_series_matches_the_reference(
-    heisenberg, step_nilpotent, two_term, sl2, non_nilpotent
+    heisenberg, step_nilpotent, two_term, sl2, non_nilpotent, high_arity_loop
 ):
-    # the series evaluates only non-decreasing compositions; the reference
-    # evaluates every ordered one, so equal RREF rows show that a permuted
-    # composition adds nothing, on chains that are not monotone too
+    # the series evaluates only non-decreasing compositions of max(i, k); the
+    # reference evaluates every ordered composition of every total >= i, so
+    # equal RREF rows show that neither a permuted composition nor a larger
+    # total adds anything, and every chain decreases
     rng = random.Random(211)
     family = [shift(1 + n % 4, n, rng) for n in range(6, 11)]
-    family += [heisenberg, step_nilpotent, two_term, sl2, non_nilpotent]
+    family += [heis(3, rng), twostep3(3, rng), twostep3(4, rng, cap=4)]
+    family += [heisenberg, step_nilpotent, two_term, sl2, non_nilpotent, high_arity_loop]
     family += q1_q3_structures(rng)
-    shapes = set()
+    verdicts = set()
     for structure in family:
         got = lower_central_series(structure)
         want = reference_lower_central_series(structure)
         assert got.subspaces == want.subspaces
-        assert (got.depth, got.stabilized, got.nilpotent) == (
-            want.depth,
-            want.stabilized,
-            want.nilpotent,
-        )
-        dims = [sum(len(rows) for rows in level.values()) for level in got.subspaces]
-        shapes.add(("nilpotent" if got.nilpotent else "stable", any(
-            a < b for a, b in zip(dims, dims[1:])
-        )))
-    assert {("nilpotent", False), ("stable", False), ("stable", True)} <= shapes
+        assert (got.depth, got.nilpotent) == (want.depth, want.nilpotent)
+        assert_decreasing(got)
+        if got.nilpotent:
+            assert got.depth <= structure.space.dimension() + 1
+        verdicts.add(got.nilpotent)
+    assert verdicts == {True, False}
+
+
+def test_lower_central_series_reads_arities_above_the_level(high_arity_loop):
+    # no composition of exactly 2 has three or four parts, so level 2 used to
+    # miss Q3 and Q4 and certify depth 2 for this structure, whose curvature
+    # sum is then trusted under require_nilpotent
+    space = high_arity_loop.space
+    chain = lower_central_series(high_arity_loop)
+    assert not chain.nilpotent and chain.verdict() == "not within bound"
+    assert chain.spanning_elements(2) == [
+        Element(space, -1, {"a": F(1)}),
+        Element(space, 1, {"c": F(1)}),
+    ]
+    with pytest.raises(NonConvergenceError, match="not certified nilpotent"):
+        mc_residual(high_arity_loop, Element(space, 1, {"c": F(1)}), require_nilpotent=True)
 
 
 def test_work_of_relation_checks_and_series(monkeypatch):

@@ -123,6 +123,45 @@ def test_json_refusal_of_a_structure_failing_its_relations(argv):
     assert report["passed"] is False and report["residuals"]
 
 
+def test_json_refusal_of_a_start_that_is_not_maurer_cartan():
+    argv = ["gauge-flow", path("heis.alg"), "--pi", "1*x + 1*y", "--xi", "1*x"]
+    assert run(*argv) == (1, "starting element is not Maurer-Cartan: 1*z\n", "")
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "gauge-flow",
+        "cap": 4,
+        "passed": False,
+        "reason": "starting element is not Maurer-Cartan",
+        "residual": {"z": "1"},
+    }
+
+
+def test_json_refusal_of_a_homotopy_whose_morphism_fails(tmp_path):
+    corpus = tmp_path / "data"
+    shutil.copytree(DATA, corpus)
+    (corpus / "bad.mor").write_text(
+        "kind: morphism\ncap: 3\nsource: twoterm.alg\ntarget: twoterm.alg\nmap 1:\n  a -> 1*a\n"
+    )
+    hom = (corpus / "flow.hom").read_text().replace("first: id_twoterm.mor", "first: bad.mor")
+    (corpus / "bad.hom").write_text(hom)
+    argv = ["homotopy-check", str(corpus / "bad.hom")]
+    assert run(*argv) == (
+        1,
+        "first morphism fails its check; morphism residuals up to weight cap 3:\n  a -> 1*b\n",
+        "",
+    )
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "homotopy-check",
+        "cap": 3,
+        "passed": False,
+        "reason": "first morphism fails its check",
+        "residuals": [{"word": "a", "residual": {"b": "1"}}],
+    }
+
+
 def test_twist_writes_valid_algebra(tmp_path):
     out_file = str(tmp_path / "twisted.alg")
     code, _, _ = run("twist", path("heis.alg"), "--pi", "1*x", "--out", out_file)

@@ -266,14 +266,8 @@ def random_vector(structure, degree, rng):
     return Element(structure.space, degree, {n: F(rng.randint(-2, 2)) for n in names})
 
 
-def test_default_bound_reads_no_series_when_the_flow_converges(
-    monkeypatch, heisenberg, step_nilpotent, two_term
-):
-    rng = random.Random(307)
-    family = [shift(1 + n % 4, n, rng) for n in range(6, 11)]
-    family += [heisenberg, step_nilpotent, two_term]
-    family += q1_q3_structures(rng)
-    family = [s for s in family if reference_lower_central_series(s).nilpotent]
+def spy_on_series(monkeypatch):
+    """Record every structure that ``mc.lower_central_series`` is called on."""
     read = []
     series = mc.lower_central_series
 
@@ -282,56 +276,58 @@ def test_default_bound_reads_no_series_when_the_flow_converges(
         return series(structure)
 
     monkeypatch.setattr(mc, "lower_central_series", spy)
-    converged = 0
-    for structure in family:
-        bound = old_default_bound(structure)
+    return read
+
+
+def test_default_bound_reads_no_series_when_the_flow_converges(
+    monkeypatch, heisenberg, step_nilpotent, two_term
+):
+    # a_k lies in level k of a certified chain, whose depth is at most
+    # dim + 1, so every default flow stops below the depth and an explicit
+    # bound of the depth reaches the same path
+    rng = random.Random(307)
+    family = [shift(1 + n % 4, n, rng) for n in range(6, 11)]
+    family += [heis(3, rng), twostep3(3, rng), twostep3(4, rng, cap=4)]
+    family += [heisenberg, step_nilpotent, two_term]
+    family += q1_q3_structures(rng)
+    chains = [reference_lower_central_series(s) for s in family]
+    chains = [chain for chain in chains if chain.nilpotent]
+    read = spy_on_series(monkeypatch)
+    flows = 0
+    for chain in chains:
+        structure = chain.structure
+        assert chain.depth <= structure.space.dimension() + 1
         for _ in range(3):
             pi0 = random_vector(structure, 1, rng)
             xi = random_vector(structure, 0, rng)
-            try:
-                want = gauge_flow(structure, pi0, xi, iteration_bound=bound)
-            except NonConvergenceError:
-                continue
-            converged += 1
-            assert gauge_flow(structure, pi0, xi) == want
+            path = gauge_flow(structure, pi0, xi)
+            assert path.max_power() < chain.depth
+            assert gauge_flow(structure, pi0, xi, iteration_bound=chain.depth) == path
+            flows += 1
     assert read == []
-    assert len(family) >= 10 and converged >= 20
+    assert len(chains) >= 10 and flows >= 20
+    assert any(3 in chain.structure.maps for chain in chains)
 
 
-def test_default_bound_refuses_non_nilpotent_with_the_old_message(non_nilpotent):
+def test_default_bound_refuses_non_nilpotent_with_the_old_message(
+    monkeypatch, non_nilpotent, high_arity_loop
+):
     space = non_nilpotent.space
     pi0 = Element(space, 1, {"v": F(1)})
     xi = Element(space, 0, {"w": F(1)})
     bound = old_default_bound(non_nilpotent)
     with pytest.raises(NonConvergenceError) as old:
         gauge_flow(non_nilpotent, pi0, xi, iteration_bound=bound)
+    read = spy_on_series(monkeypatch)
     with pytest.raises(NonConvergenceError) as new:
         gauge_flow(non_nilpotent, pi0, xi)
     assert str(new.value) == str(old.value)
     assert "within 5 iterations" in str(new.value)
-
-
-def test_default_bound_extends_to_the_series_depth(monkeypatch, step_nilpotent):
-    # dim + 3 steps cover a monotone chain; a space that reports dimension
-    # -1 cuts them to 2, which this flow outruns, so the flow must read the
-    # series and continue to its depth + 2 = 6
-    space = step_nilpotent.space
-    pi0 = Element(space, 1, {"q": F(1)})
-    xi = Element(space, 0, {"p": F(1)})
-    want = gauge_flow(step_nilpotent, pi0, xi)
-    with pytest.raises(NonConvergenceError):
-        gauge_flow(step_nilpotent, pi0, xi, iteration_bound=2)
-    read = []
-    series = mc.lower_central_series
-
-    def true_depth_series(structure):
-        read.append(structure)
-        return series(structure, depth_bound=6)
-
-    monkeypatch.setattr(mc, "lower_central_series", true_depth_series)
-    monkeypatch.setattr(space, "dimension", lambda degree=None: -1)
-    assert gauge_flow(step_nilpotent, pi0, xi) == want
-    assert read == [step_nilpotent]
+    # the flow of -c along 2b is not a polynomial
+    space = high_arity_loop.space
+    with pytest.raises(NonConvergenceError, match="within 6 iterations"):
+        gauge_flow(high_arity_loop, Element(space, 1, {"c": F(-1)}), Element(space, 0, {"b": F(2)}))
+    assert read == []
 
 
 def flow_outcome(flow, algebra, pi0, xi, bound):
