@@ -39,7 +39,7 @@ f2 = perturbed.component(2)
 print("new weight-2 values: F(b,b) = %r, F(a,b) = %r"
       % (f2.evaluate(("b", "b")), f2.evaluate(("a", "b"))))
 print("perturbed morphism:", check_morphism(perturbed).summary())
-print("still a quasi-isomorphism:", is_quasi_iso(perturbed).verdict)
+print("still a quasi-isomorphism:", is_quasi_iso(perturbed).passed)
 
 # The change at weight 2 is exactly the differential of H, computed by an
 # independent slot-by-slot evaluator.

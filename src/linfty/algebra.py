@@ -15,6 +15,12 @@ with e(S) the sign of moving S to the front.  The weight-crossing factor
 it, differential graded Lie algebras embed with no sign twist and the
 relation residuals agree with the classical unshuffle identities with
 coefficients (-1)**(i*(j-1)).
+
+Every check returns a report with one protocol: ``summary()`` is its text,
+``to_json()`` its JSON payload, and a report that gives a verdict also has
+``passed``.  :class:`ResidualReport` is the report of every check whose
+verdict is a set of residuals at words: the relations here, morphism
+compatibility and mapping-space curvature elsewhere.
 """
 
 from __future__ import annotations
@@ -175,25 +181,42 @@ def lift_coderivation(structure: LInftyStructure) -> Coderivation:
     return Coderivation(structure)
 
 
-class RelationReport:
-    def __init__(self, cap: int):
+class ResidualReport:
+    """The nonzero residuals of one exact check, word by word, up to the cap.
+
+    ``holds`` and ``fails`` are the check's wording of its two verdicts.
+    """
+
+    def __init__(self, cap: int, holds: str, fails: str, residuals: dict[Word, Element]):
         self.cap = cap
-        self.residuals: dict[Word, Element] = {}
+        self.holds = holds
+        self.fails = fails
+        self.residuals = residuals
 
     @property
     def passed(self) -> bool:
         return not self.residuals
 
+    def _words(self) -> list[Word]:
+        return sorted(self.residuals, key=lambda w: (w.weight, w.factors))
+
     def summary(self) -> str:
         if self.passed:
-            return "relations hold up to weight cap %d" % self.cap
-        lines = ["relations fail up to weight cap %d:" % self.cap]
-        for word in sorted(self.residuals, key=lambda w: (w.weight, w.factors)):
+            return "%s up to weight cap %d" % (self.holds, self.cap)
+        lines = ["%s up to weight cap %d:" % (self.fails, self.cap)]
+        for word in self._words():
             lines.append("  %s -> %r" % (word.label(), self.residuals[word]))
         return "\n".join(lines)
 
+    def to_json(self) -> dict:
+        residuals = [
+            {"word": " ".join(w.factors), "residual": self.residuals[w].to_json()}
+            for w in self._words()
+        ]
+        return {"cap": self.cap, "passed": self.passed, "residuals": residuals}
 
-def check_relations(structure: LInftyStructure) -> RelationReport:
+
+def check_relations(structure: LInftyStructure) -> ResidualReport:
     """Residuals of Q*Q on every canonical word up to the cap.
 
     The residual at a word w is the structure maps evaluated on the lift's
@@ -208,7 +231,7 @@ def check_relations(structure: LInftyStructure) -> RelationReport:
     reads, and evaluates the rest without building the lift's image.
     """
     lift = lift_coderivation(structure)
-    report = RelationReport(cap=structure.cap)
+    residuals: dict[Word, Element] = {}
     stored = structure.maps
     weights = {j + k - 1 for j in stored for k in stored if j + k - 1 <= structure.cap}
     for m in sorted(weights):
@@ -216,7 +239,8 @@ def check_relations(structure: LInftyStructure) -> RelationReport:
             # Q*Q raises the suspended degree, plain + 1 - weight, by 2
             residual = lift.project(word, stored, structure.space, word.degree + 3 - m)
             if not residual.is_zero():
-                report.residuals[word] = residual
+                residuals[word] = residual
+    report = ResidualReport(structure.cap, "relations hold", "relations fail", residuals)
     structure.verified = report.passed
     return report
 

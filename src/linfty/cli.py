@@ -4,6 +4,11 @@ Exit codes: 0 when the mathematical check passes, 1 when it fails (the
 report carries residuals), 2 on input errors.  Reports are deterministic
 and name the weight cap in every verdict.
 
+Every command prints one report through :func:`_emit`: the report's
+``summary()`` as text, or its ``to_json()`` payload plus ``command`` as
+JSON, and a report with ``passed`` sets the exit code.  A command that
+builds on a check it cannot pass prints that check's report instead.
+
 Each command imports the kernels it runs inside its handler, so a command
 loads only the modules it executes.
 """
@@ -24,159 +29,76 @@ from .documents import DocumentError
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
 
-def _element_json(element):
-    return {name: str(coeff) for name, coeff in element.items()}
-
-
-def _residuals_json(residuals):
-    return [
-        {"word": " ".join(w.factors), "residual": _element_json(e)}
-        for w, e in sorted(residuals.items(), key=lambda kv: (kv[0].weight, kv[0].factors))
-    ]
-
-
-def _emit(report: dict, text: str, fmt: str):
+def _emit(command: str, report, fmt: str, text: str | None = None, **extra) -> int:
+    """Print ``report`` as JSON or as ``text`` (its summary by default); the exit code."""
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        payload = dict(report.to_json(), command=command, **extra)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(report.summary() if text is None else text)
+    return PASS if getattr(report, "passed", True) else FAIL
 
 
-def _emit_relations(report, fmt: str):
-    _emit(
-        {
-            "command": "check-linfty",
-            "cap": report.cap,
-            "passed": report.passed,
-            "residuals": _residuals_json(report.residuals),
-        },
-        report.summary(),
-        fmt,
-    )
+def _refused(command: str, report, fmt: str, reason: str | None = None) -> bool:
+    """Whether a prerequisite check failed; if so, emit its report after ``reason``."""
+    if report.passed:
+        return False
+    if reason is None:
+        _emit(command, report, fmt)
+    else:
+        _emit(command, report, fmt, "%s; %s" % (reason, report.summary()), reason=reason)
+    return True
 
 
 def _cmd_check_linfty(args) -> int:
-    structure = documents.load_algebra(args.file, args.cap)
-    report = check_relations(structure)
-    _emit_relations(report, args.format)
-    return PASS if report.passed else FAIL
+    report = check_relations(documents.load_algebra(args.file, args.cap))
+    return _emit("check-linfty", report, args.format)
 
 
 def _cmd_check_morphism(args) -> int:
     from .morphism import check_morphism
 
-    morphism = documents.load_morphism(args.file, args.cap)
-    report = check_morphism(morphism)
-    _emit(
-        {
-            "command": "check-morphism",
-            "cap": report.cap,
-            "passed": report.passed,
-            "residuals": _residuals_json(report.residuals),
-        },
-        report.summary(),
-        args.format,
-    )
-    return PASS if report.passed else FAIL
+    report = check_morphism(documents.load_morphism(args.file, args.cap))
+    return _emit("check-morphism", report, args.format)
 
 
 def _cmd_cohomology(args) -> int:
     from .morphism import cohomology
 
-    structure = documents.load_algebra(args.file, args.cap)
-    report = cohomology(structure)
-    payload = {
-        "command": "cohomology",
-        "cap": structure.cap,
-        "dimensions": {str(d): report.dimensions[d] for d in sorted(report.dimensions)},
-        "representatives": {
-            str(d): [_element_json(r) for r in report.representatives[d]]
-            for d in sorted(report.representatives)
-        },
-    }
-    _emit(payload, "cap %d: %s" % (structure.cap, report.summary()), args.format)
-    return PASS
+    report = cohomology(documents.load_algebra(args.file, args.cap))
+    return _emit("cohomology", report, args.format, "cap %d: %s" % (report.cap, report.summary()))
 
 
 def _cmd_quasi_iso(args) -> int:
     from .morphism import check_morphism, is_quasi_iso
 
     morphism = documents.load_morphism(args.file, args.cap)
-    report = check_morphism(morphism)
-    if not report.passed:
-        _emit(
-            {"command": "quasi-iso", "cap": morphism.cap, "passed": False,
-             "reason": "not a morphism", "residuals": _residuals_json(report.residuals)},
-            "not a morphism; " + report.summary(),
-            args.format,
-        )
+    if _refused("quasi-iso", check_morphism(morphism), args.format, "not a morphism"):
         return FAIL
-    verdict = is_quasi_iso(morphism)
-    _emit(
-        {
-            "command": "quasi-iso",
-            "cap": morphism.cap,
-            "passed": verdict.verdict,
-            "per_degree": {str(d): ok for d, ok in sorted(verdict.per_degree.items())},
-        },
-        "cap %d: %s" % (morphism.cap, verdict.summary()),
-        args.format,
-    )
-    return PASS if verdict.verdict else FAIL
-
-
-def _relations_hold(structure, fmt: str) -> bool:
-    """Check the relations a command builds on; on failure emit the ``check-linfty`` report."""
-    report = check_relations(structure)
-    if not report.passed:
-        _emit_relations(report, fmt)
-    return report.passed
-
-
-def _load_pi(args, structure):
-    if args.pi is not None:
-        return documents.parse_element(structure.space, args.pi)
-    raise DocumentError("this command needs --pi")
+    report = is_quasi_iso(morphism)
+    return _emit("quasi-iso", report, args.format, "cap %d: %s" % (report.cap, report.summary()))
 
 
 def _cmd_mc_check(args) -> int:
-    from .mc import mc_residual
+    from .mc import mc_element
 
     if args.file.endswith(".mc") or args.pi is None:
         structure, value = documents.load_mc_element(args.file, args.cap)
     else:
         structure = documents.load_algebra(args.file, args.cap)
-        value = _load_pi(args, structure)
-    if not _relations_hold(structure, args.format):
+        value = documents.parse_element(structure.space, args.pi)
+    if _refused("check-linfty", check_relations(structure), args.format):
         return FAIL
-    if value.degree != 1:
-        raise InputError("Maurer-Cartan candidates must have degree 1")
-    residual = mc_residual(structure, value)
-    passed = residual.is_zero()
-    if passed:
-        text = "Maurer-Cartan up to weight cap %d" % structure.cap
-    else:
-        text = "curvature nonzero up to weight cap %d: %r" % (structure.cap, residual)
-    _emit(
-        {
-            "command": "mc-check",
-            "cap": structure.cap,
-            "passed": passed,
-            "residual": _element_json(residual),
-        },
-        text,
-        args.format,
-    )
-    return PASS if passed else FAIL
+    return _emit("mc-check", mc_element(structure, value), args.format)
 
 
 def _cmd_twist(args) -> int:
     from .mc import mc_element, twist
 
     structure = documents.load_algebra(args.file, args.cap)
-    if not _relations_hold(structure, args.format):
+    if _refused("check-linfty", check_relations(structure), args.format):
         return FAIL
-    value = _load_pi(args, structure)
+    value = documents.parse_element(structure.space, args.pi)
     twisted = twist(structure, mc_element(structure, value))
     text = documents.algebra_to_document(twisted)
     if args.out:
@@ -188,44 +110,25 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_gauge_flow(args) -> int:
-    from .mc import gauge_flow, mc_element, mc_residual
+    from .mc import FlowReport, gauge_flow, mc_element
 
     structure = documents.load_algebra(args.file, args.cap)
-    if not _relations_hold(structure, args.format):
+    if _refused("check-linfty", check_relations(structure), args.format):
         return FAIL
-    pi0 = _load_pi(args, structure)
+    pi0 = documents.parse_element(structure.space, args.pi)
     xi = documents.parse_element(structure.space, args.xi)
     start = mc_element(structure, pi0)
-    if not start.is_flat:
+    if not start.passed:
         reason = "starting element is not Maurer-Cartan"
-        payload = {"command": "gauge-flow", "cap": structure.cap, "passed": False,
-                   "reason": reason, "residual": _element_json(start.residual)}
-        _emit(payload, "%s: %r" % (reason, start.residual), args.format)
-        return FAIL
-    path = gauge_flow(structure, start, xi, args.bound)
-    samples = [Fraction(0), Fraction(1, 2), Fraction(1)]
-    sample_ok = {
-        str(t): mc_residual(structure, path.evaluate(t)).is_zero() for t in samples
-    }
-    payload = {
-        "command": "gauge-flow",
-        "cap": structure.cap,
-        "path": {
-            str(p): _element_json(e) for p, e in sorted(path.coefficients.items())
-        },
-        "maurer_cartan_at": sample_ok,
-    }
-    endpoint = path.evaluate(Fraction(1))
-    lines = ["gauge flow up to weight cap %d" % structure.cap]
-    for p, e in sorted(path.coefficients.items()):
-        lines.append("  t^%d: %r" % (p, e))
-    lines.append("endpoint at t=1: %r" % endpoint)
+        text = "%s: %r" % (reason, start.residual)
+        return _emit("gauge-flow", start, args.format, text, reason=reason)
+    report = FlowReport(structure, gauge_flow(structure, start, xi, args.bound))
     if args.out:
         # a reference resolves against the directory of the document holding it
         ref = args.algebra_ref or os.path.relpath(args.file, os.path.dirname(args.out))
+        endpoint = report.path.evaluate(Fraction(1))
         documents.write_document(args.out, documents.mc_to_document(endpoint, ref))
-    _emit(payload, "\n".join(lines), args.format)
-    return PASS if all(sample_ok.values()) else FAIL
+    return _emit("gauge-flow", report, args.format)
 
 
 def _cmd_lemma1(args) -> int:
@@ -264,58 +167,30 @@ def _cmd_homotopy_check(args) -> int:
 
     first, second, h0_parts, h1_parts = documents.load_homotopy(args.file, args.cap)
     for label, mor in (("first", first), ("second", second)):
-        rep = check_morphism(mor)
-        if not rep.passed:
-            reason = "%s morphism fails its check" % label
-            payload = {"command": "homotopy-check", "cap": rep.cap, "passed": False,
-                       "reason": reason, "residuals": _residuals_json(rep.residuals)}
-            _emit(payload, "%s; %s" % (reason, rep.summary()), args.format)
+        reason = "%s morphism fails its check" % label
+        if _refused("homotopy-check", check_morphism(mor), args.format, reason):
             return FAIL
     conv = build_convolution(first.source, first.target, first.cap)
     h0, h1 = documents.homotopy_parts_to_polypaths(conv, h0_parts, h1_parts)
-    h = HomotopyElement(conv, h0, h1)
-    report = check_homotopy(first, second, h)
-    _emit(
-        {
-            "command": "homotopy-check",
-            "cap": report.cap,
-            "passed": report.passed,
-            "flat": report.flat.is_zero(),
-            "evolution": report.evolution.is_zero(),
-            "endpoints": [report.starts_at_first, report.ends_at_second],
-        },
-        report.summary(),
-        args.format,
-    )
-    return PASS if report.passed else FAIL
+    report = check_homotopy(first, second, HomotopyElement(conv, h0, h1))
+    return _emit("homotopy-check", report, args.format)
 
 
 def _cmd_convolution_mc(args) -> int:
+    from .algebra import ResidualReport
     from .convolution import build_convolution, morphism_to_mc
 
     morphism = documents.load_morphism(args.file, args.cap)
     conv = build_convolution(morphism.source, morphism.target, morphism.cap)
-    residual = conv.mc_residual(morphism_to_mc(morphism))
-    passed = residual.is_zero()
-    residuals = {}
-    for weight, comp in sorted(residual.components.items()):
-        residuals.update({w: e for w, e in comp.values.items()})
-    _emit(
-        {
-            "command": "convolution-mc",
-            "cap": morphism.cap,
-            "passed": passed,
-            "residuals": _residuals_json(residuals),
-        },
-        (
-            "Maurer-Cartan in the convolution algebra up to weight cap %d" % morphism.cap
-            if passed
-            else "curvature nonzero up to weight cap %d at %d words"
-            % (morphism.cap, len(residuals))
-        ),
-        args.format,
+    curvature = conv.mc_residual(morphism_to_mc(morphism))
+    residuals = {w: e for comp in curvature.components.values() for w, e in comp.values.items()}
+    report = ResidualReport(
+        morphism.cap, "Maurer-Cartan in the convolution algebra", "curvature nonzero", residuals
     )
-    return PASS if passed else FAIL
+    text = None
+    if not report.passed:
+        text = "curvature nonzero up to weight cap %d at %d words" % (report.cap, len(residuals))
+    return _emit("convolution-mc", report, args.format, text)
 
 
 def build_parser() -> argparse.ArgumentParser:

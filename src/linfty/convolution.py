@@ -17,7 +17,7 @@ Sign conventions (the one table everything below refers to):
   * block bookkeeping inside q_n is done on shifted degrees: the n-block
     splittings of a word and their signs are those of
     :func:`linfty.grading.signed_blocks`, the kernel the morphism lift uses
-    too;
+    too, read through :func:`linfty.grading.signed_splittings`;
   * q_n's sign on a splitting B_1, ..., B_n is that kernel sign times the
     crossing ``(-1)**sum_{i<j} (u_j - 1)*(deg B_i - weight B_i)`` of each
     argument past the earlier blocks.  Spelled out, Q'_n also contributes
@@ -57,7 +57,7 @@ from .grading import (
     MultiMap,
     Word,
     add_scaled,
-    signed_blocks,
+    signed_splittings,
     tabulate,
 )
 from .algebra import LInftyStructure, lift_coderivation, require_verified
@@ -96,8 +96,6 @@ class ConvolutionAlgebra:
         self.cap = cap
         self.words: list[Word] = source.words()
         self._lift = lift_coderivation(source)
-        # (word factors, n) -> signed n-block splittings, see _splittings
-        self._splitting_cache: dict[tuple[tuple[str, ...], int], tuple] = {}
 
     # -- coordinates and basis -------------------------------------------
 
@@ -186,30 +184,6 @@ class ConvolutionAlgebra:
         comps = tabulate(self.source.space, tgt.space, u_out, self.words, value)
         return HomElement(self.source, self.target, u_out, comps)
 
-    def _splittings(self, word: Word, n: int) -> tuple:
-        """Signed ordered n-block splittings of a source word, computed once.
-
-        Each entry is ``(sign, block factors, block shifted degrees)``: the
-        :func:`~linfty.grading.signed_blocks` sign, each block's names and
-        each block's ``degree - weight``.  The cache lives on the algebra,
-        whose words are fixed, and goes with it.
-        """
-        key = (word.factors, n)
-        got = self._splitting_cache.get(key)
-        if got is None:
-            factors = word.factors
-            degrees = self.source.space.degrees_of(factors)
-            got = tuple(
-                (
-                    sign,
-                    tuple(tuple(factors[p] for p in block) for block in blocks),
-                    tuple(sum(degrees[p] for p in block) - len(block) for block in blocks),
-                )
-                for sign, blocks in signed_blocks(degrees, n)
-            )
-            self._splitting_cache[key] = got
-        return got
-
     def bracket(self, alphas: Sequence[HomElement]) -> HomElement:
         """The n-ary operation on n mapping-space elements.
 
@@ -241,7 +215,8 @@ class ConvolutionAlgebra:
             if m < n:
                 continue
             coeffs: dict = {}
-            for sign, parts, shifted in self._splittings(word, n):
+            degrees = self.source.space.degrees_of(word.factors)
+            for sign, parts, shifted in signed_splittings(word.factors, degrees, n):
                 vals: list[Element] = []
                 crossing = prefix = 0
                 for lookup, shift, part, s in zip(lookups, shifts, parts, shifted):

@@ -19,7 +19,7 @@ import os
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word, tabulate
 from .algebra import LInftyStructure, make_linfty
@@ -194,10 +194,13 @@ def _parse_map_section(
     return MultiMap(source, target, weight, degree, values)
 
 
-def _format_map_entries(m: MultiMap, space: GradedSpace) -> list[str]:
+def _map_sections(maps: Mapping[int, MultiMap]) -> list[str]:
+    """One ``map n:`` section per weight, its entries in basis order of their words."""
     lines = []
-    for word in sorted(m.values, key=lambda w: tuple(space.index(n) for n in w.factors)):
-        lines.append("  %s -> %s" % (" ".join(word.factors), _format_element(m.values[word])))
+    for weight, m in sorted(maps.items()):
+        lines.append("map %d:" % weight)
+        for word in sorted(m.values, key=lambda w: tuple(m.source.index(n) for n in w.factors)):
+            lines.append("  %s -> %s" % (" ".join(word.factors), _format_element(m.values[word])))
     return lines
 
 
@@ -235,26 +238,22 @@ def algebra_to_document(structure: LInftyStructure) -> str:
     lines = ["kind: algebra", "cap: %d" % structure.cap, "basis:"]
     for name in structure.space.names:
         lines.append("  %s %d" % (name, structure.space.degree(name)))
-    for weight in sorted(structure.maps):
-        m = structure.maps[weight]
-        if m.is_zero():
-            continue
-        lines.append("map %d:" % weight)
-        lines.extend(_format_map_entries(m, structure.space))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _map_sections(structure.maps)) + "\n"
 
 
 # -- loading with cross-references ------------------------------------------
 
 
-def load_document(path: str) -> dict:
+def load_document(path: str, kind: str) -> dict:
+    """Read and parse the document at ``path``, which must be of ``kind``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc)) from exc
     doc = parse_document(text)
-    doc["path"] = path
+    if doc["kind"] != kind:
+        raise DocumentError("%s is a %s document, expected %s" % (path, doc["kind"], kind))
     return doc
 
 
@@ -271,9 +270,7 @@ def _resolve(base_path: str, reference: str) -> str:
 
 
 def load_algebra(path: str, cap_override: int | None = None) -> LInftyStructure:
-    doc = load_document(path)
-    if doc["kind"] != "algebra":
-        raise DocumentError("%s is a %s document, expected algebra" % (path, doc["kind"]))
+    doc = load_document(path, "algebra")
     return algebra_from_document(doc, cap_override)
 
 
@@ -282,9 +279,7 @@ def load_morphism(
 ) -> MorphismComponents:
     from .morphism import MorphismComponents
 
-    doc = load_document(path)
-    if doc["kind"] != "morphism":
-        raise DocumentError("%s is a %s document, expected morphism" % (path, doc["kind"]))
+    doc = load_document(path, "morphism")
     source = load_algebra(_resolve(path, _header(doc, "source")), cap_override)
     target = load_algebra(_resolve(path, _header(doc, "target")), cap_override)
     cap = _header(doc, "cap", integer=True)
@@ -310,19 +305,11 @@ def morphism_to_document(
         "source: %s" % source_ref,
         "target: %s" % target_ref,
     ]
-    for weight in sorted(morphism.components):
-        comp = morphism.components[weight]
-        if comp.is_zero():
-            continue
-        lines.append("map %d:" % weight)
-        lines.extend(_format_map_entries(comp, morphism.source.space))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _map_sections(morphism.components)) + "\n"
 
 
 def load_mc_element(path: str, cap_override: int | None = None):
-    doc = load_document(path)
-    if doc["kind"] != "mc-element":
-        raise DocumentError("%s is a %s document, expected mc-element" % (path, doc["kind"]))
+    doc = load_document(path, "mc-element")
     structure = load_algebra(_resolve(path, _header(doc, "algebra")), cap_override)
     value = parse_element(structure.space, _header(doc, "value"))
     return structure, value
@@ -338,9 +325,7 @@ def mc_to_document(value: Element, algebra_ref: str) -> str:
 
 
 def load_map(path: str, cap_override: int | None = None):
-    doc = load_document(path)
-    if doc["kind"] != "map":
-        raise DocumentError("%s is a %s document, expected map" % (path, doc["kind"]))
+    doc = load_document(path, "map")
     source = load_algebra(_resolve(path, _header(doc, "source")), cap_override)
     target = load_algebra(_resolve(path, _header(doc, "target")), cap_override)
     weight = _header(doc, "weight", integer=True)
@@ -361,16 +346,12 @@ def map_to_document(
         "target: %s" % target_ref,
         "weight: %d" % m.weight,
         "degree: %d" % m.degree,
-        "map %d:" % m.weight,
     ]
-    lines.extend(_format_map_entries(m, m.source))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _map_sections({m.weight: m})) + "\n"
 
 
 def load_request(path: str, cap_override: int | None = None):
-    doc = load_document(path)
-    if doc["kind"] != "request":
-        raise DocumentError("%s is a %s document, expected request" % (path, doc["kind"]))
+    doc = load_document(path, "request")
     morphism = load_morphism(_resolve(path, _header(doc, "morphism")), cap_override)
     weight = _header(doc, "weight", integer=True)
     section = doc["sections"].get("map %d" % weight)
@@ -424,9 +405,7 @@ def _parse_poly_section(
 
 def load_homotopy(path: str, cap_override: int | None = None):
     """Returns (first, second, h0_parts, h1_parts); parts map weight -> entries."""
-    doc = load_document(path)
-    if doc["kind"] != "homotopy":
-        raise DocumentError("%s is a %s document, expected homotopy" % (path, doc["kind"]))
+    doc = load_document(path, "homotopy")
     first = load_morphism(_resolve(path, _header(doc, "first")), cap_override)
     second = load_morphism(_resolve(path, _header(doc, "second")), cap_override)
     parts: dict[str, dict[int, dict]] = {"h0": {}, "h1": {}}

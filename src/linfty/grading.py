@@ -175,6 +175,28 @@ def signed_blocks_by_count(
 
 
 @lru_cache(maxsize=None)
+def signed_splittings(factors: tuple[str, ...], degrees: tuple[int, ...], n: int) -> tuple:
+    """The ordered n-block :func:`signed_blocks` of a word, read off its names.
+
+    Each entry is ``(sign, block factors, block shifted degrees)``: the
+    sign, each block's names and each block's ``degree - weight``.  The
+    mapping-space operations read a word's splittings on every call, so
+    they are computed once per word in the process.
+
+    >>> signed_splittings(("a", "b"), (0, 1), 2)
+    ((1, (('a',), ('b',)), (-1, 0)), (-1, (('b',), ('a',)), (0, -1)))
+    """
+    return tuple(
+        (
+            sign,
+            tuple(tuple(factors[p] for p in block) for block in blocks),
+            tuple(sum(degrees[p] for p in block) - len(block) for block in blocks),
+        )
+        for sign, blocks in signed_blocks(degrees, n)
+    )
+
+
+@lru_cache(maxsize=None)
 def unshuffles(degrees: tuple[int, ...], k: int) -> tuple[tuple[int, tuple, tuple], ...]:
     """Signed (k, m - k)-unshuffles ``(sign, chosen, rest)`` of a word.
 
@@ -464,6 +486,10 @@ class Element(Combination):
 
     def items(self):
         return sorted(self.coeffs.items(), key=lambda kv: self.space.index(kv[0]))
+
+    def to_json(self) -> dict[str, str]:
+        """Name -> coefficient as ``p`` or ``p/q`` text, in basis order."""
+        return {name: str(coeff) for name, coeff in self.items()}
 
     def __hash__(self):
         return hash((self.degree, tuple(sorted(self.coeffs))))

@@ -214,6 +214,8 @@ def unsplit_residual(h: HomotopyElement, t_cap: int | None = None) -> PathElemen
 
 
 class HomotopyReport:
+    """The four verdicts on a homotopy: flatness, evolution, endpoints and samples."""
+
     def __init__(
         self,
         cap: int,
@@ -256,6 +258,15 @@ class HomotopyReport:
             if not e.is_zero():
                 problems.append("curvature at t=%s nonzero" % t)
         return "homotopy fails up to weight cap %d: %s" % (self.cap, "; ".join(problems))
+
+    def to_json(self) -> dict:
+        return {
+            "cap": self.cap,
+            "passed": self.passed,
+            "flat": self.flat.is_zero(),
+            "evolution": self.evolution.is_zero(),
+            "endpoints": [self.starts_at_first, self.ends_at_second],
+        }
 
 
 def check_homotopy(

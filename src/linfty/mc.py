@@ -21,6 +21,10 @@ them on ``Element`` values of its graded space, the mapping space
 so flows of morphisms run on component maps directly; :func:`twist` and
 strict curvature need the structure maps.
 All sums of this kind go through :func:`twisting_series`.
+
+:class:`MCElement`, an element with its curvature, and :class:`FlowReport`,
+a flow with its curvature at sample times, are reports in the protocol of
+:mod:`linfty.algebra`: ``passed``, ``summary()`` and ``to_json()``.
 """
 
 from __future__ import annotations
@@ -89,7 +93,10 @@ def mc_residual(algebra, value: Element, require_nilpotent: bool = False) -> Ele
 
 
 class MCElement:
-    """A degree-1 element together with its verified curvature."""
+    """A degree-1 element with its curvature: the report of a Maurer-Cartan check.
+
+    ``passed`` when the element is flat, its curvature zero up to the cap.
+    """
 
     def __init__(self, algebra: LInftyStructure, value: Element, residual: Element):
         self.algebra = algebra
@@ -97,8 +104,17 @@ class MCElement:
         self.residual = residual
 
     @property
-    def is_flat(self) -> bool:
+    def passed(self) -> bool:
         return self.residual.is_zero()
+
+    def summary(self) -> str:
+        if self.passed:
+            return "Maurer-Cartan up to weight cap %d" % self.algebra.cap
+        return "curvature nonzero up to weight cap %d: %r" % (self.algebra.cap, self.residual)
+
+    def to_json(self) -> dict:
+        residual = self.residual.to_json()
+        return {"cap": self.algebra.cap, "passed": self.passed, "residual": residual}
 
 
 def mc_element(structure: LInftyStructure, value: Element) -> MCElement:
@@ -111,7 +127,7 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
         pi = mc_element(structure, pi)
     if pi.algebra is not structure and pi.algebra.space != structure.space:
         raise InputError("Maurer-Cartan element belongs to a different structure")
-    if not pi.is_flat:
+    if not pi.passed:
         raise FlatnessError(
             "cannot twist by a non-flat element; curvature %r" % pi.residual,
             pi.residual,
@@ -311,3 +327,32 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
         "gauge flow did not reach a fixpoint within %d iterations; "
         "the structure is not nilpotent within the bound" % bound
     )
+
+
+class FlowReport:
+    """A gauge flow's path with its curvature verdict at t = 0, 1/2 and 1."""
+
+    def __init__(self, algebra, path: PolyPath):
+        self.cap = algebra.cap
+        self.path = path
+        self.flat_at = {
+            t: mc_residual(algebra, path.evaluate(t)).is_zero()
+            for t in (Fraction(0), Fraction(1, 2), Fraction(1))
+        }
+
+    @property
+    def passed(self) -> bool:
+        return all(self.flat_at.values())
+
+    def summary(self) -> str:
+        lines = ["gauge flow up to weight cap %d" % self.cap]
+        lines += ["  t^%d: %r" % (p, e) for p, e in sorted(self.path.coefficients.items())]
+        lines.append("endpoint at t=1: %r" % self.path.evaluate(Fraction(1)))
+        return "\n".join(lines)
+
+    def to_json(self) -> dict:
+        return {
+            "cap": self.cap,
+            "path": {str(p): e.to_json() for p, e in sorted(self.path.coefficients.items())},
+            "maurer_cartan_at": {str(t): flat for t, flat in self.flat_at.items()},
+        }

@@ -34,7 +34,7 @@ from .grading import (
     subword,
     tabulate,
 )
-from .algebra import LInftyStructure, lift_coderivation, require_verified
+from .algebra import LInftyStructure, ResidualReport, lift_coderivation, require_verified
 from . import linalg
 
 
@@ -203,25 +203,7 @@ def lift_morphism(morphism: MorphismComponents) -> MorphismLift:
     return MorphismLift(morphism)
 
 
-class MorphismReport:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.residuals: dict[Word, Element] = {}
-
-    @property
-    def passed(self) -> bool:
-        return not self.residuals
-
-    def summary(self) -> str:
-        if self.passed:
-            return "morphism compatible up to weight cap %d" % self.cap
-        lines = ["morphism residuals up to weight cap %d:" % self.cap]
-        for word in sorted(self.residuals, key=lambda w: (w.weight, w.factors)):
-            lines.append("  %s -> %r" % (word.label(), self.residuals[word]))
-        return "\n".join(lines)
-
-
-def check_morphism(morphism: MorphismComponents) -> MorphismReport:
+def check_morphism(morphism: MorphismComponents) -> ResidualReport:
     """Per-weight compatibility residuals of the lifted morphism.
 
     The residual at a word w is the target's structure maps evaluated on the
@@ -237,14 +219,15 @@ def check_morphism(morphism: MorphismComponents) -> MorphismReport:
     lift = lift_morphism(morphism)
     q_src = lift_coderivation(morphism.source)
     target = morphism.target
-    report = MorphismReport(cap=morphism.cap)
+    residuals: dict[Word, Element] = {}
     for word in morphism.source.words():
         degree = word.degree + 2 - word.weight
         left = lift.project(word, target.maps, target.space, degree)
         right = q_src.project(word, morphism.components, target.space, degree)
         residual = left - right
         if not residual.is_zero():
-            report.residuals[word] = residual
+            residuals[word] = residual
+    report = ResidualReport(morphism.cap, "morphism compatible", "morphism residuals", residuals)
     morphism.verified = report.passed
     return report
 
@@ -273,12 +256,14 @@ class CohomologyReport:
     def __init__(
         self,
         space: GradedSpace,
+        cap: int,
         dimensions: dict[int, int],
         representatives: dict[int, list[Element]],
         kernels: dict[int, list[list[Fraction]]],
         images: dict[int, list[list[Fraction]]],
     ):
         self.space = space
+        self.cap = cap
         self.dimensions = dimensions
         self.representatives = representatives
         self.kernels = kernels
@@ -296,6 +281,11 @@ class CohomologyReport:
         return ", ".join(
             "dim H^%d = %d" % (d, self.dimensions[d]) for d in self.nonzero_degrees()
         )
+
+    def to_json(self) -> dict:
+        dims = {str(d): n for d, n in sorted(self.dimensions.items())}
+        reps = {str(d): [r.to_json() for r in rs] for d, rs in sorted(self.representatives.items())}
+        return {"cap": self.cap, "dimensions": dims, "representatives": reps}
 
 
 def _q1_matrix(structure: LInftyStructure, degree: int) -> list[list[Fraction]]:
@@ -346,22 +336,31 @@ def cohomology(structure: LInftyStructure) -> CohomologyReport:
             for p in pivots
             if p >= len(image)
         ]
-    return CohomologyReport(space, dims, reps, kernels, images)
+    return CohomologyReport(space, structure.cap, dims, reps, kernels, images)
 
 
 class QuasiIsoReport:
-    def __init__(self, per_degree: dict[int, bool]):
+    """Per degree, whether the weight-1 component is an isomorphism on cohomology."""
+
+    def __init__(self, cap: int, per_degree: dict[int, bool]):
+        self.cap = cap
         self.per_degree = per_degree
 
     @property
-    def verdict(self) -> bool:
+    def passed(self) -> bool:
         return all(self.per_degree.values())
 
+    verdict = passed  # the name the benchmark reads
+
     def summary(self) -> str:
-        if self.verdict:
+        if self.passed:
             return "quasi-isomorphism: yes"
         bad = sorted(d for d, ok in self.per_degree.items() if not ok)
         return "quasi-isomorphism: no (degrees %s)" % bad
+
+    def to_json(self) -> dict:
+        per_degree = {str(d): ok for d, ok in sorted(self.per_degree.items())}
+        return {"cap": self.cap, "passed": self.passed, "per_degree": per_degree}
 
 
 def is_quasi_iso(morphism: MorphismComponents) -> QuasiIsoReport:
@@ -400,4 +399,4 @@ def is_quasi_iso(morphism: MorphismComponents) -> QuasiIsoReport:
             per_degree[d] = False
             continue
         per_degree[d] = linalg.rank(induced) == sdim if sdim else True
-    return QuasiIsoReport(per_degree)
+    return QuasiIsoReport(morphism.cap, per_degree)

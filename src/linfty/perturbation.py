@@ -22,52 +22,45 @@ from .homotopy import gauge_to_homotopy
 
 
 class PerturbationRequest:
-    """Perturb ``morphism`` at ``weight`` n by ``correction``, of weight n and degree -n."""
+    """Perturb ``morphism`` at ``weight`` n by ``correction``, of weight n and degree -n.
+
+    The correction is checked as the weight-n map of the mapping-space
+    vector ``direction``, which drops a zero map; so the weight and degree
+    of a zero correction are checked here.
+    """
 
     def __init__(self, morphism: MorphismComponents, weight: int, correction: MultiMap):
         n = weight
         if n < 1:
             raise InputError("perturbation weight must be >= 1")
-        if correction.weight != n:
-            raise StructureError(
-                "correction has weight %d, requested weight %d" % (correction.weight, n)
-            )
-        if correction.degree != -n:
-            raise StructureError(
-                "correction at weight %d must have degree %d, got %d"
-                % (n, -n, correction.degree)
-            )
         if morphism.cap < n + 1:
             raise InputError(
                 "cap %d too small: the weight-%d statement needs cap >= %d"
                 % (morphism.cap, n, n + 1)
             )
-        if correction.source != morphism.source.space:
-            raise StructureError("correction is not defined on the source space")
-        if correction.target != morphism.target.space:
-            raise StructureError("correction does not land in the target space")
+        if not correction and (correction.weight, correction.degree) != (n, -n):
+            raise StructureError(
+                "zero correction has weight %d and degree %d, expected %d and %d"
+                % (correction.weight, correction.degree, n, -n)
+            )
         self.morphism = morphism
         self.weight = weight
         self.correction = correction
+        self.direction = direction_element(morphism, weight, correction)
 
 
 def direction_element(
     pair: ConvolutionAlgebra | MorphismComponents, weight: int, correction: MultiMap
 ) -> HomElement:
     """The degree-0 element at one weight of the mapping space of ``pair``'s source and target."""
-    return HomElement(
-        pair.source, pair.target, 0, {weight: correction} if not correction.is_zero() else {}
-    )
+    return HomElement(pair.source, pair.target, 0, {weight: correction})
 
 
 def flow_morphism(
     request: PerturbationRequest,
 ) -> tuple[MorphismComponents, PolyPath, ConvolutionAlgebra]:
     """The t = 1 endpoint of the request's gauge homotopy, its flow and its algebra."""
-    morphism = request.morphism
-    h = gauge_to_homotopy(
-        morphism, direction_element(morphism, request.weight, request.correction)
-    )
+    h = gauge_to_homotopy(request.morphism, request.direction)
     return mc_to_morphism(h.endpoint(Fraction(1))), h.h0, h.conv
 
 

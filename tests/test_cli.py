@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -12,7 +13,9 @@ import pytest
 from linfty.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src")
+BENCH = os.path.join(REPO, "bench")
 
 
 def run(*argv):
@@ -325,3 +328,56 @@ def test_malformed_document_is_an_input_error(tmp_path, command, name, pattern, 
     assert done.returncode == 2
     assert done.stderr.startswith("input error:")
     assert "Traceback" not in done.stderr
+
+
+def test_corpus_commands_reproduce_their_recorded_outputs(tmp_path, monkeypatch):
+    # the benchmark's corpus commands, run in process against its recorded
+    # exit codes and digests of stdout, stderr and written files
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    workloads = importlib.import_module("workloads")
+    with open(workloads.CLI_EXPECTED, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    data = workloads._prepare_cli_dir(str(tmp_path))
+    assert set(expected) == {name for name, _, _ in workloads.CORPUS_COMMANDS}
+    for name, argv, writes in workloads.CORPUS_COMMANDS:
+        seen = workloads._observed(workloads.cli_in_process(argv, data), data, writes)
+        assert seen == expected[name], name
+
+
+# argv -> the command that names the printed report: a refusal prints the
+# report of the check that failed
+JSON_REPORTS = [
+    (["check-linfty", "heis.alg"], "check-linfty"),
+    (["check-linfty", "broken.alg"], "check-linfty"),
+    (["check-morphism", "id_twoterm.mor"], "check-morphism"),
+    (["check-morphism", "badchain.mor"], "check-morphism"),
+    (["cohomology", "twoterm_h.alg"], "cohomology"),
+    (["quasi-iso", "id_twoterm.mor"], "quasi-iso"),
+    (["quasi-iso", "zero_twoterm_h.mor"], "quasi-iso"),
+    (["quasi-iso", "badchain.mor"], "quasi-iso"),
+    (["mc-check", "heis.alg", "--pi", "1*x"], "mc-check"),
+    (["mc-check", "heis.alg", "--pi", "1*x + 1*y"], "mc-check"),
+    (["mc-check", "heis_pi.mc"], "mc-check"),
+    (["mc-check", "broken.alg", "--pi", "1*b"], "check-linfty"),
+    (["twist", "broken.alg", "--pi", "1*b"], "check-linfty"),
+    (["gauge-flow", "flow.alg", "--pi", "1*q", "--xi", "1*p"], "gauge-flow"),
+    (["gauge-flow", "heis.alg", "--pi", "1*x + 1*y", "--xi", "1*x"], "gauge-flow"),
+    (["gauge-flow", "broken.alg", "--pi", "1*b", "--xi", "1*a"], "check-linfty"),
+    (["homotopy-check", "flow.hom"], "homotopy-check"),
+    (["convolution-mc", "id_twoterm.mor"], "convolution-mc"),
+    (["convolution-mc", "badchain.mor"], "convolution-mc"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, command", JSON_REPORTS, ids=[" ".join(argv) for argv, _ in JSON_REPORTS]
+)
+def test_json_report_names_its_command_and_agrees_with_the_exit_code(argv, command):
+    code, out, err = run(argv[0], path(argv[1]), *argv[2:], "--format", "json")
+    payload = json.loads(out)
+    assert isinstance(payload, dict) and err == ""
+    assert payload["command"] == command and "cap" in payload
+    assert code in (0, 1)
+    if "passed" in payload:
+        assert code == (0 if payload["passed"] else 1)

@@ -296,20 +296,20 @@ def test_cohomology_with_survivor(two_term_with_h):
 
 
 def test_quasi_iso_identity(heisenberg):
-    assert is_quasi_iso(identity_morphism(heisenberg)).verdict
+    assert is_quasi_iso(identity_morphism(heisenberg)).passed
 
 
 def test_quasi_iso_zero_between_acyclics(two_term):
     zero = MorphismComponents(two_term, two_term, {})
     assert check_morphism(zero).passed
-    assert is_quasi_iso(zero).verdict
+    assert is_quasi_iso(zero).passed
 
 
 def test_quasi_iso_zero_with_cohomology(two_term_with_h):
     zero = MorphismComponents(two_term_with_h, two_term_with_h, {})
     assert check_morphism(zero).passed
     report = is_quasi_iso(zero)
-    assert not report.verdict
+    assert not report.passed
     assert report.per_degree[1] is False
 
 

@@ -41,7 +41,7 @@ def test_worked_example_values(worked_example):
     assert f2.evaluate(("b", "b")) == Element(space, 1, {"b": F(1)})
     assert f2.evaluate(("a", "b")) == Element(space, 0, {"a": F(-1)})
     assert check_morphism(perturbed).passed
-    assert is_quasi_iso(perturbed).verdict
+    assert is_quasi_iso(perturbed).passed
 
 
 def test_worked_example_matches_independent_formula(worked_example):
@@ -71,7 +71,7 @@ def test_weight_one_chain_homotopy(two_term):
     # F'_1 = id + Q1 H + H Q1
     assert perturbed.component(1).value(word_a) == Element(space, 0, {"a": F(2)})
     assert perturbed.component(1).value(word_b) == Element(space, 1, {"b": F(2)})
-    assert is_quasi_iso(perturbed).verdict
+    assert is_quasi_iso(perturbed).passed
     # cohomology action unchanged: both sides acyclic here, checked via reports
     assert cohomology(two_term).nonzero_degrees() == []
 
@@ -90,8 +90,14 @@ def test_request_validation(two_term):
     wrong_degree = MultiMap.from_entries(
         two_term.space, two_term.space, 2, -1, {("a", "b"): {"a": F(1)}}
     )
-    with pytest.raises(StructureError):
+    # the request checks a nonzero correction through its direction element
+    with pytest.raises(StructureError) as from_request:
         PerturbationRequest(idm, 2, wrong_degree)
+    with pytest.raises(StructureError) as from_direction:
+        direction_element(idm, 2, wrong_degree)
+    assert str(from_request.value) == str(from_direction.value)
+    with pytest.raises(StructureError, match="zero correction"):
+        PerturbationRequest(idm, 2, MultiMap(two_term.space, two_term.space, 2, -1))
     zero_weight3 = MultiMap(two_term.space, two_term.space, 3, -3)
     with pytest.raises(InputError):
         # cap 3 cannot observe the weight-4 statement
@@ -127,7 +133,7 @@ def test_below_weight_invariance_and_filtration(two_term):
                 perturbed.component(n).value(w) - idm.component(n).value(w)
             ) == delta.value(w)
         assert check_morphism(perturbed).passed
-        assert is_quasi_iso(perturbed).verdict
+        assert is_quasi_iso(perturbed).passed
         # containment above the prescribed weight
         change = path.evaluate(F(1)) - path.evaluate(F(0))
         if not change.is_zero():
@@ -141,7 +147,7 @@ def test_below_weight_invariance_and_filtration(two_term):
 def test_non_quasi_iso_verdict_preserved(two_term_with_h):
     zero = MorphismComponents(two_term_with_h, two_term_with_h, {})
     check_morphism(zero)
-    assert not is_quasi_iso(zero).verdict
+    assert not is_quasi_iso(zero).passed
     correction = MultiMap.from_entries(
         two_term_with_h.space,
         two_term_with_h.space,
@@ -151,7 +157,7 @@ def test_non_quasi_iso_verdict_preserved(two_term_with_h):
     )
     perturbed = perturb(PerturbationRequest(zero, 1, correction))
     assert check_morphism(perturbed).passed
-    assert not is_quasi_iso(perturbed).verdict
+    assert not is_quasi_iso(perturbed).passed
 
 
 def test_perturbations_compose(two_term):
