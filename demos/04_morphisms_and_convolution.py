@@ -4,7 +4,6 @@
 from fractions import Fraction
 
 from linfty import (
-    Element,
     GradedSpace,
     MultiMap,
     build_convolution,

@@ -8,20 +8,18 @@
 from fractions import Fraction
 
 from linfty import (
-    Element,
     GradedSpace,
     MultiMap,
     check_homotopy,
     check_morphism,
     differential_correction,
-    gauge_to_homotopy,
     identity_morphism,
     is_quasi_iso,
     make_linfty,
     unsplit_residual,
     wedge_basis,
 )
-from linfty.perturbation import PerturbationRequest, direction_element, flow_morphism
+from linfty.perturbation import PerturbationRequest, flow_morphism
 
 F = Fraction
 
@@ -32,7 +30,7 @@ idm = identity_morphism(two_term)
 
 # Prescribe H at weight 2: H(b, b) = a, everything else zero.
 correction = MultiMap.from_entries(space, space, 2, -2, {("b", "b"): {"a": F(1)}})
-perturbed, path, conv = flow_morphism(PerturbationRequest(idm, 2, correction))
+perturbed, h = flow_morphism(PerturbationRequest(idm, 2, correction))
 
 print("weight-1 component unchanged:", perturbed.component(1) == idm.component(1))
 f2 = perturbed.component(2)
@@ -49,9 +47,8 @@ for word in wedge_basis(space, 2):
     assert change == delta.value(word)
 print("weight-2 change equals the differential of H on every word")
 
-# The flow, packaged as a homotopy, certifies that the two morphisms are
-# homotopic: flat at every time, correct evolution, correct endpoints.
-h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
+# The flow, packaged as the homotopy h, certifies that the two morphisms
+# are homotopic: flat at every time, correct evolution, correct endpoints.
 print(check_homotopy(idm, perturbed, h).summary())
 
 # The flat/evolution split is exactly the dt-degree split of the single

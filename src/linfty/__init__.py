@@ -24,14 +24,12 @@ _EXPORTS = {
     "MultiMap": "grading",
     "NonConvergenceError": "grading",
     "PathAlgebra": "homotopy",
-    "PathDegreeOverflow": "homotopy",
     "PathElement": "homotopy",
     "PerturbationRequest": "perturbation",
     "PolyPath": "mc",
     "StructureError": "grading",
     "Word": "grading",
     "build_convolution": "convolution",
-    "build_path_algebra": "homotopy",
     "canonicalize_word": "grading",
     "check_homotopy": "homotopy",
     "check_morphism": "morphism",

@@ -122,7 +122,7 @@ def _cmd_gauge_flow(args) -> int:
         reason = "starting element is not Maurer-Cartan"
         text = "%s: %r" % (reason, start.residual)
         return _emit("gauge-flow", start, args.format, text, reason=reason)
-    report = FlowReport(structure, gauge_flow(structure, start, xi, args.bound))
+    report = FlowReport(structure, gauge_flow(structure, pi0, xi, args.bound))
     if args.out:
         # a reference resolves against the directory of the document holding it
         ref = args.algebra_ref or os.path.relpath(args.file, os.path.dirname(args.out))
@@ -134,12 +134,12 @@ def _cmd_gauge_flow(args) -> int:
 def _cmd_lemma1(args) -> int:
     from .perturbation import PerturbationRequest, perturb
 
-    morphism = documents.load_morphism(args.file, args.cap)
     if args.request is not None:
         morphism, weight, correction = documents.load_request(args.request, args.cap)
     else:
         if args.H is None or args.n is None:
             raise DocumentError("lemma1 needs either --request or both --n and --H")
+        morphism = documents.load_morphism(args.file, args.cap)
         _, _, correction = documents.load_map(args.H, args.cap)
         weight = args.n
     request = PerturbationRequest(morphism, weight, correction)
@@ -162,18 +162,14 @@ def _cmd_lemma1(args) -> int:
 
 def _cmd_homotopy_check(args) -> int:
     from .morphism import check_morphism
-    from .convolution import build_convolution
-    from .homotopy import HomotopyElement, check_homotopy
+    from .homotopy import check_homotopy
 
-    first, second, h0_parts, h1_parts = documents.load_homotopy(args.file, args.cap)
+    first, second, h = documents.load_homotopy(args.file, args.cap)
     for label, mor in (("first", first), ("second", second)):
         reason = "%s morphism fails its check" % label
         if _refused("homotopy-check", check_morphism(mor), args.format, reason):
             return FAIL
-    conv = build_convolution(first.source, first.target, first.cap)
-    h0, h1 = documents.homotopy_parts_to_polypaths(conv, h0_parts, h1_parts)
-    report = check_homotopy(first, second, HomotopyElement(conv, h0, h1))
-    return _emit("homotopy-check", report, args.format)
+    return _emit("homotopy-check", check_homotopy(first, second, h), args.format)
 
 
 def _cmd_convolution_mc(args) -> int:
@@ -187,10 +183,7 @@ def _cmd_convolution_mc(args) -> int:
     report = ResidualReport(
         morphism.cap, "Maurer-Cartan in the convolution algebra", "curvature nonzero", residuals
     )
-    text = None
-    if not report.passed:
-        text = "curvature nonzero up to weight cap %d at %d words" % (report.cap, len(residuals))
-    return _emit("convolution-mc", report, args.format, text)
+    return _emit("convolution-mc", report, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("file", help="input document")
+    def common(p, file_help="input document"):
+        p.add_argument("file", help=file_help)
         p.add_argument("--cap", type=int, default=None, help="override the document cap")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -242,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gauge_flow)
 
     p = sub.add_parser("lemma1", help="perturb a morphism at one weight by a prescribed map")
-    common(p)
+    common(p, "morphism document; not read with --request, whose document names its morphism")
     p.add_argument("--n", type=int, default=None, help="perturbation weight")
     p.add_argument("--H", default=None, help="map document with the prescribed correction")
     p.add_argument("--request", default=None, help="self-contained request document")

@@ -26,7 +26,7 @@ from .algebra import LInftyStructure, make_linfty
 
 if TYPE_CHECKING:
     from .morphism import MorphismComponents
-    from .mc import PolyPath
+    from .homotopy import HomotopyElement
 
 KINDS = ("algebra", "morphism", "mc-element", "map", "request", "homotopy")
 
@@ -194,12 +194,16 @@ def _parse_map_section(
     return MultiMap(source, target, weight, degree, values)
 
 
+def _in_basis_order(words, space: GradedSpace) -> list[Word]:
+    return sorted(words, key=lambda w: tuple(space.index(n) for n in w.factors))
+
+
 def _map_sections(maps: Mapping[int, MultiMap]) -> list[str]:
     """One ``map n:`` section per weight, its entries in basis order of their words."""
     lines = []
     for weight, m in sorted(maps.items()):
         lines.append("map %d:" % weight)
-        for word in sorted(m.values, key=lambda w: tuple(m.source.index(n) for n in w.factors)):
+        for word in _in_basis_order(m.values, m.source):
             lines.append("  %s -> %s" % (" ".join(word.factors), _format_element(m.values[word])))
     return lines
 
@@ -382,105 +386,85 @@ def _format_poly(coeffs: list[Fraction]) -> str:
     return "[%s]" % " ".join(_format_fraction(c) for c in coeffs)
 
 
-def _parse_poly_section(
-    lines: list[str],
-    source: GradedSpace,
-    target: GradedSpace,
-    weight: int,
-) -> dict[Word, dict[str, list[Fraction]]]:
-    out: dict[Word, dict[str, list[Fraction]]] = {}
-    for line in lines:
-        word, sign, rhs = _parse_entry(line, source, weight)
-        combo: dict[str, list[Fraction]] = {}
-        for coeff_text, name in _terms(target, rhs):
-            poly = [c * sign for c in _parse_poly(coeff_text)]
-            combo[name] = [
-                a + b for a, b in zip_longest(combo.get(name, []), poly, fillvalue=0)
-            ]
-        if word in out:
-            raise DocumentError("duplicate entry for word %r" % (word.factors,))
-        out[word] = combo
-    return out
+def load_homotopy(
+    path: str, cap_override: int | None = None
+) -> tuple[MorphismComponents, MorphismComponents, HomotopyElement]:
+    """The two morphisms a homotopy document names, and the homotopy between them.
 
+    A ``h0 n:`` or ``h1 n:`` entry takes a weight-n word to target names
+    with coefficients polynomial in t, ``[c0 c1 ...]`` or a constant ``c``;
+    repeated names add up.  The homotopy lives over a newly built mapping
+    space of the first morphism's source and target.
+    """
+    from .morphism import HomElement
+    from .convolution import build_convolution
+    from .mc import PolyPath
+    from .homotopy import HomotopyElement
 
-def load_homotopy(path: str, cap_override: int | None = None):
-    """Returns (first, second, h0_parts, h1_parts); parts map weight -> entries."""
     doc = load_document(path, "homotopy")
     first = load_morphism(_resolve(path, _header(doc, "first")), cap_override)
     second = load_morphism(_resolve(path, _header(doc, "second")), cap_override)
-    parts: dict[str, dict[int, dict]] = {"h0": {}, "h1": {}}
-    for name, lines in doc["sections"].items():
-        weight = _section_weight(name)
-        parts[name.partition(" ")[0]][weight] = _parse_poly_section(
-            lines, first.source.space, first.target.space, weight
-        )
-    return first, second, parts["h0"], parts["h1"]
+    source, target = first.source.space, first.target.space
+    # part -> power -> word -> name -> coefficient, zeros left out
+    parts: dict[str, dict[int, dict[Word, dict[str, Fraction]]]] = {"h0": {}, "h1": {}}
+    for section, lines in doc["sections"].items():
+        weight = _section_weight(section)
+        per_power = parts[section.partition(" ")[0]]
+        seen = set()
+        for line in lines:
+            word, sign, rhs = _parse_entry(line, source, weight)
+            combo: dict[str, list[Fraction]] = {}
+            for coeff_text, name in _terms(target, rhs):
+                poly = [c * sign for c in _parse_poly(coeff_text)]
+                summed = zip_longest(combo.get(name, []), poly, fillvalue=0)
+                combo[name] = [a + b for a, b in summed]
+            if word in seen:
+                raise DocumentError("duplicate entry for word %r" % (word.factors,))
+            seen.add(word)
+            for name, poly in combo.items():
+                for power, coeff in enumerate(poly):
+                    if coeff:
+                        per_power.setdefault(power, {}).setdefault(word, {})[name] = coeff
+    conv = build_convolution(first.source, first.target, first.cap)
 
-
-def homotopy_parts_to_polypaths(conv, h0_parts, h1_parts) -> tuple[PolyPath, PolyPath]:
-    """Assemble parsed per-weight polynomial entries into paths over ``conv``."""
-    from .morphism import HomElement
-    from .mc import PolyPath
-
-    target = conv.target.space
-
-    def build(parts, degree):
-        # every word of a weight-n section has weight n
-        per_power: dict[int, dict[Word, dict[str, Fraction]]] = {}
-        for entries in parts.values():
-            for word, combo in entries.items():
-                for name, poly in combo.items():
-                    for power, coeff in enumerate(poly):
-                        if coeff:
-                            per_power.setdefault(power, {}).setdefault(word, {})[name] = coeff
+    def build(per_power, degree: int) -> PolyPath:
         coefficients = {}
         for power, combos in per_power.items():
             comps = tabulate(
-                conv.source.space,
+                source,
                 target,
                 degree,
                 combos,
                 lambda w: Element(target, w.degree + degree - w.weight, combos[w]),
             )
-            coefficients[power] = HomElement(conv.source, conv.target, degree, comps)
+            coefficients[power] = HomElement(first.source, first.target, degree, comps)
         return PolyPath(conv, degree, coefficients)
 
-    return build(h0_parts, 1), build(h1_parts, 0)
+    return first, second, HomotopyElement(conv, build(parts["h0"], 1), build(parts["h1"], 0))
 
 
-def homotopy_to_document(
-    conv, h0: PolyPath, h1: PolyPath, first_ref: str, second_ref: str
-) -> str:
+def homotopy_to_document(h: HomotopyElement, first_ref: str, second_ref: str) -> str:
     lines = [
         "kind: homotopy",
         "first: %s" % first_ref,
         "second: %s" % second_ref,
     ]
-    src = conv.source.space
-    for tag, path in (("h0", h0), ("h1", h1)):
+    source, target = h.conv.source.space, h.conv.target.space
+    for tag, path in (("h0", h.h0), ("h1", h.h1)):
+        # weight -> word -> name -> coefficients by power
         per_weight: dict[int, dict[Word, dict[str, list[Fraction]]]] = {}
-        for power in sorted(path.coefficients):
-            for weight, comp in path.coefficients[power].components.items():
-                for word, value in comp.values.items():
-                    for name, coeff in value.coeffs.items():
-                        poly = (
-                            per_weight.setdefault(weight, {})
-                            .setdefault(word, {})
-                            .setdefault(name, [])
-                        )
-                        while len(poly) <= power:
-                            poly.append(Fraction(0))
+        for power, value in path.coefficients.items():
+            for weight, comp in value.components.items():
+                for word, element in comp.values.items():
+                    for name, coeff in element.coeffs.items():
+                        combo = per_weight.setdefault(weight, {}).setdefault(word, {})
+                        poly = combo.setdefault(name, [])
+                        poly.extend([Fraction(0)] * (power + 1 - len(poly)))
                         poly[power] = coeff
-        for weight in sorted(per_weight):
+        for weight, words in sorted(per_weight.items()):
             lines.append("%s %d:" % (tag, weight))
-            words = per_weight[weight]
-            for word in sorted(
-                words, key=lambda w: tuple(src.index(n) for n in w.factors)
-            ):
-                terms = []
+            for word in _in_basis_order(words, source):
                 combo = words[word]
-                for name in conv.target.space.names:
-                    if name in combo:
-                        terms.append("%s*%s" % (_format_poly(combo[name]), name))
+                terms = ["%s*%s" % (_format_poly(combo[n]), n) for n in target.names if n in combo]
                 lines.append("  %s -> %s" % (" ".join(word.factors), " + ".join(terms)))
     return "\n".join(lines) + "\n"

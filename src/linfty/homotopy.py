@@ -27,11 +27,7 @@ from .grading import Combination, InputError, StructureError, add_scaled
 from .algebra import LInftyStructure, require_verified
 from .morphism import HomElement, MorphismComponents, check_morphism
 from .convolution import ConvolutionAlgebra, build_convolution, morphism_to_mc
-from .mc import PolyPath, apply_to_paths, gauge_flow, mc_residual, twisting_series
-
-
-class PathDegreeOverflow(RuntimeError):
-    """A polynomial exceeded the configured degree guard."""
+from .mc import SAMPLE_TIMES, PolyPath, apply_to_paths, gauge_flow, mc_residual, twisting_series
 
 
 class PathElement(Combination):
@@ -76,43 +72,22 @@ class PathElement(Combination):
     def __repr__(self):
         return "PathElement(even=%r, odd=(%r) dt)" % (self.even, self.odd)
 
-    def max_power(self) -> int:
-        return max((part.max_power() for part in self.terms.values()), default=0)
-
 
 class PathAlgebra:
     """Structure maps extended over polynomials and one odd generator.
 
     The weight-1 map also differentiates in t against dt, with the usual
-    sign of a differential entering a tensor product.  Polynomial degrees
-    above the guard raise :class:`PathDegreeOverflow`: flows in nilpotent
-    truncations provably stay below it, so hitting the guard means the cap
-    or guard was misconfigured, not a numerical problem.  A structure base is
-    checked against its relations; a mapping-space base was checked through
-    its source and target when it was built.
+    sign of a differential entering a tensor product.  Each map is one
+    multilinear evaluation, so the polynomial degree of its output is fixed
+    by its inputs.  A structure base is checked against its relations; a
+    mapping-space base was checked through its source and target when it
+    was built.
     """
 
-    def __init__(self, base, t_cap: int):
+    def __init__(self, base):
         if isinstance(base, LInftyStructure):
             require_verified(base, "the path algebra's base structure")
         self.base = base
-        self.t_cap = t_cap
-
-    def _guard(self, out: PathElement) -> PathElement:
-        if out.max_power() > self.t_cap:
-            raise PathDegreeOverflow(
-                "polynomial degree %d exceeds guard %d" % (out.max_power(), self.t_cap)
-            )
-        return out
-
-    def embed(self, element) -> PathElement:
-        """Constant path with no dt part (the inclusion of the base)."""
-        space = self.base.space
-        return PathElement(space, element.degree, PolyPath(space, element.degree, {0: element}))
-
-    def at_time(self, pe: PathElement, t: Fraction):
-        """Evaluate the even part and discard dt; t = 0, 1 are the endpoints."""
-        return pe.even.evaluate(t)
 
     def q_eval(self, n: int, elements: list[PathElement]) -> PathElement:
         if len(elements) != n:
@@ -131,7 +106,7 @@ class PathAlgebra:
         if n == 1:
             e = elements[0]
             add_scaled(odd, e.even.derivative(), -1 if e.degree % 2 else 1)
-        return self._guard(PathElement(space, degree, even, PolyPath(space, degree - 1, odd)))
+        return PathElement(space, degree, even, PolyPath(space, degree - 1, odd))
 
     def curvature(self, pe: PathElement) -> PathElement:
         """Flatness defect of a degree-1 path element, summed to the cap."""
@@ -140,18 +115,15 @@ class PathAlgebra:
         return twisting_series(self.q_eval, self.base.cap, pe)
 
 
-def build_path_algebra(base: LInftyStructure, t_cap: int | None = None) -> PathAlgebra:
-    if t_cap is None:
-        t_cap = (base.space.dimension() + 2) * base.cap + 2
-    return PathAlgebra(base, t_cap)
-
-
 class HomotopyElement:
     """h = h0 + h1 dt in the mapping space into the path algebra over the target.
 
     Both parts are polynomial paths over ``conv`` with HomElement
     coefficients: h0 of degree 1 (a family of morphism-shaped elements), h1
     of degree 0 (the gauge direction when the homotopy comes from a flow).
+    It is the one form of a homotopy: flows
+    (:func:`~linfty.perturbation.flow_morphism`) return it, and documents
+    (:func:`~linfty.documents.load_homotopy`) read and write it.
     """
 
     def __init__(self, conv: ConvolutionAlgebra, h0: PolyPath, h1: PolyPath):
@@ -199,18 +171,15 @@ def evolution_residual(h: HomotopyElement) -> PolyPath:
     return h.h0.derivative() - twisted
 
 
-def unsplit_residual(h: HomotopyElement, t_cap: int | None = None) -> PathElement:
+def unsplit_residual(h: HomotopyElement) -> PathElement:
     """Curvature of h0 + h1 dt in the path algebra over the mapping space.
 
     Its dt-free part equals :func:`flatness_residual` and its dt part is
     minus :func:`evolution_residual`; the decomposition is the recorded
     content of "flat in the path algebra" splitting in dt-degree.
     """
-    if t_cap is None:
-        t_cap = max(h.h0.max_power(), h.h1.max_power()) * h.conv.cap + 2
-    path_algebra = PathAlgebra(h.conv, t_cap)
     combined = PathElement(h.h0.space, 1, h.h0, h.h1)
-    return path_algebra.curvature(combined)
+    return PathAlgebra(h.conv).curvature(combined)
 
 
 class HomotopyReport:
@@ -270,16 +239,14 @@ class HomotopyReport:
 
 
 def check_homotopy(
-    first: MorphismComponents,
-    second: MorphismComponents,
-    h: HomotopyElement,
-    samples: tuple[Fraction, ...] = (Fraction(0), Fraction(1, 2), Fraction(1)),
+    first: MorphismComponents, second: MorphismComponents, h: HomotopyElement
 ) -> HomotopyReport:
     """Verify a homotopy between two morphisms.
 
     Checks the polynomial flatness identity, the evolution equation, the
     endpoints against the two morphisms, and flatness of the evaluated
-    element at the sample times through an independent code path.
+    element at :data:`~linfty.mc.SAMPLE_TIMES` through an independent code
+    path.
     """
     conv = h.conv
     if (
@@ -293,9 +260,7 @@ def check_homotopy(
     evolution = evolution_residual(h)
     starts = h.endpoint(Fraction(0)) == morphism_to_mc(first)
     ends = h.endpoint(Fraction(1)) == morphism_to_mc(second)
-    sample_residuals = {
-        t: mc_residual(conv, h.h0.evaluate(t)) for t in samples
-    }
+    sample_residuals = {t: mc_residual(conv, h.h0.evaluate(t)) for t in SAMPLE_TIMES}
     return HomotopyReport(
         cap=conv.cap,
         flat=flat,

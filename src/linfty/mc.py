@@ -46,6 +46,9 @@ from .grading import (
 )
 from .algebra import LInftyStructure, lower_central_series
 
+# the times at which flow and homotopy reports evaluate the curvature of a path
+SAMPLE_TIMES = (Fraction(0), Fraction(1, 2), Fraction(1))
+
 
 def twisting_series(apply, cap: int, pi, args: Sequence = ()):
     """sum over m of 1/m! * apply(m + k, [pi] * m + args), k = len(args).
@@ -293,19 +296,18 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
     never computes the series; the default reads ``space.dimension()``,
     which the mapping space does not offer, so its flows pass a bound.
     """
-    start = pi0.value if isinstance(pi0, MCElement) else pi0
     if xi.degree != 0:
         raise InputError("gauge directions must have degree 0")
-    if start.degree != 1:
+    if pi0.degree != 1:
         raise InputError("flow starts at a degree-1 element")
     if iteration_bound is not None and iteration_bound < 1:
         raise InputError("the iteration bound must be at least 1, got %d" % iteration_bound)
     space = algebra.space
     bound = space.dimension() + 3 if iteration_bound is None else iteration_bound
-    base = PolyPath(space, 1, {0: start})
+    base = PolyPath(space, 1, {0: pi0})
     zero = space.zero(1)
-    coefficients = [start]
-    support = [0] if start else []
+    coefficients = [pi0]
+    support = [0] if pi0 else []
     powers = 0
     while powers < bound:
         terms: dict = {}
@@ -330,15 +332,12 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
 
 
 class FlowReport:
-    """A gauge flow's path with its curvature verdict at t = 0, 1/2 and 1."""
+    """A gauge flow's path with its curvature verdict at each of :data:`SAMPLE_TIMES`."""
 
     def __init__(self, algebra, path: PolyPath):
         self.cap = algebra.cap
         self.path = path
-        self.flat_at = {
-            t: mc_residual(algebra, path.evaluate(t)).is_zero()
-            for t in (Fraction(0), Fraction(1, 2), Fraction(1))
-        }
+        self.flat_at = {t: mc_residual(algebra, path.evaluate(t)).is_zero() for t in SAMPLE_TIMES}
 
     @property
     def passed(self) -> bool:

@@ -17,8 +17,7 @@ from .grading import Element, InputError, MultiMap, StructureError, Word, add_sc
 from .algebra import LInftyStructure
 from .morphism import HomElement, MorphismComponents, check_morphism
 from .convolution import ConvolutionAlgebra, mc_to_morphism
-from .mc import PolyPath
-from .homotopy import gauge_to_homotopy
+from .homotopy import HomotopyElement, gauge_to_homotopy
 
 
 class PerturbationRequest:
@@ -56,17 +55,15 @@ def direction_element(
     return HomElement(pair.source, pair.target, 0, {weight: correction})
 
 
-def flow_morphism(
-    request: PerturbationRequest,
-) -> tuple[MorphismComponents, PolyPath, ConvolutionAlgebra]:
-    """The t = 1 endpoint of the request's gauge homotopy, its flow and its algebra."""
+def flow_morphism(request: PerturbationRequest) -> tuple[MorphismComponents, HomotopyElement]:
+    """The t = 1 endpoint of the request's gauge homotopy, and the homotopy."""
     h = gauge_to_homotopy(request.morphism, request.direction)
-    return mc_to_morphism(h.endpoint(Fraction(1))), h.h0, h.conv
+    return mc_to_morphism(h.endpoint(Fraction(1))), h
 
 
 def perturb(request: PerturbationRequest) -> MorphismComponents:
     """Endpoint of the flow, re-verified as a morphism at the cap."""
-    perturbed, _, _ = flow_morphism(request)
+    perturbed, _ = flow_morphism(request)
     report = check_morphism(perturbed)
     if not report.passed:
         raise StructureError(

@@ -10,7 +10,6 @@ from linfty import (
     InputError,
     MultiMap,
     NonConvergenceError,
-    build_convolution,
     check_relations,
     documents,
     from_dgla,
@@ -23,7 +22,6 @@ from linfty import (
 from linfty.algebra import FiltrationChain
 from linfty.convolution import HomElement
 from linfty.grading import add_scaled, signed_blocks, subword
-from linfty.homotopy import HomotopyElement
 from linfty.mc import MCElement, PolyPath, twisted_differential_of
 
 F = Fraction
@@ -815,13 +813,8 @@ def homotopy_round_trip(h, first, second, directory):
         "target.txt": documents.algebra_to_document(first.target),
         "first.txt": documents.morphism_to_document(first, "source.txt", "target.txt"),
         "second.txt": documents.morphism_to_document(second, "source.txt", "target.txt"),
-        "homotopy.txt": documents.homotopy_to_document(
-            h.conv, h.h0, h.h1, "first.txt", "second.txt"
-        ),
+        "homotopy.txt": documents.homotopy_to_document(h, "first.txt", "second.txt"),
     }
     for name, text in files.items():
         (directory / name).write_text(text, encoding="utf-8")
-    first, second, h0_parts, h1_parts = documents.load_homotopy(str(directory / "homotopy.txt"))
-    conv = build_convolution(first.source, first.target, first.cap)
-    h0, h1 = documents.homotopy_parts_to_polypaths(conv, h0_parts, h1_parts)
-    return first, second, HomotopyElement(conv, h0, h1)
+    return documents.load_homotopy(str(directory / "homotopy.txt"))

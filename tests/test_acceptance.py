@@ -22,7 +22,6 @@ from linfty import (
     check_morphism,
     check_relations,
     differential_correction,
-    gauge_to_homotopy,
     identity_morphism,
     is_quasi_iso,
     koszul_sign,
@@ -331,8 +330,7 @@ def test_criterion_7_homotopy_split():
         idm = identity_morphism(base)
         for n in (1, 2):
             correction = _random_correction(base, base, n, rng)
-            perturbed, _, conv = flow_morphism(PerturbationRequest(idm, n, correction))
-            h = gauge_to_homotopy(idm, direction_element(conv, n, correction))
+            perturbed, h = flow_morphism(PerturbationRequest(idm, n, correction))
             report = check_homotopy(idm, perturbed, h)
             if not report.passed:
                 ok = False
@@ -351,8 +349,8 @@ def test_criterion_7_homotopy_split():
             if not extra_entries:
                 continue
             extra = MultiMap.from_entries(base.space, base.space, 1, -1, extra_entries)
-            bad_h1 = h.h1 + PolyPath(conv, 0, {0: direction_element(conv, 1, extra)})
-            corrupted = HomotopyElement(conv, h.h0, bad_h1)
+            bad_h1 = h.h1 + PolyPath(h.conv, 0, {0: direction_element(h.conv, 1, extra)})
+            corrupted = HomotopyElement(h.conv, h.h0, bad_h1)
             if evolution_residual(corrupted).is_zero():
                 ok = False
             bad_combined = unsplit_residual(corrupted)

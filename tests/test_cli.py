@@ -250,6 +250,13 @@ def test_lemma1_request_document(tmp_path):
     assert "a b -> -1*a" in text
 
 
+def test_lemma1_request_does_not_read_its_positional_file():
+    # the request names its own morphism, so the positional may be any file
+    code, out, err = run("lemma1", path("heis.alg"), "--request", path("pert.req"))
+    assert (code, err) == (0, "")
+    assert out == run("lemma1", path("id_twoterm.mor"), "--n", "2", "--H", path("corr.map"))[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -278,6 +285,9 @@ def test_convolution_mc():
     assert run("convolution-mc", path("id_twoterm.mor"))[0] == 0
     code, out, _ = run("convolution-mc", path("badchain.mor"))
     assert code == 1
+    # the failing text lists each residual word, as check-morphism does
+    assert out == "curvature nonzero up to weight cap 3:\n  a -> -1*x\n"
+    assert out.splitlines()[1:] == run("check-morphism", path("badchain.mor"))[1].splitlines()[1:]
 
 
 def test_outputs_deterministic():

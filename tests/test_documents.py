@@ -8,6 +8,7 @@ from linfty.documents import (
     DocumentError,
     algebra_from_document,
     algebra_to_document,
+    homotopy_to_document,
     load_algebra,
     load_homotopy,
     load_map,
@@ -61,6 +62,19 @@ def test_morphism_round_trip_bytes():
         assert rebuilt == text
 
 
+def test_homotopy_round_trip_bytes():
+    for name in corpus_files():
+        if not name.endswith(".hom"):
+            continue
+        path = os.path.join(DATA, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        doc = parse_document(text)
+        _, _, h = load_homotopy(path)
+        rebuilt = homotopy_to_document(h, doc["headers"]["first"], doc["headers"]["second"])
+        assert rebuilt == text
+
+
 def test_unknown_fields_rejected():
     with pytest.raises(DocumentError):
         parse_document("kind: algebra\ncap: 2\ncolor: blue\n")
@@ -102,10 +116,10 @@ def test_load_mc_and_map_and_request():
 
 
 def test_load_homotopy_document():
-    first, second, h0_parts, h1_parts = load_homotopy(os.path.join(DATA, "flow.hom"))
-    assert first.cap == second.cap == 3
-    assert set(h0_parts) == {1, 2}
-    assert set(h1_parts) == {2}
+    first, second, h = load_homotopy(os.path.join(DATA, "flow.hom"))
+    assert first.cap == second.cap == h.conv.cap == 3
+    assert {n for c in h.h0.coefficients.values() for n in c.components} == {1, 2}
+    assert {n for c in h.h1.coefficients.values() for n in c.components} == {2}
 
 
 def test_homotopy_entries_sum_repeated_names(tmp_path):
@@ -115,9 +129,10 @@ def test_homotopy_entries_sum_repeated_names(tmp_path):
     text = path.read_text()
     assert "  b -> 1*b\n" in text
     path.write_text(text.replace("  b -> 1*b\n", "  b -> 1*b + 5*b\n"))
-    _, _, h0_parts, _ = load_homotopy(str(path))
-    (word,) = [w for w in h0_parts[1] if w.factors == ("b",)]
-    assert h0_parts[1][word] == {"b": [F(6)]}
+    _, _, h = load_homotopy(str(path))
+    (word,) = [w for w in h.h0.coefficients[0].component(1).values if w.factors == ("b",)]
+    assert h.h0.coefficients[0].value(word).coeffs == {"b": F(6)}
+    assert all(c.value(word).is_zero() for p, c in h.h0.coefficients.items() if p)
 
 
 def test_parse_element_mixed_degree_rejected(two_term):

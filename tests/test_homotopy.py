@@ -6,11 +6,8 @@ import pytest
 
 from linfty import (
     Element,
-    GradedSpace,
     MultiMap,
-    PathDegreeOverflow,
     PolyPath,
-    build_path_algebra,
     check_homotopy,
     gauge_to_homotopy,
     identity_morphism,
@@ -58,9 +55,14 @@ def random_path_element(space, degree, rng, max_power=2, density=0.6):
     )
 
 
+def constant(x):
+    """The constant path at ``x``, with no dt part."""
+    return PathElement(x.space, x.degree, PolyPath(x.space, x.degree, {0: x}))
+
+
 def test_path_relations_on_probes(end_dgla):
     rng = random.Random(307)
-    algebra = build_path_algebra(end_dgla, t_cap=20)
+    algebra = PathAlgebra(end_dgla)
     space = end_dgla.space
     for _ in range(25):
         n_rel = rng.choice([1, 2, 3])
@@ -81,17 +83,16 @@ def test_path_relations_on_probes(end_dgla):
 
 
 def test_embedding_and_projections(end_dgla):
-    algebra = build_path_algebra(end_dgla)
     x = Element(end_dgla.space, 1, {"e10": F(3)})
-    embedded = algebra.embed(x)
-    assert algebra.at_time(embedded, F(0)) == x
-    assert algebra.at_time(embedded, F(1)) == x
+    embedded = constant(x)
+    assert embedded.even.evaluate(F(0)) == x
+    assert embedded.even.evaluate(F(1)) == x
 
 
 def test_projections_are_componentwise_morphisms(end_dgla):
     # evaluating at a time commutes with the extended structure maps
     rng = random.Random(311)
-    algebra = build_path_algebra(end_dgla, t_cap=20)
+    algebra = PathAlgebra(end_dgla)
     space = end_dgla.space
     for _ in range(10):
         n = rng.choice([1, 2])
@@ -99,9 +100,9 @@ def test_projections_are_componentwise_morphisms(end_dgla):
         elements = [random_path_element(space, d, rng, max_power=1) for d in degrees]
         out = algebra.q_eval(n, elements)
         for t in (F(0), F(1)):
-            direct = algebra.at_time(out, t)
+            direct = out.even.evaluate(t)
             q = end_dgla.maps.get(n)
-            projected = [algebra.at_time(e, t) for e in elements]
+            projected = [e.even.evaluate(t) for e in elements]
             want = (
                 q.apply(projected)
                 if q is not None
@@ -111,14 +112,14 @@ def test_projections_are_componentwise_morphisms(end_dgla):
 
 
 def test_embedded_elements_have_no_derivative_term(end_dgla):
-    algebra = build_path_algebra(end_dgla)
+    algebra = PathAlgebra(end_dgla)
     x = Element(end_dgla.space, 0, {"e00": F(1)})
-    out = algebra.q_eval(1, [algebra.embed(x)])
+    out = algebra.q_eval(1, [constant(x)])
     assert out.odd.is_zero()
 
 
 def test_leibniz_on_linear_path(end_dgla):
-    algebra = build_path_algebra(end_dgla)
+    algebra = PathAlgebra(end_dgla)
     g = Element(end_dgla.space, 0, {"e00": F(1)})
     linear = PathElement(
         end_dgla.space, 0, PolyPath(end_dgla.space, 0, {1: g}), None
@@ -131,7 +132,7 @@ def test_leibniz_on_linear_path(end_dgla):
 
 
 def test_dt_squared_vanishes(end_dgla):
-    algebra = build_path_algebra(end_dgla)
+    algebra = PathAlgebra(end_dgla)
     odd_only = PathElement(
         end_dgla.space,
         1,
@@ -141,56 +142,39 @@ def test_dt_squared_vanishes(end_dgla):
     assert algebra.q_eval(2, [odd_only, odd_only]).is_zero()
 
 
-def test_degree_guard():
-    space = GradedSpace([("a", 0), ("b", 1)])
-    q1 = MultiMap.from_entries(space, space, 1, 1, {("a",): {"b": F(1)}})
-    from linfty import make_linfty
-
-    structure = make_linfty(space, {1: q1}, cap=3)
-    algebra = PathAlgebra(structure, t_cap=1)
-    high = PathElement(
-        space, 0, PolyPath(space, 0, {2: Element(space, 0, {"a": F(1)})}), None
-    )
-    with pytest.raises(PathDegreeOverflow):
-        algebra.q_eval(1, [high])
-
-
 @pytest.fixture
 def flowed_pair(two_term):
     idm = identity_morphism(two_term)
     correction = MultiMap.from_entries(
         two_term.space, two_term.space, 2, -2, {("b", "b"): {"a": F(1)}}
     )
-    perturbed, _, conv = flow_morphism(PerturbationRequest(idm, 2, correction))
-    return idm, perturbed, conv, correction
+    perturbed, h = flow_morphism(PerturbationRequest(idm, 2, correction))
+    return idm, perturbed, h, correction
 
 
 def test_gauge_homotopy_verifies(flowed_pair):
-    idm, perturbed, conv, correction = flowed_pair
-    h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
+    idm, perturbed, h, _ = flowed_pair
     report = check_homotopy(idm, perturbed, h)
     assert report.passed
     assert "cap 3" in report.summary()
 
 
 def test_gauge_homotopy_h1_constant(flowed_pair):
-    idm, perturbed, conv, correction = flowed_pair
-    h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
-    xi = direction_element(conv, 2, correction)
-    assert h.h1 == PolyPath(conv, 0, {0: xi})
+    idm, _, h, correction = flowed_pair
+    xi = direction_element(h.conv, 2, correction)
+    assert h.h1 == PolyPath(h.conv, 0, {0: xi})
     assert h.endpoint(F(0)) == morphism_to_mc(idm)
 
 
 def test_constant_homotopy(flowed_pair):
-    idm, _, conv, _ = flowed_pair
-    h = gauge_to_homotopy(idm, conv.zero(0))
+    idm, _, flowed, _ = flowed_pair
+    h = gauge_to_homotopy(idm, flowed.conv.zero(0))
     report = check_homotopy(idm, idm, h)
     assert report.passed
 
 
 def test_unsplit_equals_split(flowed_pair):
-    idm, perturbed, conv, correction = flowed_pair
-    h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
+    _, _, h, _ = flowed_pair
     combined = unsplit_residual(h)
     assert combined.even == flatness_residual(h)
     # recorded convention: the dt part carries the opposite sign
@@ -199,8 +183,8 @@ def test_unsplit_equals_split(flowed_pair):
 
 
 def test_corrupted_h1_detected(flowed_pair):
-    idm, perturbed, conv, correction = flowed_pair
-    h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
+    idm, perturbed, h, _ = flowed_pair
+    conv = h.conv
     extra = MultiMap.from_entries(
         idm.source.space, idm.target.space, 1, -1, {("b",): {"a": F(1)}}
     )
@@ -217,7 +201,8 @@ def test_corrupted_h1_detected(flowed_pair):
 def test_gauge_homotopies_compare_by_value(flowed_pair):
     # each gauge_to_homotopy call builds its own mapping space; paths over
     # the two compare by their HomElement coefficients
-    idm, _, conv, correction = flowed_pair
+    idm, _, flowed, correction = flowed_pair
+    conv = flowed.conv
     direction = direction_element(conv, 2, correction)
     one, other = gauge_to_homotopy(idm, direction), gauge_to_homotopy(idm, direction)
     assert one.conv is not other.conv
@@ -235,8 +220,7 @@ def test_gauge_homotopies_compare_by_value(flowed_pair):
 
 
 def test_homotopy_document_round_trip(flowed_pair, tmp_path):
-    idm, perturbed, conv, correction = flowed_pair
-    h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
+    idm, perturbed, h, _ = flowed_pair
     first, second, loaded = homotopy_round_trip(h, idm, perturbed, tmp_path)
     assert loaded.conv is not h.conv
     assert not loaded.h1.is_zero() and loaded.h0.max_power() > 0
@@ -245,8 +229,7 @@ def test_homotopy_document_round_trip(flowed_pair, tmp_path):
 
 
 def test_wrong_endpoint_detected(flowed_pair):
-    idm, perturbed, conv, correction = flowed_pair
-    h = gauge_to_homotopy(idm, direction_element(conv, 2, correction))
+    _, perturbed, h, _ = flowed_pair
     report = check_homotopy(perturbed, perturbed, h)
     assert not report.passed
     assert not report.starts_at_first

@@ -1,4 +1,4 @@
-"""Every module in ``src/linfty`` and ``tests`` uses each name it imports.
+"""Every module in ``src/linfty``, ``tests`` and ``demos`` uses each name it imports.
 
 ``__init__.py`` is exempt: it imports names to export them.  A name counts
 as used when the module's syntax tree reads it anywhere, including inside a
@@ -13,10 +13,11 @@ import os
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src", "linfty")
+DEMOS_DIR = os.path.join(os.path.dirname(TESTS_DIR), "demos")
 
 
 def _modules():
-    for directory in (SRC_DIR, TESTS_DIR):
+    for directory in (SRC_DIR, TESTS_DIR, DEMOS_DIR):
         for name in sorted(os.listdir(directory)):
             if name.endswith(".py") and name != "__init__.py":
                 yield os.path.join(directory, name)

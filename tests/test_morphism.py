@@ -12,7 +12,6 @@ from linfty import (
     MultiMap,
     StructureError,
     build_convolution,
-    build_path_algebra,
     check_morphism,
     check_relations,
     cohomology,
@@ -25,6 +24,7 @@ from linfty import (
 )
 from linfty import linalg
 import linfty.morphism as morphism_module
+from linfty.homotopy import PathAlgebra
 from linfty.morphism import MorphismComponents
 from linfty.grading import canonicalize_word, wedge_basis
 from linfty.perturbation import PerturbationRequest, perturb
@@ -470,7 +470,7 @@ def test_a_structure_failing_its_relations_is_refused_everywhere():
         lambda s: check_morphism(MorphismComponents(s, s, {})),
         cohomology,
         lambda s: build_convolution(s, s, s.cap),
-        build_path_algebra,
+        PathAlgebra,
     ]
     for refuse in refusals:
         broken = make_linfty(space, {1: chain}, cap=3)

@@ -79,8 +79,8 @@ def test_weight_one_chain_homotopy(two_term):
 def test_direction_element_filtration_level(two_term, worked_example):
     # a weight-n direction lives exactly in filtration level n
     structure, idm, correction = worked_example
-    _, _, conv = flow_morphism(PerturbationRequest(idm, 2, correction))
-    xi = direction_element(conv, 2, correction)
+    _, h = flow_morphism(PerturbationRequest(idm, 2, correction))
+    xi = direction_element(h.conv, 2, correction)
     assert xi.degree == 0
     assert xi.filtration_level == 2
 
@@ -122,9 +122,7 @@ def test_below_weight_invariance_and_filtration(two_term):
             if entries
             else MultiMap(space, space, n, -n)
         )
-        perturbed, path, conv = flow_morphism(
-            PerturbationRequest(idm, n, correction)
-        )
+        perturbed, h = flow_morphism(PerturbationRequest(idm, n, correction))
         for m in range(1, n):
             assert perturbed.component(m) == idm.component(m)
         delta = differential_correction(two_term, two_term, correction)
@@ -135,10 +133,10 @@ def test_below_weight_invariance_and_filtration(two_term):
         assert check_morphism(perturbed).passed
         assert is_quasi_iso(perturbed).passed
         # containment above the prescribed weight
-        change = path.evaluate(F(1)) - path.evaluate(F(0))
+        change = h.endpoint(F(1)) - h.endpoint(F(0))
         if not change.is_zero():
             assert change.filtration_level >= n
-        linear = conv.differential(direction_element(conv, n, correction))
+        linear = h.conv.differential(direction_element(h.conv, n, correction))
         second_order = change - linear
         if not second_order.is_zero():
             assert second_order.filtration_level >= n + 1
