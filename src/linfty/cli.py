@@ -135,6 +135,8 @@ def _cmd_lemma1(args) -> int:
     from .perturbation import PerturbationRequest, perturb
 
     if args.request is not None:
+        if args.H is not None or args.n is not None:
+            raise DocumentError("lemma1 takes either --request or --n and --H, not both")
         morphism, weight, correction = documents.load_request(args.request, args.cap)
     else:
         if args.H is None or args.n is None:

@@ -14,14 +14,16 @@ Sign conventions (the one table everything below refers to):
 
   * evaluation, storage and the public splitting signs follow the word
     convention of :mod:`linfty.grading` (``-(-1)**(p*q)`` per swap);
-  * block bookkeeping inside q_n is done on shifted degrees: the n-block
-    splittings of a word and their signs are those of
-    :func:`linfty.grading.signed_blocks`, the kernel the morphism lift uses
-    too, read through :func:`linfty.grading.signed_splittings`;
-  * q_n's sign on a splitting B_1, ..., B_n is that kernel sign times the
-    crossing ``(-1)**sum_{i<j} (u_j - 1)*(deg B_i - weight B_i)`` of each
-    argument past the earlier blocks.  Spelled out, Q'_n also contributes
-    the desuspension sign of its arguments' degrees, suspended(B_i) +
+  * block bookkeeping inside q_n is done on shifted degrees: the sign of an
+    ordered n-block splitting B_1, ..., B_n of a word is the one
+    :func:`linfty.grading.signed_blocks` documents (and the morphism lift
+    reads): the word's desuspension sign, the classical Koszul sign of the
+    arrangement on degrees lowered by one, each block's desuspension sign
+    and that of the blocks' suspended degrees;
+  * q_n's sign on a splitting is that kernel sign times the crossing
+    ``(-1)**sum_{i<j} (u_j - 1)*(deg B_i - weight B_i)`` of each argument
+    past the earlier blocks.  Spelled out, Q'_n also contributes the
+    desuspension sign of its arguments' degrees, suspended(B_i) +
     (u_i - 1), and q_n a constant, the desuspension sign of the u_i - 1
     that makes q_n graded-antisymmetric in the word convention (so the
     mapping space is a structure in the same convention as its source and
@@ -29,6 +31,15 @@ Sign conventions (the one table everything below refers to):
     ``sum d_i*(n-1-i)``, so it is multiplicative over elementwise sums of
     degrees: the constant cancels the u_i - 1 part and leaves the kernel's
     suspended-degree factor;
+  * q_n never lists a word's splittings.  It runs over the arguments'
+    stored entries w_1 -> v_1, ..., w_n -> v_n through
+    :func:`entry_splittings`, which forms the sign above in
+    closed form from the blocks' degrees, slot by slot.  The splittings of
+    the joined word W that read w_1, ..., w_n differ only in how the copies
+    of a repeated odd-degree name are spread over the blocks; such a name
+    has even lowered degree, so they share one sign, and
+    Q'_n(v_1, ..., v_n) goes to W times that sign times their number, a
+    product of multinomials;
   * with these choices the degree-2 curvature of a degree-1 element equals
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
@@ -48,7 +59,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 from .grading import (
     Element,
@@ -57,7 +70,6 @@ from .grading import (
     MultiMap,
     Word,
     add_scaled,
-    signed_splittings,
     tabulate,
 )
 from .algebra import LInftyStructure, lift_coderivation, require_verified
@@ -96,6 +108,8 @@ class ConvolutionAlgebra:
         self.cap = cap
         self.words: list[Word] = source.words()
         self._lift = lift_coderivation(source)
+        # entry_splittings' memo of the words that brackets reached
+        self._joined: dict = {}
 
     # -- coordinates and basis -------------------------------------------
 
@@ -187,8 +201,12 @@ class ConvolutionAlgebra:
     def bracket(self, alphas: Sequence[HomElement]) -> HomElement:
         """The n-ary operation on n mapping-space elements.
 
-        Each splitting looks its block values up in the arguments before any
-        product is formed, and the terms of one word go into one dict.  An
+        Driven by the arguments' stored entries, not by the words of the
+        truncation: :func:`entry_splittings` picks one entry
+        w_i -> v_i of each argument, lightest first and within the cap, and
+        gives the canonical word W of w_1 ... w_n with the signed number of
+        W's splittings that read those blocks.  Q_n(v_1, ..., v_n) times that
+        number goes to W, and the terms of one word go into one dict.  An
         argument from another source/target pair or cap raises
         :class:`~linfty.grading.InputError`.
         """
@@ -203,34 +221,24 @@ class ConvolutionAlgebra:
         qn = self.target.maps.get(n)
         if qn is None:
             return self.zero(u_out)
-        # each argument's stored values keyed by factors, all weights in one dict
-        lookups = [
-            {f: v for comp in a.components.values() for f, v in comp.by_factors.items()}
+        # each argument's shift and stored values keyed by factors, all weights in one dict
+        slots = [
+            (a.degree - 1, {f: v for c in a.components.values() for f, v in c.by_factors.items()})
             for a in alphas
         ]
-        shifts = [a.degree - 1 for a in alphas]
-        totals: dict[Word, Element] = {}
-        for word in self.words:
-            m = word.weight
-            if m < n:
-                continue
-            coeffs: dict = {}
-            degrees = self.source.space.degrees_of(word.factors)
-            for sign, parts, shifted in signed_splittings(word.factors, degrees, n):
-                vals: list[Element] = []
-                crossing = prefix = 0
-                for lookup, shift, part, s in zip(lookups, shifts, parts, shifted):
-                    val = lookup.get(part)
-                    if val is None:
-                        break
-                    vals.append(val)
-                    crossing += shift * prefix
-                    prefix += s
-                else:
-                    qn.accumulate(coeffs, vals, -sign if crossing % 2 else sign)
-            if coeffs:
-                totals[word] = Element(self.target.space, word.degree + u_out - m, coeffs)
-        comps = tabulate(self.source.space, self.target.space, u_out, totals, totals.__getitem__)
+        totals: dict[Word, dict] = {}
+        joins = entry_splittings(slots, self.source.space, self.cap, self._joined)
+        for word, scalar, values in joins:
+            coeffs = totals.get(word)
+            if coeffs is None:
+                coeffs = totals[word] = {}
+            qn.accumulate(coeffs, values, scalar)
+
+        def value(word: Word) -> Element:
+            return Element(self.target.space, word.degree + u_out - word.weight, totals[word])
+
+        words = [word for word, coeffs in totals.items() if coeffs]
+        comps = tabulate(self.source.space, self.target.space, u_out, words, value)
         return HomElement(self.source, self.target, u_out, comps)
 
     def apply(self, n: int, elements: Sequence[HomElement]) -> HomElement:
@@ -248,3 +256,126 @@ def build_convolution(
     source: LInftyStructure, target: LInftyStructure, cap: int
 ) -> ConvolutionAlgebra:
     return ConvolutionAlgebra(source, target, cap)
+
+
+def entry_splittings(
+    slots: Sequence[tuple[int, Mapping[tuple[str, ...], object]]],
+    space: GradedSpace,
+    cap: int,
+    joined: dict,
+) -> Iterator[tuple[Word, int, tuple]]:
+    """The ordered splittings that read one entry per slot, signed and counted in closed form.
+
+    Slot j is ``(shift, entries)``: an integer and a mapping from canonical
+    factor tuples w to values v.  For every choice of one entry per slot
+    whose blocks w_1, ..., w_n join into a word W of weight at most ``cap``
+    that does not vanish, this yields ``(W, scalar, (v_1, ..., v_n))``.
+    ``scalar`` sums, over the splittings of W into position blocks that
+    read w_1, ..., w_n, the :func:`~linfty.grading.signed_blocks` sign
+    times the crossing ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each
+    shift past the earlier blocks.  Those splittings differ only in how the copies of a
+    repeated odd-degree name, whose lowered degree is even, are spread over
+    the blocks, so they share one sign and ``scalar`` is that sign times
+    their number, a product of multinomials.
+
+    The sign is read off the entries, never off W's splittings:
+      * the rearrangement swaps only names of W in different blocks, and
+        only two even-degree names swap with an odd sign; their count is a
+        popcount of the earlier blocks' even names against a mask of the
+        new block's;
+      * the other factors are per-block constants and prefix sums, so the
+        tuples share their prefixes' work slot by slot;
+      * W's own desuspension sign and multiplicity are formed once per W
+        and kept in ``joined``, a dict the caller may keep for every call
+        over one space and cap.
+    Entries are taken lightest first and a slot stops at the first entry
+    too heavy to leave room for the lightest entries of the later slots.
+
+    >>> V = GradedSpace([("a", 0), ("b", 1)])
+    >>> slot = (0, {("a",): "x", ("b",): "y"})
+    >>> for word, scalar, values in entry_splittings([slot, slot], V, 2, {}):
+    ...     print(word.factors, scalar, values)
+    ('a', 'b') 1 ('x', 'y')
+    ('a', 'b') -1 ('y', 'x')
+    ('b', 'b') 2 ('y', 'y')
+    """
+    base = cap + 1
+    tables = []
+    for shift, entries in slots:
+        rows = [_block_row(w, v, space, base) for w, v in entries.items()]
+        rows.sort(key=itemgetter(0))
+        if not rows:
+            return
+        tables.append((shift % 2, rows))
+    room = [cap - sum(rows[0][0] for _, rows in tables[j + 1 :]) for j in range(len(tables))]
+    last = len(tables) - 1
+    # a prefix: weight, even-name mask, suspended degree, sign exponent,
+    # multiset code, repeat tally, blocks, values
+    prefixes: list[tuple] = [(0, 0, 0, 0, 0, 1, (), ())]
+    for j, (shift, rows) in enumerate(tables):
+        grown = []
+        for weight, evens, suspended, parity, code, tally, blocks, values in prefixes:
+            top = room[j] - weight
+            # the earlier blocks' suspended degrees (less one each, against
+            # the shift) are all slot j needs of them, besides their even names
+            carried = parity + suspended + shift * (suspended - j)
+            for w, even, mask, p, s, c, t, letters, value in rows:
+                if w > top:
+                    break
+                if evens & even:
+                    continue
+                exponent = carried + p + (evens & mask).bit_count()
+                if j < last:
+                    grown.append((
+                        weight + w, evens | even, suspended + s, exponent,
+                        code + c, tally * t, blocks + (letters,), values + (value,),
+                    ))
+                    continue
+                key = code + c
+                got = joined.get(key)
+                if got is None:
+                    got = joined[key] = _joined_word(blocks + (letters,))
+                word, word_parity, word_tally = got
+                ways = word_tally // (tally * t)
+                yield word, -ways if (exponent + word_parity) % 2 else ways, values + (value,)
+        prefixes = grown
+
+
+def _block_row(factors: tuple[str, ...], value, space: GradedSpace, base: int) -> tuple:
+    """What :func:`entry_splittings` reads of one entry, formed once per call.
+
+    ``mask`` has bit a set when an odd number of the block's even-degree
+    names come before basis index a; ``code`` adds up to the multiset code
+    of a join, and ``letters`` are the block's (index, degree, name) triples.
+    """
+    letters = tuple((space.index(name), space.degree(name), name) for name in factors)
+    degree, parity, tally = _summary(letters)
+    even = mask = code = 0
+    for i, d, _ in letters:
+        code += base ** i
+        if d % 2 == 0:
+            even |= 1 << i
+            mask ^= -(2 << i)
+    k = len(letters)
+    return k, even, mask, parity, degree + 1 - k, code, tally, letters, value
+
+
+def _joined_word(blocks: tuple[tuple[tuple[int, int, str], ...], ...]) -> tuple[Word, int, int]:
+    """The canonical word of a join of blocks' letters, with its parity and tally."""
+    letters = sorted(chain.from_iterable(blocks))
+    degree, parity, tally = _summary(letters)
+    return Word(tuple(name for _, _, name in letters), degree), parity, tally
+
+
+def _summary(letters: Sequence[tuple[int, int, str]]) -> tuple[int, int, int]:
+    """Degree, desuspension parity and repeat tally (the product of the
+    factorials of the repeats) of a canonical word's letters."""
+    m = len(letters)
+    degree = parity = 0
+    tally = run = 1
+    for p, (i, d, _) in enumerate(letters):
+        run = run + 1 if p and letters[p - 1][0] == i else 1
+        tally *= run
+        degree += d
+        parity += d * (m - 1 - p)
+    return degree, parity % 2, tally

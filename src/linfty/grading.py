@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -112,38 +112,26 @@ def _partitions(items: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def signed_blocks(
-    degrees: tuple[int, ...], n: int | None = None
-) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+def signed_blocks(degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """Block splittings of a word with these factor degrees, with their signs.
 
-    With ``n`` None: the unordered set partitions of the positions, blocks
-    ordered by their minimum; with an integer ``n``: every ordering of every
-    partition into ``n`` blocks.  This is the comultiplication of the cofree
-    coalgebra in component form, shared by the morphism lift and the
-    mapping-space operations.  The sign is the
-    desuspension sign of the word, times the classical Koszul sign of the
-    rearrangement on degrees lowered by one, times the desuspension sign of
-    each block, times that of the blocks' suspended degrees
-    ``plain + 1 - weight``.  Blocks are tuples of sorted positions.
+    The splittings are the unordered set partitions of the positions, blocks
+    ordered by their minimum: the comultiplication of the cofree coalgebra in
+    component form, which the morphism lift reads.  The sign of blocks
+    B_1, ..., B_n is the desuspension sign of the word, times the classical
+    Koszul sign of the rearrangement B_1 ... B_n on degrees lowered by one,
+    times the desuspension sign of each block, times that of the blocks'
+    suspended degrees ``plain + 1 - weight``.  The same formula signs the
+    ordered splittings that :func:`linfty.convolution.entry_splittings`
+    counts.  Blocks are tuples of sorted positions.
 
     >>> signed_blocks((0, 1))
     ((1, ((0,), (1,))), (1, ((0, 1),)))
-    >>> signed_blocks((0, 1), 2)
-    ((1, ((0,), (1,))), (-1, ((1,), (0,))))
     """
-    partitions = _partitions(tuple(range(len(degrees))))
-    if n is not None:
-        partitions = (
-            tuple(blocks[i] for i in order)
-            for blocks in partitions
-            if len(blocks) == n
-            for order in permutations(range(n))
-        )
     word_sign = desuspension_sign(degrees)
     shifted = [d - 1 for d in degrees]
     out = []
-    for blocks in partitions:
+    for blocks in _partitions(tuple(range(len(degrees)))):
         arrangement = [p for block in blocks for p in block]
         sign = word_sign * classical_koszul_sign(arrangement, shifted)
         suspended = []
@@ -159,7 +147,7 @@ def signed_blocks(
 def signed_blocks_by_count(
     degrees: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, tuple[tuple[int, ...], ...]], ...], ...]:
-    """The unordered :func:`signed_blocks` of a word, grouped by block count.
+    """The :func:`signed_blocks` of a word, grouped by block count.
 
     Entry n holds the partitions into n blocks, in their order in
     :func:`signed_blocks`, so a caller that reads only some block counts
@@ -172,28 +160,6 @@ def signed_blocks_by_count(
     for sign, blocks in signed_blocks(degrees):
         grouped[len(blocks)].append((sign, blocks))
     return tuple(tuple(group) for group in grouped)
-
-
-@lru_cache(maxsize=None)
-def signed_splittings(factors: tuple[str, ...], degrees: tuple[int, ...], n: int) -> tuple:
-    """The ordered n-block :func:`signed_blocks` of a word, read off its names.
-
-    Each entry is ``(sign, block factors, block shifted degrees)``: the
-    sign, each block's names and each block's ``degree - weight``.  The
-    mapping-space operations read a word's splittings on every call, so
-    they are computed once per word in the process.
-
-    >>> signed_splittings(("a", "b"), (0, 1), 2)
-    ((1, (('a',), ('b',)), (-1, 0)), (-1, (('b',), ('a',)), (0, -1)))
-    """
-    return tuple(
-        (
-            sign,
-            tuple(tuple(factors[p] for p in block) for block in blocks),
-            tuple(sum(degrees[p] for p in block) - len(block) for block in blocks),
-        )
-        for sign, blocks in signed_blocks(degrees, n)
-    )
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -276,12 +276,12 @@ def reduced_coproduct(word, space):
     This is the coproduct for which the coderivation lift satisfies
     Delta o Q = (Q (x) id + id (x) Q) o Delta, the tensor crossing using the
     degree ``plain - weight`` of the first factor.  Its sign is that of
-    ``signed_blocks`` with two blocks, times ``(-1)**`` the suspended
+    ``ordered_signed_blocks`` with two blocks, times ``(-1)**`` the suspended
     degree of the left block.
     """
     degrees = space.degrees_of(word.factors)
     out = {}
-    for sign, (left, right) in signed_blocks(degrees, 2):
+    for sign, (left, right) in ordered_signed_blocks(degrees, 2):
         lword = subword(word, left, space)
         rword = subword(word, right, space)
         if lword.suspended_degree() % 2:
@@ -301,7 +301,7 @@ def iterated_coproduct(word, n, space):
         raise InputError("iterated coproduct needs n >= 2")
     degrees = space.degrees_of(word.factors)
     out = {}
-    for _, blocks in signed_blocks(degrees, n):
+    for _, blocks in ordered_signed_blocks(degrees, n):
         arrangement = [i for b in blocks for i in b]
         key = tuple(subword(word, b, space) for b in blocks)
         total = out.get(key, F(0)) + koszul_sign(arrangement, degrees)
@@ -411,10 +411,12 @@ def shift(m, n, rng, cap=3):
     return make_linfty(space, {2: MultiMap.from_entries(space, space, 2, 0, q2)}, cap)
 
 
-def twostep3(n, rng, cap=3, triples=True):
+def twostep3(n, rng, cap=3, triples=True, pair=False):
     """x_i (degree 1) with central Q2(x_i, x_j) = c z_ij and, with ``triples``,
     central Q3(x_i, x_j, x_k) = d w_ijk (degree 2); ``heis`` is the case
-    without triples.  Every output is central, so all relations hold.
+    without triples.  With ``pair``, also a central acyclic pair Q1 u = e v
+    (u of degree 1, v of degree 2), so the mapping-space differential is not
+    zero.  Every output is central, so all relations hold.
     """
     pairs = list(combinations(range(1, n + 1), 2))
     threes = list(combinations(range(1, n + 1), 3)) if triples else []
@@ -422,6 +424,7 @@ def twostep3(n, rng, cap=3, triples=True):
         [("x%d" % i, 1) for i in range(1, n + 1)]
         + [("z%d%d" % p, 2) for p in pairs]
         + [("w%d%d%d" % t, 2) for t in threes]
+        + ([("u", 1), ("v", 2)] if pair else [])
     )
 
     def coeff():
@@ -434,11 +437,13 @@ def twostep3(n, rng, cap=3, triples=True):
         maps[3] = MultiMap.from_entries(space, space, 3, -1, {
             tuple("x%d" % i for i in t): {"w%d%d%d" % t: coeff()} for t in threes
         })
+    if pair:
+        maps[1] = MultiMap.from_entries(space, space, 1, 1, {("u",): {"v": coeff()}})
     return make_linfty(space, maps, cap)
 
 
-def heis(n, rng, cap=3):
-    return twostep3(n, rng, cap, triples=False)
+def heis(n, rng, cap=3, pair=False):
+    return twostep3(n, rng, cap, triples=False, pair=pair)
 
 
 # Test reference for linfty.mc.gauge_flow: the Picard iteration it replaced,
@@ -534,11 +539,13 @@ def reference_lower_central_series(structure):
             )
 
 
-# Test reference for linfty.grading.signed_blocks: the block-splitting sign of
+# Test reference for the block-splitting signs, the kernel
+# ``linfty.grading.signed_blocks`` and the closed form of
+# ``linfty.convolution.entry_splittings``: the sign of
 # each call site (morphism lift, mapping-space bracket, the two coproducts)
 # written out in full, on sign helpers independent of linfty.grading.  The
-# call sites share one kernel, so their correspondence tests alone cannot
-# catch a sign bug in it.
+# call sites share those kernels, so their correspondence tests alone cannot
+# catch a sign bug in them.
 
 
 def _desuspension(degrees):
@@ -580,6 +587,22 @@ def lift_sign_reference(degrees, blocks):
         sign *= _desuspension(block_degrees)
         values.append(sum(block_degrees) + 1 - len(block))
     return sign * _desuspension(values)
+
+
+def ordered_signed_blocks(degrees, n):
+    """Test reference: the ordered n-block splittings of a word, with their signs.
+
+    Every ordering of every n-block partition of ``signed_blocks``, signed by
+    ``lift_sign_reference`` on the ordered blocks: the splittings that
+    ``reference_bracket`` walks and ``linfty.convolution.entry_splittings``
+    counts, and that the two coproduct references read.
+    """
+    return [
+        (lift_sign_reference(degrees, ordered), ordered)
+        for _, blocks in signed_blocks(degrees)
+        if len(blocks) == n
+        for ordered in permutations(blocks)
+    ]
 
 
 def reduced_coproduct_sign_reference(degrees, left, right):
@@ -783,7 +806,7 @@ def reference_bracket(conv, alphas):
             continue
         degrees = src_space.degrees_of(word.factors)
         total = Element.zero(conv.target.space, word.degree + u_out - m)
-        for sign, blocks in signed_blocks(degrees, n):
+        for sign, blocks in ordered_signed_blocks(degrees, n):
             vals = []
             crossing = prefix = 0
             for alpha, block in zip(alphas, blocks):

@@ -258,6 +258,18 @@ def test_lemma1_request_does_not_read_its_positional_file():
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [("--n", "1"), ("--H", "nonexistent.map"), ("--n", "1", "--H", "nonexistent.map")],
+    ids=("n", "H", "n-and-H"),
+)
+def test_lemma1_request_with_n_or_h_is_an_input_error(extra):
+    extra = [path(a) if a.endswith(".map") else a for a in extra]
+    code, out, err = run("lemma1", path("heis.alg"), "--request", path("pert.req"), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: lemma1 takes either --request or --n and --H")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("twist", "heis.alg", "--pi", "1*x"),

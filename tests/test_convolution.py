@@ -24,10 +24,11 @@ from linfty import (
     perturb,
     unsplit_residual,
 )
-from linfty.convolution import ConvolutionAlgebra, HomElement
+from linfty.convolution import ConvolutionAlgebra, HomElement, entry_splittings
 from linfty.homotopy import HomotopyElement, evolution_residual, flatness_residual
 from linfty.mc import PolyPath, gauge_flow
 from linfty.perturbation import PerturbationRequest, direction_element
+from linfty import convolution
 from linfty.grading import canonicalize_word
 
 from conftest import (
@@ -37,14 +38,17 @@ from conftest import (
     coalgebra_partitions,
     coordinate_path,
     element_to_hom,
+    heis,
     homotopy_round_trip,
     iterated_coproduct,
     materialized_hom_structure,
     partial_derivation,
+    q1_q3_structures,
     random_component_family,
     random_valid_structure,
     reference_bracket,
     reference_hom_to_element,
+    twostep3,
 )
 
 F = Fraction
@@ -231,8 +235,9 @@ def _coefficients(alpha):
 
 
 def test_bracket_and_coordinates_match_the_basis_walk_references():
-    # bracket reads cached splittings by lookup and hom_to_element walks the
-    # support; the references rebuild every sub-word and walk the hom basis
+    # bracket runs over the arguments' entries and hom_to_element walks the
+    # support; the references walk every splitting of every word and the
+    # hom basis
     rng = random.Random(167)
     nonzero = {1: 0, 2: 0, 3: 0}
     for trial in range(3):
@@ -249,6 +254,53 @@ def test_bracket_and_coordinates_match_the_basis_walk_references():
                     want = reference_hom_to_element(conv, alpha)
                     assert conv.hom_to_element(alpha).coeffs == want.coeffs
     assert all(count > 3 for count in nonzero.values())
+
+
+def test_bracket_matches_the_word_walk_on_repeated_names_and_higher_maps(
+    high_arity_loop, monkeypatch
+):
+    # targets storing Q1 (the acyclic pair), Q3 (twostep3) or random Q1-Q4,
+    # at caps 3-5, under arguments of degrees 0-2 and arities 2-4 (denser at
+    # higher arity, or the arity-4 brackets all vanish); the odd generators
+    # repeat in the words, so some terms count several splittings
+    rng = random.Random(181)
+    structures = [
+        heis(2, rng, cap=5),
+        heis(2, rng, cap=4, pair=True),
+        heis(3, rng, cap=3, pair=True),
+        twostep3(3, rng, cap=3),
+        high_arity_loop,
+    ] + [s for s in q1_q3_structures(rng) if check_relations(s).passed]
+    seen = []
+
+    def recording(*args):
+        for word, scalar, values in entry_splittings(*args):
+            seen.append((abs(scalar), values))
+            yield word, scalar, values
+
+    monkeypatch.setattr(convolution, "entry_splittings", recording)
+    nonzero = {2: 0, 3: 0, 4: 0}
+    repeated = 0
+    for structure in structures:
+        conv = build_convolution(structure, structure, structure.cap)
+        for n in (2, 3, 4):
+            qn = structure.maps.get(n)
+            patterns = list(product([0, 1, 2], repeat=n)) if qn else []
+            for u_degrees in rng.sample(patterns, min(len(patterns), 9)):
+                alphas = [
+                    HomElement(structure, structure, u, random_component_family(
+                        structure, structure, conv.cap, rng, density=0.3 * n, degree=u
+                    ))
+                    for u in u_degrees
+                ]
+                seen.clear()
+                got = conv.bracket(alphas)
+                assert _coefficients(got) == _coefficients(reference_bracket(conv, alphas))
+                nonzero[n] += not got.is_zero()
+                repeated += any(
+                    count > 1 and not qn.apply(values).is_zero() for count, values in seen
+                )
+    assert all(nonzero.values()) and repeated > 10, (nonzero, repeated)
 
 
 def test_curvature_builds_no_coordinates(two_term, tmp_path, monkeypatch):

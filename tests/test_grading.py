@@ -16,12 +16,14 @@ from linfty import (
     koszul_sign,
     wedge_basis,
 )
+from linfty.convolution import entry_splittings
 from linfty.grading import signed_blocks, signed_blocks_by_count, unshuffles
 
 from conftest import (
     SMALL_SPACES,
     bracket_sign_reference,
     lift_sign_reference,
+    ordered_signed_blocks,
     random_map_family,
     reduced_coproduct_sign_reference,
     reference_apply,
@@ -295,13 +297,12 @@ def test_signed_blocks_match_the_inline_formulas():
         assert [len(group) for group in by_count] == [_stirling2(m, n) for n in range(m + 1)]
         assert sorted(unordered) == sorted(entry for group in by_count for entry in group)
         for n in range(1, m + 1):
-            ordered = signed_blocks(degrees, n)
+            ordered = ordered_signed_blocks(degrees, n)
             splittings = {tuple(map(frozenset, blocks)) for _, blocks in ordered}
             assert len(ordered) == len(splittings) == factorial(n) * _stirling2(m, n)
             for sign, blocks in ordered:
                 assert sorted(p for block in blocks for p in block) == list(range(m))
                 assert all(list(block) == sorted(block) for block in blocks)
-                assert sign == lift_sign_reference(degrees, blocks)
                 u_degrees = [rng.randint(-1, 2) for _ in blocks]
                 crossing, prefix = 0, 0
                 for u, block in zip(u_degrees, blocks):
@@ -314,6 +315,39 @@ def test_signed_blocks_match_the_inline_formulas():
                     suspended = sum(degrees[p] for p in left) + 1 - len(left)
                     expected = -sign if suspended % 2 else sign
                     assert reduced_coproduct_sign_reference(degrees, left, right) == expected
+
+
+def test_entry_splittings_count_and_sign_the_splittings_of_a_word():
+    # the closed form against the reference sign summed over every position
+    # splitting of a word that reads the same blocks, repeated names included
+    rng = random.Random(353)
+    repeated = 0
+    for _ in range(150):
+        space = GradedSpace([("n%d" % i, rng.randint(-2, 3)) for i in range(4)])
+        m = rng.randint(1, 5)
+        word, _ = canonicalize_word([rng.choice(space.names) for _ in range(m)], space)
+        if word is None:
+            continue
+        degrees = space.degrees_of(word.factors)
+        for n in range(1, m + 1):
+            u_degrees = [rng.randint(-1, 2) for _ in range(n)]
+            expected = {}
+            for _, blocks in ordered_signed_blocks(degrees, n):
+                parts = tuple(tuple(word.factors[p] for p in block) for block in blocks)
+                sign = bracket_sign_reference(degrees, blocks, u_degrees)
+                expected[parts] = expected.get(parts, 0) + sign
+            slots = [
+                (u - 1, {parts[j]: parts[j] for parts in expected})
+                for j, u in enumerate(u_degrees)
+            ]
+            got = {
+                values: scalar
+                for joined, scalar, values in entry_splittings(slots, space, m, {})
+                if joined == word
+            }
+            assert got == expected
+            repeated += any(abs(scalar) > 1 for scalar in got.values())
+    assert repeated > 10
 
 
 def test_unshuffles_match_the_lift_sign_reference():
