@@ -14,7 +14,10 @@ with e(S) the sign of moving S to the front.  The weight-crossing factor
 (-1)**(k*(m-k)) is forced by the suspension hidden in the word grading; with
 it, differential graded Lie algebras embed with no sign twist and the
 relation residuals agree with the classical unshuffle identities with
-coefficients (-1)**(i*(j-1)).
+coefficients (-1)**(i*(j-1)).  No check applies Q word by word:
+:meth:`Coderivation.precompose` forms the cogenerator part of maps after Q
+from pairs of stored entries, for the relations, the F∘Q side of morphism
+compatibility and the mapping-space differential.
 
 Every check returns a report with one protocol: ``summary()`` is its text,
 ``to_json()`` its JSON payload, and a report that gives a verdict also has
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -120,6 +124,8 @@ class Coderivation:
     def __init__(self, structure: LInftyStructure):
         self.structure = structure
         self._cache: dict[Word, CoalgebraElement] = {}
+        # precompose's memo: (S, rest) -> (W, signed count)
+        self._joins: dict = {}
 
     def on_word(self, word: Word) -> CoalgebraElement:
         cached = self._cache.get(word)
@@ -145,36 +151,80 @@ class Coderivation:
         self._cache[word] = out
         return out
 
-    def project(
-        self, word: Word, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int
-    ) -> Element:
-        """The sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(word)``.
+    def precompose(self, maps: Mapping[int, MultiMap], scalar=1) -> dict[Word, dict]:
+        """``scalar`` times the cogenerator part of ``maps`` after the lift, by word.
 
-        Only what ``maps`` reads is built.  Q_k turns a weight-m word into
-        words of weight m - k + 1, which ``maps`` sends to the cogenerators
-        only when it stores that weight; every other Q_k is skipped, and each
-        surviving word is evaluated where it is produced instead of being
-        collected in a coalgebra element.
+        The value at a word W, a name -> coefficient dict, is the sum of
+        ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(W)``.  It is
+        formed from pairs of stored entries, so no word list is read: each
+        entry u -> a of ``maps`` is indexed by each distinct name n of u, with
+        rest = u less one n and the sign of sorting (n,) + rest into u.  A Q_k
+        entry S -> v whose value names n meets each indexed rest with
+        k + |rest| <= cap at W = S + rest (none when an even-degree name
+        repeats), adding ``v[n] * a`` times that sign and the lift's sign of
+        the position sets of W that read S, times their number: they differ
+        only in which copies of a repeated odd-degree name they take, and
+        those swap with sign +1 (:func:`_join`, memoised per (S, rest)).
+
+        >>> V = GradedSpace([("b", 1), ("c", 2)])
+        >>> q1 = MultiMap.from_entries(V, V, 1, 1, {("b",): {"c": Fraction(1)}})
+        >>> f2 = MultiMap.from_entries(V, V, 2, -1, {("b", "c"): {"c": Fraction(1)}})
+        >>> got = lift_coderivation(make_linfty(V, {1: q1}, cap=2)).precompose({2: f2})
+        >>> {word.factors: coeffs for word, coeffs in got.items()}
+        {('b', 'b'): {'c': Fraction(2, 1)}}
         """
-        src = self.structure.space
-        factors = word.factors
-        m = len(factors)
-        degrees = src.degrees_of(factors)
-        coeffs: dict = {}
+        space = self.structure.space
+        index: dict[str, list] = {}
+        for _, f in sorted(maps.items()):  # lightest first, for the cap cut below
+            for u, a in f.by_factors.items():
+                evens = 0
+                for i, name in enumerate(u):
+                    odd = space.degree(name) % 2
+                    if not i or u[i - 1] != name:
+                        # n passes u[:i]: -1 per name when n is even, per even name when odd
+                        flip = evens if odd else i
+                        index.setdefault(name, []).append((u[:i] + u[i + 1 :], flip % 2, a))
+                    evens += not odd
+        out: dict[Word, dict] = {}
+        joins = self._joins
         for k, q in self.structure.maps.items():
-            f = maps.get(m - k + 1)
-            if f is None:
-                continue
-            for sign, chosen, rest in unshuffles(degrees, k):
-                value = q.by_factors.get(tuple(factors[i] for i in chosen))
-                if value is None:
-                    continue
-                rest_names = tuple(factors[i] for i in rest)
-                for name, coeff in value.coeffs.items():
-                    found = f.lookup((name,) + rest_names)
-                    if found is not None:
-                        add_scaled(coeffs, found[1], sign * found[0] * coeff)
-        return Element(space, degree, coeffs)
+            room = self.structure.cap - k
+            for chosen, v in q.by_factors.items():
+                for name, c in v.coeffs.items():
+                    for rest, flip, a in index.get(name, ()):
+                        if len(rest) > room:
+                            break
+                        got = joins.get((chosen, rest))
+                        if got is None:
+                            got = joins[chosen, rest] = _join(chosen, rest, space)
+                        word, count = got
+                        if word is not None:
+                            coeffs = out.get(word)
+                            if coeffs is None:
+                                coeffs = out[word] = {}
+                            add_scaled(coeffs, a, (-count if flip else count) * scalar * c)
+        return out
+
+
+def _join(chosen: tuple[str, ...], rest: tuple[str, ...], space: GradedSpace) -> tuple:
+    """The canonical word W of chosen + rest and the lift's signed count of the
+    position sets of W that read ``chosen``; ``(None, 0)`` when W vanishes.
+
+    Moving those positions to the front passes each name of ``rest`` that
+    comes before a name of ``chosen`` in W, at sign -1 unless both are odd.
+    """
+    index, degree = space.index, space.degree
+    factors = tuple(sorted(chosen + rest, key=index))
+    if any(a == b and degree(a) % 2 == 0 for a, b in zip(factors, factors[1:])):
+        return None, 0
+    k, m = len(chosen), len(factors)
+    flips = k * (m - k) + sum(
+        index(r) < index(s) and not degree(r) * degree(s) % 2 for s in chosen for r in rest
+    )
+    count = 1
+    for name in set(chosen):
+        count *= comb(factors.count(name), chosen.count(name))
+    return Word(factors, sum(map(degree, factors))), -count if flips % 2 else count
 
 
 def lift_coderivation(structure: LInftyStructure) -> Coderivation:
@@ -222,24 +272,17 @@ def check_relations(structure: LInftyStructure) -> ResidualReport:
     The residual at a word w is the structure maps evaluated on the lift's
     image, the sum of c*Q_|u|(u) over the terms c*u of Q(w).  That is the
     cogenerator part of Q*Q, which determines the whole coderivation Q*Q.
-    On a weight-m word it is the sum of Q_j∘Q_k over j + k = m + 1, since Q_k
-    leaves words of weight m - k + 1 and only Q_j with j = m - k + 1 sends
-    them to the cogenerators.  Words are therefore visited only at the
-    weights j + k - 1 of stored pairs; at any other weight no pair of stored
-    maps meets and the residual is zero term by term.  Within a word,
-    :meth:`Coderivation.project` skips each Q_k whose output no stored Q_j
-    reads, and evaluates the rest without building the lift's image.
+    On a weight-m word it is the sum of Q_j∘Q_k over j + k = m + 1.
+    :meth:`Coderivation.precompose` forms it from pairs of stored entries, a
+    Q_k entry whose value names what a Q_j entry reads, so a word that no
+    such pair reaches is never visited and its residual is zero term by term.
     """
-    lift = lift_coderivation(structure)
     residuals: dict[Word, Element] = {}
-    stored = structure.maps
-    weights = {j + k - 1 for j in stored for k in stored if j + k - 1 <= structure.cap}
-    for m in sorted(weights):
-        for word in wedge_basis(structure.space, m):
-            # Q*Q raises the suspended degree, plain + 1 - weight, by 2
-            residual = lift.project(word, stored, structure.space, word.degree + 3 - m)
-            if not residual.is_zero():
-                residuals[word] = residual
+    for word, coeffs in lift_coderivation(structure).precompose(structure.maps).items():
+        # Q*Q raises the suspended degree, plain + 1 - weight, by 2
+        residual = Element(structure.space, word.degree + 3 - word.weight, coeffs)
+        if residual:
+            residuals[word] = residual
     report = ResidualReport(structure.cap, "relations hold", "relations fail", residuals)
     structure.verified = report.passed
     return report

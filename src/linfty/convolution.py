@@ -46,8 +46,10 @@ Sign conventions (the one table everything below refers to):
 
 The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
 defined with the morphisms it generalises (a morphism is its degree-1
-vector) and re-exported here; both operations assemble their result word by
-word through :func:`~linfty.grading.tabulate`.  The calculus of
+vector) and re-exported here.  Both operations run over stored entries, the
+differential through :meth:`~linfty.algebra.Coderivation.precompose`, and
+assemble their result through :func:`~linfty.grading.tabulate` on the words
+they reach; neither reads a word list.  The calculus of
 :mod:`linfty.mc` and :mod:`linfty.homotopy` reads a :class:`ConvolutionAlgebra`
 through ``cap``, ``space`` and ``apply(n, elements)``, which is ``bracket``,
 so flows, homotopies and their documents stay on component maps.  The
@@ -69,7 +71,6 @@ from .grading import (
     InputError,
     MultiMap,
     Word,
-    add_scaled,
     tabulate,
 )
 from .algebra import LInftyStructure, lift_coderivation, require_verified
@@ -106,7 +107,6 @@ class ConvolutionAlgebra:
         self.source = source
         self.target = target
         self.cap = cap
-        self.words: list[Word] = source.words()
         self._lift = lift_coderivation(source)
         # entry_splittings' memo of the words that brackets reached
         self._joined: dict = {}
@@ -116,7 +116,7 @@ class ConvolutionAlgebra:
     @cached_property
     def _basis_pairs(self) -> list[tuple[Word, str]]:
         """The hom-space basis as (source word, target name), in basis order."""
-        return [(word, name) for word in self.words for name in self.target.space.names]
+        return [(word, name) for word in self.source.words() for name in self.target.space.names]
 
     @cached_property
     def hom_space(self) -> GradedSpace:
@@ -175,27 +175,23 @@ class ConvolutionAlgebra:
     def differential(self, alpha: HomElement) -> HomElement:
         """Mapping-space differential: Q'_1 after, minus signed Q before.
 
-        The second term reads the source lift only through ``alpha``'s
-        stored weights (:meth:`~linfty.algebra.Coderivation.project`).
+        Q'_1 runs over ``alpha``'s stored values, and the second term is
+        :meth:`~linfty.algebra.Coderivation.precompose` of its components,
+        driven by stored entries; no word list is read.
         """
-        tgt = self.target
-        q1 = tgt.maps.get(1)
-        cross = -1 if (alpha.degree - 1) % 2 else 1
+        q1 = self.target.maps.get(1)
+        u_out = alpha.degree + 1
+        # minus the crossing sign (-1)**(u - 1) of alpha past Q
+        totals = self._lift.precompose(alpha.components, 1 if alpha.degree % 2 == 0 else -1)
+        if q1 is not None:
+            for comp in alpha.components.values():
+                for word, val in comp.values.items():
+                    q1.accumulate(totals.setdefault(word, {}), [val], 1)
 
         def value(word: Word) -> Element:
-            m = word.weight
-            degree = word.degree + alpha.degree + 1 - m
-            coeffs: dict = {}
-            comp = alpha.components.get(m)
-            val = None if q1 is None or comp is None else comp.values.get(word)
-            if val is not None:
-                add_scaled(coeffs, q1.apply([val]), 1)
-            before = self._lift.project(word, alpha.components, tgt.space, degree)
-            add_scaled(coeffs, before, -cross)
-            return Element(tgt.space, degree, coeffs)
+            return Element(self.target.space, word.degree + u_out - word.weight, totals[word])
 
-        u_out = alpha.degree + 1
-        comps = tabulate(self.source.space, tgt.space, u_out, self.words, value)
+        comps = tabulate(self.source.space, self.target.space, u_out, totals, value)
         return HomElement(self.source, self.target, u_out, comps)
 
     def bracket(self, alphas: Sequence[HomElement]) -> HomElement:

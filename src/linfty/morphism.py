@@ -210,21 +210,23 @@ def check_morphism(morphism: MorphismComponents) -> ResidualReport:
     lift's image F(w), minus the components evaluated on Q(w).  That is the
     cogenerator part of Q'F - FQ, which determines all of it.  On a weight-m
     word, the left side reads only the set partitions of w into n blocks
-    with Q'_n stored, and the right side only the Q_k with F_{m-k+1} stored:
-    every other term leaves a word of a weight that no stored map sends to
-    the cogenerators, so it contributes exactly zero.
+    with Q'_n stored: every other term leaves a word of a weight that no
+    stored map sends to the cogenerators, so it contributes exactly zero.
+    The right side comes from the stored entries of the Q_k and the F_j in
+    one pass (:meth:`~linfty.algebra.Coderivation.precompose`), not word by
+    word.
     """
     require_verified(morphism.source, "source structure")
     require_verified(morphism.target, "target structure")
     lift = lift_morphism(morphism)
-    q_src = lift_coderivation(morphism.source)
     target = morphism.target
+    right = lift_coderivation(morphism.source).precompose(morphism.components)
     residuals: dict[Word, Element] = {}
     for word in morphism.source.words():
         degree = word.degree + 2 - word.weight
-        left = lift.project(word, target.maps, target.space, degree)
-        right = q_src.project(word, morphism.components, target.space, degree)
-        residual = left - right
+        residual = lift.project(word, target.maps, target.space, degree)
+        if word in right:
+            residual = residual - Element(target.space, degree, right[word])
         if not residual.is_zero():
             residuals[word] = residual
     report = ResidualReport(morphism.cap, "morphism compatible", "morphism residuals", residuals)

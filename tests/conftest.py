@@ -21,7 +21,7 @@ from linfty import (
 )
 from linfty.algebra import FiltrationChain
 from linfty.convolution import HomElement
-from linfty.grading import add_scaled, signed_blocks, subword
+from linfty.grading import add_scaled, signed_blocks, subword, unshuffles
 from linfty.mc import MCElement, PolyPath, twisted_differential_of
 
 F = Fraction
@@ -245,8 +245,8 @@ def through(element, maps, space, degree):
     """Test reference: sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of a coalgebra element.
 
     On the lift's image of a word this is the cogenerator part of its
-    composite with the maps, which the lifts' ``project`` methods compute
-    without building the image.
+    composite with the maps, which ``MorphismLift.project`` and
+    ``Coderivation.precompose`` compute without building the image.
     """
     total = Element.zero(space, degree)
     for word, c in element.terms.items():
@@ -257,12 +257,41 @@ def through(element, maps, space, degree):
     return total
 
 
+def reference_project(lift, word, maps, space, degree):
+    """Test reference: the per-word pass that ``Coderivation.precompose`` replaced.
+
+    The sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of
+    ``lift.on_word(word)``, formed at one word from its signed unshuffles:
+    each Q_k whose output no stored map reads is skipped, and each stored
+    chosen block's value is looked up in ``maps`` with the rest of the word.
+    """
+    src = lift.structure.space
+    factors = word.factors
+    m = len(factors)
+    degrees = src.degrees_of(factors)
+    coeffs = {}
+    for k, q in lift.structure.maps.items():
+        f = maps.get(m - k + 1)
+        if f is None:
+            continue
+        for sign, chosen, rest in unshuffles(degrees, k):
+            value = q.by_factors.get(tuple(factors[i] for i in chosen))
+            if value is None:
+                continue
+            rest_names = tuple(factors[i] for i in rest)
+            for name, coeff in value.coeffs.items():
+                found = f.lookup((name,) + rest_names)
+                if found is not None:
+                    add_scaled(coeffs, found[1], sign * found[0] * coeff)
+    return Element(space, degree, coeffs)
+
+
 def apply_lift(lift, element, space):
     """Test reference: a ``Coderivation`` or ``MorphismLift`` on a coalgebra element.
 
     Sums ``c * lift.on_word(u)`` over the terms ``c*u``; the result lives in
-    ``space``, the lift's target.  This is the full composite that the
-    lifts' ``project`` methods replace.
+    ``space``, the lift's target.  This is the full composite that
+    ``MorphismLift.project`` and ``Coderivation.precompose`` replace.
     """
     out = CoalgebraElement(space)
     for word, coeff in element.terms.items():
@@ -776,7 +805,7 @@ def _reference_differential(conv, alpha):
     lift = lift_coderivation(conv.source)
     cross = -1 if (alpha.degree - 1) % 2 else 1
     comps = {}
-    for word in conv.words:
+    for word in conv.source.words():
         m = word.weight
         total = through(
             lift.on_word(word),
@@ -800,7 +829,7 @@ def reference_bracket(conv, alphas):
         return conv.zero(u_out)
     src_space = conv.source.space
     comps = {}
-    for word in conv.words:
+    for word in conv.source.words():
         m = word.weight
         if m < n:
             continue

@@ -11,11 +11,14 @@ from linfty import (
     NonConvergenceError,
     StructureError,
     algebra,
+    build_convolution,
+    check_morphism,
     check_relations,
     from_dgla,
     gauge_flow,
     grading,
     lift_coderivation,
+    lift_morphism,
     lower_central_series,
     make_linfty,
     mc_residual,
@@ -23,7 +26,8 @@ from linfty import (
     unshuffle_residual,
 )
 from linfty.algebra import Coderivation
-from linfty.grading import canonicalize_word, wedge_basis
+from linfty.morphism import HomElement, MorphismComponents
+from linfty.grading import canonicalize_word
 
 from conftest import (
     SMALL_SPACES,
@@ -33,10 +37,12 @@ from conftest import (
     heis,
     in_span,
     random_candidate,
+    random_component_family,
     random_map_family,
     q1_q3_structures,
     reduced_coproduct,
     reference_lower_central_series,
+    reference_project,
     shift,
     twostep3,
     weight_one_part,
@@ -203,20 +209,114 @@ def test_check_relations_matches_the_oracle_on_every_word():
     assert failing > 8 and skipped > 150
 
 
-def test_check_relations_visits_only_weights_where_two_maps_meet(monkeypatch):
+def test_relation_checks_join_only_entries_that_meet(monkeypatch):
+    # Q2 lands on z and no stored key holds z, so no entry pair meets, and a
+    # large check never lists the words of its truncation
+    joins = []
+    join = algebra._join
+
+    def counting_join(*args):
+        joins.append(args)
+        return join(*args)
+
+    def no_words(*args):
+        raise AssertionError("wedge_basis called")
+
+    monkeypatch.setattr(algebra, "_join", counting_join)
     space = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
     q2 = MultiMap.from_entries(space, space, 2, 0, {("x", "y"): {"z": F(1)}})
     structure = make_linfty(space, {2: q2}, cap=5)
-    visited = []
-    project = Coderivation.project
+    assert lift_coderivation(structure).precompose(structure.maps) == {}
+    assert joins == []
+    big = heis(6, random.Random(3), cap=8)
+    monkeypatch.setattr(grading, "wedge_basis", no_words)
+    monkeypatch.setattr(algebra, "wedge_basis", no_words)
+    assert check_relations(big).passed and joins == []
 
-    def spy(self, word, maps, space, degree):
-        visited.append(word)
-        return project(self, word, maps, space, degree)
 
-    monkeypatch.setattr(Coderivation, "project", spy)
-    assert check_relations(structure).passed
-    assert visited == wedge_basis(space, 3)
+def _expected_precompose(lift, maps, degree, space, scalar=1):
+    """reference_project of ``maps`` (a degree-``degree`` family) on every word, zeros dropped."""
+    out = {}
+    for word in lift.structure.words():
+        d = word.degree + degree + 1 - word.weight
+        value = reference_project(lift, word, maps, space, d).scale(scalar)
+        if value:
+            out[word] = value
+    return out
+
+
+def _assert_precompose_matches(lift, maps, degree, space):
+    got = lift.precompose(maps)
+    assert set(got) <= set(lift.structure.words())
+    got = {
+        w: Element(space, w.degree + degree + 1 - w.weight, c) for w, c in got.items()
+    }
+    want = _expected_precompose(lift, maps, degree, space)
+    assert {w: v for w, v in got.items() if v} == want
+    return len(want)
+
+
+def _values(hom):
+    return {w: v for comp in hom.components.values() for w, v in comp.values.items()}
+
+
+def test_precompose_matches_the_per_word_reference(high_arity_loop):
+    # the entry-driven kernel against the per-word unshuffle pass it
+    # replaced: relation residuals of lawful structures (Q1+Q3+Q4, Q1+Q3,
+    # heis with the acyclic pair, twostep3 with triples) and of failing
+    # candidates whose odd names repeat (caps 3-5), differentials of degree
+    # 0-2 vectors, and the F∘Q side of morphism residuals
+    rng = random.Random(191)
+    lawful = [
+        high_arity_loop,
+        heis(3, rng, cap=4, pair=True),
+        heis(2, rng, cap=5, pair=True),
+        twostep3(3, rng, cap=3),
+        twostep3(3, rng, cap=4, pair=True),
+    ] + [s for s in q1_q3_structures(rng) if check_relations(s).passed]
+    failing = [
+        random_candidate(SMALL_SPACES[t % 3], 3 + t % 3, rng, density=1.0) for t in range(12)
+    ]
+    nonzero = {"relations": 0, "differential": 0, "morphism": 0}
+    for structure in lawful + failing:
+        lift = lift_coderivation(structure)
+        nonzero["relations"] += _assert_precompose_matches(
+            lift, structure.maps, 2, structure.space
+        )
+        want = _expected_precompose(lift, structure.maps, 2, structure.space)
+        assert check_relations(structure).residuals == want
+    assert nonzero["relations"] > 40 and sum(not check_relations(s).passed for s in failing) > 7
+    for structure in lawful:
+        space, cap = structure.space, structure.cap
+        conv = build_convolution(structure, structure, cap)
+        q1 = structure.maps.get(1)
+        for u in (0, 1, 2):
+            comps = random_component_family(structure, structure, cap, rng, degree=u)
+            alpha = HomElement(structure, structure, u, comps)
+            nonzero["differential"] += _assert_precompose_matches(conv._lift, comps, u, space)
+            # Q'_1 after, minus (-1)**(u - 1) times the kernel's Q before
+            want = _expected_precompose(conv._lift, comps, u, space, 1 if u % 2 == 0 else -1)
+            for word, val in _values(alpha).items() if q1 is not None else ():
+                want[word] = want.get(word, Element.zero(space, val.degree + 1)) + q1.apply([val])
+            assert _values(conv.differential(alpha)) == {w: v for w, v in want.items() if v}
+        f = MorphismComponents(
+            structure, structure, random_component_family(structure, structure, cap, rng)
+        )
+        nonzero["morphism"] += _assert_precompose_matches(
+            lift_coderivation(structure), f.components, 1, space
+        )
+        left = lift_morphism(f)
+        right = _expected_precompose(lift_coderivation(structure), f.components, 1, space)
+        want = {}
+        for word in structure.words():
+            degree = word.degree + 2 - word.weight
+            residual = left.project(word, structure.maps, space, degree) - right.get(
+                word, Element.zero(space, degree)
+            )
+            if residual:
+                want[word] = residual
+        assert check_morphism(f).residuals == want
+    assert all(count > 40 for count in nonzero.values()), nonzero
 
 
 def test_from_dgla_end_complex(end_dgla):
