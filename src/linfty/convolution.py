@@ -39,7 +39,10 @@ Sign conventions (the one table everything below refers to):
     of a repeated odd-degree name are spread over the blocks; such a name
     has even lowered degree, so they share one sign, and
     Q'_n(v_1, ..., v_n) goes to W times that sign times their number, a
-    product of multinomials;
+    product of multinomials.  Q'_n's key index
+    (:attr:`~linfty.grading.MultiMap.key_index`) prunes the entries: one
+    whose value cannot extend the earlier values' names towards a word
+    Q'_n stores is dropped before it is joined;
   * with these choices the degree-2 curvature of a degree-1 element equals
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
@@ -199,8 +202,8 @@ class ConvolutionAlgebra:
 
         Driven by the arguments' stored entries, not by the words of the
         truncation: :func:`entry_splittings` picks one entry
-        w_i -> v_i of each argument, lightest first and within the cap, and
-        gives the canonical word W of w_1 ... w_n with the signed number of
+        w_i -> v_i of each argument, lightest first, within the cap and with
+        names of v_1, ..., v_n that make up a word Q_n stores, and gives the canonical word W of w_1 ... w_n with the signed number of
         W's splittings that read those blocks.  Q_n(v_1, ..., v_n) times that
         number goes to W, and the terms of one word go into one dict.  An
         argument from another source/target pair or cap raises
@@ -223,7 +226,7 @@ class ConvolutionAlgebra:
             for a in alphas
         ]
         totals: dict[Word, dict] = {}
-        joins = entry_splittings(slots, self.source.space, self.cap, self._joined)
+        joins = entry_splittings(slots, self.source.space, self.cap, self._joined, qn.key_index)
         for word, scalar, values in joins:
             coeffs = totals.get(word)
             if coeffs is None:
@@ -233,8 +236,7 @@ class ConvolutionAlgebra:
         def value(word: Word) -> Element:
             return Element(self.target.space, word.degree + u_out - word.weight, totals[word])
 
-        words = [word for word, coeffs in totals.items() if coeffs]
-        comps = tabulate(self.source.space, self.target.space, u_out, words, value)
+        comps = tabulate(self.source.space, self.target.space, u_out, totals, value)
         return HomElement(self.source, self.target, u_out, comps)
 
     def apply(self, n: int, elements: Sequence[HomElement]) -> HomElement:
@@ -255,17 +257,21 @@ def build_convolution(
 
 
 def entry_splittings(
-    slots: Sequence[tuple[int, Mapping[tuple[str, ...], object]]],
+    slots: Sequence[tuple[int, Mapping[tuple[str, ...], Element]]],
     space: GradedSpace,
     cap: int,
     joined: dict,
+    keys: tuple[Mapping[str, int], set[int]],
 ) -> Iterator[tuple[Word, int, tuple]]:
     """The ordered splittings that read one entry per slot, signed and counted in closed form.
 
     Slot j is ``(shift, entries)``: an integer and a mapping from canonical
-    factor tuples w to values v.  For every choice of one entry per slot
-    whose blocks w_1, ..., w_n join into a word W of weight at most ``cap``
-    that does not vanish, this yields ``(W, scalar, (v_1, ..., v_n))``.
+    factor tuples w to values v, elements that a map Q'_n reads; ``keys`` is
+    Q'_n's :attr:`~linfty.grading.MultiMap.key_index`.  For every choice of
+    one entry per slot whose blocks w_1, ..., w_n join into a word W of
+    weight at most ``cap`` that does not vanish, and whose values have one
+    name each that together make up a word stored in Q'_n, this yields
+    ``(W, scalar, (v_1, ..., v_n))``.
     ``scalar`` sums, over the splittings of W into position blocks that
     read w_1, ..., w_n, the :func:`~linfty.grading.signed_blocks` sign
     times the crossing ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each
@@ -286,19 +292,27 @@ def entry_splittings(
         over one space and cap.
     Entries are taken lightest first and a slot stops at the first entry
     too heavy to leave room for the lightest entries of the later slots.
+    A prefix also carries the live codes of its values: the key-index codes
+    of its name tuples, one name per value, that are part of a stored word.
+    An entry that leaves no live code is dropped before it is joined.
 
     >>> V = GradedSpace([("a", 0), ("b", 1)])
-    >>> slot = (0, {("a",): "x", ("b",): "y"})
-    >>> for word, scalar, values in entry_splittings([slot, slot], V, 2, {}):
+    >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
+    >>> slot = (0, {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")})
+    >>> for word, scalar, values in entry_splittings([slot, slot], V, 2, {}, q2.key_index):
     ...     print(word.factors, scalar, values)
-    ('a', 'b') 1 ('x', 'y')
-    ('a', 'b') -1 ('y', 'x')
-    ('b', 'b') 2 ('y', 'y')
+    ('a', 'b') 1 (1*a, 1*b)
+    ('a', 'b') -1 (1*b, 1*a)
     """
     base = cap + 1
+    codes, subcodes = keys
     tables = []
     for shift, entries in slots:
-        rows = [_block_row(w, v, space, base) for w, v in entries.items()]
+        rows = []
+        for w, v in entries.items():
+            reach = [c for name in v.coeffs if (c := codes[name]) in subcodes]
+            if reach:
+                rows.append(_block_row(w, v, space, base) + (reach,))
         rows.sort(key=itemgetter(0))
         if not rows:
             return
@@ -306,25 +320,28 @@ def entry_splittings(
     room = [cap - sum(rows[0][0] for _, rows in tables[j + 1 :]) for j in range(len(tables))]
     last = len(tables) - 1
     # a prefix: weight, even-name mask, suspended degree, sign exponent,
-    # multiset code, repeat tally, blocks, values
-    prefixes: list[tuple] = [(0, 0, 0, 0, 0, 1, (), ())]
+    # multiset code, repeat tally, blocks, values, live codes
+    prefixes: list[tuple] = [(0, 0, 0, 0, 0, 1, (), (), (0,))]
     for j, (shift, rows) in enumerate(tables):
         grown = []
-        for weight, evens, suspended, parity, code, tally, blocks, values in prefixes:
+        for weight, evens, suspended, parity, code, tally, blocks, values, live in prefixes:
             top = room[j] - weight
             # the earlier blocks' suspended degrees (less one each, against
             # the shift) are all slot j needs of them, besides their even names
             carried = parity + suspended + shift * (suspended - j)
-            for w, even, mask, p, s, c, t, letters, value in rows:
+            for w, even, mask, p, s, c, t, letters, value, reach in rows:
                 if w > top:
                     break
                 if evens & even:
+                    continue
+                alive = {k for l in live for r in reach if (k := l + r) in subcodes}
+                if not alive:
                     continue
                 exponent = carried + p + (evens & mask).bit_count()
                 if j < last:
                     grown.append((
                         weight + w, evens | even, suspended + s, exponent,
-                        code + c, tally * t, blocks + (letters,), values + (value,),
+                        code + c, tally * t, blocks + (letters,), values + (value,), alive,
                     ))
                     continue
                 key = code + c

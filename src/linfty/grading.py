@@ -19,7 +19,7 @@ basis of the n-th graded wedge power.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -263,10 +263,6 @@ class Word:
     @property
     def weight(self) -> int:
         return len(self.factors)
-
-    def suspended_degree(self) -> int:
-        # Degree of the word inside the coalgebra it generates.
-        return self.degree + 1 - len(self.factors)
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.factors == other.factors
@@ -575,10 +571,10 @@ class MultiMap(Combination):
     def lookup(self, names: Sequence[str]) -> tuple[int, Element] | None:
         """Sign and stored value of an ordered tuple of names; None when nothing is stored.
 
-        The tuple is looked up by its sorted factors, so the sign is formed
-        only for stored words.  A stored word is canonical and does not
-        vanish, so the sign is the Koszul sign of the sort, as in
-        :func:`canonicalize_word`, with no word built.
+        The tuple is looked up by its sorted factors.  A stored word is
+        canonical and does not vanish, so the sign is the Koszul sign of the
+        sort, as in :func:`canonicalize_word`, with no word built.
+        :meth:`accumulate` calls it only on tuples that are stored.
         """
         index = self.source.index
         value = self.by_factors.get(tuple(sorted(names, key=index)))
@@ -588,27 +584,60 @@ class MultiMap(Combination):
         order = sorted(range(len(names)), key=positions.__getitem__)
         return koszul_sign(order, self.source.degrees_of(names)), value
 
+    @cached_property
+    def key_index(self) -> tuple[dict[str, int], set[int]]:
+        """The code ``(weight + 1)**index`` of each source name, and the code
+        sums of every sub-multiset of a stored word; built on first use."""
+        base = self.weight + 1
+        codes = {name: base**i for i, name in enumerate(self.source.names)}
+        subcodes = {0}
+        for factors in self.by_factors:
+            grown = {0}
+            for name in factors:
+                grown |= {c + codes[name] for c in grown}
+            subcodes |= grown
+        return codes, subcodes
+
     def apply(self, elements: Sequence[Element]) -> Element:
-        """Multilinear evaluation on elements (expanded over their supports)."""
+        """Multilinear evaluation on elements of the source (expanded over their supports)."""
         if len(elements) != self.weight:
             raise InputError(
                 "map of weight %d applied to %d arguments"
                 % (self.weight, len(elements))
             )
+        for e in elements:
+            if e.space is not self.source and e.space != self.source:
+                raise InputError("argument does not live in the map's source space")
         coeffs: dict = {}
         self.accumulate(coeffs, elements, 1)
         return Element(self.target, sum(e.degree for e in elements) + self.degree, coeffs)
 
     def accumulate(self, coeffs: dict, elements: Sequence[Element], scalar) -> None:
-        """Add ``scalar`` times the value on ``elements`` into a name -> coefficient dict."""
-        for names in product(*(e.coeffs for e in elements)):
-            found = self.lookup(names)
-            if found is None:
-                continue
-            c = scalar * found[0]
+        """Add ``scalar`` times the value on ``elements`` into a name -> coefficient dict.
+
+        Name tuples grow one argument at a time and keep a name only while
+        their code stays in :attr:`key_index`, which is exact since no name
+        repeats past the weight.  So only stored words are completed, signed
+        and multiplied out.  :meth:`apply` checks the arguments' space.
+
+        >>> V = GradedSpace([("a", 0), ("b", 1), ("c", 2), ("d", 1)])
+        >>> m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 2}, ("b", "b"): {"c": 1}})
+        >>> m.key_index[0], sorted(m.key_index[1])
+        ({'a': 1, 'b': 3, 'c': 9, 'd': 27}, [0, 1, 3, 4, 6])
+        >>> m.apply([Element(V, 1, {"b": 3, "d": 5})] * 2)
+        9*c
+        """
+        codes, subcodes = self.key_index
+        tuples = [(0, ())]
+        for e in elements:
+            tuples = [(code, prefix + (name,)) for key, prefix in tuples
+                      for name in e.coeffs if (code := key + codes[name]) in subcodes]
+        for _, names in tuples:
+            sign, value = self.lookup(names)
+            c = scalar * sign
             for e, name in zip(elements, names):
                 c *= e.coeffs[name]
-            add_scaled(coeffs, found[1], c)
+            add_scaled(coeffs, value, c)
 
     def __repr__(self):
         return "MultiMap(weight=%d, degree=%d, %d entries)" % (

@@ -313,7 +313,7 @@ def reduced_coproduct(word, space):
     for sign, (left, right) in ordered_signed_blocks(degrees, 2):
         lword = subword(word, left, space)
         rword = subword(word, right, space)
-        if lword.suspended_degree() % 2:
+        if (lword.degree + 1 - lword.weight) % 2:
             sign = -sign
         key = (lword, rword)
         out[key] = out.get(key, 0) + sign
@@ -372,7 +372,7 @@ def partial_derivation(b, f, blocks):
     space = b.target.space
     terms = {}
     for i in range(n):
-        prefix = sum(w.suspended_degree() for w in blocks[:i])
+        prefix = sum(w.degree + 1 - w.weight for w in blocks[:i])
         slot_sign = -1 if (b_degree * (n - 1 + prefix)) % 2 else 1
         vals = []
         for j, w in enumerate(blocks):
@@ -548,12 +548,12 @@ def reference_lower_central_series(structure):
                     _reference_subspace_elements(levels[part - 1], space) for part in comp
                 ]
                 for tup in product(*pools):
-                    generators.append(q.apply(list(tup)))
+                    generators.append(reference_apply(q, list(tup)))
         current = _reference_subspace_of(generators, space)
         q1 = structure.maps.get(1)
         while q1 is not None:
             elements = _reference_subspace_elements(current, space)
-            extra = [q1.apply([e]) for e in elements]
+            extra = [reference_apply(q1, [e]) for e in elements]
             merged = _reference_subspace_of(elements + extra, space)
             if merged == current:
                 break
@@ -813,7 +813,7 @@ def _reference_differential(conv, alpha):
         ).scale(-cross)
         val = alpha.component(m).value(word)
         if q1 is not None and not val.is_zero():
-            total = q1.apply([val]) + total
+            total = reference_apply(q1, [val]) + total
         if not total.is_zero():
             comps.setdefault(m, {})[word] = total
     return assemble(conv, alpha.degree + 1, comps)
@@ -847,7 +847,7 @@ def reference_bracket(conv, alphas):
                 crossing += (alpha.degree - 1) * prefix
                 prefix += wpart.degree - len(block)
             else:
-                term = qn.apply(vals)
+                term = reference_apply(qn, vals)
                 if not term.is_zero():
                     total = total + term.scale(-sign if crossing % 2 else sign)
         if not total.is_zero():

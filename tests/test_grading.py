@@ -272,6 +272,23 @@ def test_multimap_apply_matches_the_tuple_by_tuple_reference():
         m.apply([a, Element.basis(other, "z")])
 
 
+def test_multimap_apply_refuses_arguments_of_another_space():
+    # W keeps every index of V, so only the space check refuses its elements
+    V = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+    W = GradedSpace([("a", 0), ("b", 1), ("c", 2), ("d", 5)])
+    m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1)}}).scale(F(2))
+    same = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+    assert m.apply([Element.basis(same, "a"), Element.basis(V, "b")]) == Element(V, 1, {"b": F(2)})
+    other = GradedSpace([("z", 1)])
+    for args in (
+        [Element.basis(W, "a"), Element.basis(W, "b")],
+        [Element.basis(V, "a"), Element.basis(W, "b")],
+        [Element.basis(V, "a"), Element.basis(other, "z")],
+    ):
+        with pytest.raises(InputError, match="source space"):
+            m.apply(args)
+
+
 def _stirling2(m, n):
     """Number of partitions of m positions into n nonempty blocks."""
     if m == n:
@@ -336,13 +353,24 @@ def test_entry_splittings_count_and_sign_the_splittings_of_a_word():
                 parts = tuple(tuple(word.factors[p] for p in block) for block in blocks)
                 sign = bracket_sign_reference(degrees, blocks, u_degrees)
                 expected[parts] = expected.get(parts, 0) + sign
+            # each block's value is its own odd name of a target, and Q'_n
+            # stores exactly the words of the expected splittings' names
+            blocks = sorted({block for parts in expected for block in parts})
+            target = GradedSpace([("t%d" % i, 1) for i in range(len(blocks))])
+            value_of = {b: Element.basis(target, "t%d" % i) for i, b in enumerate(blocks)}
+            stored = {
+                canonicalize_word([next(iter(value_of[b].coeffs)) for b in parts], target)[0]:
+                Element.basis(target, "t0")
+                for parts in expected
+            }
+            qn = MultiMap(target, target, n, 1 - n, stored)
             slots = [
-                (u - 1, {parts[j]: parts[j] for parts in expected})
+                (u - 1, {parts[j]: value_of[parts[j]] for parts in expected})
                 for j, u in enumerate(u_degrees)
             ]
             got = {
-                values: scalar
-                for joined, scalar, values in entry_splittings(slots, space, m, {})
+                tuple(blocks[target.index(next(iter(v.coeffs)))] for v in values): scalar
+                for joined, scalar, values in entry_splittings(slots, space, m, {}, qn.key_index)
                 if joined == word
             }
             assert got == expected
