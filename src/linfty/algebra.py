@@ -61,12 +61,6 @@ class LInftyStructure:
         self.maps: dict[int, MultiMap] = map_family(maps, space, space, cap, 2)
         self.verified = False
 
-    def map_at(self, n: int) -> MultiMap:
-        got = self.maps.get(n)
-        if got is None:
-            return MultiMap(self.space, self.space, n, 2 - n)
-        return got
-
     def apply(self, n: int, elements: Sequence[Element]) -> Element:
         """Q_n on n elements of the space; zero where the structure has no map."""
         if len(elements) != n:

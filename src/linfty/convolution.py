@@ -33,13 +33,16 @@ Sign conventions (the one table everything below refers to):
     suspended-degree factor;
   * q_n never lists a word's splittings.  It runs over the arguments'
     stored entries w_1 -> v_1, ..., w_n -> v_n through
-    :func:`entry_splittings`, which forms the sign above in
-    closed form from the blocks' degrees, slot by slot.  The splittings of
-    the joined word W that read w_1, ..., w_n differ only in how the copies
-    of a repeated odd-degree name are spread over the blocks; such a name
-    has even lowered degree, so they share one sign, and
-    Q'_n(v_1, ..., v_n) goes to W times that sign times their number, a
-    product of multinomials.  Q'_n's key index
+    :func:`~linfty.morphism.entry_splittings`, the kernel that the morphism
+    lift's :meth:`~linfty.morphism.MorphismLift.precompose` also reads, which
+    forms the sign above in closed form from the blocks' degrees, slot by
+    slot.  The splittings of the joined word W that read w_1, ..., w_n
+    differ only in how the copies of a repeated odd-degree name are spread
+    over the blocks; such a name has even lowered degree, so they share one
+    sign, and Q'_n(v_1, ..., v_n) goes to W times that sign times their
+    number, a product of multinomials.  An odd-degree argument repeated in
+    consecutive slots (shift u - 1 even) is a run: its entries are chosen
+    once per multiset and counted by their orderings.  Q'_n's key index
     (:attr:`~linfty.grading.MultiMap.key_index`) prunes the entries: one
     whose value cannot extend the earlier values' names towards a word
     Q'_n stores is dropped before it is joined;
@@ -64,9 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 from .grading import (
     Element,
@@ -77,7 +78,7 @@ from .grading import (
     tabulate,
 )
 from .algebra import LInftyStructure, lift_coderivation, require_verified
-from .morphism import HomElement, MorphismComponents
+from .morphism import HomElement, MorphismComponents, entry_splittings
 from .mc import mc_residual
 
 
@@ -201,13 +202,15 @@ class ConvolutionAlgebra:
         """The n-ary operation on n mapping-space elements.
 
         Driven by the arguments' stored entries, not by the words of the
-        truncation: :func:`entry_splittings` picks one entry
+        truncation: :func:`~linfty.morphism.entry_splittings` picks one entry
         w_i -> v_i of each argument, lightest first, within the cap and with
-        names of v_1, ..., v_n that make up a word Q_n stores, and gives the canonical word W of w_1 ... w_n with the signed number of
-        W's splittings that read those blocks.  Q_n(v_1, ..., v_n) times that
-        number goes to W, and the terms of one word go into one dict.  An
-        argument from another source/target pair or cap raises
-        :class:`~linfty.grading.InputError`.
+        names of v_1, ..., v_n that make up a word Q_n stores, and gives the
+        canonical word W of w_1 ... w_n with the signed number of W's
+        splittings that read those blocks.  Q_n(v_1, ..., v_n) times that
+        number goes to W, and the terms of one word go into one dict.  One
+        argument repeated at odd degree, as in the curvature, has its
+        entries chosen once per multiset.  An argument from another
+        source/target pair or cap raises :class:`~linfty.grading.InputError`.
         """
         pair = self._pair()
         for a in alphas:
@@ -220,18 +223,12 @@ class ConvolutionAlgebra:
         qn = self.target.maps.get(n)
         if qn is None:
             return self.zero(u_out)
-        # each argument's shift and stored values keyed by factors, all weights in one dict
-        slots = [
-            (a.degree - 1, {f: v for c in a.components.values() for f, v in c.by_factors.items()})
-            for a in alphas
-        ]
+        # a repeated argument passes its one by_factors dict, so its slots can form a run
+        slots = [(a.degree - 1, a.by_factors) for a in alphas]
         totals: dict[Word, dict] = {}
         joins = entry_splittings(slots, self.source.space, self.cap, self._joined, qn.key_index)
         for word, scalar, values in joins:
-            coeffs = totals.get(word)
-            if coeffs is None:
-                coeffs = totals[word] = {}
-            qn.accumulate(coeffs, values, scalar)
+            qn.accumulate(totals.setdefault(word, {}), values, scalar)
 
         def value(word: Word) -> Element:
             return Element(self.target.space, word.degree + u_out - word.weight, totals[word])
@@ -254,141 +251,3 @@ def build_convolution(
     source: LInftyStructure, target: LInftyStructure, cap: int
 ) -> ConvolutionAlgebra:
     return ConvolutionAlgebra(source, target, cap)
-
-
-def entry_splittings(
-    slots: Sequence[tuple[int, Mapping[tuple[str, ...], Element]]],
-    space: GradedSpace,
-    cap: int,
-    joined: dict,
-    keys: tuple[Mapping[str, int], set[int]],
-) -> Iterator[tuple[Word, int, tuple]]:
-    """The ordered splittings that read one entry per slot, signed and counted in closed form.
-
-    Slot j is ``(shift, entries)``: an integer and a mapping from canonical
-    factor tuples w to values v, elements that a map Q'_n reads; ``keys`` is
-    Q'_n's :attr:`~linfty.grading.MultiMap.key_index`.  For every choice of
-    one entry per slot whose blocks w_1, ..., w_n join into a word W of
-    weight at most ``cap`` that does not vanish, and whose values have one
-    name each that together make up a word stored in Q'_n, this yields
-    ``(W, scalar, (v_1, ..., v_n))``.
-    ``scalar`` sums, over the splittings of W into position blocks that
-    read w_1, ..., w_n, the :func:`~linfty.grading.signed_blocks` sign
-    times the crossing ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each
-    shift past the earlier blocks.  Those splittings differ only in how the copies of a
-    repeated odd-degree name, whose lowered degree is even, are spread over
-    the blocks, so they share one sign and ``scalar`` is that sign times
-    their number, a product of multinomials.
-
-    The sign is read off the entries, never off W's splittings:
-      * the rearrangement swaps only names of W in different blocks, and
-        only two even-degree names swap with an odd sign; their count is a
-        popcount of the earlier blocks' even names against a mask of the
-        new block's;
-      * the other factors are per-block constants and prefix sums, so the
-        tuples share their prefixes' work slot by slot;
-      * W's own desuspension sign and multiplicity are formed once per W
-        and kept in ``joined``, a dict the caller may keep for every call
-        over one space and cap.
-    Entries are taken lightest first and a slot stops at the first entry
-    too heavy to leave room for the lightest entries of the later slots.
-    A prefix also carries the live codes of its values: the key-index codes
-    of its name tuples, one name per value, that are part of a stored word.
-    An entry that leaves no live code is dropped before it is joined.
-
-    >>> V = GradedSpace([("a", 0), ("b", 1)])
-    >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
-    >>> slot = (0, {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")})
-    >>> for word, scalar, values in entry_splittings([slot, slot], V, 2, {}, q2.key_index):
-    ...     print(word.factors, scalar, values)
-    ('a', 'b') 1 (1*a, 1*b)
-    ('a', 'b') -1 (1*b, 1*a)
-    """
-    base = cap + 1
-    codes, subcodes = keys
-    tables = []
-    for shift, entries in slots:
-        rows = []
-        for w, v in entries.items():
-            reach = [c for name in v.coeffs if (c := codes[name]) in subcodes]
-            if reach:
-                rows.append(_block_row(w, v, space, base) + (reach,))
-        rows.sort(key=itemgetter(0))
-        if not rows:
-            return
-        tables.append((shift % 2, rows))
-    room = [cap - sum(rows[0][0] for _, rows in tables[j + 1 :]) for j in range(len(tables))]
-    last = len(tables) - 1
-    # a prefix: weight, even-name mask, suspended degree, sign exponent,
-    # multiset code, repeat tally, blocks, values, live codes
-    prefixes: list[tuple] = [(0, 0, 0, 0, 0, 1, (), (), (0,))]
-    for j, (shift, rows) in enumerate(tables):
-        grown = []
-        for weight, evens, suspended, parity, code, tally, blocks, values, live in prefixes:
-            top = room[j] - weight
-            # the earlier blocks' suspended degrees (less one each, against
-            # the shift) are all slot j needs of them, besides their even names
-            carried = parity + suspended + shift * (suspended - j)
-            for w, even, mask, p, s, c, t, letters, value, reach in rows:
-                if w > top:
-                    break
-                if evens & even:
-                    continue
-                alive = {k for l in live for r in reach if (k := l + r) in subcodes}
-                if not alive:
-                    continue
-                exponent = carried + p + (evens & mask).bit_count()
-                if j < last:
-                    grown.append((
-                        weight + w, evens | even, suspended + s, exponent,
-                        code + c, tally * t, blocks + (letters,), values + (value,), alive,
-                    ))
-                    continue
-                key = code + c
-                got = joined.get(key)
-                if got is None:
-                    got = joined[key] = _joined_word(blocks + (letters,))
-                word, word_parity, word_tally = got
-                ways = word_tally // (tally * t)
-                yield word, -ways if (exponent + word_parity) % 2 else ways, values + (value,)
-        prefixes = grown
-
-
-def _block_row(factors: tuple[str, ...], value, space: GradedSpace, base: int) -> tuple:
-    """What :func:`entry_splittings` reads of one entry, formed once per call.
-
-    ``mask`` has bit a set when an odd number of the block's even-degree
-    names come before basis index a; ``code`` adds up to the multiset code
-    of a join, and ``letters`` are the block's (index, degree, name) triples.
-    """
-    letters = tuple((space.index(name), space.degree(name), name) for name in factors)
-    degree, parity, tally = _summary(letters)
-    even = mask = code = 0
-    for i, d, _ in letters:
-        code += base ** i
-        if d % 2 == 0:
-            even |= 1 << i
-            mask ^= -(2 << i)
-    k = len(letters)
-    return k, even, mask, parity, degree + 1 - k, code, tally, letters, value
-
-
-def _joined_word(blocks: tuple[tuple[tuple[int, int, str], ...], ...]) -> tuple[Word, int, int]:
-    """The canonical word of a join of blocks' letters, with its parity and tally."""
-    letters = sorted(chain.from_iterable(blocks))
-    degree, parity, tally = _summary(letters)
-    return Word(tuple(name for _, _, name in letters), degree), parity, tally
-
-
-def _summary(letters: Sequence[tuple[int, int, str]]) -> tuple[int, int, int]:
-    """Degree, desuspension parity and repeat tally (the product of the
-    factorials of the repeats) of a canonical word's letters."""
-    m = len(letters)
-    degree = parity = 0
-    tally = run = 1
-    for p, (i, d, _) in enumerate(letters):
-        run = run + 1 if p and letters[p - 1][0] == i else 1
-        tally *= run
-        degree += d
-        parity += d * (m - 1 - p)
-    return degree, parity % 2, tally

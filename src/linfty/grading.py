@@ -117,12 +117,13 @@ def signed_blocks(degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int,
 
     The splittings are the unordered set partitions of the positions, blocks
     ordered by their minimum: the comultiplication of the cofree coalgebra in
-    component form, which the morphism lift reads.  The sign of blocks
+    component form, which the reference lift
+    :meth:`~linfty.morphism.MorphismLift.on_word` reads.  The sign of blocks
     B_1, ..., B_n is the desuspension sign of the word, times the classical
     Koszul sign of the rearrangement B_1 ... B_n on degrees lowered by one,
     times the desuspension sign of each block, times that of the blocks'
     suspended degrees ``plain + 1 - weight``.  The same formula signs the
-    ordered splittings that :func:`linfty.convolution.entry_splittings`
+    ordered splittings that :func:`linfty.morphism.entry_splittings`
     counts.  Blocks are tuples of sorted positions.
 
     >>> signed_blocks((0, 1))
@@ -141,25 +142,6 @@ def signed_blocks(degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int,
             suspended.append(sum(block_degrees) + 1 - len(block))
         out.append((sign * desuspension_sign(suspended), blocks))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def signed_blocks_by_count(
-    degrees: tuple[int, ...]
-) -> tuple[tuple[tuple[int, tuple[tuple[int, ...], ...]], ...], ...]:
-    """The :func:`signed_blocks` of a word, grouped by block count.
-
-    Entry n holds the partitions into n blocks, in their order in
-    :func:`signed_blocks`, so a caller that reads only some block counts
-    never visits the others.
-
-    >>> signed_blocks_by_count((0, 1))
-    ((), ((1, ((0, 1),)),), ((1, ((0,), (1,))),))
-    """
-    grouped: list[list] = [[] for _ in range(len(degrees) + 1)]
-    for sign, blocks in signed_blocks(degrees):
-        grouped[len(blocks)].append((sign, blocks))
-    return tuple(tuple(group) for group in grouped)
 
 
 @lru_cache(maxsize=None)

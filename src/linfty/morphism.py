@@ -10,6 +10,11 @@ size.  Compatibility with the two coderivations is measured per weight by
 which vanishes for every weight up to the cap exactly when the lift commutes
 with the coderivations on the whole truncation.
 
+Maps after the lift are evaluated from stored entries by one kernel,
+:func:`entry_splittings`: the Q' F side of compatibility, composition, and
+the mapping-space operations of :mod:`linfty.convolution`.  None of them
+lists the words of the truncation or a word's block partitions.
+
 A family {a_n} with a_n of weight n and degree u - n is a degree-u vector of
 the mapping space, :class:`HomElement`; a morphism is a degree-1 vector.
 """
@@ -17,7 +22,11 @@ the mapping space, :class:`HomElement`; a morphism is a degree-1 vector.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
+from itertools import chain
+from math import factorial
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 from .grading import (
     CoalgebraElement,
@@ -30,7 +39,6 @@ from .grading import (
     add_scaled,
     map_family,
     signed_blocks,
-    signed_blocks_by_count,
     subword,
     tabulate,
 )
@@ -75,6 +83,11 @@ class HomElement(Combination):
         if not self.components:
             return self.cap + 1
         return min(self.components)
+
+    @cached_property
+    def by_factors(self) -> dict[tuple[str, ...], Element]:
+        """The components' stored values keyed by factor tuples, all weights in one dict."""
+        return {f: v for c in self.components.values() for f, v in c.by_factors.items()}
 
     def component(self, n: int) -> MultiMap:
         got = self.components.get(n)
@@ -132,14 +145,16 @@ class MorphismLift:
     The image of a word sums over its unordered set partitions; an n-block
     partition contributes the product of the components' values on its
     blocks, a combination of weight-n words.  :meth:`on_word` builds the
-    whole image.  :meth:`project` evaluates a family of maps on it and so
-    reads only the partitions whose block count n has a stored map: the
-    others give words of a weight the family sends to zero.
+    whole image of one word, a test and tracing reference.  :meth:`precompose`
+    evaluates a family of maps on the image of every word at once, from the
+    components' stored entries through :func:`entry_splittings`.
     """
 
     def __init__(self, morphism: MorphismComponents):
         self.morphism = morphism
         self._cache: dict[Word, CoalgebraElement] = {}
+        # entry_splittings' memo of the words that precompose reached
+        self._joined: dict = {}
 
     def on_word(self, word: Word) -> CoalgebraElement:
         cached = self._cache.get(word)
@@ -167,40 +182,189 @@ class MorphismLift:
         self._cache[word] = out
         return out
 
-    def project(
-        self, word: Word, maps: Mapping[int, MultiMap], space: GradedSpace, degree: int
-    ) -> Element:
-        """The sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(word)``.
+    def precompose(self, maps: Mapping[int, MultiMap]) -> dict[Word, dict]:
+        """The cogenerator part of ``maps`` after the lift, by word.
 
-        Only what ``maps`` reads is built: the n-block partitions with a
-        stored ``maps[n]`` are visited, and ``maps[n]`` is evaluated on each
-        one's block values directly, so the product of the values is never
-        expanded into words.
+        The value at a word W, a name -> coefficient dict, is the sum of
+        ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(W)``.  The
+        n! orderings of an n-block partition are the ordered n-splittings
+        that :func:`entry_splittings` reads with n slots of the components'
+        entries at shift 0, and ``maps[n]`` takes the same value on each, so
+        this is the sum over n of 1/n! times ``maps[n]`` on those splittings.
         """
-        components = self.morphism.components
-        factors = word.factors
-        by_count = signed_blocks_by_count(self.morphism.source.space.degrees_of(factors))
-        coeffs: dict = {}
+        F = self.morphism
+        out: dict[Word, dict] = {}
         for n, q in maps.items():
-            if n > len(factors):
-                continue
-            for sign, blocks in by_count[n]:
-                vals: list[Element] = []
-                for block in blocks:
-                    comp = components.get(len(block))
-                    val = None if comp is None else comp.by_factors.get(
-                        tuple(factors[i] for i in block)
-                    )
-                    if val is None:
-                        break
-                    vals.append(val)
-                else:
-                    q.accumulate(coeffs, vals, sign)
-        return Element(space, degree, coeffs)
+            splittings = entry_splittings(
+                [(0, F.by_factors)] * n, F.source.space, F.cap, self._joined, q.key_index
+            )
+            for word, scalar, values in splittings:
+                q.accumulate(out.setdefault(word, {}), values, Fraction(scalar, factorial(n)))
+        return out
 
 
 def lift_morphism(morphism: MorphismComponents) -> MorphismLift:
     return MorphismLift(morphism)
+
+
+def entry_splittings(
+    slots: Sequence[tuple[int, Mapping[tuple[str, ...], Element]]],
+    space: GradedSpace,
+    cap: int,
+    joined: dict,
+    keys: tuple[Mapping[str, int], set[int]],
+) -> Iterator[tuple[Word, int, tuple]]:
+    """The ordered splittings that read one entry per slot, signed and counted in closed form.
+
+    Slot j is ``(shift, entries)``: an integer and a mapping from canonical
+    factor tuples w to values v, elements that a map Q'_n reads; ``keys`` is
+    Q'_n's :attr:`~linfty.grading.MultiMap.key_index`.  For every choice of
+    one entry per slot whose blocks w_1, ..., w_n join into a word W of
+    weight at most ``cap`` that does not vanish, and whose values have one
+    name each that together make up a word stored in Q'_n, this yields
+    ``(W, scalar, (v_1, ..., v_n))``.
+    ``scalar`` sums, over the splittings of W into position blocks that
+    read w_1, ..., w_n, the :func:`~linfty.grading.signed_blocks` sign
+    times the crossing ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each
+    shift past the earlier blocks.  Those splittings differ only in how the copies of a
+    repeated odd-degree name, whose lowered degree is even, are spread over
+    the blocks, so they share one sign and ``scalar`` is that sign times
+    their number, a product of multinomials.
+
+    Consecutive slots that read one ``entries`` mapping, each at an even
+    shift, form a run.  Swapping two of a run's blocks leaves the term
+    Q'_n(v_1, ..., v_n) times its sign unchanged, so a run's entries are
+    chosen as a multiset, in non-decreasing order, and ``scalar`` also
+    counts the r!/(m_1! ... m_k!) orderings of a choice with r entries, m_i
+    of them the same.
+
+    The sign is read off the entries, never off W's splittings:
+      * the rearrangement swaps only names of W in different blocks, and
+        only two even-degree names swap with an odd sign; their count is a
+        popcount of the earlier blocks' even names against a mask of the
+        new block's;
+      * the other factors are per-block constants and prefix sums, so the
+        tuples share their prefixes' work slot by slot;
+      * W's own desuspension sign and multiplicity are formed once per W
+        and kept in ``joined``, a dict the caller may keep for every call
+        over one space and cap.
+    Entries are taken lightest first and a slot stops at the first entry
+    too heavy to leave room for the lightest entries of the later slots.
+    A prefix also carries the live codes of its values: the key-index codes
+    of its name tuples, one name per value, that are part of a stored word.
+    An entry that leaves no live code is dropped before it is joined.
+
+    A run of two slots yields the pair of distinct entries once, counted
+    twice; two slots over equal but distinct mappings yield both orders:
+
+    >>> V = GradedSpace([("a", 0), ("b", 1)])
+    >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
+    >>> entries = {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")}
+    >>> for slots in ([(0, entries)] * 2, [(0, entries), (0, dict(entries))]):
+    ...     for word, scalar, values in entry_splittings(slots, V, 2, {}, q2.key_index):
+    ...         print(word.factors, scalar, values)
+    ('a', 'b') 2 (1*a, 1*b)
+    ('a', 'b') 1 (1*a, 1*b)
+    ('a', 'b') -1 (1*b, 1*a)
+    """
+    base = cap + 1
+    codes, subcodes = keys
+    tables = []
+    for j, (shift, entries) in enumerate(slots):
+        if j and slots[j - 1][1] is entries:
+            rows = tables[-1][1]
+        else:
+            rows = []
+            for w, v in entries.items():
+                reach = [c for name in v.coeffs if (c := codes[name]) in subcodes]
+                if reach:
+                    rows.append(_block_row(w, v, space, base) + (reach,))
+            if not rows:
+                return
+            rows.sort(key=itemgetter(0))
+        run = j and rows is tables[-1][1] and shift % 2 == 0 == slots[j - 1][0] % 2
+        # a slot's place in its run, 1 for a slot that starts one
+        tables.append((shift % 2, rows, tables[-1][2] + 1 if run else 1))
+    room = [cap - sum(rows[0][0] for _, rows, _ in tables[j + 1 :]) for j in range(len(tables))]
+    last = len(tables) - 1
+    # a prefix: weight, even-name mask, suspended degree, sign exponent,
+    # multiset code, repeat tally, blocks, values, live codes, the row of the
+    # last entry, how many entries at its end repeat it, and the orderings
+    prefixes: list[tuple] = [(0, 0, 0, 0, 0, 1, (), (), (0,), 0, 0, 1)]
+    for j, (shift, rows, place) in enumerate(tables):
+        grown = []
+        for weight, evens, suspended, parity, code, tally, blocks, values, live, row, ties, orders in prefixes:
+            top = room[j] - weight
+            # the earlier blocks' suspended degrees (less one each, against
+            # the shift) are all slot j needs of them, besides their even names
+            carried = parity + suspended + shift * (suspended - j)
+            for i in range(row if place > 1 else 0, len(rows)):
+                w, even, mask, p, s, c, t, letters, value, reach = rows[i]
+                if w > top:
+                    break
+                if evens & even:
+                    continue
+                alive = {k for l in live for r in reach if (k := l + r) in subcodes}
+                if not alive:
+                    continue
+                exponent = carried + p + (evens & mask).bit_count()
+                same = ties + 1 if place > 1 and i == row else 1
+                # place!/(m_1! ... m_k!) grows by place/same each entry
+                ordering = orders * place // same
+                if j < last:
+                    grown.append((
+                        weight + w, evens | even, suspended + s, exponent, code + c,
+                        tally * t, blocks + (letters,), values + (value,), alive, i, same, ordering,
+                    ))
+                    continue
+                key = code + c
+                got = joined.get(key)
+                if got is None:
+                    got = joined[key] = _joined_word(blocks + (letters,))
+                word, word_parity, word_tally = got
+                ways = word_tally // (tally * t) * ordering
+                yield word, -ways if (exponent + word_parity) % 2 else ways, values + (value,)
+        prefixes = grown
+
+
+def _block_row(factors: tuple[str, ...], value, space: GradedSpace, base: int) -> tuple:
+    """What :func:`entry_splittings` reads of one entry, formed once per call.
+
+    ``mask`` has bit a set when an odd number of the block's even-degree
+    names come before basis index a; ``code`` adds up to the multiset code
+    of a join, and ``letters`` are the block's (index, degree, name) triples.
+    """
+    letters = tuple((space.index(name), space.degree(name), name) for name in factors)
+    degree, parity, tally = _summary(letters)
+    even = mask = code = 0
+    for i, d, _ in letters:
+        code += base ** i
+        if d % 2 == 0:
+            even |= 1 << i
+            mask ^= -(2 << i)
+    k = len(letters)
+    return k, even, mask, parity, degree + 1 - k, code, tally, letters, value
+
+
+def _joined_word(blocks: tuple[tuple[tuple[int, int, str], ...], ...]) -> tuple[Word, int, int]:
+    """The canonical word of a join of blocks' letters, with its parity and tally."""
+    letters = sorted(chain.from_iterable(blocks))
+    degree, parity, tally = _summary(letters)
+    return Word(tuple(name for _, _, name in letters), degree), parity, tally
+
+
+def _summary(letters: Sequence[tuple[int, int, str]]) -> tuple[int, int, int]:
+    """Degree, desuspension parity and repeat tally (the product of the
+    factorials of the repeats) of a canonical word's letters."""
+    m = len(letters)
+    degree = parity = 0
+    tally = run = 1
+    for p, (i, d, _) in enumerate(letters):
+        run = run + 1 if p and letters[p - 1][0] == i else 1
+        tally *= run
+        degree += d
+        parity += d * (m - 1 - p)
+    return degree, parity % 2, tally
 
 
 def check_morphism(morphism: MorphismComponents) -> ResidualReport:
@@ -208,26 +372,23 @@ def check_morphism(morphism: MorphismComponents) -> ResidualReport:
 
     The residual at a word w is the target's structure maps evaluated on the
     lift's image F(w), minus the components evaluated on Q(w).  That is the
-    cogenerator part of Q'F - FQ, which determines all of it.  On a weight-m
-    word, the left side reads only the set partitions of w into n blocks
-    with Q'_n stored: every other term leaves a word of a weight that no
-    stored map sends to the cogenerators, so it contributes exactly zero.
-    The right side comes from the stored entries of the Q_k and the F_j in
-    one pass (:meth:`~linfty.algebra.Coderivation.precompose`), not word by
-    word.
+    cogenerator part of Q'F - FQ, which determines all of it.  Both sides
+    come from stored entries, not word by word: the left from the
+    components' entries joined into the splittings that Q'_n reads
+    (:meth:`MorphismLift.precompose`), the right from pairs of entries of
+    the Q_k and the F_j (:meth:`~linfty.algebra.Coderivation.precompose`).
+    A word that neither reaches has residual zero term by term.
     """
     require_verified(morphism.source, "source structure")
     require_verified(morphism.target, "target structure")
-    lift = lift_morphism(morphism)
-    target = morphism.target
+    space = morphism.target.space
+    left = lift_morphism(morphism).precompose(morphism.target.maps)
     right = lift_coderivation(morphism.source).precompose(morphism.components)
     residuals: dict[Word, Element] = {}
-    for word in morphism.source.words():
+    for word in left | right:
         degree = word.degree + 2 - word.weight
-        residual = lift.project(word, target.maps, target.space, degree)
-        if word in right:
-            residual = residual - Element(target.space, degree, right[word])
-        if not residual.is_zero():
+        residual = Element(space, degree, left.get(word)) - Element(space, degree, right.get(word))
+        if residual:
             residuals[word] = residual
     report = ResidualReport(morphism.cap, "morphism compatible", "morphism residuals", residuals)
     morphism.verified = report.passed
@@ -235,19 +396,16 @@ def check_morphism(morphism: MorphismComponents) -> ResidualReport:
 
 
 def compose(g: MorphismComponents, f: MorphismComponents) -> MorphismComponents:
-    """Components of g after f, by lifting f and projecting through g."""
+    """Components of g after f: g's components after the lift of f."""
     if f.target.space != g.source.space or f.target.cap != g.source.cap:
         raise InputError("middle structures of the composition do not match")
-    lift_f = lift_morphism(f)
+    totals = lift_morphism(f).precompose(g.components)
     target = g.target.space
-    components = tabulate(
-        f.source.space,
-        target,
-        1,
-        f.source.words(),
-        lambda word: lift_f.project(word, g.components, target, word.degree + 1 - word.weight),
-    )
-    out = MorphismComponents(f.source, g.target, components)
+
+    def value(word: Word) -> Element:
+        return Element(target, word.degree + 1 - word.weight, totals[word])
+
+    out = MorphismComponents(f.source, g.target, tabulate(f.source.space, target, 1, totals, value))
     out.verified = f.verified and g.verified
     return out
 

@@ -245,7 +245,7 @@ def through(element, maps, space, degree):
     """Test reference: sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of a coalgebra element.
 
     On the lift's image of a word this is the cogenerator part of its
-    composite with the maps, which ``MorphismLift.project`` and
+    composite with the maps, which ``MorphismLift.precompose`` and
     ``Coderivation.precompose`` compute without building the image.
     """
     total = Element.zero(space, degree)
@@ -291,7 +291,7 @@ def apply_lift(lift, element, space):
 
     Sums ``c * lift.on_word(u)`` over the terms ``c*u``; the result lives in
     ``space``, the lift's target.  This is the full composite that
-    ``MorphismLift.project`` and ``Coderivation.precompose`` replace.
+    ``MorphismLift.precompose`` and ``Coderivation.precompose`` replace.
     """
     out = CoalgebraElement(space)
     for word, coeff in element.terms.items():
@@ -570,7 +570,7 @@ def reference_lower_central_series(structure):
 
 # Test reference for the block-splitting signs, the kernel
 # ``linfty.grading.signed_blocks`` and the closed form of
-# ``linfty.convolution.entry_splittings``: the sign of
+# ``linfty.morphism.entry_splittings``: the sign of
 # each call site (morphism lift, mapping-space bracket, the two coproducts)
 # written out in full, on sign helpers independent of linfty.grading.  The
 # call sites share those kernels, so their correspondence tests alone cannot
@@ -623,7 +623,7 @@ def ordered_signed_blocks(degrees, n):
 
     Every ordering of every n-block partition of ``signed_blocks``, signed by
     ``lift_sign_reference`` on the ordered blocks: the splittings that
-    ``reference_bracket`` walks and ``linfty.convolution.entry_splittings``
+    ``reference_bracket`` walks and ``linfty.morphism.entry_splittings``
     counts, and that the two coproduct references read.
     """
     return [

@@ -44,6 +44,7 @@ from conftest import (
     reference_lower_central_series,
     reference_project,
     shift,
+    through,
     twostep3,
     weight_one_part,
 )
@@ -112,7 +113,8 @@ def test_lift_projection_consistency(heisenberg, end_dgla):
                     projected = projected + Element.basis(
                         structure.space, w.factors[0], c
                     )
-            assert projected == structure.map_at(word.weight).value(word)
+            q = structure.maps.get(word.weight)
+            assert projected == (q.value(word) if q else Element.zero(structure.space, projected.degree))
 
 
 def test_lift_heisenberg_example(heisenberg):
@@ -310,7 +312,7 @@ def test_precompose_matches_the_per_word_reference(high_arity_loop):
         want = {}
         for word in structure.words():
             degree = word.degree + 2 - word.weight
-            residual = left.project(word, structure.maps, space, degree) - right.get(
+            residual = through(left.on_word(word), structure.maps, space, degree) - right.get(
                 word, Element.zero(space, degree)
             )
             if residual:

@@ -11,6 +11,7 @@ from linfty import (
     MultiMap,
     check_morphism,
     check_relations,
+    compose,
     build_convolution,
     check_homotopy,
     gauge_to_homotopy,
@@ -24,12 +25,13 @@ from linfty import (
     perturb,
     unsplit_residual,
 )
-from linfty.convolution import ConvolutionAlgebra, HomElement, entry_splittings
+from linfty.convolution import ConvolutionAlgebra, HomElement
+from linfty.morphism import MorphismComponents, entry_splittings
 from linfty.homotopy import HomotopyElement, evolution_residual, flatness_residual
 from linfty.mc import PolyPath, gauge_flow
 from linfty.perturbation import PerturbationRequest, direction_element
 from linfty import convolution
-from linfty.grading import canonicalize_word
+from linfty.grading import canonicalize_word, wedge_basis
 
 from conftest import (
     SMALL_SPACES,
@@ -48,6 +50,7 @@ from conftest import (
     random_valid_structure,
     reference_bracket,
     reference_hom_to_element,
+    through,
     twostep3,
 )
 
@@ -200,7 +203,7 @@ def test_direct_operations_match_materialized_structure():
                 alphas = [random_hom(conv, u, rng) for u in u_degrees]
                 direct = conv.apply(n, alphas)
                 xs = [conv.hom_to_element(a) for a in alphas]
-                assert conv.hom_to_element(direct) == reference.map_at(n).apply(xs)
+                assert conv.hom_to_element(direct) == reference.apply(n, xs)
                 nonzero[n] += not direct.is_zero()
         alpha = random_hom(conv, 1, rng)
         xi = random_hom(conv, 0, rng)
@@ -301,6 +304,83 @@ def test_bracket_matches_the_word_walk_on_repeated_names_and_higher_maps(
                     count > 1 and not qn.apply(values).is_zero() for count, values in seen
                 )
     assert all(nonzero.values()) and repeated > 10, (nonzero, repeated)
+
+
+def test_runs_of_a_repeated_argument_match_the_word_walk(high_arity_loop, monkeypatch):
+    # entry_splittings chooses the entries of a run (one argument repeated
+    # at an even shift, so an odd degree) as a multiset and counts their
+    # orderings; the references walk every ordered splitting of every word.
+    # An even-degree argument repeated brackets to zero, as its terms cancel
+    # in pairs, which only holds when its slots do not form a run.
+    rng = random.Random(457)
+    terms = []
+
+    def recording(*args):
+        for word, scalar, values in entry_splittings(*args):
+            terms.append(values)
+            yield word, scalar, values
+
+    monkeypatch.setattr(convolution, "entry_splittings", recording)
+    targets = [heis(2, rng, cap=4, pair=True), twostep3(3, rng, cap=3), high_arity_loop]
+    nonzero = {"odd run": 0, "even repeat": 0, "equal copies": 0, "broken run": 0}
+    for structure in targets:
+        conv = build_convolution(structure, structure, structure.cap)
+
+        def element(u):
+            comps = random_component_family(structure, structure, conv.cap, rng, 0.8, degree=u)
+            return HomElement(structure, structure, u, comps)
+
+        for n in (2, 3, 4):
+            if n not in structure.maps:
+                continue
+            for u in (-1, 0, 1, 2) * 3:
+                alpha = element(u)
+                cases = [("odd run" if u % 2 else "even repeat", [alpha] * n)]
+                if u % 2:
+                    copy = HomElement(structure, structure, u, alpha.components)
+                    cases.append(("equal copies", [alpha] * (n - 1) + [copy]))
+                    xi = element(rng.choice((0, 2)))
+                    cases.append(("broken run", [alpha] * (n - 1) + [xi]))
+                    cases.append(("broken run", [alpha, xi] + [alpha] * (n - 2)))
+                for kind, alphas in cases:
+                    terms.clear()
+                    got = conv.bracket(alphas)
+                    assert _coefficients(got) == _coefficients(reference_bracket(conv, alphas))
+                    if kind == "even repeat":
+                        assert got.is_zero()
+                        got = any(structure.maps[n].apply(values) for values in terms)
+                    nonzero[kind] += bool(got)
+    assert all(count > 8 for count in nonzero.values()), nonzero
+    # check_morphism and compose(p, p) choose p's entries as one run of
+    # n slots and divide by n!; morphisms with components at every weight,
+    # the first a dense weight-2 perturbation of an identity
+    source = heis(3, rng, cap=4, pair=True)
+    space = source.space
+    correction = MultiMap.from_entries(space, space, 2, -2, {
+        w.factors: {t: F(rng.choice((-2, -1, 1, 2))) for t in space.basis_of_degree(w.degree - 2)}
+        for w in wedge_basis(space, 2) if space.basis_of_degree(w.degree - 2)
+    })
+    morphisms = [perturb(PerturbationRequest(identity_morphism(source), 2, correction))]
+    for cap in (3, 4, 5):
+        structure = heis(2, rng, cap=cap, pair=True)
+        comps = random_component_family(structure, structure, cap, rng, density=0.8)
+        morphisms.append(MorphismComponents(structure, structure, comps))
+    failing = 0
+    for p in morphisms:
+        assert sorted(p.components) == list(range(1, p.cap + 1))
+        structure, space = p.source, p.source.space
+        report = check_morphism(p)
+        failing += not report.passed
+        composite = compose(p, p)
+        lift, q = lift_morphism(p), lift_coderivation(structure)
+        for word in structure.words():
+            degree = word.degree + 2 - word.weight
+            left = through(lift.on_word(word), structure.maps, space, degree)
+            right = through(q.on_word(word), p.components, space, degree)
+            assert report.residuals.get(word, Element.zero(space, degree)) == left - right
+            want = through(lift.on_word(word), p.components, space, degree - 1)
+            assert composite.component(word.weight).value(word) == want
+    assert failing == 3, failing
 
 
 def test_curvature_builds_no_coordinates(two_term, tmp_path, monkeypatch):

@@ -30,10 +30,12 @@ from linfty import (
     morphism_to_mc,
     wedge_basis,
 )
+from linfty import algebra, grading
 from linfty.morphism import MorphismComponents
 from linfty.perturbation import PerturbationRequest, flow_morphism
 
 from conftest import (
+    heis,
     random_component_family,
     reference_apply,
     reference_bracket,
@@ -189,14 +191,9 @@ def test_check_homotopy_lookups_never_miss(monkeypatch):
     assert counts["misses"] == 0 and counts["hits"] > 100, counts
 
 
-def test_work_of_the_convolution_curvature_of_a_scale_morphism(monkeypatch):
-    # F1 x_i = a_i x_i, extended multiplicatively to z_ij and w_ijk, on
-    # twostep3(4) at cap 3: a morphism, so the curvature vanishes.  Only
-    # joins whose values make up a stored word of Q'_n reach accumulate:
-    # 36 calls, where the full-product kernel took 2,530.
-    rng = random.Random(431)
-    structure = twostep3(4, rng, cap=3)
-    assert check_relations(structure).passed
+def _scale_morphism(structure, rng):
+    """F1 x_i = a_i x_i, extended multiplicatively to the other names; a
+    morphism of twostep3 and heis, with no component above weight 1."""
     space = structure.space
     a = {name[1:]: _coeff(rng) for name in space.basis_of_degree(1)}
     values = {}
@@ -206,7 +203,21 @@ def test_work_of_the_convolution_curvature_of_a_scale_morphism(monkeypatch):
             factor *= a[digit]
         values[(name,)] = {name: factor}
     f1 = MultiMap.from_entries(space, space, 1, 0, values)
-    morphism = MorphismComponents(structure, structure, {1: f1})
+    return MorphismComponents(structure, structure, {1: f1})
+
+
+def test_work_of_the_convolution_curvature_of_a_scale_morphism(monkeypatch):
+    # twostep3(4) at cap 3.  Only joins whose values make up a stored word
+    # of Q'_n reach accumulate, and the two slots of the curvature's
+    # Q'_2(alpha, alpha) read one argument, so each pair of entries is
+    # joined once: 10 calls, where the full-product kernel took 2,530 and
+    # both orders of each pair took 36.  check_morphism joins the entries
+    # of F the same way; its walk over every word and block partition took
+    # 515 calls.
+    rng = random.Random(431)
+    structure = twostep3(4, rng, cap=3)
+    assert check_relations(structure).passed
+    morphism = _scale_morphism(structure, rng)
     conv = build_convolution(structure, structure, 3)
     calls = []
     accumulate = MultiMap.accumulate
@@ -218,5 +229,30 @@ def test_work_of_the_convolution_curvature_of_a_scale_morphism(monkeypatch):
     monkeypatch.setattr(MultiMap, "accumulate", spy)
     counts = _misses(monkeypatch)
     assert conv.mc_residual(morphism_to_mc(morphism)).is_zero()
-    assert len(calls) == 36, len(calls)
-    assert counts == {"hits": 36, "misses": 0}
+    assert len(calls) == 10, len(calls)
+    assert counts == {"hits": 10, "misses": 0}
+    calls.clear()
+    assert check_morphism(morphism).passed
+    assert len(calls) == 10, len(calls)
+    assert counts == {"hits": 20, "misses": 0}
+
+
+def test_morphism_checks_and_compose_list_no_words(monkeypatch):
+    # both sides of check_morphism and compose run over stored entries, so
+    # a large truncation's words are never listed
+    rng = random.Random(433)
+    big = heis(6, rng, cap=8)
+    assert check_relations(big).passed
+    morphism = _scale_morphism(big, rng)
+
+    def no_words(*args):
+        raise AssertionError("wedge_basis called")
+
+    monkeypatch.setattr(grading, "wedge_basis", no_words)
+    monkeypatch.setattr(algebra, "wedge_basis", no_words)
+    assert check_morphism(morphism).passed
+    square = compose(morphism, morphism)
+    f1 = morphism.components[1]
+    assert set(square.components) == {1}
+    for word, value in f1.values.items():
+        assert square.components[1].value(word) == value.scale(next(iter(value.coeffs.values())))
