@@ -29,7 +29,7 @@ compatibility and mapping-space curvature elsewhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
@@ -350,7 +350,7 @@ class FiltrationChain:
         self.depth = depth
 
     def spanning_elements(self, level: int) -> list[Element]:
-        return _subspace_elements(self.subspaces[level - 1], self.structure.space)
+        return _pool(self.subspaces[level - 1], self.structure.space)[0]
 
     def verdict(self) -> str:
         if self.nilpotent:
@@ -359,36 +359,71 @@ class FiltrationChain:
 
 
 def _subspace_of(elements: list[Element], space: GradedSpace) -> dict[int, list[list[Fraction]]]:
-    by_degree: dict[int, list[list[Fraction]]] = {}
+    by_degree: dict[int, list[Element]] = {}
     for e in elements:
-        if e.is_zero():
-            continue
-        names = space.basis_of_degree(e.degree)
-        row = [Fraction(e.coeffs.get(n, 0)) for n in names]
-        by_degree.setdefault(e.degree, []).append(row)
-    return {d: linalg.reduce_spanning_set(rows) for d, rows in by_degree.items() if rows}
+        if e.coeffs:
+            by_degree.setdefault(e.degree, []).append(e)
+    zero, sub = Fraction(0), {}
+    for d, group in by_degree.items():
+        names = space.basis_of_degree(d)
+        rows = [[Fraction(e.coeffs[n]) if n in e.coeffs else zero for n in names] for e in group]
+        sub[d] = linalg.reduce_spanning_set(rows)
+    return sub
 
 
-def _subspace_elements(sub: dict[int, list[list[Fraction]]], space: GradedSpace) -> list[Element]:
-    out = []
+def _pool(sub: dict[int, list[list[Fraction]]], space: GradedSpace) -> tuple[list[Element], dict]:
+    """A subspace's spanning elements and, by name, the positions of those holding it."""
+    elements: list[Element] = []
+    index: dict[str, list[int]] = {}
     for degree, rows in sorted(sub.items()):
         names = space.basis_of_degree(degree)
         for row in rows:
-            out.append(Element(space, degree, {n: c for n, c in zip(names, row) if c}))
-    return out
+            coeffs = {n: c for n, c in zip(names, row) if c}
+            for name in coeffs:
+                index.setdefault(name, []).append(len(elements))
+            elements.append(Element(space, degree, coeffs))
+    return elements, index
 
 
-def _nondecreasing_compositions(
-    total: int, parts: int, least: int = 1
-) -> list[tuple[int, ...]]:
-    """Non-decreasing compositions of ``total`` into ``parts`` parts of at least ``least``."""
-    if parts == 1:
-        return [(total,)] if total >= least else []
-    out = []
-    for first in range(least, total // parts + 1):
-        for rest in _nondecreasing_compositions(total - first, parts - 1, first):
-            out.append((first,) + rest)
-    return out
+def _reaching(q: MultiMap, total: int, pools: list, successors: dict) -> list[tuple[Element, ...]]:
+    """Tuples of spanning elements of levels i_1 <= ... <= i_k summing to ``total``
+    on which the weight-k map ``q`` can reach a stored word.
+
+    A tuple grows one slot at a time with the codes (:attr:`MultiMap.key_index`)
+    of its name tuples still inside a stored word, and keeps an element when
+    any of its names extends one (``successors`` memoises which do, by code).
+    Equal parts take a multiset of elements, as ``q`` is graded-symmetric.
+    Below, d + a reaches the stored (a, b) through its second name, one of
+    (d + a, b) and (b, d + a) is read, and b pairs with itself for (b, b):
+
+    >>> V = GradedSpace([("d", 1), ("a", 1), ("b", 1), ("c", 2)])
+    >>> q = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"c": 1}, ("b", "b"): {"c": 1}})
+    >>> one, nil = Fraction(1), Fraction(0)
+    >>> pool = _pool({1: [[one, one, nil], [nil, nil, one]], 2: [[one]]}, V)
+    >>> pool[0]
+    [1*d + 1*a, 1*b, 1*c]
+    >>> _reaching(q, 2, [pool], {})
+    [(1*d + 1*a, 1*b), (1*b, 1*b)]
+    """
+    codes, subcodes = q.key_index
+    partial: list = [(0, 1, 0, (), {0})]  # (sum, last part, its position, elements, codes)
+    for left in range(q.weight, 0, -1):  # slots still to fill
+        grown = []
+        for done, last, position, args, live in partial:
+            for c in live - successors.keys():
+                successors[c] = {n: c + x for n, x in codes.items() if c + x in subcodes}
+            steps = [successors[c] for c in live]
+            for part in range(total - done if left == 1 else last, (total - done) // left + 1):
+                elements, index = pools[part - 1]
+                least = position if args and part == last else 0
+                kept = {p for s in steps for n in s for p in index.get(n, ()) if p >= least}
+                grown += [
+                    (done + part, part, p, args + (elements[p],),
+                     {s[n] for s in steps for n in elements[p].coeffs if n in s})
+                    for p in sorted(kept)
+                ]
+        partial = grown
+    return [args for _, _, _, args, _ in partial]
 
 
 def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
@@ -400,10 +435,11 @@ def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
     Every level lies in the one before: by induction F^i lies in F^{i-1}, so
     lowering each part i of a generator of F^{i+1} to i - 1 gives one of
     F^i.  Lowering a part therefore only enlarges a generator's span, and it
-    suffices to evaluate Q_k on the compositions of exactly max(i, k).  Q_k is
-    graded-symmetric (``MultiMap`` stores it on canonical words and signs
-    every reordering), so a permuted composition spans the same subspace and
-    only non-decreasing ones are evaluated.
+    suffices to evaluate Q_k on the compositions of exactly max(i, k), which
+    for every i <= k is Q_k(L, ..., L), evaluated once.  Q_k is
+    graded-symmetric, so only non-decreasing compositions are read, equal
+    parts take each multiset of spanning elements once, and only the tuples
+    whose names can reach a stored word are evaluated (:func:`_reaching`).
 
     The series stops at the first level that is zero (nilpotent, ``depth``
     that level) or equal to the one before (no certificate).  Each level
@@ -427,31 +463,24 @@ def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
     ('not within bound', [1*a, 1*c])
     """
     space = structure.space
-    full = _subspace_of([Element.basis(space, n) for n in space.names], space)
-    levels: list[dict[int, list[list[Fraction]]]] = [full]
-    pools = [_subspace_elements(full, space)]  # spanning elements of each level
+    levels = [_subspace_of([Element.basis(space, n) for n in space.names], space)]
+    pools = [_pool(levels[0], space)]
+    maps = [(q, {}) for k, q in sorted(structure.maps.items()) if k >= 2]  # {} memoises successors
+    # Q_k(L, ..., L): the generators from Q_k of every level i <= k
+    whole = [list(map(q.apply, _reaching(q, q.weight, pools, nx))) for q, nx in maps]
     q1 = structure.maps.get(1)
     i = 1
     while True:
         i += 1
         generators: list[Element] = []
-        for k in range(2, structure.cap + 1):
-            q = structure.maps.get(k)
-            if q is None:
-                continue
-            for comp in _nondecreasing_compositions(max(i, k), k):
-                for args in product(*(pools[part - 1] for part in comp)):
-                    generators.append(q.apply(args))
-        current = _subspace_of(generators, space)
-        spanning = _subspace_elements(current, space)
-        # close under Q_1
-        while q1 is not None:
-            merged = _subspace_of(spanning + [q1.apply([e]) for e in spanning], space)
-            if merged == current:
-                break
-            current = merged
-            spanning = _subspace_elements(current, space)
+        for (q, nx), on_whole in zip(maps, whole):
+            generators += on_whole if q.weight >= i else map(q.apply, _reaching(q, i, pools, nx))
+        current, merged = None, _subspace_of(generators, space)
+        while merged != current:  # close under Q_1
+            current, (spanning, index) = merged, _pool(merged, space)
+            if q1 is not None:
+                merged = _subspace_of(spanning + [q1.apply([e]) for e in spanning], space)
         levels.append(current)
-        pools.append(spanning)
+        pools.append((spanning, index))
         if not current or current == levels[-2]:
             return FiltrationChain(structure, levels, not current, None if current else i)

@@ -314,6 +314,7 @@ def wedge_basis(space: GradedSpace, weight: int) -> list[Word]:
             prefix.pop()
 
     extend([], 0)
+    del extend  # the closure refers to itself; unbound, it frees the words without the collector
     return words
 
 

@@ -25,7 +25,7 @@ def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(m)):
-            if m[i][c] != 0:
+            if m[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -34,12 +34,12 @@ def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
         row = m[r]
         inv = Fraction(1, 1) / row[c]
         # Rows from r on are zero left of c, so the support starts at c.
-        support = [j for j in range(c, ncols) if row[j] != 0]
+        support = [j for j in range(c, ncols) if row[j]]
         for j in support:
             row[j] *= inv
         for i, other in enumerate(m):
             factor = other[c]
-            if i != r and factor != 0:
+            if factor and i != r:
                 for j in support:
                     other[j] -= factor * row[j]
         pivots.append(c)
@@ -68,27 +68,32 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def solve(
-    rows: list[list[Fraction]], target: list[Fraction]
-) -> list[Fraction] | None:
-    """Coefficients c with sum(c_i * rows[i]) == target, or None."""
+def solve_all(
+    rows: list[list[Fraction]], targets: list[list[Fraction]]
+) -> list[list[Fraction] | None]:
+    """Per target t, coefficients c with sum(c_i * rows[i]) == t, or None; one reduction."""
     if not rows:
-        return [] if all(x == 0 for x in target) else None
-    ncols = len(rows[0])
-    # Transpose: columns are the given rows, solve A c = target.
-    aug = [[rows[r][c] for r in range(len(rows))] + [target[c]] for c in range(ncols)]
+        return [None if any(t) else [] for t in targets]
+    n, ncols = len(rows), len(rows[0])
+    # Transpose: columns are the given rows, then the targets; solve A c = t.
+    aug = [[row[c] for row in rows] + [t[c] for t in targets] for c in range(ncols)]
     reduced, pivots = row_reduce(aug)
-    n = len(rows)
-    if n in pivots:
-        return None
-    coeffs = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        coeffs[p] = reduced[r][n]
-    return coeffs
+    rank = sum(p < n for p in pivots)
+    out: list[list[Fraction] | None] = []
+    for j in range(n, n + len(targets)):
+        # t lies in the span unless a row pivoting on the targets has an entry in its column
+        if any(row[j] for row in reduced[rank:]):
+            out.append(None)
+            continue
+        coeffs = [Fraction(0)] * n
+        for r in range(rank):
+            coeffs[pivots[r]] = reduced[r][j]
+        out.append(coeffs)
+    return out
 
 
 def reduce_spanning_set(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Independent subset-equivalent basis (echelon rows) of the span."""
     reduced, _ = row_reduce(rows)
-    return [r for r in reduced if any(x != 0 for x in r)]
+    return [r for r in reduced if any(r)]
 

@@ -542,21 +542,16 @@ def is_quasi_iso(morphism: MorphismComponents) -> QuasiIsoReport:
             [Fraction(r.coeffs.get(n, 0)) for n in tgt_names]
             for r in tgt_h.representatives[d]
         ]
-        image_rows = tgt_h.images[d]
-        induced: list[list[Fraction]] = []
-        degenerate = False
-        for rep in src_h.representatives[d]:
-            mapped = (
-                f1.apply([rep]) if f1 is not None else Element.zero(tgt_space, d)
-            )
-            vec = [Fraction(mapped.coeffs.get(n, 0)) for n in tgt_names]
-            coeffs = linalg.solve(rep_rows + image_rows, vec)
-            if coeffs is None:
-                degenerate = True
-                break
-            induced.append(coeffs[: len(rep_rows)])
-        if degenerate:
+        mapped = [
+            f1.apply([rep]) if f1 is not None else Element.zero(tgt_space, d)
+            for rep in src_h.representatives[d]
+        ]
+        vecs = [[Fraction(m.coeffs.get(n, 0)) for n in tgt_names] for m in mapped]
+        # each representative's image in the target's representatives and image
+        coords = linalg.solve_all(rep_rows + tgt_h.images[d], vecs)
+        if None in coords:
             per_degree[d] = False
             continue
+        induced = [c[: len(rep_rows)] for c in coords]
         per_degree[d] = linalg.rank(induced) == sdim if sdim else True
     return QuasiIsoReport(morphism.cap, per_degree)

@@ -99,6 +99,23 @@ def high_arity_loop():
 
 
 @pytest.fixture
+def repeating_levels():
+    """{p:0, x:1, y:1}: Q1 p = x, Q6(p,x,x,x,x,x) = y at cap 6; lawful and nilpotent.
+
+    F^2 = ... = F^6 = span(y) and F^7 = 0, but the lower central series
+    stops at the first repeated level, so it certifies nothing here.
+    """
+    space = GradedSpace([("p", 0), ("x", 1), ("y", 1)])
+    maps = {
+        1: MultiMap.from_entries(space, space, 1, 1, {("p",): {"x": F(1)}}),
+        6: MultiMap.from_entries(space, space, 6, -4, {("p",) + ("x",) * 5: {"y": F(1)}}),
+    }
+    structure = make_linfty(space, maps, cap=6)
+    assert check_relations(structure).passed
+    return structure
+
+
+@pytest.fixture
 def step_nilpotent():
     """{p:0, q:1, r:1, s:1}: p ^ q -> r, p ^ r -> s; depth-4 lower central series."""
     space = GradedSpace([("p", 0), ("q", 1), ("r", 1), ("s", 1)])
@@ -440,6 +457,25 @@ def shift(m, n, rng, cap=3):
     return make_linfty(space, {2: MultiMap.from_entries(space, space, 2, 0, q2)}, cap)
 
 
+def late_reach(n, rng, cap=3):
+    """p (degree 0) acting on d, q_1, ..., q_n (degree 1) by Q2(p, q_1) = a d + b q_2
+    and Q2(p, q_i) = c_i q_{i+1} for 1 < i < n; no stored word reads d.
+
+    Level 2 of the lower central series is spanned by d + (b/a) q_2 and
+    q_3, ..., q_n, so its first spanning element reaches a stored word only
+    through its second name.  One operator, so Jacobi holds.  Nilpotent of
+    depth n + 1.
+    """
+    space = GradedSpace([("p", 0), ("d", 1)] + [("q%d" % i, 1) for i in range(1, n + 1)])
+
+    def coeff():
+        return F(rng.choice((1, 2, 3)), rng.choice((1, 2))) * rng.choice((1, -1))
+
+    q2 = {("p", "q1"): {"d": coeff(), "q2": coeff()}}
+    q2.update({("p", "q%d" % i): {"q%d" % (i + 1): coeff()} for i in range(2, n)})
+    return make_linfty(space, {2: MultiMap.from_entries(space, space, 2, 0, q2)}, cap)
+
+
 def twostep3(n, rng, cap=3, triples=True, pair=False):
     """x_i (degree 1) with central Q2(x_i, x_j) = c z_ij and, with ``triples``,
     central Q3(x_i, x_j, x_k) = d w_ijk (degree 2); ``heis`` is the case
@@ -712,6 +748,20 @@ def reference_row_reduce(rows):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def reference_solve(rows, target):
+    """Coefficients c with sum(c_i * rows[i]) == target, or None, by the dense reduction."""
+    n = len(rows)
+    reduced, pivots = reference_row_reduce(
+        [[row[c] for row in rows] + [target[c]] for c in range(len(target))]
+    )
+    if n in pivots:
+        return None
+    coeffs = [F(0)] * n
+    for r, p in enumerate(pivots):
+        coeffs[p] = reduced[r][n]
+    return coeffs
 
 
 def assert_decreasing(chain):

@@ -36,6 +36,7 @@ from conftest import (
     endomorphism_dgla,
     heis,
     in_span,
+    late_reach,
     random_candidate,
     random_component_family,
     random_map_family,
@@ -419,18 +420,24 @@ def test_lower_central_q1_stability(step_nilpotent, two_term):
 
 
 def test_lower_central_series_matches_the_reference(
-    heisenberg, step_nilpotent, two_term, sl2, non_nilpotent, high_arity_loop
+    heisenberg, step_nilpotent, two_term, sl2, non_nilpotent, high_arity_loop, repeating_levels
 ):
-    # the series evaluates only non-decreasing compositions of max(i, k); the
-    # reference evaluates every ordered composition of every total >= i, so
-    # equal RREF rows show that neither a permuted composition nor a larger
-    # total adds anything, and every chain decreases
+    # the series evaluates only non-decreasing compositions of max(i, k), a
+    # multiset of spanning elements per run of equal parts, and only tuples
+    # whose names reach a stored word; the reference evaluates every ordered
+    # tuple of every ordered composition of every total >= i, so equal RREF
+    # rows show that none of those skipped adds anything, and every chain
+    # decreases.  twostep3(5) at cap 4 has Q3 runs of three equal parts, and
+    # in late_reach a spanning element reaches Q2 only through a later name.
     rng = random.Random(211)
     family = [shift(1 + n % 4, n, rng) for n in range(6, 11)]
-    family += [heis(3, rng), twostep3(3, rng), twostep3(4, rng, cap=4)]
+    family += [heis(3, rng), twostep3(3, rng), twostep3(4, rng, cap=4), twostep3(5, rng, cap=4)]
+    family += [late_reach(n, rng) for n in (2, 3, 6)]
     family += [heisenberg, step_nilpotent, two_term, sl2, non_nilpotent, high_arity_loop]
+    family += [repeating_levels]  # stays "not within bound" until the stopping rule changes
     family += q1_q3_structures(rng)
     verdicts = set()
+    late = 0  # spanning elements whose first name is in no stored word, a later one is
     for structure in family:
         got = lower_central_series(structure)
         want = reference_lower_central_series(structure)
@@ -440,7 +447,13 @@ def test_lower_central_series_matches_the_reference(
         if got.nilpotent:
             assert got.depth <= structure.space.dimension() + 1
         verdicts.add(got.nilpotent)
+        stored = {n for k, q in structure.maps.items() if k >= 2 for w in q.by_factors for n in w}
+        for level in range(1, len(got.subspaces) + 1):
+            for e in got.spanning_elements(level):
+                first, *rest = [n for n, _ in e.items()]
+                late += first not in stored and any(n in stored for n in rest)
     assert verdicts == {True, False}
+    assert late
 
 
 def test_lower_central_series_reads_arities_above_the_level(high_arity_loop):
@@ -460,15 +473,19 @@ def test_lower_central_series_reads_arities_above_the_level(high_arity_loop):
 
 def test_work_of_relation_checks_and_series(monkeypatch):
     # machine-independent counts on shift(4, 8): the relation check of its
-    # twist builds no lift image and canonicalizes no word, and the series
-    # evaluates Q2 on non-decreasing compositions only (the ordered ones
-    # took 1,390 calls)
+    # twist builds no lift image and canonicalizes no word.  The series
+    # evaluates Q_k once per multiset of spanning elements that can reach a
+    # stored word, and Q_k(L, ..., L) once: 74 evaluations on shift(4, 8),
+    # 394 on shift(4, 16) and 20 on twostep3(5) at cap 4, where the product
+    # over the pools took 822, 8,988 and 45,525 (and ordered compositions
+    # 1,390 on shift(4, 8)).  Every evaluation is an ``accumulate``, so the
+    # counts cannot fall by calling it past ``apply``.
     structure = shift(4, 8, random.Random(0))
     pi0 = Element(structure.space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
     xi = Element(structure.space, 0, {"p1": F(1), "p2": F(3)})
     twisted = twist(structure, gauge_flow(structure, pi0, xi).evaluate(F(1)))
     assert sorted(twisted.maps) == [1, 2]
-    counts = {"canonicalize_word": 0, "on_word": 0, "apply": 0}
+    counts = {"canonicalize_word": 0, "on_word": 0, "apply": 0, "accumulate": 0}
 
     def counting(owner, name, key):
         original = getattr(owner, name)
@@ -483,11 +500,18 @@ def test_work_of_relation_checks_and_series(monkeypatch):
     counting(algebra, "canonicalize_word", "canonicalize_word")
     counting(Coderivation, "on_word", "on_word")
     counting(MultiMap, "apply", "apply")
+    counting(MultiMap, "accumulate", "accumulate")
     assert check_relations(twisted).passed
-    assert counts == {"canonicalize_word": 0, "on_word": 0, "apply": 0}
-    chain = lower_central_series(structure)
-    assert chain.nilpotent and chain.depth == 9
-    assert counts["apply"] <= 822
+    assert counts == {"canonicalize_word": 0, "on_word": 0, "apply": 0, "accumulate": 0}
+    for structure, depth, evaluations in (
+        (structure, 9, 74),
+        (shift(4, 16, random.Random(0)), 17, 394),
+        (twostep3(5, random.Random(0), cap=4), 4, 20),
+    ):
+        counts.update(apply=0, accumulate=0)
+        chain = lower_central_series(structure)
+        assert chain.nilpotent and chain.depth == depth
+        assert counts["apply"] == counts["accumulate"] == evaluations
 
 
 def test_apply_rejects_a_wrong_argument_count(two_term):

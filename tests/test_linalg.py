@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from linfty import linalg
 
-from conftest import reference_row_reduce
+from conftest import reference_row_reduce, reference_solve
 
 F = Fraction
 
@@ -39,3 +39,30 @@ def test_row_reduce_matches_the_dense_reference():
         assert rows == before
         tall += len(rows) > len(rows[0]) if rows else 0
     assert tall > 50
+
+
+def test_solve_all_matches_one_solve_per_target():
+    # targets in the span (random combinations of the rows) and random ones,
+    # against one dense reduction per target; a solution reproduces its target
+    rng = random.Random(61)
+    outside = 0
+    for _ in range(300):
+        rows = random_sparse_matrix(rng)
+        ncols = len(rows[0]) if rows else rng.randint(1, 6)
+        targets = []
+        for _ in range(rng.randint(0, 4)):
+            if rows and rng.random() < 0.5:
+                weights = [F(rng.randint(-2, 2)) for _ in rows]
+                targets.append([sum((w * r[c] for w, r in zip(weights, rows)), F(0))
+                                for c in range(ncols)])
+            else:
+                targets.append([F(rng.randint(-1, 1)) for _ in range(ncols)])
+        got = linalg.solve_all(rows, targets)
+        assert got == [reference_solve(rows, t) for t in targets]
+        for target, coeffs in zip(targets, got):
+            if coeffs is None:
+                outside += 1
+            else:
+                assert [sum((c * r[j] for c, r in zip(coeffs, rows)), F(0))
+                        for j in range(ncols)] == target
+    assert outside > 50

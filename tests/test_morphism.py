@@ -38,6 +38,8 @@ from conftest import (
     random_valid_structure,
     reduced_coproduct,
     reference_representatives,
+    reference_row_reduce,
+    reference_solve,
     through,
     weight_one_part,
 )
@@ -375,6 +377,65 @@ def random_complex(rng, dims):
     structure = make_linfty(space, {1: MultiMap.from_entries(space, space, 1, 1, entries)}, 2)
     assert check_relations(structure).passed
     return structure
+
+
+def reference_quasi_iso(morphism):
+    """The per-degree verdicts with one dense solve per source representative."""
+    src_h, tgt_h = cohomology(morphism.source), cohomology(morphism.target)
+    f1 = morphism.components.get(1)
+    per_degree = {}
+    for d in sorted(set(src_h.nonzero_degrees()) | set(tgt_h.nonzero_degrees())):
+        if src_h.dimension(d) != tgt_h.dimension(d):
+            per_degree[d] = False
+            continue
+        names = morphism.target.space.basis_of_degree(d)
+        reps = [[F(r.coeffs.get(n, 0)) for n in names] for r in tgt_h.representatives[d]]
+        induced = []
+        for rep in src_h.representatives[d]:
+            mapped = f1.apply([rep]) if f1 is not None else Element.zero(morphism.target.space, d)
+            vec = [F(mapped.coeffs.get(n, 0)) for n in names]
+            coeffs = reference_solve(reps + tgt_h.images[d], vec)
+            if coeffs is None:
+                break
+            induced.append(coeffs[: len(reps)])
+        else:
+            per_degree[d] = len(reference_row_reduce(induced)[1]) == src_h.dimension(d)
+            continue
+        per_degree[d] = False
+    return per_degree
+
+
+def test_quasi_iso_reads_every_representative_off_one_reduction():
+    # identity, zero, scale and arbitrary weight-1 maps on random complexes:
+    # the verdicts of one reduction per degree match one solve per
+    # representative, also where a representative's image is no cocycle
+    rng = random.Random(83)
+    seen, several = set(), 0
+    for _ in range(25):
+        structure = random_complex(rng, [rng.randint(1, 4) for _ in range(3)])
+        space = structure.space
+        scale = F(rng.choice((-2, 3)), rng.choice((1, 2)))
+        scaled = {(n,): {n: scale} for n in space.names}
+        arbitrary = {}  # the identity plus a random degree-0 map
+        for n in space.names:
+            combo = {t: F(rng.randint(-1, 1)) for t in space.basis_of_degree(space.degree(n))}
+            combo[n] += 1
+            if any(combo.values()):
+                arbitrary[(n,)] = {t: c for t, c in combo.items() if c}
+        morphisms = [identity_morphism(structure), MorphismComponents(structure, structure, {})]
+        for entries in (scaled, arbitrary):
+            f1 = MultiMap.from_entries(space, space, 1, 0, entries)
+            morphisms.append(MorphismComponents(structure, structure, {1: f1}))
+        for kind, morphism in zip(("identity", "zero", "scale", "arbitrary"), morphisms):
+            got = is_quasi_iso(morphism).per_degree
+            assert got == reference_quasi_iso(morphism)
+            if kind in ("identity", "scale"):
+                assert all(got.values())
+            if kind == "zero":
+                assert not any(got.values())
+            seen.add((kind, all(got.values())))
+        several += any(len(reps) > 1 for reps in cohomology(structure).representatives.values())
+    assert {("arbitrary", True), ("arbitrary", False)} <= seen and several > 5
 
 
 def test_cohomology_representatives_match_the_greedy_reference():
