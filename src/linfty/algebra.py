@@ -372,58 +372,38 @@ def _subspace_of(elements: list[Element], space: GradedSpace) -> dict[int, list[
 
 
 def _pool(sub: dict[int, list[list[Fraction]]], space: GradedSpace) -> tuple[list[Element], dict]:
-    """A subspace's spanning elements and, by name, the positions of those holding it."""
+    """A subspace's spanning elements and their :meth:`MultiMap.walk` index, each row its position."""
     elements: list[Element] = []
-    index: dict[str, list[int]] = {}
+    index: dict[str, list[tuple]] = {}
     for degree, rows in sorted(sub.items()):
         names = space.basis_of_degree(degree)
         for row in rows:
+            p = len(elements)
             coeffs = {n: c for n, c in zip(names, row) if c}
-            for name in coeffs:
-                index.setdefault(name, []).append(len(elements))
+            for name, c in coeffs.items():
+                index.setdefault(name, []).append((p, c, p))
             elements.append(Element(space, degree, coeffs))
     return elements, index
 
 
-def _reaching(q: MultiMap, total: int, pools: list, successors: dict) -> list[tuple[Element, ...]]:
-    """Tuples of spanning elements of levels i_1 <= ... <= i_k summing to ``total``
-    on which the weight-k map ``q`` can reach a stored word.
+def _parts(total: int, k: int, least: int = 1) -> list[tuple[int, ...]]:
+    """The non-decreasing k-tuples of integers >= ``least`` summing to ``total``."""
+    if k == 1:
+        return [(total,)]
+    return [(p,) + rest for p in range(least, total // k + 1) for rest in _parts(total - p, k - 1, p)]
 
-    A tuple grows one slot at a time with the codes (:attr:`MultiMap.key_index`)
-    of its name tuples still inside a stored word, and keeps an element when
-    any of its names extends one (``successors`` memoises which do, by code).
-    Equal parts take a multiset of elements, as ``q`` is graded-symmetric.
-    Below, d + a reaches the stored (a, b) through its second name, one of
-    (d + a, b) and (b, d + a) is read, and b pairs with itself for (b, b):
 
-    >>> V = GradedSpace([("d", 1), ("a", 1), ("b", 1), ("c", 2)])
-    >>> q = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"c": 1}, ("b", "b"): {"c": 1}})
-    >>> one, nil = Fraction(1), Fraction(0)
-    >>> pool = _pool({1: [[one, one, nil], [nil, nil, one]], 2: [[one]]}, V)
-    >>> pool[0]
-    [1*d + 1*a, 1*b, 1*c]
-    >>> _reaching(q, 2, [pool], {})
-    [(1*d + 1*a, 1*b), (1*b, 1*b)]
-    """
-    codes, subcodes = q.key_index
-    partial: list = [(0, 1, 0, (), {0})]  # (sum, last part, its position, elements, codes)
-    for left in range(q.weight, 0, -1):  # slots still to fill
-        grown = []
-        for done, last, position, args, live in partial:
-            for c in live - successors.keys():
-                successors[c] = {n: c + x for n, x in codes.items() if c + x in subcodes}
-            steps = [successors[c] for c in live]
-            for part in range(total - done if left == 1 else last, (total - done) // left + 1):
-                elements, index = pools[part - 1]
-                least = position if args and part == last else 0
-                kept = {p for s in steps for n in s for p in index.get(n, ()) if p >= least}
-                grown += [
-                    (done + part, part, p, args + (elements[p],),
-                     {s[n] for s in steps for n in elements[p].coeffs if n in s})
-                    for p in sorted(kept)
-                ]
-        partial = grown
-    return [args for _, _, _, args, _ in partial]
+def _generators(q: MultiMap, total: int, pools: list) -> list[Element]:
+    """``q`` on each multiset of spanning elements of levels i_1 <= ... <= i_k summing
+    to ``total`` whose names can reach a stored word, equal levels a run."""
+    out = []
+    for parts in _parts(total, q.weight):
+        slots = [(pools[p - 1][1], j > 0 and p == parts[j - 1]) for j, p in enumerate(parts)]
+        sums: dict[tuple, tuple] = {}  # chosen positions -> degree, coefficients
+        for chosen, value, c in q.walk(slots, 1, lambda chosen, p: chosen + (p,), ()):
+            add_scaled(sums.setdefault(chosen, (value.degree, {}))[1], value, c)
+        out += [Element(q.target, degree, coeffs) for degree, coeffs in sums.values()]
+    return out
 
 
 def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
@@ -437,9 +417,10 @@ def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
     F^i.  Lowering a part therefore only enlarges a generator's span, and it
     suffices to evaluate Q_k on the compositions of exactly max(i, k), which
     for every i <= k is Q_k(L, ..., L), evaluated once.  Q_k is
-    graded-symmetric, so only non-decreasing compositions are read, equal
-    parts take each multiset of spanning elements once, and only the tuples
-    whose names can reach a stored word are evaluated (:func:`_reaching`).
+    graded-symmetric, so only non-decreasing compositions are read, and
+    each is one :meth:`MultiMap.walk` of Q_k over the levels' spanning
+    elements, equal parts a run: it evaluates each multiset of elements
+    whose names can reach a stored word, as the sum of its completed terms.
 
     The series stops at the first level that is zero (nilpotent, ``depth``
     that level) or equal to the one before (no certificate).  Each level
@@ -465,16 +446,16 @@ def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
     space = structure.space
     levels = [_subspace_of([Element.basis(space, n) for n in space.names], space)]
     pools = [_pool(levels[0], space)]
-    maps = [(q, {}) for k, q in sorted(structure.maps.items()) if k >= 2]  # {} memoises successors
+    maps = [q for k, q in sorted(structure.maps.items()) if k >= 2]
     # Q_k(L, ..., L): the generators from Q_k of every level i <= k
-    whole = [list(map(q.apply, _reaching(q, q.weight, pools, nx))) for q, nx in maps]
+    whole = [_generators(q, q.weight, pools) for q in maps]
     q1 = structure.maps.get(1)
     i = 1
     while True:
         i += 1
         generators: list[Element] = []
-        for (q, nx), on_whole in zip(maps, whole):
-            generators += on_whole if q.weight >= i else map(q.apply, _reaching(q, i, pools, nx))
+        for q, on_whole in zip(maps, whole):
+            generators += on_whole if q.weight >= i else _generators(q, i, pools)
         current, merged = None, _subspace_of(generators, space)
         while merged != current:  # close under Q_1
             current, (spanning, index) = merged, _pool(merged, space)

@@ -33,19 +33,13 @@ Sign conventions (the one table everything below refers to):
     suspended-degree factor;
   * q_n never lists a word's splittings.  It runs over the arguments'
     stored entries w_1 -> v_1, ..., w_n -> v_n through
-    :func:`~linfty.morphism.entry_splittings`, the kernel that the morphism
-    lift's :meth:`~linfty.morphism.MorphismLift.precompose` also reads, which
-    forms the sign above in closed form from the blocks' degrees, slot by
-    slot.  The splittings of the joined word W that read w_1, ..., w_n
-    differ only in how the copies of a repeated odd-degree name are spread
-    over the blocks; such a name has even lowered degree, so they share one
-    sign, and Q'_n(v_1, ..., v_n) goes to W times that sign times their
-    number, a product of multinomials.  An odd-degree argument repeated in
-    consecutive slots (shift u - 1 even) is a run: its entries are chosen
-    once per multiset and counted by their orderings.  Q'_n's key index
-    (:attr:`~linfty.grading.MultiMap.key_index`) prunes the entries: one
-    whose value cannot extend the earlier values' names towards a word
-    Q'_n stores is dropped before it is joined;
+    :func:`~linfty.morphism.entry_splittings`, which the morphism lift's
+    :meth:`~linfty.morphism.MorphismLift.precompose` also reads: one
+    :meth:`~linfty.grading.MultiMap.walk` of Q'_n over the entries' value
+    names, whose step forms the sign above in closed form, slot by slot,
+    with the number of splittings of the joined word W that read w_1, ...,
+    w_n.  An odd-degree argument repeated in consecutive slots (shift u - 1
+    even) is a run, whose entries are chosen once per multiset;
   * with these choices the degree-2 curvature of a degree-1 element equals
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
@@ -75,6 +69,7 @@ from .grading import (
     InputError,
     MultiMap,
     Word,
+    add_scaled,
     tabulate,
 )
 from .algebra import LInftyStructure, lift_coderivation, require_verified
@@ -202,15 +197,13 @@ class ConvolutionAlgebra:
         """The n-ary operation on n mapping-space elements.
 
         Driven by the arguments' stored entries, not by the words of the
-        truncation: :func:`~linfty.morphism.entry_splittings` picks one entry
-        w_i -> v_i of each argument, lightest first, within the cap and with
-        names of v_1, ..., v_n that make up a word Q_n stores, and gives the
-        canonical word W of w_1 ... w_n with the signed number of W's
-        splittings that read those blocks.  Q_n(v_1, ..., v_n) times that
-        number goes to W, and the terms of one word go into one dict.  One
-        argument repeated at odd degree, as in the curvature, has its
-        entries chosen once per multiset.  An argument from another
-        source/target pair or cap raises :class:`~linfty.grading.InputError`.
+        truncation: each term of :func:`~linfty.morphism.entry_splittings`,
+        a stored value of Q_n on one name of one entry w_i -> v_i of each
+        argument, goes to the canonical word W of w_1 ... w_n, and the terms
+        of one word go into one dict.  One argument repeated at odd degree,
+        as in the curvature, has its entries chosen once per multiset.  An
+        argument from another source/target pair or cap raises
+        :class:`~linfty.grading.InputError`.
         """
         pair = self._pair()
         for a in alphas:
@@ -226,9 +219,8 @@ class ConvolutionAlgebra:
         # a repeated argument passes its one by_factors dict, so its slots can form a run
         slots = [(a.degree - 1, a.by_factors) for a in alphas]
         totals: dict[Word, dict] = {}
-        joins = entry_splittings(slots, self.source.space, self.cap, self._joined, qn.key_index)
-        for word, scalar, values in joins:
-            qn.accumulate(totals.setdefault(word, {}), values, scalar)
+        for word, value, coefficient in entry_splittings(slots, self.source.space, self.cap, self._joined, qn):
+            add_scaled(totals.setdefault(word, {}), value, coefficient)
 
         def value(word: Word) -> Element:
             return Element(self.target.space, word.degree + u_out - word.weight, totals[word])

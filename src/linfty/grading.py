@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -551,26 +551,11 @@ class MultiMap(Combination):
             return Element.zero(self.target, degree)
         return self.value(word).scale(sign)
 
-    def lookup(self, names: Sequence[str]) -> tuple[int, Element] | None:
-        """Sign and stored value of an ordered tuple of names; None when nothing is stored.
-
-        The tuple is looked up by its sorted factors.  A stored word is
-        canonical and does not vanish, so the sign is the Koszul sign of the
-        sort, as in :func:`canonicalize_word`, with no word built.
-        :meth:`accumulate` calls it only on tuples that are stored.
-        """
-        index = self.source.index
-        value = self.by_factors.get(tuple(sorted(names, key=index)))
-        if value is None:
-            return None
-        positions = [index(n) for n in names]
-        order = sorted(range(len(names)), key=positions.__getitem__)
-        return koszul_sign(order, self.source.degrees_of(names)), value
-
     @cached_property
-    def key_index(self) -> tuple[dict[str, int], set[int]]:
-        """The code ``(weight + 1)**index`` of each source name, and the code
-        sums of every sub-multiset of a stored word; built on first use."""
+    def key_index(self) -> tuple[dict[str, int], set[int], dict[int, Element], dict]:
+        """The code ``(weight + 1)**index`` of each source name, the code sums
+        of every sub-multiset of a stored word, the stored values by code,
+        and :meth:`walk`'s memo of the names extending a code; built once."""
         base = self.weight + 1
         codes = {name: base**i for i, name in enumerate(self.source.names)}
         subcodes = {0}
@@ -579,7 +564,71 @@ class MultiMap(Combination):
             for name in factors:
                 grown |= {c + codes[name] for c in grown}
             subcodes |= grown
-        return codes, subcodes
+        by_code = {sum(map(codes.get, factors)): v for factors, v in self.by_factors.items()}
+        return codes, subcodes, by_code, {}
+
+    def walk(self, slots: Sequence[tuple[Mapping, bool]], scalar, step, state) -> Iterator[tuple]:
+        """The terms of the stored words made up of one name of one row per slot.
+
+        Slot j is ``(index, run)``: ``index`` maps a source name to the rows
+        ``(position, coefficient, row)`` holding it, by position, and a
+        ``run`` slot reads slot j - 1's rows as a multiset, at no lower
+        position.  A tuple keeps a name only while its code
+        (:attr:`key_index`) stays inside a stored word, exact since no name
+        repeats past the weight, and a complete tuple reads its value by its
+        code.  ``step(state, row)``, unless None, folds a row into the state
+        once per prefix, and a None state drops the row.  Yields ``(state,
+        value, coefficient)``: ``scalar`` times the rows' coefficients, the
+        Koszul sign of sorting the names, read off parity masks of the
+        earlier names and odd names by index, and the r!/(m_1! ... m_k!)
+        orderings of each run of r rows, m_i of them the same.  A run reads
+        b before 3a once, counted twice, and sorting (b, a) costs -1:
+
+        >>> V = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+        >>> m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
+        >>> rows = {"b": [(0, 1, "b")], "a": [(1, 3, "a")]}
+        >>> list(m.walk([(rows, False), (rows, True)], 1, lambda s, row: s + row, ""))
+        [('ba', 1*b, -6)]
+        """
+        codes, subcodes, by_code, successors = self.key_index
+        # code, name mask, odd-name mask, sign parity, coefficient, orderings,
+        # state, the last row's position and how many rows at the end repeat it
+        prefixes = [(0, 0, 0, 0, scalar, 1, state, 0, 0)]
+        place = 0  # the slot's place in its run
+        for index, run in slots:
+            place = place + 1 if run else 1
+            grown = []
+            for code, names, odds, parity, coeff, count, now, last, ties in prefixes:
+                nexts = successors.get(code)
+                if nexts is None:
+                    nexts = successors[code] = {
+                        name: (code + x, (1 << i) - 1, i, -(self.source.degree(name) % 2))
+                        for i, (name, x) in enumerate(codes.items()) if code + x in subcodes
+                    }
+                stepped: dict = {}
+                small, large = (index, nexts) if len(index) < len(nexts) else (nexts, index)
+                for name in small:
+                    if name not in large:
+                        continue
+                    new, low, i, odd = nexts[name]
+                    # an odd name passes the earlier even names, an even one all of them
+                    flip = parity ^ ((names ^ (odds & odd)) >> i) & 1
+                    for position, c, row in index[name]:
+                        if run and position < last:
+                            continue
+                        after = now
+                        if step is not None:
+                            if position not in stepped:
+                                stepped[position] = step(now, row)
+                            after = stepped[position]
+                            if after is None:
+                                continue
+                        same = ties + 1 if run and position == last else 1
+                        grown.append((new, names ^ low, odds ^ (low & odd), flip, coeff * c,
+                                      count * place // same, after, position, same))
+            prefixes = grown
+        for code, _, _, parity, coeff, count, now, _, _ in prefixes:
+            yield now, by_code[code], coeff * (-count if parity else count)
 
     def apply(self, elements: Sequence[Element]) -> Element:
         """Multilinear evaluation on elements of the source (expanded over their supports)."""
@@ -598,10 +647,9 @@ class MultiMap(Combination):
     def accumulate(self, coeffs: dict, elements: Sequence[Element], scalar) -> None:
         """Add ``scalar`` times the value on ``elements`` into a name -> coefficient dict.
 
-        Name tuples grow one argument at a time and keep a name only while
-        their code stays in :attr:`key_index`, which is exact since no name
-        repeats past the weight.  So only stored words are completed, signed
-        and multiplied out.  :meth:`apply` checks the arguments' space.
+        One :meth:`walk` over one-row slots, one per argument, so only
+        stored words are completed, signed and multiplied out.
+        :meth:`apply` checks the arguments' space.
 
         >>> V = GradedSpace([("a", 0), ("b", 1), ("c", 2), ("d", 1)])
         >>> m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 2}, ("b", "b"): {"c": 1}})
@@ -610,16 +658,8 @@ class MultiMap(Combination):
         >>> m.apply([Element(V, 1, {"b": 3, "d": 5})] * 2)
         9*c
         """
-        codes, subcodes = self.key_index
-        tuples = [(0, ())]
-        for e in elements:
-            tuples = [(code, prefix + (name,)) for key, prefix in tuples
-                      for name in e.coeffs if (code := key + codes[name]) in subcodes]
-        for _, names in tuples:
-            sign, value = self.lookup(names)
-            c = scalar * sign
-            for e, name in zip(elements, names):
-                c *= e.coeffs[name]
+        slots = [({name: ((0, c, None),) for name, c in e.coeffs.items()}, False) for e in elements]
+        for _, value, c in self.walk(slots, scalar, None, None):
             add_scaled(coeffs, value, c)
 
     def __repr__(self):

@@ -11,9 +11,11 @@ which vanishes for every weight up to the cap exactly when the lift commutes
 with the coderivations on the whole truncation.
 
 Maps after the lift are evaluated from stored entries by one kernel,
-:func:`entry_splittings`: the Q' F side of compatibility, composition, and
-the mapping-space operations of :mod:`linfty.convolution`.  None of them
-lists the words of the truncation or a word's block partitions.
+:func:`entry_splittings`, a :meth:`~linfty.grading.MultiMap.walk` of the
+map over the entries' value names that signs and counts the splittings as
+it goes: the Q' F side of compatibility, composition, and the
+mapping-space operations of :mod:`linfty.convolution`.  None of them lists
+the words of the truncation or a word's block partitions.
 
 A family {a_n} with a_n of weight n and degree u - n is a degree-u vector of
 the mapping space, :class:`HomElement`; a morphism is a degree-1 vector.
@@ -25,7 +27,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import factorial
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .grading import (
@@ -196,10 +197,10 @@ class MorphismLift:
         out: dict[Word, dict] = {}
         for n, q in maps.items():
             splittings = entry_splittings(
-                [(0, F.by_factors)] * n, F.source.space, F.cap, self._joined, q.key_index
+                [(0, F.by_factors)] * n, F.source.space, F.cap, self._joined, q, Fraction(1, factorial(n))
             )
-            for word, scalar, values in splittings:
-                q.accumulate(out.setdefault(word, {}), values, Fraction(scalar, factorial(n)))
+            for word, value, coefficient in splittings:
+                add_scaled(out.setdefault(word, {}), value, coefficient)
         return out
 
 
@@ -212,122 +213,98 @@ def entry_splittings(
     space: GradedSpace,
     cap: int,
     joined: dict,
-    keys: tuple[Mapping[str, int], set[int]],
-) -> Iterator[tuple[Word, int, tuple]]:
-    """The ordered splittings that read one entry per slot, signed and counted in closed form.
+    q: MultiMap,
+    scalar=1,
+) -> Iterator[tuple[Word, Element, object]]:
+    """The terms of Q'_n on the ordered splittings that read one entry per slot.
 
     Slot j is ``(shift, entries)``: an integer and a mapping from canonical
-    factor tuples w to values v, elements that a map Q'_n reads; ``keys`` is
-    Q'_n's :attr:`~linfty.grading.MultiMap.key_index`.  For every choice of
-    one entry per slot whose blocks w_1, ..., w_n join into a word W of
-    weight at most ``cap`` that does not vanish, and whose values have one
-    name each that together make up a word stored in Q'_n, this yields
-    ``(W, scalar, (v_1, ..., v_n))``.
-    ``scalar`` sums, over the splittings of W into position blocks that
-    read w_1, ..., w_n, the :func:`~linfty.grading.signed_blocks` sign
-    times the crossing ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each
-    shift past the earlier blocks.  Those splittings differ only in how the copies of a
-    repeated odd-degree name, whose lowered degree is even, are spread over
-    the blocks, so they share one sign and ``scalar`` is that sign times
-    their number, a product of multinomials.
+    factor tuples w to values v, elements that ``q`` (a map Q'_n) reads.
+    For every choice of one entry per slot whose blocks w_1, ..., w_n join
+    into a word W of weight at most ``cap`` that does not vanish, and of one
+    name of each v_i that together make up a word Q'_n stores, this yields
+    ``(W, value, coefficient)``: the stored value, and ``scalar`` times the
+    :meth:`~linfty.grading.MultiMap.walk` coefficient times the signed count
+    of the splittings of W into position blocks that read w_1, ..., w_n.
+    The terms of one W and entry tuple sum to Q'_n(v_1, ..., v_n) times
+    that count.  The splittings differ only in how the copies of a repeated
+    odd-degree name, of even lowered degree, are spread over the blocks, so
+    their number is a product of multinomials and they share one sign: the
+    block-splitting sign (W's desuspension sign, the classical Koszul sign
+    of the rearrangement on degrees lowered by one, each block's
+    desuspension sign and that of the blocks' suspended degrees) times the
+    crossing ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each shift past
+    the earlier blocks.  Consecutive slots that read one ``entries``
+    mapping, each at an even shift, form a run: swapping two of its blocks
+    leaves the term times its sign unchanged, so the walk chooses a run's
+    entries as a multiset, counted by their orderings.
 
-    Consecutive slots that read one ``entries`` mapping, each at an even
-    shift, form a run.  Swapping two of a run's blocks leaves the term
-    Q'_n(v_1, ..., v_n) times its sign unchanged, so a run's entries are
-    chosen as a multiset, in non-decreasing order, and ``scalar`` also
-    counts the r!/(m_1! ... m_k!) orderings of a choice with r entries, m_i
-    of them the same.
-
-    The sign is read off the entries, never off W's splittings:
-      * the rearrangement swaps only names of W in different blocks, and
-        only two even-degree names swap with an odd sign; their count is a
-        popcount of the earlier blocks' even names against a mask of the
-        new block's;
-      * the other factors are per-block constants and prefix sums, so the
-        tuples share their prefixes' work slot by slot;
-      * W's own desuspension sign and multiplicity are formed once per W
-        and kept in ``joined``, a dict the caller may keep for every call
-        over one space and cap.
-    Entries are taken lightest first and a slot stops at the first entry
-    too heavy to leave room for the lightest entries of the later slots.
-    A prefix also carries the live codes of its values: the key-index codes
-    of its name tuples, one name per value, that are part of a stored word.
-    An entry that leaves no live code is dropped before it is joined.
-
-    A run of two slots yields the pair of distinct entries once, counted
-    twice; two slots over equal but distinct mappings yield both orders:
+    The sign is the walk's ``step``, read off the entries slot by slot:
+    only two even-degree names of different blocks swap with an odd sign,
+    a popcount of the earlier blocks' even names against a mask of the new
+    block's; the other factors are per-block constants and prefix sums; and
+    W's own desuspension sign and multiplicity are kept in ``joined``, a
+    dict the caller may keep for every call over one space and cap.  A
+    block too heavy to leave a name for each later slot is dropped, and so
+    is an entry none of whose names Q'_n reads.
+    A run of two slots yields the distinct pair once, counted twice; two
+    slots over equal but distinct mappings yield both orders, whose signs of
+    splitting and of sorting the names cancel:
 
     >>> V = GradedSpace([("a", 0), ("b", 1)])
     >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
     >>> entries = {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")}
     >>> for slots in ([(0, entries)] * 2, [(0, entries), (0, dict(entries))]):
-    ...     for word, scalar, values in entry_splittings(slots, V, 2, {}, q2.key_index):
-    ...         print(word.factors, scalar, values)
-    ('a', 'b') 2 (1*a, 1*b)
-    ('a', 'b') 1 (1*a, 1*b)
-    ('a', 'b') -1 (1*b, 1*a)
+    ...     for word, value, coefficient in entry_splittings(slots, V, 2, {}, q2):
+    ...         print(word.factors, value, coefficient)
+    ('a', 'b') 1*b 2
+    ('a', 'b') 1*b 1
+    ('a', 'b') 1*b 1
     """
     base = cap + 1
-    codes, subcodes = keys
-    tables = []
+    codes, subcodes = q.key_index[:2]
+    walk_slots, shifts = [], []
     for j, (shift, entries) in enumerate(slots):
-        if j and slots[j - 1][1] is entries:
-            rows = tables[-1][1]
-        else:
-            rows = []
-            for w, v in entries.items():
-                reach = [c for name in v.coeffs if (c := codes[name]) in subcodes]
+        if not j or slots[j - 1][1] is not entries:
+            index = {}
+            for position, (w, v) in enumerate(entries.items()):
+                reach = [(name, c) for name, c in v.coeffs.items() if codes[name] in subcodes]
                 if reach:
-                    rows.append(_block_row(w, v, space, base) + (reach,))
-            if not rows:
+                    row = _block_row(w, space, base)
+                    for name, c in reach:
+                        index.setdefault(name, []).append((position, c, row))
+            if not index:
                 return
-            rows.sort(key=itemgetter(0))
-        run = j and rows is tables[-1][1] and shift % 2 == 0 == slots[j - 1][0] % 2
-        # a slot's place in its run, 1 for a slot that starts one
-        tables.append((shift % 2, rows, tables[-1][2] + 1 if run else 1))
-    room = [cap - sum(rows[0][0] for _, rows, _ in tables[j + 1 :]) for j in range(len(tables))]
-    last = len(tables) - 1
-    # a prefix: weight, even-name mask, suspended degree, sign exponent,
-    # multiset code, repeat tally, blocks, values, live codes, the row of the
-    # last entry, how many entries at its end repeat it, and the orderings
-    prefixes: list[tuple] = [(0, 0, 0, 0, 0, 1, (), (), (0,), 0, 0, 1)]
-    for j, (shift, rows, place) in enumerate(tables):
-        grown = []
-        for weight, evens, suspended, parity, code, tally, blocks, values, live, row, ties, orders in prefixes:
-            top = room[j] - weight
-            # the earlier blocks' suspended degrees (less one each, against
-            # the shift) are all slot j needs of them, besides their even names
-            carried = parity + suspended + shift * (suspended - j)
-            for i in range(row if place > 1 else 0, len(rows)):
-                w, even, mask, p, s, c, t, letters, value, reach = rows[i]
-                if w > top:
-                    break
-                if evens & even:
-                    continue
-                alive = {k for l in live for r in reach if (k := l + r) in subcodes}
-                if not alive:
-                    continue
-                exponent = carried + p + (evens & mask).bit_count()
-                same = ties + 1 if place > 1 and i == row else 1
-                # place!/(m_1! ... m_k!) grows by place/same each entry
-                ordering = orders * place // same
-                if j < last:
-                    grown.append((
-                        weight + w, evens | even, suspended + s, exponent, code + c,
-                        tally * t, blocks + (letters,), values + (value,), alive, i, same, ordering,
-                    ))
-                    continue
-                key = code + c
-                got = joined.get(key)
-                if got is None:
-                    got = joined[key] = _joined_word(blocks + (letters,))
-                word, word_parity, word_tally = got
-                ways = word_tally // (tally * t) * ordering
-                yield word, -ways if (exponent + word_parity) % 2 else ways, values + (value,)
-        prefixes = grown
+        walk_slots.append((index, j > 0 and index is walk_slots[-1][0] and shift % 2 == 0 == shifts[-1]))
+        shifts.append(shift % 2)
+    last = len(slots) - 1
+
+    # a state: weight, even-name mask, suspended degree, sign exponent,
+    # multiset code, repeat tally and blocks; after the last slot, W and its
+    # signed count
+    def step(state, row):
+        weight, evens, suspended, parity, code, tally, blocks = state
+        j = len(blocks)
+        w, even, mask, p, s, c, t, letters = row
+        if weight + w > cap - last + j or evens & even:
+            return None
+        # the earlier blocks' suspended degrees (less one each, against the
+        # shift) are all slot j needs of them, besides their even names
+        exponent = parity + suspended + shifts[j] * (suspended - j) + p + (evens & mask).bit_count()
+        if j < last:
+            return weight + w, evens | even, suspended + s, exponent, code + c, tally * t, blocks + (letters,)
+        got = joined.get(code + c)
+        if got is None:
+            got = joined[code + c] = _joined_word(blocks + (letters,))
+        word, word_parity, word_tally = got
+        ways = word_tally // (tally * t)
+        return word, -ways if (exponent + word_parity) % 2 else ways
+
+    for (word, ways), value, coefficient in q.walk(walk_slots, scalar, step, (0, 0, 0, 0, 0, 1, ())):
+        yield word, value, coefficient * ways
 
 
-def _block_row(factors: tuple[str, ...], value, space: GradedSpace, base: int) -> tuple:
+def _block_row(factors: tuple[str, ...], space: GradedSpace, base: int) -> tuple:
     """What :func:`entry_splittings` reads of one entry, formed once per call.
 
     ``mask`` has bit a set when an odd number of the block's even-degree
@@ -343,7 +320,7 @@ def _block_row(factors: tuple[str, ...], value, space: GradedSpace, base: int) -
             even |= 1 << i
             mask ^= -(2 << i)
     k = len(letters)
-    return k, even, mask, parity, degree + 1 - k, code, tally, letters, value
+    return k, even, mask, parity, degree + 1 - k, code, tally, letters
 
 
 def _joined_word(blocks: tuple[tuple[tuple[int, int, str], ...], ...]) -> tuple[Word, int, int]:

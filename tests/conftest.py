@@ -280,7 +280,7 @@ def reference_project(lift, word, maps, space, degree):
     The sum of ``c * maps[|u|](u)`` over the terms ``c*u`` of
     ``lift.on_word(word)``, formed at one word from its signed unshuffles:
     each Q_k whose output no stored map reads is skipped, and each stored
-    chosen block's value is looked up in ``maps`` with the rest of the word.
+    chosen block's value is evaluated by ``maps`` with the rest of the word.
     """
     src = lift.structure.space
     factors = word.factors
@@ -297,9 +297,7 @@ def reference_project(lift, word, maps, space, degree):
                 continue
             rest_names = tuple(factors[i] for i in rest)
             for name, coeff in value.coeffs.items():
-                found = f.lookup((name,) + rest_names)
-                if found is not None:
-                    add_scaled(coeffs, found[1], sign * found[0] * coeff)
+                add_scaled(coeffs, f.evaluate((name,) + rest_names), sign * coeff)
     return Element(space, degree, coeffs)
 
 

@@ -478,14 +478,15 @@ def test_work_of_relation_checks_and_series(monkeypatch):
     # stored word, and Q_k(L, ..., L) once: 74 evaluations on shift(4, 8),
     # 394 on shift(4, 16) and 20 on twostep3(5) at cap 4, where the product
     # over the pools took 822, 8,988 and 45,525 (and ordered compositions
-    # 1,390 on shift(4, 8)).  Every evaluation is an ``accumulate``, so the
-    # counts cannot fall by calling it past ``apply``.
+    # 1,390 on shift(4, 8)).  Every evaluation is the sum over one multiset
+    # of the tuples that ``MultiMap.walk`` completes, counted as the
+    # distinct states of its walks; none goes through ``apply``.
     structure = shift(4, 8, random.Random(0))
     pi0 = Element(structure.space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
     xi = Element(structure.space, 0, {"p1": F(1), "p2": F(3)})
     twisted = twist(structure, gauge_flow(structure, pi0, xi).evaluate(F(1)))
     assert sorted(twisted.maps) == [1, 2]
-    counts = {"canonicalize_word": 0, "on_word": 0, "apply": 0, "accumulate": 0}
+    counts = {"canonicalize_word": 0, "on_word": 0, "apply": 0, "walk": 0, "multisets": 0}
 
     def counting(owner, name, key):
         original = getattr(owner, name)
@@ -500,18 +501,28 @@ def test_work_of_relation_checks_and_series(monkeypatch):
     counting(algebra, "canonicalize_word", "canonicalize_word")
     counting(Coderivation, "on_word", "on_word")
     counting(MultiMap, "apply", "apply")
-    counting(MultiMap, "accumulate", "accumulate")
+    walk = MultiMap.walk
+
+    def walk_spy(self, *args):
+        counts["walk"] += 1
+        states = set()
+        for got in walk(self, *args):
+            states.add(got[0])
+            yield got
+        counts["multisets"] += len(states)
+
+    monkeypatch.setattr(MultiMap, "walk", walk_spy)
     assert check_relations(twisted).passed
-    assert counts == {"canonicalize_word": 0, "on_word": 0, "apply": 0, "accumulate": 0}
+    assert counts == {"canonicalize_word": 0, "on_word": 0, "apply": 0, "walk": 0, "multisets": 0}
     for structure, depth, evaluations in (
         (structure, 9, 74),
         (shift(4, 16, random.Random(0)), 17, 394),
         (twostep3(5, random.Random(0), cap=4), 4, 20),
     ):
-        counts.update(apply=0, accumulate=0)
+        counts.update(apply=0, multisets=0)
         chain = lower_central_series(structure)
         assert chain.nilpotent and chain.depth == depth
-        assert counts["apply"] == counts["accumulate"] == evaluations
+        assert counts["multisets"] == evaluations and counts["apply"] == 0
 
 
 def test_apply_rejects_a_wrong_argument_count(two_term):

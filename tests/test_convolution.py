@@ -277,9 +277,9 @@ def test_bracket_matches_the_word_walk_on_repeated_names_and_higher_maps(
     seen = []
 
     def recording(*args):
-        for word, scalar, values in entry_splittings(*args):
-            seen.append((abs(scalar), values))
-            yield word, scalar, values
+        for term in entry_splittings(*args):
+            seen.append(term)
+            yield term
 
     monkeypatch.setattr(convolution, "entry_splittings", recording)
     nonzero = {2: 0, 3: 0, 4: 0}
@@ -300,9 +300,9 @@ def test_bracket_matches_the_word_walk_on_repeated_names_and_higher_maps(
                 got = conv.bracket(alphas)
                 assert _coefficients(got) == _coefficients(reference_bracket(conv, alphas))
                 nonzero[n] += not got.is_zero()
-                repeated += any(
-                    count > 1 and not qn.apply(values).is_zero() for count, values in seen
-                )
+                # a nonzero term on a word that repeats a name, whose
+                # copies the kernel counts over the blocks
+                repeated += any(len(set(word.factors)) < word.weight for word, _, _ in seen)
     assert all(nonzero.values()) and repeated > 10, (nonzero, repeated)
 
 
@@ -316,9 +316,9 @@ def test_runs_of_a_repeated_argument_match_the_word_walk(high_arity_loop, monkey
     terms = []
 
     def recording(*args):
-        for word, scalar, values in entry_splittings(*args):
-            terms.append(values)
-            yield word, scalar, values
+        for term in entry_splittings(*args):
+            terms.append(term)
+            yield term
 
     monkeypatch.setattr(convolution, "entry_splittings", recording)
     targets = [heis(2, rng, cap=4, pair=True), twostep3(3, rng, cap=3), high_arity_loop]
@@ -348,7 +348,8 @@ def test_runs_of_a_repeated_argument_match_the_word_walk(high_arity_loop, monkey
                     assert _coefficients(got) == _coefficients(reference_bracket(conv, alphas))
                     if kind == "even repeat":
                         assert got.is_zero()
-                        got = any(structure.maps[n].apply(values) for values in terms)
+                        # its terms are nonzero and cancel in the sum
+                        got = any(value and coefficient for _, value, coefficient in terms)
                     nonzero[kind] += bool(got)
     assert all(count > 8 for count in nonzero.values()), nonzero
     # check_morphism and compose(p, p) choose p's entries as one run of

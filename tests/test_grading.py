@@ -350,28 +350,34 @@ def test_entry_splittings_count_and_sign_the_splittings_of_a_word():
                 parts = tuple(tuple(word.factors[p] for p in block) for block in blocks)
                 sign = bracket_sign_reference(degrees, blocks, u_degrees)
                 expected[parts] = expected.get(parts, 0) + sign
-            # each block's value is its own odd name of a target, and Q'_n
-            # stores exactly the words of the expected splittings' names
+            # slot j gives each of its blocks its own odd name t<j>_<i> of a
+            # target, and Q'_n stores each expected splitting's names with a
+            # value s<k> of its own; odd names sort with sign +1, so each
+            # yield's coefficient is its splitting's signed count
             blocks = sorted({block for parts in expected for block in parts})
-            target = GradedSpace([("t%d" % i, 1) for i in range(len(blocks))])
-            value_of = {b: Element.basis(target, "t%d" % i) for i, b in enumerate(blocks)}
+            splittings = sorted(expected)
+            target = GradedSpace(
+                [("t%d_%d" % (j, i), 1) for j in range(n) for i in range(len(blocks))]
+                + [("s%d" % k, 1) for k in range(len(splittings))]
+            )
             stored = {
-                canonicalize_word([next(iter(value_of[b].coeffs)) for b in parts], target)[0]:
-                Element.basis(target, "t0")
-                for parts in expected
+                canonicalize_word(["t%d_%d" % (j, blocks.index(b)) for j, b in enumerate(parts)], target)[0]:
+                Element.basis(target, "s%d" % k)
+                for k, parts in enumerate(splittings)
             }
             qn = MultiMap(target, target, n, 1 - n, stored)
             slots = [
-                (u - 1, {parts[j]: value_of[parts[j]] for parts in expected})
+                (u - 1, {parts[j]: Element.basis(target, "t%d_%d" % (j, blocks.index(parts[j])))
+                         for parts in expected})
                 for j, u in enumerate(u_degrees)
             ]
             got = {
-                tuple(blocks[target.index(next(iter(v.coeffs)))] for v in values): scalar
-                for joined, scalar, values in entry_splittings(slots, space, m, {}, qn.key_index)
+                splittings[int(next(iter(value.coeffs))[1:])]: coefficient
+                for joined, value, coefficient in entry_splittings(slots, space, m, {}, qn)
                 if joined == word
             }
             assert got == expected
-            repeated += any(abs(scalar) > 1 for scalar in got.values())
+            repeated += any(abs(coefficient) > 1 for coefficient in got.values())
     assert repeated > 10
 
 

@@ -1,13 +1,13 @@
 """The key index of ``MultiMap``: evaluation completes only stored words.
 
-``MultiMap.accumulate`` grows name tuples one argument at a time and keeps a
-name only while the tuple is part of a stored word, and
-``entry_splittings`` drops an entry whose value cannot extend to one.  The
-maps below store a random third of their possible words, odd names repeated
-among them (b^b, b^b^b), and are evaluated on dense arguments.  The
-references evaluate tuple by tuple (``reference_apply``) or push the lifts'
-whole images through the maps, so a word the index loses shows up as a
-difference, and a tuple it lets through as a lookup that misses.
+``MultiMap.walk`` grows name tuples one slot at a time and keeps a name only
+while the tuple is part of a stored word, for ``MultiMap.accumulate`` and
+for ``entry_splittings``.  The maps below store a random third of their
+possible words, odd names repeated among them (b^b, b^b^b), and are
+evaluated on dense arguments.  The references evaluate tuple by tuple
+(``reference_apply``) or push the lifts' whole images through the maps, so a
+word the index loses shows up as a difference, and a tuple it lets through
+raises, since a completed tuple reads its value by its code.
 """
 
 import random
@@ -95,23 +95,23 @@ def _repeats(m):
     return sum(len(set(w.factors)) < w.weight for w in m.values)
 
 
-def _misses(monkeypatch):
-    """Count the hits and misses of ``MultiMap.lookup`` from now on."""
-    counts = {"hits": 0, "misses": 0}
-    lookup = MultiMap.lookup
+def _completions(monkeypatch):
+    """Count the tuples that ``MultiMap.walk`` completes from now on."""
+    counts = {"completed": 0}
+    walk = MultiMap.walk
 
-    def spy(self, names):
-        got = lookup(self, names)
-        counts["misses" if got is None else "hits"] += 1
-        return got
+    def spy(self, *args):
+        for got in walk(self, *args):
+            counts["completed"] += 1
+            yield got
 
-    monkeypatch.setattr(MultiMap, "lookup", spy)
+    monkeypatch.setattr(MultiMap, "walk", spy)
     return counts
 
 
 def test_apply_on_sparse_keys_matches_the_tuple_by_tuple_reference(monkeypatch):
     rng = random.Random(409)
-    counts = _misses(monkeypatch)
+    counts = _completions(monkeypatch)
     repeated = nonzero = 0
     for trial in range(45):
         m = sparse_map(SOURCE, TARGET, 1 + trial % 3, 0, rng)
@@ -126,12 +126,12 @@ def test_apply_on_sparse_keys_matches_the_tuple_by_tuple_reference(monkeypatch):
             assert got == reference_apply(m, args)
             nonzero += not got.is_zero()
     assert repeated > 40 and nonzero > 150, (repeated, nonzero)
-    assert counts["misses"] == 0 and counts["hits"] > 500, counts
+    assert counts["completed"] > 500, counts
 
 
 def test_bracket_checks_and_compose_on_sparse_keys_match_the_references(monkeypatch):
     rng = random.Random(419)
-    counts = _misses(monkeypatch)
+    counts = _completions(monkeypatch)
     brackets = failing = repeated = 0
     for trial in range(6):
         cap = 3 + trial % 2
@@ -168,7 +168,7 @@ def test_bracket_checks_and_compose_on_sparse_keys_match_the_references(monkeypa
             want = through(lift.on_word(word), g.components, target.space, word.degree + 1 - word.weight)
             assert gf.component(word.weight).value(word) == want
     assert brackets > 6 and failing > 4 and repeated > 20, (brackets, failing, repeated)
-    assert counts["misses"] == 0 and counts["hits"] > 10000, counts
+    assert counts["completed"] > 10000, counts
 
 
 def test_check_homotopy_lookups_never_miss(monkeypatch):
@@ -186,9 +186,9 @@ def test_check_homotopy_lookups_never_miss(monkeypatch):
     correction = MultiMap.from_entries(space, space, 1, -1, entries)
     identity = identity_morphism(structure)
     perturbed, h = flow_morphism(PerturbationRequest(identity, 1, correction))
-    counts = _misses(monkeypatch)
+    counts = _completions(monkeypatch)
     assert check_homotopy(identity, perturbed, h).passed
-    assert counts["misses"] == 0 and counts["hits"] > 100, counts
+    assert counts["completed"] > 100, counts
 
 
 def _scale_morphism(structure, rng):
@@ -207,34 +207,24 @@ def _scale_morphism(structure, rng):
 
 
 def test_work_of_the_convolution_curvature_of_a_scale_morphism(monkeypatch):
-    # twostep3(4) at cap 3.  Only joins whose values make up a stored word
-    # of Q'_n reach accumulate, and the two slots of the curvature's
+    # twostep3(4) at cap 3.  The walk completes only the tuples whose names
+    # make up a stored word of Q'_n, and the two slots of the curvature's
     # Q'_2(alpha, alpha) read one argument, so each pair of entries is
-    # joined once: 10 calls, where the full-product kernel took 2,530 and
-    # both orders of each pair took 36.  check_morphism joins the entries
-    # of F the same way; its walk over every word and block partition took
-    # 515 calls.
+    # joined once: 10 completed tuples, where the full-product kernel took
+    # 2,530 evaluations and both orders of each pair took 36.
+    # check_morphism joins the entries of F the same way; its walk over
+    # every word and block partition took 515 evaluations.
     rng = random.Random(431)
     structure = twostep3(4, rng, cap=3)
     assert check_relations(structure).passed
     morphism = _scale_morphism(structure, rng)
     conv = build_convolution(structure, structure, 3)
-    calls = []
-    accumulate = MultiMap.accumulate
-
-    def spy(self, *args):
-        calls.append(self.weight)
-        return accumulate(self, *args)
-
-    monkeypatch.setattr(MultiMap, "accumulate", spy)
-    counts = _misses(monkeypatch)
+    counts = _completions(monkeypatch)
     assert conv.mc_residual(morphism_to_mc(morphism)).is_zero()
-    assert len(calls) == 10, len(calls)
-    assert counts == {"hits": 10, "misses": 0}
-    calls.clear()
+    assert counts == {"completed": 10}
+    counts["completed"] = 0
     assert check_morphism(morphism).passed
-    assert len(calls) == 10, len(calls)
-    assert counts == {"hits": 20, "misses": 0}
+    assert counts == {"completed": 10}
 
 
 def test_morphism_checks_and_compose_list_no_words(monkeypatch):
