@@ -331,16 +331,19 @@ def unshuffle_residual(structure: LInftyStructure, word: Word) -> Element:
 
 
 class FiltrationChain:
-    """Lower central filtration F^1 >= F^2 >= ..., each given by spanning elements.
+    """Lower central filtration F^1 >= F^2 >= ..., each level given by spanning elements.
 
-    ``nilpotent`` says the chain reached zero, first at level ``depth``;
-    otherwise it stopped where a level repeated the one before.
+    ``subspaces[i - 1]`` is level i, a list of :class:`Element`: the rows of
+    its reduced row echelon form in :meth:`GradedSpace.column_order`, so by
+    degree and then by pivot.  ``nilpotent`` says the chain reached zero,
+    first at level ``depth``; otherwise ``depth`` is None and the chain
+    stopped where a level repeated the one before.
     """
 
     def __init__(
         self,
         structure: LInftyStructure,
-        subspaces: list[dict[int, list[list[Fraction]]]],
+        subspaces: list[list[Element]],
         nilpotent: bool,
         depth: int | None,  # first i with F^i = 0 when nilpotent
     ):
@@ -350,7 +353,16 @@ class FiltrationChain:
         self.depth = depth
 
     def spanning_elements(self, level: int) -> list[Element]:
-        return _pool(self.subspaces[level - 1], self.structure.space)[0]
+        """Level ``level``'s spanning elements; none at or past a certified depth."""
+        if level < 1:
+            raise InputError("filtration levels start at 1, not %d" % level)
+        if level > len(self.subspaces):
+            if self.nilpotent:
+                return []
+            raise InputError(
+                "level %d is past the last computed level, %d" % (level, len(self.subspaces))
+            )
+        return list(self.subspaces[level - 1])
 
     def verdict(self) -> str:
         if self.nilpotent:
@@ -358,32 +370,29 @@ class FiltrationChain:
         return "not within bound"
 
 
-def _subspace_of(elements: list[Element], space: GradedSpace) -> dict[int, list[list[Fraction]]]:
-    by_degree: dict[int, list[Element]] = {}
-    for e in elements:
-        if e.coeffs:
-            by_degree.setdefault(e.degree, []).append(e)
-    zero, sub = Fraction(0), {}
-    for d, group in by_degree.items():
-        names = space.basis_of_degree(d)
-        rows = [[Fraction(e.coeffs[n]) if n in e.coeffs else zero for n in names] for e in group]
-        sub[d] = linalg.reduce_spanning_set(rows)
-    return sub
+def _closure(
+    generators: list[Element], q1: MultiMap | None, space: GradedSpace, order: dict
+) -> list[Element]:
+    """The reduced row echelon rows of the Q_1-closure of the span of ``generators``.
+
+    Q_1 is applied once to each row that joins, since those rows span it.
+    """
+    rows, pivots = linalg.row_reduce([g.coeffs for g in generators], order)
+    basis = dict(zip(pivots, rows))
+    pending = [Element(space, order[p][0], row) for p, row in basis.items()]
+    while q1 is not None and pending:
+        images = [q1.apply([e]) for e in pending]
+        pending = [e for e in images if linalg.extend(basis, e.coeffs, order)]
+    return [Element(space, order[p][0], basis[p]) for p in sorted(basis, key=order.__getitem__)]
 
 
-def _pool(sub: dict[int, list[list[Fraction]]], space: GradedSpace) -> tuple[list[Element], dict]:
-    """A subspace's spanning elements and their :meth:`MultiMap.walk` index, each row its position."""
-    elements: list[Element] = []
+def _index(elements: list[Element]) -> dict[str, list[tuple]]:
+    """The :meth:`MultiMap.walk` index of a level's spanning elements, each row its position."""
     index: dict[str, list[tuple]] = {}
-    for degree, rows in sorted(sub.items()):
-        names = space.basis_of_degree(degree)
-        for row in rows:
-            p = len(elements)
-            coeffs = {n: c for n, c in zip(names, row) if c}
-            for name, c in coeffs.items():
-                index.setdefault(name, []).append((p, c, p))
-            elements.append(Element(space, degree, coeffs))
-    return elements, index
+    for p, e in enumerate(elements):
+        for name, c in e.coeffs.items():
+            index.setdefault(name, []).append((p, c, p))
+    return index
 
 
 def _parts(total: int, k: int, least: int = 1) -> list[tuple[int, ...]]:
@@ -398,7 +407,7 @@ def _generators(q: MultiMap, total: int, pools: list) -> list[Element]:
     to ``total`` whose names can reach a stored word, equal levels a run."""
     out = []
     for parts in _parts(total, q.weight):
-        slots = [(pools[p - 1][1], j > 0 and p == parts[j - 1]) for j, p in enumerate(parts)]
+        slots = [(pools[p - 1], j > 0 and p == parts[j - 1]) for j, p in enumerate(parts)]
         sums: dict[tuple, tuple] = {}  # chosen positions -> degree, coefficients
         for chosen, value, c in q.walk(slots, 1, lambda chosen, p: chosen + (p,), ()):
             add_scaled(sums.setdefault(chosen, (value.degree, {}))[1], value, c)
@@ -444,8 +453,9 @@ def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
     ('not within bound', [1*a, 1*c])
     """
     space = structure.space
-    levels = [_subspace_of([Element.basis(space, n) for n in space.names], space)]
-    pools = [_pool(levels[0], space)]
+    order = space.column_order()
+    levels = [_closure([Element.basis(space, n) for n in space.names], None, space, order)]
+    pools = [_index(levels[0])]
     maps = [q for k, q in sorted(structure.maps.items()) if k >= 2]
     # Q_k(L, ..., L): the generators from Q_k of every level i <= k
     whole = [_generators(q, q.weight, pools) for q in maps]
@@ -456,12 +466,8 @@ def lower_central_series(structure: LInftyStructure) -> FiltrationChain:
         generators: list[Element] = []
         for q, on_whole in zip(maps, whole):
             generators += on_whole if q.weight >= i else _generators(q, i, pools)
-        current, merged = None, _subspace_of(generators, space)
-        while merged != current:  # close under Q_1
-            current, (spanning, index) = merged, _pool(merged, space)
-            if q1 is not None:
-                merged = _subspace_of(spanning + [q1.apply([e]) for e in spanning], space)
+        current = _closure(generators, q1, space, order)
         levels.append(current)
-        pools.append((spanning, index))
+        pools.append(_index(current))
         if not current or current == levels[-2]:
             return FiltrationChain(structure, levels, not current, None if current else i)

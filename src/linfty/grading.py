@@ -215,6 +215,10 @@ class GradedSpace:
     def degrees_present(self) -> tuple[int, ...]:
         return tuple(sorted(set(self._degrees.values())))
 
+    def column_order(self) -> dict[str, tuple[int, int]]:
+        """Each name's ``(degree, index)``: the column order of :mod:`linfty.linalg` rows."""
+        return {n: (self._degrees[n], i) for n, i in self._order.items()}
+
     def __contains__(self, name: str) -> bool:
         return name in self._degrees
 

@@ -388,7 +388,13 @@ def compose(g: MorphismComponents, f: MorphismComponents) -> MorphismComponents:
 
 
 class CohomologyReport:
-    """Exact ranks of the weight-1 differential, with chosen representatives."""
+    """Exact ranks of the weight-1 differential, with chosen representatives.
+
+    Per degree d, ``dimensions[d]`` is dim H^d; ``representatives[d]``,
+    ``kernels[d]`` (a basis of the cocycles) and ``images[d]`` (the rows of
+    the reduced row echelon form of the coboundaries, in pivot order) are
+    lists of :class:`Element` of degree d.
+    """
 
     def __init__(
         self,
@@ -396,8 +402,8 @@ class CohomologyReport:
         cap: int,
         dimensions: dict[int, int],
         representatives: dict[int, list[Element]],
-        kernels: dict[int, list[list[Fraction]]],
-        images: dict[int, list[list[Fraction]]],
+        kernels: dict[int, list[Element]],
+        images: dict[int, list[Element]],
     ):
         self.space = space
         self.cap = cap
@@ -425,54 +431,44 @@ class CohomologyReport:
         return {"cap": self.cap, "dimensions": dims, "representatives": reps}
 
 
-def _q1_matrix(structure: LInftyStructure, degree: int) -> list[list[Fraction]]:
-    """Rows indexed by degree-d basis names, giving Q_1 coordinates in degree d+1."""
-    space = structure.space
-    q1 = structure.maps.get(1)
-    source_names = space.basis_of_degree(degree)
-    target_names = space.basis_of_degree(degree + 1)
-    rows = []
-    for name in source_names:
-        if q1 is None:
-            rows.append([Fraction(0)] * len(target_names))
-            continue
-        value = q1.evaluate((name,))
-        rows.append([Fraction(value.coeffs.get(t, 0)) for t in target_names])
-    return rows
-
-
 def cohomology(structure: LInftyStructure) -> CohomologyReport:
-    """Per-degree cohomology of the weight-1 differential, exact over Q."""
+    """Per-degree cohomology of the weight-1 differential, exact over Q.
+
+    In degree d the cocycles are spanned by the free-column basis of the
+    reduced row echelon form of Q_1 transposed, one row per name of degree
+    d + 1 over the names of degree d.  The representatives are the cocycles
+    of that basis outside the span of the coboundaries and the
+    representatives before them, kept greedily by :func:`linalg.extend`.
+    """
     require_verified(structure, "structure")
     space = structure.space
-    degrees = space.degrees_present()
+    order = space.column_order()
+    q1 = structure.maps.get(1)
+    values = {n: q1.evaluate((n,)).coeffs for n in space.names} if q1 is not None else {}
     dims: dict[int, int] = {}
     reps: dict[int, list[Element]] = {}
-    kernels: dict[int, list[list[Fraction]]] = {}
-    images: dict[int, list[list[Fraction]]] = {}
-    matrices = {d: _q1_matrix(structure, d) for d in degrees}
-    for d in degrees:
+    kernels: dict[int, list[Element]] = {}
+    images: dict[int, list[Element]] = {}
+    for d in space.degrees_present():
         names = space.basis_of_degree(d)
-        outgoing = matrices[d]
-        ncols_out = len(outgoing[0]) if outgoing else 0
-        transposed = [
-            [outgoing[r][c] for r in range(len(names))] for c in range(ncols_out)
-        ]
-        kernel = linalg.nullspace(transposed, len(names))
-        incoming = matrices.get(d - 1, [])
-        image = linalg.reduce_spanning_set(incoming) if incoming else []
-        image = [row for row in image if any(x != 0 for x in row)]
+        transposed: dict[str, dict] = {}
+        for name in names:
+            for t, c in values.get(name, {}).items():
+                transposed.setdefault(t, {})[name] = c
+        reduced, pivots = linalg.row_reduce(list(transposed.values()), order)
+        kernel = []
+        for free in names:
+            if free not in pivots:
+                coeffs = {p: -row[free] for p, row in zip(pivots, reduced) if free in row}
+                coeffs[free] = Fraction(1)
+                kernel.append(Element(space, d, coeffs))
+        incoming = [values[n] for n in space.basis_of_degree(d - 1) if n in values]
+        rows, pivots = linalg.row_reduce(incoming, order)
+        images[d] = [Element(space, d, row) for row in rows]
+        span = dict(zip(pivots, rows))
+        reps[d] = [e for e in kernel if linalg.extend(span, e.coeffs, order)]
         kernels[d] = kernel
-        images[d] = image
-        dims[d] = len(kernel) - len(image)
-        # Kernel vectors outside the span of the image and the vectors before them.
-        stacked = image + kernel
-        _, pivots = linalg.row_reduce([[v[i] for v in stacked] for i in range(len(names))])
-        reps[d] = [
-            Element(space, d, {n: c for n, c in zip(names, stacked[p]) if c})
-            for p in pivots
-            if p >= len(image)
-        ]
+        dims[d] = len(kernel) - len(images[d])
     return CohomologyReport(space, structure.cap, dims, reps, kernels, images)
 
 
@@ -501,34 +497,32 @@ class QuasiIsoReport:
 
 
 def is_quasi_iso(morphism: MorphismComponents) -> QuasiIsoReport:
-    """Whether the weight-1 component induces isomorphisms on cohomology."""
+    """Whether the weight-1 component induces isomorphisms on cohomology.
+
+    A degree with equal cohomology dimensions passes when the images of the
+    source's representatives and the target's coboundaries are independent,
+    and no target representative lies outside their span: as the target's
+    representatives and coboundaries are independent too, that says the
+    images are cocycles whose classes form a basis.
+    """
     src_h = cohomology(morphism.source)
     tgt_h = src_h if morphism.target is morphism.source else cohomology(morphism.target)
     f1 = morphism.components.get(1)
     per_degree: dict[int, bool] = {}
     degrees = sorted(set(src_h.nonzero_degrees()) | set(tgt_h.nonzero_degrees()))
     tgt_space = morphism.target.space
+    order = tgt_space.column_order()
     for d in degrees:
-        sdim = src_h.dimension(d)
-        tdim = tgt_h.dimension(d)
-        if sdim != tdim:
+        if src_h.dimension(d) != tgt_h.dimension(d):
             per_degree[d] = False
             continue
-        tgt_names = tgt_space.basis_of_degree(d)
-        rep_rows = [
-            [Fraction(r.coeffs.get(n, 0)) for n in tgt_names]
-            for r in tgt_h.representatives[d]
-        ]
         mapped = [
             f1.apply([rep]) if f1 is not None else Element.zero(tgt_space, d)
             for rep in src_h.representatives[d]
         ]
-        vecs = [[Fraction(m.coeffs.get(n, 0)) for n in tgt_names] for m in mapped]
-        # each representative's image in the target's representatives and image
-        coords = linalg.solve_all(rep_rows + tgt_h.images[d], vecs)
-        if None in coords:
-            per_degree[d] = False
-            continue
-        induced = [c[: len(rep_rows)] for c in coords]
-        per_degree[d] = linalg.rank(induced) == sdim if sdim else True
+        span: dict = {}
+        independent = all(linalg.extend(span, e.coeffs, order) for e in mapped + tgt_h.images[d])
+        per_degree[d] = independent and not any(
+            linalg.extend(span, r.coeffs, order) for r in tgt_h.representatives[d]
+        )
     return QuasiIsoReport(morphism.cap, per_degree)

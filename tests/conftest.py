@@ -15,7 +15,6 @@ from linfty import (
     from_dgla,
     koszul_sign,
     lift_coderivation,
-    linalg,
     make_linfty,
     wedge_basis,
 )
@@ -551,7 +550,7 @@ def _reference_subspace_of(elements, space):
         names = space.basis_of_degree(e.degree)
         row = [F(e.coeffs.get(n, 0)) for n in names]
         by_degree.setdefault(e.degree, []).append(row)
-    return {d: linalg.reduce_spanning_set(rows) for d, rows in by_degree.items() if rows}
+    return {d: reference_row_reduce(rows)[0] for d, rows in by_degree.items()}
 
 
 def _reference_subspace_elements(sub, space):
@@ -596,7 +595,7 @@ def reference_lower_central_series(structure):
         if not current or current == levels[-2]:
             return FiltrationChain(
                 structure=structure,
-                subspaces=levels,
+                subspaces=[_reference_subspace_elements(level, space) for level in levels],
                 nilpotent=not current,
                 depth=i if not current else None,
             )
@@ -762,32 +761,50 @@ def reference_solve(rows, target):
     return coeffs
 
 
+def reference_nullspace(rows, ncols):
+    """Basis of the right kernel of a dense matrix, one vector per free column of its RREF."""
+    reduced, pivots = reference_row_reduce(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[free] = F(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def dense_rows(elements, space, degree):
+    """The degree-``degree`` elements among ``elements`` as dense rows over that degree's names."""
+    names = space.basis_of_degree(degree)
+    return [[F(e.coeffs.get(n, 0)) for n in names] for e in elements if e.degree == degree]
+
+
 def assert_decreasing(chain):
     """Each level of a lower central chain lies in the span of the one before."""
     for upper, lower in zip(chain.subspaces, chain.subspaces[1:]):
-        for degree, rows in lower.items():
-            for row in rows:
-                assert in_span([list(r) for r in upper.get(degree, [])], list(row))
+        for element in lower:
+            assert in_span(upper, element)
 
 
-def in_span(rows, vector):
-    """Whether ``vector`` lies in the row span of ``rows``, by comparing ranks."""
-    if all(x == 0 for x in vector):
-        return True
-    if not rows:
-        return False
-    return linalg.rank(rows + [vector]) == linalg.rank(rows)
+def in_span(spanning, vector):
+    """Whether the element ``vector`` lies in the span of the elements ``spanning``,
+    by comparing the ranks of the dense reduction."""
+    rows = dense_rows(spanning, vector.space, vector.degree)
+    (target,) = dense_rows([vector], vector.space, vector.degree)
+    return len(reference_row_reduce(rows + [target])[1]) == len(reference_row_reduce(rows)[1])
 
 
-def reference_representatives(space, degree, kernel, image):
-    """Kernel vectors kept greedily when outside the span of the image and those kept."""
-    names = space.basis_of_degree(degree)
+def reference_representatives(kernel, image):
+    """Kernel elements kept greedily when outside the span of the image and those kept."""
     chosen = []
-    spanning = [list(r) for r in image]
+    spanning = list(image)
     for vec in kernel:
         if not in_span(spanning, vec):
             spanning.append(vec)
-            chosen.append(Element(space, degree, {n: c for n, c in zip(names, vec) if c}))
+            chosen.append(vec)
     return chosen
 
 

@@ -409,14 +409,28 @@ def test_lower_central_q1_stability(step_nilpotent, two_term):
             continue
         for level in range(1, len(chain.subspaces) + 1):
             spanning = chain.spanning_elements(level)
-            rows = {e: q1.apply([e]) for e in spanning}
-            for image in rows.values():
-                if image.is_zero():
-                    continue
-                names = structure.space.basis_of_degree(image.degree)
-                vec = [F(image.coeffs.get(n, 0)) for n in names]
-                level_rows = chain.subspaces[level - 1].get(image.degree, [])
-                assert in_span([list(r) for r in level_rows], vec)
+            for e in spanning:
+                assert in_span(spanning, q1.apply([e]))
+
+
+def test_spanning_elements_of_levels_outside_the_chain(non_nilpotent):
+    # levels start at 1; a certified chain is zero from its depth on, and an
+    # uncertified one knows nothing past its last computed level
+    space = GradedSpace([("w", 0), ("x", 1), ("y", 1)])
+    q2 = MultiMap.from_entries(space, space, 2, 0, {("w", "x"): {"y": F(1)}})
+    chain = lower_central_series(make_linfty(space, {2: q2}, cap=3))
+    assert chain.depth == 3 and len(chain.subspaces) == 3
+    assert chain.spanning_elements(1) == [Element.basis(space, n) for n in ("w", "x", "y")]
+    assert chain.spanning_elements(2) == [Element.basis(space, "y")]
+    assert chain.spanning_elements(3) == chain.spanning_elements(9) == []
+    for level in (0, -1):
+        with pytest.raises(InputError, match="levels start at 1"):
+            chain.spanning_elements(level)
+    loop = lower_central_series(non_nilpotent)
+    assert not loop.nilpotent and len(loop.subspaces) == 3
+    assert loop.spanning_elements(3) == [Element.basis(non_nilpotent.space, "v")]
+    with pytest.raises(InputError, match="level 4 is past the last computed level, 3"):
+        loop.spanning_elements(4)
 
 
 def test_lower_central_series_matches_the_reference(

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
 
-from linfty import linalg
+from linfty import GradedSpace, linalg
 
-from conftest import reference_row_reduce, reference_solve
+from conftest import reference_row_reduce
 
 F = Fraction
 
@@ -22,47 +22,76 @@ def random_sparse_matrix(rng):
         column = rng.randrange(ncols)
         for row in rows:
             row[column] = F(0)
-    return rows
+    return rows, ncols
+
+
+def sparse(row, keys):
+    """A dense row as a key -> nonzero coefficient dict."""
+    return {k: c for k, c in zip(keys, row) if c}
+
+
+def dense(row, keys):
+    return [row.get(k, F(0)) for k in keys]
 
 
 def test_row_reduce_matches_the_dense_reference():
     rng = random.Random(59)
     tall = 0
     for _ in range(400):
-        rows = random_sparse_matrix(rng)
-        before = [list(r) for r in rows]
-        got_rows, got_pivots = linalg.row_reduce(rows)
+        rows, ncols = random_sparse_matrix(rng)
+        keys = list(range(ncols))
+        given = [sparse(r, keys) for r in rows]
+        before = [dict(r) for r in given]
+        got_rows, got_pivots = linalg.row_reduce(given, {k: k for k in keys})
         want_rows, want_pivots = reference_row_reduce(rows)
         assert got_pivots == want_pivots
-        assert got_rows == want_rows
-        assert all(type(x) is Fraction for row in got_rows for x in row)
-        assert rows == before
-        tall += len(rows) > len(rows[0]) if rows else 0
+        assert [dense(r, keys) for r in got_rows] == want_rows
+        assert all(r[p] == 1 and all(c for c in r.values()) for r, p in zip(got_rows, got_pivots))
+        assert all(type(x) is Fraction for row in got_rows for x in row.values())
+        assert given == before
+        tall += len(rows) > ncols
     assert tall > 50
 
 
-def test_solve_all_matches_one_solve_per_target():
-    # targets in the span (random combinations of the rows) and random ones,
-    # against one dense reduction per target; a solution reproduces its target
-    rng = random.Random(61)
-    outside = 0
+def test_row_reduce_follows_the_given_column_order():
+    # names declared out of degree order: the column order is degree first,
+    # not declaration and not the order in which a row's keys were inserted,
+    # and the reduction equals the dense one with the columns in that order
+    space = GradedSpace([("c", 2), ("a", 0), ("e", 1), ("b", 0), ("d", 1), ("f", 2)])
+    order = space.column_order()
+    columns = sorted(space.names, key=order.__getitem__)
+    assert columns == ["a", "b", "e", "d", "c", "f"]
+    rng = random.Random(67)
+    reversed_rows = 0  # rows whose keys were inserted against the column order
+    for _ in range(200):
+        rows, _ = random_sparse_matrix(rng)
+        rows = [[F(0)] * (6 - len(r)) + r for r in rows]
+        given = [dict(reversed(list(sparse(r, columns).items()))) for r in rows]
+        got_rows, got_pivots = linalg.row_reduce(given, order)
+        want_rows, want_pivots = reference_row_reduce(rows)
+        assert got_pivots == [columns[p] for p in want_pivots]
+        assert [dense(r, columns) for r in got_rows] == want_rows
+        reversed_rows += sum(len(r) > 1 for r in given)
+    assert reversed_rows > 200
+
+
+def test_extend_keeps_exactly_the_rows_that_raise_the_rank():
+    # a row joins the basis exactly when it raises the dense rank of the rows
+    # before it, and the basis stays the reduced form of the rows that joined
+    rng = random.Random(71)
+    dependent = 0
     for _ in range(300):
-        rows = random_sparse_matrix(rng)
-        ncols = len(rows[0]) if rows else rng.randint(1, 6)
-        targets = []
-        for _ in range(rng.randint(0, 4)):
-            if rows and rng.random() < 0.5:
-                weights = [F(rng.randint(-2, 2)) for _ in rows]
-                targets.append([sum((w * r[c] for w, r in zip(weights, rows)), F(0))
-                                for c in range(ncols)])
-            else:
-                targets.append([F(rng.randint(-1, 1)) for _ in range(ncols)])
-        got = linalg.solve_all(rows, targets)
-        assert got == [reference_solve(rows, t) for t in targets]
-        for target, coeffs in zip(targets, got):
-            if coeffs is None:
-                outside += 1
-            else:
-                assert [sum((c * r[j] for c, r in zip(coeffs, rows)), F(0))
-                        for j in range(ncols)] == target
-    assert outside > 50
+        rows, ncols = random_sparse_matrix(rng)
+        keys = list(range(ncols))
+        order = {k: k for k in keys}
+        rows += [[a + b for a, b in zip(rows[0], rows[-1])]] if rows else []
+        basis: dict = {}
+        for i, row in enumerate(rows):
+            before = len(reference_row_reduce(rows[:i])[1])
+            after = len(reference_row_reduce(rows[: i + 1])[1])
+            assert linalg.extend(basis, sparse(row, keys), order) == (after > before)
+            dependent += after == before
+            want_rows, want_pivots = reference_row_reduce(rows[: i + 1])
+            assert sorted(basis) == want_pivots
+            assert [dense(basis[p], keys) for p in want_pivots] == want_rows
+    assert dependent > 100

@@ -20,3 +20,28 @@ def test_tracer_binds_every_entry_point(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracing.SPANS and tracing.CALL_COUNTS
+
+
+def test_traced_series_cohomology_and_quasi_iso_read_their_rows(
+    monkeypatch, step_nilpotent, two_term_with_h
+):
+    # the traced pass observes every linalg.row_reduce call through its rows'
+    # shape, so a row format the tracer cannot read fails here
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    tracing = importlib.import_module("tracing")
+    from linfty import algebra, morphism
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.operation("linalg"):
+            chain = algebra.lower_central_series(step_nilpotent)
+            report = morphism.cohomology(two_term_with_h)
+            verdict = morphism.is_quasi_iso(morphism.identity_morphism(two_term_with_h))
+    finally:
+        tracer.uninstall()
+    assert chain.nilpotent and report.dimension(1) == 1 and verdict.passed
+    metrics = tracer.metrics()
+    assert metrics["linalg.row_reduce.calls"] > 0
+    assert metrics["linalg.entries_reduced"] > 0
+    assert metrics["algebra.lower_central_series.s"] > 0 and metrics["morphism.cohomology.s"] > 0
