@@ -599,6 +599,7 @@ class MultiMap(Combination):
         # state, the last row's position and how many rows at the end repeat it
         prefixes = [(0, 0, 0, 0, scalar, 1, state, 0, 0)]
         place = 0  # the slot's place in its run
+        unit = type(scalar) is int and scalar == 1  # 1 * c is c, so take the first rows' c
         for index, run in slots:
             place = place + 1 if run else 1
             grown = []
@@ -628,9 +629,9 @@ class MultiMap(Combination):
                             if after is None:
                                 continue
                         same = ties + 1 if run and position == last else 1
-                        grown.append((new, names ^ low, odds ^ (low & odd), flip, coeff * c,
+                        grown.append((new, names ^ low, odds ^ (low & odd), flip, c if unit else coeff * c,
                                       count * place // same, after, position, same))
-            prefixes = grown
+            prefixes, unit = grown, False
         for code, _, _, parity, coeff, count, now, _, _ in prefixes:
             yield now, by_code[code], coeff * (-count if parity else count)
 

@@ -20,7 +20,7 @@ them on ``Element`` values of its graded space, the mapping space
 :class:`~linfty.convolution.ConvolutionAlgebra` on ``HomElement`` values,
 so flows of morphisms run on component maps directly; :func:`twist` and
 strict curvature need the structure maps.
-All sums of this kind go through :func:`twisting_series`.
+All sums of this kind but :func:`twist`'s go through :func:`twisting_series`.
 
 :class:`MCElement`, an element with its curvature, and :class:`FlowReport`,
 a flow with its curvature at sample times, are reports in the protocol of
@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from itertools import groupby, product
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -125,23 +126,50 @@ def mc_element(structure: LInftyStructure, value: Element) -> MCElement:
 
 
 def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructure:
-    """Structure maps with the flat element inserted ahead of all arguments."""
+    """Structure maps with the flat element inserted ahead of all arguments.
+
+    Q^pi_k(x_1, ..., x_k) = sum over m of 1/m! Q_{m+k}(pi, ..., pi, x_1, ..., x_k),
+    read off the stored entries: a stored word W of Q_n and a sub-multiset S
+    of W from pi's support (a prefix of each run of equal names) add
+    (prod over a of pi_a^{m_a} / m_a!) * sign * Q_n(W) into Q^pi_{n-|S|} on
+    the rest of W, canonical as a subsequence, if not empty.  pi has degree
+    1, so the sign is -1 to the number of pairs of an even name of W before
+    a name of S.  Twisting by x reads Q_3(e, x, x) = z twice, at 1/2, and
+    once past e, at -1:
+
+    >>> from linfty.grading import GradedSpace, MultiMap
+    >>> V = GradedSpace([("e", 0), ("x", 1), ("z", 1)])
+    >>> q3 = MultiMap.from_entries(V, V, 3, -1, {("e", "x", "x"): {"z": Fraction(1)}})
+    >>> twisted = twist(LInftyStructure(V, {3: q3}, cap=3), Element.basis(V, "x"))
+    >>> twisted.maps[1].evaluate(("e",)), twisted.maps[2].evaluate(("e", "x"))
+    (1/2*z, -1*z)
+    """
     if isinstance(pi, Element):
         pi = mc_element(structure, pi)
-    if pi.algebra is not structure and pi.algebra.space != structure.space:
+    space = structure.space
+    if pi.algebra is not structure and pi.algebra.space != space or pi.value.space != space:
         raise InputError("Maurer-Cartan element belongs to a different structure")
     if not pi.passed:
         raise FlatnessError(
             "cannot twist by a non-flat element; curvature %r" % pi.residual,
             pi.residual,
         )
-    space = structure.space
-
-    def value(word: Word) -> Element:
-        args = [Element.basis(space, name) for name in word.factors]
-        return twisting_series(structure.apply, structure.cap, pi.value, args)
-
-    maps = tabulate(space, space, 2, structure.words(), value)
+    totals: dict[Word, dict] = {}
+    for n, q in structure.maps.items():
+        for word, value in q.values.items():
+            runs, evens = [], 0  # per run of equal names, (kept names, scalar) per prefix in S
+            for name, group in groupby(word.factors):
+                kept, c = tuple(group), pi.value.coeffs.get(name, 0)
+                runs.append([(kept[m:], c**m * Fraction((-1) ** (m * evens), factorial(m)))
+                             for m in range(len(kept) + 1 if c else 1)])
+                evens += space.degree(name) % 2 == 0
+            for parts in product(*runs):
+                rest = sum((kept for kept, _ in parts), ())
+                if rest:
+                    key = Word(rest, word.degree - n + len(rest))
+                    add_scaled(totals.setdefault(key, {}), value, prod(s for _, s in parts))
+    words = sorted(totals, key=lambda w: (w.weight, [space.index(a) for a in w.factors]))
+    maps = tabulate(space, space, 2, words, lambda w: Element(space, w.degree + 2 - w.weight, totals[w]))
     return LInftyStructure(space, maps, structure.cap)
 
 

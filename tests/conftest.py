@@ -6,6 +6,7 @@ import pytest
 from linfty import (
     CoalgebraElement,
     Element,
+    FlatnessError,
     GradedSpace,
     InputError,
     MultiMap,
@@ -18,10 +19,10 @@ from linfty import (
     make_linfty,
     wedge_basis,
 )
-from linfty.algebra import FiltrationChain
+from linfty.algebra import FiltrationChain, LInftyStructure
 from linfty.convolution import HomElement
-from linfty.grading import add_scaled, signed_blocks, subword, unshuffles
-from linfty.mc import MCElement, PolyPath, twisted_differential_of
+from linfty.grading import add_scaled, signed_blocks, subword, tabulate, unshuffles
+from linfty.mc import MCElement, PolyPath, mc_element, twisted_differential_of, twisting_series
 
 F = Fraction
 
@@ -534,6 +535,30 @@ def reference_gauge_flow(algebra, pi0, xi, iteration_bound=None):
         "gauge flow did not reach a fixpoint within %d iterations; "
         "the structure is not nilpotent within the bound" % bound
     )
+
+
+# Test reference for linfty.mc.twist: the twisted series evaluated on every
+# word of the truncation, one basis element per factor.
+
+
+def reference_twist(structure, pi):
+    if isinstance(pi, Element):
+        pi = mc_element(structure, pi)
+    if pi.algebra is not structure and pi.algebra.space != structure.space:
+        raise InputError("Maurer-Cartan element belongs to a different structure")
+    if not pi.passed:
+        raise FlatnessError(
+            "cannot twist by a non-flat element; curvature %r" % pi.residual,
+            pi.residual,
+        )
+    space = structure.space
+
+    def value(word):
+        args = [Element.basis(space, name) for name in word.factors]
+        return twisting_series(structure.apply, structure.cap, pi.value, args)
+
+    maps = tabulate(space, space, 2, structure.words(), value)
+    return LInftyStructure(space, maps, structure.cap)
 
 
 # Test reference for linfty.algebra.lower_central_series: level i is the

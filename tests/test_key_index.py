@@ -246,3 +246,34 @@ def test_morphism_checks_and_compose_list_no_words(monkeypatch):
     assert set(square.components) == {1}
     for word, value in f1.values.items():
         assert square.components[1].value(word) == value.scale(next(iter(value.coeffs.values())))
+
+
+def test_walk_takes_the_first_rows_coefficients_under_an_int_scalar_one(monkeypatch):
+    # scalar 1 * c would be one int * Fraction product per first-slot row;
+    # the walk takes c itself, so no such product is formed and each
+    # coefficient keeps the type it had
+    V = GradedSpace([("a", 0), ("b", 1)])
+    m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1)}})
+    reverse = []
+    rmul = F.__rmul__
+
+    def spy(self, other):
+        reverse.append(other)
+        return rmul(self, other)
+
+    monkeypatch.setattr(F, "__rmul__", spy)
+
+    def coefficients(scalar, first, second):
+        slots = [({"a": [(0, first, None)]}, False), ({"b": [(0, second, None)]}, False)]
+        return [c for _, _, c in m.walk(slots, scalar, None, None)]
+
+    assert coefficients(1, F(3), F(1, 2)) == [F(3, 2)]
+    product = m.apply([Element(V, 0, {"a": F(3)}), Element(V, 1, {"b": F(1, 2)})])
+    assert product == Element(V, 1, {"b": F(3, 2)})
+    assert reverse == []
+    [c] = coefficients(1, 3, 2)
+    assert c == 6 and type(c) is int
+    [c] = coefficients(F(1), 3, 2)
+    assert c == 6 and type(c) is F
+    [c] = coefficients(F(1, 2), F(3), F(2))
+    assert c == F(3)

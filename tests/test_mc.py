@@ -24,9 +24,10 @@ from linfty import (
     morphism_to_mc,
     twist,
 )
+from linfty import algebra, grading
 from linfty.homotopy import PathElement
 from linfty.morphism import HomElement
-from linfty.mc import twisted_differential_of
+from linfty.mc import MCElement, twisted_differential_of
 
 from conftest import (
     heis,
@@ -34,6 +35,7 @@ from conftest import (
     random_component_family,
     reference_gauge_flow,
     reference_lower_central_series,
+    reference_twist,
     shift,
     twostep3,
 )
@@ -108,6 +110,98 @@ def test_twist_rejects_non_flat(heisenberg):
     with pytest.raises(FlatnessError) as err:
         twist(heisenberg, pi)
     assert err.value.residual == Element(heisenberg.space, 2, {"z": F(1)})
+
+
+def test_twist_rejects_a_foreign_element(heisenberg, step_nilpotent):
+    foreign = mc_element(step_nilpotent, Element(step_nilpotent.space, 1, {"q": F(1)}))
+    assert foreign.passed
+    with pytest.raises(InputError, match="different structure"):
+        twist(heisenberg, foreign)
+    with pytest.raises(InputError):
+        twist(heisenberg, foreign.value)
+    stray = MCElement(heisenberg, foreign.value, heisenberg.space.zero(2))
+    with pytest.raises(InputError, match="different structure"):
+        twist(heisenberg, stray)
+
+
+def _coeff(rng):
+    return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+
+
+def _flat_draws(structure, rng, tries=12):
+    """The flat ones among random combinations of one or two degree-1 names."""
+    odd = structure.space.basis_of_degree(1)
+    draws = []
+    for _ in range(tries):
+        names = rng.sample(odd, rng.randint(1, min(2, len(odd))))
+        pi = mc_element(structure, Element(structure.space, 1, {n: _coeff(rng) for n in names}))
+        if pi.passed:
+            draws.append(pi)
+    return draws
+
+
+def _reads(structure, pi):
+    """Whether a stored word reads a name of pi twice, and whether one reads
+    an even name before a name of pi (the 1/m_a! and the sign of twist)."""
+    space = structure.space
+    twice = past_even = False
+    for q in structure.maps.values():
+        for factors in q.by_factors:
+            twice |= any(factors.count(a) > 1 for a in pi.value.coeffs)
+            evens = [i for i, a in enumerate(factors) if space.degree(a) % 2 == 0]
+            hits = [i for i, a in enumerate(factors) if a in pi.value.coeffs]
+            past_even |= bool(evens and hits and evens[0] < hits[-1])
+    return twice, past_even
+
+
+def test_twist_matches_the_per_word_reference(high_arity_loop, repeating_levels):
+    # twist reads the stored entries, the reference evaluates the twisted
+    # series on every word of the truncation; the last three families store
+    # words that read pi's names up to five times behind an even name
+    rng = random.Random(2311)
+    families = {
+        "heis": [heis(3, rng), heis(4, rng, cap=4)],
+        "heis with the pair": [heis(2, rng, pair=True), heis(3, rng, cap=4, pair=True)],
+        "twostep3": [twostep3(3, rng, cap=4), twostep3(4, rng)],
+        "q1_q3_structures": q1_q3_structures(rng),
+        "high_arity_loop": [high_arity_loop],
+        "repeating_levels": [repeating_levels],
+    }
+    read = set()
+    for family, structures in families.items():
+        draws = 0
+        for structure in structures:
+            for pi in _flat_draws(structure, rng):
+                twisted = twist(structure, pi)
+                assert twisted.maps == reference_twist(structure, pi).maps, family
+                assert not twisted.verified
+                read.add(_reads(structure, pi))
+                draws += 1
+        assert draws >= 4, family
+    assert (True, True) in read
+
+
+def test_twist_lists_no_words(monkeypatch):
+    # the mc_base shape: the endpoint of a flow on shift(4,16) twists
+    # without listing the truncation's 1,686 words
+    rng = random.Random(2312)
+    structure = shift(4, 16, rng)
+    space = structure.space
+    pi0 = Element(space, 1, {n: _coeff(rng) for n in ("q1", "q2", "q3")})
+    xi = Element(space, 0, {n: _coeff(rng) for n in ("p1", "p2")})
+    pi = gauge_flow(structure, pi0, xi).evaluate(F(1))
+    want = reference_twist(structure, pi)
+
+    def no_words(*args):
+        raise AssertionError("wedge_basis called")
+
+    monkeypatch.setattr(grading, "wedge_basis", no_words)
+    monkeypatch.setattr(algebra, "wedge_basis", no_words)
+    twisted = twist(structure, pi)
+    monkeypatch.undo()
+    assert twisted.maps == want.maps
+    assert set(twisted.maps) == {1, 2}
+    assert check_relations(twisted).passed
 
 
 def test_flow_constant_for_zero_direction(heisenberg):
