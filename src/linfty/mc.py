@@ -5,13 +5,14 @@ maps vanishing above the weight cap the sum is finite and every statement is
 "up to the cap".  Twisting inserts a flat element into the front slots of
 every structure map, the untwisted map being the zeroth term.  The gauge
 flow integrates d/dt pi_t = Q_1^{pi_t}(xi) one power of t at a time, with
-exact coefficients: the coefficient of t^(k+1) reads only the coefficients
-of t^0 ... t^k.  In a nilpotent structure the coefficient of t^k lies in
-level k of the lower central filtration, so the coefficients die out and one
-exact fixpoint check of the integral equation certifies the polynomial path;
-coefficients that never die mean the structure was not nilpotent.  A
-certified depth is at most dim + 1 (the levels before it strictly shrink),
-so the default bound of dim + 3 powers never needs the series.
+exact coefficients: the coefficient of t^(k+1) sums over multisets of the
+powers t^0 ... t^k, each read once.  The powers above (cap - 1) * K + 1, K
+the top nonzero one, vanish, so the polynomial path is exact.  In a
+nilpotent structure the coefficient of t^k lies in level k of the lower
+central filtration, so the coefficients die out; a nonzero power at the
+bound means the structure was not nilpotent.  A certified depth is at most
+dim + 1 (the levels before it strictly shrink), so the default bound of
+dim + 3 powers never needs the series.
 
 The curvature, the twisted differential and the flow read an algebra only
 through ``cap``, ``space`` (where its vectors live) and ``apply(n, elements)``,
@@ -71,6 +72,8 @@ def twisting_series(apply, cap: int, pi, args: Sequence = ()):
     2*z
     """
     k = len(args)
+    if k > cap:
+        raise InputError("%d arguments exceed the weight cap %d" % (k, cap))
     terms: dict = {}
     for m in range(0 if k else 1, cap - k + 1):
         term = apply(m + k, [pi] * m + list(args))
@@ -144,11 +147,12 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
     >>> twisted.maps[1].evaluate(("e",)), twisted.maps[2].evaluate(("e", "x"))
     (1/2*z, -1*z)
     """
-    if isinstance(pi, Element):
-        pi = mc_element(structure, pi)
     space = structure.space
-    if pi.algebra is not structure and pi.algebra.space != space or pi.value.space != space:
+    value = pi if isinstance(pi, Element) else pi.value
+    if value.space != space:
         raise InputError("Maurer-Cartan element belongs to a different structure")
+    if isinstance(pi, Element) or pi.algebra is not structure:
+        pi = mc_element(structure, value)
     if not pi.passed:
         raise FlatnessError(
             "cannot twist by a non-flat element; curvature %r" % pi.residual,
@@ -268,61 +272,60 @@ def twisted_differential_of(algebra, pi_path: PolyPath, xi) -> PolyPath:
 
 
 def _compositions(total: int, parts: int, support: Sequence[int]):
-    """Ordered tuples of ``parts`` entries of ``support`` (ascending) summing to ``total``."""
+    """Non-decreasing tuples of ``parts`` entries of ``support`` (ascending) summing to ``total``."""
     if parts == 0:
         if total == 0:
             yield ()
-    elif parts == 1:
-        if total in support:
-            yield (total,)
-    else:
-        for first in support:
-            if first > total:
-                break
-            for rest in _compositions(total - first, parts - 1, support):
-                yield (first,) + rest
+        return
+    for i, first in enumerate(support):
+        if first * parts > total:
+            break
+        for rest in _compositions(total - first, parts - 1, support[i:]):
+            yield (first,) + rest
 
 
 def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath:
     """Solve pi_t = pi0 + integral of Q_1^{pi_t}(xi) one power of t at a time.
 
-    With pi_t = sum of a_k t^k, a_0 = pi0 and
+    With pi_t = sum of a_k t^k and a_0 = pi0, the t^k part of the series is
 
-        a_{k+1} = 1/(k+1) * sum over m of 1/m! *
-                  sum over k_1 + ... + k_m = k of Q_{m+1}(a_{k_1}, ..., a_{k_m}, xi),
+        a_{k+1} = sum over multisets k_1 <= ... <= k_m of k, m < cap, of
+                  Q_{m+1}(a_{k_1}, ..., a_{k_m}, xi) / ((k + 1) * prod r_i!),
 
-    the t^k part of the twisted series; compositions that read a zero
-    coefficient are skipped.  Each zero coefficient a_{k+1} triggers one
-    exact check that a_0 + ... + a_k t^k satisfies the integral equation
-    (``twisted_differential_of``, the series on the whole path); the first
-    path that passes is returned, and it is the unique fixpoint.
+    r_i the repeats of a power: Q_{m+1} is graded-symmetric in degree-1
+    arguments, so the m!/prod r_i! orderings of a multiset are one term.
+    Multisets that read a zero coefficient are skipped.  A term of a_{j+1}
+    reads at most cap - 1 nonzero powers, each <= K, the top nonzero one,
+    so once the powers up to (cap - 1) * K + 1 are known the path is exact.
+    ``iteration_bound`` counts powers, t^0 the first: a path of degree D is
+    returned iff D + 1 <= bound, and a nonzero power at the bound raises
+    :class:`NonConvergenceError`, the diagnostic for a structure that is
+    not nilpotent; a bound below 1 is an :class:`InputError`.  ``pi0``,
+    ``xi`` and the path's coefficients are vectors of ``algebra.space``.
+    With Q1(w) = a and Q3(w, a, a) = c, a_2 = 0 and a_3 sits at (cap - 1) * 1 + 1:
 
-    ``iteration_bound`` counts the powers computed, a_1 the first, so a
-    path of degree D needs D + 1.  With Q_1 and Q_2 alone that is the
-    number of Picard steps that used to reproduce the same path; with Q_k
-    for k >= 3 a Picard iterate can reach the fixpoint a step early or
-    carry spurious higher powers for a few steps, so an explicit bound near
-    D + 1 can give another verdict than it did as a step count.  Raises
-    :class:`NonConvergenceError` when the bound is exhausted, the
-    diagnostic for a structure that is not nilpotent, and
-    :class:`InputError` for a bound below 1, which allows no power at all.
-    ``pi0``, ``xi`` and the path's coefficients are vectors of
-    ``algebra.space``.
+    >>> from linfty.grading import GradedSpace, MultiMap
+    >>> V = GradedSpace([("w", 0), ("a", 1), ("c", 1)])
+    >>> q1 = MultiMap.from_entries(V, V, 1, 1, {("w",): {"a": Fraction(1)}})
+    >>> q3 = MultiMap.from_entries(V, V, 3, -1, {("w", "a", "a"): {"c": Fraction(1)}})
+    >>> s, w = LInftyStructure(V, {1: q1, 3: q3}, cap=3), Element.basis(V, "w")
+    >>> gauge_flow(s, V.zero(1), w, 4)
+    t^1*(1*a) + t^3*(1/6*c)
+    >>> gauge_flow(s, V.zero(1), w, 3)
+    Traceback (most recent call last):
+    linfty.grading.NonConvergenceError: gauge flow did not reach a fixpoint within 3 iterations; the structure is not nilpotent within the bound
 
-    The default bound is ``dim + 3`` powers, ``dim`` the dimension of
-    ``algebra.space``, and it covers every structure that
-    :func:`~linfty.algebra.lower_central_series` certifies nilpotent.  The
-    levels F^i of that series satisfy Q_k(F^{i_1}, ...) in F^{i_1 + ...}, and
-    pi0, xi lie in F^1, so by induction a_k lies in F^k.  A certified chain
-    shrinks strictly at every level until it is zero at its depth D, so
-    D <= dim + 1; then a_D = 0, the check at power D meets the exact
-    solution, and the flow takes at most dim + 1 powers.  A structure that
-    is not nilpotent is refused after dim + 3 powers (so may a nilpotent
-    one whose chain repeats a level, which the series does not certify
-    either), at a cost polynomial in the bound: power k evaluates at most one Q_{m+1} per composition of k
-    into m parts, and a zero power one series over the path.  The flow
-    never computes the series; the default reads ``space.dimension()``,
-    which the mapping space does not offer, so its flows pass a bound.
+    The default bound, ``dim + 3`` powers for ``dim`` the dimension of
+    ``algebra.space``, covers every structure that
+    :func:`~linfty.algebra.lower_central_series` certifies nilpotent: its
+    levels satisfy Q_k(F^{i_1}, ...) in F^{i_1 + ...} and pi0, xi lie in F^1,
+    so a_k lies in F^k, and a certified chain shrinks strictly until it is
+    zero at its depth D <= dim + 1.  Other structures are refused by power
+    dim + 3 (so may a nilpotent one whose chain repeats a level, which the
+    series does not certify either), at a cost polynomial in the bound:
+    power k evaluates one Q_{m+1} per multiset of m powers summing to k - 1.
+    The flow never computes the series; the mapping space offers no
+    ``space.dimension()``, so its flows pass a bound.
     """
     if xi.degree != 0:
         raise InputError("gauge directions must have degree 0")
@@ -332,31 +335,27 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
         raise InputError("the iteration bound must be at least 1, got %d" % iteration_bound)
     space = algebra.space
     bound = space.dimension() + 3 if iteration_bound is None else iteration_bound
-    base = PolyPath(space, 1, {0: pi0})
-    zero = space.zero(1)
     coefficients = [pi0]
     support = [0] if pi0 else []
     powers = 0
-    while powers < bound:
+    while powers <= (algebra.cap - 1) * max(support, default=0):
         terms: dict = {}
         for m in range(algebra.cap):
-            scalar = Fraction(1, (powers + 1) * factorial(m))
             for parts in _compositions(powers, m, support):
+                repeats = prod(factorial(len(list(run))) for _, run in groupby(parts))
                 args = [coefficients[p] for p in parts] + [xi]
-                add_scaled(terms, algebra.apply(m + 1, args), scalar)
+                add_scaled(terms, algebra.apply(m + 1, args), Fraction(1, (powers + 1) * repeats))
         powers += 1
-        coefficient = zero._like(terms)
+        coefficient = space.zero(1)._like(terms)
         coefficients.append(coefficient)
         if coefficient:
+            if powers >= bound:
+                raise NonConvergenceError(
+                    "gauge flow did not reach a fixpoint within %d iterations; "
+                    "the structure is not nilpotent within the bound" % bound
+                )
             support.append(powers)
-        else:
-            path = PolyPath(space, 1, dict(enumerate(coefficients)))
-            if base + twisted_differential_of(algebra, path, xi).integrate() == path:
-                return path
-    raise NonConvergenceError(
-        "gauge flow did not reach a fixpoint within %d iterations; "
-        "the structure is not nilpotent within the bound" % bound
-    )
+    return PolyPath(space, 1, dict(enumerate(coefficients)))
 
 
 class FlowReport:

@@ -124,6 +124,22 @@ def test_twist_rejects_a_foreign_element(heisenberg, step_nilpotent):
         twist(heisenberg, stray)
 
 
+def test_twist_rechecks_an_element_checked_on_another_structure(heisenberg):
+    # the same space with no maps calls x + y flat; heisenberg does not
+    abelian = make_linfty(heisenberg.space, {}, cap=4)
+    pi = mc_element(abelian, Element(heisenberg.space, 1, {"x": F(1), "y": F(1)}))
+    assert pi.passed
+    with pytest.raises(FlatnessError) as err:
+        twist(heisenberg, pi)
+    assert err.value.residual == Element(heisenberg.space, 2, {"z": F(1)})
+
+
+def test_twisting_series_refuses_more_arguments_than_the_cap(heisenberg):
+    x = Element.basis(heisenberg.space, "x")
+    with pytest.raises(InputError, match="3 arguments exceed the weight cap 2"):
+        mc.twisting_series(heisenberg.apply, 2, x, [x, x, x])
+
+
 def _coeff(rng):
     return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
 
@@ -438,10 +454,14 @@ def assert_flow_matches_reference(algebra, pi0, xi, bound, exact):
     Unless ``exact``, a verdict may differ because an explicit bound counts
     powers, not Picard steps: then the side that returned a path P returned
     the one fixpoint, and the flow returns it exactly when P's degree + 1
-    powers fit in the bound.
+    powers fit in the bound.  A path the flow returns solves the integral
+    equation over all its powers.
     """
     new = flow_outcome(gauge_flow, algebra, pi0, xi, bound)
     old = flow_outcome(reference_gauge_flow, algebra, pi0, xi, bound)
+    if isinstance(new, PolyPath):
+        base = PolyPath(algebra.space, 1, {0: pi0})
+        assert new == base + twisted_differential_of(algebra, new, xi).integrate()
     if new == old:
         return
     assert not exact
@@ -502,8 +522,7 @@ def test_mapping_space_flow_matches_the_picard_reference():
 def test_an_explicit_bound_counts_powers_not_picard_steps():
     # the verdict change the randomized tests allow, pinned: this mapping-space
     # flow is pi0 + a_1 t + a_3 t^3, which the Picard iterate reached at its
-    # third step, while the power count needs four (the zero a_2 runs one
-    # failing check first)
+    # third step, while the power count needs four (t^0 ... t^3)
     space = GradedSpace([("a", 0), ("b", 1)])
     q1 = MultiMap.from_entries(space, space, 1, 1, {("a",): {"b": F(-2)}})
     q3 = MultiMap.from_entries(space, space, 3, -1, {("a", "b", "b"): {"b": F(-2)}})
@@ -541,9 +560,10 @@ def count_applies(monkeypatch, structure):
 def test_refusal_work_grows_polynomially_in_the_bound(monkeypatch):
     # {w:0, v:1} with Q2(w,v) = v and Q3(w,v,v) = v: the flow of v along w is
     # 2 / (1 + e^t) v, not a polynomial.  Its even powers above t^0 vanish,
-    # so at bound 12 the powers cost 36 calls and the six fixpoint checks,
-    # each over a path with s = 2 ... 7 nonzero powers, 1 + s + s^2 calls;
-    # Picard's iterate doubled its degree every step instead
+    # so at bound 12 the flow computes t^1 ... t^13 and refuses at t^13: one
+    # Q1(xi), one Q2 per nonzero power 0, 1, 3, ..., 11 (7) and one Q3 per
+    # pair i <= j of them with i + j <= 12 (19) make 27 calls; Picard's
+    # iterate doubled its degree every step instead
     space = GradedSpace([("w", 0), ("v", 1)])
     q2 = MultiMap.from_entries(space, space, 2, 0, {("w", "v"): {"v": F(1)}})
     q3 = MultiMap.from_entries(space, space, 3, -1, {("w", "v", "v"): {"v": F(1)}})
@@ -551,13 +571,13 @@ def test_refusal_work_grows_polynomially_in_the_bound(monkeypatch):
     calls = count_applies(monkeypatch, structure)
     with pytest.raises(NonConvergenceError, match="within 12 iterations"):
         gauge_flow(structure, Element(space, 1, {"v": F(1)}), Element(space, 0, {"w": F(1)}), 12)
-    assert len(calls) == 208
+    assert len(calls) == 27
 
 
 def test_deep_flow_work_is_pinned(monkeypatch):
-    # shift(4, 64): a path of degree 63 takes 64 powers (1 + 64 + 2080 calls,
-    # Q3 on every ordered pair of nonzero powers) and one fixpoint check over
-    # the whole path (1 + 64 + 64 * 64)
+    # shift(4, 64) at cap 3: a path of degree 63 is certified by the zero
+    # powers up to 2 * 63 + 1, after 1 + 64 + 2080 calls: Q1(xi), Q2 on each
+    # of the 64 nonzero powers and the absent Q3 on every pair i <= j of them
     structure = shift(4, 64, random.Random(64))
     space = structure.space
     pi0 = Element(space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
@@ -565,4 +585,4 @@ def test_deep_flow_work_is_pinned(monkeypatch):
     calls = count_applies(monkeypatch, structure)
     path = gauge_flow(structure, pi0, xi)
     assert path.max_power() == 63
-    assert len(calls) == 6306
+    assert len(calls) == 2145
