@@ -44,6 +44,7 @@ from .grading import (
     add_scaled,
     canonicalize_word,
     map_family,
+    tabulate,
     unshuffles,
     wedge_basis,
 )
@@ -73,10 +74,9 @@ class LInftyStructure:
             return Element.zero(self.space, sum(e.degree for e in elements) + 2 - n)
         return q.apply(elements)
 
-    def words(self, max_weight: int | None = None) -> list[Word]:
-        top = self.cap if max_weight is None else max_weight
+    def words(self) -> list[Word]:
         out: list[Word] = []
-        for n in range(1, top + 1):
+        for n in range(1, self.cap + 1):
             out.extend(wedge_basis(self.space, n))
         return out
 
@@ -271,12 +271,10 @@ def check_relations(structure: LInftyStructure) -> ResidualReport:
     Q_k entry whose value names what a Q_j entry reads, so a word that no
     such pair reaches is never visited and its residual is zero term by term.
     """
-    residuals: dict[Word, Element] = {}
-    for word, coeffs in lift_coderivation(structure).precompose(structure.maps).items():
-        # Q*Q raises the suspended degree, plain + 1 - weight, by 2
-        residual = Element(structure.space, word.degree + 3 - word.weight, coeffs)
-        if residual:
-            residuals[word] = residual
+    # Q*Q raises the suspended degree by 2: its cogenerator part is a degree-3 family
+    totals = lift_coderivation(structure).precompose(structure.maps)
+    family = tabulate(structure.space, structure.space, 3, totals)
+    residuals = {w: v for m in family.values() for w, v in m.values.items()}
     report = ResidualReport(structure.cap, "relations hold", "relations fail", residuals)
     structure.verified = report.passed
     return report
@@ -395,18 +393,24 @@ def _index(elements: list[Element]) -> dict[str, list[tuple]]:
     return index
 
 
-def _parts(total: int, k: int, least: int = 1) -> list[tuple[int, ...]]:
-    """The non-decreasing k-tuples of integers >= ``least`` summing to ``total``."""
-    if k == 1:
-        return [(total,)]
-    return [(p,) + rest for p in range(least, total // k + 1) for rest in _parts(total - p, k - 1, p)]
+def compositions(total: int, parts: int, support: Sequence[int]):
+    """Non-decreasing tuples of ``parts`` entries of ``support`` (ascending) summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for i, first in enumerate(support):
+        if first * parts > total:
+            break
+        for rest in compositions(total - first, parts - 1, support[i:]):
+            yield (first,) + rest
 
 
 def _generators(q: MultiMap, total: int, pools: list) -> list[Element]:
     """``q`` on each multiset of spanning elements of levels i_1 <= ... <= i_k summing
     to ``total`` whose names can reach a stored word, equal levels a run."""
     out = []
-    for parts in _parts(total, q.weight):
+    for parts in compositions(total, q.weight, range(1, total + 1)):
         slots = [(pools[p - 1], j > 0 and p == parts[j - 1]) for j, p in enumerate(parts)]
         sums: dict[tuple, tuple] = {}  # chosen positions -> degree, coefficients
         for chosen, value, c in q.walk(slots, 1, lambda chosen, p: chosen + (p,), ()):

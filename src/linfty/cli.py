@@ -176,14 +176,13 @@ def _cmd_homotopy_check(args) -> int:
 
 def _cmd_convolution_mc(args) -> int:
     from .algebra import ResidualReport
-    from .convolution import build_convolution, morphism_to_mc
+    from .convolution import build_convolution
 
     morphism = documents.load_morphism(args.file, args.cap)
     conv = build_convolution(morphism.source, morphism.target, morphism.cap)
-    curvature = conv.mc_residual(morphism_to_mc(morphism))
-    residuals = {w: e for comp in curvature.components.values() for w, e in comp.values.items()}
+    curvature = conv.mc_residual(morphism)
     report = ResidualReport(
-        morphism.cap, "Maurer-Cartan in the convolution algebra", "curvature nonzero", residuals
+        morphism.cap, "Maurer-Cartan in the convolution algebra", "curvature nonzero", curvature.values
     )
     return _emit("convolution-mc", report, args.format)
 

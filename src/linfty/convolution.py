@@ -1,10 +1,11 @@
 """The convolution structure on maps from the coalgebra of one structure
-into another, and the morphism <-> Maurer-Cartan dictionary.
+into another, whose flat degree-1 elements are the morphisms.
 
 A map collection {a_n} with a_n of weight n and degree u - n is an element
-of degree u here; morphism component collections are exactly the degree-1
-elements.  The n-ary operations pair the target structure maps with the
-n-fold reduced coproduct of the source coalgebra:
+of degree u here, and a morphism is exactly a degree-1 element, one object,
+so :func:`morphism_to_mc` and :func:`mc_to_morphism` only check the degree.
+The n-ary operations pair the target structure maps with the n-fold reduced
+coproduct of the source coalgebra:
 
     (q_n(a_1, ..., a_n))(X) = Q'_n applied to (a_1 (x) ... (x) a_n)
                               of the n-block splittings of X,
@@ -47,14 +48,15 @@ Sign conventions (the one table everything below refers to):
 The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
 defined with the morphisms it generalises (a morphism is its degree-1
 vector) and re-exported here.  Both operations run over stored entries, the
-differential through :meth:`~linfty.algebra.Coderivation.precompose`, and
-assemble their result through :func:`~linfty.grading.tabulate` on the words
-they reach; neither reads a word list.  The calculus of
-:mod:`linfty.mc` and :mod:`linfty.homotopy` reads a :class:`ConvolutionAlgebra`
-through ``cap``, ``space`` and ``apply(n, elements)``, which is ``bracket``,
-so flows, homotopies and their documents stay on component maps.  The
-coordinates ``hom_space`` (names ``word>name``) and ``hom_to_element`` are a
-view for tests and tracing, built on first use and read by no computation.
+differential through :meth:`~linfty.algebra.Coderivation.precompose`, sum
+them into word totals and build their result from those with
+:meth:`~linfty.morphism.HomElement.from_totals`; neither reads a word list.
+The calculus of :mod:`linfty.mc` and :mod:`linfty.homotopy` reads a
+:class:`ConvolutionAlgebra` through ``cap``, ``space`` and ``apply(n,
+elements)``, which is ``bracket``, so flows, homotopies and their documents
+stay on component maps.  The coordinates ``hom_space`` (names
+``word>name``) and ``hom_to_element`` are a view for tests and tracing,
+built on first use and read by no computation.
 """
 
 from __future__ import annotations
@@ -63,33 +65,20 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .grading import (
-    Element,
-    GradedSpace,
-    InputError,
-    MultiMap,
-    Word,
-    add_scaled,
-    tabulate,
-)
+from .grading import Element, GradedSpace, InputError, Word, add_scaled
 from .algebra import LInftyStructure, lift_coderivation, require_verified
-from .morphism import HomElement, MorphismComponents, entry_splittings
+from .morphism import HomElement, entry_splittings, require_morphism
 from .mc import mc_residual
 
 
-def morphism_to_mc(morphism: MorphismComponents) -> HomElement:
-    """Repackage morphism components as a degree-1 mapping-space element."""
-    return HomElement(morphism.source, morphism.target, 1, morphism.components)
+def morphism_to_mc(vector: HomElement) -> HomElement:
+    """A morphism as a Maurer-Cartan candidate, or back: both are the one
+    degree-1 vector, so this checks the degree and returns its argument."""
+    require_morphism(vector)
+    return vector
 
 
-def mc_to_morphism(alpha: HomElement) -> MorphismComponents:
-    """Inverse repackaging; only degree-1 elements are morphism-shaped."""
-    if alpha.degree != 1:
-        raise InputError(
-            "only degree-1 elements correspond to morphisms, got degree %d"
-            % alpha.degree
-        )
-    return MorphismComponents(alpha.source, alpha.target, alpha.components)
+mc_to_morphism = morphism_to_mc
 
 
 class ConvolutionAlgebra:
@@ -140,15 +129,9 @@ class ConvolutionAlgebra:
         return Element(self.hom_space, alpha.degree, coeffs)
 
     def basis_hom(self, word: Word, name: str) -> HomElement:
+        """The vector taking ``word`` to ``name`` and every other word to zero."""
         u = self.target.space.degree(name) - word.degree + word.weight
-        comp = MultiMap(
-            self.source.space,
-            self.target.space,
-            word.weight,
-            u - word.weight,
-            {word: Element.basis(self.target.space, name)},
-        )
-        return HomElement(self.source, self.target, u, {word.weight: comp})
+        return HomElement.from_totals(self.source, self.target, u, {word: {name: Fraction(1)}})
 
     @property
     def space(self) -> "ConvolutionAlgebra":
@@ -179,19 +162,13 @@ class ConvolutionAlgebra:
         driven by stored entries; no word list is read.
         """
         q1 = self.target.maps.get(1)
-        u_out = alpha.degree + 1
         # minus the crossing sign (-1)**(u - 1) of alpha past Q
         totals = self._lift.precompose(alpha.components, 1 if alpha.degree % 2 == 0 else -1)
         if q1 is not None:
             for comp in alpha.components.values():
                 for word, val in comp.values.items():
                     q1.accumulate(totals.setdefault(word, {}), [val], 1)
-
-        def value(word: Word) -> Element:
-            return Element(self.target.space, word.degree + u_out - word.weight, totals[word])
-
-        comps = tabulate(self.source.space, self.target.space, u_out, totals, value)
-        return HomElement(self.source, self.target, u_out, comps)
+        return HomElement.from_totals(self.source, self.target, alpha.degree + 1, totals)
 
     def bracket(self, alphas: Sequence[HomElement]) -> HomElement:
         """The n-ary operation on n mapping-space elements.
@@ -221,12 +198,7 @@ class ConvolutionAlgebra:
         totals: dict[Word, dict] = {}
         for word, value, coefficient in entry_splittings(slots, self.source.space, self.cap, self._joined, qn):
             add_scaled(totals.setdefault(word, {}), value, coefficient)
-
-        def value(word: Word) -> Element:
-            return Element(self.target.space, word.degree + u_out - word.weight, totals[word])
-
-        comps = tabulate(self.source.space, self.target.space, u_out, totals, value)
-        return HomElement(self.source, self.target, u_out, comps)
+        return HomElement.from_totals(self.source, self.target, u_out, totals)
 
     def apply(self, n: int, elements: Sequence[HomElement]) -> HomElement:
         """The n-ary operation as :mod:`linfty.mc` calls it: ``bracket`` of n elements."""

@@ -21,11 +21,11 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Mapping
 
-from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word, tabulate
+from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word
 from .algebra import LInftyStructure, make_linfty
 
 if TYPE_CHECKING:
-    from .morphism import MorphismComponents
+    from .morphism import HomElement
     from .homotopy import HomotopyElement
 
 KINDS = ("algebra", "morphism", "mc-element", "map", "request", "homotopy")
@@ -280,8 +280,8 @@ def load_algebra(path: str, cap_override: int | None = None) -> LInftyStructure:
 
 def load_morphism(
     path: str, cap_override: int | None = None
-) -> MorphismComponents:
-    from .morphism import MorphismComponents
+) -> HomElement:
+    from .morphism import HomElement
 
     doc = load_document(path, "morphism")
     source = load_algebra(_resolve(path, _header(doc, "source")), cap_override)
@@ -297,11 +297,11 @@ def load_morphism(
         components[weight] = _parse_map_section(
             lines, source.space, target.space, weight, 1 - weight
         )
-    return MorphismComponents(source, target, components)
+    return HomElement(source, target, 1, components)
 
 
 def morphism_to_document(
-    morphism: MorphismComponents, source_ref: str, target_ref: str
+    morphism: HomElement, source_ref: str, target_ref: str
 ) -> str:
     lines = [
         "kind: morphism",
@@ -388,7 +388,7 @@ def _format_poly(coeffs: list[Fraction]) -> str:
 
 def load_homotopy(
     path: str, cap_override: int | None = None
-) -> tuple[MorphismComponents, MorphismComponents, HomotopyElement]:
+) -> tuple[HomElement, HomElement, HomotopyElement]:
     """The two morphisms a homotopy document names, and the homotopy between them.
 
     A ``h0 n:`` or ``h1 n:`` entry takes a weight-n word to target names
@@ -430,14 +430,7 @@ def load_homotopy(
     def build(per_power, degree: int) -> PolyPath:
         coefficients = {}
         for power, combos in per_power.items():
-            comps = tabulate(
-                source,
-                target,
-                degree,
-                combos,
-                lambda w: Element(target, w.degree + degree - w.weight, combos[w]),
-            )
-            coefficients[power] = HomElement(first.source, first.target, degree, comps)
+            coefficients[power] = HomElement.from_totals(first.source, first.target, degree, combos)
         return PolyPath(conv, degree, coefficients)
 
     return first, second, HomotopyElement(conv, build(parts["h0"], 1), build(parts["h1"], 0))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -710,15 +710,17 @@ def tabulate(
     source: GradedSpace,
     target: GradedSpace,
     degree: int,
-    words: Iterable[Word],
-    value: Callable[[Word], Element],
+    totals: Mapping[Word, Mapping[str, Fraction]],
 ) -> dict[int, MultiMap]:
-    """The degree-``degree`` family taking each of ``words`` to ``value(word)``, zeros dropped."""
+    """The degree-``degree`` family taking each word of ``totals`` to its
+    name -> coefficient dict, zeros dropped: the one place a value's degree,
+    the word's plus ``degree`` less its weight, is worked out."""
     per_weight: dict[int, dict[Word, Element]] = {}
-    for word in words:
-        got = value(word)
-        if got:
-            per_weight.setdefault(word.weight, {})[word] = got
+    for word, coeffs in totals.items():
+        n = word.weight
+        value = Element(target, word.degree + degree - n, coeffs)
+        if value:
+            per_weight.setdefault(n, {})[word] = value
     return {n: MultiMap(source, target, n, degree - n, v) for n, v in per_weight.items()}
 
 

@@ -25,8 +25,8 @@ from functools import partial
 
 from .grading import Combination, InputError, StructureError, add_scaled
 from .algebra import LInftyStructure, require_verified
-from .morphism import HomElement, MorphismComponents, check_morphism
-from .convolution import ConvolutionAlgebra, build_convolution, morphism_to_mc
+from .morphism import HomElement, check_morphism
+from .convolution import ConvolutionAlgebra, build_convolution
 from .mc import SAMPLE_TIMES, PolyPath, apply_to_paths, gauge_flow, mc_residual, twisting_series
 
 
@@ -137,16 +137,13 @@ class HomotopyElement:
         return self.h0.evaluate(t)
 
 
-def gauge_to_homotopy(
-    morphism: MorphismComponents,
-    direction: HomElement,
-    iteration_bound: int | None = None,
-) -> HomotopyElement:
+def gauge_to_homotopy(morphism: HomElement, direction: HomElement) -> HomotopyElement:
     """Package the gauge flow of a morphism along a degree-0 direction.
 
     The dt part is the (constant) direction; the dt-free part is the flow
     itself, so the evolution equation holds by construction and the
-    endpoints are the original morphism and the flowed one.
+    endpoints are the original morphism and the flowed one.  The flow of
+    the morphism's own degree-1 vector is bounded by cap + 2 powers of t.
     """
     if direction.degree != 0:
         raise InputError("gauge directions have degree 0")
@@ -155,8 +152,7 @@ def gauge_to_homotopy(
         if not report.passed:
             raise StructureError("cannot flow: morphism fails its compatibility check")
     conv = build_convolution(morphism.source, morphism.target, morphism.cap)
-    bound = iteration_bound if iteration_bound is not None else morphism.cap + 2
-    h0 = gauge_flow(conv, morphism_to_mc(morphism), direction, iteration_bound=bound)
+    h0 = gauge_flow(conv, morphism, direction, morphism.cap + 2)
     return HomotopyElement(conv, h0, PolyPath(conv, 0, {0: direction}))
 
 
@@ -239,7 +235,7 @@ class HomotopyReport:
 
 
 def check_homotopy(
-    first: MorphismComponents, second: MorphismComponents, h: HomotopyElement
+    first: HomElement, second: HomElement, h: HomotopyElement
 ) -> HomotopyReport:
     """Verify a homotopy between two morphisms.
 
@@ -258,8 +254,8 @@ def check_homotopy(
         raise InputError("morphisms and homotopy live on different pairs")
     flat = flatness_residual(h)
     evolution = evolution_residual(h)
-    starts = h.endpoint(Fraction(0)) == morphism_to_mc(first)
-    ends = h.endpoint(Fraction(1)) == morphism_to_mc(second)
+    starts = h.endpoint(Fraction(0)) == first
+    ends = h.endpoint(Fraction(1)) == second
     sample_residuals = {t: mc_residual(conv, h.h0.evaluate(t)) for t in SAMPLE_TIMES}
     return HomotopyReport(
         cap=conv.cap,

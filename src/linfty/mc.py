@@ -46,7 +46,7 @@ from .grading import (
     add_scaled,
     tabulate,
 )
-from .algebra import LInftyStructure, lower_central_series
+from .algebra import LInftyStructure, compositions, lower_central_series
 
 # the times at which flow and homotopy reports evaluate the curvature of a path
 SAMPLE_TIMES = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -173,7 +173,7 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
                     key = Word(rest, word.degree - n + len(rest))
                     add_scaled(totals.setdefault(key, {}), value, prod(s for _, s in parts))
     words = sorted(totals, key=lambda w: (w.weight, [space.index(a) for a in w.factors]))
-    maps = tabulate(space, space, 2, words, lambda w: Element(space, w.degree + 2 - w.weight, totals[w]))
+    maps = tabulate(space, space, 2, {w: totals[w] for w in words})
     return LInftyStructure(space, maps, structure.cap)
 
 
@@ -271,19 +271,6 @@ def twisted_differential_of(algebra, pi_path: PolyPath, xi) -> PolyPath:
     return twisting_series(partial(apply_to_paths, algebra), algebra.cap, pi_path, [xi_path])
 
 
-def _compositions(total: int, parts: int, support: Sequence[int]):
-    """Non-decreasing tuples of ``parts`` entries of ``support`` (ascending) summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for i, first in enumerate(support):
-        if first * parts > total:
-            break
-        for rest in _compositions(total - first, parts - 1, support[i:]):
-            yield (first,) + rest
-
-
 def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath:
     """Solve pi_t = pi0 + integral of Q_1^{pi_t}(xi) one power of t at a time.
 
@@ -341,7 +328,7 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
     while powers <= (algebra.cap - 1) * max(support, default=0):
         terms: dict = {}
         for m in range(algebra.cap):
-            for parts in _compositions(powers, m, support):
+            for parts in compositions(powers, m, support):
                 repeats = prod(factorial(len(list(run))) for _, run in groupby(parts))
                 args = [coefficients[p] for p in parts] + [xi]
                 add_scaled(terms, algebra.apply(m + 1, args), Fraction(1, (powers + 1) * repeats))

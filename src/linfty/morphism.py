@@ -18,7 +18,10 @@ mapping-space operations of :mod:`linfty.convolution`.  None of them lists
 the words of the truncation or a word's block partitions.
 
 A family {a_n} with a_n of weight n and degree u - n is a degree-u vector of
-the mapping space, :class:`HomElement`; a morphism is a degree-1 vector.
+the mapping space, :class:`HomElement`, built from word totals by
+:meth:`HomElement.from_totals`.  A morphism is its degree-1 vector, the
+one type a lift, a check, a composition or a flow reads; where a morphism
+is expected, another degree raises :class:`~linfty.grading.InputError`.
 """
 
 from __future__ import annotations
@@ -50,7 +53,11 @@ from . import linalg
 class HomElement(Combination):
     """Weight-indexed component maps: one mapping-space vector of degree ``degree``.
 
-    Vectors add and compare when their spaces, cap and degree agree.
+    Vectors add and compare when their spaces, cap and degree agree.  A
+    morphism is a degree-1 vector; ``verified`` is set once
+    :func:`check_morphism`, :func:`identity_morphism` or :func:`compose`
+    records that its components are compatible, and a sum or multiple
+    starts unverified.
     """
 
     components = Combination.terms
@@ -71,6 +78,15 @@ class HomElement(Combination):
         self.cap = source.cap
         self.degree = degree
         self.terms = map_family(components, source.space, target.space, self.cap, degree)
+        self.verified = False
+
+    @classmethod
+    def from_totals(
+        cls, source: LInftyStructure, target: LInftyStructure, degree: int, totals: Mapping[Word, dict]
+    ) -> "HomElement":
+        """The degree-``degree`` vector taking each word of ``totals`` to its
+        name -> coefficient dict, through :func:`~linfty.grading.tabulate`."""
+        return cls(source, target, degree, tabulate(source.space, target.space, degree, totals))
 
     def _home(self) -> tuple:
         return self.source.space, self.target.space, self.cap, self.degree
@@ -90,6 +106,11 @@ class HomElement(Combination):
         """The components' stored values keyed by factor tuples, all weights in one dict."""
         return {f: v for c in self.components.values() for f, v in c.by_factors.items()}
 
+    @property
+    def values(self) -> dict[Word, Element]:
+        """The components' stored values keyed by word, all weights in one dict."""
+        return {w: v for c in self.components.values() for w, v in c.values.items()}
+
     def component(self, n: int) -> MultiMap:
         got = self.components.get(n)
         if got is None:
@@ -107,35 +128,23 @@ class HomElement(Combination):
         )
 
 
-class MorphismComponents(HomElement):
-    """Component maps {F_n} of a morphism, the degree-1 vectors.
-
-    ``verified`` is set once the components are known to be compatible; a
-    sum or multiple is a plain :class:`HomElement`.
-    """
-
-    def __init__(
-        self,
-        source: LInftyStructure,
-        target: LInftyStructure,
-        components: Mapping[int, MultiMap],
-    ):
-        super().__init__(source, target, 1, components)
-        self.verified = False
-
-    def __repr__(self):
-        return "MorphismComponents(weights=%s, cap=%d)" % (
-            sorted(self.components),
-            self.cap,
-        )
+def MorphismComponents(
+    source: LInftyStructure, target: LInftyStructure, components: Mapping[int, MultiMap]
+) -> HomElement:
+    """The morphism with components {F_n}: the degree-1 :class:`HomElement`."""
+    return HomElement(source, target, 1, components)
 
 
-def identity_morphism(structure: LInftyStructure) -> MorphismComponents:
+def require_morphism(vector: HomElement) -> None:
+    """Raise :class:`~linfty.grading.InputError` unless ``vector`` has degree 1, a morphism's."""
+    if vector.degree != 1:
+        raise InputError("a morphism is a degree-1 vector, got one of degree %d" % vector.degree)
+
+
+def identity_morphism(structure: LInftyStructure) -> HomElement:
     space = structure.space
-    components = tabulate(
-        space, space, 1, structure.words(1), lambda word: Element.basis(space, word.factors[0])
-    )
-    morphism = MorphismComponents(structure, structure, components)
+    totals = {Word((name,), space.degree(name)): {name: Fraction(1)} for name in space.names}
+    morphism = HomElement.from_totals(structure, structure, 1, totals)
     morphism.verified = True
     return morphism
 
@@ -151,7 +160,8 @@ class MorphismLift:
     components' stored entries through :func:`entry_splittings`.
     """
 
-    def __init__(self, morphism: MorphismComponents):
+    def __init__(self, morphism: HomElement):
+        require_morphism(morphism)
         self.morphism = morphism
         self._cache: dict[Word, CoalgebraElement] = {}
         # entry_splittings' memo of the words that precompose reached
@@ -204,7 +214,7 @@ class MorphismLift:
         return out
 
 
-def lift_morphism(morphism: MorphismComponents) -> MorphismLift:
+def lift_morphism(morphism: HomElement) -> MorphismLift:
     return MorphismLift(morphism)
 
 
@@ -344,45 +354,39 @@ def _summary(letters: Sequence[tuple[int, int, str]]) -> tuple[int, int, int]:
     return degree, parity % 2, tally
 
 
-def check_morphism(morphism: MorphismComponents) -> ResidualReport:
+def check_morphism(morphism: HomElement) -> ResidualReport:
     """Per-weight compatibility residuals of the lifted morphism.
 
     The residual at a word w is the target's structure maps evaluated on the
     lift's image F(w), minus the components evaluated on Q(w).  That is the
-    cogenerator part of Q'F - FQ, which determines all of it.  Both sides
-    come from stored entries, not word by word: the left from the
-    components' entries joined into the splittings that Q'_n reads
+    cogenerator part of Q'F - FQ, which determines all of it, and the
+    degree-2 mapping-space vector left - right.  Both sides come from
+    stored entries, not word by word: the left from the components' entries
+    joined into the splittings that Q'_n reads
     (:meth:`MorphismLift.precompose`), the right from pairs of entries of
     the Q_k and the F_j (:meth:`~linfty.algebra.Coderivation.precompose`).
     A word that neither reaches has residual zero term by term.
     """
     require_verified(morphism.source, "source structure")
     require_verified(morphism.target, "target structure")
-    space = morphism.target.space
-    left = lift_morphism(morphism).precompose(morphism.target.maps)
-    right = lift_coderivation(morphism.source).precompose(morphism.components)
-    residuals: dict[Word, Element] = {}
-    for word in left | right:
-        degree = word.degree + 2 - word.weight
-        residual = Element(space, degree, left.get(word)) - Element(space, degree, right.get(word))
-        if residual:
-            residuals[word] = residual
-    report = ResidualReport(morphism.cap, "morphism compatible", "morphism residuals", residuals)
+    totals = lift_morphism(morphism).precompose(morphism.target.maps)
+    for word, coeffs in lift_coderivation(morphism.source).precompose(morphism.components, -1).items():
+        into = totals.setdefault(word, {})
+        for name, c in coeffs.items():
+            got = into.get(name)
+            into[name] = c if got is None else got + c
+    residual = HomElement.from_totals(morphism.source, morphism.target, 2, totals)
+    report = ResidualReport(morphism.cap, "morphism compatible", "morphism residuals", residual.values)
     morphism.verified = report.passed
     return report
 
 
-def compose(g: MorphismComponents, f: MorphismComponents) -> MorphismComponents:
+def compose(g: HomElement, f: HomElement) -> HomElement:
     """Components of g after f: g's components after the lift of f."""
+    require_morphism(g)
     if f.target.space != g.source.space or f.target.cap != g.source.cap:
         raise InputError("middle structures of the composition do not match")
-    totals = lift_morphism(f).precompose(g.components)
-    target = g.target.space
-
-    def value(word: Word) -> Element:
-        return Element(target, word.degree + 1 - word.weight, totals[word])
-
-    out = MorphismComponents(f.source, g.target, tabulate(f.source.space, target, 1, totals, value))
+    out = HomElement.from_totals(f.source, g.target, 1, lift_morphism(f).precompose(g.components))
     out.verified = f.verified and g.verified
     return out
 
@@ -496,7 +500,7 @@ class QuasiIsoReport:
         return {"cap": self.cap, "passed": self.passed, "per_degree": per_degree}
 
 
-def is_quasi_iso(morphism: MorphismComponents) -> QuasiIsoReport:
+def is_quasi_iso(morphism: HomElement) -> QuasiIsoReport:
     """Whether the weight-1 component induces isomorphisms on cohomology.
 
     A degree with equal cohomology dimensions passes when the images of the
@@ -505,6 +509,7 @@ def is_quasi_iso(morphism: MorphismComponents) -> QuasiIsoReport:
     representatives and coboundaries are independent too, that says the
     images are cocycles whose classes form a basis.
     """
+    require_morphism(morphism)
     src_h = cohomology(morphism.source)
     tgt_h = src_h if morphism.target is morphism.source else cohomology(morphism.target)
     f1 = morphism.components.get(1)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .grading import Element, InputError, MultiMap, StructureError, Word, add_scaled, wedge_basis
 from .algebra import LInftyStructure
-from .morphism import HomElement, MorphismComponents, check_morphism
-from .convolution import ConvolutionAlgebra, mc_to_morphism
+from .morphism import HomElement, check_morphism
+from .convolution import ConvolutionAlgebra
 from .homotopy import HomotopyElement, gauge_to_homotopy
 
 
@@ -28,7 +28,7 @@ class PerturbationRequest:
     of a zero correction are checked here.
     """
 
-    def __init__(self, morphism: MorphismComponents, weight: int, correction: MultiMap):
+    def __init__(self, morphism: HomElement, weight: int, correction: MultiMap):
         n = weight
         if n < 1:
             raise InputError("perturbation weight must be >= 1")
@@ -49,19 +49,19 @@ class PerturbationRequest:
 
 
 def direction_element(
-    pair: ConvolutionAlgebra | MorphismComponents, weight: int, correction: MultiMap
+    pair: ConvolutionAlgebra | HomElement, weight: int, correction: MultiMap
 ) -> HomElement:
     """The degree-0 element at one weight of the mapping space of ``pair``'s source and target."""
     return HomElement(pair.source, pair.target, 0, {weight: correction})
 
 
-def flow_morphism(request: PerturbationRequest) -> tuple[MorphismComponents, HomotopyElement]:
+def flow_morphism(request: PerturbationRequest) -> tuple[HomElement, HomotopyElement]:
     """The t = 1 endpoint of the request's gauge homotopy, and the homotopy."""
     h = gauge_to_homotopy(request.morphism, request.direction)
-    return mc_to_morphism(h.endpoint(Fraction(1))), h
+    return h.endpoint(Fraction(1)), h
 
 
-def perturb(request: PerturbationRequest) -> MorphismComponents:
+def perturb(request: PerturbationRequest) -> HomElement:
     """Endpoint of the flow, re-verified as a morphism at the cap."""
     perturbed, _ = flow_morphism(request)
     report = check_morphism(perturbed)

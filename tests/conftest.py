@@ -555,9 +555,9 @@ def reference_twist(structure, pi):
 
     def value(word):
         args = [Element.basis(space, name) for name in word.factors]
-        return twisting_series(structure.apply, structure.cap, pi.value, args)
+        return twisting_series(structure.apply, structure.cap, pi.value, args).coeffs
 
-    maps = tabulate(space, space, 2, structure.words(), value)
+    maps = tabulate(space, space, 2, {word: value(word) for word in structure.words()})
     return LInftyStructure(space, maps, structure.cap)
 
 

@@ -12,15 +12,19 @@ from linfty import (
     MultiMap,
     StructureError,
     build_convolution,
+    check_homotopy,
     check_morphism,
     check_relations,
     cohomology,
     compose,
+    gauge_to_homotopy,
     identity_morphism,
     is_quasi_iso,
     lift_coderivation,
     lift_morphism,
     make_linfty,
+    mc_to_morphism,
+    morphism_to_mc,
 )
 import linfty.morphism as morphism_module
 from linfty.homotopy import PathAlgebra
@@ -533,11 +537,39 @@ def test_every_map_family_keeps_one_contract(degree, target, build):
 def test_a_morphism_is_a_degree_one_hom_element(two_term):
     f = identity_morphism(two_term)
     assert isinstance(f, HomElement) and f.degree == 1
+    assert f == morphism_to_mc(f) and morphism_to_mc(f) is f
     same = MorphismComponents(two_term, two_term, f.components)
-    assert same == f and not same.verified
+    assert type(same) is HomElement and same == f and not same.verified
     total = f + same
-    assert type(total) is HomElement and total.degree == 1
+    assert type(total) is HomElement and total.degree == 1 and not total.verified
     assert total.components == f.scale(2).components
+    conv = build_convolution(two_term, two_term, two_term.cap)
+    shifted = f + conv.zero(1)
+    assert type(shifted) is HomElement and shifted == f
+    # a degree-1 vector built directly is a morphism to every caller
+    direct = HomElement(two_term, two_term, 1, f.components)
+    square = compose(direct, direct)
+    assert square == f and not square.verified
+    direction = conv.basis_hom(canonicalize_word(("b",), two_term.space)[0], "a")
+    h = gauge_to_homotopy(direct, direction)
+    assert direct.verified and h.endpoint(Fraction(0)) == direct
+    assert check_homotopy(direct, h.endpoint(Fraction(1)), h).passed
+
+
+def test_a_vector_of_another_degree_is_no_morphism(two_term_with_h):
+    s = two_term_with_h
+    space = s.space
+    up = MultiMap.from_entries(space, space, 1, 1, {("a",): {"b": F(1)}})
+    down = MultiMap.from_entries(space, space, 1, -1, {("b",): {"a": F(1)}})
+    vectors = {2: HomElement(s, s, 2, {1: up}), 0: HomElement(s, s, 0, {1: down})}
+    f = identity_morphism(s)
+    for degree, vector in vectors.items():
+        named = "got one of degree %d" % degree
+        refusals = [check_morphism, is_quasi_iso, lift_morphism, morphism_to_mc, mc_to_morphism]
+        refusals += [lambda v: compose(f, v), lambda v: compose(v, f)]
+        for refuse in refusals:
+            with pytest.raises(InputError, match=named):
+                refuse(vector)
 
 
 def test_a_structure_failing_its_relations_is_refused_everywhere():
