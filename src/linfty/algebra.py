@@ -74,6 +74,10 @@ class LInftyStructure:
             return Element.zero(self.space, sum(e.degree for e in elements) + 2 - n)
         return q.apply(elements)
 
+    def arities(self) -> set[int]:
+        """The weights n with a stored Q_n; ``apply`` is zero at every other."""
+        return set(self.maps)
+
     def words(self) -> list[Word]:
         out: list[Word] = []
         for n in range(1, self.cap + 1):
@@ -375,13 +379,11 @@ def _closure(
 
     Q_1 is applied once to each row that joins, since those rows span it.
     """
-    rows, pivots = linalg.row_reduce([g.coeffs for g in generators], order)
-    basis = dict(zip(pivots, rows))
-    pending = [Element(space, order[p][0], row) for p, row in basis.items()]
-    while q1 is not None and pending:
-        images = [q1.apply([e]) for e in pending]
-        pending = [e for e in images if linalg.extend(basis, e.coeffs, order)]
-    return [Element(space, order[p][0], basis[p]) for p in sorted(basis, key=order.__getitem__)]
+    basis: dict = {}
+    while generators:
+        joined = [e for e in generators if linalg.extend(basis, e.coeffs, order)]
+        generators = [q1.apply([e]) for e in joined] if q1 is not None else []
+    return [Element(space, order[p][0], row) for row, p in zip(*linalg.echelon(basis, order))]
 
 
 def _index(elements: list[Element]) -> dict[str, list[tuple]]:

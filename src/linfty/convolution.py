@@ -206,6 +206,10 @@ class ConvolutionAlgebra:
             raise InputError("%d-ary bracket applied to %d arguments" % (n, len(elements)))
         return self.bracket(elements)
 
+    def arities(self) -> set[int]:
+        """1 and the target's stored weights from 2: ``bracket`` is zero elsewhere."""
+        return {1} | {n for n in self.target.maps if n >= 2}
+
     def mc_residual(self, alpha: HomElement) -> HomElement:
         """Curvature of a degree-1 element in the truncated mapping space."""
         return mc_residual(self, alpha)

@@ -5,22 +5,22 @@ maps vanishing above the weight cap the sum is finite and every statement is
 "up to the cap".  Twisting inserts a flat element into the front slots of
 every structure map, the untwisted map being the zeroth term.  The gauge
 flow integrates d/dt pi_t = Q_1^{pi_t}(xi) one power of t at a time, with
-exact coefficients: the coefficient of t^(k+1) sums over multisets of the
-powers t^0 ... t^k, each read once.  The powers above (cap - 1) * K + 1, K
-the top nonzero one, vanish, so the polynomial path is exact.  In a
-nilpotent structure the coefficient of t^k lies in level k of the lower
-central filtration, so the coefficients die out; a nonzero power at the
-bound means the structure was not nilpotent.  A certified depth is at most
-dim + 1 (the levels before it strictly shrink), so the default bound of
-dim + 3 powers never needs the series.
+exact coefficients: the coefficient of t^(k+1) sums each stored Q_n over
+multisets of n - 1 of the powers t^0 ... t^k; the powers above
+(n_max - 1) * K + 1, n_max the top stored arity and K the top nonzero power,
+vanish, so the path is exact.  In a nilpotent structure the coefficient of
+t^k lies in level k of the lower central filtration, so the coefficients die
+out; a nonzero power at the bound means the structure was not nilpotent.  A
+certified depth is at most dim + 1 (the levels before it strictly shrink),
+so the default bound of dim + 3 powers never needs the series.
 
 The curvature, the twisted differential and the flow read an algebra only
-through ``cap``, ``space`` (where its vectors live) and ``apply(n, elements)``,
-the n-ary operation, zero where the algebra has no map.  A structure offers
-them on ``Element`` values of its graded space, the mapping space
-:class:`~linfty.convolution.ConvolutionAlgebra` on ``HomElement`` values,
-so flows of morphisms run on component maps directly; :func:`twist` and
-strict curvature need the structure maps.
+through ``cap``, ``space`` (where its vectors live), ``arities()`` (the n
+with a map) and ``apply(n, elements)``, the n-ary operation, zero where the
+algebra has no map.  A structure offers them on ``Element`` values of its
+graded space, the mapping space :class:`~linfty.convolution.ConvolutionAlgebra`
+on ``HomElement`` values, so flows of morphisms run on component maps
+directly; :func:`twist` and strict curvature need the structure maps.
 All sums of this kind but :func:`twist`'s go through :func:`twisting_series`.
 
 :class:`MCElement`, an element with its curvature, and :class:`FlowReport`,
@@ -276,20 +276,20 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
 
     With pi_t = sum of a_k t^k and a_0 = pi0, the t^k part of the series is
 
-        a_{k+1} = sum over multisets k_1 <= ... <= k_m of k, m < cap, of
+        a_{k+1} = sum over multisets k_1 <= ... <= k_m of k, m + 1 stored, of
                   Q_{m+1}(a_{k_1}, ..., a_{k_m}, xi) / ((k + 1) * prod r_i!),
 
     r_i the repeats of a power: Q_{m+1} is graded-symmetric in degree-1
     arguments, so the m!/prod r_i! orderings of a multiset are one term.
     Multisets that read a zero coefficient are skipped.  A term of a_{j+1}
-    reads at most cap - 1 nonzero powers, each <= K, the top nonzero one,
-    so once the powers up to (cap - 1) * K + 1 are known the path is exact.
+    reads at most n_max - 1 powers, each <= K (n_max the top stored arity, K
+    the top nonzero power), so the powers up to (n_max - 1) * K + 1 fix the path.
     ``iteration_bound`` counts powers, t^0 the first: a path of degree D is
     returned iff D + 1 <= bound, and a nonzero power at the bound raises
     :class:`NonConvergenceError`, the diagnostic for a structure that is
     not nilpotent; a bound below 1 is an :class:`InputError`.  ``pi0``,
     ``xi`` and the path's coefficients are vectors of ``algebra.space``.
-    With Q1(w) = a and Q3(w, a, a) = c, a_2 = 0 and a_3 sits at (cap - 1) * 1 + 1:
+    With Q1(w) = a and Q3(w, a, a) = c, a_2 = 0 and a_3 sits at (n_max - 1) * 1 + 1:
 
     >>> from linfty.grading import GradedSpace, MultiMap
     >>> V = GradedSpace([("w", 0), ("a", 1), ("c", 1)])
@@ -322,16 +322,17 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
         raise InputError("the iteration bound must be at least 1, got %d" % iteration_bound)
     space = algebra.space
     bound = space.dimension() + 3 if iteration_bound is None else iteration_bound
+    arities = sorted(algebra.arities())
     coefficients = [pi0]
     support = [0] if pi0 else []
     powers = 0
-    while powers <= (algebra.cap - 1) * max(support, default=0):
+    while powers <= (max(arities, default=1) - 1) * max(support, default=0):
         terms: dict = {}
-        for m in range(algebra.cap):
-            for parts in compositions(powers, m, support):
+        for n in arities:
+            for parts in compositions(powers, n - 1, support):
                 repeats = prod(factorial(len(list(run))) for _, run in groupby(parts))
                 args = [coefficients[p] for p in parts] + [xi]
-                add_scaled(terms, algebra.apply(m + 1, args), Fraction(1, (powers + 1) * repeats))
+                add_scaled(terms, algebra.apply(n, args), Fraction(1, (powers + 1) * repeats))
         powers += 1
         coefficient = space.zero(1)._like(terms)
         coefficients.append(coefficient)

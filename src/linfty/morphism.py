@@ -466,10 +466,10 @@ def cohomology(structure: LInftyStructure) -> CohomologyReport:
                 coeffs = {p: -row[free] for p, row in zip(pivots, reduced) if free in row}
                 coeffs[free] = Fraction(1)
                 kernel.append(Element(space, d, coeffs))
-        incoming = [values[n] for n in space.basis_of_degree(d - 1) if n in values]
-        rows, pivots = linalg.row_reduce(incoming, order)
-        images[d] = [Element(space, d, row) for row in rows]
-        span = dict(zip(pivots, rows))
+        span: dict = {}
+        for n in space.basis_of_degree(d - 1):
+            linalg.extend(span, values.get(n, {}), order)
+        images[d] = [Element(space, d, row) for row in linalg.echelon(span, order)[0]]
         reps[d] = [e for e in kernel if linalg.extend(span, e.coeffs, order)]
         kernels[d] = kernel
         dims[d] = len(kernel) - len(images[d])

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 from linfty import GradedSpace, linalg
@@ -92,6 +93,85 @@ def test_extend_keeps_exactly_the_rows_that_raise_the_rank():
             assert linalg.extend(basis, sparse(row, keys), order) == (after > before)
             dependent += after == before
             want_rows, want_pivots = reference_row_reduce(rows[: i + 1])
-            assert sorted(basis) == want_pivots
-            assert [dense(basis[p], keys) for p in want_pivots] == want_rows
+            got_rows, got_pivots = linalg.echelon(basis, order)
+            assert got_pivots == want_pivots
+            assert [dense(r, keys) for r in got_rows] == want_rows
     assert dependent > 100
+
+
+def big_matrix(rng):
+    """Rows over 2**100-sized coprime denominators, with rows proportional to
+    earlier ones and combinations of earlier ones, which cancel exactly."""
+    ncols = rng.randint(1, 6)
+    base = 2**100 + rng.randrange(2**20)
+
+    def entry():
+        # adjacent denominators base + k and base + k + 1 are coprime
+        return F(rng.randrange(-2**100, 2**100), base + rng.randrange(4))
+
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.random() if rows else 0
+        if kind < 0.5:
+            rows.append([entry() if rng.random() < 0.6 else F(0) for _ in range(ncols)])
+        elif kind < 0.75:
+            c = entry() or F(1)
+            rows.append([c * x for x in rng.choice(rows)])
+        else:
+            a, b, c, d = rng.choice(rows), rng.choice(rows), entry(), entry()
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+    return rows, ncols
+
+
+def test_extend_on_huge_coprime_denominators_matches_the_dense_reference():
+    rng = random.Random(73)
+    dependent = huge = 0
+    for _ in range(150):
+        rows, ncols = big_matrix(rng)
+        keys = list(range(ncols))
+        order = {k: k for k in keys}
+        basis: dict = {}
+        rank = 0
+        for i, row in enumerate(rows):
+            after = len(reference_row_reduce(rows[: i + 1])[1])
+            assert linalg.extend(basis, sparse(row, keys), order) == (after > rank)
+            dependent += after == rank
+            rank = after
+        want_rows, want_pivots = reference_row_reduce(rows)
+        got_rows, got_pivots = linalg.echelon(basis, order)
+        assert got_pivots == want_pivots
+        assert [dense(r, keys) for r in got_rows] == want_rows
+        assert linalg.row_reduce([sparse(r, keys) for r in rows], order) == (got_rows, got_pivots)
+        assert all(r[p] == 1 for r, p in zip(got_rows, got_pivots))
+        huge += any(x.denominator > 2**100 for r in got_rows for x in r.values())
+    assert dependent > 100 and huge > 50
+
+
+def test_extend_makes_no_fraction_arithmetic():
+    # the kernel scales each row to integers and reduces in int: no Fraction
+    # product, sum, difference or quotient runs while it reduces Fraction rows
+    watched = {
+        getattr(Fraction, name).__code__ for name in ("_mul", "_add", "_sub", "_div")
+    }
+    rng = random.Random(79)
+    matrices = [random_sparse_matrix(rng) for _ in range(60)] + [big_matrix(rng) for _ in range(20)]
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            seen.append(frame.f_code.co_name)
+
+    extended = 0
+    for rows, ncols in matrices:
+        keys = list(range(ncols))
+        order = {k: k for k in keys}
+        given = [sparse(r, keys) for r in rows]
+        basis: dict = {}
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            extended += sum(linalg.extend(basis, row, order) for row in given)
+        finally:
+            sys.setprofile(previous)
+    assert seen == []
+    assert extended > 100

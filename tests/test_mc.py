@@ -25,9 +25,11 @@ from linfty import (
     twist,
 )
 from linfty import algebra, grading
+from linfty.convolution import ConvolutionAlgebra
 from linfty.homotopy import PathElement
 from linfty.morphism import HomElement
 from linfty.mc import MCElement, twisted_differential_of
+from linfty.perturbation import PerturbationRequest, perturb
 
 from conftest import (
     heis,
@@ -557,27 +559,33 @@ def count_applies(monkeypatch, structure):
     return calls
 
 
+def q2_q3_loop():
+    """{w:0, v:1} with Q2(w,v) = v and Q3(w,v,v) = v at cap 3; not nilpotent."""
+    space = GradedSpace([("w", 0), ("v", 1)])
+    q2 = MultiMap.from_entries(space, space, 2, 0, {("w", "v"): {"v": F(1)}})
+    q3 = MultiMap.from_entries(space, space, 3, -1, {("w", "v", "v"): {"v": F(1)}})
+    return make_linfty(space, {2: q2, 3: q3}, cap=3)
+
+
 def test_refusal_work_grows_polynomially_in_the_bound(monkeypatch):
     # {w:0, v:1} with Q2(w,v) = v and Q3(w,v,v) = v: the flow of v along w is
     # 2 / (1 + e^t) v, not a polynomial.  Its even powers above t^0 vanish,
     # so at bound 12 the flow computes t^1 ... t^13 and refuses at t^13: one
-    # Q1(xi), one Q2 per nonzero power 0, 1, 3, ..., 11 (7) and one Q3 per
-    # pair i <= j of them with i + j <= 12 (19) make 27 calls; Picard's
-    # iterate doubled its degree every step instead
-    space = GradedSpace([("w", 0), ("v", 1)])
-    q2 = MultiMap.from_entries(space, space, 2, 0, {("w", "v"): {"v": F(1)}})
-    q3 = MultiMap.from_entries(space, space, 3, -1, {("w", "v", "v"): {"v": F(1)}})
-    structure = make_linfty(space, {2: q2, 3: q3}, cap=3)
+    # Q2 per nonzero power 0, 1, 3, ..., 11 (7) and one Q3 per pair i <= j
+    # of them with i + j <= 12 (19) make 26 calls, and the absent Q1 is never
+    # called on xi; Picard's iterate doubled its degree every step instead
+    structure = q2_q3_loop()
+    space = structure.space
     calls = count_applies(monkeypatch, structure)
     with pytest.raises(NonConvergenceError, match="within 12 iterations"):
         gauge_flow(structure, Element(space, 1, {"v": F(1)}), Element(space, 0, {"w": F(1)}), 12)
-    assert len(calls) == 27
+    assert len(calls) == 26
 
 
 def test_deep_flow_work_is_pinned(monkeypatch):
-    # shift(4, 64) at cap 3: a path of degree 63 is certified by the zero
-    # powers up to 2 * 63 + 1, after 1 + 64 + 2080 calls: Q1(xi), Q2 on each
-    # of the 64 nonzero powers and the absent Q3 on every pair i <= j of them
+    # shift(4, 64) at cap 3 stores Q2 alone: a path of degree 63 is certified
+    # by the zero power (2 - 1) * 63 + 1, after 64 calls, Q2 on each of the 64
+    # nonzero powers; the absent Q1 and Q3 are never called
     structure = shift(4, 64, random.Random(64))
     space = structure.space
     pi0 = Element(space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
@@ -585,4 +593,63 @@ def test_deep_flow_work_is_pinned(monkeypatch):
     calls = count_applies(monkeypatch, structure)
     path = gauge_flow(structure, pi0, xi)
     assert path.max_power() == 63
-    assert len(calls) == 2145
+    assert len(calls) == 64
+
+
+def test_the_flow_reads_only_the_stored_arities(monkeypatch, repeating_levels, high_arity_loop):
+    # the flow calls apply only at arities in structure.maps, and its paths
+    # and refusals are the Picard reference's on families whose stored
+    # arities skip some below the cap: Q1 and Q6, Q1, Q3 and Q4, and Q2 and
+    # Q3 without Q1 (twostep3 is nilpotent, q2_q3_loop is not).  The flows
+    # of repeating_levels reach t^6, one power past its default bound of
+    # dim + 3 = 6, so they run at explicit bounds on both sides of it (its
+    # Picard reference expands ordered tuples of Q6)
+    rng = random.Random(1409)
+    families = [
+        (repeating_levels, {1, 6, 7}),
+        (high_arity_loop, {1, 2, 3, 4}),
+        (twostep3(3, rng), {None, 1, 2, 3}),
+        (q2_q3_loop(), {1, 2, 3, 4, 5, 6}),
+    ]
+    cases = []
+    for structure, bounds in families:
+        assert structure.arities() == set(structure.maps)
+        calls = count_applies(monkeypatch, structure)
+        for _ in range(2):
+            pi0 = random_vector(structure, 1, rng)
+            xi = random_vector(structure, 0, rng)
+            for bound in sorted(bounds, key=lambda b: b or 0):
+                flow_outcome(gauge_flow, structure, pi0, xi, bound)
+                cases.append((structure, pi0, xi, bound))
+        assert calls and set(calls) <= set(structure.maps)
+    # the reference's twisted series calls apply at every arity up to the cap
+    monkeypatch.undo()
+    for structure, pi0, xi, bound in cases:
+        assert_flow_matches_reference(structure, pi0, xi, bound, exact=bound is None)
+    assert len(cases) == 34
+
+
+def test_a_mapping_space_flow_brackets_only_at_the_targets_arities(monkeypatch):
+    # heis stores Q2 alone, so the dense weight-1 perturbation of its
+    # identity calls the differential and the binary bracket of the mapping
+    # space, and no bracket of arity 3 or more
+    rng = random.Random(1410)
+    structure = heis(3, rng, cap=4)
+    space = structure.space
+    entries = {(z,): {x: _coeff(rng) for x in space.basis_of_degree(1)}
+               for z in space.basis_of_degree(2)}
+    correction = MultiMap.from_entries(space, space, 1, -1, entries)
+    conv = build_convolution(structure, structure, structure.cap)
+    assert conv.arities() == {1, 2}
+    arities = []
+    bracket = ConvolutionAlgebra.bracket
+
+    def spy(self, alphas):
+        arities.append(len(alphas))
+        return bracket(self, alphas)
+
+    monkeypatch.setattr(ConvolutionAlgebra, "bracket", spy)
+    identity = identity_morphism(structure)
+    perturbed = perturb(PerturbationRequest(identity, 1, correction))
+    assert perturbed != identity
+    assert set(arities) == {1, 2}

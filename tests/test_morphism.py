@@ -17,6 +17,7 @@ from linfty import (
     check_relations,
     cohomology,
     compose,
+    gauge_flow,
     gauge_to_homotopy,
     identity_morphism,
     is_quasi_iso,
@@ -25,6 +26,7 @@ from linfty import (
     make_linfty,
     mc_to_morphism,
     morphism_to_mc,
+    twist,
 )
 import linfty.morphism as morphism_module
 from linfty.homotopy import PathAlgebra
@@ -45,6 +47,7 @@ from conftest import (
     reference_representatives,
     reference_row_reduce,
     reference_solve,
+    shift,
     through,
     weight_one_part,
 )
@@ -447,13 +450,21 @@ def test_quasi_iso_reads_every_representative_off_one_reduction():
 
 def test_cohomology_representatives_match_the_greedy_reference():
     # the kernels, images, dimensions and representatives of the sparse
-    # reductions against dense ones of the Q_1 matrices
+    # reductions against dense ones of the Q_1 matrices; the last structure
+    # is shift(4, 16) twisted by a flow endpoint, whose Q_1 has numerators
+    # of over 40 bits
     rng = random.Random(97)
     structures = [random_complex(rng, [rng.randint(1, 5) for _ in range(4)]) for _ in range(40)]
     while len(structures) < 55:
         candidate = random_valid_structure(SMALL_SPACES[len(structures) % 3], 3, rng)
         if 1 in candidate.maps:
             structures.append(candidate)
+    deep = shift(4, 16, rng)
+    pi0 = Element(deep.space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
+    xi = Element(deep.space, 0, {"p1": F(1), "p2": F(3)})
+    structures.append(twist(deep, gauge_flow(deep, pi0, xi).evaluate(F(1))))
+    q1 = structures[-1].maps[1]
+    assert max(abs(c.numerator).bit_length() for e in q1.values.values() for c in e.coeffs.values()) > 40
     several = 0
     for structure in structures:
         space, q1 = structure.space, structure.maps[1]
