@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -59,20 +60,28 @@ class LInftyStructure:
             raise InputError("cap must be >= 1")
         self.space = space
         self.cap = cap
-        self.maps: dict[int, MultiMap] = map_family(maps, space, space, cap, 2)
+        self.maps: Mapping[int, MultiMap] = MappingProxyType(map_family(maps, space, space, cap, 2))
         self.verified = False
 
     def apply(self, n: int, elements: Sequence[Element]) -> Element:
         """Q_n on n elements of the space; zero where the structure has no map."""
+        coeffs: dict = {}
+        self.accumulate(coeffs, n, elements, 1)
+        return self.build(sum(e.degree for e in elements) + 2 - n, coeffs)
+
+    def accumulate(self, totals: dict, n: int, elements: Sequence[Element], scalar) -> None:
+        """Add ``scalar`` times Q_n on n elements into a name -> coefficient dict."""
         if len(elements) != n:
             raise InputError("Q_%d applied to %d arguments" % (n, len(elements)))
         for e in elements:
             if e.space is not self.space and e.space != self.space:
                 raise InputError("element does not live in the structure's space")
         q = self.maps.get(n)
-        if q is None:
-            return Element.zero(self.space, sum(e.degree for e in elements) + 2 - n)
-        return q.apply(elements)
+        if q is not None:
+            q.accumulate(totals, elements, scalar)
+
+    def build(self, degree: int, totals: Mapping[str, Fraction]) -> Element:
+        return Element(self.space, degree, totals)
 
     def arities(self) -> set[int]:
         """The weights n with a stored Q_n; ``apply`` is zero at every other."""
@@ -149,8 +158,8 @@ class Coderivation:
         self._cache[word] = out
         return out
 
-    def precompose(self, maps: Mapping[int, MultiMap], scalar=1) -> dict[Word, dict]:
-        """``scalar`` times the cogenerator part of ``maps`` after the lift, by word.
+    def precompose(self, maps: Mapping[int, MultiMap], scalar=1, out: dict | None = None) -> dict[Word, dict]:
+        """``scalar`` times the cogenerator part of ``maps`` after the lift, by word, added to ``out``.
 
         The value at a word W, a name -> coefficient dict, is the sum of
         ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(W)``.  It is
@@ -183,7 +192,7 @@ class Coderivation:
                         flip = evens if odd else i
                         index.setdefault(name, []).append((u[:i] + u[i + 1 :], flip % 2, a))
                     evens += not odd
-        out: dict[Word, dict] = {}
+        out = {} if out is None else out
         joins = self._joins
         for k, q in self.structure.maps.items():
             room = self.structure.cap - k

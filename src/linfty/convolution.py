@@ -47,16 +47,16 @@ Sign conventions (the one table everything below refers to):
 
 The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
 defined with the morphisms it generalises (a morphism is its degree-1
-vector) and re-exported here.  Both operations run over stored entries, the
-differential through :meth:`~linfty.algebra.Coderivation.precompose`, sum
-them into word totals and build their result from those with
-:meth:`~linfty.morphism.HomElement.from_totals`; neither reads a word list.
-The calculus of :mod:`linfty.mc` and :mod:`linfty.homotopy` reads a
-:class:`ConvolutionAlgebra` through ``cap``, ``space`` and ``apply(n,
-elements)``, which is ``bracket``, so flows, homotopies and their documents
-stay on component maps.  The coordinates ``hom_space`` (names
-``word>name``) and ``hom_to_element`` are a view for tests and tracing,
-built on first use and read by no computation.
+vector) and re-exported here.  :meth:`ConvolutionAlgebra.accumulate` adds
+either operation into word totals from stored entries, the differential
+through :meth:`~linfty.algebra.Coderivation.precompose`, and ``build``
+makes a vector of them (:meth:`~linfty.morphism.HomElement.from_totals`);
+no word list is read.  ``differential``, ``bracket`` and ``apply`` are the
+two in turn.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read a
+:class:`ConvolutionAlgebra` through the algebra protocol of :mod:`linfty.mc`,
+so flows, homotopies and their documents stay on component maps.  The
+coordinates ``hom_space`` (names ``word>name``) and ``hom_to_element`` are
+a view for tests and tracing, built on first use and read by no computation.
 """
 
 from __future__ import annotations
@@ -154,51 +154,42 @@ class ConvolutionAlgebra:
 
     # -- structure maps ---------------------------------------------------
 
-    def differential(self, alpha: HomElement) -> HomElement:
-        """Mapping-space differential: Q'_1 after, minus signed Q before.
-
-        Q'_1 runs over ``alpha``'s stored values, and the second term is
-        :meth:`~linfty.algebra.Coderivation.precompose` of its components,
-        driven by stored entries; no word list is read.
-        """
-        q1 = self.target.maps.get(1)
-        # minus the crossing sign (-1)**(u - 1) of alpha past Q
-        totals = self._lift.precompose(alpha.components, 1 if alpha.degree % 2 == 0 else -1)
-        if q1 is not None:
-            for comp in alpha.components.values():
-                for word, val in comp.values.items():
-                    q1.accumulate(totals.setdefault(word, {}), [val], 1)
-        return HomElement.from_totals(self.source, self.target, alpha.degree + 1, totals)
-
-    def bracket(self, alphas: Sequence[HomElement]) -> HomElement:
-        """The n-ary operation on n mapping-space elements.
-
-        Driven by the arguments' stored entries, not by the words of the
-        truncation: each term of :func:`~linfty.morphism.entry_splittings`,
-        a stored value of Q_n on one name of one entry w_i -> v_i of each
-        argument, goes to the canonical word W of w_1 ... w_n, and the terms
-        of one word go into one dict.  One argument repeated at odd degree,
-        as in the curvature, has its entries chosen once per multiset.  An
-        argument from another source/target pair or cap raises
-        :class:`~linfty.grading.InputError`.
-        """
+    def accumulate(self, totals: dict, n: int, alphas: Sequence[HomElement], scalar) -> None:
+        """Add ``scalar`` times the n-ary operation on ``alphas`` into word totals: for
+        n = 1 Q'_1 of the values less the signed :meth:`~linfty.algebra.Coderivation.precompose`
+        of the components, else the terms of :func:`~linfty.morphism.entry_splittings`.
+        An argument of another pair or cap raises :class:`~linfty.grading.InputError`."""
+        if len(alphas) != n:
+            raise InputError("%d-ary bracket applied to %d arguments" % (n, len(alphas)))
         pair = self._pair()
         for a in alphas:
             if not isinstance(a, HomElement) or (a.cap, a.source.space, a.target.space) != pair:
                 raise InputError("argument is not an element of this mapping space")
-        n = len(alphas)
         if n == 1:
-            return self.differential(alphas[0])
-        u_out = sum(a.degree for a in alphas) + 2 - n
+            # minus the crossing sign (-1)**(u - 1) of alpha past Q
+            alpha, q1 = alphas[0], self.target.maps.get(1)
+            self._lift.precompose(alpha.components, scalar if alpha.degree % 2 == 0 else -scalar, totals)
+            for word, val in alpha.values.items() if q1 is not None else ():
+                q1.accumulate(totals.setdefault(word, {}), [val], scalar)
+            return
         qn = self.target.maps.get(n)
-        if qn is None:
-            return self.zero(u_out)
-        # a repeated argument passes its one by_factors dict, so its slots can form a run
-        slots = [(a.degree - 1, a.by_factors) for a in alphas]
+        if qn is not None:
+            slots = [(a.degree - 1, a) for a in alphas]
+            for word, value, c in entry_splittings(slots, self.source.space, self.cap, self._joined, qn, scalar):
+                add_scaled(totals.setdefault(word, {}), value, c)
+
+    def build(self, degree: int, totals: dict[Word, dict]) -> HomElement:
+        return HomElement.from_totals(self.source, self.target, degree, totals)
+
+    def differential(self, alpha: HomElement) -> HomElement:
+        """Mapping-space differential: Q'_1 after, minus signed Q before."""
+        return self.bracket([alpha])
+
+    def bracket(self, alphas: Sequence[HomElement]) -> HomElement:
+        """The n-ary operation on n elements: :meth:`accumulate`, then :meth:`build`."""
         totals: dict[Word, dict] = {}
-        for word, value, coefficient in entry_splittings(slots, self.source.space, self.cap, self._joined, qn):
-            add_scaled(totals.setdefault(word, {}), value, coefficient)
-        return HomElement.from_totals(self.source, self.target, u_out, totals)
+        self.accumulate(totals, len(alphas), alphas, 1)
+        return self.build(sum(a.degree for a in alphas) + 2 - len(alphas), totals)
 
     def apply(self, n: int, elements: Sequence[HomElement]) -> HomElement:
         """The n-ary operation as :mod:`linfty.mc` calls it: ``bracket`` of n elements."""

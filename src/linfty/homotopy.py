@@ -12,16 +12,15 @@ elements (the dt-free part) and the evolution equation
 (the dt part, up to the recorded overall sign).  Gauge flows produce such
 homotopies with h1 constant in t.
 
-Like :mod:`linfty.mc`, the path algebra reads its base only through
-``cap``, ``space`` and ``apply(n, elements)``: a structure, or the mapping
-space :class:`~linfty.convolution.ConvolutionAlgebra`, over which the parts
-of a homotopy of morphisms are paths with ``HomElement`` coefficients.
+The path algebra reads its base only through the algebra protocol of
+:mod:`linfty.mc`, ``accumulate`` and ``build`` included: a structure, or the
+mapping space :class:`~linfty.convolution.ConvolutionAlgebra`, over which
+the parts of a homotopy of morphisms are paths with ``HomElement`` coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .grading import Combination, InputError, StructureError, add_scaled
 from .algebra import LInftyStructure, require_verified
@@ -109,10 +108,19 @@ class PathAlgebra:
         return PathElement(space, degree, even, PolyPath(space, degree - 1, odd))
 
     def curvature(self, pe: PathElement) -> PathElement:
-        """Flatness defect of a degree-1 path element, summed to the cap."""
+        """Flatness defect of a degree-1 path element h0 + h1 dt, summed to the cap.
+
+        The dt part of 1/n! q_n(pe, ..., pe) has h1 in slot i at the crossing
+        sign (-1)**(n-1-i) of dt past the later degree-1 arguments (:meth:`q_eval`);
+        moving the degree-0 h1 past them to the last slot costs -(-1)**(0*1) =
+        -1 each, so the signs cancel and the n slots are n * Q_n(h0, ..., h0,
+        h1), at 1/n! the twisted operation on h1.  q_1 adds -d h0/dt, so the
+        curvature is twisting_series(h0) + (twisting_series(h0, [h1]) - d h0/dt) dt.
+        """
         if pe.degree != 1:
             raise InputError("curvature is defined for degree-1 path elements")
-        return twisting_series(self.q_eval, self.base.cap, pe)
+        odd = twisting_series(self.base, pe.even, [pe.odd]) - pe.even.derivative()
+        return PathElement(pe.space, 2, twisting_series(self.base, pe.even), odd)
 
 
 class HomotopyElement:
@@ -158,13 +166,12 @@ def gauge_to_homotopy(morphism: HomElement, direction: HomElement) -> HomotopyEl
 
 def flatness_residual(h: HomotopyElement) -> PolyPath:
     """Curvature of the dt-free part, as a polynomial family (zero iff flat)."""
-    return twisting_series(partial(apply_to_paths, h.conv), h.conv.cap, h.h0)
+    return twisting_series(h.conv, h.h0)
 
 
 def evolution_residual(h: HomotopyElement) -> PolyPath:
     """d h0/dt minus the h1-twisted differential along h0 (zero iff evolving)."""
-    twisted = twisting_series(partial(apply_to_paths, h.conv), h.conv.cap, h.h0, [h.h1])
-    return h.h0.derivative() - twisted
+    return h.h0.derivative() - twisting_series(h.conv, h.h0, [h.h1])
 
 
 def unsplit_residual(h: HomotopyElement) -> PathElement:
@@ -172,10 +179,10 @@ def unsplit_residual(h: HomotopyElement) -> PathElement:
 
     Its dt-free part equals :func:`flatness_residual` and its dt part is
     minus :func:`evolution_residual`; the decomposition is the recorded
-    content of "flat in the path algebra" splitting in dt-degree.
+    content of "flat in the path algebra" splitting in dt-degree, derived in
+    :meth:`PathAlgebra.curvature`.
     """
-    combined = PathElement(h.h0.space, 1, h.h0, h.h1)
-    return PathAlgebra(h.conv).curvature(combined)
+    return PathAlgebra(h.conv).curvature(PathElement(h.h0.space, 1, h.h0, h.h1))
 
 
 class HomotopyReport:
@@ -254,14 +261,12 @@ def check_homotopy(
         raise InputError("morphisms and homotopy live on different pairs")
     flat = flatness_residual(h)
     evolution = evolution_residual(h)
-    starts = h.endpoint(Fraction(0)) == first
-    ends = h.endpoint(Fraction(1)) == second
-    sample_residuals = {t: mc_residual(conv, h.h0.evaluate(t)) for t in SAMPLE_TIMES}
+    points = {t: h.endpoint(t) for t in SAMPLE_TIMES}  # the endpoints among them
     return HomotopyReport(
         cap=conv.cap,
         flat=flat,
         evolution=evolution,
-        starts_at_first=starts,
-        ends_at_second=ends,
-        sample_residuals=sample_residuals,
+        starts_at_first=points[Fraction(0)] == first,
+        ends_at_second=points[Fraction(1)] == second,
+        sample_residuals={t: mc_residual(conv, point) for t, point in points.items()},
     )

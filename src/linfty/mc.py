@@ -16,12 +16,13 @@ so the default bound of dim + 3 powers never needs the series.
 
 The curvature, the twisted differential and the flow read an algebra only
 through ``cap``, ``space`` (where its vectors live), ``arities()`` (the n
-with a map) and ``apply(n, elements)``, the n-ary operation, zero where the
-algebra has no map.  A structure offers them on ``Element`` values of its
-graded space, the mapping space :class:`~linfty.convolution.ConvolutionAlgebra`
-on ``HomElement`` values, so flows of morphisms run on component maps
-directly; :func:`twist` and strict curvature need the structure maps.
-All sums of this kind but :func:`twist`'s go through :func:`twisting_series`.
+with a map), ``apply(n, elements)``, the n-ary operation, zero where the
+algebra has no map, and its halves ``accumulate(totals, n, elements, scalar)``
+and ``build(degree, totals)``.  A structure offers them on ``Element`` values,
+the mapping space :class:`~linfty.convolution.ConvolutionAlgebra` on
+``HomElement`` values, so flows of morphisms run on component maps directly;
+:func:`twist` and strict curvature need the structure maps.  All sums of this
+kind but those of :func:`twist` and :func:`gauge_flow` go through :func:`twisting_series`.
 
 :class:`MCElement`, an element with its curvature, and :class:`FlowReport`,
 a flow with its curvature at sample times, are reports in the protocol of
@@ -31,8 +32,7 @@ a flow with its curvature at sample times, are reports in the protocol of
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from math import factorial, prod
 from typing import Mapping, Sequence
 
@@ -52,33 +52,48 @@ from .algebra import LInftyStructure, compositions, lower_central_series
 SAMPLE_TIMES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
-def twisting_series(apply, cap: int, pi, args: Sequence = ()):
-    """sum over m of 1/m! * apply(m + k, [pi] * m + args), k = len(args).
+def twisting_series(algebra, pi, args: Sequence = ()):
+    """sum over m of 1/m! * Q_{m+k}(pi, ..., pi, args), k = len(args), at the
+    stored arities m + k, m >= 1 when k = 0.
 
-    ``apply(n, elements)`` is an n-ary operation; m runs up to the weight
-    cap, from 1 when there are no further arguments (the curvature) and
-    from 0 otherwise (the twisted operations).  Terms are vectors of one
-    :class:`~linfty.grading.Combination` kind, so elements, polynomial paths
-    and path-algebra elements all go through here.
+    ``pi`` has degree 1; it and the arguments are vectors or paths (a vector
+    is a path of one power), and the sum is a path if one of them is.  Over
+    pi = sum of a_p t^p, Q is graded-symmetric in degree-1 arguments, so each
+    multiset of powers repeating r_i times is summed once, at 1/prod r_i!.
+    Each power's terms go into one totals dict (``algebra.accumulate``), built once.
 
     >>> from linfty.grading import GradedSpace, MultiMap
     >>> V = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
     >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("x", "y"): {"z": Fraction(1)}})
     >>> heis = LInftyStructure(V, {2: q2}, cap=3)
     >>> pi = Element(V, 1, {"x": Fraction(2), "y": Fraction(3)})
-    >>> twisting_series(heis.apply, heis.cap, pi)
+    >>> twisting_series(heis, pi)
     6*z
-    >>> twisting_series(heis.apply, heis.cap, pi, [Element.basis(V, "y")])
+    >>> twisting_series(heis, pi, [Element.basis(V, "y")])
     2*z
+    >>> twisting_series(heis, PolyPath(V, 1, {0: pi.scale(Fraction(1, 2)), 1: pi}))
+    t^0*(3/2*z) + t^1*(6*z) + t^2*(6*z)
     """
     k = len(args)
-    if k > cap:
-        raise InputError("%d arguments exceed the weight cap %d" % (k, cap))
-    terms: dict = {}
-    for m in range(0 if k else 1, cap - k + 1):
-        term = apply(m + k, [pi] * m + list(args))
-        add_scaled(terms, term, Fraction(1, factorial(m)) if m > 1 else 1)
-    return term._like(terms)
+    if k > algebra.cap:
+        raise InputError("%d arguments exceed the weight cap %d" % (k, algebra.cap))
+    if pi.degree != 1:
+        raise InputError("the twisting element must have degree 1, got %d" % pi.degree)
+    paths = [a for a in (pi, *args) if isinstance(a, PolyPath)]
+    powers, *rest = (sorted(a.coefficients.items()) if isinstance(a, PolyPath) else [(0, a)] if a else []
+                     for a in (pi, *args))
+    degree = sum(a.degree for a in args) + 2 - k
+    totals: dict[int, dict] = {}
+    for n in sorted(algebra.arities()):
+        for chosen in combinations_with_replacement(powers, n - k) if n >= k else ():
+            repeats = prod(factorial(len(list(run))) for _, run in groupby(p for p, _ in chosen))
+            for tail in product(*rest):
+                terms = chosen + tail
+                into = totals.setdefault(sum(p for p, _ in terms), {})
+                algebra.accumulate(into, n, [e for _, e in terms], Fraction(1, repeats) if repeats > 1 else 1)
+    if not paths:
+        return algebra.build(degree, totals.get(0, {}))
+    return PolyPath(paths[0].space, degree, {p: algebra.build(degree, t) for p, t in totals.items()})
 
 
 def mc_residual(algebra, value: Element, require_nilpotent: bool = False) -> Element:
@@ -96,7 +111,7 @@ def mc_residual(algebra, value: Element, require_nilpotent: bool = False) -> Ele
                 "structure is not certified nilpotent within the bound; "
                 "the curvature sum is only guaranteed up to cap %d" % algebra.cap
             )
-    return twisting_series(algebra.apply, algebra.cap, value)
+    return twisting_series(algebra, value)
 
 
 class MCElement:
@@ -247,28 +262,17 @@ class PolyPath(Combination):
 
 
 def apply_to_paths(algebra, n: int, paths: list[PolyPath]) -> PolyPath:
-    """Multilinear evaluation of ``algebra.apply(n, .)`` on polynomial paths."""
-    space = paths[0].space
+    """The n-ary operation on n polynomial paths, every ordered tuple of powers."""
     degree = sum(p.degree for p in paths) + 2 - n
-    stack: list[tuple[int, list]] = [(0, [])]
-    for path in paths:
-        stack = [
-            (power + p, elems + [e])
-            for power, elems in stack
-            for p, e in path.coefficients.items()
-        ]
-    # power -> the terms of that power's coefficient, summed in place
     sums: dict[int, dict] = {}
-    for power, elems in stack:
-        add_scaled(sums.setdefault(power, {}), algebra.apply(n, elems), 1)
-    zero = space.zero(degree)
-    return PolyPath(space, degree, {p: zero._like(terms) for p, terms in sums.items()})
+    for terms in product(*(path.coefficients.items() for path in paths)):
+        algebra.accumulate(sums.setdefault(sum(p for p, _ in terms), {}), n, [e for _, e in terms], 1)
+    return PolyPath(paths[0].space, degree, {p: algebra.build(degree, t) for p, t in sums.items()})
 
 
 def twisted_differential_of(algebra, pi_path: PolyPath, xi) -> PolyPath:
     """Q_1^{pi_t}(xi) = sum over m of 1/m! Q_{m+1}(pi_t, ..., pi_t, xi)."""
-    xi_path = PolyPath(pi_path.space, xi.degree, {0: xi})
-    return twisting_series(partial(apply_to_paths, algebra), algebra.cap, pi_path, [xi_path])
+    return twisting_series(algebra, pi_path, [xi])
 
 
 def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath:

@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import factorial
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .grading import (
@@ -77,8 +78,9 @@ class HomElement(Combination):
         self.target = target
         self.cap = source.cap
         self.degree = degree
-        self.terms = map_family(components, source.space, target.space, self.cap, degree)
+        self.terms = MappingProxyType(map_family(components, source.space, target.space, self.cap, degree))
         self.verified = False
+        self._indexes: dict[int, tuple[MultiMap, dict]] = {}
 
     @classmethod
     def from_totals(
@@ -105,6 +107,12 @@ class HomElement(Combination):
     def by_factors(self) -> dict[tuple[str, ...], Element]:
         """The components' stored values keyed by factor tuples, all weights in one dict."""
         return {f: v for c in self.components.values() for f, v in c.by_factors.items()}
+
+    def entry_index(self, q: MultiMap) -> dict:
+        """:func:`entry_splittings`' index of the entries for ``q``, kept per weight while ``q`` is the map."""
+        if self._indexes.get(q.weight, (None,))[0] is not q:
+            self._indexes[q.weight] = q, _entry_index(self.by_factors, q, self.source.space, self.cap + 1)
+        return self._indexes[q.weight][1]
 
     @property
     def values(self) -> dict[Word, Element]:
@@ -207,7 +215,7 @@ class MorphismLift:
         out: dict[Word, dict] = {}
         for n, q in maps.items():
             splittings = entry_splittings(
-                [(0, F.by_factors)] * n, F.source.space, F.cap, self._joined, q, Fraction(1, factorial(n))
+                [(0, F)] * n, F.source.space, F.cap, self._joined, q, Fraction(1, factorial(n))
             )
             for word, value, coefficient in splittings:
                 add_scaled(out.setdefault(word, {}), value, coefficient)
@@ -219,7 +227,7 @@ def lift_morphism(morphism: HomElement) -> MorphismLift:
 
 
 def entry_splittings(
-    slots: Sequence[tuple[int, Mapping[tuple[str, ...], Element]]],
+    slots: Sequence[tuple[int, HomElement | Mapping[tuple[str, ...], Element]]],
     space: GradedSpace,
     cap: int,
     joined: dict,
@@ -229,7 +237,8 @@ def entry_splittings(
     """The terms of Q'_n on the ordered splittings that read one entry per slot.
 
     Slot j is ``(shift, entries)``: an integer and a mapping from canonical
-    factor tuples w to values v, elements that ``q`` (a map Q'_n) reads.
+    factor tuples w to values v, elements that ``q`` (a map Q'_n) reads, or a
+    :class:`HomElement`, which keeps the index of its stored entries.
     For every choice of one entry per slot whose blocks w_1, ..., w_n join
     into a word W of weight at most ``cap`` that does not vanish, and of one
     name of each v_i that together make up a word Q'_n stores, this yields
@@ -271,18 +280,11 @@ def entry_splittings(
     ('a', 'b') 1*b 1
     ('a', 'b') 1*b 1
     """
-    base = cap + 1
-    codes, subcodes = q.key_index[:2]
     walk_slots, shifts = [], []
     for j, (shift, entries) in enumerate(slots):
         if not j or slots[j - 1][1] is not entries:
-            index = {}
-            for position, (w, v) in enumerate(entries.items()):
-                reach = [(name, c) for name, c in v.coeffs.items() if codes[name] in subcodes]
-                if reach:
-                    row = _block_row(w, space, base)
-                    for name, c in reach:
-                        index.setdefault(name, []).append((position, c, row))
+            vector = isinstance(entries, HomElement)
+            index = entries.entry_index(q) if vector else _entry_index(entries, q, space, cap + 1)
             if not index:
                 return
         walk_slots.append((index, j > 0 and index is walk_slots[-1][0] and shift % 2 == 0 == shifts[-1]))
@@ -314,8 +316,21 @@ def entry_splittings(
         yield word, value, coefficient * ways
 
 
+def _entry_index(entries: Mapping[tuple[str, ...], Element], q: MultiMap, space: GradedSpace, base: int) -> dict:
+    """The walk index of ``entries`` by the value names ``q`` reads: name -> ``(position, c, block row)``."""
+    codes, subcodes = q.key_index[:2]
+    index: dict[str, list] = {}
+    for position, (w, v) in enumerate(entries.items()):
+        reach = [(name, c) for name, c in v.coeffs.items() if codes[name] in subcodes]
+        if reach:
+            row = _block_row(w, space, base)
+            for name, c in reach:
+                index.setdefault(name, []).append((position, c, row))
+    return index
+
+
 def _block_row(factors: tuple[str, ...], space: GradedSpace, base: int) -> tuple:
-    """What :func:`entry_splittings` reads of one entry, formed once per call.
+    """What :func:`entry_splittings` reads of one entry, formed once per index.
 
     ``mask`` has bit a set when an odd number of the block's even-degree
     names come before basis index a; ``code`` adds up to the multiset code
@@ -370,11 +385,7 @@ def check_morphism(morphism: HomElement) -> ResidualReport:
     require_verified(morphism.source, "source structure")
     require_verified(morphism.target, "target structure")
     totals = lift_morphism(morphism).precompose(morphism.target.maps)
-    for word, coeffs in lift_coderivation(morphism.source).precompose(morphism.components, -1).items():
-        into = totals.setdefault(word, {})
-        for name, c in coeffs.items():
-            got = into.get(name)
-            into[name] = c if got is None else got + c
+    lift_coderivation(morphism.source).precompose(morphism.components, -1, totals)
     residual = HomElement.from_totals(morphism.source, morphism.target, 2, totals)
     report = ResidualReport(morphism.cap, "morphism compatible", "morphism residuals", residual.values)
     morphism.verified = report.passed

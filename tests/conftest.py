@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
@@ -22,7 +24,8 @@ from linfty import (
 from linfty.algebra import FiltrationChain, LInftyStructure
 from linfty.convolution import HomElement
 from linfty.grading import add_scaled, signed_blocks, subword, tabulate, unshuffles
-from linfty.mc import MCElement, PolyPath, mc_element, twisted_differential_of, twisting_series
+from linfty.homotopy import PathElement
+from linfty.mc import MCElement, PolyPath, mc_element, twisting_series
 
 F = Fraction
 
@@ -527,7 +530,7 @@ def reference_gauge_flow(algebra, pi0, xi, iteration_bound=None):
     steps = 0
     while steps < bound:
         steps += 1
-        updated = base + twisted_differential_of(algebra, current, xi).integrate()
+        updated = base + reference_twisted_differential_of(algebra, current, xi).integrate()
         if updated == current:
             return current
         current = updated
@@ -535,6 +538,89 @@ def reference_gauge_flow(algebra, pi0, xi, iteration_bound=None):
         "gauge flow did not reach a fixpoint within %d iterations; "
         "the structure is not nilpotent within the bound" % bound
     )
+
+
+# Test references for the exponential kernel linfty.mc.twisting_series: the
+# series summed at every arity up to the cap over every ordered tuple of
+# powers of a path, through ``apply`` of each tuple, and the path-algebra
+# curvature through one ordered evaluation per slot of the dt part.
+
+
+def reference_twisting_series(apply, cap, pi, args=()):
+    """sum over m of 1/m! * apply(m + k, [pi] * m + args), k = len(args)."""
+    k = len(args)
+    if k > cap:
+        raise InputError("%d arguments exceed the weight cap %d" % (k, cap))
+    terms = {}
+    for m in range(0 if k else 1, cap - k + 1):
+        term = apply(m + k, [pi] * m + list(args))
+        add_scaled(terms, term, Fraction(1, factorial(m)) if m > 1 else 1)
+    return term._like(terms)
+
+
+def reference_apply_to_paths(algebra, n, paths):
+    """Multilinear evaluation of ``algebra.apply(n, .)`` on polynomial paths."""
+    space = paths[0].space
+    degree = sum(p.degree for p in paths) + 2 - n
+    stack = [(0, [])]
+    for path in paths:
+        stack = [
+            (power + p, elems + [e])
+            for power, elems in stack
+            for p, e in path.coefficients.items()
+        ]
+    sums = {}
+    for power, elems in stack:
+        add_scaled(sums.setdefault(power, {}), algebra.apply(n, elems), 1)
+    zero = space.zero(degree)
+    return PolyPath(space, degree, {p: zero._like(terms) for p, terms in sums.items()})
+
+
+def reference_path_series(algebra, pi, args=()):
+    """The series on paths, every ordered tuple of powers."""
+    return reference_twisting_series(partial(reference_apply_to_paths, algebra), algebra.cap, pi, args)
+
+
+def reference_twisted_differential_of(algebra, pi_path, xi):
+    return reference_path_series(algebra, pi_path, [PolyPath(pi_path.space, xi.degree, {0: xi})])
+
+
+def reference_q_eval(base, n, elements):
+    """The path-algebra map q_n with the dt part in every slot, in turn."""
+    if len(elements) != n:
+        raise InputError("weight-%d map applied to %d path elements" % (n, len(elements)))
+    degree = sum(e.degree for e in elements) + 2 - n
+    space = elements[0].space
+    even = reference_apply_to_paths(base, n, [e.even for e in elements])
+    odd = {}
+    for i, e in enumerate(elements):
+        if not e.odd:
+            continue
+        crossing = sum(elements[j].degree for j in range(i + 1, n))
+        args = [elements[j].even for j in range(n)]
+        args[i] = e.odd
+        add_scaled(odd, reference_apply_to_paths(base, n, args), -1 if crossing % 2 else 1)
+    if n == 1:
+        e = elements[0]
+        add_scaled(odd, e.even.derivative(), -1 if e.degree % 2 else 1)
+    return PathElement(space, degree, even, PolyPath(space, degree - 1, odd))
+
+
+def reference_curvature(base, pe):
+    """The path-algebra curvature of a degree-1 element, q_n slot by slot."""
+    return reference_twisting_series(partial(reference_q_eval, base), base.cap, pe)
+
+
+def reference_flatness(h):
+    return reference_path_series(h.conv, h.h0)
+
+
+def reference_evolution(h):
+    return h.h0.derivative() - reference_path_series(h.conv, h.h0, [h.h1])
+
+
+def reference_unsplit(h):
+    return reference_curvature(h.conv, PathElement(h.conv, 1, h.h0, h.h1))
 
 
 # Test reference for linfty.mc.twist: the twisted series evaluated on every
@@ -555,7 +641,7 @@ def reference_twist(structure, pi):
 
     def value(word):
         args = [Element.basis(space, name) for name in word.factors]
-        return twisting_series(structure.apply, structure.cap, pi.value, args).coeffs
+        return twisting_series(structure, pi.value, args).coeffs
 
     maps = tabulate(space, space, 2, {word: value(word) for word in structure.words()})
     return LInftyStructure(space, maps, structure.cap)

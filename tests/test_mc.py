@@ -138,8 +138,9 @@ def test_twist_rechecks_an_element_checked_on_another_structure(heisenberg):
 
 def test_twisting_series_refuses_more_arguments_than_the_cap(heisenberg):
     x = Element.basis(heisenberg.space, "x")
+    capped = make_linfty(heisenberg.space, heisenberg.maps, cap=2)
     with pytest.raises(InputError, match="3 arguments exceed the weight cap 2"):
-        mc.twisting_series(heisenberg.apply, 2, x, [x, x, x])
+        mc.twisting_series(capped, x, [x, x, x])
 
 
 def _coeff(rng):
