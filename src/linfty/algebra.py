@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -42,8 +42,10 @@ from .grading import (
     MultiMap,
     StructureError,
     Word,
+    add_over,
     add_scaled,
     canonicalize_word,
+    integer_rows,
     map_family,
     tabulate,
     unshuffles,
@@ -171,7 +173,8 @@ class Coderivation:
         repeats), adding ``v[n] * a`` times that sign and the lift's sign of
         the position sets of W that read S, times their number: they differ
         only in which copies of a repeated odd-degree name they take, and
-        those swap with sign +1 (:func:`_join`, memoised per (S, rest)).
+        those swap with sign +1 (:func:`_join`, memoised per (S, rest)).  It
+        sums in ``int``, over the lcm of the denominators of ``maps`` times that of the Q_k.
 
         >>> V = GradedSpace([("b", 1), ("c", 2)])
         >>> q1 = MultiMap.from_entries(V, V, 1, 1, {("b",): {"c": Fraction(1)}})
@@ -182,8 +185,11 @@ class Coderivation:
         """
         space = self.structure.space
         index: dict[str, list] = {}
+        den = lcm(*(f.rows[0] for f in maps.values()))
+        qden = lcm(*(q.rows[0] for q in self.structure.maps.values()))
         for _, f in sorted(maps.items()):  # lightest first, for the cap cut below
-            for u, a in f.by_factors.items():
+            for u, a in f.rows[1].items():
+                a = tuple((t, den // f.rows[0] * n) for t, n in a)
                 evens = 0
                 for i, name in enumerate(u):
                     odd = space.degree(name) % 2
@@ -194,10 +200,12 @@ class Coderivation:
                     evens += not odd
         out = {} if out is None else out
         joins = self._joins
+        sums: dict[Word, dict] = {}
         for k, q in self.structure.maps.items():
             room = self.structure.cap - k
-            for chosen, v in q.by_factors.items():
-                for name, c in v.coeffs.items():
+            up = scalar.numerator * (qden // q.rows[0])
+            for chosen, v in q.rows[1].items():
+                for name, c in v:
                     for rest, flip, a in index.get(name, ()):
                         if len(rest) > room:
                             break
@@ -206,10 +214,12 @@ class Coderivation:
                             got = joins[chosen, rest] = _join(chosen, rest, space)
                         word, count = got
                         if word is not None:
-                            coeffs = out.get(word)
-                            if coeffs is None:
-                                coeffs = out[word] = {}
-                            add_scaled(coeffs, a, (-count if flip else count) * scalar * c)
+                            into = sums.setdefault(word, {})
+                            m = (-count if flip else count) * up * c
+                            for t, n in a:
+                                into[t] = into.get(t, 0) + m * n
+        for word, into in sums.items():
+            add_over(out.setdefault(word, {}), into, den * qden * scalar.denominator)
         return out
 
 
@@ -396,11 +406,12 @@ def _closure(
 
 
 def _index(elements: list[Element]) -> dict[str, list[tuple]]:
-    """The :meth:`MultiMap.walk` index of a level's spanning elements, each row its position."""
+    """The :meth:`MultiMap.walk` index of a level's spanning elements, their
+    integer numerators over one denominator, each row its position and degree."""
     index: dict[str, list[tuple]] = {}
-    for p, e in enumerate(elements):
-        for name, c in e.coeffs.items():
-            index.setdefault(name, []).append((p, c, p))
+    for p, (e, row) in enumerate(zip(elements, integer_rows(e.coeffs for e in elements)[1])):
+        for name, n in row:
+            index.setdefault(name, []).append((p, n, (p, e.degree)))
     return index
 
 
@@ -419,14 +430,17 @@ def compositions(total: int, parts: int, support: Sequence[int]):
 
 def _generators(q: MultiMap, total: int, pools: list) -> list[Element]:
     """``q`` on each multiset of spanning elements of levels i_1 <= ... <= i_k summing
-    to ``total`` whose names can reach a stored word, equal levels a run."""
+    to ``total`` whose names can reach a stored word, equal levels a run; each
+    times the positive product of the denominators, which leaves its span alone."""
     out = []
     for parts in compositions(total, q.weight, range(1, total + 1)):
         slots = [(pools[p - 1], j > 0 and p == parts[j - 1]) for j, p in enumerate(parts)]
-        sums: dict[tuple, tuple] = {}  # chosen positions -> degree, coefficients
-        for chosen, value, c in q.walk(slots, 1, lambda chosen, p: chosen + (p,), ()):
-            add_scaled(sums.setdefault(chosen, (value.degree, {}))[1], value, c)
-        out += [Element(q.target, degree, coeffs) for degree, coeffs in sums.values()]
+        sums: dict[tuple, dict] = {}  # chosen (position, degree) rows -> name -> numerator
+        for chosen, row, c in q.walk(slots, 1, lambda chosen, p: chosen + (p,), ()):
+            into = sums.setdefault(chosen, {})
+            for name, n in row:
+                into[name] = into.get(name, 0) + c * n
+        out += [Element(q.target, sum(d for _, d in chosen) + q.degree, into) for chosen, into in sums.items()]
     return out
 
 

@@ -49,10 +49,10 @@ The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
 defined with the morphisms it generalises (a morphism is its degree-1
 vector) and re-exported here.  :meth:`ConvolutionAlgebra.accumulate` adds
 either operation into word totals from stored entries, the differential
-through :meth:`~linfty.algebra.Coderivation.precompose`, and ``build``
-makes a vector of them (:meth:`~linfty.morphism.HomElement.from_totals`);
-no word list is read.  ``differential``, ``bracket`` and ``apply`` are the
-two in turn.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read a
+through :meth:`~linfty.algebra.Coderivation.precompose`, both in ``int``
+with one ``Fraction`` per sum; ``build`` makes a vector of them
+(:meth:`~linfty.morphism.HomElement.from_totals`); no word list is read.
+``differential``, ``bracket`` and ``apply`` are the two in turn.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read a
 :class:`ConvolutionAlgebra` through the algebra protocol of :mod:`linfty.mc`,
 so flows, homotopies and their documents stay on component maps.  The
 coordinates ``hom_space`` (names ``word>name``) and ``hom_to_element`` are
@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .grading import Element, GradedSpace, InputError, Word, add_scaled
+from .grading import Element, GradedSpace, InputError, Word
 from .algebra import LInftyStructure, lift_coderivation, require_verified
 from .morphism import HomElement, entry_splittings, require_morphism
 from .mc import mc_residual
@@ -175,8 +175,7 @@ class ConvolutionAlgebra:
         qn = self.target.maps.get(n)
         if qn is not None:
             slots = [(a.degree - 1, a) for a in alphas]
-            for word, value, c in entry_splittings(slots, self.source.space, self.cap, self._joined, qn, scalar):
-                add_scaled(totals.setdefault(word, {}), value, c)
+            entry_splittings(totals, slots, self.source.space, self.cap, self._joined, qn, scalar)
 
     def build(self, degree: int, totals: dict[Word, dict]) -> HomElement:
         return HomElement.from_totals(self.source, self.target, degree, totals)

@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -336,6 +338,28 @@ def add_scaled(terms: dict, vector: "Combination", scalar) -> None:
         terms[key] = c if got is None else got + c
 
 
+def integer_rows(values: Iterable[Mapping]) -> tuple[int, list[tuple]]:
+    """One denominator d for the rational coefficients of ``values``, their
+    lcm, and each value as an integer row ``((key, numerator), ...)`` over d.
+
+    >>> integer_rows([{"a": Fraction(1, 2)}, {"b": Fraction(-2, 3), "c": 1}])
+    (6, [(('a', 3),), (('b', -4), ('c', 6))])
+    """
+    values = list(values)
+    d = lcm(*(c.denominator for v in values for c in v.values()))
+    return d, [tuple((key, c.numerator * (d // c.denominator)) for key, c in v.items()) for v in values]
+
+
+def add_over(totals: dict, sums: Mapping, denominator: int) -> None:
+    """Add each nonzero integer sum over ``denominator`` into a key ->
+    coefficient dict as one ``Fraction``: the exit of the integer kernels."""
+    for key, n in sums.items():
+        if n:
+            c = Fraction(n, denominator)
+            got = totals.get(key)
+            totals[key] = c if got is None else got + c
+
+
 class Combination:
     """Immutable sparse linear combination: ``terms`` maps a key to a nonzero coefficient.
 
@@ -395,11 +419,11 @@ class Combination:
 
 
 class Element(Combination):
-    """Homogeneous element of a graded space: name -> exact coefficient.
+    """Homogeneous element of a graded space: name -> rational coefficient.
 
-    Coefficients are ``Fraction`` in ordinary use; any exact ring element
-    supporting ``+``, ``-``, ``*`` and truthiness works (polynomial
-    coefficients ride through the same code paths).
+    Coefficients are rationals, ``Fraction`` or ``int``: the map kernels
+    read them as integer numerators over a denominator
+    (:func:`integer_rows`), so no other ring rides through them.
     """
 
     __slots__ = ("space", "degree")
@@ -465,7 +489,8 @@ class MultiMap(Combination):
     Values live on canonical words only; evaluation on an arbitrary tuple is
     the canonicalization sign times the stored value, zero when the tuple
     canonicalizes to zero.  A weight-n map of degree d sends a word of degree
-    w to an element of degree w + d.
+    w to an element of degree w + d.  ``values`` and ``by_factors`` are
+    read-only, since :attr:`rows` and :attr:`key_index` are caches of them.
     """
 
     values = Combination.terms
@@ -484,27 +509,24 @@ class MultiMap(Combination):
         self.target = target
         self.weight = weight
         self.degree = degree
-        self.terms: dict[Word, Element] = {}
+        stored: dict[Word, Element] = {}
+        for word, value in (values or {}).items():
+            if len(word.factors) != weight:
+                raise StructureError(
+                    "word %r has weight %d, map has weight %d"
+                    % (word.factors, len(word.factors), weight)
+                )
+            if value.degree != word.degree + degree:
+                raise StructureError(
+                    "value on %r has degree %d, expected %d"
+                    % (word.factors, value.degree, word.degree + degree)
+                )
+            if value:
+                stored[word] = value
+        self.terms: Mapping[Word, Element] = MappingProxyType(stored)
         # The same values keyed by factor tuples, so a tuple of names is
         # looked up before any sign or Word is built for it.
-        self.by_factors: dict[tuple[str, ...], Element] = {}
-        for word, value in (values or {}).items():
-            self._store(word, value)
-
-    def _store(self, word: Word, value: Element):
-        if len(word.factors) != self.weight:
-            raise StructureError(
-                "word %r has weight %d, map has weight %d"
-                % (word.factors, len(word.factors), self.weight)
-            )
-        if value.degree != word.degree + self.degree:
-            raise StructureError(
-                "value on %r has degree %d, expected %d"
-                % (word.factors, value.degree, word.degree + self.degree)
-            )
-        if value:
-            self.values[word] = value
-            self.by_factors[word.factors] = value
+        self.by_factors: Mapping[tuple[str, ...], Element] = MappingProxyType({w.factors: v for w, v in stored.items()})
 
     @classmethod
     def from_entries(
@@ -556,10 +578,17 @@ class MultiMap(Combination):
         return self.value(word).scale(sign)
 
     @cached_property
-    def key_index(self) -> tuple[dict[str, int], set[int], dict[int, Element], dict]:
+    def rows(self) -> tuple[int, dict[tuple[str, ...], tuple]]:
+        """The stored values as integer rows over one denominator
+        (:func:`integer_rows`), by factor tuple; built once."""
+        den, rows = integer_rows(v.coeffs for v in self.by_factors.values())
+        return den, dict(zip(self.by_factors, rows))
+
+    @cached_property
+    def key_index(self) -> tuple[dict[str, int], set[int], dict[int, tuple], dict]:
         """The code ``(weight + 1)**index`` of each source name, the code sums
-        of every sub-multiset of a stored word, the stored values by code,
-        and :meth:`walk`'s memo of the names extending a code; built once."""
+        of every sub-multiset of a stored word, the integer :attr:`rows` by
+        code, and :meth:`walk`'s memo of the names extending a code; built once."""
         base = self.weight + 1
         codes = {name: base**i for i, name in enumerate(self.source.names)}
         subcodes = {0}
@@ -568,23 +597,23 @@ class MultiMap(Combination):
             for name in factors:
                 grown |= {c + codes[name] for c in grown}
             subcodes |= grown
-        by_code = {sum(map(codes.get, factors)): v for factors, v in self.by_factors.items()}
+        by_code = {sum(map(codes.get, factors)): row for factors, row in self.rows[1].items()}
         return codes, subcodes, by_code, {}
 
-    def walk(self, slots: Sequence[tuple[Mapping, bool]], scalar, step, state) -> Iterator[tuple]:
+    def walk(self, slots: Sequence[tuple[Mapping, bool]], scalar: int, step, state) -> Iterator[tuple]:
         """The terms of the stored words made up of one name of one row per slot.
 
         Slot j is ``(index, run)``: ``index`` maps a source name to the rows
-        ``(position, coefficient, row)`` holding it, by position, and a
+        ``(position, numerator, row)`` holding it, by position, and a
         ``run`` slot reads slot j - 1's rows as a multiset, at no lower
         position.  A tuple keeps a name only while its code
         (:attr:`key_index`) stays inside a stored word, exact since no name
-        repeats past the weight, and a complete tuple reads its value by its
-        code.  ``step(state, row)``, unless None, folds a row into the state
-        once per prefix, and a None state drops the row.  Yields ``(state,
-        value, coefficient)``: ``scalar`` times the rows' coefficients, the
-        Koszul sign of sorting the names, read off parity masks of the
-        earlier names and odd names by index, and the r!/(m_1! ... m_k!)
+        repeats past the weight, and a complete tuple reads its value's
+        integer :attr:`rows` row by its code.  ``step(state, row)``, unless
+        None, folds a row into the state once per prefix, and a None state
+        drops the row.  Yields ``(state, row, coefficient)``, all in ``int``:
+        the int ``scalar`` times the numerators, the Koszul sign of sorting
+        the names, read off parity masks, and the r!/(m_1! ... m_k!)
         orderings of each run of r rows, m_i of them the same.  A run reads
         b before 3a once, counted twice, and sorting (b, a) costs -1:
 
@@ -592,14 +621,13 @@ class MultiMap(Combination):
         >>> m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
         >>> rows = {"b": [(0, 1, "b")], "a": [(1, 3, "a")]}
         >>> list(m.walk([(rows, False), (rows, True)], 1, lambda s, row: s + row, ""))
-        [('ba', 1*b, -6)]
+        [('ba', (('b', 1),), -6)]
         """
         codes, subcodes, by_code, successors = self.key_index
         # code, name mask, odd-name mask, sign parity, coefficient, orderings,
         # state, the last row's position and how many rows at the end repeat it
         prefixes = [(0, 0, 0, 0, scalar, 1, state, 0, 0)]
         place = 0  # the slot's place in its run
-        unit = type(scalar) is int and scalar == 1  # 1 * c is c, so take the first rows' c
         for index, run in slots:
             place = place + 1 if run else 1
             grown = []
@@ -629,9 +657,9 @@ class MultiMap(Combination):
                             if after is None:
                                 continue
                         same = ties + 1 if run and position == last else 1
-                        grown.append((new, names ^ low, odds ^ (low & odd), flip, c if unit else coeff * c,
+                        grown.append((new, names ^ low, odds ^ (low & odd), flip, coeff * c,
                                       count * place // same, after, position, same))
-            prefixes, unit = grown, False
+            prefixes = grown
         for code, _, _, parity, coeff, count, now, _, _ in prefixes:
             yield now, by_code[code], coeff * (-count if parity else count)
 
@@ -652,9 +680,9 @@ class MultiMap(Combination):
     def accumulate(self, coeffs: dict, elements: Sequence[Element], scalar) -> None:
         """Add ``scalar`` times the value on ``elements`` into a name -> coefficient dict.
 
-        One :meth:`walk` over one-row slots, one per argument, so only
-        stored words are completed, signed and multiplied out.
-        :meth:`apply` checks the arguments' space.
+        One :meth:`walk` over one-row slots of integer numerators, one per
+        argument, so only stored words are completed, signed and multiplied
+        out, in ``int``, and each name's sum goes in through :func:`add_over`.
 
         >>> V = GradedSpace([("a", 0), ("b", 1), ("c", 2), ("d", 1)])
         >>> m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 2}, ("b", "b"): {"c": 1}})
@@ -663,9 +691,16 @@ class MultiMap(Combination):
         >>> m.apply([Element(V, 1, {"b": 3, "d": 5})] * 2)
         9*c
         """
-        slots = [({name: ((0, c, None),) for name, c in e.coeffs.items()}, False) for e in elements]
-        for _, value, c in self.walk(slots, scalar, None, None):
-            add_scaled(coeffs, value, c)
+        den, slots = self.rows[0] * scalar.denominator, []
+        for e in elements:
+            d, (row,) = integer_rows([e.coeffs])
+            den *= d
+            slots.append(({name: ((0, n, None),) for name, n in row}, False))
+        sums: dict = {}
+        for _, row, c in self.walk(slots, scalar.numerator, None, None):
+            for name, n in row:
+                sums[name] = sums.get(name, 0) + c * n
+        add_over(coeffs, sums, den)
 
     def __repr__(self):
         return "MultiMap(weight=%d, degree=%d, %d entries)" % (

@@ -22,7 +22,8 @@ and ``build(degree, totals)``.  A structure offers them on ``Element`` values,
 the mapping space :class:`~linfty.convolution.ConvolutionAlgebra` on
 ``HomElement`` values, so flows of morphisms run on component maps directly;
 :func:`twist` and strict curvature need the structure maps.  All sums of this
-kind but those of :func:`twist` and :func:`gauge_flow` go through :func:`twisting_series`.
+kind but :func:`twist`'s go through :func:`twisting_series` or, in
+:func:`gauge_flow`, the same ``accumulate`` into one totals dict per power.
 
 :class:`MCElement`, an element with its curvature, and :class:`FlowReport`,
 a flow with its curvature at sample times, are reports in the protocol of
@@ -285,7 +286,8 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
 
     r_i the repeats of a power: Q_{m+1} is graded-symmetric in degree-1
     arguments, so the m!/prod r_i! orderings of a multiset are one term.
-    Multisets that read a zero coefficient are skipped.  A term of a_{j+1}
+    Multisets that read a zero coefficient are skipped; the rest accumulate
+    into one totals dict, built once.  A term of a_{j+1}
     reads at most n_max - 1 powers, each <= K (n_max the top stored arity, K
     the top nonzero power), so the powers up to (n_max - 1) * K + 1 fix the path.
     ``iteration_bound`` counts powers, t^0 the first: a path of degree D is
@@ -336,9 +338,9 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
             for parts in compositions(powers, n - 1, support):
                 repeats = prod(factorial(len(list(run))) for _, run in groupby(parts))
                 args = [coefficients[p] for p in parts] + [xi]
-                add_scaled(terms, algebra.apply(n, args), Fraction(1, (powers + 1) * repeats))
+                algebra.accumulate(terms, n, args, Fraction(1, (powers + 1) * repeats))
         powers += 1
-        coefficient = space.zero(1)._like(terms)
+        coefficient = algebra.build(1, terms)
         coefficients.append(coefficient)
         if coefficient:
             if powers >= bound:

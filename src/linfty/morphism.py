@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import chain
 from math import factorial
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .grading import (
     CoalgebraElement,
@@ -41,7 +41,9 @@ from .grading import (
     InputError,
     MultiMap,
     Word,
+    add_over,
     add_scaled,
+    integer_rows,
     map_family,
     signed_blocks,
     subword,
@@ -80,7 +82,7 @@ class HomElement(Combination):
         self.degree = degree
         self.terms = MappingProxyType(map_family(components, source.space, target.space, self.cap, degree))
         self.verified = False
-        self._indexes: dict[int, tuple[MultiMap, dict]] = {}
+        self._indexes: dict[int, tuple[MultiMap, tuple[dict, int]]] = {}
 
     @classmethod
     def from_totals(
@@ -108,8 +110,8 @@ class HomElement(Combination):
         """The components' stored values keyed by factor tuples, all weights in one dict."""
         return {f: v for c in self.components.values() for f, v in c.by_factors.items()}
 
-    def entry_index(self, q: MultiMap) -> dict:
-        """:func:`entry_splittings`' index of the entries for ``q``, kept per weight while ``q`` is the map."""
+    def entry_index(self, q: MultiMap) -> tuple[dict, int]:
+        """:func:`entry_splittings`' index of the entries for ``q``, with its denominator, kept per weight."""
         if self._indexes.get(q.weight, (None,))[0] is not q:
             self._indexes[q.weight] = q, _entry_index(self.by_factors, q, self.source.space, self.cap + 1)
         return self._indexes[q.weight][1]
@@ -214,11 +216,7 @@ class MorphismLift:
         F = self.morphism
         out: dict[Word, dict] = {}
         for n, q in maps.items():
-            splittings = entry_splittings(
-                [(0, F)] * n, F.source.space, F.cap, self._joined, q, Fraction(1, factorial(n))
-            )
-            for word, value, coefficient in splittings:
-                add_scaled(out.setdefault(word, {}), value, coefficient)
+            entry_splittings(out, [(0, F)] * n, F.source.space, F.cap, self._joined, q, Fraction(1, factorial(n)))
         return out
 
 
@@ -227,26 +225,27 @@ def lift_morphism(morphism: HomElement) -> MorphismLift:
 
 
 def entry_splittings(
+    totals: dict[Word, dict],
     slots: Sequence[tuple[int, HomElement | Mapping[tuple[str, ...], Element]]],
     space: GradedSpace,
     cap: int,
     joined: dict,
     q: MultiMap,
     scalar=1,
-) -> Iterator[tuple[Word, Element, object]]:
-    """The terms of Q'_n on the ordered splittings that read one entry per slot.
+) -> None:
+    """Add ``scalar`` times Q'_n on the ordered splittings that read one entry per slot into word totals.
 
     Slot j is ``(shift, entries)``: an integer and a mapping from canonical
     factor tuples w to values v, elements that ``q`` (a map Q'_n) reads, or a
     :class:`HomElement`, which keeps the index of its stored entries.
     For every choice of one entry per slot whose blocks w_1, ..., w_n join
     into a word W of weight at most ``cap`` that does not vanish, and of one
-    name of each v_i that together make up a word Q'_n stores, this yields
-    ``(W, value, coefficient)``: the stored value, and ``scalar`` times the
-    :meth:`~linfty.grading.MultiMap.walk` coefficient times the signed count
-    of the splittings of W into position blocks that read w_1, ..., w_n.
-    The terms of one W and entry tuple sum to Q'_n(v_1, ..., v_n) times
-    that count.  The splittings differ only in how the copies of a repeated
+    name of each v_i that together make up a word Q'_n stores, the
+    :meth:`~linfty.grading.MultiMap.walk` makes a term: the stored value
+    times the walk coefficient times the signed count of the splittings of
+    W into position blocks that read w_1, ..., w_n, summed per W and name
+    in ``int`` over one denominator (the scalar's, each slot's and ``q``'s).
+    The splittings differ only in how the copies of a repeated
     odd-degree name, of even lowered degree, are spread over the blocks, so
     their number is a product of multinomials and they share one sign: the
     block-splitting sign (W's desuspension sign, the classical Koszul sign
@@ -266,27 +265,28 @@ def entry_splittings(
     dict the caller may keep for every call over one space and cap.  A
     block too heavy to leave a name for each later slot is dropped, and so
     is an entry none of whose names Q'_n reads.
-    A run of two slots yields the distinct pair once, counted twice; two
-    slots over equal but distinct mappings yield both orders, whose signs of
+    A run of two slots reads the distinct pair once, counted twice; two
+    slots over equal but distinct mappings read both orders, whose signs of
     splitting and of sorting the names cancel:
 
     >>> V = GradedSpace([("a", 0), ("b", 1)])
     >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
     >>> entries = {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")}
     >>> for slots in ([(0, entries)] * 2, [(0, entries), (0, dict(entries))]):
-    ...     for word, value, coefficient in entry_splittings(slots, V, 2, {}, q2):
-    ...         print(word.factors, value, coefficient)
-    ('a', 'b') 1*b 2
-    ('a', 'b') 1*b 1
-    ('a', 'b') 1*b 1
+    ...     totals = {}
+    ...     entry_splittings(totals, slots, V, 2, {}, q2, Fraction(1, 2))
+    ...     print({word.factors: coeffs for word, coeffs in totals.items()})
+    {('a', 'b'): {'b': Fraction(1, 1)}}
+    {('a', 'b'): {'b': Fraction(1, 1)}}
     """
-    walk_slots, shifts = [], []
+    walk_slots, shifts, den = [], [], scalar.denominator * q.rows[0]
     for j, (shift, entries) in enumerate(slots):
         if not j or slots[j - 1][1] is not entries:
             vector = isinstance(entries, HomElement)
-            index = entries.entry_index(q) if vector else _entry_index(entries, q, space, cap + 1)
+            index, d = entries.entry_index(q) if vector else _entry_index(entries, q, space, cap + 1)
             if not index:
                 return
+        den *= d
         walk_slots.append((index, j > 0 and index is walk_slots[-1][0] and shift % 2 == 0 == shifts[-1]))
         shifts.append(shift % 2)
     last = len(slots) - 1
@@ -312,21 +312,31 @@ def entry_splittings(
         ways = word_tally // (tally * t)
         return word, -ways if (exponent + word_parity) % 2 else ways
 
-    for (word, ways), value, coefficient in q.walk(walk_slots, scalar, step, (0, 0, 0, 0, 0, 1, ())):
-        yield word, value, coefficient * ways
+    sums: dict[Word, dict] = {}
+    for (word, ways), row, coefficient in q.walk(walk_slots, scalar.numerator, step, (0, 0, 0, 0, 0, 1, ())):
+        into, coefficient = sums.setdefault(word, {}), coefficient * ways
+        for name, n in row:
+            into[name] = into.get(name, 0) + coefficient * n
+    for word, into in sums.items():
+        add_over(totals.setdefault(word, {}), into, den)
 
 
-def _entry_index(entries: Mapping[tuple[str, ...], Element], q: MultiMap, space: GradedSpace, base: int) -> dict:
-    """The walk index of ``entries`` by the value names ``q`` reads: name -> ``(position, c, block row)``."""
+def _entry_index(entries: Mapping[tuple[str, ...], Element], q: MultiMap, space: GradedSpace, base: int) -> tuple:
+    """The walk index of ``entries`` by the value names ``q`` reads, name ->
+    ``(position, numerator, block row)``, and its denominator."""
     codes, subcodes = q.key_index[:2]
-    index: dict[str, list] = {}
+    reached = []
     for position, (w, v) in enumerate(entries.items()):
-        reach = [(name, c) for name, c in v.coeffs.items() if codes[name] in subcodes]
+        reach = {name: c for name, c in v.coeffs.items() if codes[name] in subcodes}
         if reach:
-            row = _block_row(w, space, base)
-            for name, c in reach:
-                index.setdefault(name, []).append((position, c, row))
-    return index
+            reached.append((position, w, reach))
+    den, rows = integer_rows(reach for _, _, reach in reached)
+    index: dict[str, list] = {}
+    for (position, w, _), row in zip(reached, rows):
+        block = _block_row(w, space, base)
+        for name, n in row:
+            index.setdefault(name, []).append((position, n, block))
+    return index, den
 
 
 def _block_row(factors: tuple[str, ...], space: GradedSpace, base: int) -> tuple:

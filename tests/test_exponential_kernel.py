@@ -17,8 +17,10 @@ from linfty import (
     InputError,
     MultiMap,
     PolyPath,
+    Word,
     build_convolution,
     check_homotopy,
+    check_morphism,
     check_relations,
     gauge_to_homotopy,
     identity_morphism,
@@ -190,6 +192,20 @@ def test_maps_and_components_are_read_only(heisenberg):
     assert f.components == identity_morphism(heisenberg).components
 
 
+def test_a_multimaps_stores_are_read_only(heisenberg):
+    # the integer rows and key index are caches of values and by_factors,
+    # so a verified morphism cannot go stale one level down either
+    f = identity_morphism(heisenberg)
+    f1 = f.components[1]
+    value = Element.basis(heisenberg.space, "y").scale(5)
+    with pytest.raises(TypeError):
+        f1.values[Word(("x",), 1)] = value
+    with pytest.raises(TypeError):
+        f1.by_factors[("x",)] = value
+    assert f1.value(Word(("x",), 1)) == Element.basis(heisenberg.space, "x")
+    assert f.verified and check_morphism(f).passed
+
+
 def test_check_homotopy_evaluates_each_sample_time_once(monkeypatch):
     rng = random.Random(2704)
     base = heis(2, rng, cap=3, pair=True)
@@ -229,11 +245,12 @@ def test_an_element_keeps_its_entry_index_per_map(monkeypatch):
     assert first == again and sorted(built) == [2, 2, 3, 3]
     # a slot of the element and a slot of its entries give the same terms
     q3 = base.maps[3]
-    by_element = list(entry_splittings([(0, alpha), (0, alpha), (-1, beta)], base.space, 3, {}, q3))
-    by_entries = list(entry_splittings(
-        [(0, alpha.by_factors), (0, alpha.by_factors), (-1, beta.by_factors)], base.space, 3, {}, q3
-    ))
-    assert by_element == by_entries and by_element
+    by_element, by_entries = {}, {}
+    entry_splittings(by_element, [(0, alpha), (0, alpha), (-1, beta)], base.space, 3, {}, q3)
+    entry_splittings(
+        by_entries, [(0, alpha.by_factors), (0, alpha.by_factors), (-1, beta.by_factors)], base.space, 3, {}, q3
+    )
+    assert by_element == by_entries and any(by_element.values())
     # another map of the same weight builds its own index
     other = MultiMap(base.space, base.space, 3, -1, {})
-    assert alpha.entry_index(other) == {} and alpha.entry_index(q3) is not alpha.entry_index(other)
+    assert alpha.entry_index(other) == ({}, 1) and alpha.entry_index(q3) is not alpha.entry_index(other)

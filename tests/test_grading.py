@@ -352,8 +352,8 @@ def test_entry_splittings_count_and_sign_the_splittings_of_a_word():
                 expected[parts] = expected.get(parts, 0) + sign
             # slot j gives each of its blocks its own odd name t<j>_<i> of a
             # target, and Q'_n stores each expected splitting's names with a
-            # value s<k> of its own; odd names sort with sign +1, so each
-            # yield's coefficient is its splitting's signed count
+            # value s<k> of its own; odd names sort with sign +1, so the
+            # total of s<k> at the word is its splitting's signed count
             blocks = sorted({block for parts in expected for block in parts})
             splittings = sorted(expected)
             target = GradedSpace(
@@ -371,12 +371,10 @@ def test_entry_splittings_count_and_sign_the_splittings_of_a_word():
                          for parts in expected})
                 for j, u in enumerate(u_degrees)
             ]
-            got = {
-                splittings[int(next(iter(value.coeffs))[1:])]: coefficient
-                for joined, value, coefficient in entry_splittings(slots, space, m, {}, qn)
-                if joined == word
-            }
-            assert got == expected
+            totals = {}
+            entry_splittings(totals, slots, space, m, {}, qn)
+            got = {splittings[int(name[1:])]: c for name, c in totals.get(word, {}).items()}
+            assert got == {parts: c for parts, c in expected.items() if c}
             repeated += any(abs(coefficient) > 1 for coefficient in got.values())
     assert repeated > 10
 

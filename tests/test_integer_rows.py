@@ -1,0 +1,215 @@
+"""The integer kernels against the rational references.
+
+``MultiMap.accumulate``, ``entry_splittings`` and ``Coderivation.precompose``
+multiply integer numerators over one denominator per call and make one
+``Fraction`` per output name.  The references (``reference_apply``,
+``reference_bracket``, ``reference_project``) multiply ``Fraction``s term by
+term.  The inputs below carry pairwise coprime denominators and negative
+coefficients, sums that cancel to exactly zero, int, ``Fraction`` and
+negative ``Fraction`` scalars, maps whose values are all integers, and
+arguments with empty support, on ``twostep3``, on heis with the acyclic pair
+and on their mapping spaces.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+from linfty import (
+    Element,
+    HomElement,
+    MultiMap,
+    build_convolution,
+    check_morphism,
+    check_relations,
+    compose,
+    lift_coderivation,
+    make_linfty,
+    wedge_basis,
+)
+from linfty.morphism import MorphismComponents
+
+from conftest import heis, random_component_family, reference_apply, reference_bracket, reference_project, twostep3
+
+F = Fraction
+
+# pairwise coprime denominators, either sign
+COPRIME = (F(1, 2), F(-1, 3), F(1, 5), F(-1, 7), F(3, 2), F(-2, 5), F(5, 7), F(-4, 3))
+SCALARS = (1, -3, F(2, 7), F(-5, 6), F(-1, 1))
+
+
+def _rational(rng):
+    return rng.choice(COPRIME)
+
+
+def _recoefficient(m, rng, integral):
+    """``m``'s stored words and value names with new coefficients."""
+    entries = {
+        w.factors: {t: F(rng.choice((-3, -1, 2, 5))) if integral else _rational(rng) for t in v.coeffs}
+        for w, v in m.values.items()
+    }
+    return MultiMap.from_entries(m.source, m.target, m.weight, m.degree, entries)
+
+
+def _structures(rng):
+    """twostep3 and heis with the acyclic pair, their values rational or all integers;
+    every output is central, so new coefficients keep the relations."""
+    out = []
+    for base in (twostep3(3, rng, cap=3), heis(3, rng, cap=3, pair=True)):
+        for integral in (False, True):
+            maps = {n: _recoefficient(q, rng, integral) for n, q in base.maps.items()}
+            out.append(make_linfty(base.space, maps, base.cap))
+    return out
+
+
+def _element(space, degree, rng, density=0.7):
+    names = [n for n in space.basis_of_degree(degree) if rng.random() < density]
+    return Element(space, degree, {n: _rational(rng) for n in names})
+
+
+def _family(structure, degree, rng, density):
+    comps = random_component_family(structure, structure, structure.cap, rng, density, degree)
+    return {n: _recoefficient(m, rng, rng.random() < 0.3) for n, m in comps.items()}
+
+
+def _assert_no_zero_entry(vector):
+    for comp in vector.components.values():
+        assert comp.values and all(value.coeffs and all(value.coeffs.values()) for value in comp.values.values())
+
+
+def test_accumulate_matches_the_reference_apply():
+    rng = random.Random(2801)
+    cancelled = empty = 0
+    for structure in _structures(rng):
+        space = structure.space
+        for n, q in structure.maps.items():
+            for _ in range(6):
+                args = [_element(space, 1 if q.weight > 1 else rng.choice((1, 2)), rng) for _ in range(n)]
+                if rng.random() < 0.2:
+                    args[rng.randrange(n)] = space.zero(args[0].degree)
+                empty += any(not a for a in args)
+                want = reference_apply(q, args)
+                assert q.apply(args) == want
+                for scalar in SCALARS:
+                    totals = {}
+                    structure.accumulate(totals, n, args, scalar)
+                    assert structure.build(want.degree, totals) == want.scale(scalar)
+        # an even-degree argument in both slots of a weight-2 map: its terms
+        # Q(a, b) and Q(b, a) cancel in the integer sums, and no zero entry is left
+        evens = [w.factors for w in wedge_basis(space, 2) if len(set(w.factors)) == 2
+                 and all(space.degree(name) == 2 for name in w.factors)]
+        m = MultiMap.from_entries(space, space, 2, -2, {
+            w: {rng.choice(space.basis_of_degree(2)): _rational(rng)} for w in evens
+        })
+        alpha = _element(space, 2, rng, density=1.0)
+        coeffs = {}
+        m.accumulate(coeffs, [alpha, alpha], F(-3, 7))
+        assert coeffs == {} and reference_apply(m, [alpha, alpha]).is_zero()
+        cancelled += bool(evens)
+    assert cancelled == 4 and empty > 3
+
+
+def test_brackets_and_the_differential_match_the_reference_bracket(monkeypatch):
+    rng = random.Random(2802)
+    cancelled = nonzero = 0
+    terms = []
+    walk = MultiMap.walk
+
+    def recording(self, *args):
+        for term in walk(self, *args):
+            terms.append(term)
+            yield term
+
+    monkeypatch.setattr(MultiMap, "walk", recording)
+    for structure in _structures(rng):
+        conv = build_convolution(structure, structure, structure.cap)
+        for n in (1, 2, 3):
+            if n > 1 and n not in structure.maps:
+                continue
+            for _ in range(6):
+                alphas = [HomElement(structure, structure, u, _family(structure, u, rng, 0.3 * n))
+                          for u in (rng.choice((0, 1, 2)) for _ in range(n))]
+                if rng.random() < 0.2:
+                    u = alphas[-1].degree
+                    alphas[-1] = HomElement(structure, structure, u, {})
+                want = reference_bracket(conv, alphas)
+                got = conv.bracket(alphas)
+                assert got == want
+                _assert_no_zero_entry(got)
+                nonzero += not got.is_zero()
+                degree = sum(a.degree for a in alphas) + 2 - n
+                for scalar in SCALARS:
+                    totals = {}
+                    conv.accumulate(totals, n, alphas, scalar)
+                    assert conv.build(degree, totals) == want.scale(scalar)
+        # an even-degree element twice: nonzero terms that cancel exactly
+        alpha = HomElement(structure, structure, 0, _family(structure, 0, rng, 0.8))
+        terms.clear()
+        got = conv.bracket([alpha, alpha])
+        assert got.is_zero() and not got.components and reference_bracket(conv, [alpha, alpha]).is_zero()
+        cancelled += any(c for _, _, c in terms)
+    assert cancelled == 4 and nonzero > 10
+
+
+def test_precompose_matches_the_reference_project():
+    rng = random.Random(2803)
+    reached = 0
+    for structure in _structures(rng):
+        space, lift = structure.space, lift_coderivation(structure)
+        for u in (0, 1, 2):
+            maps = _family(structure, u, rng, 0.6)
+            for scalar in SCALARS:
+                got = lift.precompose(maps, scalar)
+                for word in structure.words():
+                    degree = word.degree + u + 1 - word.weight
+                    want = reference_project(lift, word, maps, space, degree).scale(scalar)
+                    value = Element(space, degree, got.get(word, {}))
+                    assert value == want
+                    assert all(got.get(word, {}).values()) or not got.get(word)
+                    reached += not want.is_zero()
+    assert reached > 50
+
+
+def _band(structure, rng):
+    """F1 x_i a combination of two consecutive generators, F1 scaling each
+    degree-2 name, and three F2 entries: a seeded morphism candidate."""
+    space = structure.space
+    gens = space.basis_of_degree(1)
+
+    def coeff():
+        return F(rng.choice((1, 2, 3)), rng.choice((1, 2, 3))) * rng.choice((1, -1))
+
+    f1 = {(name,): {gens[(i + k) % len(gens)]: coeff() for k in range(2)} for i, name in enumerate(gens)}
+    f1.update({(name,): {name: coeff()} for name in space.basis_of_degree(2)})
+    f2 = {(gens[i], gens[j]): {gens[(i + j) % len(gens)]: coeff()}
+          for i, j in list(combinations(range(len(gens)), 2))[:3]}
+    return MorphismComponents(structure, structure, {
+        1: MultiMap.from_entries(space, space, 1, 0, f1),
+        2: MultiMap.from_entries(space, space, 2, -1, f2),
+    })
+
+
+def test_the_fraction_constructions_of_the_morphism_checks_are_pinned(monkeypatch):
+    # check_morphism, the convolution curvature and compose of a band
+    # morphism on twostep3(4) at cap 3 make one Fraction per output name of
+    # each kernel call (208), plus the sums of two calls' Fractions at one
+    # name (25) and six scalars; summing term by term in Fraction made 1121
+    rng = random.Random(2804)
+    structure = twostep3(4, rng, cap=3)
+    assert check_relations(structure).passed
+    band = _band(structure, rng)
+    made = []
+    new = F.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", spy)
+    report = check_morphism(band)
+    curvature = build_convolution(structure, structure, structure.cap).mc_residual(band)
+    composite = compose(band, band)
+    monkeypatch.undo()
+    assert not report.passed and curvature.values == report.residuals
+    assert set(composite.components) == {1, 2, 3}
+    assert len(made) == 239

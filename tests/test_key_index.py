@@ -248,32 +248,28 @@ def test_morphism_checks_and_compose_list_no_words(monkeypatch):
         assert square.components[1].value(word) == value.scale(next(iter(value.coeffs.values())))
 
 
-def test_walk_takes_the_first_rows_coefficients_under_an_int_scalar_one(monkeypatch):
-    # scalar 1 * c would be one int * Fraction product per first-slot row;
-    # the walk takes c itself, so no such product is formed and each
-    # coefficient keeps the type it had
-    V = GradedSpace([("a", 0), ("b", 1)])
-    m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1)}})
-    reverse = []
-    rmul = F.__rmul__
+def test_walk_yields_int_coefficients_over_integer_rows(monkeypatch):
+    # the walk multiplies the slots' integer numerators and the int scalar,
+    # and completes a tuple with the stored value's integer row over the
+    # map's denominator; accumulate makes one Fraction per output name
+    V = GradedSpace([("a", 0), ("b", 1), ("c", 1)])
+    m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1, 2), "c": F(-2, 3)}})
+    assert m.rows == (6, {("a", "b"): (("b", 3), ("c", -4))})
+    slots = [({"a": [(0, 3, None)]}, False), ({"b": [(0, 5, None)]}, False)]
+    [(state, row, c)] = m.walk(slots, -2, None, None)
+    assert state is None and row == (("b", 3), ("c", -4)) and c == -30 and type(c) is int
+    made = []
+    new = F.__new__
 
-    def spy(self, other):
-        reverse.append(other)
-        return rmul(self, other)
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(F, "__rmul__", spy)
-
-    def coefficients(scalar, first, second):
-        slots = [({"a": [(0, first, None)]}, False), ({"b": [(0, second, None)]}, False)]
-        return [c for _, _, c in m.walk(slots, scalar, None, None)]
-
-    assert coefficients(1, F(3), F(1, 2)) == [F(3, 2)]
-    product = m.apply([Element(V, 0, {"a": F(3)}), Element(V, 1, {"b": F(1, 2)})])
-    assert product == Element(V, 1, {"b": F(3, 2)})
-    assert reverse == []
-    [c] = coefficients(1, 3, 2)
-    assert c == 6 and type(c) is int
-    [c] = coefficients(F(1), 3, 2)
-    assert c == 6 and type(c) is F
-    [c] = coefficients(F(1, 2), F(3), F(2))
-    assert c == F(3)
+    x, y = Element(V, 0, {"a": F(3, 7)}), Element(V, 1, {"b": F(5, 2), "c": F(1, 5)})
+    scalar, coeffs = F(-2, 3), {}
+    monkeypatch.setattr(F, "__new__", spy)
+    m.accumulate(coeffs, [x, y], scalar)
+    monkeypatch.undo()
+    # over 6 (the map) * 3 (the scalar) * 7 * 10 (the arguments): -2 * 3 * 25 times the row
+    assert sorted(made) == [(-450, 1260), (600, 1260)]
+    assert coeffs == {"b": F(-5, 14), "c": F(10, 21)}

@@ -548,15 +548,17 @@ def test_an_explicit_bound_counts_powers_not_picard_steps():
 
 
 def count_applies(monkeypatch, structure):
-    """Record the arity of every ``apply`` call the structure receives."""
+    """Record the arity of every ``accumulate`` call the structure receives:
+    one per evaluation of a structure map, since the flow adds each into one
+    totals dict per power."""
     calls = []
-    apply = structure.apply
+    accumulate = structure.accumulate
 
-    def counting(n, elements):
+    def counting(totals, n, elements, scalar):
         calls.append(n)
-        return apply(n, elements)
+        return accumulate(totals, n, elements, scalar)
 
-    monkeypatch.setattr(structure, "apply", counting)
+    monkeypatch.setattr(structure, "accumulate", counting)
     return calls
 
 
@@ -598,7 +600,7 @@ def test_deep_flow_work_is_pinned(monkeypatch):
 
 
 def test_the_flow_reads_only_the_stored_arities(monkeypatch, repeating_levels, high_arity_loop):
-    # the flow calls apply only at arities in structure.maps, and its paths
+    # the flow calls accumulate only at arities in structure.maps, and its paths
     # and refusals are the Picard reference's on families whose stored
     # arities skip some below the cap: Q1 and Q6, Q1, Q3 and Q4, and Q2 and
     # Q3 without Q1 (twostep3 is nilpotent, q2_q3_loop is not).  The flows
@@ -643,13 +645,13 @@ def test_a_mapping_space_flow_brackets_only_at_the_targets_arities(monkeypatch):
     conv = build_convolution(structure, structure, structure.cap)
     assert conv.arities() == {1, 2}
     arities = []
-    bracket = ConvolutionAlgebra.bracket
+    accumulate = ConvolutionAlgebra.accumulate
 
-    def spy(self, alphas):
-        arities.append(len(alphas))
-        return bracket(self, alphas)
+    def spy(self, totals, n, alphas, scalar):
+        arities.append(n)
+        return accumulate(self, totals, n, alphas, scalar)
 
-    monkeypatch.setattr(ConvolutionAlgebra, "bracket", spy)
+    monkeypatch.setattr(ConvolutionAlgebra, "accumulate", spy)
     identity = identity_morphism(structure)
     perturbed = perturb(PerturbationRequest(identity, 1, correction))
     assert perturbed != identity
