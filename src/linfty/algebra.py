@@ -16,8 +16,13 @@ it, differential graded Lie algebras embed with no sign twist and the
 relation residuals agree with the classical unshuffle identities with
 coefficients (-1)**(i*(j-1)).  No check applies Q word by word:
 :meth:`Coderivation.precompose` forms the cogenerator part of maps after Q
-from pairs of stored entries, for the relations, the F∘Q side of morphism
-compatibility and the mapping-space differential.
+from stored entries, for the relations, the F∘Q side of morphism
+compatibility and the mapping-space differential, through
+:func:`entry_splittings`, the one kernel of maps after either lift.  Its
+block-splitting sign is W's desuspension sign, the classical Koszul sign
+of the rearrangement on degrees lowered by one, each block's desuspension
+sign and that of the blocks' suspended degrees; a term of Q at S, read by
+f_n, has the sign of W's splitting into S and single names times (-1)**(n-1).
 
 Every check returns a report with one protocol: ``summary()`` is its text,
 ``to_json()`` its JSON payload, and a report that gives a verdict also has
@@ -29,8 +34,9 @@ compatibility and mapping-space curvature elsewhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb, lcm
+from functools import cached_property
+from itertools import chain, combinations
+from math import factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -64,6 +70,8 @@ class LInftyStructure:
         self.cap = cap
         self.maps: Mapping[int, MultiMap] = MappingProxyType(map_family(maps, space, space, cap, 2))
         self.verified = False
+        # entry_splittings' memo of the words joined over this space and cap
+        self.joined: dict = {}
 
     def apply(self, n: int, elements: Sequence[Element]) -> Element:
         """Q_n on n elements of the space; zero where the structure has no map."""
@@ -88,6 +96,14 @@ class LInftyStructure:
     def arities(self) -> set[int]:
         """The weights n with a stored Q_n; ``apply`` is zero at every other."""
         return set(self.maps)
+
+    @cached_property
+    def lift_slots(self) -> tuple["EntrySlot", "EntrySlot"]:
+        """:meth:`Coderivation.precompose`'s slots, the stored Q_k entries and the
+        basis names as entries ``(x,) -> x``; built once, as ``maps`` is read-only."""
+        entries = {w: v for q in self.maps.values() for w, v in q.by_factors.items()}
+        names = {(name,): Element.basis(self.space, name) for name in self.space.names}
+        return EntrySlot(entries, self.space, self.cap), EntrySlot(names, self.space, self.cap)
 
     def words(self) -> list[Word]:
         out: list[Word] = []
@@ -133,8 +149,6 @@ class Coderivation:
     def __init__(self, structure: LInftyStructure):
         self.structure = structure
         self._cache: dict[Word, CoalgebraElement] = {}
-        # precompose's memo: (S, rest) -> (W, signed count)
-        self._joins: dict = {}
 
     def on_word(self, word: Word) -> CoalgebraElement:
         cached = self._cache.get(word)
@@ -164,17 +178,15 @@ class Coderivation:
         """``scalar`` times the cogenerator part of ``maps`` after the lift, by word, added to ``out``.
 
         The value at a word W, a name -> coefficient dict, is the sum of
-        ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(W)``.  It is
-        formed from pairs of stored entries, so no word list is read: each
-        entry u -> a of ``maps`` is indexed by each distinct name n of u, with
-        rest = u less one n and the sign of sorting (n,) + rest into u.  A Q_k
-        entry S -> v whose value names n meets each indexed rest with
-        k + |rest| <= cap at W = S + rest (none when an even-degree name
-        repeats), adding ``v[n] * a`` times that sign and the lift's sign of
-        the position sets of W that read S, times their number: they differ
-        only in which copies of a repeated odd-degree name they take, and
-        those swap with sign +1 (:func:`_join`, memoised per (S, rest)).  It
-        sums in ``int``, over the lcm of the denominators of ``maps`` times that of the Q_k.
+        ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(W)``.  A term
+        puts Q_k(S) before the rest of W, so f_n = maps[n] reads the ordered
+        splittings of W into a block S of a stored Q_k entry and n - 1 single
+        names: :func:`entry_splittings` with a slot of the Q_k entries at
+        shift 1 and a run of n - 1 slots of the basis names at shift 0
+        (:attr:`LInftyStructure.lift_slots`).  The run counts the rest's
+        (n - 1)! orderings, and f_n's desuspension sign sees the one degree
+        Q adds to its first argument pass the n - 1 others: the scalar is
+        ``scalar * (-1)**(n - 1) / (n - 1)!``.
 
         >>> V = GradedSpace([("b", 1), ("c", 2)])
         >>> q1 = MultiMap.from_entries(V, V, 1, 1, {("b",): {"c": Fraction(1)}})
@@ -183,69 +195,182 @@ class Coderivation:
         >>> {word.factors: coeffs for word, coeffs in got.items()}
         {('b', 'b'): {'c': Fraction(2, 1)}}
         """
-        space = self.structure.space
-        index: dict[str, list] = {}
-        den = lcm(*(f.rows[0] for f in maps.values()))
-        qden = lcm(*(q.rows[0] for q in self.structure.maps.values()))
-        for _, f in sorted(maps.items()):  # lightest first, for the cap cut below
-            for u, a in f.rows[1].items():
-                a = tuple((t, den // f.rows[0] * n) for t, n in a)
-                evens = 0
-                for i, name in enumerate(u):
-                    odd = space.degree(name) % 2
-                    if not i or u[i - 1] != name:
-                        # n passes u[:i]: -1 per name when n is even, per even name when odd
-                        flip = evens if odd else i
-                        index.setdefault(name, []).append((u[:i] + u[i + 1 :], flip % 2, a))
-                    evens += not odd
         out = {} if out is None else out
-        joins = self._joins
-        sums: dict[Word, dict] = {}
-        for k, q in self.structure.maps.items():
-            room = self.structure.cap - k
-            up = scalar.numerator * (qden // q.rows[0])
-            for chosen, v in q.rows[1].items():
-                for name, c in v:
-                    for rest, flip, a in index.get(name, ()):
-                        if len(rest) > room:
-                            break
-                        got = joins.get((chosen, rest))
-                        if got is None:
-                            got = joins[chosen, rest] = _join(chosen, rest, space)
-                        word, count = got
-                        if word is not None:
-                            into = sums.setdefault(word, {})
-                            m = (-count if flip else count) * up * c
-                            for t, n in a:
-                                into[t] = into.get(t, 0) + m * n
-        for word, into in sums.items():
-            add_over(out.setdefault(word, {}), into, den * qden * scalar.denominator)
+        L, (entries, names) = self.structure, self.structure.lift_slots
+        for n, f in maps.items():
+            signed = -scalar if n % 2 == 0 else scalar
+            scaled = signed if n <= 2 else Fraction(signed, factorial(n - 1))
+            entry_splittings(out, [(1, entries)] + [(0, names)] * (n - 1), L.space, L.cap, L.joined, f, scaled)
         return out
-
-
-def _join(chosen: tuple[str, ...], rest: tuple[str, ...], space: GradedSpace) -> tuple:
-    """The canonical word W of chosen + rest and the lift's signed count of the
-    position sets of W that read ``chosen``; ``(None, 0)`` when W vanishes.
-
-    Moving those positions to the front passes each name of ``rest`` that
-    comes before a name of ``chosen`` in W, at sign -1 unless both are odd.
-    """
-    index, degree = space.index, space.degree
-    factors = tuple(sorted(chosen + rest, key=index))
-    if any(a == b and degree(a) % 2 == 0 for a, b in zip(factors, factors[1:])):
-        return None, 0
-    k, m = len(chosen), len(factors)
-    flips = k * (m - k) + sum(
-        index(r) < index(s) and not degree(r) * degree(s) % 2 for s in chosen for r in rest
-    )
-    count = 1
-    for name in set(chosen):
-        count *= comb(factors.count(name), chosen.count(name))
-    return Word(factors, sum(map(degree, factors))), -count if flips % 2 else count
 
 
 def lift_coderivation(structure: LInftyStructure) -> Coderivation:
     return Coderivation(structure)
+
+
+class EntrySlot:
+    """Fixed entries as an :func:`entry_splittings` slot, indexed once by every value name for any map."""
+
+    def __init__(self, entries: Mapping[tuple[str, ...], Element], space: GradedSpace, cap: int):
+        self.index = _entry_index(entries, None, space, cap + 1)
+
+    def entry_index(self, q: MultiMap) -> tuple[dict, int]:
+        return self.index
+
+
+def entry_splittings(
+    totals: dict[Word, dict],
+    slots: Sequence[tuple[int, object]],
+    space: GradedSpace,
+    cap: int,
+    joined: dict,
+    q: MultiMap,
+    scalar=1,
+) -> None:
+    """Add ``scalar`` times Q'_n on the ordered splittings that read one entry per slot into word totals.
+
+    Slot j is ``(shift, entries)``: an integer and a mapping from canonical
+    factor tuples w to values v, elements that ``q`` (a map Q'_n) reads, or
+    an object whose ``entry_index(q)`` keeps the index of its entries: an
+    :class:`EntrySlot` or a :class:`~linfty.morphism.HomElement`.
+    For every choice of one entry per slot whose blocks w_1, ..., w_n join
+    into a word W of weight at most ``cap`` that does not vanish, and of one
+    name of each v_i that together make up a word Q'_n stores, the
+    :meth:`~linfty.grading.MultiMap.walk` makes a term: the stored value
+    times the walk coefficient times the signed count of the splittings of
+    W into position blocks that read w_1, ..., w_n, summed per W and name
+    in ``int`` over one denominator (the scalar's, each slot's and ``q``'s).
+    The splittings differ only in how the copies of a repeated odd-degree
+    name, of even lowered degree, are spread over the blocks, so their
+    number is a product of multinomials and they share one sign: the
+    block-splitting sign of the module's docstring times the crossing
+    ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each shift past the
+    earlier blocks.  Consecutive slots that read one ``entries``
+    mapping, each at an even shift, form a run: swapping two of its blocks
+    leaves the term times its sign unchanged, so the walk chooses a run's
+    entries as a multiset, counted by their orderings.
+
+    The sign is the walk's ``step``, read off the entries slot by slot:
+    only two even-degree names of different blocks swap with an odd sign,
+    a popcount of the earlier blocks' even names against a mask of the new
+    block's; the other factors are per-block constants and prefix sums; and
+    W's own desuspension sign and multiplicity are kept in ``joined``, a
+    dict kept for every call over one space and cap (the source structure's
+    :attr:`LInftyStructure.joined`, shared by both lifts and brackets).  A
+    block too heavy to leave a name for each later slot is dropped, and so
+    is an entry none of whose names Q'_n reads.
+    A run of two slots reads the distinct pair once, counted twice; two
+    slots over equal but distinct mappings read both orders, whose signs of
+    splitting and of sorting the names cancel:
+
+    >>> V = GradedSpace([("a", 0), ("b", 1)])
+    >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
+    >>> entries = {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")}
+    >>> for slots in ([(0, entries)] * 2, [(0, entries), (0, dict(entries))]):
+    ...     totals = {}
+    ...     entry_splittings(totals, slots, V, 2, {}, q2, Fraction(1, 2))
+    ...     print({word.factors: coeffs for word, coeffs in totals.items()})
+    {('a', 'b'): {'b': Fraction(1, 1)}}
+    {('a', 'b'): {'b': Fraction(1, 1)}}
+    """
+    walk_slots, shifts, den = [], [], scalar.denominator * q.rows[0]
+    for j, (shift, entries) in enumerate(slots):
+        if not j or slots[j - 1][1] is not entries:
+            built = getattr(entries, "entry_index", None)
+            index, d = built(q) if built else _entry_index(entries, q, space, cap + 1)
+            if not index:
+                return
+        den *= d
+        walk_slots.append((index, j > 0 and index is walk_slots[-1][0] and shift % 2 == 0 == shifts[-1]))
+        shifts.append(shift % 2)
+    last = len(slots) - 1
+
+    # a state: weight, even-name mask, suspended degree, sign exponent,
+    # multiset code, repeat tally and blocks; after the last slot, W and its
+    # signed count
+    def step(state, row):
+        weight, evens, suspended, parity, code, tally, blocks = state
+        j = len(blocks)
+        w, even, mask, p, s, c, t, letters = row
+        if weight + w > cap - last + j or evens & even:
+            return None
+        # the earlier blocks' suspended degrees (less one each, against the
+        # shift) are all slot j needs of them, besides their even names
+        exponent = parity + suspended + shifts[j] * (suspended - j) + p + (evens & mask).bit_count()
+        if j < last:
+            return weight + w, evens | even, suspended + s, exponent, code + c, tally * t, blocks + (letters,)
+        got = joined.get(code + c)
+        if got is None:
+            got = joined[code + c] = _joined_word(blocks + (letters,))
+        word, word_parity, word_tally = got
+        ways = word_tally // (tally * t)
+        return word, -ways if (exponent + word_parity) % 2 else ways
+
+    sums: dict[Word, dict] = {}
+    for (word, ways), row, coefficient in q.walk(walk_slots, scalar.numerator, step, (0, 0, 0, 0, 0, 1, ())):
+        into, coefficient = sums.setdefault(word, {}), coefficient * ways
+        for name, n in row:
+            into[name] = into.get(name, 0) + coefficient * n
+    for word, into in sums.items():
+        add_over(totals.setdefault(word, {}), into, den)
+
+
+def _entry_index(entries: Mapping[tuple[str, ...], Element], q: MultiMap | None, space: GradedSpace, base: int) -> tuple:
+    """The walk index of ``entries`` by the value names ``q`` reads (all if ``q``
+    is None), name -> ``(position, numerator, block row)``, and its denominator."""
+    codes, subcodes = q.key_index[:2] if q is not None else ({}, None)
+    reached = []
+    for position, (w, v) in enumerate(entries.items()):
+        reach = {name: c for name, c in v.coeffs.items() if subcodes is None or codes[name] in subcodes}
+        if reach:
+            reached.append((position, w, reach))
+    den, rows = integer_rows(reach for _, _, reach in reached)
+    index: dict[str, list] = {}
+    for (position, w, _), row in zip(reached, rows):
+        block = _block_row(w, space, base)
+        for name, n in row:
+            index.setdefault(name, []).append((position, n, block))
+    return index, den
+
+
+def _block_row(factors: tuple[str, ...], space: GradedSpace, base: int) -> tuple:
+    """What :func:`entry_splittings` reads of one entry, formed once per index.
+
+    ``mask`` has bit a set when an odd number of the block's even-degree
+    names come before basis index a; ``code`` adds up to the multiset code
+    of a join, and ``letters`` are the block's (index, degree, name) triples.
+    """
+    letters = tuple((space.index(name), space.degree(name), name) for name in factors)
+    degree, parity, tally = _summary(letters)
+    even = mask = code = 0
+    for i, d, _ in letters:
+        code += base ** i
+        if d % 2 == 0:
+            even |= 1 << i
+            mask ^= -(2 << i)
+    k = len(letters)
+    return k, even, mask, parity, degree + 1 - k, code, tally, letters
+
+
+def _joined_word(blocks: tuple[tuple[tuple[int, int, str], ...], ...]) -> tuple[Word, int, int]:
+    """The canonical word of a join of blocks' letters, with its parity and tally."""
+    letters = sorted(chain.from_iterable(blocks))
+    degree, parity, tally = _summary(letters)
+    return Word(tuple(name for _, _, name in letters), degree), parity, tally
+
+
+def _summary(letters: Sequence[tuple[int, int, str]]) -> tuple[int, int, int]:
+    """Degree, desuspension parity and repeat tally (the product of the
+    factorials of the repeats) of a canonical word's letters."""
+    m = len(letters)
+    degree = parity = 0
+    tally = run = 1
+    for p, (i, d, _) in enumerate(letters):
+        run = run + 1 if p and letters[p - 1][0] == i else 1
+        tally *= run
+        degree += d
+        parity += d * (m - 1 - p)
+    return degree, parity % 2, tally
 
 
 class ResidualReport:
@@ -290,9 +415,10 @@ def check_relations(structure: LInftyStructure) -> ResidualReport:
     image, the sum of c*Q_|u|(u) over the terms c*u of Q(w).  That is the
     cogenerator part of Q*Q, which determines the whole coderivation Q*Q.
     On a weight-m word it is the sum of Q_j∘Q_k over j + k = m + 1.
-    :meth:`Coderivation.precompose` forms it from pairs of stored entries, a
-    Q_k entry whose value names what a Q_j entry reads, so a word that no
-    such pair reaches is never visited and its residual is zero term by term.
+    :meth:`Coderivation.precompose` forms it from stored entries, a Q_k
+    entry whose value names join single names into a word that a Q_j entry
+    reads, so a word that none reaches is never visited and its residual is
+    zero term by term.
     """
     # Q*Q raises the suspended degree by 2: its cogenerator part is a degree-3 family
     totals = lift_coderivation(structure).precompose(structure.maps)

@@ -16,9 +16,8 @@ Sign conventions (the one table everything below refers to):
   * evaluation, storage and the public splitting signs follow the word
     convention of :mod:`linfty.grading` (``-(-1)**(p*q)`` per swap);
   * block bookkeeping inside q_n is done on shifted degrees: the sign of an
-    ordered n-block splitting B_1, ..., B_n of a word is the one
-    :func:`linfty.grading.signed_blocks` documents (and the morphism lift
-    reads): the word's desuspension sign, the classical Koszul sign of the
+    ordered n-block splitting B_1, ..., B_n of a word, as both lifts read
+    it, is the word's desuspension sign, the classical Koszul sign of the
     arrangement on degrees lowered by one, each block's desuspension sign
     and that of the blocks' suspended degrees;
   * q_n's sign on a splitting is that kernel sign times the crossing
@@ -34,13 +33,12 @@ Sign conventions (the one table everything below refers to):
     suspended-degree factor;
   * q_n never lists a word's splittings.  It runs over the arguments'
     stored entries w_1 -> v_1, ..., w_n -> v_n through
-    :func:`~linfty.morphism.entry_splittings`, which the morphism lift's
-    :meth:`~linfty.morphism.MorphismLift.precompose` also reads: one
-    :meth:`~linfty.grading.MultiMap.walk` of Q'_n over the entries' value
-    names, whose step forms the sign above in closed form, slot by slot,
-    with the number of splittings of the joined word W that read w_1, ...,
-    w_n.  An odd-degree argument repeated in consecutive slots (shift u - 1
-    even) is a run, whose entries are chosen once per multiset;
+    :func:`~linfty.algebra.entry_splittings`, which both lifts'
+    ``precompose`` read too: one :meth:`~linfty.grading.MultiMap.walk` of
+    Q'_n over the entries' value names, whose step forms the sign above in
+    closed form, slot by slot, with the number of splittings of the joined
+    word W that read w_1, ..., w_n.  An odd-degree argument repeated in
+    consecutive slots (shift u - 1 even) is a run, chosen once per multiset;
   * with these choices the degree-2 curvature of a degree-1 element equals
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
@@ -48,8 +46,8 @@ Sign conventions (the one table everything below refers to):
 The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
 defined with the morphisms it generalises (a morphism is its degree-1
 vector) and re-exported here.  :meth:`ConvolutionAlgebra.accumulate` adds
-either operation into word totals from stored entries, the differential
-through :meth:`~linfty.algebra.Coderivation.precompose`, both in ``int``
+either operation into word totals from stored entries, the differential's
+part after Q by :meth:`~linfty.algebra.Coderivation.precompose`, in ``int``
 with one ``Fraction`` per sum; ``build`` makes a vector of them
 (:meth:`~linfty.morphism.HomElement.from_totals`); no word list is read.
 ``differential``, ``bracket`` and ``apply`` are the two in turn.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read a
@@ -66,8 +64,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .grading import Element, GradedSpace, InputError, Word
-from .algebra import LInftyStructure, lift_coderivation, require_verified
-from .morphism import HomElement, entry_splittings, require_morphism
+from .algebra import LInftyStructure, entry_splittings, lift_coderivation, require_verified
+from .morphism import HomElement, require_morphism
 from .mc import mc_residual
 
 
@@ -96,8 +94,6 @@ class ConvolutionAlgebra:
         self.target = target
         self.cap = cap
         self._lift = lift_coderivation(source)
-        # entry_splittings' memo of the words that brackets reached
-        self._joined: dict = {}
 
     # -- coordinates and basis -------------------------------------------
 
@@ -157,7 +153,7 @@ class ConvolutionAlgebra:
     def accumulate(self, totals: dict, n: int, alphas: Sequence[HomElement], scalar) -> None:
         """Add ``scalar`` times the n-ary operation on ``alphas`` into word totals: for
         n = 1 Q'_1 of the values less the signed :meth:`~linfty.algebra.Coderivation.precompose`
-        of the components, else the terms of :func:`~linfty.morphism.entry_splittings`.
+        of the components, else the terms of :func:`~linfty.algebra.entry_splittings`.
         An argument of another pair or cap raises :class:`~linfty.grading.InputError`."""
         if len(alphas) != n:
             raise InputError("%d-ary bracket applied to %d arguments" % (n, len(alphas)))
@@ -175,7 +171,7 @@ class ConvolutionAlgebra:
         qn = self.target.maps.get(n)
         if qn is not None:
             slots = [(a.degree - 1, a) for a in alphas]
-            entry_splittings(totals, slots, self.source.space, self.cap, self._joined, qn, scalar)
+            entry_splittings(totals, slots, self.source.space, self.cap, self.source.joined, qn, scalar)
 
     def build(self, degree: int, totals: dict[Word, dict]) -> HomElement:
         return HomElement.from_totals(self.source, self.target, degree, totals)

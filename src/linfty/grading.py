@@ -125,7 +125,7 @@ def signed_blocks(degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int,
     Koszul sign of the rearrangement B_1 ... B_n on degrees lowered by one,
     times the desuspension sign of each block, times that of the blocks'
     suspended degrees ``plain + 1 - weight``.  The same formula signs the
-    ordered splittings that :func:`linfty.morphism.entry_splittings`
+    ordered splittings that :func:`linfty.algebra.entry_splittings`
     counts.  Blocks are tuples of sorted positions.
 
     >>> signed_blocks((0, 1))

@@ -3,7 +3,10 @@
 A morphism from (L, Q) to (L', Q') is a collection F_n of weight-n maps of
 degree 1 - n.  It lifts to a map of the truncated coalgebras by summing over
 unordered set partitions of a word, each block fed to the component of its
-size.  Compatibility with the two coderivations is measured per weight by
+size, at the block-splitting sign: the word's desuspension sign, the
+classical Koszul sign of the rearrangement on degrees lowered by one, each
+block's desuspension sign and that of the blocks' suspended degrees.
+Compatibility with the two coderivations is measured per weight by
 
     residual_n = pr o (Q' F - F Q) restricted to weight n,
 
@@ -11,11 +14,12 @@ which vanishes for every weight up to the cap exactly when the lift commutes
 with the coderivations on the whole truncation.
 
 Maps after the lift are evaluated from stored entries by one kernel,
-:func:`entry_splittings`, a :meth:`~linfty.grading.MultiMap.walk` of the
-map over the entries' value names that signs and counts the splittings as
-it goes: the Q' F side of compatibility, composition, and the
-mapping-space operations of :mod:`linfty.convolution`.  None of them lists
-the words of the truncation or a word's block partitions.
+:func:`~linfty.algebra.entry_splittings`, a :meth:`~linfty.grading.MultiMap.walk`
+of the map over the entries' value names that signs and counts the
+splittings as it goes: the Q' F side of compatibility, composition, the
+mapping-space operations of :mod:`linfty.convolution`, and the F Q side
+through :meth:`~linfty.algebra.Coderivation.precompose`.  None of them
+lists the words of the truncation or a word's block partitions.
 
 A family {a_n} with a_n of weight n and degree u - n is a degree-u vector of
 the mapping space, :class:`HomElement`, built from word totals by
@@ -28,10 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import factorial
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .grading import (
     CoalgebraElement,
@@ -41,15 +44,13 @@ from .grading import (
     InputError,
     MultiMap,
     Word,
-    add_over,
     add_scaled,
-    integer_rows,
     map_family,
     signed_blocks,
     subword,
     tabulate,
 )
-from .algebra import LInftyStructure, ResidualReport, lift_coderivation, require_verified
+from .algebra import LInftyStructure, ResidualReport, _entry_index, entry_splittings, lift_coderivation, require_verified
 from . import linalg
 
 
@@ -106,9 +107,10 @@ class HomElement(Combination):
         return min(self.components)
 
     @cached_property
-    def by_factors(self) -> dict[tuple[str, ...], Element]:
-        """The components' stored values keyed by factor tuples, all weights in one dict."""
-        return {f: v for c in self.components.values() for f, v in c.by_factors.items()}
+    def by_factors(self) -> Mapping[tuple[str, ...], Element]:
+        """The components' stored values keyed by factor tuples, all weights in
+        one read-only mapping, since :meth:`entry_index` is a cache of it."""
+        return MappingProxyType({f: v for c in self.components.values() for f, v in c.by_factors.items()})
 
     def entry_index(self, q: MultiMap) -> tuple[dict, int]:
         """:func:`entry_splittings`' index of the entries for ``q``, with its denominator, kept per weight."""
@@ -174,8 +176,6 @@ class MorphismLift:
         require_morphism(morphism)
         self.morphism = morphism
         self._cache: dict[Word, CoalgebraElement] = {}
-        # entry_splittings' memo of the words that precompose reached
-        self._joined: dict = {}
 
     def on_word(self, word: Word) -> CoalgebraElement:
         cached = self._cache.get(word)
@@ -216,167 +216,12 @@ class MorphismLift:
         F = self.morphism
         out: dict[Word, dict] = {}
         for n, q in maps.items():
-            entry_splittings(out, [(0, F)] * n, F.source.space, F.cap, self._joined, q, Fraction(1, factorial(n)))
+            entry_splittings(out, [(0, F)] * n, F.source.space, F.cap, F.source.joined, q, Fraction(1, factorial(n)))
         return out
 
 
 def lift_morphism(morphism: HomElement) -> MorphismLift:
     return MorphismLift(morphism)
-
-
-def entry_splittings(
-    totals: dict[Word, dict],
-    slots: Sequence[tuple[int, HomElement | Mapping[tuple[str, ...], Element]]],
-    space: GradedSpace,
-    cap: int,
-    joined: dict,
-    q: MultiMap,
-    scalar=1,
-) -> None:
-    """Add ``scalar`` times Q'_n on the ordered splittings that read one entry per slot into word totals.
-
-    Slot j is ``(shift, entries)``: an integer and a mapping from canonical
-    factor tuples w to values v, elements that ``q`` (a map Q'_n) reads, or a
-    :class:`HomElement`, which keeps the index of its stored entries.
-    For every choice of one entry per slot whose blocks w_1, ..., w_n join
-    into a word W of weight at most ``cap`` that does not vanish, and of one
-    name of each v_i that together make up a word Q'_n stores, the
-    :meth:`~linfty.grading.MultiMap.walk` makes a term: the stored value
-    times the walk coefficient times the signed count of the splittings of
-    W into position blocks that read w_1, ..., w_n, summed per W and name
-    in ``int`` over one denominator (the scalar's, each slot's and ``q``'s).
-    The splittings differ only in how the copies of a repeated
-    odd-degree name, of even lowered degree, are spread over the blocks, so
-    their number is a product of multinomials and they share one sign: the
-    block-splitting sign (W's desuspension sign, the classical Koszul sign
-    of the rearrangement on degrees lowered by one, each block's
-    desuspension sign and that of the blocks' suspended degrees) times the
-    crossing ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each shift past
-    the earlier blocks.  Consecutive slots that read one ``entries``
-    mapping, each at an even shift, form a run: swapping two of its blocks
-    leaves the term times its sign unchanged, so the walk chooses a run's
-    entries as a multiset, counted by their orderings.
-
-    The sign is the walk's ``step``, read off the entries slot by slot:
-    only two even-degree names of different blocks swap with an odd sign,
-    a popcount of the earlier blocks' even names against a mask of the new
-    block's; the other factors are per-block constants and prefix sums; and
-    W's own desuspension sign and multiplicity are kept in ``joined``, a
-    dict the caller may keep for every call over one space and cap.  A
-    block too heavy to leave a name for each later slot is dropped, and so
-    is an entry none of whose names Q'_n reads.
-    A run of two slots reads the distinct pair once, counted twice; two
-    slots over equal but distinct mappings read both orders, whose signs of
-    splitting and of sorting the names cancel:
-
-    >>> V = GradedSpace([("a", 0), ("b", 1)])
-    >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
-    >>> entries = {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")}
-    >>> for slots in ([(0, entries)] * 2, [(0, entries), (0, dict(entries))]):
-    ...     totals = {}
-    ...     entry_splittings(totals, slots, V, 2, {}, q2, Fraction(1, 2))
-    ...     print({word.factors: coeffs for word, coeffs in totals.items()})
-    {('a', 'b'): {'b': Fraction(1, 1)}}
-    {('a', 'b'): {'b': Fraction(1, 1)}}
-    """
-    walk_slots, shifts, den = [], [], scalar.denominator * q.rows[0]
-    for j, (shift, entries) in enumerate(slots):
-        if not j or slots[j - 1][1] is not entries:
-            vector = isinstance(entries, HomElement)
-            index, d = entries.entry_index(q) if vector else _entry_index(entries, q, space, cap + 1)
-            if not index:
-                return
-        den *= d
-        walk_slots.append((index, j > 0 and index is walk_slots[-1][0] and shift % 2 == 0 == shifts[-1]))
-        shifts.append(shift % 2)
-    last = len(slots) - 1
-
-    # a state: weight, even-name mask, suspended degree, sign exponent,
-    # multiset code, repeat tally and blocks; after the last slot, W and its
-    # signed count
-    def step(state, row):
-        weight, evens, suspended, parity, code, tally, blocks = state
-        j = len(blocks)
-        w, even, mask, p, s, c, t, letters = row
-        if weight + w > cap - last + j or evens & even:
-            return None
-        # the earlier blocks' suspended degrees (less one each, against the
-        # shift) are all slot j needs of them, besides their even names
-        exponent = parity + suspended + shifts[j] * (suspended - j) + p + (evens & mask).bit_count()
-        if j < last:
-            return weight + w, evens | even, suspended + s, exponent, code + c, tally * t, blocks + (letters,)
-        got = joined.get(code + c)
-        if got is None:
-            got = joined[code + c] = _joined_word(blocks + (letters,))
-        word, word_parity, word_tally = got
-        ways = word_tally // (tally * t)
-        return word, -ways if (exponent + word_parity) % 2 else ways
-
-    sums: dict[Word, dict] = {}
-    for (word, ways), row, coefficient in q.walk(walk_slots, scalar.numerator, step, (0, 0, 0, 0, 0, 1, ())):
-        into, coefficient = sums.setdefault(word, {}), coefficient * ways
-        for name, n in row:
-            into[name] = into.get(name, 0) + coefficient * n
-    for word, into in sums.items():
-        add_over(totals.setdefault(word, {}), into, den)
-
-
-def _entry_index(entries: Mapping[tuple[str, ...], Element], q: MultiMap, space: GradedSpace, base: int) -> tuple:
-    """The walk index of ``entries`` by the value names ``q`` reads, name ->
-    ``(position, numerator, block row)``, and its denominator."""
-    codes, subcodes = q.key_index[:2]
-    reached = []
-    for position, (w, v) in enumerate(entries.items()):
-        reach = {name: c for name, c in v.coeffs.items() if codes[name] in subcodes}
-        if reach:
-            reached.append((position, w, reach))
-    den, rows = integer_rows(reach for _, _, reach in reached)
-    index: dict[str, list] = {}
-    for (position, w, _), row in zip(reached, rows):
-        block = _block_row(w, space, base)
-        for name, n in row:
-            index.setdefault(name, []).append((position, n, block))
-    return index, den
-
-
-def _block_row(factors: tuple[str, ...], space: GradedSpace, base: int) -> tuple:
-    """What :func:`entry_splittings` reads of one entry, formed once per index.
-
-    ``mask`` has bit a set when an odd number of the block's even-degree
-    names come before basis index a; ``code`` adds up to the multiset code
-    of a join, and ``letters`` are the block's (index, degree, name) triples.
-    """
-    letters = tuple((space.index(name), space.degree(name), name) for name in factors)
-    degree, parity, tally = _summary(letters)
-    even = mask = code = 0
-    for i, d, _ in letters:
-        code += base ** i
-        if d % 2 == 0:
-            even |= 1 << i
-            mask ^= -(2 << i)
-    k = len(letters)
-    return k, even, mask, parity, degree + 1 - k, code, tally, letters
-
-
-def _joined_word(blocks: tuple[tuple[tuple[int, int, str], ...], ...]) -> tuple[Word, int, int]:
-    """The canonical word of a join of blocks' letters, with its parity and tally."""
-    letters = sorted(chain.from_iterable(blocks))
-    degree, parity, tally = _summary(letters)
-    return Word(tuple(name for _, _, name in letters), degree), parity, tally
-
-
-def _summary(letters: Sequence[tuple[int, int, str]]) -> tuple[int, int, int]:
-    """Degree, desuspension parity and repeat tally (the product of the
-    factorials of the repeats) of a canonical word's letters."""
-    m = len(letters)
-    degree = parity = 0
-    tally = run = 1
-    for p, (i, d, _) in enumerate(letters):
-        run = run + 1 if p and letters[p - 1][0] == i else 1
-        tally *= run
-        degree += d
-        parity += d * (m - 1 - p)
-    return degree, parity % 2, tally
 
 
 def check_morphism(morphism: HomElement) -> ResidualReport:
@@ -385,12 +230,12 @@ def check_morphism(morphism: HomElement) -> ResidualReport:
     The residual at a word w is the target's structure maps evaluated on the
     lift's image F(w), minus the components evaluated on Q(w).  That is the
     cogenerator part of Q'F - FQ, which determines all of it, and the
-    degree-2 mapping-space vector left - right.  Both sides come from
-    stored entries, not word by word: the left from the components' entries
-    joined into the splittings that Q'_n reads
-    (:meth:`MorphismLift.precompose`), the right from pairs of entries of
-    the Q_k and the F_j (:meth:`~linfty.algebra.Coderivation.precompose`).
-    A word that neither reaches has residual zero term by term.
+    degree-2 mapping-space vector left - right.  Both sides are splittings
+    of stored entries, not word by word: the left the components' entries
+    that Q'_n reads (:meth:`MorphismLift.precompose`), the right a Q_k
+    entry and single names that F_j reads
+    (:meth:`~linfty.algebra.Coderivation.precompose`).  A word that neither
+    reaches has residual zero term by term.
     """
     require_verified(morphism.source, "source structure")
     require_verified(morphism.target, "target structure")

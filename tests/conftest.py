@@ -714,7 +714,7 @@ def reference_lower_central_series(structure):
 
 # Test reference for the block-splitting signs, the kernel
 # ``linfty.grading.signed_blocks`` and the closed form of
-# ``linfty.morphism.entry_splittings``: the sign of
+# ``linfty.algebra.entry_splittings``: the sign of
 # each call site (morphism lift, mapping-space bracket, the two coproducts)
 # written out in full, on sign helpers independent of linfty.grading.  The
 # call sites share those kernels, so their correspondence tests alone cannot
@@ -767,7 +767,7 @@ def ordered_signed_blocks(degrees, n):
 
     Every ordering of every n-block partition of ``signed_blocks``, signed by
     ``lift_sign_reference`` on the ordered blocks: the splittings that
-    ``reference_bracket`` walks and ``linfty.morphism.entry_splittings``
+    ``reference_bracket`` walks and ``linfty.algebra.entry_splittings``
     counts, and that the two coproduct references read.
     """
     return [

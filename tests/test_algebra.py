@@ -17,6 +17,7 @@ from linfty import (
     from_dgla,
     gauge_flow,
     grading,
+    identity_morphism,
     lift_coderivation,
     lift_morphism,
     lower_central_series,
@@ -25,7 +26,7 @@ from linfty import (
     twist,
     unshuffle_residual,
 )
-from linfty.algebra import Coderivation
+from linfty.algebra import Coderivation, EntrySlot, LInftyStructure
 from linfty.morphism import HomElement, MorphismComponents
 from linfty.grading import canonicalize_word
 
@@ -213,10 +214,11 @@ def test_check_relations_matches_the_oracle_on_every_word():
 
 
 def test_relation_checks_join_only_entries_that_meet(monkeypatch):
-    # Q2 lands on z and no stored key holds z, so no entry pair meets, and a
-    # large check never lists the words of its truncation
+    # Q2 lands on z and no stored key holds z, so no Q2 entry meets one of
+    # the maps it is read by and no word is joined, and a large check never
+    # lists the words of its truncation
     joins = []
-    join = algebra._join
+    join = algebra._joined_word
 
     def counting_join(*args):
         joins.append(args)
@@ -225,7 +227,7 @@ def test_relation_checks_join_only_entries_that_meet(monkeypatch):
     def no_words(*args):
         raise AssertionError("wedge_basis called")
 
-    monkeypatch.setattr(algebra, "_join", counting_join)
+    monkeypatch.setattr(algebra, "_joined_word", counting_join)
     space = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
     q2 = MultiMap.from_entries(space, space, 2, 0, {("x", "y"): {"z": F(1)}})
     structure = make_linfty(space, {2: q2}, cap=5)
@@ -235,6 +237,38 @@ def test_relation_checks_join_only_entries_that_meet(monkeypatch):
     monkeypatch.setattr(grading, "wedge_basis", no_words)
     monkeypatch.setattr(algebra, "wedge_basis", no_words)
     assert check_relations(big).passed and joins == []
+
+
+def test_the_lift_slots_are_indexed_once_per_structure(monkeypatch):
+    # Coderivation.precompose reads its structure's two slots, the Q_k
+    # entries and the basis names, whose walk indexes are built on first use
+    # and kept: a relation check, the F∘Q side of a morphism check and a
+    # mapping-space differential all read them, and a twist has its own
+    built, slots = [], []
+    build, index = LInftyStructure.lift_slots.func, EntrySlot.__init__
+
+    def spy(structure):
+        built.append(structure)
+        return build(structure)
+
+    def slot_spy(self, *args):
+        slots.append(args)
+        index(self, *args)
+
+    monkeypatch.setattr(LInftyStructure.lift_slots, "func", spy)
+    monkeypatch.setattr(EntrySlot, "__init__", slot_spy)
+    rng = random.Random(29)
+    structure = shift(4, 8, rng)
+    assert check_relations(structure).passed and check_relations(structure).passed
+    assert check_morphism(identity_morphism(structure)).passed
+    conv = build_convolution(structure, structure, structure.cap)
+    alpha = HomElement(structure, structure, 0, random_component_family(structure, structure, structure.cap, rng, degree=0))
+    assert conv.differential(alpha)
+    assert built == [structure] and len(slots) == 2
+    pi0 = Element(structure.space, 1, {"q1": F(1), "q2": F(-2)})
+    twisted = twist(structure, gauge_flow(structure, pi0, Element.basis(structure.space, "p1")).evaluate(1))
+    assert check_relations(twisted).passed and check_relations(twisted).passed
+    assert built == [structure, twisted] and len(slots) == 4
 
 
 def _expected_precompose(lift, maps, degree, space, scalar=1):
@@ -487,7 +521,9 @@ def test_lower_central_series_reads_arities_above_the_level(high_arity_loop):
 
 def test_work_of_relation_checks_and_series(monkeypatch):
     # machine-independent counts on shift(4, 8): the relation check of its
-    # twist builds no lift image and canonicalizes no word.  The series
+    # twist builds no lift image and canonicalizes no word; it is one walk
+    # per stored Q_n (n = 1, 2), which reach 48 distinct joined words and
+    # counts between them.  The series
     # evaluates Q_k once per multiset of spanning elements that can reach a
     # stored word, and Q_k(L, ..., L) once: 74 evaluations on shift(4, 8),
     # 394 on shift(4, 16) and 20 on twostep3(5) at cap 4, where the product
@@ -527,7 +563,7 @@ def test_work_of_relation_checks_and_series(monkeypatch):
 
     monkeypatch.setattr(MultiMap, "walk", walk_spy)
     assert check_relations(twisted).passed
-    assert counts == {"canonicalize_word": 0, "on_word": 0, "apply": 0, "walk": 0, "multisets": 0}
+    assert counts == {"canonicalize_word": 0, "on_word": 0, "apply": 0, "walk": 2, "multisets": 48}
     for structure, depth, evaluations in (
         (structure, 9, 74),
         (shift(4, 16, random.Random(0)), 17, 394),

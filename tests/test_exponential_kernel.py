@@ -35,8 +35,9 @@ from linfty.homotopy import (
     evolution_residual,
     flatness_residual,
 )
+from linfty.algebra import entry_splittings
 from linfty.mc import twisted_differential_of, twisting_series
-from linfty.morphism import HomElement, entry_splittings
+from linfty.morphism import HomElement
 from linfty.perturbation import direction_element
 
 from conftest import (
@@ -189,6 +190,11 @@ def test_maps_and_components_are_read_only(heisenberg):
         f.components[1] = f.components[1]
     with pytest.raises(TypeError):
         heisenberg.maps[2] = heisenberg.maps[2]
+    # entry_index is a cache of by_factors, so a rescaled entry would leave
+    # the morphism equal to the identity while its checks and brackets read
+    # another one
+    with pytest.raises(TypeError):
+        f.by_factors[("x",)] = f.by_factors[("x",)].scale(2)
     assert f.components == identity_morphism(heisenberg).components
 
 

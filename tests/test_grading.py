@@ -16,8 +16,8 @@ from linfty import (
     koszul_sign,
     wedge_basis,
 )
+from linfty.algebra import entry_splittings
 from linfty.grading import signed_blocks, unshuffles
-from linfty.morphism import entry_splittings
 
 from conftest import (
     SMALL_SPACES,

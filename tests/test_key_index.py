@@ -208,12 +208,14 @@ def _scale_morphism(structure, rng):
 
 def test_work_of_the_convolution_curvature_of_a_scale_morphism(monkeypatch):
     # twostep3(4) at cap 3.  The walk completes only the tuples whose names
-    # make up a stored word of Q'_n, and the two slots of the curvature's
-    # Q'_2(alpha, alpha) read one argument, so each pair of entries is
-    # joined once: 10 completed tuples, where the full-product kernel took
-    # 2,530 evaluations and both orders of each pair took 36.
-    # check_morphism joins the entries of F the same way; its walk over
-    # every word and block partition took 515 evaluations.
+    # make up a stored word of Q'_n, and the slots of the curvature's
+    # Q'_2(alpha, alpha) and Q'_3(alpha, alpha, alpha) read one argument,
+    # so each multiset of entries is joined once: 10 completed tuples, where
+    # the full-product kernel took 2,530 evaluations and both orders of each
+    # pair took 36.  alpha after Q goes through the same walk, of F_1 over
+    # the 10 stored Q_k entries, one completed tuple each: 20 in all.
+    # check_morphism joins the entries of F and of the Q_k the same way; its
+    # walk over every word and block partition took 515 evaluations.
     rng = random.Random(431)
     structure = twostep3(4, rng, cap=3)
     assert check_relations(structure).passed
@@ -221,10 +223,10 @@ def test_work_of_the_convolution_curvature_of_a_scale_morphism(monkeypatch):
     conv = build_convolution(structure, structure, 3)
     counts = _completions(monkeypatch)
     assert conv.mc_residual(morphism_to_mc(morphism)).is_zero()
-    assert counts == {"completed": 10}
+    assert counts == {"completed": 20}
     counts["completed"] = 0
     assert check_morphism(morphism).passed
-    assert counts == {"completed": 10}
+    assert counts == {"completed": 20}
 
 
 def test_morphism_checks_and_compose_list_no_words(monkeypatch):
