@@ -71,7 +71,7 @@ class LInftyStructure:
         self.maps: Mapping[int, MultiMap] = MappingProxyType(map_family(maps, space, space, cap, 2))
         self.verified = False
         # entry_splittings' memo of the words joined over this space and cap
-        self.joined: dict = {}
+        self.joined: dict = space.kernel_memos.setdefault(("joined", cap), {})
 
     def apply(self, n: int, elements: Sequence[Element]) -> Element:
         """Q_n on n elements of the space; zero where the structure has no map."""
@@ -99,11 +99,14 @@ class LInftyStructure:
 
     @cached_property
     def lift_slots(self) -> tuple["EntrySlot", "EntrySlot"]:
-        """:meth:`Coderivation.precompose`'s slots, the stored Q_k entries and the
-        basis names as entries ``(x,) -> x``; built once, as ``maps`` is read-only."""
+        """:meth:`Coderivation.precompose`'s slots: the stored Q_k entries, built once as ``maps``
+        is read-only, and the basis names as entries ``(x,) -> x``, once per space and cap."""
+        names = self.space.kernel_memos.get(("names", self.cap))
+        if names is None:
+            names = self.space.kernel_memos["names", self.cap] = EntrySlot(
+                {(x,): Element.basis(self.space, x) for x in self.space.names}, self.space, self.cap)
         entries = {w: v for q in self.maps.values() for w, v in q.by_factors.items()}
-        names = {(name,): Element.basis(self.space, name) for name in self.space.names}
-        return EntrySlot(entries, self.space, self.cap), EntrySlot(names, self.space, self.cap)
+        return EntrySlot(entries, self.space, self.cap), names
 
     def words(self) -> list[Word]:
         out: list[Word] = []
@@ -256,7 +259,7 @@ def entry_splittings(
     block's; the other factors are per-block constants and prefix sums; and
     W's own desuspension sign and multiplicity are kept in ``joined``, a
     dict kept for every call over one space and cap (the source structure's
-    :attr:`LInftyStructure.joined`, shared by both lifts and brackets).  A
+    :attr:`LInftyStructure.joined`, kept by the space for all its structures).  A
     block too heavy to leave a name for each later slot is dropped, and so
     is an entry none of whose names Q'_n reads.
     A run of two slots reads the distinct pair once, counted twice; two
@@ -326,15 +329,16 @@ def _entry_index(entries: Mapping[tuple[str, ...], Element], q: MultiMap | None,
             reached.append((position, w, reach))
     den, rows = integer_rows(reach for _, _, reach in reached)
     index: dict[str, list] = {}
+    blocks = space.kernel_memos.setdefault(("blocks", base), {})
     for (position, w, _), row in zip(reached, rows):
-        block = _block_row(w, space, base)
+        block = blocks.get(w) or blocks.setdefault(w, _block_row(w, space, base))
         for name, n in row:
             index.setdefault(name, []).append((position, n, block))
     return index, den
 
 
 def _block_row(factors: tuple[str, ...], space: GradedSpace, base: int) -> tuple:
-    """What :func:`entry_splittings` reads of one entry, formed once per index.
+    """What :func:`entry_splittings` reads of one entry, formed once per space and cap.
 
     ``mask`` has bit a set when an odd number of the block's even-degree
     names come before basis index a; ``code`` adds up to the multiset code

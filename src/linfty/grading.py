@@ -187,6 +187,7 @@ class GradedSpace:
         self.names: tuple[str, ...] = tuple(names)
         self._degrees: dict[str, int] = degrees
         self._order: dict[str, int] = {n: i for i, n in enumerate(names)}
+        self.kernel_memos: dict[tuple, object] = {}  # linfty.algebra's memos of this unchanging space
 
     def degree(self, name: str) -> int:
         try:

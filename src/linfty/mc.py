@@ -23,7 +23,8 @@ the mapping space :class:`~linfty.convolution.ConvolutionAlgebra` on
 ``HomElement`` values, so flows of morphisms run on component maps directly;
 :func:`twist` and strict curvature need the structure maps.  All sums of this
 kind but :func:`twist`'s go through :func:`twisting_series` or, in
-:func:`gauge_flow`, the same ``accumulate`` into one totals dict per power.
+:func:`gauge_flow`, the same ``accumulate`` into one totals dict per power;
+like it, :func:`twist` and :meth:`PolyPath.evaluate` sum in ``int``.
 
 :class:`MCElement`, an element with its curvature, and :class:`FlowReport`,
 a flow with its curvature at sample times, are reports in the protocol of
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -44,7 +45,8 @@ from .grading import (
     InputError,
     NonConvergenceError,
     Word,
-    add_scaled,
+    add_over,
+    integer_rows,
     tabulate,
 )
 from .algebra import LInftyStructure, compositions, lower_central_series
@@ -153,8 +155,9 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
     (prod over a of pi_a^{m_a} / m_a!) * sign * Q_n(W) into Q^pi_{n-|S|} on
     the rest of W, canonical as a subsequence, if not empty.  pi has degree
     1, so the sign is -1 to the number of pairs of an even name of W before
-    a name of S.  Twisting by x reads Q_3(e, x, x) = z twice, at 1/2, and
-    once past e, at -1:
+    a name of S.  With pi_a = n_a / d and Q_n's integer ``rows``, the sums run
+    in ``int`` over one denominator, one ``Fraction`` per word and name.
+    Twisting by x reads Q_3(e, x, x) = z twice, at 1/2, and once past e, at -1:
 
     >>> from linfty.grading import GradedSpace, MultiMap
     >>> V = GradedSpace([("e", 0), ("x", 1), ("z", 1)])
@@ -170,27 +173,28 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
     if isinstance(pi, Element) or pi.algebra is not structure:
         pi = mc_element(structure, value)
     if not pi.passed:
-        raise FlatnessError(
-            "cannot twist by a non-flat element; curvature %r" % pi.residual,
-            pi.residual,
-        )
-    totals: dict[Word, dict] = {}
+        raise FlatnessError("cannot twist by a non-flat element; curvature %r" % pi.residual, pi.residual)
+    d, (row,) = integer_rows([pi.value.coeffs])
+    numerators, top = dict(row), max(structure.maps, default=0)
+    den = lcm(*(q.rows[0] for q in structure.maps.values())) * d**top * factorial(top)
+    sums: dict[tuple, tuple[int, dict]] = {}  # the rest of W -> its degree and name -> numerator over den
     for n, q in structure.maps.items():
-        for word, value in q.values.items():
-            runs, evens = [], 0  # per run of equal names, (kept names, scalar) per prefix in S
+        for word in q.values:
+            parts, evens = [((), 1, q.rows[0])], 0  # (rest, numerator, denominator) per prefix of each run in S
             for name, group in groupby(word.factors):
-                kept, c = tuple(group), pi.value.coeffs.get(name, 0)
-                runs.append([(kept[m:], c**m * Fraction((-1) ** (m * evens), factorial(m)))
-                             for m in range(len(kept) + 1 if c else 1)])
+                kept, c = tuple(group), numerators.get(name, 0)
+                parts = [(rest + kept[m:], x * (-c**m if m * evens % 2 else c**m), y * d**m * factorial(m))
+                         for rest, x, y in parts for m in range(len(kept) + 1 if c else 1)]
                 evens += space.degree(name) % 2 == 0
-            for parts in product(*runs):
-                rest = sum((kept for kept, _ in parts), ())
+            for rest, x, y in parts:
                 if rest:
-                    key = Word(rest, word.degree - n + len(rest))
-                    add_scaled(totals.setdefault(key, {}), value, prod(s for _, s in parts))
-    words = sorted(totals, key=lambda w: (w.weight, [space.index(a) for a in w.factors]))
-    maps = tabulate(space, space, 2, {w: totals[w] for w in words})
-    return LInftyStructure(space, maps, structure.cap)
+                    into, x = sums.setdefault(rest, (word.degree - n + len(rest), {}))[1], x * (den // y)
+                    for name, v in q.rows[1][word.factors]:
+                        into[name] = into.get(name, 0) + x * v
+    totals: dict[Word, dict] = {}
+    for rest in sorted(sums, key=lambda r: (len(r), [space.index(a) for a in r])):
+        add_over(totals.setdefault(Word(rest, sums[rest][0]), {}), sums[rest][1], den)
+    return LInftyStructure(space, tabulate(space, space, 2, totals), structure.cap)
 
 
 class PolyPath(Combination):
@@ -249,10 +253,31 @@ class PolyPath(Combination):
         )
 
     def evaluate(self, t: Fraction):
-        terms: dict = {}
+        """The point at t = a/b, built once, reading only a_0 at t = 0: with a_p = n_p / d and K the
+        top power, n_p a^p b^(K-p) summed per word and name in ``int`` over d b^K; a ``HomElement``
+        point keeps a weight's map that one power alone holds at t^p = 1, with its walk indexes."""
+        t, zero = Fraction(t), self.space.zero(self.degree)
+        a, b, top = t.numerator, t.denominator, max(self.coefficients, default=0)
+        vectors = isinstance(zero, Element)
+        by_key: dict = {}  # a weight (None for a vector) -> (a^p b^(K-p), its map or vector) per power
         for p, e in self.coefficients.items():
-            add_scaled(terms, e, Fraction(t) ** p)
-        return self.space.zero(self.degree)._like(terms)
+            scale = a**p * b ** (top - p)
+            for key, value in ({None: e} if vectors else e.terms).items() if a or not p else ():
+                by_key.setdefault(key, []).append((scale, value))
+        kept = {key: g[0][1] for key, g in by_key.items() if not vectors and len(g) == 1 and g[0][0] == b**top}
+        parts = [(scale, w, v.coeffs) for key, got in by_key.items() if key not in kept for scale, value in got
+                 for w, v in ({None: value} if vectors else value.values).items()]
+        d, rows = integer_rows(v for _, _, v in parts)
+        sums: dict = {}
+        for (scale, w, _), row in zip(parts, rows):
+            into = sums.setdefault(w, {})
+            for name, n in row:
+                into[name] = into.get(name, 0) + scale * n
+        totals: dict = {}
+        for w, into in sums.items():
+            add_over(totals.setdefault(w, {}), into, d * b**top)
+        summed = totals.get(None, {}) if vectors else self.space.build(self.degree, totals).components
+        return zero._like({**kept, **summed})
 
     def __repr__(self):
         if not self.coefficients:

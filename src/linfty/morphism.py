@@ -314,7 +314,7 @@ def cohomology(structure: LInftyStructure) -> CohomologyReport:
     space = structure.space
     order = space.column_order()
     q1 = structure.maps.get(1)
-    values = {n: q1.evaluate((n,)).coeffs for n in space.names} if q1 is not None else {}
+    values = {w.factors[0]: v.coeffs for w, v in q1.values.items()} if q1 is not None else {}
     dims: dict[int, int] = {}
     reps: dict[int, list[Element]] = {}
     kernels: dict[int, list[Element]] = {}

@@ -540,6 +540,17 @@ def reference_gauge_flow(algebra, pi0, xi, iteration_bound=None):
     )
 
 
+# Test reference for linfty.mc.PolyPath.evaluate: each coefficient scaled by
+# t**p in Fraction arithmetic and added term by term.
+
+
+def reference_evaluate(path, t):
+    terms = {}
+    for p, e in path.coefficients.items():
+        add_scaled(terms, e, Fraction(t) ** p)
+    return path.space.zero(path.degree)._like(terms)
+
+
 # Test references for the exponential kernel linfty.mc.twisting_series: the
 # series summed at every arity up to the cap over every ordered tuple of
 # powers of a path, through ``apply`` of each tuple, and the path-algebra

@@ -1,14 +1,15 @@
 """The integer kernels against the rational references.
 
-``MultiMap.accumulate``, ``entry_splittings`` and ``Coderivation.precompose``
-multiply integer numerators over one denominator per call and make one
-``Fraction`` per output name.  The references (``reference_apply``,
-``reference_bracket``, ``reference_project``) multiply ``Fraction``s term by
+``MultiMap.accumulate``, ``entry_splittings``, ``Coderivation.precompose``,
+``PolyPath.evaluate`` and ``twist`` multiply integer numerators over one
+denominator per call and make one ``Fraction`` per output name.  The
+references (``reference_apply``, ``reference_bracket``, ``reference_project``,
+``reference_evaluate``, ``reference_twist``) multiply ``Fraction``s term by
 term.  The inputs below carry pairwise coprime denominators and negative
 coefficients, sums that cancel to exactly zero, int, ``Fraction`` and
 negative ``Fraction`` scalars, maps whose values are all integers, and
 arguments with empty support, on ``twostep3``, on heis with the acyclic pair
-and on their mapping spaces.
+and on their mapping spaces, and on ``shift``.
 """
 
 import random
@@ -17,19 +18,36 @@ from itertools import combinations
 
 from linfty import (
     Element,
+    GradedSpace,
     HomElement,
     MultiMap,
+    PolyPath,
     build_convolution,
     check_morphism,
     check_relations,
     compose,
+    gauge_flow,
+    gauge_to_homotopy,
+    identity_morphism,
     lift_coderivation,
     make_linfty,
+    mc_element,
+    twist,
     wedge_basis,
 )
 from linfty.morphism import MorphismComponents
 
-from conftest import heis, random_component_family, reference_apply, reference_bracket, reference_project, twostep3
+from conftest import (
+    heis,
+    random_component_family,
+    reference_apply,
+    reference_bracket,
+    reference_evaluate,
+    reference_project,
+    reference_twist,
+    shift,
+    twostep3,
+)
 
 F = Fraction
 
@@ -213,3 +231,129 @@ def test_the_fraction_constructions_of_the_morphism_checks_are_pinned(monkeypatc
     assert not report.passed and curvature.values == report.residuals
     assert set(composite.components) == {1, 2, 3}
     assert len(made) == 239
+
+
+TIMES = (F(0), F(1, 2), F(1), F(-3, 7), F(5))
+
+
+def _paths(rng):
+    """Gauge flows of vectors on shift, gauge homotopies of the identity
+    (paths of ``HomElement`` vectors) on heis with the acyclic pair and on
+    twostep3, and paths of rational vectors on the spaces of both."""
+    base = shift(3, 6, rng)
+    paths = [gauge_flow(base, _element(base.space, 1, rng), _element(base.space, 0, rng)) for _ in range(3)]
+    for base in (heis(2, rng, pair=True), twostep3(3, rng)):
+        direction = HomElement(base, base, 0, _family(base, 0, rng, 0.5))
+        paths.append(gauge_to_homotopy(identity_morphism(base), direction).h0)
+        paths.append(PolyPath(base.space, 1, {p: _element(base.space, 1, rng) for p in (0, 1, 3)}))
+    return paths
+
+
+def _assert_no_zero_coefficient(point):
+    if isinstance(point, Element):
+        assert all(point.coeffs.values())
+    elif point:
+        _assert_no_zero_entry(point)
+
+
+def test_path_evaluation_matches_the_reference():
+    rng = random.Random(3001)
+    homs = 0
+    for path in _paths(rng):
+        assert path.max_power() >= 1
+        zero, empty = path.space.zero(path.degree), PolyPath(path.space, path.degree)
+        a, b = path.coefficients[path.max_power()], path.coefficients.get(0, zero)
+        for t in TIMES:
+            got = path.evaluate(t)
+            assert got == reference_evaluate(path, t) and got
+            _assert_no_zero_coefficient(got)
+            # a weight's map that one power alone holds at t^p = 1 is kept, with its indexes
+            holders = {}
+            for p, e in path.coefficients.items():
+                for n, m in e.terms.items() if isinstance(e, HomElement) and (t or not p) else ():
+                    holders.setdefault(n, []).append((t**p, m))
+            kept = [(n, m) for n, ((scale, m), *more) in holders.items() if scale == 1 and not more]
+            assert all(got.components[n] is m for n, m in kept)
+            homs += t == 1 and bool(kept)
+            assert empty.evaluate(t) == zero == reference_evaluate(empty, t)
+            # a s^2 - a t^2 cancels at s = t, leaving b of b + a s^2 - a t^2
+            for c in (zero, b):
+                cancels = PolyPath(path.space, path.degree, {0: c - a.scale(t**2), 2: a})
+                got = cancels.evaluate(t)
+                assert got == reference_evaluate(cancels, t) == c
+                _assert_no_zero_coefficient(got)
+    assert homs == 2
+
+
+def _pencil(rng, cancel=False):
+    """{e:0, x:1, y:1, z:1} with Q2(e, x), Q2(e, y), Q3(e, x, x), Q3(e, x, y)
+    and Q3(e, y, y) multiples of z: no stored word reads z, so the relations
+    hold, and every stored word reads e, so every pi = a x + b y is flat.  A
+    twist reads pi's names past the even e, at -1, and twice, at 1/2; with
+    ``cancel``, Q2(e, x) makes Q^pi_1(e) zero.  Returns the structure and pi."""
+    space = GradedSpace([("e", 0), ("x", 1), ("y", 1), ("z", 1)])
+    words = (("e", "x"), ("e", "y"), ("e", "x", "x"), ("e", "x", "y"), ("e", "y", "y"))
+    coefficients = {w: _rational(rng) for w in words}
+    pi = Element(space, 1, {"x": _rational(rng), "y": _rational(rng)})
+
+    def build():
+        maps = {n: MultiMap.from_entries(space, space, n, 2 - n,
+                                         {w: {"z": c} for w, c in coefficients.items() if len(w) == n and c})
+                for n in (2, 3)}
+        return make_linfty(space, maps, cap=3)
+
+    if cancel:
+        coefficients[("e", "x")] = F(0)
+        rest = reference_twist(build(), pi).maps[1].evaluate(("e",)).coeffs["z"]
+        # Q2(e, x) adds -pi_x * Q2(e, x) z there, the sign of x passing e
+        coefficients[("e", "x")] = rest / pi.coeffs["x"]
+    structure = build()
+    assert check_relations(structure).passed
+    return structure, pi
+
+
+def test_twist_matches_the_reference_on_rational_pi():
+    rng = random.Random(3002)
+    cases = [_pencil(rng, cancel) for cancel in (False, True) for _ in range(3)]
+    base = shift(3, 6, rng)
+    cases += [(base, _element(base.space, 1, rng, density=1.0)) for _ in range(3)]
+    for structure in _structures(rng):
+        name = rng.choice([n for n in structure.space.basis_of_degree(1) if n.startswith("x")])
+        cases.append((structure, Element(structure.space, 1, {name: _rational(rng)})))
+    cancelled = 0
+    for structure, pi in cases:
+        pi = mc_element(structure, pi)
+        assert pi.passed
+        twisted = twist(structure, pi)
+        assert twisted.maps == reference_twist(structure, pi).maps
+        for q in twisted.maps.values():
+            assert all(v.coeffs and all(v.coeffs.values()) for v in q.values.values())
+        cancelled += 1 not in twisted.maps
+    assert cancelled == 3
+
+
+def test_the_fraction_constructions_of_evaluate_and_twist_are_pinned(monkeypatch):
+    # the flow of test_work_of_relation_checks_and_series on shift(4, 8):
+    # its points at 0, 1/2 and 1 make one Fraction per time (3 made here and
+    # 3 inside) and one per name of each point (3, 8 and 8); the twist makes
+    # one per name of its twisted values (44) and the 1/2 of its curvature
+    # check.  Summing term by term made 156 and 287
+    structure = shift(4, 8, random.Random(0))
+    pi0 = Element(structure.space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
+    xi = Element(structure.space, 0, {"p1": F(1), "p2": F(3)})
+    path = gauge_flow(structure, pi0, xi)
+    made = []
+    new = F.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", spy)
+    points = [path.evaluate(t) for t in (F(0), F(1, 2), F(1))]
+    evaluated = len(made)
+    twisted = twist(structure, points[-1])
+    monkeypatch.undo()
+    assert [len(p.coeffs) for p in points] == [3, 8, 8]
+    assert sum(len(v.coeffs) for q in twisted.maps.values() for v in q.values.values()) == 44
+    assert (evaluated, len(made) - evaluated) == (25, 45)
