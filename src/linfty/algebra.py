@@ -18,11 +18,12 @@ coefficients (-1)**(i*(j-1)).  No check applies Q word by word:
 :meth:`Coderivation.precompose` forms the cogenerator part of maps after Q
 from stored entries, for the relations, the F∘Q side of morphism
 compatibility and the mapping-space differential, through
-:func:`entry_splittings`, the one kernel of maps after either lift.  Its
-block-splitting sign is W's desuspension sign, the classical Koszul sign
-of the rearrangement on degrees lowered by one, each block's desuspension
-sign and that of the blocks' suspended degrees; a term of Q at S, read by
-f_n, has the sign of W's splitting into S and single names times (-1)**(n-1).
+:func:`entry_splittings`, the one kernel of maps after either lift and of
+:func:`~linfty.mc.twist`.  Its block-splitting sign is W's desuspension
+sign, the classical Koszul sign of the rearrangement on degrees lowered by
+one, each block's desuspension sign and that of the blocks' suspended
+degrees; a term of Q at S, read by f_n, has the sign of W's splitting into
+S and single names times (-1)**(n-1).
 
 Every check returns a report with one protocol: ``summary()`` is its text,
 ``to_json()`` its JSON payload, and a report that gives a verdict also has
@@ -215,10 +216,7 @@ class EntrySlot:
     """Fixed entries as an :func:`entry_splittings` slot, indexed once by every value name for any map."""
 
     def __init__(self, entries: Mapping[tuple[str, ...], Element], space: GradedSpace, cap: int):
-        self.index = _entry_index(entries, None, space, cap + 1)
-
-    def entry_index(self, q: MultiMap) -> tuple[dict, int]:
-        return self.index
+        self.entry_index = _entry_index(entries, space, cap + 1)
 
 
 def entry_splittings(
@@ -232,10 +230,12 @@ def entry_splittings(
 ) -> None:
     """Add ``scalar`` times Q'_n on the ordered splittings that read one entry per slot into word totals.
 
-    Slot j is ``(shift, entries)``: an integer and a mapping from canonical
-    factor tuples w to values v, elements that ``q`` (a map Q'_n) reads, or
-    an object whose ``entry_index(q)`` keeps the index of its entries: an
-    :class:`EntrySlot` or a :class:`~linfty.morphism.HomElement`.
+    Slot j is ``(shift, entries)``: an integer and a dict, or a read-only
+    view of one, from canonical factor tuples w to values v, elements that
+    ``q`` (a map Q'_n) reads, indexed per call by every value name, or an
+    object that keeps that index as ``entry_index``: an :class:`EntrySlot`
+    or a :class:`~linfty.morphism.HomElement`.  The empty block ``()`` has
+    weight 0 and suspended degree 1: ``{(): pi}`` reads a vector ahead.
     For every choice of one entry per slot whose blocks w_1, ..., w_n join
     into a word W of weight at most ``cap`` that does not vanish, and of one
     name of each v_i that together make up a word Q'_n stores, the
@@ -260,8 +260,10 @@ def entry_splittings(
     W's own desuspension sign and multiplicity are kept in ``joined``, a
     dict kept for every call over one space and cap (the source structure's
     :attr:`LInftyStructure.joined`, kept by the space for all its structures).  A
-    block too heavy to leave a name for each later slot is dropped, and so
-    is an entry none of whose names Q'_n reads.
+    block too heavy to leave a name for each later slot is dropped: exact
+    for nonempty blocks, and with empty ones too when n <= cap and no block
+    weighs over 1, as in :func:`~linfty.mc.twist`, since blocks 0, ..., j
+    then weigh at most j + 1 <= cap - last + j, so no term is dropped.
     A run of two slots reads the distinct pair once, counted twice; two
     slots over equal but distinct mappings read both orders, whose signs of
     splitting and of sorting the names cancel:
@@ -279,8 +281,8 @@ def entry_splittings(
     walk_slots, shifts, den = [], [], scalar.denominator * q.rows[0]
     for j, (shift, entries) in enumerate(slots):
         if not j or slots[j - 1][1] is not entries:
-            built = getattr(entries, "entry_index", None)
-            index, d = built(q) if built else _entry_index(entries, q, space, cap + 1)
+            plain = isinstance(entries, (dict, MappingProxyType))
+            index, d = _entry_index(entries, space, cap + 1) if plain else entries.entry_index
             if not index:
                 return
         den *= d
@@ -318,19 +320,13 @@ def entry_splittings(
         add_over(totals.setdefault(word, {}), into, den)
 
 
-def _entry_index(entries: Mapping[tuple[str, ...], Element], q: MultiMap | None, space: GradedSpace, base: int) -> tuple:
-    """The walk index of ``entries`` by the value names ``q`` reads (all if ``q``
-    is None), name -> ``(position, numerator, block row)``, and its denominator."""
-    codes, subcodes = q.key_index[:2] if q is not None else ({}, None)
-    reached = []
-    for position, (w, v) in enumerate(entries.items()):
-        reach = {name: c for name, c in v.coeffs.items() if subcodes is None or codes[name] in subcodes}
-        if reach:
-            reached.append((position, w, reach))
-    den, rows = integer_rows(reach for _, _, reach in reached)
+def _entry_index(entries: Mapping[tuple[str, ...], Element], space: GradedSpace, base: int) -> tuple:
+    """The walk index of ``entries`` by every value name,
+    name -> ``(position, numerator, block row)``, and its denominator."""
+    den, rows = integer_rows(v.coeffs for v in entries.values())
     index: dict[str, list] = {}
     blocks = space.kernel_memos.setdefault(("blocks", base), {})
-    for (position, w, _), row in zip(reached, rows):
+    for position, (w, row) in enumerate(zip(entries, rows)):
         block = blocks.get(w) or blocks.setdefault(w, _block_row(w, space, base))
         for name, n in row:
             index.setdefault(name, []).append((position, n, block))

@@ -72,7 +72,17 @@ def _header(doc: dict, key: str, integer: bool = False):
 
 
 def _section_weight(name: str) -> int:
-    return _integer(name.partition(" ")[2], "weight of section %r" % name)
+    weight = _integer(name.partition(" ")[2], "weight of section %r" % name)
+    if name != "%s %d" % (name.partition(" ")[0], weight):
+        raise DocumentError("section %r: write its weight as %d" % (name, weight))
+    return weight
+
+
+def _sole_map_section(doc: dict, weight: int) -> list[str]:
+    """The one section of a map or request document, ``map <weight>``."""
+    if [_section_weight(name) for name in doc["sections"]] != [weight]:
+        raise DocumentError("%s document needs one section, 'map %d'" % (doc["kind"], weight))
+    return doc["sections"]["map %d" % weight]
 
 
 def _format_fraction(value: Fraction) -> str:
@@ -334,10 +344,7 @@ def load_map(path: str, cap_override: int | None = None):
     target = load_algebra(_resolve(path, _header(doc, "target")), cap_override)
     weight = _header(doc, "weight", integer=True)
     degree = _header(doc, "degree", integer=True)
-    section = doc["sections"].get("map %d" % weight)
-    if section is None:
-        raise DocumentError("map document lacks its 'map %d' section" % weight)
-    m = _parse_map_section(section, source.space, target.space, weight, degree)
+    m = _parse_map_section(_sole_map_section(doc, weight), source.space, target.space, weight, degree)
     return source, target, m
 
 
@@ -358,11 +365,8 @@ def load_request(path: str, cap_override: int | None = None):
     doc = load_document(path, "request")
     morphism = load_morphism(_resolve(path, _header(doc, "morphism")), cap_override)
     weight = _header(doc, "weight", integer=True)
-    section = doc["sections"].get("map %d" % weight)
-    if section is None:
-        raise DocumentError("request lacks its 'map %d' section" % weight)
     correction = _parse_map_section(
-        section, morphism.source.space, morphism.target.space, weight, -weight
+        _sole_map_section(doc, weight), morphism.source.space, morphism.target.space, weight, -weight
     )
     return morphism, weight, correction
 
@@ -371,9 +375,10 @@ def load_request(path: str, cap_override: int | None = None):
 
 
 def _parse_poly(text: str) -> list[Fraction]:
-    if text.startswith("[") and text.endswith("]"):
-        return [_parse_fraction(p) for p in text[1:-1].split()]
-    return [_parse_fraction(text)]
+    parts = text[1:-1].split() if text.startswith("[") and text.endswith("]") else [text]
+    if not parts:
+        raise DocumentError("bad polynomial %r (use [c0 c1 ...] or c)" % text)
+    return [_parse_fraction(p) for p in parts]
 
 
 def _format_poly(coeffs: list[Fraction]) -> str:
@@ -420,6 +425,8 @@ def load_homotopy(
                 combo[name] = [a + b for a, b in summed]
             if word in seen:
                 raise DocumentError("duplicate entry for word %r" % (word.factors,))
+            if not any(any(poly) for poly in combo.values()):
+                raise DocumentError("empty combination %r" % rhs)
             seen.add(word)
             for name, poly in combo.items():
                 for power, coeff in enumerate(poly):

@@ -21,10 +21,10 @@ algebra has no map, and its halves ``accumulate(totals, n, elements, scalar)``
 and ``build(degree, totals)``.  A structure offers them on ``Element`` values,
 the mapping space :class:`~linfty.convolution.ConvolutionAlgebra` on
 ``HomElement`` values, so flows of morphisms run on component maps directly;
-:func:`twist` and strict curvature need the structure maps.  All sums of this
-kind but :func:`twist`'s go through :func:`twisting_series` or, in
-:func:`gauge_flow`, the same ``accumulate`` into one totals dict per power;
-like it, :func:`twist` and :meth:`PolyPath.evaluate` sum in ``int``.
+:func:`twist` and strict curvature need the structure maps.  Sums of this
+kind go through :func:`twisting_series`, :func:`gauge_flow`'s ``accumulate``
+into one totals dict per power, or, in :func:`twist`, the one signed block
+kernel :func:`~linfty.algebra.entry_splittings`: no sign is derived here.
 
 :class:`MCElement`, an element with its curvature, and :class:`FlowReport`,
 a flow with its curvature at sample times, are reports in the protocol of
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -44,12 +44,11 @@ from .grading import (
     FlatnessError,
     InputError,
     NonConvergenceError,
-    Word,
     add_over,
     integer_rows,
     tabulate,
 )
-from .algebra import LInftyStructure, compositions, lower_central_series
+from .algebra import LInftyStructure, compositions, entry_splittings, lower_central_series
 
 # the times at which flow and homotopy reports evaluate the curvature of a path
 SAMPLE_TIMES = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -150,13 +149,14 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
     """Structure maps with the flat element inserted ahead of all arguments.
 
     Q^pi_k(x_1, ..., x_k) = sum over m of 1/m! Q_{m+k}(pi, ..., pi, x_1, ..., x_k),
-    read off the stored entries: a stored word W of Q_n and a sub-multiset S
-    of W from pi's support (a prefix of each run of equal names) add
-    (prod over a of pi_a^{m_a} / m_a!) * sign * Q_n(W) into Q^pi_{n-|S|} on
-    the rest of W, canonical as a subsequence, if not empty.  pi has degree
-    1, so the sign is -1 to the number of pairs of an even name of W before
-    a name of S.  With pi_a = n_a / d and Q_n's integer ``rows``, the sums run
-    in ``int`` over one denominator, one ``Fraction`` per word and name.
+    read off the stored entries by :func:`~linfty.algebra.entry_splittings`:
+    per stored Q_n and m < n, m slots of the empty-block entry ``{(): pi}``,
+    then k = n - m slots of the basis names, whose run counts a word's k!
+    orderings.  An empty block has suspended degree 0 + 1 - 0 = 1, crosses
+    nothing at shift 0 and enters only the desuspension sign of the blocks'
+    suspended degrees, where the m blocks of pi add the sum over i < m of
+    n - 1 - i = m*k + m*(m-1)/2.  pi is a vector, not a map on an empty word,
+    so the scalar (-1)**(m*k + m*(m-1)/2) / (m! * k!) cancels that sign.
     Twisting by x reads Q_3(e, x, x) = z twice, at 1/2, and once past e, at -1:
 
     >>> from linfty.grading import GradedSpace, MultiMap
@@ -174,26 +174,13 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
         pi = mc_element(structure, value)
     if not pi.passed:
         raise FlatnessError("cannot twist by a non-flat element; curvature %r" % pi.residual, pi.residual)
-    d, (row,) = integer_rows([pi.value.coeffs])
-    numerators, top = dict(row), max(structure.maps, default=0)
-    den = lcm(*(q.rows[0] for q in structure.maps.values())) * d**top * factorial(top)
-    sums: dict[tuple, tuple[int, dict]] = {}  # the rest of W -> its degree and name -> numerator over den
+    entries, names = {(): pi.value}, structure.lift_slots[1]
+    totals: dict = {}
     for n, q in structure.maps.items():
-        for word in q.values:
-            parts, evens = [((), 1, q.rows[0])], 0  # (rest, numerator, denominator) per prefix of each run in S
-            for name, group in groupby(word.factors):
-                kept, c = tuple(group), numerators.get(name, 0)
-                parts = [(rest + kept[m:], x * (-c**m if m * evens % 2 else c**m), y * d**m * factorial(m))
-                         for rest, x, y in parts for m in range(len(kept) + 1 if c else 1)]
-                evens += space.degree(name) % 2 == 0
-            for rest, x, y in parts:
-                if rest:
-                    into, x = sums.setdefault(rest, (word.degree - n + len(rest), {}))[1], x * (den // y)
-                    for name, v in q.rows[1][word.factors]:
-                        into[name] = into.get(name, 0) + x * v
-    totals: dict[Word, dict] = {}
-    for rest in sorted(sums, key=lambda r: (len(r), [space.index(a) for a in r])):
-        add_over(totals.setdefault(Word(rest, sums[rest][0]), {}), sums[rest][1], den)
+        for m in range(n):
+            scalar = Fraction((-1) ** (m * (n - m) + m * (m - 1) // 2), factorial(m) * factorial(n - m))
+            slots = [(0, entries)] * m + [(0, names)] * (n - m)
+            entry_splittings(totals, slots, space, structure.cap, structure.joined, q, scalar)
     return LInftyStructure(space, tabulate(space, space, 2, totals), structure.cap)
 
 

@@ -83,7 +83,6 @@ class HomElement(Combination):
         self.degree = degree
         self.terms = MappingProxyType(map_family(components, source.space, target.space, self.cap, degree))
         self.verified = False
-        self._indexes: dict[int, tuple[MultiMap, tuple[dict, int]]] = {}
 
     @classmethod
     def from_totals(
@@ -109,14 +108,13 @@ class HomElement(Combination):
     @cached_property
     def by_factors(self) -> Mapping[tuple[str, ...], Element]:
         """The components' stored values keyed by factor tuples, all weights in
-        one read-only mapping, since :meth:`entry_index` is a cache of it."""
+        one read-only mapping, since :attr:`entry_index` is a cache of it."""
         return MappingProxyType({f: v for c in self.components.values() for f, v in c.by_factors.items()})
 
-    def entry_index(self, q: MultiMap) -> tuple[dict, int]:
-        """:func:`entry_splittings`' index of the entries for ``q``, with its denominator, kept per weight."""
-        if self._indexes.get(q.weight, (None,))[0] is not q:
-            self._indexes[q.weight] = q, _entry_index(self.by_factors, q, self.source.space, self.cap + 1)
-        return self._indexes[q.weight][1]
+    @cached_property
+    def entry_index(self) -> tuple[dict, int]:
+        """:func:`entry_splittings`' index of the entries by every value name, with its denominator."""
+        return _entry_index(self.by_factors, self.source.space, self.cap + 1)
 
     @property
     def values(self) -> dict[Word, Element]:

@@ -315,8 +315,10 @@ def test_outputs_deterministic():
         assert first == second
 
 
-# (command, corpus file, line pattern, replacement): one malformed header,
-# section weight, missing required header or malformed homotopy entry each
+# (command and its arguments before the file, corpus file, line pattern,
+# replacement): one malformed header, section weight, missing required
+# header, malformed homotopy entry or section that would be read twice or
+# not at all each
 MALFORMED = {
     "morphism-section-weight": ("check-morphism", "id_twoterm.mor", r"^map 1:$", "map x:"),
     "algebra-cap": ("check-linfty", "twoterm.alg", r"^cap: 3$", "cap: three"),
@@ -327,6 +329,29 @@ MALFORMED = {
     ),
     "homotopy-term-without-coefficient": (
         "homotopy-check", "flow.hom", r"^  b -> 1\*b$", "  b -> b"
+    ),
+    # a weight spelled otherwise than the writer spells it, next to or
+    # instead of the canonical section, would replace it or be read as it
+    "algebra-zero-padded-weight": (
+        "twist --pi 1*x", "heis.alg", r"^  x y -> 1\*z$", "  x y -> 1*z\nmap 02:\n  x x -> 1*z"
+    ),
+    "algebra-signed-weight": ("check-linfty", "heis.alg", r"^map 2:$", "map +2:"),
+    "morphism-spaced-weight": (
+        "check-morphism", "id_twoterm.mor", r"^  b -> 1\*b$", "  b -> 1*b\nmap  1:\n  a -> 3*a"
+    ),
+    "homotopy-zero-padded-weight": ("homotopy-check", "flow.hom", r"^h1 2:$", "h1 02:"),
+    # a map or request document reads only its ``map <weight>`` section
+    "map-extra-section": (
+        "lemma1 id_twoterm.mor --n 2 --H", "corr.map", r"^  b b -> 1\*a$", "  b b -> 1*a\nmap 1:\n  a -> 5*b"
+    ),
+    "request-extra-section": (
+        "lemma1 id_twoterm.mor --request", "pert.req", r"^  b b -> 1\*a$", "  b b -> 1*a\nmap 1:\n  a -> 5*b"
+    ),
+    # a homotopy entry with no nonzero coefficient, as in the other documents
+    "homotopy-zero-entry": ("homotopy-check", "flow.hom", r"^  b b -> 1\*a$", "  b b -> 0*a"),
+    "homotopy-empty-polynomial": ("homotopy-check", "flow.hom", r"^  b b -> 1\*a$", "  b b -> []*a"),
+    "homotopy-cancelling-entry": (
+        "homotopy-check", "flow.hom", r"^  b b -> 1\*a$", "  b b -> [1 -1]*a + [-1 1]*a"
     ),
 }
 
@@ -344,7 +369,7 @@ def test_malformed_document_is_an_input_error(tmp_path, command, name, pattern, 
     (corpus / name).write_text(broken)
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
-        [sys.executable, "-m", "linfty.cli", command, name],
+        [sys.executable, "-m", "linfty.cli", *command.split(), name],
         cwd=corpus, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 2

@@ -232,7 +232,7 @@ def test_check_homotopy_evaluates_each_sample_time_once(monkeypatch):
     assert report.sample_residuals == want.sample_residuals
 
 
-def test_an_element_keeps_its_entry_index_per_map(monkeypatch):
+def test_an_element_indexes_its_entries_once_for_every_map(monkeypatch):
     rng = random.Random(2705)
     base = twostep3(3, rng, cap=3)
     conv = build_convolution(base, base, base.cap)
@@ -241,14 +241,18 @@ def test_an_element_keeps_its_entry_index_per_map(monkeypatch):
     built = []
     index = morphism._entry_index
 
-    def spy(entries, q, space, cap):
-        built.append(q.weight)
-        return index(entries, q, space, cap)
+    def spy(entries, space, base):
+        built.append(entries)
+        return index(entries, space, base)
 
     monkeypatch.setattr(morphism, "_entry_index", spy)
     first = [conv.bracket([alpha, beta]), conv.bracket([alpha, alpha, beta])]
     again = [conv.bracket([alpha, beta]), conv.bracket([alpha, alpha, beta])]
-    assert first == again and sorted(built) == [2, 2, 3, 3]
+    # maps of every weight, and another map of a weight already read, read the same index
+    for q in [*base.maps.values(), MultiMap(base.space, base.space, 3, -1, {})]:
+        entry_splittings({}, [(0, alpha)] * q.weight, base.space, 3, {}, q)
+        entry_splittings({}, [(-1, beta)] * q.weight, base.space, 3, {}, q)
+    assert first == again and len(built) == 2 and built[0] is alpha.by_factors and built[1] is beta.by_factors
     # a slot of the element and a slot of its entries give the same terms
     q3 = base.maps[3]
     by_element, by_entries = {}, {}
@@ -257,6 +261,3 @@ def test_an_element_keeps_its_entry_index_per_map(monkeypatch):
         by_entries, [(0, alpha.by_factors), (0, alpha.by_factors), (-1, beta.by_factors)], base.space, 3, {}, q3
     )
     assert by_element == by_entries and any(by_element.values())
-    # another map of the same weight builds its own index
-    other = MultiMap(base.space, base.space, 3, -1, {})
-    assert alpha.entry_index(other) == ({}, 1) and alpha.entry_index(q3) is not alpha.entry_index(other)

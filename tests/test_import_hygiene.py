@@ -6,6 +6,10 @@ quoted annotation; ``from __future__`` imports are compiler directives.
 
 Vector arithmetic is defined once, on ``grading.Combination``: no other
 class in ``src/linfty`` defines it again.
+
+No private helper is orphaned: every underscore-named module-level function
+or class, and every underscore-named method, in ``src/linfty`` is read by
+code in ``src/linfty`` outside its own definition.
 """
 
 import ast
@@ -86,3 +90,47 @@ def test_only_the_base_defines_vector_arithmetic():
 def test_arithmetic_definition_is_reported():
     source = "class Combination:\n    def scale(self): pass\nclass V:\n    def __neg__(self): pass\n"
     assert arithmetic_definitions(source) == ["V.__neg__"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each private function, class or method that no
+    code in ``sources`` (module name -> source) reads outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    readers: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                readers.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                readers.setdefault(node.attr, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        helpers = [(node.name, node) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        helpers += [("%s.%s" % (node.name, item.name), item) for node in tree.body if isinstance(node, ast.ClassDef)
+                    for item in node.body if isinstance(item, ast.FunctionDef)]
+        for label, helper in helpers:
+            inside = {id(node) for node in ast.walk(helper)}
+            if _private(helper.name) and all(id(node) in inside for node in readers.get(helper.name, [])):
+                found.append("%s:%s" % (module, label))
+    return sorted(found)
+
+
+def test_no_private_helper_is_orphaned():
+    sources = {}
+    for name in sorted(os.listdir(SRC_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_DIR, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    assert orphaned_helpers(sources) == []
+
+
+def test_orphaned_helper_is_reported():
+    sources = {
+        "a.py": "def _used(): pass\ndef _recursive(): _recursive()\nclass C:\n    def _m(self): pass\n",
+        "b.py": "from a import _used\n_used()\n",
+    }
+    assert orphaned_helpers(sources) == ["a.py:C._m", "a.py:_recursive"]

@@ -14,7 +14,7 @@ and on their mapping spaces, and on ``shift``.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from linfty import (
     Element,
@@ -285,22 +285,27 @@ def test_path_evaluation_matches_the_reference():
     assert homs == 2
 
 
-def _pencil(rng, cancel=False):
+def _pencil(rng, cancel=False, cap=3):
     """{e:0, x:1, y:1, z:1} with Q2(e, x), Q2(e, y), Q3(e, x, x), Q3(e, x, y)
     and Q3(e, y, y) multiples of z: no stored word reads z, so the relations
     hold, and every stored word reads e, so every pi = a x + b y is flat.  A
     twist reads pi's names past the even e, at -1, and twice, at 1/2; with
-    ``cancel``, Q2(e, x) makes Q^pi_1(e) zero.  Returns the structure and pi."""
-    space = GradedSpace([("e", 0), ("x", 1), ("y", 1), ("z", 1)])
-    words = (("e", "x"), ("e", "y"), ("e", "x", "x"), ("e", "x", "y"), ("e", "y", "y"))
+    ``cancel``, Q2(e, x) makes Q^pi_1(e) zero.  At ``cap`` 4 the space gains
+    w:1 and Q_n(e, ...) reads every multiset of n - 1 of x, y and w, n = 2,
+    3, 4, with pi over one to three of them, so a run of pi repeats a name
+    up to three times.  Returns the structure and pi."""
+    odd = ("x", "y", "w")[:cap - 1]
+    space = GradedSpace([("e", 0), *((name, 1) for name in odd), ("z", 1)])
+    words = [("e",) + c for k in range(1, cap) for c in combinations_with_replacement(odd, k)]
     coefficients = {w: _rational(rng) for w in words}
-    pi = Element(space, 1, {"x": _rational(rng), "y": _rational(rng)})
+    support = odd if cap == 3 else rng.sample(odd, rng.randint(1, 3))
+    pi = Element(space, 1, {name: _rational(rng) for name in support})
 
     def build():
         maps = {n: MultiMap.from_entries(space, space, n, 2 - n,
                                          {w: {"z": c} for w, c in coefficients.items() if len(w) == n and c})
-                for n in (2, 3)}
-        return make_linfty(space, maps, cap=3)
+                for n in range(2, cap + 1)}
+        return make_linfty(space, maps, cap=cap)
 
     if cancel:
         coefficients[("e", "x")] = F(0)
@@ -320,6 +325,7 @@ def test_twist_matches_the_reference_on_rational_pi():
     for structure in _structures(rng):
         name = rng.choice([n for n in structure.space.basis_of_degree(1) if n.startswith("x")])
         cases.append((structure, Element(structure.space, 1, {name: _rational(rng)})))
+    cases += [_pencil(rng, cap=4) for _ in range(4)]
     cancelled = 0
     for structure, pi in cases:
         pi = mc_element(structure, pi)
@@ -336,8 +342,9 @@ def test_the_fraction_constructions_of_evaluate_and_twist_are_pinned(monkeypatch
     # the flow of test_work_of_relation_checks_and_series on shift(4, 8):
     # its points at 0, 1/2 and 1 make one Fraction per time (3 made here and
     # 3 inside) and one per name of each point (3, 8 and 8); the twist makes
-    # one per name of its twisted values (44) and the 1/2 of its curvature
-    # check.  Summing term by term made 156 and 287
+    # one per name of its twisted values (44), the 1/2 of its curvature check
+    # and its entry_splittings scalars 1/2 and -1 for Q_2 at m = 0 and 1.
+    # Summing term by term made 156 and 287
     structure = shift(4, 8, random.Random(0))
     pi0 = Element(structure.space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
     xi = Element(structure.space, 0, {"p1": F(1), "p2": F(3)})
@@ -356,4 +363,4 @@ def test_the_fraction_constructions_of_evaluate_and_twist_are_pinned(monkeypatch
     monkeypatch.undo()
     assert [len(p.coeffs) for p in points] == [3, 8, 8]
     assert sum(len(v.coeffs) for q in twisted.maps.values() for v in q.values.values()) == 44
-    assert (evaluated, len(made) - evaluated) == (25, 45)
+    assert (evaluated, len(made) - evaluated) == (25, 47)
