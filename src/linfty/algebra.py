@@ -19,11 +19,14 @@ coefficients (-1)**(i*(j-1)).  No check applies Q word by word:
 from stored entries, for the relations, the F∘Q side of morphism
 compatibility and the mapping-space differential, through
 :func:`entry_splittings`, the one kernel of maps after either lift and of
-:func:`~linfty.mc.twist`.  Its block-splitting sign is W's desuspension
-sign, the classical Koszul sign of the rearrangement on degrees lowered by
-one, each block's desuspension sign and that of the blocks' suspended
-degrees; a term of Q at S, read by f_n, has the sign of W's splitting into
-S and single names times (-1)**(n-1).
+:func:`~linfty.mc.twist`.  It reads a source structure and slots, each an
+index that :func:`entry_index` builds once over that source and its caller
+keeps (:attr:`LInftyStructure.lift_slots`,
+:attr:`~linfty.morphism.HomElement.entry_index`).  Its block-splitting
+sign is W's desuspension sign, the classical Koszul sign of the
+rearrangement on degrees lowered by one, each block's desuspension sign
+and that of the blocks' suspended degrees; a term of Q at S, read by f_n,
+has the sign of W's splitting into S and single names times (-1)**(n-1).
 
 Every check returns a report with one protocol: ``summary()`` is its text,
 ``to_json()`` its JSON payload, and a report that gives a verdict also has
@@ -52,10 +55,11 @@ from .grading import (
     add_over,
     add_scaled,
     canonicalize_word,
-    integer_rows,
+    koszul_sign,
     map_family,
     tabulate,
     unshuffles,
+    walk_index,
     wedge_basis,
 )
 from . import linalg
@@ -70,7 +74,7 @@ class LInftyStructure:
         self.space = space
         self.cap = cap
         self.maps: Mapping[int, MultiMap] = MappingProxyType(map_family(maps, space, space, cap, 2))
-        self.verified = False
+        self._verified = False
         # entry_splittings' memo of the words joined over this space and cap
         self.joined: dict = space.kernel_memos.setdefault(("joined", cap), {})
 
@@ -79,6 +83,11 @@ class LInftyStructure:
         coeffs: dict = {}
         self.accumulate(coeffs, n, elements, 1)
         return self.build(sum(e.degree for e in elements) + 2 - n, coeffs)
+
+    @property
+    def verified(self) -> bool:
+        """Whether :func:`check_relations` last found the relations to hold; read-only."""
+        return self._verified
 
     def accumulate(self, totals: dict, n: int, elements: Sequence[Element], scalar) -> None:
         """Add ``scalar`` times Q_n on n elements into a name -> coefficient dict."""
@@ -99,15 +108,15 @@ class LInftyStructure:
         return set(self.maps)
 
     @cached_property
-    def lift_slots(self) -> tuple["EntrySlot", "EntrySlot"]:
-        """:meth:`Coderivation.precompose`'s slots: the stored Q_k entries, built once as ``maps``
-        is read-only, and the basis names as entries ``(x,) -> x``, once per space and cap."""
+    def lift_slots(self) -> tuple[tuple, tuple]:
+        """:meth:`Coderivation.precompose`'s slot indexes (:func:`entry_index`): the stored Q_k
+        entries, built once as ``maps`` is read-only, and the basis names as entries ``(x,) -> x``,
+        once per space and cap."""
         names = self.space.kernel_memos.get(("names", self.cap))
         if names is None:
-            names = self.space.kernel_memos["names", self.cap] = EntrySlot(
-                {(x,): Element.basis(self.space, x) for x in self.space.names}, self.space, self.cap)
-        entries = {w: v for q in self.maps.values() for w, v in q.by_factors.items()}
-        return EntrySlot(entries, self.space, self.cap), names
+            names = self.space.kernel_memos["names", self.cap] = entry_index(
+                {(x,): Element.basis(self.space, x) for x in self.space.names}, self)
+        return entry_index({w: v for q in self.maps.values() for w, v in q.by_factors.items()}, self), names
 
     def words(self) -> list[Word]:
         out: list[Word] = []
@@ -200,11 +209,11 @@ class Coderivation:
         {('b', 'b'): {'c': Fraction(2, 1)}}
         """
         out = {} if out is None else out
-        L, (entries, names) = self.structure, self.structure.lift_slots
+        entries, names = self.structure.lift_slots
         for n, f in maps.items():
             signed = -scalar if n % 2 == 0 else scalar
             scaled = signed if n <= 2 else Fraction(signed, factorial(n - 1))
-            entry_splittings(out, [(1, entries)] + [(0, names)] * (n - 1), L.space, L.cap, L.joined, f, scaled)
+            entry_splittings(out, self.structure, [(1, entries)] + [(0, names)] * (n - 1), f, scaled)
         return out
 
 
@@ -212,33 +221,20 @@ def lift_coderivation(structure: LInftyStructure) -> Coderivation:
     return Coderivation(structure)
 
 
-class EntrySlot:
-    """Fixed entries as an :func:`entry_splittings` slot, indexed once by every value name for any map."""
-
-    def __init__(self, entries: Mapping[tuple[str, ...], Element], space: GradedSpace, cap: int):
-        self.entry_index = _entry_index(entries, space, cap + 1)
-
-
 def entry_splittings(
-    totals: dict[Word, dict],
-    slots: Sequence[tuple[int, object]],
-    space: GradedSpace,
-    cap: int,
-    joined: dict,
-    q: MultiMap,
-    scalar=1,
+    totals: dict[Word, dict], source: LInftyStructure, slots: Sequence[tuple[int, tuple]], q: MultiMap, scalar=1
 ) -> None:
     """Add ``scalar`` times Q'_n on the ordered splittings that read one entry per slot into word totals.
 
-    Slot j is ``(shift, entries)``: an integer and a dict, or a read-only
-    view of one, from canonical factor tuples w to values v, elements that
-    ``q`` (a map Q'_n) reads, indexed per call by every value name, or an
-    object that keeps that index as ``entry_index``: an :class:`EntrySlot`
-    or a :class:`~linfty.morphism.HomElement`.  The empty block ``()`` has
-    weight 0 and suspended degree 1: ``{(): pi}`` reads a vector ahead.
-    For every choice of one entry per slot whose blocks w_1, ..., w_n join
-    into a word W of weight at most ``cap`` that does not vanish, and of one
-    name of each v_i that together make up a word Q'_n stores, the
+    Slot j is ``(shift, index)``: an integer and the :func:`entry_index`
+    over ``source`` of a mapping from canonical factor tuples w to values v,
+    elements that ``q`` (a map Q'_n) reads; :attr:`LInftyStructure.lift_slots`
+    and :attr:`~linfty.morphism.HomElement.entry_index` keep theirs.  The
+    empty block ``()`` has weight 0 and suspended degree 1: ``{(): pi}``
+    reads a vector ahead.  For every choice of one entry per slot whose
+    blocks w_1, ..., w_n join into a word W, of weight at most the cap of
+    ``source``, that does not vanish, and of one name of each v_i that
+    together make up a word Q'_n stores, the
     :meth:`~linfty.grading.MultiMap.walk` makes a term: the stored value
     times the walk coefficient times the signed count of the splittings of
     W into position blocks that read w_1, ..., w_n, summed per W and name
@@ -248,43 +244,43 @@ def entry_splittings(
     number is a product of multinomials and they share one sign: the
     block-splitting sign of the module's docstring times the crossing
     ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each shift past the
-    earlier blocks.  Consecutive slots that read one ``entries``
-    mapping, each at an even shift, form a run: swapping two of its blocks
-    leaves the term times its sign unchanged, so the walk chooses a run's
-    entries as a multiset, counted by their orderings.
+    earlier blocks.  Consecutive slots that read one index, each at an
+    even shift, form a run: swapping two of its blocks leaves the term
+    times its sign unchanged, so the walk chooses a run's entries as a
+    multiset, counted by their orderings.
 
     The sign is the walk's ``step``, read off the entries slot by slot:
     only two even-degree names of different blocks swap with an odd sign,
     a popcount of the earlier blocks' even names against a mask of the new
     block's; the other factors are per-block constants and prefix sums; and
-    W's own desuspension sign and multiplicity are kept in ``joined``, a
-    dict kept for every call over one space and cap (the source structure's
-    :attr:`LInftyStructure.joined`, kept by the space for all its structures).  A
-    block too heavy to leave a name for each later slot is dropped: exact
-    for nonempty blocks, and with empty ones too when n <= cap and no block
-    weighs over 1, as in :func:`~linfty.mc.twist`, since blocks 0, ..., j
-    then weigh at most j + 1 <= cap - last + j, so no term is dropped.
+    W's own desuspension sign and multiplicity are kept in the source's
+    :attr:`LInftyStructure.joined`, which its space keeps for every
+    structure of that cap.  A block too heavy to leave a name for each
+    later slot is dropped: exact for nonempty blocks, and with empty ones
+    too when n <= cap and no block weighs over 1, as in
+    :func:`~linfty.mc.twist`, since blocks 0, ..., j then weigh at most
+    j + 1 <= cap - last + j, so no term is dropped.
     A run of two slots reads the distinct pair once, counted twice; two
-    slots over equal but distinct mappings read both orders, whose signs of
+    slots over equal but distinct indexes read both orders, whose signs of
     splitting and of sorting the names cancel:
 
     >>> V = GradedSpace([("a", 0), ("b", 1)])
+    >>> L = make_linfty(V, {}, cap=2)
     >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
     >>> entries = {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")}
-    >>> for slots in ([(0, entries)] * 2, [(0, entries), (0, dict(entries))]):
+    >>> index = entry_index(entries, L)
+    >>> for slots in ([(0, index)] * 2, [(0, index), (0, entry_index(entries, L))]):
     ...     totals = {}
-    ...     entry_splittings(totals, slots, V, 2, {}, q2, Fraction(1, 2))
+    ...     entry_splittings(totals, L, slots, q2, Fraction(1, 2))
     ...     print({word.factors: coeffs for word, coeffs in totals.items()})
     {('a', 'b'): {'b': Fraction(1, 1)}}
     {('a', 'b'): {'b': Fraction(1, 1)}}
     """
+    cap, joined = source.cap, source.joined
     walk_slots, shifts, den = [], [], scalar.denominator * q.rows[0]
-    for j, (shift, entries) in enumerate(slots):
-        if not j or slots[j - 1][1] is not entries:
-            plain = isinstance(entries, (dict, MappingProxyType))
-            index, d = _entry_index(entries, space, cap + 1) if plain else entries.entry_index
-            if not index:
-                return
+    for j, (shift, (index, d)) in enumerate(slots):
+        if not index:
+            return
         den *= d
         walk_slots.append((index, j > 0 and index is walk_slots[-1][0] and shift % 2 == 0 == shifts[-1]))
         shifts.append(shift % 2)
@@ -320,17 +316,14 @@ def entry_splittings(
         add_over(totals.setdefault(word, {}), into, den)
 
 
-def _entry_index(entries: Mapping[tuple[str, ...], Element], space: GradedSpace, base: int) -> tuple:
-    """The walk index of ``entries`` by every value name,
-    name -> ``(position, numerator, block row)``, and its denominator."""
-    den, rows = integer_rows(v.coeffs for v in entries.values())
-    index: dict[str, list] = {}
+def entry_index(entries: Mapping[tuple[str, ...], Element], source: LInftyStructure) -> tuple[dict, int]:
+    """An :func:`entry_splittings` slot's index of ``entries`` over ``source``'s space and cap:
+    the walk index (:func:`~linfty.grading.walk_index`) by every value name, each row's payload
+    its block row, and its denominator."""
+    space, base = source.space, source.cap + 1
     blocks = space.kernel_memos.setdefault(("blocks", base), {})
-    for position, (w, row) in enumerate(zip(entries, rows)):
-        block = blocks.get(w) or blocks.setdefault(w, _block_row(w, space, base))
-        for name, n in row:
-            index.setdefault(name, []).append((position, n, block))
-    return index, den
+    block_rows = (blocks.get(w) or blocks.setdefault(w, _block_row(w, space, base)) for w in entries)
+    return walk_index((v.coeffs for v in entries.values()), block_rows)
 
 
 def _block_row(factors: tuple[str, ...], space: GradedSpace, base: int) -> tuple:
@@ -425,7 +418,7 @@ def check_relations(structure: LInftyStructure) -> ResidualReport:
     family = tabulate(structure.space, structure.space, 3, totals)
     residuals = {w: v for m in family.values() for w, v in m.values.items()}
     report = ResidualReport(structure.cap, "relations hold", "relations fail", residuals)
-    structure.verified = report.passed
+    structure._verified = report.passed
     return report
 
 
@@ -457,16 +450,8 @@ def unshuffle_residual(structure: LInftyStructure, word: Word) -> Element:
             continue
         coeff_sign = -1 if (i * (j - 1)) % 2 else 1
         for chosen in combinations(range(n), i):
-            rest = [p for p in range(n) if p not in chosen]
-            perm = list(chosen) + rest
-            exponent = 0
-            inversions = 0
-            for a_idx in range(n):
-                for b_idx in range(a_idx + 1, n):
-                    if perm[a_idx] > perm[b_idx]:
-                        inversions += 1
-                        exponent += degrees[perm[b_idx]] * degrees[perm[a_idx]]
-            sign = -1 if (exponent + inversions) % 2 else 1
+            rest = tuple(p for p in range(n) if p not in chosen)
+            sign = koszul_sign(chosen + rest, degrees)
             inner = qi.evaluate(tuple(word.factors[p] for p in chosen))
             if inner.is_zero():
                 continue
@@ -534,11 +519,7 @@ def _closure(
 def _index(elements: list[Element]) -> dict[str, list[tuple]]:
     """The :meth:`MultiMap.walk` index of a level's spanning elements, their
     integer numerators over one denominator, each row its position and degree."""
-    index: dict[str, list[tuple]] = {}
-    for p, (e, row) in enumerate(zip(elements, integer_rows(e.coeffs for e in elements)[1])):
-        for name, n in row:
-            index.setdefault(name, []).append((p, n, (p, e.degree)))
-    return index
+    return walk_index((e.coeffs for e in elements), ((p, e.degree) for p, e in enumerate(elements)))[0]
 
 
 def compositions(total: int, parts: int, support: Sequence[int]):

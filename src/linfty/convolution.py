@@ -31,8 +31,9 @@ Sign conventions (the one table everything below refers to):
     ``sum d_i*(n-1-i)``, so it is multiplicative over elementwise sums of
     degrees: the constant cancels the u_i - 1 part and leaves the kernel's
     suspended-degree factor;
-  * q_n never lists a word's splittings.  It runs over the arguments'
-    stored entries w_1 -> v_1, ..., w_n -> v_n through
+  * q_n, q_1's Q'_1 part included, never lists a word's splittings.  It
+    runs over the arguments' stored entries w_1 -> v_1, ..., w_n -> v_n,
+    each argument's :attr:`~linfty.morphism.HomElement.entry_index`, through
     :func:`~linfty.algebra.entry_splittings`, which both lifts'
     ``precompose`` read too: one :meth:`~linfty.grading.MultiMap.walk` of
     Q'_n over the entries' value names, whose step forms the sign above in
@@ -46,9 +47,10 @@ Sign conventions (the one table everything below refers to):
 The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
 defined with the morphisms it generalises (a morphism is its degree-1
 vector) and re-exported here.  :meth:`ConvolutionAlgebra.accumulate` adds
-either operation into word totals from stored entries, the differential's
-part after Q by :meth:`~linfty.algebra.Coderivation.precompose`, in ``int``
-with one ``Fraction`` per sum; ``build`` makes a vector of them
+any q_n into word totals from stored entries, Q'_n through the kernel for
+every n, the differential's part after Q by
+:meth:`~linfty.algebra.Coderivation.precompose`, in ``int`` with one
+``Fraction`` per sum; ``build`` makes a vector of them
 (:meth:`~linfty.morphism.HomElement.from_totals`); no word list is read.
 ``differential``, ``bracket`` and ``apply`` are the two in turn.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read a
 :class:`ConvolutionAlgebra` through the algebra protocol of :mod:`linfty.mc`,
@@ -151,9 +153,11 @@ class ConvolutionAlgebra:
     # -- structure maps ---------------------------------------------------
 
     def accumulate(self, totals: dict, n: int, alphas: Sequence[HomElement], scalar) -> None:
-        """Add ``scalar`` times the n-ary operation on ``alphas`` into word totals: for
-        n = 1 Q'_1 of the values less the signed :meth:`~linfty.algebra.Coderivation.precompose`
-        of the components, else the terms of :func:`~linfty.algebra.entry_splittings`.
+        """Add ``scalar`` times the n-ary operation on ``alphas`` into word totals: the terms
+        of :func:`~linfty.algebra.entry_splittings` that Q'_n reads off one slot per argument,
+        its :attr:`~linfty.morphism.HomElement.entry_index` at shift u - 1, and for n = 1 less
+        the signed :meth:`~linfty.algebra.Coderivation.precompose` of the components.  One
+        block crosses nothing and splits with sign +1, so Q'_1 after alpha is that kernel too.
         An argument of another pair or cap raises :class:`~linfty.grading.InputError`."""
         if len(alphas) != n:
             raise InputError("%d-ary bracket applied to %d arguments" % (n, len(alphas)))
@@ -163,15 +167,11 @@ class ConvolutionAlgebra:
                 raise InputError("argument is not an element of this mapping space")
         if n == 1:
             # minus the crossing sign (-1)**(u - 1) of alpha past Q
-            alpha, q1 = alphas[0], self.target.maps.get(1)
+            alpha = alphas[0]
             self._lift.precompose(alpha.components, scalar if alpha.degree % 2 == 0 else -scalar, totals)
-            for word, val in alpha.values.items() if q1 is not None else ():
-                q1.accumulate(totals.setdefault(word, {}), [val], scalar)
-            return
         qn = self.target.maps.get(n)
         if qn is not None:
-            slots = [(a.degree - 1, a) for a in alphas]
-            entry_splittings(totals, slots, self.source.space, self.cap, self.source.joined, qn, scalar)
+            entry_splittings(totals, self.source, [(a.degree - 1, a.entry_index) for a in alphas], qn, scalar)
 
     def build(self, degree: int, totals: dict[Word, dict]) -> HomElement:
         return HomElement.from_totals(self.source, self.target, degree, totals)

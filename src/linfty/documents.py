@@ -45,6 +45,7 @@ class DocumentError(InputError):
 
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?$")
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -57,10 +58,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _integer(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DocumentError("%s is not an integer: %r" % (what, text)) from None
+    """``text`` as an integer spelled only as ``str(n)`` spells it: ``02``, ``+2`` and `` 2`` are refused."""
+    if not _INTEGER.fullmatch(text):
+        raise DocumentError("%s is not an integer written plainly: %r" % (what, text))
+    return int(text)
 
 
 def _header(doc: dict, key: str, integer: bool = False):
@@ -72,10 +73,7 @@ def _header(doc: dict, key: str, integer: bool = False):
 
 
 def _section_weight(name: str) -> int:
-    weight = _integer(name.partition(" ")[2], "weight of section %r" % name)
-    if name != "%s %d" % (name.partition(" ")[0], weight):
-        raise DocumentError("section %r: write its weight as %d" % (name, weight))
-    return weight
+    return _integer(name.partition(" ")[2], "weight of section %r" % name)
 
 
 def _sole_map_section(doc: dict, weight: int) -> list[str]:
@@ -103,8 +101,10 @@ def parse_document(text: str) -> dict:
             sections[current].append(raw[2:])
             continue
         if not raw.endswith(":") and ":" in raw:
-            key, _, value = raw.partition(":")
-            headers[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in raw.partition(":"))
+            if key in headers:
+                raise DocumentError("line %d: duplicate header %r" % (lineno, key))
+            headers[key] = value
             current = None
             continue
         if raw.endswith(":"):
@@ -231,10 +231,7 @@ def algebra_from_document(doc: dict, cap_override: int | None = None) -> LInftyS
         parts = line.split()
         if len(parts) != 2:
             raise DocumentError("basis entry %r is not 'name degree'" % line)
-        try:
-            basis.append((parts[0], int(parts[1])))
-        except ValueError as exc:
-            raise DocumentError("bad degree in basis entry %r" % line) from exc
+        basis.append((parts[0], _integer(parts[1], "degree in basis entry %r" % line)))
     space = GradedSpace(basis)
     cap = cap_override if cap_override is not None else _integer(headers.get("cap", "0"), "cap")
     if cap < 1:

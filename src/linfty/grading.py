@@ -351,6 +351,18 @@ def integer_rows(values: Iterable[Mapping]) -> tuple[int, list[tuple]]:
     return d, [tuple((key, c.numerator * (d // c.denominator)) for key, c in v.items()) for v in values]
 
 
+def walk_index(values: Iterable[Mapping], payloads: Iterable) -> tuple[dict[str, list], int]:
+    """The :meth:`MultiMap.walk` index of ``values`` and its denominator d
+    (:func:`integer_rows`): name -> the ``(position, numerator, payload)`` of
+    each value holding it, in position order, with its payload from ``payloads``."""
+    den, rows = integer_rows(values)
+    index: dict[str, list] = {}
+    for position, (row, payload) in enumerate(zip(rows, payloads)):
+        for name, n in row:
+            index.setdefault(name, []).append((position, n, payload))
+    return index, den
+
+
 def add_over(totals: dict, sums: Mapping, denominator: int) -> None:
     """Add each nonzero integer sum over ``denominator`` into a key ->
     coefficient dict as one ``Fraction``: the exit of the integer kernels."""
@@ -694,9 +706,9 @@ class MultiMap(Combination):
         """
         den, slots = self.rows[0] * scalar.denominator, []
         for e in elements:
-            d, (row,) = integer_rows([e.coeffs])
+            index, d = walk_index([e.coeffs], [None])
             den *= d
-            slots.append(({name: ((0, n, None),) for name, n in row}, False))
+            slots.append((index, False))
         sums: dict = {}
         for _, row, c in self.walk(slots, scalar.numerator, None, None):
             for name, n in row:

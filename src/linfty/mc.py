@@ -48,7 +48,7 @@ from .grading import (
     integer_rows,
     tabulate,
 )
-from .algebra import LInftyStructure, compositions, entry_splittings, lower_central_series
+from .algebra import LInftyStructure, compositions, entry_index, entry_splittings, lower_central_series
 
 # the times at which flow and homotopy reports evaluate the curvature of a path
 SAMPLE_TIMES = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -174,13 +174,12 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
         pi = mc_element(structure, value)
     if not pi.passed:
         raise FlatnessError("cannot twist by a non-flat element; curvature %r" % pi.residual, pi.residual)
-    entries, names = {(): pi.value}, structure.lift_slots[1]
+    entries, names = entry_index({(): pi.value}, structure), structure.lift_slots[1]
     totals: dict = {}
     for n, q in structure.maps.items():
         for m in range(n):
             scalar = Fraction((-1) ** (m * (n - m) + m * (m - 1) // 2), factorial(m) * factorial(n - m))
-            slots = [(0, entries)] * m + [(0, names)] * (n - m)
-            entry_splittings(totals, slots, space, structure.cap, structure.joined, q, scalar)
+            entry_splittings(totals, structure, [(0, entries)] * m + [(0, names)] * (n - m), q, scalar)
     return LInftyStructure(space, tabulate(space, space, 2, totals), structure.cap)
 
 

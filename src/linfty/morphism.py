@@ -50,7 +50,7 @@ from .grading import (
     subword,
     tabulate,
 )
-from .algebra import LInftyStructure, ResidualReport, _entry_index, entry_splittings, lift_coderivation, require_verified
+from .algebra import LInftyStructure, ResidualReport, entry_index, entry_splittings, lift_coderivation, require_verified
 from . import linalg
 
 
@@ -58,10 +58,10 @@ class HomElement(Combination):
     """Weight-indexed component maps: one mapping-space vector of degree ``degree``.
 
     Vectors add and compare when their spaces, cap and degree agree.  A
-    morphism is a degree-1 vector; ``verified`` is set once
-    :func:`check_morphism`, :func:`identity_morphism` or :func:`compose`
-    records that its components are compatible, and a sum or multiple
-    starts unverified.
+    morphism is a degree-1 vector; ``verified`` is read-only, recorded only
+    by :func:`check_morphism`, :func:`identity_morphism` or :func:`compose`
+    when its components are compatible, and a sum or multiple starts
+    unverified.
     """
 
     components = Combination.terms
@@ -82,7 +82,7 @@ class HomElement(Combination):
         self.cap = source.cap
         self.degree = degree
         self.terms = MappingProxyType(map_family(components, source.space, target.space, self.cap, degree))
-        self.verified = False
+        self._verified = False
 
     @classmethod
     def from_totals(
@@ -105,16 +105,15 @@ class HomElement(Combination):
             return self.cap + 1
         return min(self.components)
 
-    @cached_property
-    def by_factors(self) -> Mapping[tuple[str, ...], Element]:
-        """The components' stored values keyed by factor tuples, all weights in
-        one read-only mapping, since :attr:`entry_index` is a cache of it."""
-        return MappingProxyType({f: v for c in self.components.values() for f, v in c.by_factors.items()})
+    @property
+    def verified(self) -> bool:
+        return self._verified
 
     @cached_property
     def entry_index(self) -> tuple[dict, int]:
-        """:func:`entry_splittings`' index of the entries by every value name, with its denominator."""
-        return _entry_index(self.by_factors, self.source.space, self.cap + 1)
+        """The :func:`~linfty.algebra.entry_index` of the components' stored values, all
+        weights, over the source: the one slot every kernel call reads this vector by."""
+        return entry_index({f: v for c in self.components.values() for f, v in c.by_factors.items()}, self.source)
 
     @property
     def values(self) -> dict[Word, Element]:
@@ -155,7 +154,7 @@ def identity_morphism(structure: LInftyStructure) -> HomElement:
     space = structure.space
     totals = {Word((name,), space.degree(name)): {name: Fraction(1)} for name in space.names}
     morphism = HomElement.from_totals(structure, structure, 1, totals)
-    morphism.verified = True
+    morphism._verified = True
     return morphism
 
 
@@ -214,7 +213,7 @@ class MorphismLift:
         F = self.morphism
         out: dict[Word, dict] = {}
         for n, q in maps.items():
-            entry_splittings(out, [(0, F)] * n, F.source.space, F.cap, F.source.joined, q, Fraction(1, factorial(n)))
+            entry_splittings(out, F.source, [(0, F.entry_index)] * n, q, Fraction(1, factorial(n)))
         return out
 
 
@@ -241,7 +240,7 @@ def check_morphism(morphism: HomElement) -> ResidualReport:
     lift_coderivation(morphism.source).precompose(morphism.components, -1, totals)
     residual = HomElement.from_totals(morphism.source, morphism.target, 2, totals)
     report = ResidualReport(morphism.cap, "morphism compatible", "morphism residuals", residual.values)
-    morphism.verified = report.passed
+    morphism._verified = report.passed
     return report
 
 
@@ -251,7 +250,7 @@ def compose(g: HomElement, f: HomElement) -> HomElement:
     if f.target.space != g.source.space or f.target.cap != g.source.cap:
         raise InputError("middle structures of the composition do not match")
     out = HomElement.from_totals(f.source, g.target, 1, lift_morphism(f).precompose(g.components))
-    out.verified = f.verified and g.verified
+    out._verified = f.verified and g.verified
     return out
 
 

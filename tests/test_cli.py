@@ -340,6 +340,12 @@ MALFORMED = {
         "check-morphism", "id_twoterm.mor", r"^  b -> 1\*b$", "  b -> 1*b\nmap  1:\n  a -> 3*a"
     ),
     "homotopy-zero-padded-weight": ("homotopy-check", "flow.hom", r"^h1 2:$", "h1 02:"),
+    # a header is read once and spelled as the writer spells it: a later
+    # copy would replace it, and a padded or signed integer would be read
+    "algebra-repeated-cap": ("check-linfty", "heis.alg", r"^cap: 4$", "cap: 1\ncap: 4"),
+    "algebra-zero-padded-cap": ("check-linfty", "heis.alg", r"^cap: 4$", "cap: 04"),
+    "map-signed-weight": ("lemma1 id_twoterm.mor --n 2 --H", "corr.map", r"^weight: 2$", "weight: +2"),
+    "algebra-signed-basis-degree": ("check-linfty", "heis.alg", r"^  z 2$", "  z +2"),
     # a map or request document reads only its ``map <weight>`` section
     "map-extra-section": (
         "lemma1 id_twoterm.mor --n 2 --H", "corr.map", r"^  b b -> 1\*a$", "  b b -> 1*a\nmap 1:\n  a -> 5*b"

@@ -24,6 +24,7 @@ from linfty import (
     check_relations,
     gauge_to_homotopy,
     identity_morphism,
+    lift_coderivation,
     mc_residual,
     unsplit_residual,
 )
@@ -35,7 +36,7 @@ from linfty.homotopy import (
     evolution_residual,
     flatness_residual,
 )
-from linfty.algebra import entry_splittings
+from linfty.algebra import entry_index, entry_splittings
 from linfty.mc import twisted_differential_of, twisting_series
 from linfty.morphism import HomElement
 from linfty.perturbation import direction_element
@@ -44,6 +45,7 @@ from conftest import (
     heis,
     q1_q3_structures,
     random_component_family,
+    reference_bracket,
     reference_curvature,
     reference_evolution,
     reference_flatness,
@@ -190,11 +192,6 @@ def test_maps_and_components_are_read_only(heisenberg):
         f.components[1] = f.components[1]
     with pytest.raises(TypeError):
         heisenberg.maps[2] = heisenberg.maps[2]
-    # entry_index is a cache of by_factors, so a rescaled entry would leave
-    # the morphism equal to the identity while its checks and brackets read
-    # another one
-    with pytest.raises(TypeError):
-        f.by_factors[("x",)] = f.by_factors[("x",)].scale(2)
     assert f.components == identity_morphism(heisenberg).components
 
 
@@ -239,25 +236,40 @@ def test_an_element_indexes_its_entries_once_for_every_map(monkeypatch):
     alpha = HomElement(base, base, 1, random_component_family(base, base, base.cap, rng, 0.5))
     beta = HomElement(base, base, 0, random_component_family(base, base, base.cap, rng, 0.5, 0))
     built = []
-    index = morphism._entry_index
+    index = morphism.entry_index
 
-    def spy(entries, space, base):
+    def spy(entries, source):
         built.append(entries)
-        return index(entries, space, base)
+        return index(entries, source)
 
-    monkeypatch.setattr(morphism, "_entry_index", spy)
+    monkeypatch.setattr(morphism, "entry_index", spy)
     first = [conv.bracket([alpha, beta]), conv.bracket([alpha, alpha, beta])]
     again = [conv.bracket([alpha, beta]), conv.bracket([alpha, alpha, beta])]
     # maps of every weight, and another map of a weight already read, read the same index
     for q in [*base.maps.values(), MultiMap(base.space, base.space, 3, -1, {})]:
-        entry_splittings({}, [(0, alpha)] * q.weight, base.space, 3, {}, q)
-        entry_splittings({}, [(-1, beta)] * q.weight, base.space, 3, {}, q)
-    assert first == again and len(built) == 2 and built[0] is alpha.by_factors and built[1] is beta.by_factors
-    # a slot of the element and a slot of its entries give the same terms
+        entry_splittings({}, base, [(0, alpha.entry_index)] * q.weight, q)
+        entry_splittings({}, base, [(-1, beta.entry_index)] * q.weight, q)
+    stored = [{f: v for c in e.components.values() for f, v in c.by_factors.items()} for e in (alpha, beta)]
+    assert first == again and built == stored
+    # the cached index and a fresh index of the same entries give the same terms
     q3 = base.maps[3]
     by_element, by_entries = {}, {}
-    entry_splittings(by_element, [(0, alpha), (0, alpha), (-1, beta)], base.space, 3, {}, q3)
-    entry_splittings(
-        by_entries, [(0, alpha.by_factors), (0, alpha.by_factors), (-1, beta.by_factors)], base.space, 3, {}, q3
-    )
+    entry_splittings(by_element, base, [(0, alpha.entry_index), (0, alpha.entry_index), (-1, beta.entry_index)], q3)
+    fresh = [entry_index(entries, base) for entries in stored]
+    entry_splittings(by_entries, base, [(0, fresh[0]), (0, fresh[0]), (-1, fresh[1])], q3)
     assert by_element == by_entries and any(by_element.values())
+    # with Q'_1 != 0 the differential reads Q'_1 after gamma off gamma's one
+    # index, through the kernel, and gamma's brackets read that index again
+    paired = heis(2, rng, cap=3, pair=True)
+    conv = build_convolution(paired, paired, paired.cap)
+    gamma = HomElement(paired, paired, 0, random_component_family(paired, paired, paired.cap, rng, 0.8, 0))
+    twin = HomElement(paired, paired, 0, gamma.components)
+    after_q = {}
+    lift_coderivation(paired).precompose(twin.components, 1, after_q)
+    want, square, after_q = reference_bracket(conv, [twin]), reference_bracket(conv, [twin, twin]), conv.build(1, after_q)
+    applied = []
+    monkeypatch.setattr(MultiMap, "accumulate", lambda *args: applied.append(args))
+    built.clear()
+    assert conv.differential(gamma) == want != after_q
+    assert conv.bracket([gamma, gamma]) == square
+    assert applied == [] and built == [{f: v for c in gamma.components.values() for f, v in c.by_factors.items()}]

@@ -16,7 +16,7 @@ from linfty import (
     koszul_sign,
     wedge_basis,
 )
-from linfty.algebra import entry_splittings
+from linfty.algebra import LInftyStructure, entry_index, entry_splittings
 from linfty.grading import signed_blocks, unshuffles
 
 from conftest import (
@@ -366,13 +366,14 @@ def test_entry_splittings_count_and_sign_the_splittings_of_a_word():
                 for k, parts in enumerate(splittings)
             }
             qn = MultiMap(target, target, n, 1 - n, stored)
+            source = LInftyStructure(space, {}, m)
             slots = [
-                (u - 1, {parts[j]: Element.basis(target, "t%d_%d" % (j, blocks.index(parts[j])))
-                         for parts in expected})
+                (u - 1, entry_index({parts[j]: Element.basis(target, "t%d_%d" % (j, blocks.index(parts[j])))
+                                     for parts in expected}, source))
                 for j, u in enumerate(u_degrees)
             ]
             totals = {}
-            entry_splittings(totals, slots, space, m, {}, qn)
+            entry_splittings(totals, source, slots, qn)
             got = {splittings[int(name[1:])]: c for name, c in totals.get(word, {}).items()}
             assert got == {parts: c for parts, c in expected.items() if c}
             repeated += any(abs(coefficient) > 1 for coefficient in got.values())

@@ -10,6 +10,9 @@ class in ``src/linfty`` defines it again.
 No private helper is orphaned: every underscore-named module-level function
 or class, and every underscore-named method, in ``src/linfty`` is read by
 code in ``src/linfty`` outside its own definition.
+
+No module in ``src/linfty`` imports an underscore-named name from another
+linfty module: what two modules share is public.
 """
 
 import ast
@@ -134,3 +137,32 @@ def test_orphaned_helper_is_reported():
         "b.py": "from a import _used\n_used()\n",
     }
     assert orphaned_helpers(sources) == ["a.py:C._m", "a.py:_recursive"]
+
+
+def private_imports(source: str) -> list[str]:
+    """``module.name (line n)`` of each underscore-named name imported from a linfty module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "linfty"):
+            module = "." * node.level + (node.module or "")
+            found += ["%s.%s (line %d)" % (module, a.name, node.lineno) for a in node.names if _private(a.name)]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    offenders = {}
+    for name in sorted(os.listdir(SRC_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_DIR, name), encoding="utf-8") as fh:
+                found = private_imports(fh.read())
+            if found:
+                offenders[name] = found
+    assert offenders == {}
+
+
+def test_private_import_is_reported():
+    source = (
+        "from .algebra import _entry_index, entry_splittings\nfrom linfty.grading import _partitions\n"
+        "from os import _exit\nfrom . import linalg, __version__\n"
+    )
+    assert private_imports(source) == [".algebra._entry_index (line 1)", "linfty.grading._partitions (line 2)"]

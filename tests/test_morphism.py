@@ -567,6 +567,20 @@ def test_a_morphism_is_a_degree_one_hom_element(two_term):
     assert check_homotopy(direct, h.endpoint(Fraction(1)), h).passed
 
 
+def test_verified_is_recorded_only_by_a_check(two_term):
+    # a structure or a morphism cannot be marked verified from outside:
+    # only check_relations, check_morphism, identity_morphism and compose
+    # record the flag
+    structure = make_linfty(two_term.space, two_term.maps, two_term.cap)
+    f = HomElement(structure, structure, 1, identity_morphism(two_term).components)
+    for unchecked in (structure, f):
+        with pytest.raises(AttributeError):
+            unchecked.verified = True
+        assert not unchecked.verified
+    assert check_relations(structure).passed and structure.verified
+    assert check_morphism(f).passed and f.verified
+
+
 def test_a_vector_of_another_degree_is_no_morphism(two_term_with_h):
     s = two_term_with_h
     space = s.space
