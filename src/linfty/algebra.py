@@ -16,17 +16,15 @@ it, differential graded Lie algebras embed with no sign twist and the
 relation residuals agree with the classical unshuffle identities with
 coefficients (-1)**(i*(j-1)).  No check applies Q word by word:
 :meth:`Coderivation.precompose` forms the cogenerator part of maps after Q
-from stored entries, for the relations, the F∘Q side of morphism
-compatibility and the mapping-space differential, through
-:func:`entry_splittings`, the one kernel of maps after either lift and of
-:func:`~linfty.mc.twist`.  It reads a source structure and slots, each an
-index that :func:`entry_index` builds once over that source and its caller
-keeps (:attr:`LInftyStructure.lift_slots`,
-:attr:`~linfty.morphism.HomElement.entry_index`).  Its block-splitting
-sign is W's desuspension sign, the classical Koszul sign of the
-rearrangement on degrees lowered by one, each block's desuspension sign
-and that of the blocks' suspended degrees; a term of Q at S, read by f_n,
-has the sign of W's splitting into S and single names times (-1)**(n-1).
+from stored entries, through :func:`entry_splittings`, the one kernel of
+maps after either lift and of :func:`~linfty.mc.twist`, which adds into
+integer word totals (:class:`~linfty.grading.Totals`).  Its slots are
+indexes that :func:`entry_index` builds once from integer rows and their
+owner keeps.  The block-splitting sign of blocks of W is W's desuspension
+sign, the classical Koszul sign of the rearrangement on degrees lowered by
+one, each block's desuspension sign and that of the blocks' suspended
+degrees; a term of Q at S, read by f_n, has the sign of W's splitting into
+S and single names times (-1)**(n-1).
 
 Every check returns a report with one protocol: ``summary()`` is its text,
 ``to_json()`` its JSON payload, and a report that gives a verdict also has
@@ -51,13 +49,14 @@ from .grading import (
     InputError,
     MultiMap,
     StructureError,
+    Totals,
     Word,
-    add_over,
     add_scaled,
     canonicalize_word,
+    family_rows,
+    integer_rows,
     koszul_sign,
     map_family,
-    tabulate,
     unshuffles,
     walk_index,
     wedge_basis,
@@ -80,17 +79,17 @@ class LInftyStructure:
 
     def apply(self, n: int, elements: Sequence[Element]) -> Element:
         """Q_n on n elements of the space; zero where the structure has no map."""
-        coeffs: dict = {}
-        self.accumulate(coeffs, n, elements, 1)
-        return self.build(sum(e.degree for e in elements) + 2 - n, coeffs)
+        totals = Totals()
+        self.accumulate(totals, n, elements, 1)
+        return self.build(sum(e.degree for e in elements) + 2 - n, totals)
 
     @property
     def verified(self) -> bool:
         """Whether :func:`check_relations` last found the relations to hold; read-only."""
         return self._verified
 
-    def accumulate(self, totals: dict, n: int, elements: Sequence[Element], scalar) -> None:
-        """Add ``scalar`` times Q_n on n elements into a name -> coefficient dict."""
+    def accumulate(self, totals: Totals, n: int, elements: Sequence[Element], scalar) -> None:
+        """Add ``scalar`` times Q_n on n elements into ``totals`` at None."""
         if len(elements) != n:
             raise InputError("Q_%d applied to %d arguments" % (n, len(elements)))
         for e in elements:
@@ -100,8 +99,8 @@ class LInftyStructure:
         if q is not None:
             q.accumulate(totals, elements, scalar)
 
-    def build(self, degree: int, totals: Mapping[str, Fraction]) -> Element:
-        return Element(self.space, degree, totals)
+    def build(self, degree: int, totals: Totals) -> Element:
+        return totals.element(self.space, degree)
 
     def arities(self) -> set[int]:
         """The weights n with a stored Q_n; ``apply`` is zero at every other."""
@@ -115,8 +114,8 @@ class LInftyStructure:
         names = self.space.kernel_memos.get(("names", self.cap))
         if names is None:
             names = self.space.kernel_memos["names", self.cap] = entry_index(
-                {(x,): Element.basis(self.space, x) for x in self.space.names}, self)
-        return entry_index({w: v for q in self.maps.values() for w, v in q.by_factors.items()}, self), names
+                (1, {(x,): ((x, 1),) for x in self.space.names}), self)
+        return entry_index(family_rows(self.maps.values()), self), names
 
     def words(self) -> list[Word]:
         out: list[Word] = []
@@ -180,17 +179,15 @@ class Coderivation:
                 for name, coeff in value.coeffs.items():
                     new_word, csign = canonicalize_word((name,) + rest_names, space)
                     if new_word is not None:
-                        add_scaled(
-                            terms, CoalgebraElement.from_word(space, new_word), sign * csign * coeff
-                        )
+                        add_scaled(terms, CoalgebraElement.from_word(space, new_word), sign * csign * coeff)
         out = CoalgebraElement(space, terms)
         self._cache[word] = out
         return out
 
-    def precompose(self, maps: Mapping[int, MultiMap], scalar=1, out: dict | None = None) -> dict[Word, dict]:
-        """``scalar`` times the cogenerator part of ``maps`` after the lift, by word, added to ``out``.
+    def precompose(self, maps: Mapping[int, MultiMap], scalar=1, out: Totals | None = None) -> Totals:
+        """``scalar`` times the cogenerator part of ``maps`` after the lift, added to ``out`` by word.
 
-        The value at a word W, a name -> coefficient dict, is the sum of
+        The value at a word W, sums by name, is the sum of
         ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(W)``.  A term
         puts Q_k(S) before the rest of W, so f_n = maps[n] reads the ordered
         splittings of W into a block S of a stored Q_k entry and n - 1 single
@@ -205,10 +202,10 @@ class Coderivation:
         >>> q1 = MultiMap.from_entries(V, V, 1, 1, {("b",): {"c": Fraction(1)}})
         >>> f2 = MultiMap.from_entries(V, V, 2, -1, {("b", "c"): {"c": Fraction(1)}})
         >>> got = lift_coderivation(make_linfty(V, {1: q1}, cap=2)).precompose({2: f2})
-        >>> {word.factors: coeffs for word, coeffs in got.items()}
-        {('b', 'b'): {'c': Fraction(2, 1)}}
+        >>> {word.factors: sums for word, sums in got.sums.items()}, got.den
+        ({('b', 'b'): {'c': 2}}, 1)
         """
-        out = {} if out is None else out
+        out = Totals() if out is None else out
         entries, names = self.structure.lift_slots
         for n, f in maps.items():
             signed = -scalar if n % 2 == 0 else scalar
@@ -222,64 +219,57 @@ def lift_coderivation(structure: LInftyStructure) -> Coderivation:
 
 
 def entry_splittings(
-    totals: dict[Word, dict], source: LInftyStructure, slots: Sequence[tuple[int, tuple]], q: MultiMap, scalar=1
+    totals: Totals, source: LInftyStructure, slots: Sequence[tuple[int, tuple]], q: MultiMap, scalar=1
 ) -> None:
-    """Add ``scalar`` times Q'_n on the ordered splittings that read one entry per slot into word totals.
+    """Add ``scalar`` times Q'_n on the ordered splittings that read one entry per slot into ``totals``.
 
     Slot j is ``(shift, index)``: an integer and the :func:`entry_index`
-    over ``source`` of a mapping from canonical factor tuples w to values v,
-    elements that ``q`` (a map Q'_n) reads; :attr:`LInftyStructure.lift_slots`
-    and :attr:`~linfty.morphism.HomElement.entry_index` keep theirs.  The
-    empty block ``()`` has weight 0 and suspended degree 1: ``{(): pi}``
-    reads a vector ahead.  For every choice of one entry per slot whose
-    blocks w_1, ..., w_n join into a word W, of weight at most the cap of
-    ``source``, that does not vanish, and of one name of each v_i that
-    together make up a word Q'_n stores, the
+    over ``source`` of entries w -> v, canonical factor tuples to values
+    that ``q`` (a map Q'_n) reads.  The empty block ``()`` has weight 0 and
+    suspended degree 1: ``{(): pi}`` reads a vector ahead.  For every choice
+    of one entry per slot whose blocks join into a word W, of weight at most
+    the cap of ``source``, that does not vanish, and of one name of each v_i
+    that together make up a word Q'_n stores, the
     :meth:`~linfty.grading.MultiMap.walk` makes a term: the stored value
     times the walk coefficient times the signed count of the splittings of
-    W into position blocks that read w_1, ..., w_n, summed per W and name
-    in ``int`` over one denominator (the scalar's, each slot's and ``q``'s).
-    The splittings differ only in how the copies of a repeated odd-degree
-    name, of even lowered degree, are spread over the blocks, so their
-    number is a product of multinomials and they share one sign: the
-    block-splitting sign of the module's docstring times the crossing
-    ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each shift past the
-    earlier blocks.  Consecutive slots that read one index, each at an
-    even shift, form a run: swapping two of its blocks leaves the term
-    times its sign unchanged, so the walk chooses a run's entries as a
+    W into position blocks that read w_1, ..., w_n, added per W and name in
+    ``int`` (over the scalar's, each slot's and ``q``'s denominators); none
+    when a slot's index holds no name that ``q``'s stored words read.  The
+    splittings differ only in how the copies of a repeated odd-degree name
+    are spread over the blocks, so their number is a product of
+    multinomials and they share one sign: the block-splitting sign times
+    the crossing ``(-1)**(shift_j * (deg w_i - weight w_i))`` of each shift
+    past the earlier blocks.  Consecutive slots that read one index, each at
+    an even shift, form a run, whose entries the walk chooses as a
     multiset, counted by their orderings.
 
-    The sign is the walk's ``step``, read off the entries slot by slot:
-    only two even-degree names of different blocks swap with an odd sign,
-    a popcount of the earlier blocks' even names against a mask of the new
-    block's; the other factors are per-block constants and prefix sums; and
-    W's own desuspension sign and multiplicity are kept in the source's
-    :attr:`LInftyStructure.joined`, which its space keeps for every
-    structure of that cap.  A block too heavy to leave a name for each
-    later slot is dropped: exact for nonempty blocks, and with empty ones
-    too when n <= cap and no block weighs over 1, as in
-    :func:`~linfty.mc.twist`, since blocks 0, ..., j then weigh at most
-    j + 1 <= cap - last + j, so no term is dropped.
-    A run of two slots reads the distinct pair once, counted twice; two
-    slots over equal but distinct indexes read both orders, whose signs of
-    splitting and of sorting the names cancel:
+    The sign is the walk's ``step``, slot by slot: only two even-degree
+    names of different blocks swap with an odd sign, a popcount of the
+    earlier blocks' even names against a mask of the new block's; the rest
+    are per-block constants and prefix sums; W's own desuspension sign and
+    multiplicity are kept in :attr:`LInftyStructure.joined`.  A block too
+    heavy to leave a name for each later slot is dropped: exact for
+    nonempty blocks, and with empty ones when n <= cap and no block weighs
+    over 1, as in :func:`~linfty.mc.twist`.  A run of two slots reads the
+    distinct pair once, counted twice; two slots over equal but distinct
+    indexes read both orders, whose signs cancel:
 
     >>> V = GradedSpace([("a", 0), ("b", 1)])
     >>> L = make_linfty(V, {}, cap=2)
     >>> q2 = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
-    >>> entries = {("a",): Element.basis(V, "a"), ("b",): Element.basis(V, "b")}
+    >>> entries = (1, {("a",): (("a", 1),), ("b",): (("b", 1),)})
     >>> index = entry_index(entries, L)
     >>> for slots in ([(0, index)] * 2, [(0, index), (0, entry_index(entries, L))]):
-    ...     totals = {}
+    ...     totals = Totals()
     ...     entry_splittings(totals, L, slots, q2, Fraction(1, 2))
-    ...     print({word.factors: coeffs for word, coeffs in totals.items()})
-    {('a', 'b'): {'b': Fraction(1, 1)}}
-    {('a', 'b'): {'b': Fraction(1, 1)}}
+    ...     print({word.factors: sums for word, sums in totals.sums.items()}, totals.den)
+    {('a', 'b'): {'b': 2}} 2
+    {('a', 'b'): {'b': 2}} 2
     """
-    cap, joined = source.cap, source.joined
+    cap, joined, stored = source.cap, source.joined, q.stored_names
     walk_slots, shifts, den = [], [], scalar.denominator * q.rows[0]
     for j, (shift, (index, d)) in enumerate(slots):
-        if not index:
+        if stored.isdisjoint(index):
             return
         den *= d
         walk_slots.append((index, j > 0 and index is walk_slots[-1][0] and shift % 2 == 0 == shifts[-1]))
@@ -307,23 +297,22 @@ def entry_splittings(
         ways = word_tally // (tally * t)
         return word, -ways if (exponent + word_parity) % 2 else ways
 
-    sums: dict[Word, dict] = {}
-    for (word, ways), row, coefficient in q.walk(walk_slots, scalar.numerator, step, (0, 0, 0, 0, 0, 1, ())):
+    sums, up = totals.over(den)
+    for (word, ways), row, coefficient in q.walk(walk_slots, scalar.numerator * up, step, (0, 0, 0, 0, 0, 1, ())):
         into, coefficient = sums.setdefault(word, {}), coefficient * ways
         for name, n in row:
             into[name] = into.get(name, 0) + coefficient * n
-    for word, into in sums.items():
-        add_over(totals.setdefault(word, {}), into, den)
 
 
-def entry_index(entries: Mapping[tuple[str, ...], Element], source: LInftyStructure) -> tuple[dict, int]:
-    """An :func:`entry_splittings` slot's index of ``entries`` over ``source``'s space and cap:
-    the walk index (:func:`~linfty.grading.walk_index`) by every value name, each row's payload
-    its block row, and its denominator."""
-    space, base = source.space, source.cap + 1
+def entry_index(entries: tuple[int, Mapping[tuple[str, ...], tuple]], source: LInftyStructure) -> tuple[dict, int]:
+    """An :func:`entry_splittings` slot's index of ``entries``, integer rows over a denominator
+    by canonical factor tuple (:func:`~linfty.grading.family_rows`), over ``source``'s space and
+    cap: the walk index (:func:`~linfty.grading.walk_index`) by every value name, each row's
+    payload its block row, and its denominator."""
+    space, base, (den, rows) = source.space, source.cap + 1, entries
     blocks = space.kernel_memos.setdefault(("blocks", base), {})
-    block_rows = (blocks.get(w) or blocks.setdefault(w, _block_row(w, space, base)) for w in entries)
-    return walk_index((v.coeffs for v in entries.values()), block_rows)
+    block_rows = (blocks.get(w) or blocks.setdefault(w, _block_row(w, space, base)) for w in rows)
+    return walk_index((den, rows.values()), block_rows)
 
 
 def _block_row(factors: tuple[str, ...], space: GradedSpace, base: int) -> tuple:
@@ -414,8 +403,7 @@ def check_relations(structure: LInftyStructure) -> ResidualReport:
     zero term by term.
     """
     # Q*Q raises the suspended degree by 2: its cogenerator part is a degree-3 family
-    totals = lift_coderivation(structure).precompose(structure.maps)
-    family = tabulate(structure.space, structure.space, 3, totals)
+    family = lift_coderivation(structure).precompose(structure.maps).family(structure.space, structure.space, 3)
     residuals = {w: v for m in family.values() for w, v in m.values.items()}
     report = ResidualReport(structure.cap, "relations hold", "relations fail", residuals)
     structure._verified = report.passed
@@ -491,9 +479,7 @@ class FiltrationChain:
         if level > len(self.subspaces):
             if self.nilpotent:
                 return []
-            raise InputError(
-                "level %d is past the last computed level, %d" % (level, len(self.subspaces))
-            )
+            raise InputError("level %d is past the last computed level, %d" % (level, len(self.subspaces)))
         return list(self.subspaces[level - 1])
 
     def verdict(self) -> str:
@@ -519,7 +505,7 @@ def _closure(
 def _index(elements: list[Element]) -> dict[str, list[tuple]]:
     """The :meth:`MultiMap.walk` index of a level's spanning elements, their
     integer numerators over one denominator, each row its position and degree."""
-    return walk_index((e.coeffs for e in elements), ((p, e.degree) for p, e in enumerate(elements)))[0]
+    return walk_index(integer_rows(e.coeffs for e in elements), ((p, e.degree) for p, e in enumerate(elements)))[0]
 
 
 def compositions(total: int, parts: int, support: Sequence[int]):

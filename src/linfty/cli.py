@@ -153,10 +153,7 @@ def _cmd_lemma1(args) -> int:
     )
     if args.out:
         documents.write_document(args.out, text)
-        print(
-            "perturbed morphism written to %s (weight %d, cap %d)"
-            % (args.out, weight, morphism.cap)
-        )
+        print("perturbed morphism written to %s (weight %d, cap %d)" % (args.out, weight, morphism.cap))
     else:
         sys.stdout.write(text)
     return PASS

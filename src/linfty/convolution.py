@@ -15,11 +15,9 @@ Sign conventions (the one table everything below refers to):
 
   * evaluation, storage and the public splitting signs follow the word
     convention of :mod:`linfty.grading` (``-(-1)**(p*q)`` per swap);
-  * block bookkeeping inside q_n is done on shifted degrees: the sign of an
-    ordered n-block splitting B_1, ..., B_n of a word, as both lifts read
-    it, is the word's desuspension sign, the classical Koszul sign of the
-    arrangement on degrees lowered by one, each block's desuspension sign
-    and that of the blocks' suspended degrees;
+  * an ordered n-block splitting B_1, ..., B_n of a word has the
+    block-splitting sign of :mod:`linfty.algebra`, on shifted degrees, as
+    both lifts read it;
   * q_n's sign on a splitting is that kernel sign times the crossing
     ``(-1)**sum_{i<j} (u_j - 1)*(deg B_i - weight B_i)`` of each argument
     past the earlier blocks.  Spelled out, Q'_n also contributes the
@@ -31,32 +29,25 @@ Sign conventions (the one table everything below refers to):
     ``sum d_i*(n-1-i)``, so it is multiplicative over elementwise sums of
     degrees: the constant cancels the u_i - 1 part and leaves the kernel's
     suspended-degree factor;
-  * q_n, q_1's Q'_1 part included, never lists a word's splittings.  It
-    runs over the arguments' stored entries w_1 -> v_1, ..., w_n -> v_n,
-    each argument's :attr:`~linfty.morphism.HomElement.entry_index`, through
-    :func:`~linfty.algebra.entry_splittings`, which both lifts'
-    ``precompose`` read too: one :meth:`~linfty.grading.MultiMap.walk` of
-    Q'_n over the entries' value names, whose step forms the sign above in
-    closed form, slot by slot, with the number of splittings of the joined
-    word W that read w_1, ..., w_n.  An odd-degree argument repeated in
-    consecutive slots (shift u - 1 even) is a run, chosen once per multiset;
+  * q_n, q_1's Q'_1 part included, never lists a word's splittings: it is
+    :func:`~linfty.algebra.entry_splittings` over the arguments' stored
+    entries, each argument's :attr:`~linfty.morphism.HomElement.entry_index`
+    a slot at shift u - 1; an odd-degree argument repeated in consecutive
+    slots (shift u - 1 even) is a run, chosen once per multiset;
   * with these choices the degree-2 curvature of a degree-1 element equals
     the morphism compatibility residual weight by weight with sign +1, which
     is the identity that pins all the constants above.
 
 The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
-defined with the morphisms it generalises (a morphism is its degree-1
-vector) and re-exported here.  :meth:`ConvolutionAlgebra.accumulate` adds
-any q_n into word totals from stored entries, Q'_n through the kernel for
-every n, the differential's part after Q by
-:meth:`~linfty.algebra.Coderivation.precompose`, in ``int`` with one
-``Fraction`` per sum; ``build`` makes a vector of them
-(:meth:`~linfty.morphism.HomElement.from_totals`); no word list is read.
-``differential``, ``bracket`` and ``apply`` are the two in turn.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read a
-:class:`ConvolutionAlgebra` through the algebra protocol of :mod:`linfty.mc`,
-so flows, homotopies and their documents stay on component maps.  The
-coordinates ``hom_space`` (names ``word>name``) and ``hom_to_element`` are
-a view for tests and tracing, built on first use and read by no computation.
+re-exported here.  :meth:`ConvolutionAlgebra.accumulate` adds any q_n into
+integer word totals (:class:`~linfty.grading.Totals`), Q'_n through the
+kernel and the differential's part after Q by
+:meth:`~linfty.algebra.Coderivation.precompose`; ``build`` makes a vector of
+them once (:meth:`~linfty.morphism.HomElement.from_totals`); no word list is
+read.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read the mapping space
+through the algebra protocol of :mod:`linfty.mc`.  ``hom_space`` (names
+``word>name``) and ``hom_to_element`` are a coordinate view for tests and
+tracing, read by no computation.
 """
 
 from __future__ import annotations
@@ -65,7 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .grading import Element, GradedSpace, InputError, Word
+from .grading import Element, GradedSpace, InputError, Totals, Word, tabulate
 from .algebra import LInftyStructure, entry_splittings, lift_coderivation, require_verified
 from .morphism import HomElement, require_morphism
 from .mc import mc_residual
@@ -129,7 +120,8 @@ class ConvolutionAlgebra:
     def basis_hom(self, word: Word, name: str) -> HomElement:
         """The vector taking ``word`` to ``name`` and every other word to zero."""
         u = self.target.space.degree(name) - word.degree + word.weight
-        return HomElement.from_totals(self.source, self.target, u, {word: {name: Fraction(1)}})
+        return HomElement(self.source, self.target, u, tabulate(
+            self.source.space, self.target.space, u, {word: {name: Fraction(1)}}))
 
     @property
     def space(self) -> "ConvolutionAlgebra":
@@ -152,7 +144,7 @@ class ConvolutionAlgebra:
 
     # -- structure maps ---------------------------------------------------
 
-    def accumulate(self, totals: dict, n: int, alphas: Sequence[HomElement], scalar) -> None:
+    def accumulate(self, totals: Totals, n: int, alphas: Sequence[HomElement], scalar) -> None:
         """Add ``scalar`` times the n-ary operation on ``alphas`` into word totals: the terms
         of :func:`~linfty.algebra.entry_splittings` that Q'_n reads off one slot per argument,
         its :attr:`~linfty.morphism.HomElement.entry_index` at shift u - 1, and for n = 1 less
@@ -173,7 +165,7 @@ class ConvolutionAlgebra:
         if qn is not None:
             entry_splittings(totals, self.source, [(a.degree - 1, a.entry_index) for a in alphas], qn, scalar)
 
-    def build(self, degree: int, totals: dict[Word, dict]) -> HomElement:
+    def build(self, degree: int, totals: Totals) -> HomElement:
         return HomElement.from_totals(self.source, self.target, degree, totals)
 
     def differential(self, alpha: HomElement) -> HomElement:
@@ -182,7 +174,7 @@ class ConvolutionAlgebra:
 
     def bracket(self, alphas: Sequence[HomElement]) -> HomElement:
         """The n-ary operation on n elements: :meth:`accumulate`, then :meth:`build`."""
-        totals: dict[Word, dict] = {}
+        totals = Totals()
         self.accumulate(totals, len(alphas), alphas, 1)
         return self.build(sum(a.degree for a in alphas) + 2 - len(alphas), totals)
 

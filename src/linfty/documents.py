@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Mapping
 
-from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word
+from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word, tabulate
 from .algebra import LInftyStructure, make_linfty
 
 if TYPE_CHECKING:
@@ -156,9 +156,7 @@ def _parse_combination(space: GradedSpace, text: str) -> dict[str, Fraction]:
 def _format_element(element: Element) -> str:
     if element.is_zero():
         raise DocumentError("zero combinations are omitted, not serialized")
-    return " + ".join(
-        "%s*%s" % (_format_fraction(c), n) for n, c in element.items()
-    )
+    return " + ".join("%s*%s" % (_format_fraction(c), n) for n, c in element.items())
 
 
 def parse_element(space: GradedSpace, text: str) -> Element:
@@ -178,9 +176,7 @@ def _parse_entry(line: str, source: GradedSpace, weight: int) -> tuple[Word, int
     lhs, _, rhs = line.partition(" -> ")
     factors = tuple(lhs.split())
     if len(factors) != weight:
-        raise DocumentError(
-            "entry %r has %d factors in a weight-%d map" % (line, len(factors), weight)
-        )
+        raise DocumentError("entry %r has %d factors in a weight-%d map" % (line, len(factors), weight))
     word, sign = canonicalize_word(factors, source)
     if word is None:
         raise DocumentError("entry %r is on a vanishing word" % line)
@@ -301,9 +297,7 @@ def load_morphism(
     components: dict[int, MultiMap] = {}
     for name, lines in doc["sections"].items():
         weight = _section_weight(name)
-        components[weight] = _parse_map_section(
-            lines, source.space, target.space, weight, 1 - weight
-        )
+        components[weight] = _parse_map_section(lines, source.space, target.space, weight, 1 - weight)
     return HomElement(source, target, 1, components)
 
 
@@ -327,11 +321,7 @@ def load_mc_element(path: str, cap_override: int | None = None):
 
 
 def mc_to_document(value: Element, algebra_ref: str) -> str:
-    lines = [
-        "kind: mc-element",
-        "algebra: %s" % algebra_ref,
-        "value: %s" % _format_element(value),
-    ]
+    lines = ["kind: mc-element", "algebra: %s" % algebra_ref, "value: %s" % _format_element(value)]
     return "\n".join(lines) + "\n"
 
 
@@ -434,18 +424,14 @@ def load_homotopy(
     def build(per_power, degree: int) -> PolyPath:
         coefficients = {}
         for power, combos in per_power.items():
-            coefficients[power] = HomElement.from_totals(first.source, first.target, degree, combos)
+            coefficients[power] = HomElement(first.source, first.target, degree, tabulate(source, target, degree, combos))
         return PolyPath(conv, degree, coefficients)
 
     return first, second, HomotopyElement(conv, build(parts["h0"], 1), build(parts["h1"], 0))
 
 
 def homotopy_to_document(h: HomotopyElement, first_ref: str, second_ref: str) -> str:
-    lines = [
-        "kind: homotopy",
-        "first: %s" % first_ref,
-        "second: %s" % second_ref,
-    ]
+    lines = ["kind: homotopy", "first: %s" % first_ref, "second: %s" % second_ref]
     source, target = h.conv.source.space, h.conv.target.space
     for tag, path in (("h0", h.h0), ("h1", h.h1)):
         # weight -> word -> name -> coefficients by power

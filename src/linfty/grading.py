@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -187,6 +187,7 @@ class GradedSpace:
         self.names: tuple[str, ...] = tuple(names)
         self._degrees: dict[str, int] = degrees
         self._order: dict[str, int] = {n: i for i, n in enumerate(names)}
+        self._of_degree = {d: frozenset(n for n in names if degrees[n] == d) for d in degrees.values()}
         self.kernel_memos: dict[tuple, object] = {}  # linfty.algebra's memos of this unchanging space
 
     def degree(self, name: str) -> int:
@@ -346,16 +347,24 @@ def integer_rows(values: Iterable[Mapping]) -> tuple[int, list[tuple]]:
     >>> integer_rows([{"a": Fraction(1, 2)}, {"b": Fraction(-2, 3), "c": 1}])
     (6, [(('a', 3),), (('b', -4), ('c', 6))])
     """
-    values = list(values)
-    d = lcm(*(c.denominator for v in values for c in v.values()))
-    return d, [tuple((key, c.numerator * (d // c.denominator)) for key, c in v.items()) for v in values]
+    ratios = [[(key, c.as_integer_ratio()) for key, c in v.items()] for v in values]
+    d = lcm(*(q for r in ratios for _, (_, q) in r))
+    return d, [tuple((key, p * (d // q)) for key, (p, q) in r) for r in ratios]
 
 
-def walk_index(values: Iterable[Mapping], payloads: Iterable) -> tuple[dict[str, list], int]:
-    """The :meth:`MultiMap.walk` index of ``values`` and its denominator d
-    (:func:`integer_rows`): name -> the ``(position, numerator, payload)`` of
-    each value holding it, in position order, with its payload from ``payloads``."""
-    den, rows = integer_rows(values)
+def family_rows(maps: Iterable["MultiMap"]) -> tuple[int, dict[tuple[str, ...], tuple]]:
+    """The stored integer rows of ``maps`` (:attr:`MultiMap.rows`) over the lcm of their denominators."""
+    rows = [m.rows for m in maps]
+    den = lcm(*(d for d, _ in rows))
+    return den, {f: row if d == den else tuple((name, n * (den // d)) for name, n in row)
+                 for d, by in rows for f, row in by.items()}
+
+
+def walk_index(rows: tuple[int, Iterable[tuple]], payloads: Iterable) -> tuple[dict[str, list], int]:
+    """The :meth:`MultiMap.walk` index of integer rows over a denominator d (:func:`integer_rows`)
+    and d: name -> the ``(position, numerator, payload)`` of each row holding it, in position
+    order, with its payload from ``payloads``."""
+    den, rows = rows
     index: dict[str, list] = {}
     for position, (row, payload) in enumerate(zip(rows, payloads)):
         for name, n in row:
@@ -363,14 +372,75 @@ def walk_index(values: Iterable[Mapping], payloads: Iterable) -> tuple[dict[str,
     return index, den
 
 
-def add_over(totals: dict, sums: Mapping, denominator: int) -> None:
-    """Add each nonzero integer sum over ``denominator`` into a key ->
-    coefficient dict as one ``Fraction``: the exit of the integer kernels."""
-    for key, n in sums.items():
-        if n:
-            c = Fraction(n, denominator)
-            got = totals.get(key)
-            totals[key] = c if got is None else got + c
+class Totals:
+    """Key -> name -> ``int`` sums over one denominator, the lcm of every denominator added
+    (:meth:`over`): what the integer kernels add into.  A key is a word, or None for a
+    vector's one value; :meth:`family` and :meth:`element` build the result once.
+
+    >>> V, totals = GradedSpace([("a", 0)]), Totals()
+    >>> totals.add([(1, Element(V, 0, {"a": Fraction(1, 2)})), (-1, Element(V, 0, {"a": Fraction(1, 3)}))])
+    >>> totals.sums, totals.den, totals.element(V, 0)
+    ({None: {'a': 1}}, 6, 1/6*a)
+    """
+
+    __slots__ = ("sums", "den")
+
+    def __init__(self, sums: dict | None = None, den: int = 1):
+        self.sums: dict = {} if sums is None else sums
+        self.den = den
+
+    def over(self, d: int) -> tuple[dict, int]:
+        """The sums, over the lcm of their denominator and d, and the factor an integer over d takes."""
+        if self.den % d:
+            den = lcm(self.den, d)
+            up, self.den = den // self.den, den
+            for into in self.sums.values():
+                for name in into:
+                    into[name] *= up
+        return self.sums, self.den // d
+
+    def add(self, parts: Iterable[tuple[int, object]], d: int = 1) -> None:
+        """Add c/d times each vector of ``parts``, pairs (c, vector), over one lcm: the elements'
+        integer rows (one :func:`integer_rows`) at key None, a map's :attr:`MultiMap.rows` by
+        word, and each map of a mapping-space vector."""
+        parts = list(parts)
+        elements = [(c, v.coeffs) for c, v in parts if isinstance(v, Element)]
+        den, rows = integer_rows(coeffs for _, coeffs in elements)
+        batch = [(den, c, [(None, row)]) for (c, _), row in zip(elements, rows)]
+        for c, v in parts:
+            for m in () if isinstance(v, Element) else (v,) if isinstance(v, MultiMap) else v.terms.values():
+                batch.append((m.rows[0], c, zip(m.values, m.rows[1].values())))
+        den = lcm(*(den for den, _, _ in batch))
+        sums, up = self.over(den * d)
+        for part, c, keyed in batch:
+            c *= up * (den // part)
+            for key, row in keyed:
+                into = sums.setdefault(key, {})
+                for name, n in row:
+                    into[name] = into.get(name, 0) + c * n
+
+    def element(self, space: GradedSpace, degree: int) -> "Element":
+        """The degree-``degree`` vector of the sums at None."""
+        return Element(space, degree, {name: Fraction(n, self.den) for name, n in self.sums.get(None, {}).items() if n})
+
+    def family(self, source: GradedSpace, target: GradedSpace, degree: int) -> dict[int, "MultiMap"]:
+        """The degree-``degree`` family of the words' nonzero sums, each value's ``Fraction``s
+        made with its map's integer :attr:`MultiMap.rows`, over the map's least denominator: the
+        one place a value's degree, the word's plus ``degree`` less its weight, is worked out."""
+        per_weight: dict[int, list] = {}
+        for word, into in self.sums.items():
+            row = tuple((name, n) for name, n in into.items() if n)
+            if row:
+                per_weight.setdefault(len(word.factors), []).append((word, row))
+        family = {}
+        for n, got in per_weight.items():
+            g = gcd(self.den, *(k for _, row in got for _, k in row))
+            d, values, rows = self.den // g, {}, {}
+            for word, row in got:
+                row = rows[word.factors] = tuple((name, k // g) for name, k in row) if g > 1 else row
+                values[word] = Element(target, word.degree + degree - n, {name: Fraction(k, d) for name, k in row})
+            family[n] = MultiMap(source, target, n, degree - n, values, (d, rows))
+        return family
 
 
 class Combination:
@@ -400,9 +470,7 @@ class Combination:
 
     def _merged(self, other, scalar):
         if type(other) is not type(self) or other._home() != self._home():
-            raise InputError(
-                "%s vectors live in different spaces or degrees" % type(self).__name__
-            )
+            raise InputError("%s vectors live in different spaces or degrees" % type(self).__name__)
         terms = dict(self.terms)
         add_scaled(terms, other, scalar)
         return self._like(terms)
@@ -424,11 +492,7 @@ class Combination:
     __mul__ = scale
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self._home() == other._home()
-            and self.terms == other.terms
-        )
+        return type(other) is type(self) and self._home() == other._home() and self.terms == other.terms
 
 
 class Element(Combination):
@@ -445,9 +509,9 @@ class Element(Combination):
     def __init__(self, space: GradedSpace, degree: int, coeffs: Mapping | None = None):
         self.space = space
         self.degree = degree
-        clean = {}
+        names, clean = space._of_degree.get(degree, ()), {}
         for name, c in (coeffs or {}).items():
-            if space.degree(name) != degree:
+            if name not in names:
                 raise InputError(
                     "basis name %r has degree %d, element declared degree %d"
                     % (name, space.degree(name), degree)
@@ -504,6 +568,8 @@ class MultiMap(Combination):
     canonicalizes to zero.  A weight-n map of degree d sends a word of degree
     w to an element of degree w + d.  ``values`` and ``by_factors`` are
     read-only, since :attr:`rows` and :attr:`key_index` are caches of them.
+    ``rows``, given by :meth:`Totals.family` with the values it built, are
+    the map's :attr:`rows`, and those values are taken as checked.
     """
 
     values = Combination.terms
@@ -515,6 +581,7 @@ class MultiMap(Combination):
         weight: int,
         degree: int,
         values: Mapping[Word, Element] | None = None,
+        rows: tuple[int, dict[tuple[str, ...], tuple]] | None = None,
     ):
         if weight < 1:
             raise InputError("map weight must be >= 1")
@@ -522,6 +589,11 @@ class MultiMap(Combination):
         self.target = target
         self.weight = weight
         self.degree = degree
+        if rows is not None:
+            self.rows = rows
+            self.terms = MappingProxyType(values)
+            self.by_factors = MappingProxyType(dict(zip(rows[1], values.values())))
+            return
         stored: dict[Word, Element] = {}
         for word, value in (values or {}).items():
             if len(word.factors) != weight:
@@ -613,22 +685,26 @@ class MultiMap(Combination):
         by_code = {sum(map(codes.get, factors)): row for factors, row in self.rows[1].items()}
         return codes, subcodes, by_code, {}
 
+    @cached_property
+    def stored_names(self) -> frozenset[str]:
+        """The source names the stored words read; built once."""
+        return frozenset(name for factors in self.by_factors for name in factors)
+
     def walk(self, slots: Sequence[tuple[Mapping, bool]], scalar: int, step, state) -> Iterator[tuple]:
         """The terms of the stored words made up of one name of one row per slot.
 
         Slot j is ``(index, run)``: ``index`` maps a source name to the rows
-        ``(position, numerator, row)`` holding it, by position, and a
-        ``run`` slot reads slot j - 1's rows as a multiset, at no lower
-        position.  A tuple keeps a name only while its code
-        (:attr:`key_index`) stays inside a stored word, exact since no name
-        repeats past the weight, and a complete tuple reads its value's
-        integer :attr:`rows` row by its code.  ``step(state, row)``, unless
-        None, folds a row into the state once per prefix, and a None state
-        drops the row.  Yields ``(state, row, coefficient)``, all in ``int``:
-        the int ``scalar`` times the numerators, the Koszul sign of sorting
-        the names, read off parity masks, and the r!/(m_1! ... m_k!)
-        orderings of each run of r rows, m_i of them the same.  A run reads
-        b before 3a once, counted twice, and sorting (b, a) costs -1:
+        ``(position, numerator, row)`` holding it, by position; a ``run``
+        slot reads slot j - 1's rows as a multiset, at no lower position.  A
+        tuple keeps a name only while its code (:attr:`key_index`) stays
+        inside a stored word, exact since no name repeats past the weight,
+        and a complete tuple reads its value's integer :attr:`rows` row by
+        its code.  ``step(state, row)``, unless None,
+        folds a row into the state once per prefix; a None state drops the
+        row.  Yields ``(state, row, coefficient)`` in ``int``: the ``scalar``
+        times the numerators, the Koszul sign of sorting the names, and the
+        r!/(m_1! ... m_k!) orderings of each run of r rows, m_i of them the
+        same.  A run reads b before 3a once, counted twice; sorting costs -1:
 
         >>> V = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
         >>> m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
@@ -679,23 +755,17 @@ class MultiMap(Combination):
     def apply(self, elements: Sequence[Element]) -> Element:
         """Multilinear evaluation on elements of the source (expanded over their supports)."""
         if len(elements) != self.weight:
-            raise InputError(
-                "map of weight %d applied to %d arguments"
-                % (self.weight, len(elements))
-            )
+            raise InputError("map of weight %d applied to %d arguments" % (self.weight, len(elements)))
         for e in elements:
             if e.space is not self.source and e.space != self.source:
                 raise InputError("argument does not live in the map's source space")
-        coeffs: dict = {}
-        self.accumulate(coeffs, elements, 1)
-        return Element(self.target, sum(e.degree for e in elements) + self.degree, coeffs)
+        totals = Totals()
+        self.accumulate(totals, elements, 1)
+        return totals.element(self.target, sum(e.degree for e in elements) + self.degree)
 
-    def accumulate(self, coeffs: dict, elements: Sequence[Element], scalar) -> None:
-        """Add ``scalar`` times the value on ``elements`` into a name -> coefficient dict.
-
-        One :meth:`walk` over one-row slots of integer numerators, one per
-        argument, so only stored words are completed, signed and multiplied
-        out, in ``int``, and each name's sum goes in through :func:`add_over`.
+    def accumulate(self, totals: Totals, elements: Sequence[Element], scalar) -> None:
+        """Add ``scalar`` times the value on ``elements`` into the sums of ``totals`` at None:
+        one :meth:`walk` over one-row slots of integer numerators, one per argument.
 
         >>> V = GradedSpace([("a", 0), ("b", 1), ("c", 2), ("d", 1)])
         >>> m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 2}, ("b", "b"): {"c": 1}})
@@ -706,21 +776,17 @@ class MultiMap(Combination):
         """
         den, slots = self.rows[0] * scalar.denominator, []
         for e in elements:
-            index, d = walk_index([e.coeffs], [None])
+            index, d = walk_index(integer_rows([e.coeffs]), [None])
             den *= d
             slots.append((index, False))
-        sums: dict = {}
-        for _, row, c in self.walk(slots, scalar.numerator, None, None):
+        sums, up = totals.over(den)
+        into = sums.setdefault(None, {})
+        for _, row, c in self.walk(slots, scalar.numerator * up, None, None):
             for name, n in row:
-                sums[name] = sums.get(name, 0) + c * n
-        add_over(coeffs, sums, den)
+                into[name] = into.get(name, 0) + c * n
 
     def __repr__(self):
-        return "MultiMap(weight=%d, degree=%d, %d entries)" % (
-            self.weight,
-            self.degree,
-            len(self.values),
-        )
+        return "MultiMap(weight=%d, degree=%d, %d entries)" % (self.weight, self.degree, len(self.values))
 
 
 def map_family(
@@ -745,10 +811,8 @@ def map_family(
         if n > cap:
             raise StructureError("map of weight %d exceeds cap %d" % (n, cap))
         if m.degree != degree - n:
-            raise StructureError(
-                "map of weight %d has degree %d, expected %d" % (n, m.degree, degree - n)
-            )
-        if m.source != source or m.target != target:
+            raise StructureError("map of weight %d has degree %d, expected %d" % (n, m.degree, degree - n))
+        if (m.source is not source and m.source != source) or (m.target is not target and m.target != target):
             raise StructureError("map of weight %d maps between the wrong spaces" % n)
         family[n] = m
     return family
@@ -761,15 +825,9 @@ def tabulate(
     totals: Mapping[Word, Mapping[str, Fraction]],
 ) -> dict[int, MultiMap]:
     """The degree-``degree`` family taking each word of ``totals`` to its
-    name -> coefficient dict, zeros dropped: the one place a value's degree,
-    the word's plus ``degree`` less its weight, is worked out."""
-    per_weight: dict[int, dict[Word, Element]] = {}
-    for word, coeffs in totals.items():
-        n = word.weight
-        value = Element(target, word.degree + degree - n, coeffs)
-        if value:
-            per_weight.setdefault(n, {})[word] = value
-    return {n: MultiMap(source, target, n, degree - n, v) for n, v in per_weight.items()}
+    name -> coefficient dict, zeros dropped, through :meth:`Totals.family`."""
+    den, rows = integer_rows(totals.values())
+    return Totals({word: dict(row) for word, row in zip(totals, rows)}, den).family(source, target, degree)
 
 
 class CoalgebraElement(Combination):

@@ -13,20 +13,22 @@ elements (the dt-free part) and the evolution equation
 homotopies with h1 constant in t.
 
 The path algebra reads its base only through the algebra protocol of
-:mod:`linfty.mc`, ``accumulate`` and ``build`` included: a structure, or the
-mapping space :class:`~linfty.convolution.ConvolutionAlgebra`, over which
-the parts of a homotopy of morphisms are paths with ``HomElement`` coefficients.
+:mod:`linfty.mc`: a structure, or the mapping space
+:class:`~linfty.convolution.ConvolutionAlgebra`, over which the parts of a
+homotopy of morphisms are paths with ``HomElement`` coefficients.  The
+certificates add each power's series terms, and the derivative's rows, into
+one integer totals built once; they do no ``PolyPath`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .grading import Combination, InputError, StructureError, add_scaled
+from .grading import Combination, InputError, StructureError, Totals, add_scaled
 from .algebra import LInftyStructure, require_verified
 from .morphism import HomElement, check_morphism
 from .convolution import ConvolutionAlgebra, build_convolution
-from .mc import SAMPLE_TIMES, PolyPath, apply_to_paths, gauge_flow, mc_residual, twisting_series
+from .mc import SAMPLE_TIMES, PolyPath, apply_to_paths, gauge_flow, mc_residual, series_totals, twisting_series
 
 
 class PathElement(Combination):
@@ -48,7 +50,7 @@ class PathElement(Combination):
                 continue
             if part.degree != degree - power:
                 raise InputError("path element parts have inconsistent degrees")
-            if part._home() != PolyPath(space, part.degree)._home():
+            if part.space != space:
                 raise InputError("path element part does not live in the element's space")
             if part:
                 terms[power] = part
@@ -115,11 +117,12 @@ class PathAlgebra:
         moving the degree-0 h1 past them to the last slot costs -(-1)**(0*1) =
         -1 each, so the signs cancel and the n slots are n * Q_n(h0, ..., h0,
         h1), at 1/n! the twisted operation on h1.  q_1 adds -d h0/dt, so the
-        curvature is twisting_series(h0) + (twisting_series(h0, [h1]) - d h0/dt) dt.
+        curvature is twisting_series(h0) + (twisting_series(h0, [h1]) - d h0/dt) dt,
+        its dt part :func:`evolution_residual`'s at the opposite sign.
         """
         if pe.degree != 1:
             raise InputError("curvature is defined for degree-1 path elements")
-        odd = twisting_series(self.base, pe.even, [pe.odd]) - pe.even.derivative()
+        odd = _evolution(self.base, pe.even, pe.odd, -1)
         return PathElement(pe.space, 2, twisting_series(self.base, pe.even), odd)
 
 
@@ -171,7 +174,17 @@ def flatness_residual(h: HomotopyElement) -> PolyPath:
 
 def evolution_residual(h: HomotopyElement) -> PolyPath:
     """d h0/dt minus the h1-twisted differential along h0 (zero iff evolving)."""
-    return h.h0.derivative() - twisting_series(h.conv, h.h0, [h.h1])
+    return _evolution(h.conv, h.h0, h.h1, 1)
+
+
+def _evolution(base, h0: PolyPath, h1, sign: int) -> PolyPath:
+    """``sign`` times d h0/dt - twisting_series(h0, [h1]): per power p, one totals of
+    (p+1)·a_(p+1)'s rows and the series terms at the opposite sign, built once."""
+    totals = series_totals(base, h0, [h1], -sign)
+    for p, a in h0.coefficients.items():
+        if p:
+            totals.setdefault(p - 1, Totals()).add([(sign * p, a)])
+    return PolyPath(h0.space, 1, {p: base.build(1, t) for p, t in totals.items()})
 
 
 def unsplit_residual(h: HomotopyElement) -> PathElement:
@@ -249,16 +262,13 @@ def check_homotopy(
     Checks the polynomial flatness identity, the evolution equation, the
     endpoints against the two morphisms, and flatness of the evaluated
     element at :data:`~linfty.mc.SAMPLE_TIMES` through an independent code
-    path.
+    path.  Morphisms whose spaces or cap differ from ``h``'s mapping space
+    raise :class:`~linfty.grading.InputError`.
     """
     conv = h.conv
-    if (
-        first.source.space != conv.source.space
-        or first.target.space != conv.target.space
-        or second.source.space != conv.source.space
-        or second.target.space != conv.target.space
-    ):
-        raise InputError("morphisms and homotopy live on different pairs")
+    pair = (conv.cap, conv.source.space, conv.target.space)
+    if any((f.cap, f.source.space, f.target.space) != pair for f in (first, second)):
+        raise InputError("morphisms and homotopy live on different pairs or caps")
     flat = flatness_residual(h)
     evolution = evolution_residual(h)
     points = {t: h.endpoint(t) for t in SAMPLE_TIMES}  # the endpoints among them

@@ -3,28 +3,24 @@
 The curvature of a degree-1 element is sum(1/n! * Q_n(pi, ..., pi)); with
 maps vanishing above the weight cap the sum is finite and every statement is
 "up to the cap".  Twisting inserts a flat element into the front slots of
-every structure map, the untwisted map being the zeroth term.  The gauge
-flow integrates d/dt pi_t = Q_1^{pi_t}(xi) one power of t at a time, with
-exact coefficients: the coefficient of t^(k+1) sums each stored Q_n over
-multisets of n - 1 of the powers t^0 ... t^k; the powers above
-(n_max - 1) * K + 1, n_max the top stored arity and K the top nonzero power,
-vanish, so the path is exact.  In a nilpotent structure the coefficient of
-t^k lies in level k of the lower central filtration, so the coefficients die
-out; a nonzero power at the bound means the structure was not nilpotent.  A
-certified depth is at most dim + 1 (the levels before it strictly shrink),
-so the default bound of dim + 3 powers never needs the series.
+every structure map.  The gauge flow integrates d/dt pi_t = Q_1^{pi_t}(xi)
+one power of t at a time, exactly.  In a nilpotent structure the
+coefficient of t^k lies in level k of the lower central filtration, so the
+coefficients die out; a certified depth is at most dim + 1 (the levels
+before it strictly shrink), so the default bound of dim + 3 powers never
+needs the series, and a nonzero power at the bound means the structure was
+not nilpotent.
 
 The curvature, the twisted differential and the flow read an algebra only
 through ``cap``, ``space`` (where its vectors live), ``arities()`` (the n
 with a map), ``apply(n, elements)``, the n-ary operation, zero where the
 algebra has no map, and its halves ``accumulate(totals, n, elements, scalar)``
-and ``build(degree, totals)``.  A structure offers them on ``Element`` values,
-the mapping space :class:`~linfty.convolution.ConvolutionAlgebra` on
-``HomElement`` values, so flows of morphisms run on component maps directly;
-:func:`twist` and strict curvature need the structure maps.  Sums of this
-kind go through :func:`twisting_series`, :func:`gauge_flow`'s ``accumulate``
-into one totals dict per power, or, in :func:`twist`, the one signed block
-kernel :func:`~linfty.algebra.entry_splittings`: no sign is derived here.
+into integer :class:`~linfty.grading.Totals` and ``build(degree, totals)``:
+a structure on ``Element`` values, the mapping space
+:class:`~linfty.convolution.ConvolutionAlgebra` on ``HomElement`` values.
+Each power of t of a series or flow is one totals, built once; :func:`twist`
+adds into one totals through :func:`~linfty.algebra.entry_splittings`, so no
+sign is derived here.
 
 :class:`MCElement`, an element with its curvature, and :class:`FlowReport`,
 a flow with its curvature at sample times, are reports in the protocol of
@@ -44,9 +40,8 @@ from .grading import (
     FlatnessError,
     InputError,
     NonConvergenceError,
-    add_over,
+    Totals,
     integer_rows,
-    tabulate,
 )
 from .algebra import LInftyStructure, compositions, entry_index, entry_splittings, lower_central_series
 
@@ -62,7 +57,8 @@ def twisting_series(algebra, pi, args: Sequence = ()):
     is a path of one power), and the sum is a path if one of them is.  Over
     pi = sum of a_p t^p, Q is graded-symmetric in degree-1 arguments, so each
     multiset of powers repeating r_i times is summed once, at 1/prod r_i!.
-    Each power's terms go into one totals dict (``algebra.accumulate``), built once.
+    Each power's terms go into one :class:`~linfty.grading.Totals`
+    (:func:`series_totals`), built once.
 
     >>> from linfty.grading import GradedSpace, MultiMap
     >>> V = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
@@ -76,26 +72,32 @@ def twisting_series(algebra, pi, args: Sequence = ()):
     >>> twisting_series(heis, PolyPath(V, 1, {0: pi.scale(Fraction(1, 2)), 1: pi}))
     t^0*(3/2*z) + t^1*(6*z) + t^2*(6*z)
     """
+    totals = series_totals(algebra, pi, args)
+    degree = sum(a.degree for a in args) + 2 - len(args)
+    paths = [a for a in (pi, *args) if isinstance(a, PolyPath)]
+    if not paths:
+        return algebra.build(degree, totals.get(0, Totals()))
+    return PolyPath(paths[0].space, degree, {p: algebra.build(degree, t) for p, t in totals.items()})
+
+
+def series_totals(algebra, pi, args: Sequence = (), sign: int = 1) -> dict[int, Totals]:
+    """``sign`` times the terms of :func:`twisting_series`, added by power of t into one totals each."""
     k = len(args)
     if k > algebra.cap:
         raise InputError("%d arguments exceed the weight cap %d" % (k, algebra.cap))
     if pi.degree != 1:
         raise InputError("the twisting element must have degree 1, got %d" % pi.degree)
-    paths = [a for a in (pi, *args) if isinstance(a, PolyPath)]
     powers, *rest = (sorted(a.coefficients.items()) if isinstance(a, PolyPath) else [(0, a)] if a else []
                      for a in (pi, *args))
-    degree = sum(a.degree for a in args) + 2 - k
-    totals: dict[int, dict] = {}
+    totals: dict[int, Totals] = {}
     for n in sorted(algebra.arities()):
         for chosen in combinations_with_replacement(powers, n - k) if n >= k else ():
             repeats = prod(factorial(len(list(run))) for _, run in groupby(p for p, _ in chosen))
             for tail in product(*rest):
                 terms = chosen + tail
-                into = totals.setdefault(sum(p for p, _ in terms), {})
-                algebra.accumulate(into, n, [e for _, e in terms], Fraction(1, repeats) if repeats > 1 else 1)
-    if not paths:
-        return algebra.build(degree, totals.get(0, {}))
-    return PolyPath(paths[0].space, degree, {p: algebra.build(degree, t) for p, t in totals.items()})
+                into = totals.setdefault(sum(p for p, _ in terms), Totals())
+                algebra.accumulate(into, n, [e for _, e in terms], Fraction(sign, repeats) if repeats > 1 else sign)
+    return totals
 
 
 def mc_residual(algebra, value: Element, require_nilpotent: bool = False) -> Element:
@@ -174,13 +176,14 @@ def twist(structure: LInftyStructure, pi: MCElement | Element) -> LInftyStructur
         pi = mc_element(structure, value)
     if not pi.passed:
         raise FlatnessError("cannot twist by a non-flat element; curvature %r" % pi.residual, pi.residual)
-    entries, names = entry_index({(): pi.value}, structure), structure.lift_slots[1]
-    totals: dict = {}
+    den, [row] = integer_rows([pi.value.coeffs])
+    entries, names = entry_index((den, {(): row}), structure), structure.lift_slots[1]
+    totals = Totals()
     for n, q in structure.maps.items():
         for m in range(n):
             scalar = Fraction((-1) ** (m * (n - m) + m * (m - 1) // 2), factorial(m) * factorial(n - m))
             entry_splittings(totals, structure, [(0, entries)] * m + [(0, names)] * (n - m), q, scalar)
-    return LInftyStructure(space, tabulate(space, space, 2, totals), structure.cap)
+    return LInftyStructure(space, totals.family(space, space, 2), structure.cap)
 
 
 class PolyPath(Combination):
@@ -203,9 +206,7 @@ class PolyPath(Combination):
         home = None
         for power, elem in (coefficients or {}).items():
             if elem.degree != degree:
-                raise InputError(
-                    "path coefficient of degree %d in a degree-%d path" % (elem.degree, degree)
-                )
+                raise InputError("path coefficient of degree %d in a degree-%d path" % (elem.degree, degree))
             if home is None:
                 home = space.zero(degree)._home()
             if elem._home() != home:
@@ -239,11 +240,10 @@ class PolyPath(Combination):
         )
 
     def evaluate(self, t: Fraction):
-        """The point at t = a/b, built once, reading only a_0 at t = 0: with a_p = n_p / d and K the
-        top power, n_p a^p b^(K-p) summed per word and name in ``int`` over d b^K; a ``HomElement``
-        point keeps a weight's map that one power alone holds at t^p = 1, with its walk indexes."""
-        t, zero = Fraction(t), self.space.zero(self.degree)
-        a, b, top = t.numerator, t.denominator, max(self.coefficients, default=0)
+        """The point at t = a/b, built once, reading only a_0 at t = 0: with K the top power, a^p b^(K-p)
+        a_p summed in one :class:`~linfty.grading.Totals` over b^K; a ``HomElement`` point keeps a
+        weight's map that one power alone holds at t^p = 1, with its walk indexes."""
+        zero, a, b, top = self.space.zero(self.degree), t.numerator, t.denominator, max(self.coefficients, default=0)
         vectors = isinstance(zero, Element)
         by_key: dict = {}  # a weight (None for a vector) -> (a^p b^(K-p), its map or vector) per power
         for p, e in self.coefficients.items():
@@ -251,34 +251,24 @@ class PolyPath(Combination):
             for key, value in ({None: e} if vectors else e.terms).items() if a or not p else ():
                 by_key.setdefault(key, []).append((scale, value))
         kept = {key: g[0][1] for key, g in by_key.items() if not vectors and len(g) == 1 and g[0][0] == b**top}
-        parts = [(scale, w, v.coeffs) for key, got in by_key.items() if key not in kept for scale, value in got
-                 for w, v in ({None: value} if vectors else value.values).items()]
-        d, rows = integer_rows(v for _, _, v in parts)
-        sums: dict = {}
-        for (scale, w, _), row in zip(parts, rows):
-            into = sums.setdefault(w, {})
-            for name, n in row:
-                into[name] = into.get(name, 0) + scale * n
-        totals: dict = {}
-        for w, into in sums.items():
-            add_over(totals.setdefault(w, {}), into, d * b**top)
-        summed = totals.get(None, {}) if vectors else self.space.build(self.degree, totals).components
-        return zero._like({**kept, **summed})
+        totals = Totals()
+        totals.add((part for key, got in by_key.items() if key not in kept for part in got), b**top)
+        if vectors:
+            return totals.element(self.space, self.degree)
+        return zero._like({**kept, **self.space.build(self.degree, totals).components})
 
     def __repr__(self):
         if not self.coefficients:
             return "0"
-        return " + ".join(
-            "t^%d*(%r)" % (p, e) for p, e in sorted(self.coefficients.items())
-        )
+        return " + ".join("t^%d*(%r)" % (p, e) for p, e in sorted(self.coefficients.items()))
 
 
 def apply_to_paths(algebra, n: int, paths: list[PolyPath]) -> PolyPath:
     """The n-ary operation on n polynomial paths, every ordered tuple of powers."""
     degree = sum(p.degree for p in paths) + 2 - n
-    sums: dict[int, dict] = {}
+    sums: dict[int, Totals] = {}
     for terms in product(*(path.coefficients.items() for path in paths)):
-        algebra.accumulate(sums.setdefault(sum(p for p, _ in terms), {}), n, [e for _, e in terms], 1)
+        algebra.accumulate(sums.setdefault(sum(p for p, _ in terms), Totals()), n, [e for _, e in terms], 1)
     return PolyPath(paths[0].space, degree, {p: algebra.build(degree, t) for p, t in sums.items()})
 
 
@@ -297,10 +287,9 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
 
     r_i the repeats of a power: Q_{m+1} is graded-symmetric in degree-1
     arguments, so the m!/prod r_i! orderings of a multiset are one term.
-    Multisets that read a zero coefficient are skipped; the rest accumulate
-    into one totals dict, built once.  A term of a_{j+1}
-    reads at most n_max - 1 powers, each <= K (n_max the top stored arity, K
-    the top nonzero power), so the powers up to (n_max - 1) * K + 1 fix the path.
+    Multisets that read a zero coefficient are skipped; the rest go into one
+    totals, built once.  A term of a_{j+1} reads at most n_max - 1 powers,
+    each <= K, so the powers up to (n_max - 1) * K + 1 fix the path.
     ``iteration_bound`` counts powers, t^0 the first: a path of degree D is
     returned iff D + 1 <= bound, and a nonzero power at the bound raises
     :class:`NonConvergenceError`, the diagnostic for a structure that is
@@ -319,17 +308,11 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
     Traceback (most recent call last):
     linfty.grading.NonConvergenceError: gauge flow did not reach a fixpoint within 3 iterations; the structure is not nilpotent within the bound
 
-    The default bound, ``dim + 3`` powers for ``dim`` the dimension of
-    ``algebra.space``, covers every structure that
-    :func:`~linfty.algebra.lower_central_series` certifies nilpotent: its
-    levels satisfy Q_k(F^{i_1}, ...) in F^{i_1 + ...} and pi0, xi lie in F^1,
-    so a_k lies in F^k, and a certified chain shrinks strictly until it is
-    zero at its depth D <= dim + 1.  Other structures are refused by power
-    dim + 3 (so may a nilpotent one whose chain repeats a level, which the
-    series does not certify either), at a cost polynomial in the bound:
-    power k evaluates one Q_{m+1} per multiset of m powers summing to k - 1.
-    The flow never computes the series; the mapping space offers no
-    ``space.dimension()``, so its flows pass a bound.
+    The default bound, ``dim + 3`` powers, covers every structure that
+    :func:`~linfty.algebra.lower_central_series` certifies nilpotent (see
+    the module's docstring); other structures are refused by power dim + 3,
+    at a cost polynomial in the bound.  The flow never computes the series;
+    the mapping space offers no ``space.dimension()``, so its flows pass a bound.
     """
     if xi.degree != 0:
         raise InputError("gauge directions must have degree 0")
@@ -344,7 +327,7 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
     support = [0] if pi0 else []
     powers = 0
     while powers <= (max(arities, default=1) - 1) * max(support, default=0):
-        terms: dict = {}
+        terms = Totals()
         for n in arities:
             for parts in compositions(powers, n - 1, support):
                 repeats = prod(factorial(len(list(run))) for _, run in groupby(parts))

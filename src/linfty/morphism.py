@@ -3,10 +3,7 @@
 A morphism from (L, Q) to (L', Q') is a collection F_n of weight-n maps of
 degree 1 - n.  It lifts to a map of the truncated coalgebras by summing over
 unordered set partitions of a word, each block fed to the component of its
-size, at the block-splitting sign: the word's desuspension sign, the
-classical Koszul sign of the rearrangement on degrees lowered by one, each
-block's desuspension sign and that of the blocks' suspended degrees.
-Compatibility with the two coderivations is measured per weight by
+size, at the block-splitting sign of :mod:`linfty.algebra`.  Compatibility with the two coderivations is measured per weight by
 
     residual_n = pr o (Q' F - F Q) restricted to weight n,
 
@@ -14,16 +11,15 @@ which vanishes for every weight up to the cap exactly when the lift commutes
 with the coderivations on the whole truncation.
 
 Maps after the lift are evaluated from stored entries by one kernel,
-:func:`~linfty.algebra.entry_splittings`, a :meth:`~linfty.grading.MultiMap.walk`
-of the map over the entries' value names that signs and counts the
-splittings as it goes: the Q' F side of compatibility, composition, the
-mapping-space operations of :mod:`linfty.convolution`, and the F Q side
-through :meth:`~linfty.algebra.Coderivation.precompose`.  None of them
-lists the words of the truncation or a word's block partitions.
+:func:`~linfty.algebra.entry_splittings`, which signs and counts the
+splittings as it walks: the Q' F side of compatibility, composition, the
+mapping-space operations and, through
+:meth:`~linfty.algebra.Coderivation.precompose`, the F Q side.  None of
+them lists the words of the truncation or a word's block partitions.
 
 A family {a_n} with a_n of weight n and degree u - n is a degree-u vector of
-the mapping space, :class:`HomElement`, built from word totals by
-:meth:`HomElement.from_totals`.  A morphism is its degree-1 vector, the
+the mapping space, :class:`HomElement`, built once from integer word totals
+by :meth:`HomElement.from_totals`.  A morphism is its degree-1 vector, the
 one type a lift, a check, a composition or a flow reads; where a morphism
 is expected, another degree raises :class:`~linfty.grading.InputError`.
 """
@@ -43,12 +39,13 @@ from .grading import (
     GradedSpace,
     InputError,
     MultiMap,
+    Totals,
     Word,
     add_scaled,
+    family_rows,
     map_family,
     signed_blocks,
     subword,
-    tabulate,
 )
 from .algebra import LInftyStructure, ResidualReport, entry_index, entry_splittings, lift_coderivation, require_verified
 from . import linalg
@@ -74,9 +71,7 @@ class HomElement(Combination):
         components: Mapping[int, MultiMap],
     ):
         if source.cap != target.cap:
-            raise InputError(
-                "source cap %d and target cap %d differ" % (source.cap, target.cap)
-            )
+            raise InputError("source cap %d and target cap %d differ" % (source.cap, target.cap))
         self.source = source
         self.target = target
         self.cap = source.cap
@@ -85,12 +80,10 @@ class HomElement(Combination):
         self._verified = False
 
     @classmethod
-    def from_totals(
-        cls, source: LInftyStructure, target: LInftyStructure, degree: int, totals: Mapping[Word, dict]
-    ) -> "HomElement":
-        """The degree-``degree`` vector taking each word of ``totals`` to its
-        name -> coefficient dict, through :func:`~linfty.grading.tabulate`."""
-        return cls(source, target, degree, tabulate(source.space, target.space, degree, totals))
+    def from_totals(cls, source: LInftyStructure, target: LInftyStructure, degree: int, totals: Totals) -> "HomElement":
+        """The degree-``degree`` vector taking each word of ``totals`` to its sums, built once
+        (:meth:`~linfty.grading.Totals.family`)."""
+        return cls(source, target, degree, totals.family(source.space, target.space, degree))
 
     def _home(self) -> tuple:
         return self.source.space, self.target.space, self.cap, self.degree
@@ -113,7 +106,7 @@ class HomElement(Combination):
     def entry_index(self) -> tuple[dict, int]:
         """The :func:`~linfty.algebra.entry_index` of the components' stored values, all
         weights, over the source: the one slot every kernel call reads this vector by."""
-        return entry_index({f: v for c in self.components.values() for f, v in c.by_factors.items()}, self.source)
+        return entry_index(family_rows(self.components.values()), self.source)
 
     @property
     def values(self) -> dict[Word, Element]:
@@ -152,7 +145,7 @@ def require_morphism(vector: HomElement) -> None:
 
 def identity_morphism(structure: LInftyStructure) -> HomElement:
     space = structure.space
-    totals = {Word((name,), space.degree(name)): {name: Fraction(1)} for name in space.names}
+    totals = Totals({Word((name,), space.degree(name)): {name: 1} for name in space.names})
     morphism = HomElement.from_totals(structure, structure, 1, totals)
     morphism._verified = True
     return morphism
@@ -200,10 +193,10 @@ class MorphismLift:
         self._cache[word] = out
         return out
 
-    def precompose(self, maps: Mapping[int, MultiMap]) -> dict[Word, dict]:
+    def precompose(self, maps: Mapping[int, MultiMap]) -> Totals:
         """The cogenerator part of ``maps`` after the lift, by word.
 
-        The value at a word W, a name -> coefficient dict, is the sum of
+        The value at a word W, sums by name, is the sum of
         ``c * maps[|u|](u)`` over the terms ``c*u`` of ``on_word(W)``.  The
         n! orderings of an n-block partition are the ordered n-splittings
         that :func:`entry_splittings` reads with n slots of the components'
@@ -211,7 +204,7 @@ class MorphismLift:
         this is the sum over n of 1/n! times ``maps[n]`` on those splittings.
         """
         F = self.morphism
-        out: dict[Word, dict] = {}
+        out = Totals()
         for n, q in maps.items():
             entry_splittings(out, F.source, [(0, F.entry_index)] * n, q, Fraction(1, factorial(n)))
         return out
@@ -288,9 +281,7 @@ class CohomologyReport:
     def summary(self) -> str:
         if not self.nonzero_degrees():
             return "cohomology vanishes"
-        return ", ".join(
-            "dim H^%d = %d" % (d, self.dimensions[d]) for d in self.nonzero_degrees()
-        )
+        return ", ".join("dim H^%d = %d" % (d, self.dimensions[d]) for d in self.nonzero_degrees())
 
     def to_json(self) -> dict:
         dims = {str(d): n for d, n in sorted(self.dimensions.items())}

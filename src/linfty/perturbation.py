@@ -66,10 +66,7 @@ def perturb(request: PerturbationRequest) -> HomElement:
     perturbed, _ = flow_morphism(request)
     report = check_morphism(perturbed)
     if not report.passed:
-        raise StructureError(
-            "perturbation produced an incompatible map; residuals: %s"
-            % report.summary()
-        )
+        raise StructureError("perturbation produced an incompatible map; residuals: %s" % report.summary())
     return perturbed
 
 
@@ -106,10 +103,7 @@ def differential_correction(
                 slot_sign = -1 if exponent % 2 else 1
                 image = q1_src.evaluate((word.factors[i],))
                 for name, c in image.coeffs.items():
-                    tuple_in_place = (
-                        word.factors[:i] + (name,) + word.factors[i + 1 :]
-                    )
-                    term = correction.evaluate(tuple_in_place)
+                    term = correction.evaluate(word.factors[:i] + (name,) + word.factors[i + 1 :])
                     add_scaled(coeffs, term, Fraction(-slot_sign) * c)
         total = Element(target.space, word.degree + 1 - n, coeffs)
         if total:

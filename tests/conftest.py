@@ -23,7 +23,7 @@ from linfty import (
 )
 from linfty.algebra import FiltrationChain, LInftyStructure
 from linfty.convolution import HomElement
-from linfty.grading import add_scaled, signed_blocks, subword, tabulate, unshuffles
+from linfty.grading import add_scaled, signed_blocks, subword, unshuffles
 from linfty.homotopy import PathElement
 from linfty.mc import MCElement, PolyPath, mc_element, twisting_series
 
@@ -540,6 +540,22 @@ def reference_gauge_flow(algebra, pi0, xi, iteration_bound=None):
     )
 
 
+def reference_tabulate(source, target, degree, totals):
+    """``grading.tabulate`` word by word through the checking constructors: each
+    value an ``Element``, each weight's map a ``MultiMap`` that checks every word."""
+    per_weight = {}
+    for word, coeffs in totals.items():
+        value = Element(target, word.degree + degree - word.weight, coeffs)
+        if value:
+            per_weight.setdefault(word.weight, {})[word] = value
+    return {n: MultiMap(source, target, n, degree - n, v) for n, v in per_weight.items()}
+
+
+def totals_fractions(totals):
+    """The sums of a ``Totals`` as ``Fraction``s by key: every key a kernel reached, zero sums dropped."""
+    return {key: {name: Fraction(n, totals.den) for name, n in sums.items() if n} for key, sums in totals.sums.items()}
+
+
 # Test reference for linfty.mc.PolyPath.evaluate: each coefficient scaled by
 # t**p in Fraction arithmetic and added term by term.
 
@@ -654,7 +670,7 @@ def reference_twist(structure, pi):
         args = [Element.basis(space, name) for name in word.factors]
         return twisting_series(structure, pi.value, args).coeffs
 
-    maps = tabulate(space, space, 2, {word: value(word) for word in structure.words()})
+    maps = reference_tabulate(space, space, 2, {word: value(word) for word in structure.words()})
     return LInftyStructure(space, maps, structure.cap)
 
 

@@ -293,6 +293,20 @@ def test_homotopy_check():
     assert run("homotopy-check", path("flow.hom"))[0] == 0
 
 
+def test_homotopy_check_refuses_a_morphism_of_another_cap(tmp_path):
+    # the second morphism of flow.hom on a cap-4 copy of twoterm.alg: the
+    # spaces agree, the caps do not, which is an input error, not an endpoint mismatch
+    (tmp_path / "twoterm4.alg").write_text(open(path("twoterm.alg")).read().replace("cap: 3", "cap: 4"))
+    morphism = open(path("pert_twoterm.mor")).read()
+    (tmp_path / "pert4.mor").write_text(morphism.replace("cap: 3", "cap: 4").replace("twoterm.alg", "twoterm4.alg"))
+    hom = open(path("flow.hom")).read()
+    hom = hom.replace("first: id_twoterm.mor", "first: %s" % path("id_twoterm.mor"))
+    (tmp_path / "cap.hom").write_text(hom.replace("second: pert_twoterm.mor", "second: pert4.mor"))
+    code, out, err = run("homotopy-check", str(tmp_path / "cap.hom"))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: morphisms and homotopy live on different pairs or caps")
+
+
 def test_convolution_mc():
     assert run("convolution-mc", path("id_twoterm.mor"))[0] == 0
     code, out, _ = run("convolution-mc", path("badchain.mor"))

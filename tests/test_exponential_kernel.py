@@ -37,6 +37,7 @@ from linfty.homotopy import (
     flatness_residual,
 )
 from linfty.algebra import entry_index, entry_splittings
+from linfty.grading import Totals, integer_rows
 from linfty.mc import twisted_differential_of, twisting_series
 from linfty.morphism import HomElement
 from linfty.perturbation import direction_element
@@ -53,6 +54,7 @@ from conftest import (
     reference_twisted_differential_of,
     reference_twisting_series,
     reference_unsplit,
+    totals_fractions,
     twostep3,
 )
 
@@ -229,6 +231,12 @@ def test_check_homotopy_evaluates_each_sample_time_once(monkeypatch):
     assert report.sample_residuals == want.sample_residuals
 
 
+def _rows(entries):
+    """The values of factor tuple -> element entries as integer rows over their lcm, by factor tuple."""
+    den, rows = integer_rows(v.coeffs for v in entries.values())
+    return den, dict(zip(entries, rows))
+
+
 def test_an_element_indexes_its_entries_once_for_every_map(monkeypatch):
     rng = random.Random(2705)
     base = twostep3(3, rng, cap=3)
@@ -247,16 +255,17 @@ def test_an_element_indexes_its_entries_once_for_every_map(monkeypatch):
     again = [conv.bracket([alpha, beta]), conv.bracket([alpha, alpha, beta])]
     # maps of every weight, and another map of a weight already read, read the same index
     for q in [*base.maps.values(), MultiMap(base.space, base.space, 3, -1, {})]:
-        entry_splittings({}, base, [(0, alpha.entry_index)] * q.weight, q)
-        entry_splittings({}, base, [(-1, beta.entry_index)] * q.weight, q)
+        entry_splittings(Totals(), base, [(0, alpha.entry_index)] * q.weight, q)
+        entry_splittings(Totals(), base, [(-1, beta.entry_index)] * q.weight, q)
     stored = [{f: v for c in e.components.values() for f, v in c.by_factors.items()} for e in (alpha, beta)]
-    assert first == again and built == stored
+    assert first == again and built == [_rows(entries) for entries in stored]
     # the cached index and a fresh index of the same entries give the same terms
     q3 = base.maps[3]
-    by_element, by_entries = {}, {}
+    by_element, by_entries = Totals(), Totals()
     entry_splittings(by_element, base, [(0, alpha.entry_index), (0, alpha.entry_index), (-1, beta.entry_index)], q3)
-    fresh = [entry_index(entries, base) for entries in stored]
+    fresh = [entry_index(_rows(entries), base) for entries in stored]
     entry_splittings(by_entries, base, [(0, fresh[0]), (0, fresh[0]), (-1, fresh[1])], q3)
+    by_element, by_entries = totals_fractions(by_element), totals_fractions(by_entries)
     assert by_element == by_entries and any(by_element.values())
     # with Q'_1 != 0 the differential reads Q'_1 after gamma off gamma's one
     # index, through the kernel, and gamma's brackets read that index again
@@ -264,7 +273,7 @@ def test_an_element_indexes_its_entries_once_for_every_map(monkeypatch):
     conv = build_convolution(paired, paired, paired.cap)
     gamma = HomElement(paired, paired, 0, random_component_family(paired, paired, paired.cap, rng, 0.8, 0))
     twin = HomElement(paired, paired, 0, gamma.components)
-    after_q = {}
+    after_q = Totals()
     lift_coderivation(paired).precompose(twin.components, 1, after_q)
     want, square, after_q = reference_bracket(conv, [twin]), reference_bracket(conv, [twin, twin]), conv.build(1, after_q)
     applied = []
@@ -272,4 +281,4 @@ def test_an_element_indexes_its_entries_once_for_every_map(monkeypatch):
     built.clear()
     assert conv.differential(gamma) == want != after_q
     assert conv.bracket([gamma, gamma]) == square
-    assert applied == [] and built == [{f: v for c in gamma.components.values() for f, v in c.by_factors.items()}]
+    assert applied == [] and built == [_rows({f: v for c in gamma.components.values() for f, v in c.by_factors.items()})]

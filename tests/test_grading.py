@@ -17,7 +17,7 @@ from linfty import (
     wedge_basis,
 )
 from linfty.algebra import LInftyStructure, entry_index, entry_splittings
-from linfty.grading import signed_blocks, unshuffles
+from linfty.grading import Totals, signed_blocks, unshuffles
 
 from conftest import (
     SMALL_SPACES,
@@ -368,13 +368,14 @@ def test_entry_splittings_count_and_sign_the_splittings_of_a_word():
             qn = MultiMap(target, target, n, 1 - n, stored)
             source = LInftyStructure(space, {}, m)
             slots = [
-                (u - 1, entry_index({parts[j]: Element.basis(target, "t%d_%d" % (j, blocks.index(parts[j])))
-                                     for parts in expected}, source))
+                (u - 1, entry_index((1, {parts[j]: (("t%d_%d" % (j, blocks.index(parts[j])), 1),)
+                                         for parts in expected}), source))
                 for j, u in enumerate(u_degrees)
             ]
-            totals = {}
+            totals = Totals()
             entry_splittings(totals, source, slots, qn)
-            got = {splittings[int(name[1:])]: c for name, c in totals.get(word, {}).items()}
+            assert totals.den == 1
+            got = {splittings[int(name[1:])]: c for name, c in totals.sums.get(word, {}).items() if c}
             assert got == {parts: c for parts, c in expected.items() if c}
             repeated += any(abs(coefficient) > 1 for coefficient in got.values())
     assert repeated > 10

@@ -35,6 +35,7 @@ from linfty import (
     twist,
     wedge_basis,
 )
+from linfty.grading import Totals
 from linfty.morphism import MorphismComponents
 
 from conftest import (
@@ -46,6 +47,7 @@ from conftest import (
     reference_project,
     reference_twist,
     shift,
+    totals_fractions,
     twostep3,
 )
 
@@ -109,20 +111,21 @@ def test_accumulate_matches_the_reference_apply():
                 want = reference_apply(q, args)
                 assert q.apply(args) == want
                 for scalar in SCALARS:
-                    totals = {}
+                    totals = Totals()
                     structure.accumulate(totals, n, args, scalar)
                     assert structure.build(want.degree, totals) == want.scale(scalar)
         # an even-degree argument in both slots of a weight-2 map: its terms
-        # Q(a, b) and Q(b, a) cancel in the integer sums, and no zero entry is left
+        # Q(a, b) and Q(b, a) cancel in the integer sums, and the build leaves no zero entry
         evens = [w.factors for w in wedge_basis(space, 2) if len(set(w.factors)) == 2
                  and all(space.degree(name) == 2 for name in w.factors)]
         m = MultiMap.from_entries(space, space, 2, -2, {
             w: {rng.choice(space.basis_of_degree(2)): _rational(rng)} for w in evens
         })
         alpha = _element(space, 2, rng, density=1.0)
-        coeffs = {}
-        m.accumulate(coeffs, [alpha, alpha], F(-3, 7))
-        assert coeffs == {} and reference_apply(m, [alpha, alpha]).is_zero()
+        totals = Totals()
+        m.accumulate(totals, [alpha, alpha], F(-3, 7))
+        assert not any(totals.sums.get(None, {}).values()) and reference_apply(m, [alpha, alpha]).is_zero()
+        assert totals.element(space, 2).coeffs == {}
         cancelled += bool(evens)
     assert cancelled == 4 and empty > 3
 
@@ -157,7 +160,7 @@ def test_brackets_and_the_differential_match_the_reference_bracket(monkeypatch):
                 nonzero += not got.is_zero()
                 degree = sum(a.degree for a in alphas) + 2 - n
                 for scalar in SCALARS:
-                    totals = {}
+                    totals = Totals()
                     conv.accumulate(totals, n, alphas, scalar)
                     assert conv.build(degree, totals) == want.scale(scalar)
         # an even-degree element twice: nonzero terms that cancel exactly
@@ -177,7 +180,7 @@ def test_precompose_matches_the_reference_project():
         for u in (0, 1, 2):
             maps = _family(structure, u, rng, 0.6)
             for scalar in SCALARS:
-                got = lift.precompose(maps, scalar)
+                got = totals_fractions(lift.precompose(maps, scalar))
                 for word in structure.words():
                     degree = word.degree + u + 1 - word.weight
                     want = reference_project(lift, word, maps, space, degree).scale(scalar)
@@ -209,9 +212,11 @@ def _band(structure, rng):
 
 def test_the_fraction_constructions_of_the_morphism_checks_are_pinned(monkeypatch):
     # check_morphism, the convolution curvature and compose of a band
-    # morphism on twostep3(4) at cap 3 make one Fraction per output name of
-    # each kernel call (208), plus the sums of two calls' Fractions at one
-    # name (25) and six scalars; summing term by term in Fraction made 1121
+    # morphism on twostep3(4) at cap 3 sum every kernel call of a result in
+    # one integer totals and make one Fraction per output name of its build
+    # (71, 71 and 41), plus six scalars; one Fraction per output name of
+    # each kernel call made 239 (208 names, 25 sums of two calls'
+    # Fractions at one name, six scalars), summing term by term made 1121
     rng = random.Random(2804)
     structure = twostep3(4, rng, cap=3)
     assert check_relations(structure).passed
@@ -230,7 +235,9 @@ def test_the_fraction_constructions_of_the_morphism_checks_are_pinned(monkeypatc
     monkeypatch.undo()
     assert not report.passed and curvature.values == report.residuals
     assert set(composite.components) == {1, 2, 3}
-    assert len(made) == 239
+    assert [sum(len(v.coeffs) for v in values) for values in (report.residuals.values(), curvature.values.values(),
+                                                              composite.values.values())] == [71, 71, 41]
+    assert len(made) == 189
 
 
 TIMES = (F(0), F(1, 2), F(1), F(-3, 7), F(5))
@@ -340,11 +347,12 @@ def test_twist_matches_the_reference_on_rational_pi():
 
 def test_the_fraction_constructions_of_evaluate_and_twist_are_pinned(monkeypatch):
     # the flow of test_work_of_relation_checks_and_series on shift(4, 8):
-    # its points at 0, 1/2 and 1 make one Fraction per time (3 made here and
-    # 3 inside) and one per name of each point (3, 8 and 8); the twist makes
-    # one per name of its twisted values (44), the 1/2 of its curvature check
-    # and its entry_splittings scalars 1/2 and -1 for Q_2 at m = 0 and 1.
-    # Summing term by term made 156 and 287
+    # its points at 0, 1/2 and 1 make one Fraction per time (3, made here;
+    # evaluate reads a time's numerator and denominator as they are, where it
+    # made 3 more) and one per name of each point (3, 8 and 8); the twist
+    # makes one per name of its twisted values (44), the 1/2 of its curvature
+    # check and its entry_splittings scalars 1/2 and -1 for Q_2 at m = 0 and
+    # 1.  Summing term by term made 156 and 287
     structure = shift(4, 8, random.Random(0))
     pi0 = Element(structure.space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
     xi = Element(structure.space, 0, {"p1": F(1), "p2": F(3)})
@@ -363,4 +371,4 @@ def test_the_fraction_constructions_of_evaluate_and_twist_are_pinned(monkeypatch
     monkeypatch.undo()
     assert [len(p.coeffs) for p in points] == [3, 8, 8]
     assert sum(len(v.coeffs) for q in twisted.maps.values() for v in q.values.values()) == 44
-    assert (evaluated, len(made) - evaluated) == (25, 47)
+    assert (evaluated, len(made) - evaluated) == (22, 47)

@@ -253,7 +253,8 @@ def test_morphism_checks_and_compose_list_no_words(monkeypatch):
 def test_walk_yields_int_coefficients_over_integer_rows(monkeypatch):
     # the walk multiplies the slots' integer numerators and the int scalar,
     # and completes a tuple with the stored value's integer row over the
-    # map's denominator; accumulate makes one Fraction per output name
+    # map's denominator; accumulate adds int sums into its totals, and
+    # their build makes one Fraction per output name
     V = GradedSpace([("a", 0), ("b", 1), ("c", 1)])
     m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1, 2), "c": F(-2, 3)}})
     assert m.rows == (6, {("a", "b"): (("b", 3), ("c", -4))})
@@ -268,10 +269,12 @@ def test_walk_yields_int_coefficients_over_integer_rows(monkeypatch):
         return new(cls, *args, **kwargs)
 
     x, y = Element(V, 0, {"a": F(3, 7)}), Element(V, 1, {"b": F(5, 2), "c": F(1, 5)})
-    scalar, coeffs = F(-2, 3), {}
+    scalar, totals = F(-2, 3), grading.Totals()
     monkeypatch.setattr(F, "__new__", spy)
-    m.accumulate(coeffs, [x, y], scalar)
-    monkeypatch.undo()
+    m.accumulate(totals, [x, y], scalar)
     # over 6 (the map) * 3 (the scalar) * 7 * 10 (the arguments): -2 * 3 * 25 times the row
+    assert made == [] and totals.sums == {None: {"b": -450, "c": 600}} and totals.den == 1260
+    coeffs = totals.element(V, 1).coeffs
+    monkeypatch.undo()
     assert sorted(made) == [(-450, 1260), (600, 1260)]
     assert coeffs == {"b": F(-5, 14), "c": F(10, 21)}

@@ -14,12 +14,18 @@ BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 def test_tracer_binds_every_entry_point(monkeypatch):
     monkeypatch.syspath_prepend(BENCH_DIR)
     tracing = importlib.import_module("tracing")
+    targets = [target for targets in tracing.SPANS.values() for target in targets]
+    originals = [getattr(owner, attr) for owner, attr in targets]
     tracer = tracing.Tracer()
     try:
         tracer.install()
+        wrapped = [getattr(owner, attr) for owner, attr in targets]
     finally:
         tracer.uninstall()
     assert tracing.SPANS and tracing.CALL_COUNTS
+    # every timed entry point is wrapped while installed, and restored after
+    assert all(now is not was for now, was in zip(wrapped, originals))
+    assert all(getattr(owner, attr) is was for (owner, attr), was in zip(targets, originals))
 
 
 def test_traced_series_cohomology_and_quasi_iso_read_their_rows(
