@@ -139,6 +139,11 @@ def make_linfty(
     return LInftyStructure(space, maps, cap)
 
 
+def same_structure(a: LInftyStructure, b: LInftyStructure) -> bool:
+    """Whether ``a`` and ``b`` are one structure: the same object, or equal in space, cap and maps."""
+    return a is b or (a.space == b.space and a.cap == b.cap and a.maps == b.maps)
+
+
 def from_dgla(
     space: GradedSpace,
     differential: MultiMap | None,

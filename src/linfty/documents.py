@@ -8,6 +8,12 @@ factors, and entries are sorted by basis order, so parsing followed by
 serializing reproduces a canonical document byte for byte.  Objects refer
 to each other by relative file path, never by inline duplication.
 
+The layout rules live in one table, ``_LAYOUT``, and :func:`parse_document`
+checks them once, keying each section by its head and weight, so no loader
+reads a section name.  Map and homotopy sections share one entry reader and
+one section writer; every writer prints its kind and headers through one
+header writer.
+
 Morphisms, mapping-space elements and paths are built by the loaders that
 need them, which import their modules, so reading an algebra loads only
 the grading and algebra layers.
@@ -19,7 +25,7 @@ import os
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word, tabulate
 from .algebra import LInftyStructure, make_linfty
@@ -28,15 +34,16 @@ if TYPE_CHECKING:
     from .morphism import HomElement
     from .homotopy import HomotopyElement
 
-KINDS = ("algebra", "morphism", "mc-element", "map", "request", "homotopy")
-
-_HEADER_KEYS = {
-    "algebra": {"kind", "cap"},
-    "morphism": {"kind", "cap", "source", "target"},
-    "mc-element": {"kind", "algebra", "value"},
-    "map": {"kind", "source", "target", "weight", "degree"},
-    "request": {"kind", "morphism", "weight"},
-    "homotopy": {"kind", "first", "second"},
+# kind -> (its headers after ``kind``, in written order; its section heads).
+# ``basis`` is the one head without a weight: any other section is named by
+# its head and the weight of its entries, as in ``map 2``.
+_LAYOUT = {
+    "algebra": (("cap",), ("basis", "map")),
+    "morphism": (("cap", "source", "target"), ("map",)),
+    "mc-element": (("algebra", "value"), ()),
+    "map": (("source", "target", "weight", "degree"), ("map",)),
+    "request": (("morphism", "weight"), ("map",)),
+    "homotopy": (("first", "second"), ("h0", "h1")),
 }
 
 
@@ -72,33 +79,25 @@ def _header(doc: dict, key: str, integer: bool = False):
     return _integer(value, key) if integer else value
 
 
-def _section_weight(name: str) -> int:
-    return _integer(name.partition(" ")[2], "weight of section %r" % name)
-
-
-def _sole_map_section(doc: dict, weight: int) -> list[str]:
-    """The one section of a map or request document, ``map <weight>``."""
-    if [_section_weight(name) for name in doc["sections"]] != [weight]:
-        raise DocumentError("%s document needs one section, 'map %d'" % (doc["kind"], weight))
-    return doc["sections"]["map %d" % weight]
-
-
 def _format_fraction(value: Fraction) -> str:
     return str(Fraction(value))
 
 
 def parse_document(text: str) -> dict:
-    """Split a document into headers and sections; rejects unknown fields."""
+    """Split a document into headers and sections, checked against ``_LAYOUT``.
+
+    Sections are keyed by ``(head, weight)``, the weight ``None`` for ``basis``.
+    """
     headers: dict[str, str] = {}
-    sections: dict[str, list[str]] = {}
-    current: str | None = None
+    named: list[tuple[int, str, list[str]]] = []
+    current: list[str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         if raw.startswith("  "):
             if current is None:
                 raise DocumentError("line %d: entry outside any section" % lineno)
-            sections[current].append(raw[2:])
+            current.append(raw[2:])
             continue
         if not raw.endswith(":") and ":" in raw:
             key, _, value = (part.strip() for part in raw.partition(":"))
@@ -108,28 +107,33 @@ def parse_document(text: str) -> dict:
             current = None
             continue
         if raw.endswith(":"):
-            current = raw[:-1].strip()
-            if current in sections:
-                raise DocumentError("line %d: duplicate section %r" % (lineno, current))
-            sections[current] = []
+            current = []
+            named.append((lineno, raw[:-1].strip(), current))
             continue
         raise DocumentError("line %d: cannot parse %r" % (lineno, raw))
     kind = headers.get("kind")
-    if kind not in KINDS:
+    if kind not in _LAYOUT:
         raise DocumentError("unknown document kind %r" % kind)
-    allowed = _HEADER_KEYS[kind]
-    unknown = set(headers) - allowed
+    header_keys, heads = _LAYOUT[kind]
+    unknown = set(headers) - {"kind", *header_keys}
     if unknown:
         raise DocumentError("unknown fields for %s: %s" % (kind, sorted(unknown)))
-    for name in sections:
-        ok = (
-            (kind == "algebra" and (name == "basis" or name.startswith("map ")))
-            or (kind in ("morphism", "map", "request") and name.startswith("map "))
-            or (kind == "homotopy" and (name.startswith("h0 ") or name.startswith("h1 ")))
-        )
-        if not ok:
+    sections: dict[tuple[str, int | None], list[str]] = {}
+    for lineno, name, lines in named:
+        head, sep, weight = name.partition(" ")
+        if head not in heads or (head == "basis") == bool(sep):
             raise DocumentError("unknown section %r for kind %s" % (name, kind))
+        key = (head, None if head == "basis" else _integer(weight, "weight of section %r" % name))
+        if key in sections:
+            raise DocumentError("line %d: duplicate section %r" % (lineno, name))
+        sections[key] = lines
     return {"kind": kind, "headers": headers, "sections": sections}
+
+
+def _document(kind: str, values: Iterable, sections: Iterable[str] = ()) -> str:
+    """A ``kind`` document: its ``_LAYOUT`` headers set to ``values`` in order, then ``sections``."""
+    headers = ["%s: %s" % pair for pair in zip(_LAYOUT[kind][0], values, strict=True)]
+    return "\n".join(["kind: %s" % kind, *headers, *sections]) + "\n"
 
 
 def _terms(space: GradedSpace, text: str):
@@ -146,13 +150,6 @@ def _terms(space: GradedSpace, text: str):
         yield coeff_text, name
 
 
-def _parse_combination(space: GradedSpace, text: str) -> dict[str, Fraction]:
-    combo: dict[str, Fraction] = {}
-    for coeff_text, name in _terms(space, text):
-        combo[name] = combo.get(name, Fraction(0)) + _parse_fraction(coeff_text)
-    return {n: c for n, c in combo.items() if c}
-
-
 def _format_element(element: Element) -> str:
     if element.is_zero():
         raise DocumentError("zero combinations are omitted, not serialized")
@@ -160,7 +157,10 @@ def _format_element(element: Element) -> str:
 
 
 def parse_element(space: GradedSpace, text: str) -> Element:
-    combo = _parse_combination(space, text)
+    summed: dict[str, Fraction] = {}
+    for coeff_text, name in _terms(space, text):
+        summed[name] = summed.get(name, Fraction(0)) + _parse_fraction(coeff_text)
+    combo = {n: c for n, c in summed.items() if c}
     if not combo:
         raise DocumentError("empty combination %r" % text)
     degrees = {space.degree(n) for n in combo}
@@ -169,83 +169,86 @@ def parse_element(space: GradedSpace, text: str) -> Element:
     return Element(space, degrees.pop(), combo)
 
 
-def _parse_entry(line: str, source: GradedSpace, weight: int) -> tuple[Word, int, str]:
-    """Split ``factors -> value`` into the canonical word, its sign and the value text."""
-    if " -> " not in line:
-        raise DocumentError("map entry %r lacks ' -> '" % line)
-    lhs, _, rhs = line.partition(" -> ")
-    factors = tuple(lhs.split())
-    if len(factors) != weight:
-        raise DocumentError("entry %r has %d factors in a weight-%d map" % (line, len(factors), weight))
-    word, sign = canonicalize_word(factors, source)
-    if word is None:
-        raise DocumentError("entry %r is on a vanishing word" % line)
-    return word, sign, rhs
+def _entries(lines: list[str], source: GradedSpace, weight: int):
+    """Each ``factors -> value`` entry as (canonical word, its sign, value text); no word may vanish or repeat."""
+    seen: set[Word] = set()
+    for line in lines:
+        if " -> " not in line:
+            raise DocumentError("map entry %r lacks ' -> '" % line)
+        lhs, _, rhs = line.partition(" -> ")
+        factors = tuple(lhs.split())
+        if len(factors) != weight:
+            raise DocumentError("entry %r has %d factors in a weight-%d map" % (line, len(factors), weight))
+        word, sign = canonicalize_word(factors, source)
+        if word is None:
+            raise DocumentError("entry %r is on a vanishing word" % line)
+        if word in seen:
+            raise DocumentError("duplicate entry for word %r" % (word.factors,))
+        seen.add(word)
+        yield word, sign, rhs
+
+
+def _section_lines(
+    sections: Mapping[tuple[str, int], Mapping], space: GradedSpace, value_text: Callable
+) -> list[str]:
+    """A ``<head> <weight>:`` section per key, in key order, its ``word -> value`` entries in basis order."""
+    lines = []
+    for (head, weight), values in sorted(sections.items()):
+        lines.append("%s %d:" % (head, weight))
+        for word in sorted(values, key=lambda w: [space.index(n) for n in w.factors]):
+            lines.append("  %s -> %s" % (" ".join(word.factors), value_text(values[word])))
+    return lines
 
 
 def _parse_map_section(
-    lines: list[str],
-    source: GradedSpace,
-    target: GradedSpace,
-    weight: int,
-    degree: int,
+    lines: list[str], source: GradedSpace, target: GradedSpace, weight: int, degree: int
 ) -> MultiMap:
-    values: dict[Word, Element] = {}
-    for line in lines:
-        word, sign, rhs = _parse_entry(line, source, weight)
-        value = parse_element(target, rhs).scale(sign)
-        if word in values:
-            raise DocumentError("duplicate entry for word %r" % (word.factors,))
-        values[word] = value
+    values = {word: parse_element(target, rhs).scale(sign) for word, sign, rhs in _entries(lines, source, weight)}
     return MultiMap(source, target, weight, degree, values)
 
 
-def _in_basis_order(words, space: GradedSpace) -> list[Word]:
-    return sorted(words, key=lambda w: tuple(space.index(n) for n in w.factors))
+def _sole_map(
+    doc: dict, weight: int, source: LInftyStructure, target: LInftyStructure, degree: int
+) -> MultiMap:
+    """The map in the one section of a map or request document, ``map <weight>``."""
+    if list(doc["sections"]) != [("map", weight)]:
+        raise DocumentError("%s document needs one section, 'map %d'" % (doc["kind"], weight))
+    return _parse_map_section(doc["sections"]["map", weight], source.space, target.space, weight, degree)
 
 
-def _map_sections(maps: Mapping[int, MultiMap]) -> list[str]:
-    """One ``map n:`` section per weight, its entries in basis order of their words."""
-    lines = []
-    for weight, m in sorted(maps.items()):
-        lines.append("map %d:" % weight)
-        for word in _in_basis_order(m.values, m.source):
-            lines.append("  %s -> %s" % (" ".join(word.factors), _format_element(m.values[word])))
-    return lines
+def _map_sections(maps: Mapping[int, MultiMap], space: GradedSpace) -> list[str]:
+    """One ``map n:`` section per weight n."""
+    return _section_lines({("map", weight): m.values for weight, m in maps.items()}, space, _format_element)
 
 
 # -- algebra ---------------------------------------------------------------
 
 
 def algebra_from_document(doc: dict, cap_override: int | None = None) -> LInftyStructure:
-    headers = doc["headers"]
     sections = doc["sections"]
-    if "basis" not in sections:
+    if ("basis", None) not in sections:
         raise DocumentError("algebra document needs a basis section")
     basis = []
-    for line in sections["basis"]:
+    for line in sections["basis", None]:
         parts = line.split()
         if len(parts) != 2:
             raise DocumentError("basis entry %r is not 'name degree'" % line)
         basis.append((parts[0], _integer(parts[1], "degree in basis entry %r" % line)))
     space = GradedSpace(basis)
-    cap = cap_override if cap_override is not None else _integer(headers.get("cap", "0"), "cap")
+    cap = cap_override if cap_override is not None else _integer(doc["headers"].get("cap", "0"), "cap")
     if cap < 1:
         raise DocumentError("algebra cap must be a positive integer")
     maps: dict[int, MultiMap] = {}
-    for name, lines in sections.items():
-        if not name.startswith("map "):
-            continue
-        weight = _section_weight(name)
-        maps[weight] = _parse_map_section(lines, space, space, weight, 2 - weight)
+    for (head, weight), lines in sections.items():
+        if head == "map":
+            maps[weight] = _parse_map_section(lines, space, space, weight, 2 - weight)
     return make_linfty(space, maps, cap)
 
 
 def algebra_to_document(structure: LInftyStructure) -> str:
-    lines = ["kind: algebra", "cap: %d" % structure.cap, "basis:"]
-    for name in structure.space.names:
-        lines.append("  %s %d" % (name, structure.space.degree(name)))
-    return "\n".join(lines + _map_sections(structure.maps)) + "\n"
+    space = structure.space
+    basis = ["basis:"] + ["  %s %d" % (name, space.degree(name)) for name in space.names]
+    return _document("algebra", [structure.cap], basis + _map_sections(structure.maps, space))
 
 
 # -- loading with cross-references ------------------------------------------
@@ -277,8 +280,7 @@ def _resolve(base_path: str, reference: str) -> str:
 
 
 def load_algebra(path: str, cap_override: int | None = None) -> LInftyStructure:
-    doc = load_document(path, "algebra")
-    return algebra_from_document(doc, cap_override)
+    return algebra_from_document(load_document(path, "algebra"), cap_override)
 
 
 def load_morphism(
@@ -295,8 +297,7 @@ def load_morphism(
     if source.cap != cap or target.cap != cap:
         raise DocumentError("morphism cap %d disagrees with its structures" % cap)
     components: dict[int, MultiMap] = {}
-    for name, lines in doc["sections"].items():
-        weight = _section_weight(name)
+    for (_, weight), lines in doc["sections"].items():
         components[weight] = _parse_map_section(lines, source.space, target.space, weight, 1 - weight)
     return HomElement(source, target, 1, components)
 
@@ -304,13 +305,8 @@ def load_morphism(
 def morphism_to_document(
     morphism: HomElement, source_ref: str, target_ref: str
 ) -> str:
-    lines = [
-        "kind: morphism",
-        "cap: %d" % morphism.cap,
-        "source: %s" % source_ref,
-        "target: %s" % target_ref,
-    ]
-    return "\n".join(lines + _map_sections(morphism.components)) + "\n"
+    sections = _map_sections(morphism.components, morphism.source.space)
+    return _document("morphism", [morphism.cap, source_ref, target_ref], sections)
 
 
 def load_mc_element(path: str, cap_override: int | None = None):
@@ -321,8 +317,7 @@ def load_mc_element(path: str, cap_override: int | None = None):
 
 
 def mc_to_document(value: Element, algebra_ref: str) -> str:
-    lines = ["kind: mc-element", "algebra: %s" % algebra_ref, "value: %s" % _format_element(value)]
-    return "\n".join(lines) + "\n"
+    return _document("mc-element", [algebra_ref, _format_element(value)])
 
 
 def load_map(path: str, cap_override: int | None = None):
@@ -331,30 +326,22 @@ def load_map(path: str, cap_override: int | None = None):
     target = load_algebra(_resolve(path, _header(doc, "target")), cap_override)
     weight = _header(doc, "weight", integer=True)
     degree = _header(doc, "degree", integer=True)
-    m = _parse_map_section(_sole_map_section(doc, weight), source.space, target.space, weight, degree)
+    m = _sole_map(doc, weight, source, target, degree)
     return source, target, m
 
 
 def map_to_document(
     m: MultiMap, source_ref: str, target_ref: str
 ) -> str:
-    lines = [
-        "kind: map",
-        "source: %s" % source_ref,
-        "target: %s" % target_ref,
-        "weight: %d" % m.weight,
-        "degree: %d" % m.degree,
-    ]
-    return "\n".join(lines + _map_sections({m.weight: m})) + "\n"
+    sections = _map_sections({m.weight: m}, m.source)
+    return _document("map", [source_ref, target_ref, m.weight, m.degree], sections)
 
 
 def load_request(path: str, cap_override: int | None = None):
     doc = load_document(path, "request")
     morphism = load_morphism(_resolve(path, _header(doc, "morphism")), cap_override)
     weight = _header(doc, "weight", integer=True)
-    correction = _parse_map_section(
-        _sole_map_section(doc, weight), morphism.source.space, morphism.target.space, weight, -weight
-    )
+    correction = _sole_map(doc, weight, morphism.source, morphism.target, -weight)
     return morphism, weight, correction
 
 
@@ -369,10 +356,7 @@ def _parse_poly(text: str) -> list[Fraction]:
 
 
 def _format_poly(coeffs: list[Fraction]) -> str:
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if not coeffs:
-        return "0"
+    """``[c0 c1 ...]``, or ``c0`` alone; the writer's polynomials end in a nonzero coefficient."""
     if len(coeffs) == 1:
         return _format_fraction(coeffs[0])
     return "[%s]" % " ".join(_format_fraction(c) for c in coeffs)
@@ -397,28 +381,21 @@ def load_homotopy(
     first = load_morphism(_resolve(path, _header(doc, "first")), cap_override)
     second = load_morphism(_resolve(path, _header(doc, "second")), cap_override)
     source, target = first.source.space, first.target.space
-    # part -> power -> word -> name -> coefficient, zeros left out
+    # head -> power -> word -> name -> coefficient, zeros left out
     parts: dict[str, dict[int, dict[Word, dict[str, Fraction]]]] = {"h0": {}, "h1": {}}
-    for section, lines in doc["sections"].items():
-        weight = _section_weight(section)
-        per_power = parts[section.partition(" ")[0]]
-        seen = set()
-        for line in lines:
-            word, sign, rhs = _parse_entry(line, source, weight)
+    for (head, weight), lines in doc["sections"].items():
+        for word, sign, rhs in _entries(lines, source, weight):
             combo: dict[str, list[Fraction]] = {}
             for coeff_text, name in _terms(target, rhs):
                 poly = [c * sign for c in _parse_poly(coeff_text)]
                 summed = zip_longest(combo.get(name, []), poly, fillvalue=0)
                 combo[name] = [a + b for a, b in summed]
-            if word in seen:
-                raise DocumentError("duplicate entry for word %r" % (word.factors,))
             if not any(any(poly) for poly in combo.values()):
                 raise DocumentError("empty combination %r" % rhs)
-            seen.add(word)
             for name, poly in combo.items():
                 for power, coeff in enumerate(poly):
                     if coeff:
-                        per_power.setdefault(power, {}).setdefault(word, {})[name] = coeff
+                        parts[head].setdefault(power, {}).setdefault(word, {})[name] = coeff
     conv = build_convolution(first.source, first.target, first.cap)
 
     def build(per_power, degree: int) -> PolyPath:
@@ -431,23 +408,19 @@ def load_homotopy(
 
 
 def homotopy_to_document(h: HomotopyElement, first_ref: str, second_ref: str) -> str:
-    lines = ["kind: homotopy", "first: %s" % first_ref, "second: %s" % second_ref]
     source, target = h.conv.source.space, h.conv.target.space
-    for tag, path in (("h0", h.h0), ("h1", h.h1)):
-        # weight -> word -> name -> coefficients by power
-        per_weight: dict[int, dict[Word, dict[str, list[Fraction]]]] = {}
+
+    def terms(combo: dict[str, list[Fraction]]) -> str:
+        return " + ".join("%s*%s" % (_format_poly(combo[n]), n) for n in target.names if n in combo)
+
+    # (head, weight) -> word -> name -> coefficients by power
+    sections: dict[tuple[str, int], dict[Word, dict[str, list[Fraction]]]] = {}
+    for head, path in (("h0", h.h0), ("h1", h.h1)):
         for power, value in path.coefficients.items():
             for weight, comp in value.components.items():
                 for word, element in comp.values.items():
                     for name, coeff in element.coeffs.items():
-                        combo = per_weight.setdefault(weight, {}).setdefault(word, {})
-                        poly = combo.setdefault(name, [])
+                        poly = sections.setdefault((head, weight), {}).setdefault(word, {}).setdefault(name, [])
                         poly.extend([Fraction(0)] * (power + 1 - len(poly)))
                         poly[power] = coeff
-        for weight, words in sorted(per_weight.items()):
-            lines.append("%s %d:" % (tag, weight))
-            for word in _in_basis_order(words, source):
-                combo = words[word]
-                terms = ["%s*%s" % (_format_poly(combo[n]), n) for n in target.names if n in combo]
-                lines.append("  %s -> %s" % (" ".join(word.factors), " + ".join(terms)))
-    return "\n".join(lines) + "\n"
+    return _document("homotopy", [first_ref, second_ref], _section_lines(sections, source, terms))

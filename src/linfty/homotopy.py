@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .grading import Combination, InputError, StructureError, Totals, add_scaled
-from .algebra import LInftyStructure, require_verified
+from .algebra import LInftyStructure, require_verified, same_structure
 from .morphism import HomElement, check_morphism
 from .convolution import ConvolutionAlgebra, build_convolution
 from .mc import SAMPLE_TIMES, PolyPath, apply_to_paths, gauge_flow, mc_residual, series_totals, twisting_series
@@ -262,13 +262,14 @@ def check_homotopy(
     Checks the polynomial flatness identity, the evolution equation, the
     endpoints against the two morphisms, and flatness of the evaluated
     element at :data:`~linfty.mc.SAMPLE_TIMES` through an independent code
-    path.  Morphisms whose spaces or cap differ from ``h``'s mapping space
-    raise :class:`~linfty.grading.InputError`.
+    path.  Morphisms whose structures are not those of ``h``'s mapping
+    space (:func:`~linfty.algebra.same_structure`) raise
+    :class:`~linfty.grading.InputError`.
     """
     conv = h.conv
-    pair = (conv.cap, conv.source.space, conv.target.space)
-    if any((f.cap, f.source.space, f.target.space) != pair for f in (first, second)):
-        raise InputError("morphisms and homotopy live on different pairs or caps")
+    for f in (first, second):
+        if not (same_structure(f.source, conv.source) and same_structure(f.target, conv.target)):
+            raise InputError("morphisms and homotopy live on different pairs or caps")
     flat = flatness_residual(h)
     evolution = evolution_residual(h)
     points = {t: h.endpoint(t) for t in SAMPLE_TIMES}  # the endpoints among them

@@ -205,6 +205,8 @@ class PolyPath(Combination):
         terms: dict = {}
         home = None
         for power, elem in (coefficients or {}).items():
+            if type(power) is not int or power < 0:
+                raise InputError("path power %r is not a non-negative integer" % (power,))
             if elem.degree != degree:
                 raise InputError("path coefficient of degree %d in a degree-%d path" % (elem.degree, degree))
             if home is None:
@@ -212,7 +214,7 @@ class PolyPath(Combination):
             if elem._home() != home:
                 raise InputError("path coefficient does not live in the path's space")
             if elem:
-                terms[int(power)] = elem
+                terms[power] = elem
         self.terms = terms
 
     def max_power(self) -> int:
@@ -288,7 +290,10 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
     r_i the repeats of a power: Q_{m+1} is graded-symmetric in degree-1
     arguments, so the m!/prod r_i! orderings of a multiset are one term.
     Multisets that read a zero coefficient are skipped; the rest go into one
-    totals, built once.  A term of a_{j+1} reads at most n_max - 1 powers,
+    totals, built once.  The loop enumerates them itself, not through
+    :func:`series_totals`: :func:`~linfty.homotopy.evolution_residual` sums
+    through that one, so sharing it would make the residual vanish by
+    construction on every gauge flow.  A term of a_{j+1} reads at most n_max - 1 powers,
     each <= K, so the powers up to (n_max - 1) * K + 1 fix the path.
     ``iteration_bound`` counts powers, t^0 the first: a path of degree D is
     returned iff D + 1 <= bound, and a nonzero power at the bound raises

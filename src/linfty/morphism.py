@@ -47,7 +47,9 @@ from .grading import (
     signed_blocks,
     subword,
 )
-from .algebra import LInftyStructure, ResidualReport, entry_index, entry_splittings, lift_coderivation, require_verified
+from .algebra import (
+    LInftyStructure, ResidualReport, entry_index, entry_splittings, lift_coderivation, require_verified, same_structure,
+)
 from . import linalg
 
 
@@ -240,7 +242,7 @@ def check_morphism(morphism: HomElement) -> ResidualReport:
 def compose(g: HomElement, f: HomElement) -> HomElement:
     """Components of g after f: g's components after the lift of f."""
     require_morphism(g)
-    if f.target.space != g.source.space or f.target.cap != g.source.cap:
+    if not same_structure(f.target, g.source):
         raise InputError("middle structures of the composition do not match")
     out = HomElement.from_totals(f.source, g.target, 1, lift_morphism(f).precompose(g.components))
     out._verified = f.verified and g.verified

@@ -1,0 +1,113 @@
+"""Mutated corpus documents through the command line, in process.
+
+Each case edits one ``tests/data`` document a few times at random, from a
+fixed seed, and runs every command listed for its kind on the copy.
+Whatever the edits, a run returns 0, 1 or 2 without raising, and returns 2
+exactly when it reports an input error.
+"""
+
+import io
+import os
+import random
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
+
+from linfty.cli import main
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# corpus suffix -> the commands that read a document of that kind, each
+# given the document's name as its last argument
+COMMANDS = {
+    ".alg": [["check-linfty"], ["cohomology"]],
+    ".mor": [["check-morphism"], ["convolution-mc"]],
+    ".mc": [["mc-check"]],
+    ".map": [["lemma1", "id_twoterm.mor", "--n", "2", "--H"]],
+    ".req": [["lemma1", "id_twoterm.mor", "--request"]],
+    ".hom": [["homotopy-check"]],
+}
+
+# near misses of the corpus spellings, drawn next to the corpus's own tokens
+NEAR_MISSES = ["02", "+2", "-1", "0", "1/0", "1/2", "[]", "[0", "1]", "0*a", "map", "h0", "h1", "basis", "->", "*", ":"]
+
+
+def corpus() -> dict[str, str]:
+    texts = {}
+    for name in sorted(os.listdir(DATA)):
+        if os.path.splitext(name)[1] in COMMANDS:
+            with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+                texts[name] = fh.read()
+    return texts
+
+
+def mutate(text: str, rng: random.Random, tokens: list[str], pool: list[str]) -> str:
+    """``text`` after one to three random line, token or character edits."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            lines.append(rng.choice(pool))
+            continue
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        k = rng.randrange(len(line) + 1)
+        op = rng.randrange(7)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, line)
+        elif op == 2:
+            lines.insert(i, rng.choice(pool))
+        elif op == 3:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], line
+        elif op == 4:
+            words = line.split(" ")
+            words[rng.randrange(len(words))] = rng.choice(tokens)
+            lines[i] = " ".join(words)
+        elif op == 5:
+            lines[i] = line[:k] + line[k + 1:]
+        else:
+            lines[i] = line[:k] + rng.choice(" :*-01[]/+") + line[k:]
+    return "\n".join(lines) + "\n"
+
+
+def cases(seed: int, count: int):
+    """``count`` pairs (corpus name, mutated text) drawn from ``seed``."""
+    texts = corpus()
+    pool = sorted({line for text in texts.values() for line in text.splitlines()})
+    tokens = sorted({token for line in pool for token in line.split()} | set(NEAR_MISSES))
+    rng = random.Random(seed)
+    names = sorted(texts)
+    for _ in range(count):
+        name = rng.choice(names)
+        yield name, mutate(texts[name], rng, tokens, pool)
+
+
+def runs(name: str, text: str):
+    """Write ``text`` as ``name`` in the working directory and run each command on it.
+
+    Yields (argv, exit code, stdout, stderr); the original document is put back after.
+    """
+    with open(name, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    try:
+        for command in COMMANDS[os.path.splitext(name)[1]]:
+            argv = [*command, name]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            yield argv, code, out.getvalue(), err.getvalue()
+    finally:
+        shutil.copy(os.path.join(DATA, name), name)
+
+
+def test_mutated_documents_exit_cleanly(tmp_path, monkeypatch):
+    shutil.copytree(DATA, tmp_path / "data")
+    monkeypatch.chdir(tmp_path / "data")
+    codes = set()
+    for name, text in cases(seed=20071, count=300):
+        for argv, code, _, err in runs(name, text):
+            assert code in (0, 1, 2), argv
+            assert (code == 2) == err.startswith("input error:"), (argv, text, err)
+            codes.add(code)
+    assert codes == {0, 1, 2}

@@ -15,6 +15,8 @@ from linfty.documents import (
     load_mc_element,
     load_morphism,
     load_request,
+    map_to_document,
+    mc_to_document,
     morphism_to_document,
     parse_document,
     parse_element,
@@ -36,43 +38,27 @@ def test_corpus_is_large_enough():
     assert len(corpus_files()) >= 12
 
 
-def test_algebra_round_trip_bytes():
-    for name in corpus_files():
-        if not name.endswith(".alg"):
-            continue
+# kind -> (corpus suffix, the document its loaded object writes given the
+# path and the document's headers); a request document has no writer
+REWRITERS = {
+    "algebra": (".alg", lambda path, h: algebra_to_document(load_algebra(path))),
+    "morphism": (".mor", lambda path, h: morphism_to_document(load_morphism(path), h["source"], h["target"])),
+    "map": (".map", lambda path, h: map_to_document(load_map(path)[2], h["source"], h["target"])),
+    "mc-element": (".mc", lambda path, h: mc_to_document(load_mc_element(path)[1], h["algebra"])),
+    "homotopy": (".hom", lambda path, h: homotopy_to_document(load_homotopy(path)[2], h["first"], h["second"])),
+}
+
+
+@pytest.mark.parametrize("kind", list(REWRITERS))
+def test_round_trip_bytes(kind):
+    suffix, rewrite = REWRITERS[kind]
+    names = [name for name in corpus_files() if name.endswith(suffix)]
+    assert names
+    for name in names:
         path = os.path.join(DATA, name)
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        structure = algebra_from_document(parse_document(text))
-        assert algebra_to_document(structure) == text
-
-
-def test_morphism_round_trip_bytes():
-    for name in corpus_files():
-        if not name.endswith(".mor"):
-            continue
-        path = os.path.join(DATA, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = parse_document(text)
-        morphism = load_morphism(path)
-        rebuilt = morphism_to_document(
-            morphism, doc["headers"]["source"], doc["headers"]["target"]
-        )
-        assert rebuilt == text
-
-
-def test_homotopy_round_trip_bytes():
-    for name in corpus_files():
-        if not name.endswith(".hom"):
-            continue
-        path = os.path.join(DATA, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = parse_document(text)
-        _, _, h = load_homotopy(path)
-        rebuilt = homotopy_to_document(h, doc["headers"]["first"], doc["headers"]["second"])
-        assert rebuilt == text
+        assert rewrite(path, parse_document(text)["headers"]) == text, name
 
 
 def test_unknown_fields_rejected():

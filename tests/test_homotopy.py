@@ -6,12 +6,15 @@ import pytest
 
 from linfty import (
     Element,
+    HomElement,
+    InputError,
     MultiMap,
     PolyPath,
     check_homotopy,
     gauge_to_homotopy,
     identity_morphism,
     koszul_sign,
+    make_linfty,
     morphism_to_mc,
     unsplit_residual,
 )
@@ -226,6 +229,17 @@ def test_homotopy_document_round_trip(flowed_pair, tmp_path):
     assert not loaded.h1.is_zero() and loaded.h0.max_power() > 0
     assert loaded.h0 == h.h0 and loaded.h1 == h.h1
     assert check_homotopy(first, second, loaded).passed
+
+
+def test_homotopy_check_compares_structures_not_only_spaces(heisenberg):
+    # a morphism of the abelian structure on heisenberg's space and cap used
+    # to be checked against a homotopy over heisenberg, and verified
+    abelian = make_linfty(heisenberg.space, {}, cap=heisenberg.cap)
+    idh = identity_morphism(heisenberg)
+    h = gauge_to_homotopy(idh, HomElement(heisenberg, heisenberg, 0, {}))
+    with pytest.raises(InputError, match="different pairs or caps"):
+        check_homotopy(idh, identity_morphism(abelian), h)
+    assert check_homotopy(idh, idh, h).passed
 
 
 def test_wrong_endpoint_detected(flowed_pair):

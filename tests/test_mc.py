@@ -334,6 +334,15 @@ def test_polypath_calculus(two_term):
     assert path.integrate().evaluate(F(0)).is_zero()
 
 
+@pytest.mark.parametrize("power", [F(1, 2), -1], ids=["half", "negative"])
+def test_path_powers_are_non_negative_integers(two_term, power):
+    # a half power used to be stored at t^0, and a negative one to reach
+    # evaluate, which then raised TypeError
+    e = Element(two_term.space, 1, {"b": F(1)})
+    with pytest.raises(InputError, match="path power"):
+        PolyPath(two_term.space, 1, {power: e})
+
+
 def test_path_constructors_check_the_space(two_term, heisenberg):
     # a coefficient or part from another space used to be accepted, so a sum
     # of paths from two spaces was a path "in" the first

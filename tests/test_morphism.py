@@ -286,6 +286,17 @@ def test_compose_rejects_mismatch(heisenberg, two_term):
         compose(idh, identity_morphism(two_term))
 
 
+def test_compose_compares_the_middle_structures_not_only_their_spaces(heisenberg):
+    # abelian on heisenberg's space and cap: composing through it used to
+    # give a "verified" result that fails check_morphism
+    abelian = make_linfty(heisenberg.space, {}, cap=heisenberg.cap)
+    with pytest.raises(InputError, match="middle structures"):
+        compose(identity_morphism(abelian), identity_morphism(heisenberg))
+    # an equal structure built apart is the same structure
+    copy = make_linfty(heisenberg.space, heisenberg.maps, heisenberg.cap)
+    assert check_morphism(compose(identity_morphism(copy), identity_morphism(heisenberg))).passed
+
+
 def test_cohomology_abelian(two_term_with_h):
     abelian = make_linfty(two_term_with_h.space, {}, cap=3)
     report = cohomology(abelian)
