@@ -68,8 +68,8 @@ class LInftyStructure:
     """A graded space with structure maps {Q_n} up to a weight cap."""
 
     def __init__(self, space: GradedSpace, maps: Mapping[int, MultiMap], cap: int):
-        if cap < 1:
-            raise InputError("cap must be >= 1")
+        if type(cap) is not int or cap < 1:
+            raise InputError("cap %r is not an integer >= 1" % (cap,))
         self.space = space
         self.cap = cap
         self.maps: Mapping[int, MultiMap] = MappingProxyType(map_family(maps, space, space, cap, 2))

@@ -82,7 +82,7 @@ def _cmd_quasi_iso(args) -> int:
 def _cmd_mc_check(args) -> int:
     from .mc import mc_element
 
-    if args.file.endswith(".mc") or args.pi is None:
+    if args.pi is None:
         structure, value = documents.load_mc_element(args.file, args.cap)
     else:
         structure = documents.load_algebra(args.file, args.cap)
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-check", help="curvature of a degree-1 element")
     common(p)
-    p.add_argument("--pi", default=None, help="element, e.g. '1*x + 1*y'")
+    p.add_argument("--pi", default=None, help="element, e.g. '1*x + 1*y'; FILE is then an algebra document")
     p.set_defaults(func=_cmd_mc_check)
 
     p = sub.add_parser("twist", help="twist by a Maurer-Cartan element")

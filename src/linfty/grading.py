@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -182,8 +182,10 @@ class GradedSpace:
         for name, degree in basis:
             if name in degrees:
                 raise InputError("duplicate basis name %r" % name)
+            if type(degree) is not int:
+                raise InputError("degree %r of %r is not an integer" % (degree, name))
             names.append(name)
-            degrees[name] = int(degree)
+            degrees[name] = degree
         self.names: tuple[str, ...] = tuple(names)
         self._degrees: dict[str, int] = degrees
         self._order: dict[str, int] = {n: i for i, n in enumerate(names)}
@@ -211,7 +213,7 @@ class GradedSpace:
     def dimension(self, degree: int | None = None) -> int:
         if degree is None:
             return len(self.names)
-        return sum(1 for n in self.names if self._degrees[n] == degree)
+        return len(self._of_degree.get(degree, ()))
 
     def basis_of_degree(self, degree: int) -> tuple[str, ...]:
         return tuple(n for n in self.names if self._degrees[n] == degree)
@@ -260,9 +262,6 @@ class Word:
     def __hash__(self):
         return hash(self.factors)
 
-    def __lt__(self, other: "Word"):
-        return (len(self.factors), self.factors) < (len(other.factors), other.factors)
-
     def __repr__(self):
         return "Word(%r, degree=%d)" % (self.factors, self.degree)
 
@@ -285,20 +284,21 @@ def canonicalize_word(
     (Word(('b', 'b'), degree=2), 1)
     """
     degrees = space.degrees_of(factors)
-    order = [space.index(n) for n in factors]
-    seen = set()
-    for name in factors:
-        if name in seen and space.degree(name) % 2 == 0:
-            return None, 0
-        seen.add(name)
-    perm = sorted(range(len(factors)), key=lambda i: (order[i], i))
-    sign = koszul_sign(perm, degrees)
-    sorted_names = tuple(factors[i] for i in perm)
-    return Word(sorted_names, sum(degrees)), sign
+    perm = sorted(range(len(factors)), key=lambda i: space.index(factors[i]))
+    names = tuple(factors[i] for i in perm)
+    if _repeats_an_even_name(names, [degrees[i] for i in perm]):
+        return None, 0
+    return Word(names, sum(degrees)), koszul_sign(perm, degrees)
+
+
+def _repeats_an_even_name(names: Sequence[str], degrees: Sequence[int]) -> bool:
+    """Whether sorted ``names`` of these degrees hold an even-degree name twice: the product vanishes."""
+    return any(a == b and d % 2 == 0 for a, b, d in zip(names, names[1:], degrees))
 
 
 def wedge_basis(space: GradedSpace, weight: int) -> list[Word]:
-    """All canonical words of the given weight, in deterministic order.
+    """The canonical words of the given weight: the non-decreasing tuples of basis
+    names in which no even-degree name repeats, in :func:`combinations_with_replacement` order.
 
     >>> V = GradedSpace([("a", 0), ("b", 1)])
     >>> [w.factors for w in wedge_basis(V, 3)]
@@ -306,23 +306,11 @@ def wedge_basis(space: GradedSpace, weight: int) -> list[Word]:
     """
     if weight < 1:
         raise InputError("weight must be >= 1, got %d" % weight)
-    words: list[Word] = []
-
-    def extend(prefix: list[str], start: int):
-        if len(prefix) == weight:
-            degree = sum(space.degree(n) for n in prefix)
-            words.append(Word(tuple(prefix), degree))
-            return
-        for i in range(start, len(space.names)):
-            name = space.names[i]
-            if space.degree(name) % 2 == 0 and name in prefix:
-                continue
-            prefix.append(name)
-            extend(prefix, i)
-            prefix.pop()
-
-    extend([], 0)
-    del extend  # the closure refers to itself; unbound, it frees the words without the collector
+    words = []
+    for names in combinations_with_replacement(space.names, weight):
+        degrees = space.degrees_of(names)
+        if not _repeats_an_even_name(names, degrees):
+            words.append(Word(names, sum(degrees)))
     return words
 
 
@@ -456,12 +444,6 @@ class Combination:
 
     __slots__ = ("terms",)
 
-    def _home(self) -> tuple:
-        raise NotImplementedError
-
-    def _like(self, terms: dict):
-        raise NotImplementedError
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -500,7 +482,8 @@ class Element(Combination):
 
     Coefficients are rationals, ``Fraction`` or ``int``: the map kernels
     read them as integer numerators over a denominator
-    (:func:`integer_rows`), so no other ring rides through them.
+    (:func:`integer_rows`), so a nonzero coefficient of any other type
+    (``float``, ``bool``) raises :class:`InputError`.
     """
 
     __slots__ = ("space", "degree")
@@ -517,6 +500,8 @@ class Element(Combination):
                     % (name, space.degree(name), degree)
                 )
             if c:
+                if type(c) is not int and type(c) is not Fraction:
+                    raise InputError("coefficient %r of %r is not an int or a Fraction" % (c, name))
                 clean[name] = c
         self.terms = clean
 
@@ -548,16 +533,6 @@ class Element(Combination):
         if not self.coeffs:
             return "0"
         return " + ".join("%s*%s" % (c, n) for n, c in self.items())
-
-
-def parse_combination(space: GradedSpace, terms: Mapping[str, Fraction]) -> Element:
-    """Build an element from name -> coefficient, inferring the degree."""
-    degrees = {space.degree(n) for n, c in terms.items() if c}
-    if not degrees:
-        raise InputError("cannot infer degree of an empty combination")
-    if len(degrees) > 1:
-        raise InputError("combination mixes degrees %s" % sorted(degrees))
-    return Element(space, degrees.pop(), dict(terms))
 
 
 class MultiMap(Combination):
@@ -622,22 +597,19 @@ class MultiMap(Combination):
         degree: int,
         entries: Mapping[Sequence[str], Mapping[str, Fraction]],
     ) -> "MultiMap":
-        """Build from raw tuples; entries on non-canonical tuples are signed in.
-
-        Entries on two orderings of one word add up, and may cancel.
+        """Build from raw tuples, each value of the one degree of its names; entries on
+        non-canonical tuples are signed in.  Entries on two orderings of one word add up,
+        and may cancel.
         """
         values: dict[Word, Element] = {}
         for names, combo in entries.items():
             word, sign = canonicalize_word(tuple(names), source)
             if word is None:
                 raise InputError("entry on %r, which canonicalizes to zero" % (names,))
-            value = parse_combination(target, combo).scale(sign)
-            expected = word.degree + degree
-            if value.degree != expected:
-                raise StructureError(
-                    "value on %r has degree %d, expected %d"
-                    % (names, value.degree, expected)
-                )
+            degrees = {target.degree(n) for n, c in combo.items() if c}
+            if len(degrees) != 1:
+                raise InputError("entry on %r has names of degrees %s, not of one degree" % (names, sorted(degrees)))
+            value = Element(target, degrees.pop(), combo).scale(sign)
             got = values.get(word)
             values[word] = value if got is None else got + value
         return cls(source, target, weight, degree, values)

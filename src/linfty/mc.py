@@ -244,7 +244,10 @@ class PolyPath(Combination):
     def evaluate(self, t: Fraction):
         """The point at t = a/b, built once, reading only a_0 at t = 0: with K the top power, a^p b^(K-p)
         a_p summed in one :class:`~linfty.grading.Totals` over b^K; a ``HomElement`` point keeps a
-        weight's map that one power alone holds at t^p = 1, with its walk indexes."""
+        weight's map that one power alone holds at t^p = 1, with its walk indexes.  A t that is
+        not an ``int`` or a ``Fraction`` raises :class:`~linfty.grading.InputError`."""
+        if type(t) is not int and type(t) is not Fraction:
+            raise InputError("path time %r is not an int or a Fraction" % (t,))
         zero, a, b, top = self.space.zero(self.degree), t.numerator, t.denominator, max(self.coefficients, default=0)
         vectors = isinstance(zero, Element)
         by_key: dict = {}  # a weight (None for a vector) -> (a^p b^(K-p), its map or vector) per power

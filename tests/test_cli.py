@@ -65,6 +65,9 @@ def test_check_morphism():
     assert run("check-morphism", path("id_twoterm.mor"))[0] == 0
     code, out, _ = run("check-morphism", path("badchain.mor"))
     assert code == 1
+    code, out, err = run("check-morphism", path("heis.alg"))
+    assert (code, out) == (2, "")
+    assert err == "input error: %s is a algebra document, expected morphism\n" % path("heis.alg")
 
 
 def test_cohomology():
@@ -86,6 +89,12 @@ def test_mc_check_inline_and_document():
     assert "1*z" in out
     assert run("mc-check", path("heis.alg"), "--pi", "1*x")[0] == 0
     assert run("mc-check", path("heis_pi.mc"))[0] == 0
+    # --pi alone says the file is an algebra: an mc-element document's own
+    # value used to be checked in place of the given one
+    code, out, err = run("mc-check", path("heis_pi.mc"), "--pi", "1*x + 1*y")
+    assert (code, out) == (2, "")
+    assert err == "input error: %s is a mc-element document, expected algebra\n" % path("heis_pi.mc")
+    assert run("mc-check", path("heis.alg"))[0] == 2
 
 
 def test_mc_check_bad_element():
@@ -270,6 +279,18 @@ def test_lemma1_request_with_n_or_h_is_an_input_error(extra):
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [(), ("--n", "2"), ("--H", "corr.map")],
+    ids=("neither", "n", "H"),
+)
+def test_lemma1_without_request_needs_n_and_h(extra):
+    extra = [path(a) if a.endswith(".map") else a for a in extra]
+    code, out, err = run("lemma1", path("id_twoterm.mor"), *extra)
+    assert (code, out) == (2, "")
+    assert err == "input error: lemma1 needs either --request or both --n and --H\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("twist", "heis.alg", "--pi", "1*x"),
@@ -289,8 +310,22 @@ def test_unwritable_out_is_an_input_error(tmp_path, argv):
     assert not os.path.exists(target)
 
 
-def test_homotopy_check():
+def test_homotopy_check(tmp_path):
     assert run("homotopy-check", path("flow.hom"))[0] == 0
+    # a doubled dt part leaves the path flat and its endpoints right, and
+    # breaks only the evolution equation
+    corpus = tmp_path / "data"
+    shutil.copytree(DATA, corpus)
+    text = (corpus / "flow.hom").read_text()
+    doubled = text.replace("h1 2:\n  b b -> 1*a\n", "h1 2:\n  b b -> 2*a\n")
+    assert doubled != text
+    (corpus / "flow.hom").write_text(doubled)
+    code, out, _ = run("homotopy-check", str(corpus / "flow.hom"))
+    assert (code, out) == (1, "homotopy fails up to weight cap 3: evolution equation fails\n")
+    code, out, _ = run("homotopy-check", str(corpus / "flow.hom"), "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    assert report["flat"] is True and report["evolution"] is False
 
 
 def test_homotopy_check_refuses_a_morphism_of_another_cap(tmp_path):

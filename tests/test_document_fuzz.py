@@ -1,9 +1,11 @@
-"""Mutated corpus documents through the command line, in process.
+"""Mutated corpus documents through the command line, in process, and
+generated documents through their loaders and writers.
 
 Each case edits one ``tests/data`` document a few times at random, from a
 fixed seed, and runs every command listed for its kind on the copy.
 Whatever the edits, a run returns 0, 1 or 2 without raising, and returns 2
-exactly when it reports an input error.
+exactly when it reports an input error.  A canonical document generated
+from seeded structures reads back to an object that writes the same bytes.
 """
 
 import io
@@ -11,8 +13,22 @@ import os
 import random
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 
+from linfty import Element, identity_morphism
 from linfty.cli import main
+from linfty.documents import (
+    algebra_to_document,
+    homotopy_to_document,
+    map_to_document,
+    mc_to_document,
+    morphism_to_document,
+    parse_document,
+)
+from linfty.perturbation import PerturbationRequest, flow_morphism
+
+from conftest import SMALL_SPACES, heis, random_component_family, random_valid_structure, twostep3
+from test_documents import REWRITERS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -111,3 +127,43 @@ def test_mutated_documents_exit_cleanly(tmp_path, monkeypatch):
             assert (code == 2) == err.startswith("input error:"), (argv, text, err)
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def generated_documents(rng: random.Random) -> dict[str, str]:
+    """File name -> canonical document: for each seeded structure its algebra, an element
+    and the identity, and for each weight n of a random correction family the weight-n
+    correction, the morphism that perturbs the identity by it and their gauge homotopy."""
+    structures = {
+        "heis": heis(3, rng),
+        "heis_pair": heis(2, rng, pair=True),
+        "twostep3": twostep3(3, rng),
+        **{"random%d" % i: random_valid_structure(space, 3, rng) for i, space in enumerate(SMALL_SPACES)},
+    }
+    texts = {}
+    for name, s in structures.items():
+        alg, first = name + ".alg", name + "_id.mor"
+        identity = identity_morphism(s)
+        texts[alg] = algebra_to_document(s)
+        texts[first] = morphism_to_document(identity, alg, alg)
+        value = {n: rng.choice((1, -2, F(1, 3))) for n in s.space.basis_of_degree(1)}
+        texts[name + ".mc"] = mc_to_document(Element(s.space, 1, value), alg)
+        for n, correction in random_component_family(s, s, 2, rng, degree=0).items():
+            perturbed, h = flow_morphism(PerturbationRequest(identity, n, correction))
+            stem = "%s_%d" % (name, n)
+            texts[stem + ".map"] = map_to_document(correction, alg, alg)
+            texts[stem + ".mor"] = morphism_to_document(perturbed, alg, alg)
+            texts[stem + ".hom"] = homotopy_to_document(h, first, stem + ".mor")
+    return texts
+
+
+def test_generated_documents_round_trip_bytes(tmp_path):
+    texts = generated_documents(random.Random(20072))
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    kinds = set()
+    for name, text in texts.items():
+        doc = parse_document(text)
+        kinds.add(doc["kind"])
+        _, rewrite = REWRITERS[doc["kind"]]
+        assert rewrite(str(tmp_path / name), doc["headers"]) == text, name
+    assert kinds == set(REWRITERS)

@@ -12,6 +12,7 @@ from linfty import (
     GradedSpace,
     InputError,
     MultiMap,
+    StructureError,
     canonicalize_word,
     koszul_sign,
     wedge_basis,
@@ -129,7 +130,16 @@ def test_wedge_basis_counts_match_generating_function():
                 factor = [1] * (cap + 1)
             series = _poly_mul(series, factor, cap)
         for n in range(1, cap + 1):
-            assert len(wedge_basis(space, n)) == series[n]
+            words = wedge_basis(space, n)
+            assert len(words) == series[n]
+            # non-decreasing basis indexes with no even-degree name twice, and
+            # the words themselves in increasing order of their index tuples
+            keys = [tuple(space.index(name) for name in w.factors) for w in words]
+            assert keys == sorted(set(keys))
+            for w, key in zip(words, keys):
+                assert list(key) == sorted(key)
+                assert not any(a == b and space.degree(a) % 2 == 0 for a, b in zip(w.factors, w.factors[1:]))
+                assert w.degree == sum(space.degree(name) for name in w.factors)
 
 
 @given(
@@ -177,10 +187,51 @@ def test_element_validation():
         e + Element(V, 0, {"a": F(1)})
 
 
+def test_element_coefficients_are_ints_or_fractions(heisenberg):
+    # a float coefficient used to ride through the integer kernels as a huge
+    # fraction, a float scalar to round, and True to print as True*x
+    V = heisenberg.space
+    for coeff in (0.1, True, "1"):
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            Element(V, 1, {"x": coeff})
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        Element(V, 1, {"x": F(1, 3)}).scale(0.5)
+    # zero coefficients are dropped whatever their type
+    assert Element(V, 1, {"x": 0.0, "y": False}).is_zero()
+
+
+@pytest.mark.parametrize("degree", [1.7, True, "1"], ids=["float", "bool", "str"])
+def test_basis_degrees_are_integers(degree):
+    # GradedSpace used to store int(1.7), degree 1
+    with pytest.raises(InputError, match="is not an integer"):
+        GradedSpace([("x", degree), ("y", 1)])
+
+
+@pytest.mark.parametrize("cap", [2.5, True, 0], ids=["float", "bool", "zero"])
+def test_structure_caps_are_integers_from_one(heisenberg, cap):
+    # a cap of 2.5 used to be accepted, with a repr saying cap=2
+    with pytest.raises(InputError, match="is not an integer >= 1"):
+        LInftyStructure(heisenberg.space, dict(heisenberg.maps), cap)
+
+
 def test_multimap_degree_validation():
     V = GradedSpace([("a", 0), ("b", 1)])
     with pytest.raises(Exception):
         MultiMap.from_entries(V, V, 1, 1, {("a",): {"a": F(1)}})
+
+
+def test_from_entries_refuses_what_it_cannot_place():
+    V = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+    # a word that vanishes, and a value with no name or names of two degrees
+    for entries in ({("a", "a"): {"b": 1}}, {("a", "b"): {"b": 0}}, {("a", "b"): {"b": 1, "c": 1}}):
+        with pytest.raises(InputError, match="canonicalizes to zero|not of one degree"):
+            MultiMap.from_entries(V, V, 2, 0, entries)
+    # the constructor checks a value's degree, and names the canonical word
+    with pytest.raises(StructureError, match=r"value on \('a', 'b'\) has degree 0, expected 1"):
+        MultiMap.from_entries(V, V, 2, 0, {("b", "a"): {"a": F(1)}})
+    # two orderings of one word whose values differ in degree fail when added
+    with pytest.raises(InputError, match="different spaces or degrees"):
+        MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1)}, ("b", "a"): {"c": F(1)}})
 
 
 def test_multimap_evaluate_on_vanishing_tuple():

@@ -343,6 +343,19 @@ def test_path_powers_are_non_negative_integers(two_term, power):
         PolyPath(two_term.space, 1, {power: e})
 
 
+@pytest.mark.parametrize("t", [0.5, True], ids=["float", "bool"])
+def test_path_times_are_ints_or_fractions(two_term, t):
+    # a float time used to raise AttributeError in evaluate, on a vector path
+    # and on the path of a gauge homotopy alike
+    e = Element(two_term.space, 1, {"b": F(1)})
+    with pytest.raises(InputError, match="path time"):
+        PolyPath(two_term.space, 1, {0: e, 1: e}).evaluate(t)
+    h = gauge_to_homotopy(identity_morphism(two_term), HomElement(two_term, two_term, 0, {}))
+    with pytest.raises(InputError, match="path time"):
+        h.endpoint(t)
+    assert h.endpoint(1) == h.endpoint(F(1)) == identity_morphism(two_term)
+
+
 def test_path_constructors_check_the_space(two_term, heisenberg):
     # a coefficient or part from another space used to be accepted, so a sum
     # of paths from two spaces was a path "in" the first

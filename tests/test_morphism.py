@@ -326,12 +326,18 @@ def test_quasi_iso_zero_between_acyclics(two_term):
     assert is_quasi_iso(zero).passed
 
 
-def test_quasi_iso_zero_with_cohomology(two_term_with_h):
+def test_quasi_iso_zero_with_cohomology(two_term, two_term_with_h):
     zero = MorphismComponents(two_term_with_h, two_term_with_h, {})
     assert check_morphism(zero).passed
     report = is_quasi_iso(zero)
     assert not report.passed
     assert report.per_degree[1] is False
+    # from the acyclic two_term, H^1 has dimension 0 against 1: no map can pass
+    zero = HomElement(two_term, two_term_with_h, 1, {})
+    assert check_morphism(zero).passed
+    report = is_quasi_iso(zero)
+    assert report.per_degree == {1: False}
+    assert report.summary() == "quasi-isomorphism: no (degrees [1])"
 
 
 def test_quasi_iso_of_an_endomorphism_computes_its_cohomology_once(monkeypatch, two_term_with_h):
