@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -179,6 +179,7 @@ class GradedSpace:
     def __init__(self, basis: Iterable[tuple[str, int]]):
         names = []
         degrees = {}
+        self._of_degree: dict[int, dict[str, None]] = {}  # degree -> its names, in basis order
         for name, degree in basis:
             if name in degrees:
                 raise InputError("duplicate basis name %r" % name)
@@ -186,10 +187,10 @@ class GradedSpace:
                 raise InputError("degree %r of %r is not an integer" % (degree, name))
             names.append(name)
             degrees[name] = degree
+            self._of_degree.setdefault(degree, {})[name] = None
         self.names: tuple[str, ...] = tuple(names)
         self._degrees: dict[str, int] = degrees
         self._order: dict[str, int] = {n: i for i, n in enumerate(names)}
-        self._of_degree = {d: frozenset(n for n in names if degrees[n] == d) for d in degrees.values()}
         self.kernel_memos: dict[tuple, object] = {}  # linfty.algebra's memos of this unchanging space
 
     def degree(self, name: str) -> int:
@@ -216,7 +217,7 @@ class GradedSpace:
         return len(self._of_degree.get(degree, ()))
 
     def basis_of_degree(self, degree: int) -> tuple[str, ...]:
-        return tuple(n for n in self.names if self._degrees[n] == degree)
+        return tuple(self._of_degree.get(degree, ()))
 
     def degrees_present(self) -> tuple[int, ...]:
         return tuple(sorted(set(self._degrees.values())))
@@ -286,14 +287,9 @@ def canonicalize_word(
     degrees = space.degrees_of(factors)
     perm = sorted(range(len(factors)), key=lambda i: space.index(factors[i]))
     names = tuple(factors[i] for i in perm)
-    if _repeats_an_even_name(names, [degrees[i] for i in perm]):
+    if any(a == b and degrees[i] % 2 == 0 for a, b, i in zip(names, names[1:], perm)):
         return None, 0
     return Word(names, sum(degrees)), koszul_sign(perm, degrees)
-
-
-def _repeats_an_even_name(names: Sequence[str], degrees: Sequence[int]) -> bool:
-    """Whether sorted ``names`` of these degrees hold an even-degree name twice: the product vanishes."""
-    return any(a == b and d % 2 == 0 for a, b, d in zip(names, names[1:], degrees))
 
 
 def wedge_basis(space: GradedSpace, weight: int) -> list[Word]:
@@ -306,12 +302,13 @@ def wedge_basis(space: GradedSpace, weight: int) -> list[Word]:
     """
     if weight < 1:
         raise InputError("weight must be >= 1, got %d" % weight)
-    words = []
-    for names in combinations_with_replacement(space.names, weight):
-        degrees = space.degrees_of(names)
-        if not _repeats_an_even_name(names, degrees):
-            words.append(Word(names, sum(degrees)))
-    return words
+    names, degrees = space.names, space.degrees_of(space.names)
+    # (factors, the least index the next name may take, degree): an odd name may repeat, an even one may not
+    prefixes = [((), 0, 0)]
+    for _ in range(weight):
+        prefixes = [(factors + (names[i],), i + 1 - degrees[i] % 2, degree + degrees[i])
+                    for factors, start, degree in prefixes for i in range(start, len(names))]
+    return [Word(factors, degree) for factors, _, degree in prefixes]
 
 
 def add_scaled(terms: dict, vector: "Combination", scalar) -> None:
@@ -397,7 +394,7 @@ class Totals:
         batch = [(den, c, [(None, row)]) for (c, _), row in zip(elements, rows)]
         for c, v in parts:
             for m in () if isinstance(v, Element) else (v,) if isinstance(v, MultiMap) else v.terms.values():
-                batch.append((m.rows[0], c, zip(m.values, m.rows[1].values())))
+                batch.append((m.rows[0], c, zip(m.words, m.rows[1].values())))
         den = lcm(*(den for den, _, _ in batch))
         sums, up = self.over(den * d)
         for part, c, keyed in batch:
@@ -412,22 +409,23 @@ class Totals:
         return Element(space, degree, {name: Fraction(n, self.den) for name, n in self.sums.get(None, {}).items() if n})
 
     def family(self, source: GradedSpace, target: GradedSpace, degree: int) -> dict[int, "MultiMap"]:
-        """The degree-``degree`` family of the words' nonzero sums, each value's ``Fraction``s
-        made with its map's integer :attr:`MultiMap.rows`, over the map's least denominator: the
-        one place a value's degree, the word's plus ``degree`` less its weight, is worked out."""
+        """The degree-``degree`` family of the words' nonzero sums as integer :attr:`MultiMap.rows`
+        over each map's least denominator, no ``Fraction`` or ``Element`` made: the one place a
+        value's degree, the word's plus ``degree`` less its weight, is worked out and checked."""
         per_weight: dict[int, list] = {}
         for word, into in self.sums.items():
-            row = tuple((name, n) for name, n in into.items() if n)
+            row = tuple(into.items()) if 0 not in into.values() else tuple(kv for kv in into.items() if kv[1])
             if row:
-                per_weight.setdefault(len(word.factors), []).append((word, row))
+                per_weight.setdefault(len(word.factors), []).append((word, into, row))
         family = {}
         for n, got in per_weight.items():
-            g = gcd(self.den, *(k for _, row in got for _, k in row))
-            d, values, rows = self.den // g, {}, {}
-            for word, row in got:
-                row = rows[word.factors] = tuple((name, k // g) for name, k in row) if g > 1 else row
-                values[word] = Element(target, word.degree + degree - n, {name: Fraction(k, d) for name, k in row})
-            family[n] = MultiMap(source, target, n, degree - n, values, (d, rows))
+            g = gcd(self.den, *(k for _, _, row in got for _, k in row))
+            rows = {}
+            for word, into, row in got:
+                if not target._of_degree.get(word.degree + degree - n, {}).keys() >= into.keys():
+                    Element(target, word.degree + degree - n, into)  # raises the checking constructor's refusal
+                rows[word.factors] = tuple((name, k // g) for name, k in row) if g > 1 else row
+            family[n] = MultiMap(source, target, n, degree - n, rows=(self.den // g, rows), words=[w for w, *_ in got])
         return family
 
 
@@ -448,7 +446,7 @@ class Combination:
         return bool(self.terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def _merged(self, other, scalar):
         if type(other) is not type(self) or other._home() != self._home():
@@ -541,52 +539,38 @@ class MultiMap(Combination):
     Values live on canonical words only; evaluation on an arbitrary tuple is
     the canonicalization sign times the stored value, zero when the tuple
     canonicalizes to zero.  A weight-n map of degree d sends a word of degree
-    w to an element of degree w + d.  ``values`` and ``by_factors`` are
-    read-only, since :attr:`rows` and :attr:`key_index` are caches of them.
-    ``rows``, given by :meth:`Totals.family` with the values it built, are
-    the map's :attr:`rows`, and those values are taken as checked.
+    w to an element of degree w + d.  The one stored form is :attr:`rows`,
+    each nonzero value's integer numerators over the least common denominator
+    by factor tuple, its word in :attr:`words`: ``bool`` and ``==`` read them,
+    and ``values`` and ``by_factors`` are ``Element`` views built on first
+    read, once; all three are read-only mappings.  Given ``values`` are
+    checked and become the rows and the built view; ``rows`` and ``words``
+    from :meth:`Totals.family` are taken as checked.
     """
 
-    values = Combination.terms
-
-    def __init__(
-        self,
-        source: GradedSpace,
-        target: GradedSpace,
-        weight: int,
-        degree: int,
-        values: Mapping[Word, Element] | None = None,
-        rows: tuple[int, dict[tuple[str, ...], tuple]] | None = None,
-    ):
+    def __init__(self, source: GradedSpace, target: GradedSpace, weight: int, degree: int,
+                 values: Mapping[Word, Element] | None = None, rows: tuple[int, dict] | None = None,
+                 words: Sequence[Word] = ()):
         if weight < 1:
             raise InputError("map weight must be >= 1")
-        self.source = source
-        self.target = target
-        self.weight = weight
-        self.degree = degree
-        if rows is not None:
-            self.rows = rows
-            self.terms = MappingProxyType(values)
-            self.by_factors = MappingProxyType(dict(zip(rows[1], values.values())))
-            return
-        stored: dict[Word, Element] = {}
-        for word, value in (values or {}).items():
-            if len(word.factors) != weight:
-                raise StructureError(
-                    "word %r has weight %d, map has weight %d"
-                    % (word.factors, len(word.factors), weight)
-                )
-            if value.degree != word.degree + degree:
-                raise StructureError(
-                    "value on %r has degree %d, expected %d"
-                    % (word.factors, value.degree, word.degree + degree)
-                )
-            if value:
-                stored[word] = value
-        self.terms: Mapping[Word, Element] = MappingProxyType(stored)
-        # The same values keyed by factor tuples, so a tuple of names is
-        # looked up before any sign or Word is built for it.
-        self.by_factors: Mapping[tuple[str, ...], Element] = MappingProxyType({w.factors: v for w, v in stored.items()})
+        self.source, self.target, self.weight, self.degree = source, target, weight, degree
+        self._values: Mapping[Word, Element] | None = None
+        if rows is None:
+            stored: dict[Word, Element] = {}
+            for word, value in (values or {}).items():
+                if len(word.factors) != weight:
+                    raise StructureError("word %r has weight %d, map has weight %d"
+                                         % (word.factors, len(word.factors), weight))
+                if value.degree != word.degree + degree:
+                    raise StructureError("value on %r has degree %d, expected %d"
+                                         % (word.factors, value.degree, word.degree + degree))
+                if value:
+                    stored[word] = value
+            den, numerators = integer_rows(v.coeffs for v in stored.values())
+            rows, words = (den, dict(zip((w.factors for w in stored), numerators))), stored
+            self._values = MappingProxyType(stored)
+        self.rows: tuple[int, Mapping[tuple[str, ...], tuple]] = rows[0], MappingProxyType(rows[1])
+        self.words: tuple[Word, ...] = tuple(words)
 
     @classmethod
     def from_entries(
@@ -620,11 +604,34 @@ class MultiMap(Combination):
     def _like(self, terms: dict) -> "MultiMap":
         return MultiMap(self.source, self.target, self.weight, self.degree, terms)
 
+    def __bool__(self) -> bool:
+        return bool(self.rows[1])
+
+    def __eq__(self, other):
+        if type(other) is not type(self) or self._home() != other._home() or self.rows[0] != other.rows[0]:
+            return False
+        # each row as name -> numerator: two builds may list a row's names in different orders
+        return {f: dict(row) for f, row in self.rows[1].items()} == {f: dict(row) for f, row in other.rows[1].items()}
+
+    @property
+    def values(self) -> Mapping[Word, Element]:
+        """Word -> value ``Element``, built from :attr:`rows` on first read, once."""
+        if self._values is None:
+            den, rows = self.rows
+            self._values = MappingProxyType({
+                word: Element(self.target, word.degree + self.degree, {name: Fraction(n, den) for name, n in row})
+                for word, row in zip(self.words, rows.values())})
+        return self._values
+
+    terms = values
+
+    @cached_property
+    def by_factors(self) -> Mapping[tuple[str, ...], Element]:
+        """The values by factor tuple, so a tuple of names is looked up before any sign or Word is built."""
+        return MappingProxyType(dict(zip(self.rows[1], self.values.values())))
+
     def value(self, word: Word) -> Element:
-        got = self.values.get(word)
-        if got is None:
-            return Element.zero(self.target, word.degree + self.degree)
-        return got
+        return self.values.get(word) or Element.zero(self.target, word.degree + self.degree)
 
     def evaluate(self, names: Sequence[str]) -> Element:
         """Value on an arbitrary ordered tuple of basis names."""
@@ -635,13 +642,6 @@ class MultiMap(Combination):
         return self.value(word).scale(sign)
 
     @cached_property
-    def rows(self) -> tuple[int, dict[tuple[str, ...], tuple]]:
-        """The stored values as integer rows over one denominator
-        (:func:`integer_rows`), by factor tuple; built once."""
-        den, rows = integer_rows(v.coeffs for v in self.by_factors.values())
-        return den, dict(zip(self.by_factors, rows))
-
-    @cached_property
     def key_index(self) -> tuple[dict[str, int], set[int], dict[int, tuple], dict]:
         """The code ``(weight + 1)**index`` of each source name, the code sums
         of every sub-multiset of a stored word, the integer :attr:`rows` by
@@ -649,7 +649,7 @@ class MultiMap(Combination):
         base = self.weight + 1
         codes = {name: base**i for i, name in enumerate(self.source.names)}
         subcodes = {0}
-        for factors in self.by_factors:
+        for factors in self.rows[1]:
             grown = {0}
             for name in factors:
                 grown |= {c + codes[name] for c in grown}
@@ -660,7 +660,7 @@ class MultiMap(Combination):
     @cached_property
     def stored_names(self) -> frozenset[str]:
         """The source names the stored words read; built once."""
-        return frozenset(name for factors in self.by_factors for name in factors)
+        return frozenset(name for factors in self.rows[1] for name in factors)
 
     def walk(self, slots: Sequence[tuple[Mapping, bool]], scalar: int, step, state) -> Iterator[tuple]:
         """The terms of the stored words made up of one name of one row per slot.
@@ -758,7 +758,7 @@ class MultiMap(Combination):
                 into[name] = into.get(name, 0) + c * n
 
     def __repr__(self):
-        return "MultiMap(weight=%d, degree=%d, %d entries)" % (self.weight, self.degree, len(self.values))
+        return "MultiMap(weight=%d, degree=%d, %d entries)" % (self.weight, self.degree, len(self.rows[1]))
 
 
 def map_family(

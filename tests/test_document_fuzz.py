@@ -4,11 +4,14 @@ generated documents through their loaders and writers.
 Each case edits one ``tests/data`` document a few times at random, from a
 fixed seed, and runs every command listed for its kind on the copy.
 Whatever the edits, a run returns 0, 1 or 2 without raising, and returns 2
-exactly when it reports an input error.  A canonical document generated
-from seeded structures reads back to an object that writes the same bytes.
+exactly when it reports an input error; a run with ``--format json``
+returns 1 only with a report whose verdict is false.  A canonical document
+generated from seeded structures reads back to an object that writes the
+same bytes.
 """
 
 import io
+import json
 import os
 import random
 import shutil
@@ -99,8 +102,9 @@ def cases(seed: int, count: int):
         yield name, mutate(texts[name], rng, tokens, pool)
 
 
-def runs(name: str, text: str):
-    """Write ``text`` as ``name`` in the working directory and run each command on it.
+def runs(name: str, text: str, options: tuple[str, ...] = ()):
+    """Write ``text`` as ``name`` in the working directory and run each command on it,
+    ``options`` after the command's name.
 
     Yields (argv, exit code, stdout, stderr); the original document is put back after.
     """
@@ -108,7 +112,7 @@ def runs(name: str, text: str):
         fh.write(text)
     try:
         for command in COMMANDS[os.path.splitext(name)[1]]:
-            argv = [*command, name]
+            argv = [command[0], *options, *command[1:], name]
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
@@ -127,6 +131,18 @@ def test_mutated_documents_exit_cleanly(tmp_path, monkeypatch):
             assert (code == 2) == err.startswith("input error:"), (argv, text, err)
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_mutated_documents_exit_1_only_with_a_false_verdict(tmp_path, monkeypatch):
+    shutil.copytree(DATA, tmp_path / "data")
+    monkeypatch.chdir(tmp_path / "data")
+    failed = []
+    for name, text in cases(seed=20071, count=300):
+        for argv, code, out, err in runs(name, text, ("--format", "json")):
+            if code == 1:
+                assert json.loads(out or "{}").get("passed") is False, (argv, text, out, err)
+                failed.append(argv[0])
+    assert set(failed) == {"check-morphism", "convolution-mc", "homotopy-check"}, len(failed)
 
 
 def generated_documents(rng: random.Random) -> dict[str, str]:

@@ -198,8 +198,9 @@ def test_maps_and_components_are_read_only(heisenberg):
 
 
 def test_a_multimaps_stores_are_read_only(heisenberg):
-    # the integer rows and key index are caches of values and by_factors,
-    # so a verified morphism cannot go stale one level down either
+    # the integer rows are the stored form, values and by_factors views of
+    # them and the key index a cache, so a verified morphism cannot go stale
+    # one level down either
     f = identity_morphism(heisenberg)
     f1 = f.components[1]
     value = Element.basis(heisenberg.space, "y").scale(5)
@@ -207,6 +208,8 @@ def test_a_multimaps_stores_are_read_only(heisenberg):
         f1.values[Word(("x",), 1)] = value
     with pytest.raises(TypeError):
         f1.by_factors[("x",)] = value
+    with pytest.raises(TypeError):
+        f1.rows[1][("x",)] = (("y", 5),)
     assert f1.value(Word(("x",), 1)) == Element.basis(heisenberg.space, "x")
     assert f.verified and check_morphism(f).passed
 

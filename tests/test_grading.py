@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -100,6 +100,33 @@ def test_wedge_basis_examples():
     assert [w.factors for w in wedge_basis(V, 3)] == [("a", "b", "b"), ("b", "b", "b")]
     with pytest.raises(InputError):
         wedge_basis(V, 0)
+
+
+def _random_space(rng):
+    """One to eight names of degrees -2 ... 3, so degrees repeat and some are missing."""
+    return GradedSpace([("g%d" % i, rng.randint(-2, 3)) for i in range(rng.randint(1, 8))])
+
+
+def test_names_of_a_degree_match_a_direct_count():
+    rng = random.Random(3601)
+    for space in SMALL_SPACES + [_random_space(rng) for _ in range(40)]:
+        for d in range(-3, 5):
+            names = tuple(name for name in space.names if space.degree(name) == d)
+            assert space.basis_of_degree(d) == names and space.dimension(d) == len(names)
+        assert sum(space.dimension(d) for d in space.degrees_present()) == space.dimension()
+
+
+def test_wedge_basis_is_the_filtered_combinations_with_replacement():
+    # the same words in the same order as dropping, from every non-decreasing
+    # tuple, those that repeat an even-degree name
+    rng = random.Random(3602)
+    for space in SMALL_SPACES + [_random_space(rng) for _ in range(20)]:
+        for n in range(1, 6):
+            want = [names for names in combinations_with_replacement(space.names, n)
+                    if not any(a == b and space.degree(a) % 2 == 0 for a, b in zip(names, names[1:]))]
+            words = wedge_basis(space, n)
+            assert [w.factors for w in words] == want
+            assert [w.degree for w in words] == [sum(map(space.degree, names)) for names in want]
 
 
 def _poly_mul(p, q, cap):
@@ -232,6 +259,22 @@ def test_from_entries_refuses_what_it_cannot_place():
     # two orderings of one word whose values differ in degree fail when added
     with pytest.raises(InputError, match="different spaces or degrees"):
         MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": F(1)}, ("b", "a"): {"c": F(1)}})
+
+
+def test_the_constructors_refuse_what_they_cannot_hold():
+    V = GradedSpace([("a", 0), ("b", 1)])
+    with pytest.raises(InputError, match="map weight must be >= 1"):
+        MultiMap(V, V, 0, 0)
+    with pytest.raises(StructureError, match=r"word \('a', 'b'\) has weight 2, map has weight 1"):
+        MultiMap(V, V, 1, 0, {wedge_basis(V, 2)[0]: Element.basis(V, "b")})
+    m = MultiMap.from_entries(V, V, 2, 0, {("a", "b"): {"b": 1}})
+    with pytest.raises(InputError, match="map of weight 2 applied to 1 arguments"):
+        m.apply([Element.basis(V, "b")])
+    with pytest.raises(InputError, match="unknown basis name 'c'"):
+        V.index("c")
+    # the readers no computation reaches
+    assert repr(V) == "GradedSpace(a:0, b:1)" and hash(V) == hash(GradedSpace([("a", 0), ("b", 1)]))
+    assert repr(V.zero(0)) == "0" and repr(m) == "MultiMap(weight=2, degree=0, 1 entries)"
 
 
 def test_multimap_evaluate_on_vanishing_tuple():

@@ -14,6 +14,8 @@ and on their mapping spaces, and on ``shift``.
 
 import random
 from fractions import Fraction
+
+import pytest
 from itertools import combinations, combinations_with_replacement
 
 from linfty import (
@@ -35,16 +37,18 @@ from linfty import (
     twist,
     wedge_basis,
 )
-from linfty.grading import Totals
+from linfty.grading import Totals, integer_rows
 from linfty.morphism import MorphismComponents
 
 from conftest import (
+    SMALL_SPACES,
     heis,
     random_component_family,
     reference_apply,
     reference_bracket,
     reference_evaluate,
     reference_project,
+    reference_tabulate,
     reference_twist,
     shift,
     totals_fractions,
@@ -213,10 +217,12 @@ def _band(structure, rng):
 def test_the_fraction_constructions_of_the_morphism_checks_are_pinned(monkeypatch):
     # check_morphism, the convolution curvature and compose of a band
     # morphism on twostep3(4) at cap 3 sum every kernel call of a result in
-    # one integer totals and make one Fraction per output name of its build
-    # (71, 71 and 41), plus six scalars; one Fraction per output name of
-    # each kernel call made 239 (208 names, 25 sums of two calls'
-    # Fractions at one name, six scalars), summing term by term made 1121
+    # one integer totals, built once into integer rows; inside the spy only
+    # the report reads values, one Fraction per name of its residuals (71),
+    # plus six scalars.  Building every value (71, 71 and 41 names) made 189,
+    # one Fraction per output name of each kernel call made 239 (208 names,
+    # 25 sums of two calls' Fractions at one name, six scalars), summing
+    # term by term made 1121
     rng = random.Random(2804)
     structure = twostep3(4, rng, cap=3)
     assert check_relations(structure).passed
@@ -237,7 +243,7 @@ def test_the_fraction_constructions_of_the_morphism_checks_are_pinned(monkeypatc
     assert set(composite.components) == {1, 2, 3}
     assert [sum(len(v.coeffs) for v in values) for values in (report.residuals.values(), curvature.values.values(),
                                                               composite.values.values())] == [71, 71, 41]
-    assert len(made) == 189
+    assert len(made) == 77
 
 
 TIMES = (F(0), F(1, 2), F(1), F(-3, 7), F(5))
@@ -350,9 +356,10 @@ def test_the_fraction_constructions_of_evaluate_and_twist_are_pinned(monkeypatch
     # its points at 0, 1/2 and 1 make one Fraction per time (3, made here;
     # evaluate reads a time's numerator and denominator as they are, where it
     # made 3 more) and one per name of each point (3, 8 and 8); the twist
-    # makes one per name of its twisted values (44), the 1/2 of its curvature
+    # keeps its maps as integer rows and makes only the 1/2 of its curvature
     # check and its entry_splittings scalars 1/2 and -1 for Q_2 at m = 0 and
-    # 1.  Summing term by term made 156 and 287
+    # 1, where building its values' 44 names made 47.  Summing term by term
+    # made 156 and 287
     structure = shift(4, 8, random.Random(0))
     pi0 = Element(structure.space, 1, {"q1": F(1), "q2": F(-2), "q3": F(1, 2)})
     xi = Element(structure.space, 0, {"p1": F(1), "p2": F(3)})
@@ -371,4 +378,76 @@ def test_the_fraction_constructions_of_evaluate_and_twist_are_pinned(monkeypatch
     monkeypatch.undo()
     assert [len(p.coeffs) for p in points] == [3, 8, 8]
     assert sum(len(v.coeffs) for q in twisted.maps.values() for v in q.values.values()) == 44
-    assert (evaluated, len(made) - evaluated) == (22, 47)
+    assert (evaluated, len(made) - evaluated) == (22, 3)
+
+
+def _rows_as_dicts(m):
+    return {f: dict(row) for f, row in m.rows[1].items()}
+
+
+def test_rows_first_maps_match_maps_built_from_fraction_values(monkeypatch):
+    # Totals.family keeps integer rows and builds Elements on first read; the
+    # reference builds each value as an Element and each map from them.  The
+    # sums list a row's names in another order than the reference's values, over
+    # a denominator k times too large, with zero sums at some names and words
+    rng = random.Random(3603)
+    spaces = SMALL_SPACES + [twostep3(3, rng, cap=3).space]
+    made = []
+    built = reordered = 0
+    new, init = F.__new__, Element.__init__
+
+    def spy_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def spy_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    for _ in range(60):
+        source, target = rng.choice(spaces), rng.choice(spaces)
+        degree, cap, k = rng.randint(-1, 2), rng.randint(1, 3), rng.choice((1, 6, 35))
+        fractions = {}
+        for n in range(1, cap + 1):
+            for word in wedge_basis(source, n):
+                names = target.basis_of_degree(word.degree + degree - n)
+                if names and rng.random() < 0.6:
+                    chosen = rng.sample(names, rng.randint(1, len(names)))
+                    fractions[word] = {name: rng.choice(COPRIME + (F(0), F(-4), F(3))) for name in chosen}
+        den, rows = integer_rows(fractions.values())
+        totals = Totals({w: {name: k * c for name, c in reversed(row)} for w, row in zip(fractions, rows)}, k * den)
+        monkeypatch.setattr(F, "__new__", spy_new)
+        monkeypatch.setattr(Element, "__init__", spy_init)
+        got = totals.family(source, target, degree)
+        monkeypatch.undo()
+        want = reference_tabulate(source, target, degree, fractions)
+        assert got == want and want == got and set(got) == set(want)
+        for n, m in got.items():
+            eager = want[n]
+            assert m == eager and eager == m and not m.is_zero() and m
+            assert _rows_as_dicts(m) == _rows_as_dicts(eager) and m.rows[0] == eager.rows[0]
+            reordered += m.rows != eager.rows
+            assert m.values == eager.values and m.by_factors == eager.by_factors
+            assert {w: hash(v) for w, v in m.values.items()} == {w: hash(v) for w, v in eager.values.items()}
+            assert m.key_index[:2] == eager.key_index[:2]
+            by_code = [{c: dict(row) for c, row in x.key_index[2].items()} for x in (m, eager)]
+            assert by_code[0] == by_code[1]
+            # each view is built once, read-only; an eager map keeps the Elements it was given
+            assert m.values is m.values and m.by_factors is m.by_factors
+            word, value = next(iter(m.values.items()))
+            with pytest.raises(TypeError):
+                m.values[word] = value
+            with pytest.raises(TypeError):
+                m.by_factors[word.factors] = value
+            given = dict(m.values)
+            fresh = MultiMap(source, target, n, degree - n, given)
+            assert fresh == m and all(fresh.values[w] is v for w, v in given.items())
+            # == is exact on the rows: one numerator more breaks it
+            assert m != m.scale(2) and m.scale(F(1, 3)).scale(3) == m
+            nudged = MultiMap(source, target, n, degree - n, {**given, word: value + value.scale(F(1, 1000))})
+            assert nudged != m and m != nudged
+            built += 1
+    assert made == [] and built > 40 and reordered > 10
+    V = SMALL_SPACES[0]
+    empty = MultiMap(V, V, 1, 0, rows=(1, {}))
+    assert empty.is_zero() and not empty and empty == MultiMap(V, V, 1, 0) and empty.values == {}

@@ -1,9 +1,9 @@
 """Integer word totals and their one build, and the certificates that read them.
 
 ``Totals.family`` builds a map family from word -> name -> ``int`` sums over
-one denominator, each value's ``Fraction``s and its map's integer rows
-together; ``reference_tabulate`` builds the same family word by word through
-the checking constructors.  The homotopy certificates sum each power of t in
+one denominator, each map its integer rows, whose ``Element``s are built on
+first read; ``reference_tabulate`` builds the same family word by word
+through the checking constructors.  The homotopy certificates sum each power of t in
 one totals, the derivative's rows included, and make no ``PolyPath``
 arithmetic.
 """
@@ -105,6 +105,11 @@ def test_a_name_of_another_degree_is_refused_by_the_build():
     totals = Totals({word: {"a": 1, "b": 2}})
     with pytest.raises(InputError, match="basis name 'b' has degree 1"):
         totals.family(V, V, 1)
+    # a zero sum too, as Element and reference_tabulate refuse a zero coefficient there
+    with pytest.raises(InputError, match="basis name 'b' has degree 1"):
+        Totals({word: {"a": 1, "b": 0}}).family(V, V, 1)
+    with pytest.raises(InputError, match="basis name 'b' has degree 1"):
+        reference_tabulate(V, V, 1, {word: {"a": F(1), "b": F(0)}})
     with pytest.raises(InputError, match="unknown basis name 'c'"):
         tabulate(V, V, 1, {word: {"c": F(1)}})
 
@@ -144,10 +149,13 @@ def _counting(monkeypatch, counts):
 def test_the_certificates_build_each_power_once_with_no_path_arithmetic(monkeypatch):
     # check_homotopy and the unsplit residual of the doubled dt part on a
     # heis(2) gauge homotopy with Q1 != 0: one totals per power, the
-    # derivative's rows in it, and one Fraction per output name of each build
-    # (summing each kernel call's Fractions and subtracting the derivative
-    # path made 494 and 266); 5 of 35 and 5 of 22 kernel calls read
-    # a slot with no name that their Q'_n stores and return before walking
+    # derivative's rows in it, and each build kept as integer rows that the
+    # certificates test for zero, so the Fractions made are the series
+    # scalars 1/2 and -1/2 and the sample times 0 and 1 (one Fraction per
+    # output name of each build made 109 and 53; summing each kernel call's
+    # Fractions and subtracting the derivative path made 494 and 266); 5 of
+    # 35 and 5 of 22 kernel calls read a slot with no name that their Q'_n
+    # stores and return before walking
     first, second, h = _heis_homotopy()
     doubled = HomotopyElement(h.conv, h.h0, h.h1.scale(F(2)))
     counts = dict.fromkeys(("fractions", "path arithmetic", "walk", "kernel"), 0)
@@ -158,8 +166,8 @@ def test_the_certificates_build_each_power_once_with_no_path_arithmetic(monkeypa
     unsplit = unsplit_residual(doubled)
     monkeypatch.undo()
     assert report.passed and not unsplit.odd.is_zero()
-    assert checked == {"fractions": 109, "path arithmetic": 0, "walk": 30, "kernel": 35}
-    assert counts == {"fractions": 53, "path arithmetic": 0, "walk": 17, "kernel": 22}
+    assert checked == {"fractions": 13, "path arithmetic": 0, "walk": 30, "kernel": 35}
+    assert counts == {"fractions": 6, "path arithmetic": 0, "walk": 17, "kernel": 22}
     assert flatness_residual(h) == reference_flatness(h) and evolution_residual(h) == reference_evolution(h)
     assert unsplit == reference_unsplit(doubled) and evolution_residual(doubled) == reference_evolution(doubled)
 
