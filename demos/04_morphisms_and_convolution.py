@@ -12,7 +12,6 @@ from linfty import (
     identity_morphism,
     is_quasi_iso,
     make_linfty,
-    mc_to_morphism,
     morphism_to_mc,
 )
 from linfty.morphism import MorphismComponents
@@ -40,7 +39,7 @@ print(check_morphism(not_chain).summary())
 conv = build_convolution(two_term, two_term, 3)
 alpha = morphism_to_mc(not_chain)
 curvature = conv.mc_residual(alpha)
-report = check_morphism(mc_to_morphism(alpha))
+report = check_morphism(alpha)
 for word in two_term.words():
     got = curvature.value(word)
     if not got.is_zero():

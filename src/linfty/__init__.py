@@ -43,13 +43,10 @@ _EXPORTS = {
     "identity_morphism": "morphism",
     "is_quasi_iso": "morphism",
     "koszul_sign": "grading",
-    "lift_coderivation": "algebra",
-    "lift_morphism": "morphism",
     "lower_central_series": "algebra",
     "make_linfty": "algebra",
     "mc_element": "mc",
     "mc_residual": "mc",
-    "mc_to_morphism": "convolution",
     "morphism_to_mc": "convolution",
     "perturb": "perturbation",
     "twist": "mc",

@@ -77,12 +77,6 @@ class LInftyStructure:
         # entry_splittings' memo of the words joined over this space and cap
         self.joined: dict = space.kernel_memos.setdefault(("joined", cap), {})
 
-    def apply(self, n: int, elements: Sequence[Element]) -> Element:
-        """Q_n on n elements of the space; zero where the structure has no map."""
-        totals = Totals()
-        self.accumulate(totals, n, elements, 1)
-        return self.build(sum(e.degree for e in elements) + 2 - n, totals)
-
     @property
     def verified(self) -> bool:
         """Whether :func:`check_relations` last found the relations to hold; read-only."""
@@ -103,7 +97,7 @@ class LInftyStructure:
         return totals.element(self.space, degree)
 
     def arities(self) -> set[int]:
-        """The weights n with a stored Q_n; ``apply`` is zero at every other."""
+        """The weights n with a stored Q_n; Q_n is zero at every other."""
         return set(self.maps)
 
     @cached_property
@@ -206,7 +200,7 @@ class Coderivation:
         >>> V = GradedSpace([("b", 1), ("c", 2)])
         >>> q1 = MultiMap.from_entries(V, V, 1, 1, {("b",): {"c": Fraction(1)}})
         >>> f2 = MultiMap.from_entries(V, V, 2, -1, {("b", "c"): {"c": Fraction(1)}})
-        >>> got = lift_coderivation(make_linfty(V, {1: q1}, cap=2)).precompose({2: f2})
+        >>> got = Coderivation(make_linfty(V, {1: q1}, cap=2)).precompose({2: f2})
         >>> {word.factors: sums for word, sums in got.sums.items()}, got.den
         ({('b', 'b'): {'c': 2}}, 1)
         """
@@ -217,10 +211,6 @@ class Coderivation:
             scaled = signed if n <= 2 else Fraction(signed, factorial(n - 1))
             entry_splittings(out, self.structure, [(1, entries)] + [(0, names)] * (n - 1), f, scaled)
         return out
-
-
-def lift_coderivation(structure: LInftyStructure) -> Coderivation:
-    return Coderivation(structure)
 
 
 def entry_splittings(
@@ -408,7 +398,7 @@ def check_relations(structure: LInftyStructure) -> ResidualReport:
     zero term by term.
     """
     # Q*Q raises the suspended degree by 2: its cogenerator part is a degree-3 family
-    family = lift_coderivation(structure).precompose(structure.maps).family(structure.space, structure.space, 3)
+    family = Coderivation(structure).precompose(structure.maps).family(structure.space, structure.space, 3)
     residuals = {w: v for m in family.values() for w, v in m.values.items()}
     report = ResidualReport(structure.cap, "relations hold", "relations fail", residuals)
     structure._verified = report.passed

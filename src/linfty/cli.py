@@ -7,7 +7,8 @@ and name the weight cap in every verdict.
 Every command prints one report through :func:`_emit`: the report's
 ``summary()`` as text, or its ``to_json()`` payload plus ``command`` as
 JSON, and a report with ``passed`` sets the exit code.  A command that
-builds on a check it cannot pass prints that check's report instead.
+builds on a check it cannot pass prints that check's report instead, and
+a flow that does not converge prints its ``reason`` under ``--format json``.
 
 Each command imports the kernels it runs inside its handler, so a command
 loads only the modules it executes.
@@ -21,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .grading import FlatnessError, InputError, NonConvergenceError, StructureError
+from .grading import InputError, NonConvergenceError, StructureError
 from .algebra import check_relations
 from . import documents
 from .documents import DocumentError
@@ -48,6 +49,17 @@ def _refused(command: str, report, fmt: str, reason: str | None = None) -> bool:
     else:
         _emit(command, report, fmt, "%s; %s" % (reason, report.summary()), reason=reason)
     return True
+
+
+def _flat(command: str, structure, value, fmt: str, reason: str):
+    """``value``'s :class:`~linfty.mc.MCElement` report if it is flat; otherwise None, after
+    emitting that report with ``reason``."""
+    from .mc import mc_element
+
+    report = mc_element(structure, value)
+    if report.passed:
+        return report
+    _emit(command, report, fmt, "%s: %r" % (reason, report.residual), reason=reason)
 
 
 def _cmd_check_linfty(args) -> int:
@@ -93,13 +105,16 @@ def _cmd_mc_check(args) -> int:
 
 
 def _cmd_twist(args) -> int:
-    from .mc import mc_element, twist
+    from .mc import twist
 
     structure = documents.load_algebra(args.file, args.cap)
     if _refused("check-linfty", check_relations(structure), args.format):
         return FAIL
     value = documents.parse_element(structure.space, args.pi)
-    twisted = twist(structure, mc_element(structure, value))
+    pi = _flat("twist", structure, value, args.format, "twisting element is not Maurer-Cartan")
+    if pi is None:
+        return FAIL
+    twisted = twist(structure, pi)
     text = documents.algebra_to_document(twisted)
     if args.out:
         documents.write_document(args.out, text)
@@ -110,22 +125,27 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_gauge_flow(args) -> int:
-    from .mc import FlowReport, gauge_flow, mc_element
+    from .mc import FlowReport, gauge_flow
 
     structure = documents.load_algebra(args.file, args.cap)
     if _refused("check-linfty", check_relations(structure), args.format):
         return FAIL
     pi0 = documents.parse_element(structure.space, args.pi)
     xi = documents.parse_element(structure.space, args.xi)
-    start = mc_element(structure, pi0)
-    if not start.passed:
-        reason = "starting element is not Maurer-Cartan"
-        text = "%s: %r" % (reason, start.residual)
-        return _emit("gauge-flow", start, args.format, text, reason=reason)
-    report = FlowReport(structure, gauge_flow(structure, pi0, xi, args.bound))
+    if _flat("gauge-flow", structure, pi0, args.format, "starting element is not Maurer-Cartan") is None:
+        return FAIL
+    try:
+        path = gauge_flow(structure, pi0, xi, args.bound)
+    except NonConvergenceError as exc:
+        if args.format == "text":
+            raise  # main reports it on stderr
+        payload = {"cap": structure.cap, "command": "gauge-flow", "passed": False, "reason": str(exc)}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return FAIL
+    report = FlowReport(structure, path)
     if args.out:
         # a reference resolves against the directory of the document holding it
-        ref = args.algebra_ref or os.path.relpath(args.file, os.path.dirname(args.out))
+        ref = os.path.relpath(args.file, os.path.dirname(args.out))
         endpoint = report.path.evaluate(Fraction(1))
         documents.write_document(args.out, documents.mc_to_document(endpoint, ref))
     return _emit("gauge-flow", report, args.format)
@@ -229,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", required=True)
     p.add_argument("--bound", type=int, default=None, help="iteration bound")
     p.add_argument("--out", default=None, help="write the endpoint as an mc-element document")
-    p.add_argument("--algebra-ref", dest="algebra_ref", default=None)
     p.set_defaults(func=_cmd_gauge_flow)
 
     p = sub.add_parser("lemma1", help="perturb a morphism at one weight by a prescribed map")
@@ -261,7 +280,7 @@ def main(argv=None) -> int:
     except (DocumentError, InputError, StructureError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return BAD_INPUT
-    except (NonConvergenceError, FlatnessError) as exc:
+    except NonConvergenceError as exc:
         print("failure: %s" % exc, file=sys.stderr)
         return FAIL
 

@@ -3,7 +3,7 @@ into another, whose flat degree-1 elements are the morphisms.
 
 A map collection {a_n} with a_n of weight n and degree u - n is an element
 of degree u here, and a morphism is exactly a degree-1 element, one object,
-so :func:`morphism_to_mc` and :func:`mc_to_morphism` only check the degree.
+so :func:`morphism_to_mc` only checks the degree and returns its argument.
 The n-ary operations pair the target structure maps with the n-fold reduced
 coproduct of the source coalgebra:
 
@@ -39,15 +39,14 @@ Sign conventions (the one table everything below refers to):
     is the identity that pins all the constants above.
 
 The mapping space's only vector is :class:`~linfty.morphism.HomElement`,
-re-exported here.  :meth:`ConvolutionAlgebra.accumulate` adds any q_n into
-integer word totals (:class:`~linfty.grading.Totals`), Q'_n through the
-kernel and the differential's part after Q by
-:meth:`~linfty.algebra.Coderivation.precompose`; ``build`` makes a vector of
-them once (:meth:`~linfty.morphism.HomElement.from_totals`); no word list is
-read.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read the mapping space
-through the algebra protocol of :mod:`linfty.mc`.  ``hom_space`` (names
-``word>name``) and ``hom_to_element`` are a coordinate view for tests and
-tracing, read by no computation.
+re-exported here.  :mod:`linfty.mc` and :mod:`linfty.homotopy` read it
+through the algebra protocol of :mod:`linfty.mc`: in it,
+:meth:`ConvolutionAlgebra.accumulate` adds any q_n into integer word totals
+(:class:`~linfty.grading.Totals`), Q'_n through the kernel and the
+differential's part after Q by :meth:`~linfty.algebra.Coderivation.precompose`,
+and ``build`` makes a vector of them once; ``bracket`` runs both.  No word
+list is read.  ``hom_space`` (names ``word>name``) and ``hom_to_element``
+are a coordinate view for tests and tracing, read by no computation.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .grading import Element, GradedSpace, InputError, Totals, Word, tabulate
-from .algebra import LInftyStructure, entry_splittings, lift_coderivation, require_verified
+from .grading import Element, GradedSpace, InputError, Totals, Word
+from .algebra import Coderivation, LInftyStructure, entry_splittings, require_verified
 from .morphism import HomElement, require_morphism
 from .mc import mc_residual
 
@@ -67,9 +66,6 @@ def morphism_to_mc(vector: HomElement) -> HomElement:
     degree-1 vector, so this checks the degree and returns its argument."""
     require_morphism(vector)
     return vector
-
-
-mc_to_morphism = morphism_to_mc
 
 
 class ConvolutionAlgebra:
@@ -86,7 +82,7 @@ class ConvolutionAlgebra:
         self.source = source
         self.target = target
         self.cap = cap
-        self._lift = lift_coderivation(source)
+        self._lift = Coderivation(source)
 
     # -- coordinates and basis -------------------------------------------
 
@@ -116,12 +112,6 @@ class ConvolutionAlgebra:
                 for name, c in value.coeffs.items():
                     coeffs["%s>%s" % (label, name)] = c
         return Element(self.hom_space, alpha.degree, coeffs)
-
-    def basis_hom(self, word: Word, name: str) -> HomElement:
-        """The vector taking ``word`` to ``name`` and every other word to zero."""
-        u = self.target.space.degree(name) - word.degree + word.weight
-        return HomElement(self.source, self.target, u, tabulate(
-            self.source.space, self.target.space, u, {word: {name: Fraction(1)}}))
 
     @property
     def space(self) -> "ConvolutionAlgebra":
@@ -177,12 +167,6 @@ class ConvolutionAlgebra:
         totals = Totals()
         self.accumulate(totals, len(alphas), alphas, 1)
         return self.build(sum(a.degree for a in alphas) + 2 - len(alphas), totals)
-
-    def apply(self, n: int, elements: Sequence[HomElement]) -> HomElement:
-        """The n-ary operation as :mod:`linfty.mc` calls it: ``bracket`` of n elements."""
-        if len(elements) != n:
-            raise InputError("%d-ary bracket applied to %d arguments" % (n, len(elements)))
-        return self.bracket(elements)
 
     def arities(self) -> set[int]:
         """1 and the target's stored weights from 2: ``bracket`` is zero elsewhere."""

@@ -13,10 +13,10 @@ not nilpotent.
 
 The curvature, the twisted differential and the flow read an algebra only
 through ``cap``, ``space`` (where its vectors live), ``arities()`` (the n
-with a map), ``apply(n, elements)``, the n-ary operation, zero where the
-algebra has no map, and its halves ``accumulate(totals, n, elements, scalar)``
-into integer :class:`~linfty.grading.Totals` and ``build(degree, totals)``:
-a structure on ``Element`` values, the mapping space
+with a map), ``accumulate(totals, n, elements, scalar)``, adding scalar
+times the n-ary operation into integer :class:`~linfty.grading.Totals`, and
+``build(degree, totals)``, making one vector of them: a structure on
+``Element`` values, the mapping space
 :class:`~linfty.convolution.ConvolutionAlgebra` on ``HomElement`` values.
 Each power of t of a series or flow is one totals, built once; :func:`twist`
 adds into one totals through :func:`~linfty.algebra.entry_splittings`, so no
@@ -225,14 +225,6 @@ class PolyPath(Combination):
 
     def _like(self, terms: dict) -> "PolyPath":
         return PolyPath(self.space, self.degree, terms)
-
-    def integrate(self) -> "PolyPath":
-        """Formal antiderivative vanishing at t = 0."""
-        return PolyPath(
-            self.space,
-            self.degree,
-            {p + 1: e.scale(Fraction(1, p + 1)) for p, e in self.coefficients.items()},
-        )
 
     def derivative(self) -> "PolyPath":
         return PolyPath(

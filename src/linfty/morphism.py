@@ -48,7 +48,7 @@ from .grading import (
     subword,
 )
 from .algebra import (
-    LInftyStructure, ResidualReport, entry_index, entry_splittings, lift_coderivation, require_verified, same_structure,
+    Coderivation, LInftyStructure, ResidualReport, entry_index, entry_splittings, require_verified, same_structure,
 )
 from . import linalg
 
@@ -212,10 +212,6 @@ class MorphismLift:
         return out
 
 
-def lift_morphism(morphism: HomElement) -> MorphismLift:
-    return MorphismLift(morphism)
-
-
 def check_morphism(morphism: HomElement) -> ResidualReport:
     """Per-weight compatibility residuals of the lifted morphism.
 
@@ -231,8 +227,8 @@ def check_morphism(morphism: HomElement) -> ResidualReport:
     """
     require_verified(morphism.source, "source structure")
     require_verified(morphism.target, "target structure")
-    totals = lift_morphism(morphism).precompose(morphism.target.maps)
-    lift_coderivation(morphism.source).precompose(morphism.components, -1, totals)
+    totals = MorphismLift(morphism).precompose(morphism.target.maps)
+    Coderivation(morphism.source).precompose(morphism.components, -1, totals)
     residual = HomElement.from_totals(morphism.source, morphism.target, 2, totals)
     report = ResidualReport(morphism.cap, "morphism compatible", "morphism residuals", residual.values)
     morphism._verified = report.passed
@@ -244,7 +240,7 @@ def compose(g: HomElement, f: HomElement) -> HomElement:
     require_morphism(g)
     if not same_structure(f.target, g.source):
         raise InputError("middle structures of the composition do not match")
-    out = HomElement.from_totals(f.source, g.target, 1, lift_morphism(f).precompose(g.components))
+    out = HomElement.from_totals(f.source, g.target, 1, MorphismLift(f).precompose(g.components))
     out._verified = f.verified and g.verified
     return out
 

@@ -17,11 +17,10 @@ from linfty import (
     documents,
     from_dgla,
     koszul_sign,
-    lift_coderivation,
     make_linfty,
     wedge_basis,
 )
-from linfty.algebra import FiltrationChain, LInftyStructure
+from linfty.algebra import Coderivation, FiltrationChain, LInftyStructure
 from linfty.convolution import HomElement
 from linfty.grading import add_scaled, signed_blocks, subword, unshuffles
 from linfty.homotopy import PathElement
@@ -417,7 +416,7 @@ def materialized_hom_structure(conv):
 
     Every canonical word of hom-space basis elements up to the cap gets the
     bracket of the corresponding basis homs, and the maps go through the
-    ``LInftyStructure`` constructor; ``conv.apply`` must agree with it on
+    ``LInftyStructure`` constructor; ``conv.bracket`` must agree with it on
     the coordinates of arbitrary arguments.
     """
     space = conv.hom_space
@@ -530,7 +529,7 @@ def reference_gauge_flow(algebra, pi0, xi, iteration_bound=None):
     steps = 0
     while steps < bound:
         steps += 1
-        updated = base + reference_twisted_differential_of(algebra, current, xi).integrate()
+        updated = base + reference_integrate(reference_twisted_differential_of(algebra, current, xi))
         if updated == current:
             return current
         current = updated
@@ -556,6 +555,11 @@ def totals_fractions(totals):
     return {key: {name: Fraction(n, totals.den) for name, n in sums.items() if n} for key, sums in totals.sums.items()}
 
 
+def reference_integrate(path):
+    """The formal antiderivative of a path that vanishes at t = 0."""
+    return path._like({p + 1: e.scale(Fraction(1, p + 1)) for p, e in path.coefficients.items()})
+
+
 # Test reference for linfty.mc.PolyPath.evaluate: each coefficient scaled by
 # t**p in Fraction arithmetic and added term by term.
 
@@ -569,8 +573,23 @@ def reference_evaluate(path, t):
 
 # Test references for the exponential kernel linfty.mc.twisting_series: the
 # series summed at every arity up to the cap over every ordered tuple of
-# powers of a path, through ``apply`` of each tuple, and the path-algebra
+# powers of a path, through ``operation`` of each tuple, and the path-algebra
 # curvature through one ordered evaluation per slot of the dt part.
+
+
+def operation(algebra):
+    """The n-ary operation of ``algebra`` as a function of (n, elements): ``maps[n].apply``
+    of a structure, zero where it has no map, or ``bracket`` of a mapping space."""
+    if not isinstance(algebra, LInftyStructure):
+        return lambda n, elements: algebra.bracket(elements)
+
+    def apply(n, elements):
+        q = algebra.maps.get(n)
+        if q is None:
+            return Element.zero(algebra.space, sum(e.degree for e in elements) + 2 - n)
+        return q.apply(elements)
+
+    return apply
 
 
 def reference_twisting_series(apply, cap, pi, args=()):
@@ -586,7 +605,7 @@ def reference_twisting_series(apply, cap, pi, args=()):
 
 
 def reference_apply_to_paths(algebra, n, paths):
-    """Multilinear evaluation of ``algebra.apply(n, .)`` on polynomial paths."""
+    """Multilinear evaluation of ``operation(algebra)`` at n on polynomial paths."""
     space = paths[0].space
     degree = sum(p.degree for p in paths) + 2 - n
     stack = [(0, [])]
@@ -596,9 +615,10 @@ def reference_apply_to_paths(algebra, n, paths):
             for power, elems in stack
             for p, e in path.coefficients.items()
         ]
+    apply = operation(algebra)
     sums = {}
     for power, elems in stack:
-        add_scaled(sums.setdefault(power, {}), algebra.apply(n, elems), 1)
+        add_scaled(sums.setdefault(power, {}), apply(n, elems), 1)
     zero = space.zero(degree)
     return PolyPath(space, degree, {p: zero._like(terms) for p, terms in sums.items()})
 
@@ -983,6 +1003,14 @@ def element_to_hom(conv, element):
     return HomElement(conv.source, conv.target, element.degree, comps)
 
 
+def basis_hom(conv, word, name):
+    """The mapping-space vector taking ``word`` to ``name`` and every other word to zero."""
+    source, target = conv.source.space, conv.target.space
+    n, u = word.weight, target.degree(name) - word.degree + word.weight
+    value = MultiMap(source, target, n, u - n, {word: Element.basis(target, name)})
+    return HomElement(conv.source, conv.target, u, {n: value})
+
+
 def coordinate_path(conv, path):
     """A path of HomElements as a path of their coordinates over ``hom_space``."""
     return PolyPath(conv.hom_space, path.degree, {
@@ -1005,7 +1033,7 @@ def reference_hom_to_element(conv, alpha):
 def _reference_differential(conv, alpha):
     tgt = conv.target
     q1 = tgt.maps.get(1)
-    lift = lift_coderivation(conv.source)
+    lift = Coderivation(conv.source)
     cross = -1 if (alpha.degree - 1) % 2 else 1
     comps = {}
     for word in conv.source.words():

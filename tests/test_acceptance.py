@@ -25,18 +25,17 @@ from linfty import (
     identity_morphism,
     is_quasi_iso,
     koszul_sign,
-    lift_coderivation,
     lower_central_series,
     make_linfty,
     mc_element,
     mc_residual,
-    mc_to_morphism,
     perturb,
     twist,
     unshuffle_residual,
     unsplit_residual,
     wedge_basis,
 )
+from linfty.algebra import Coderivation
 from linfty.grading import canonicalize_word
 from linfty.homotopy import HomotopyElement, evolution_residual, flatness_residual
 from linfty.mc import PolyPath, gauge_flow
@@ -44,7 +43,7 @@ from linfty.morphism import MorphismComponents
 from linfty.perturbation import PerturbationRequest, direction_element, flow_morphism
 from linfty.cli import main as cli_main
 
-from conftest import SMALL_SPACES, apply_lift, random_candidate
+from conftest import SMALL_SPACES, apply_lift, basis_hom, random_candidate
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -128,7 +127,7 @@ def test_criterion_2_oracle_duality():
         cap = 3 + candidates % 2
         structure = random_candidate(space, cap, rng)
         candidates += 1
-        lift = lift_coderivation(structure)
+        lift = Coderivation(structure)
         report = check_relations(structure)
         any_residual = False
         for word in structure.words():
@@ -189,9 +188,9 @@ def test_criterion_4_correspondence_theorem():
             if conv.hom_space.degree(hname) == 1
         ]
         for w, name in degree_one:
-            alpha = conv.basis_hom(w, name)
+            alpha = basis_hom(conv, w, name)
             residual = conv.mc_residual(alpha)
-            report = check_morphism(mc_to_morphism(alpha))
+            report = check_morphism(alpha)
             if residual.is_zero() != report.passed:
                 ok = False
             for word in source.words():

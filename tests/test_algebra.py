@@ -18,8 +18,6 @@ from linfty import (
     gauge_flow,
     grading,
     identity_morphism,
-    lift_coderivation,
-    lift_morphism,
     lower_central_series,
     make_linfty,
     mc_residual,
@@ -27,8 +25,8 @@ from linfty import (
     unshuffle_residual,
 )
 from linfty.algebra import Coderivation, LInftyStructure
-from linfty.morphism import HomElement, MorphismComponents
-from linfty.grading import canonicalize_word
+from linfty.morphism import HomElement, MorphismComponents, MorphismLift
+from linfty.grading import Totals, canonicalize_word
 
 from conftest import (
     SMALL_SPACES,
@@ -56,7 +54,7 @@ F = Fraction
 
 
 def residual_via_lift(structure, word):
-    lift = lift_coderivation(structure)
+    lift = Coderivation(structure)
     image = apply_lift(lift, lift.on_word(word), structure.space)
     return weight_one_part(image, word.degree + 3 - word.weight)
 
@@ -106,7 +104,7 @@ def test_heisenberg_relations(heisenberg):
 
 def test_lift_projection_consistency(heisenberg, end_dgla):
     for structure in (heisenberg, end_dgla):
-        lift = lift_coderivation(structure)
+        lift = Coderivation(structure)
         for word in structure.words():
             projected = Element.zero(
                 structure.space, word.degree + 2 - word.weight
@@ -121,7 +119,7 @@ def test_lift_projection_consistency(heisenberg, end_dgla):
 
 
 def test_lift_heisenberg_example(heisenberg):
-    lift = lift_coderivation(heisenberg)
+    lift = Coderivation(heisenberg)
     word, _ = canonicalize_word(("x", "y"), heisenberg.space)
     image = lift.on_word(word)
     zword, _ = canonicalize_word(("z",), heisenberg.space)
@@ -135,7 +133,7 @@ def test_coderivation_law():
         space = SMALL_SPACES[trial % len(SMALL_SPACES)]
         structure = random_candidate(space, 4, rng, density=1.0)
         failing += not check_relations(structure).passed
-        lift = lift_coderivation(structure)
+        lift = Coderivation(structure)
         for word in structure.words():
             lhs = {}
             for w2, c in lift.on_word(word).terms.items():
@@ -232,7 +230,7 @@ def test_relation_checks_join_only_entries_that_meet(monkeypatch):
     space = GradedSpace([("x", 1), ("y", 1), ("z", 2)])
     q2 = MultiMap.from_entries(space, space, 2, 0, {("x", "y"): {"z": F(1)}})
     structure = make_linfty(space, {2: q2}, cap=5)
-    assert lift_coderivation(structure).precompose(structure.maps).sums == {}
+    assert Coderivation(structure).precompose(structure.maps).sums == {}
     assert joins == []
     big = heis(6, random.Random(3), cap=8)
     monkeypatch.setattr(grading, "wedge_basis", no_words)
@@ -318,7 +316,7 @@ def test_precompose_matches_the_per_word_reference(high_arity_loop):
     ]
     nonzero = {"relations": 0, "differential": 0, "morphism": 0}
     for structure in lawful + failing:
-        lift = lift_coderivation(structure)
+        lift = Coderivation(structure)
         nonzero["relations"] += _assert_precompose_matches(
             lift, structure.maps, 2, structure.space
         )
@@ -342,10 +340,10 @@ def test_precompose_matches_the_per_word_reference(high_arity_loop):
             structure, structure, random_component_family(structure, structure, cap, rng)
         )
         nonzero["morphism"] += _assert_precompose_matches(
-            lift_coderivation(structure), f.components, 1, space
+            Coderivation(structure), f.components, 1, space
         )
-        left = lift_morphism(f)
-        right = _expected_precompose(lift_coderivation(structure), f.components, 1, space)
+        left = MorphismLift(f)
+        right = _expected_precompose(Coderivation(structure), f.components, 1, space)
         want = {}
         for word in structure.words():
             degree = word.degree + 2 - word.weight
@@ -578,12 +576,14 @@ def test_work_of_relation_checks_and_series(monkeypatch):
         assert counts["multisets"] == evaluations and counts["apply"] == 0
 
 
-def test_apply_rejects_a_wrong_argument_count(two_term):
+def test_accumulate_rejects_a_wrong_argument_count(two_term):
     zero = Element.zero(two_term.space, 1)
-    assert two_term.apply(3, [zero, zero, zero]).is_zero()
+    totals = Totals()
+    two_term.accumulate(totals, 3, [zero, zero, zero], 1)
+    assert two_term.build(2, totals).is_zero()
     for n, args in ((3, [zero]), (1, [zero, zero]), (2, [zero])):
         with pytest.raises(InputError):
-            two_term.apply(n, args)
+            two_term.accumulate(Totals(), n, args, 1)
 
 
 def test_report_names_cap(heisenberg):

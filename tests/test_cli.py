@@ -186,6 +186,20 @@ def test_twist_rejects_non_flat():
     assert code == 1
 
 
+def test_json_refusal_of_a_twisting_element_that_is_not_maurer_cartan():
+    argv = ["twist", path("heis.alg"), "--pi", "1*x + 1*y"]
+    assert run(*argv) == (1, "twisting element is not Maurer-Cartan: 1*z\n", "")
+    code, out, err = run(*argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "twist",
+        "cap": 4,
+        "passed": False,
+        "reason": "twisting element is not Maurer-Cartan",
+        "residual": {"z": "1"},
+    }
+
+
 def test_gauge_flow():
     code, out, _ = run("gauge-flow", path("flow.alg"), "--pi", "1*q", "--xi", "1*p")
     assert code == 0
@@ -225,6 +239,18 @@ def test_gauge_flow_non_nilpotent_diagnostic():
     )
     assert code == 1
     assert "fixpoint" in err
+
+
+def test_json_verdict_of_a_gauge_flow_that_does_not_converge():
+    code, out, err = run("gauge-flow", path("nonnilp.alg"), "--pi", "1*v", "--xi", "1*w", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "gauge-flow",
+        "cap": 3,
+        "passed": False,
+        "reason": "gauge flow did not reach a fixpoint within 5 iterations; "
+        "the structure is not nilpotent within the bound",
+    }
 
 
 def test_lemma1_pipeline(tmp_path):

@@ -22,6 +22,8 @@ from linfty.algebra import LInftyStructure
 from linfty.convolution import HomElement
 from linfty.mc import PolyPath
 
+from conftest import basis_hom
+
 F = Fraction
 V = GradedSpace([("w", 0), ("x", 1), ("y", 1), ("z", 2)])
 W = GradedSpace([("w", 0), ("x", 1), ("y", 1), ("u", 2)])
@@ -146,7 +148,7 @@ def test_paths_over_two_algebras_of_one_pair_are_equal(two_term):
     second = build_convolution(copy, copy, copy.cap)
     assert first is not second
     word = wedge_basis(two_term.space, 1)[0]
-    h = first.basis_hom(word, "a")
+    h = basis_hom(first, word, "a")
     path = PolyPath(first, h.degree, {0: h, 2: h})
     again = PolyPath(second, h.degree, {0: h, 2: h})
     assert path == again

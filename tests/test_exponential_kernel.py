@@ -24,7 +24,6 @@ from linfty import (
     check_relations,
     gauge_to_homotopy,
     identity_morphism,
-    lift_coderivation,
     mc_residual,
     unsplit_residual,
 )
@@ -36,7 +35,7 @@ from linfty.homotopy import (
     evolution_residual,
     flatness_residual,
 )
-from linfty.algebra import entry_index, entry_splittings
+from linfty.algebra import Coderivation, entry_index, entry_splittings
 from linfty.grading import Totals, integer_rows
 from linfty.mc import twisted_differential_of, twisting_series
 from linfty.morphism import HomElement
@@ -45,6 +44,7 @@ from linfty.perturbation import direction_element
 from conftest import (
     heis,
     q1_q3_structures,
+    operation,
     random_component_family,
     reference_bracket,
     reference_curvature,
@@ -91,9 +91,9 @@ def test_the_kernel_matches_the_references_on_structure_bases():
         algebra = PathAlgebra(base)
         for _ in range(3):
             pi = _vector(space, 1, rng)
-            assert mc_residual(base, pi) == reference_twisting_series(base.apply, base.cap, pi)
+            assert mc_residual(base, pi) == reference_twisting_series(operation(base), base.cap, pi)
             args = [_vector(space, rng.choice((0, 1, 2)), rng) for _ in range(rng.randint(1, 2))]
-            assert twisting_series(base, pi, args) == reference_twisting_series(base.apply, base.cap, pi, args)
+            assert twisting_series(base, pi, args) == reference_twisting_series(operation(base), base.cap, pi, args)
             path = _path(space, 1, rng, rng.sample(range(4), rng.randint(1, 3)))
             xi = _vector(space, 0, rng)
             assert twisting_series(base, path) == reference_path_series(base, path)
@@ -141,7 +141,7 @@ def test_homotopy_residuals_and_verdicts_match_the_references():
             assert combined.even == flat and combined.odd == evolution.scale(F(-1))
             report = check_homotopy(first, second, h)
             assert report.flat == flat and report.evolution == evolution
-            cap, apply = h.conv.cap, h.conv.apply
+            cap, apply = h.conv.cap, operation(h.conv)
             assert report.sample_residuals == {
                 t: reference_twisting_series(apply, cap, h.h0.evaluate(t)) for t in report.sample_residuals
             }
@@ -277,7 +277,7 @@ def test_an_element_indexes_its_entries_once_for_every_map(monkeypatch):
     gamma = HomElement(paired, paired, 0, random_component_family(paired, paired, paired.cap, rng, 0.8, 0))
     twin = HomElement(paired, paired, 0, gamma.components)
     after_q = Totals()
-    lift_coderivation(paired).precompose(twin.components, 1, after_q)
+    Coderivation(paired).precompose(twin.components, 1, after_q)
     want, square, after_q = reference_bracket(conv, [twin]), reference_bracket(conv, [twin, twin]), conv.build(1, after_q)
     applied = []
     monkeypatch.setattr(MultiMap, "accumulate", lambda *args: applied.append(args))

@@ -28,7 +28,7 @@ from linfty.homotopy import (
 from linfty.grading import canonicalize_word
 from linfty.perturbation import PerturbationRequest, direction_element, flow_morphism
 
-from conftest import homotopy_round_trip
+from conftest import basis_hom, homotopy_round_trip
 
 F = Fraction
 
@@ -212,7 +212,7 @@ def test_gauge_homotopies_compare_by_value(flowed_pair):
     assert one.h0 == other.h0 and one.h1 == other.h1
     # a non-flat bump in h0 and a doubled h1 make both residual parts nonzero
     word_a, _ = canonicalize_word(("a",), idm.source.space)
-    bump = PolyPath(conv, 1, {1: conv.basis_hom(word_a, "a")})
+    bump = PolyPath(conv, 1, {1: basis_hom(conv, word_a, "a")})
     one, other = (
         HomotopyElement(h.conv, h.h0 + bump, h.h1.scale(F(2))) for h in (one, other)
     )

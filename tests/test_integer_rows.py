@@ -31,12 +31,12 @@ from linfty import (
     gauge_flow,
     gauge_to_homotopy,
     identity_morphism,
-    lift_coderivation,
     make_linfty,
     mc_element,
     twist,
     wedge_basis,
 )
+from linfty.algebra import Coderivation
 from linfty.grading import Totals, integer_rows
 from linfty.morphism import MorphismComponents
 
@@ -180,7 +180,7 @@ def test_precompose_matches_the_reference_project():
     rng = random.Random(2803)
     reached = 0
     for structure in _structures(rng):
-        space, lift = structure.space, lift_coderivation(structure)
+        space, lift = structure.space, Coderivation(structure)
         for u in (0, 1, 2):
             maps = _family(structure, u, rng, 0.6)
             for scalar in SCALARS:

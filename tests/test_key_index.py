@@ -24,14 +24,13 @@ from linfty import (
     check_relations,
     compose,
     identity_morphism,
-    lift_coderivation,
-    lift_morphism,
     make_linfty,
     morphism_to_mc,
     wedge_basis,
 )
 from linfty import algebra, grading
-from linfty.morphism import MorphismComponents
+from linfty.algebra import Coderivation
+from linfty.morphism import MorphismComponents, MorphismLift
 from linfty.perturbation import PerturbationRequest, flow_morphism
 
 from conftest import (
@@ -152,7 +151,7 @@ def test_bracket_checks_and_compose_on_sparse_keys_match_the_references(monkeypa
         morphism = MorphismComponents(source, target, components)
         report = check_morphism(morphism)
         failing += not report.passed
-        lift, q_src = lift_morphism(morphism), lift_coderivation(source)
+        lift, q_src = MorphismLift(morphism), Coderivation(source)
         for word in source.words():
             degree = word.degree + 2 - word.weight
             left = through(lift.on_word(word), target.maps, target.space, degree)

@@ -92,7 +92,8 @@ def test_star_import_binds_every_export():
 @pytest.mark.parametrize(
     "name",
     ["no_such_name", "coalgebra_partitions", "iterated_coproduct",
-     "partial_derivation", "reduced_coproduct", "PathDegreeOverflow", "build_path_algebra"],
+     "partial_derivation", "reduced_coproduct", "PathDegreeOverflow", "build_path_algebra",
+     "mc_to_morphism", "lift_coderivation", "lift_morphism"],
 )
 def test_unknown_or_removed_name_is_an_attribute_error(name):
     with pytest.raises(AttributeError):

@@ -21,22 +21,21 @@ from linfty import (
     gauge_to_homotopy,
     identity_morphism,
     is_quasi_iso,
-    lift_coderivation,
-    lift_morphism,
     make_linfty,
-    mc_to_morphism,
     morphism_to_mc,
     twist,
 )
 import linfty.morphism as morphism_module
 from linfty.homotopy import PathAlgebra
-from linfty.morphism import MorphismComponents
+from linfty.algebra import Coderivation
+from linfty.morphism import MorphismComponents, MorphismLift
 from linfty.grading import canonicalize_word, wedge_basis
 from linfty.perturbation import PerturbationRequest, perturb
 
 from conftest import (
     SMALL_SPACES,
     apply_lift,
+    basis_hom,
     random_candidate,
     random_component_family,
     random_map_family,
@@ -57,7 +56,7 @@ F = Fraction
 
 def test_identity_lift_is_identity(heisenberg):
     idm = identity_morphism(heisenberg)
-    lift = lift_morphism(idm)
+    lift = MorphismLift(idm)
     for word in heisenberg.words():
         image = lift.on_word(word)
         assert image.terms == {word: F(1)}
@@ -70,7 +69,7 @@ def test_f1_only_multiplicative():
         space, space, 1, 0, {("a",): {"a": F(2)}, ("b",): {"b": F(3)}}
     )
     morphism = MorphismComponents(setting, setting, {1: f1})
-    lift = lift_morphism(morphism)
+    lift = MorphismLift(morphism)
     word, _ = canonicalize_word(("a", "b"), space)
     assert lift.on_word(word).terms == {word: F(6)}
 
@@ -87,7 +86,7 @@ def test_coalgebra_map_law_random():
         morphism = MorphismComponents(
             source, target, random_component_family(source, target, 4, rng)
         )
-        lift = lift_morphism(morphism)
+        lift = MorphismLift(morphism)
         for word in source.words():
             lhs = {}
             for w2, c in lift.on_word(word).terms.items():
@@ -116,7 +115,7 @@ def test_round_trip_projection():
         morphism = MorphismComponents(
             setting, setting, random_component_family(setting, setting, 4, rng)
         )
-        lift = lift_morphism(morphism)
+        lift = MorphismLift(morphism)
         for word in setting.words():
             want = morphism.component(word.weight).value(word)
             assert weight_one_part(lift.on_word(word), want.degree) == want
@@ -154,8 +153,8 @@ def test_check_morphism_iff_full_lift_commutes():
             setting, setting, random_component_family(setting, setting, 3, rng)
         )
         report = check_morphism(morphism)
-        lift = lift_morphism(morphism)
-        q = lift_coderivation(setting)
+        lift = MorphismLift(morphism)
+        q = Coderivation(setting)
         full_zero = all(
             (
                 apply_lift(q, lift.on_word(w), space) - apply_lift(lift, q.on_word(w), space)
@@ -180,8 +179,8 @@ def test_check_morphism_residuals_match_the_full_composite():
         report = check_morphism(morphism)
         failing += not report.passed
         assert all(not r.is_zero() for r in report.residuals.values())
-        lift = lift_morphism(morphism)
-        q_src, q_tgt = lift_coderivation(source), lift_coderivation(target)
+        lift = MorphismLift(morphism)
+        q_src, q_tgt = Coderivation(source), Coderivation(target)
         for word in source.words():
             full = apply_lift(q_tgt, lift.on_word(word), target.space) - apply_lift(
                 lift, q_src.on_word(word), target.space
@@ -215,8 +214,8 @@ def test_projected_checks_match_the_full_lifts_through_the_maps():
         morphism = MorphismComponents(source, target, components)
         report = check_morphism(morphism)
         failing += not report.passed
-        lift = lift_morphism(morphism)
-        q_src = lift_coderivation(source)
+        lift = MorphismLift(morphism)
+        q_src = Coderivation(source)
         for word in source.words():
             degree = word.degree + 2 - word.weight
             left = through(lift.on_word(word), target.maps, target.space, degree)
@@ -255,7 +254,7 @@ def test_compose_weight_two_formula():
         setting, setting, random_component_family(setting, setting, 3, rng)
     )
     gf = compose(g, f)
-    lift_f, lift_g, lift_gf = lift_morphism(f), lift_morphism(g), lift_morphism(gf)
+    lift_f, lift_g, lift_gf = MorphismLift(f), MorphismLift(g), MorphismLift(gf)
     for word in setting.words():
         assert apply_lift(lift_g, lift_f.on_word(word), setting.space) == lift_gf.on_word(word)
     # weight 1 is plain composition
@@ -578,7 +577,7 @@ def test_a_morphism_is_a_degree_one_hom_element(two_term):
     direct = HomElement(two_term, two_term, 1, f.components)
     square = compose(direct, direct)
     assert square == f and not square.verified
-    direction = conv.basis_hom(canonicalize_word(("b",), two_term.space)[0], "a")
+    direction = basis_hom(conv, canonicalize_word(("b",), two_term.space)[0], "a")
     h = gauge_to_homotopy(direct, direction)
     assert direct.verified and h.endpoint(Fraction(0)) == direct
     assert check_homotopy(direct, h.endpoint(Fraction(1)), h).passed
@@ -607,7 +606,7 @@ def test_a_vector_of_another_degree_is_no_morphism(two_term_with_h):
     f = identity_morphism(s)
     for degree, vector in vectors.items():
         named = "got one of degree %d" % degree
-        refusals = [check_morphism, is_quasi_iso, lift_morphism, morphism_to_mc, mc_to_morphism]
+        refusals = [check_morphism, is_quasi_iso, MorphismLift, morphism_to_mc]
         refusals += [lambda v: compose(f, v), lambda v: compose(v, f)]
         for refuse in refusals:
             with pytest.raises(InputError, match=named):
