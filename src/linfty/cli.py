@@ -9,6 +9,9 @@ Every command prints one report through :func:`_emit`: the report's
 JSON, and a report with ``passed`` sets the exit code.  A command that
 builds on a check it cannot pass prints that check's report instead, and
 a flow that does not converge prints its ``reason`` under ``--format json``.
+``twist`` and ``lemma1`` print the document they make, or the line naming
+the file they wrote it to; as JSON, a passing payload with ``document`` or
+``out``.
 
 Each command imports the kernels it runs inside its handler, so a command
 loads only the modules it executes.
@@ -31,13 +34,14 @@ PASS, FAIL, BAD_INPUT = 0, 1, 2
 
 
 def _emit(command: str, report, fmt: str, text: str | None = None, **extra) -> int:
-    """Print ``report`` as JSON or as ``text`` (its summary by default); the exit code."""
+    """Print ``report`` (None for a payload of ``extra`` alone) as JSON or as ``text``, its
+    summary by default; the exit code."""
     if fmt == "json":
-        payload = dict(report.to_json(), command=command, **extra)
+        payload = dict({} if report is None else report.to_json(), command=command, **extra)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(report.summary() if text is None else text)
-    return PASS if getattr(report, "passed", True) else FAIL
+    return PASS if getattr(report, "passed", extra.get("passed", True)) else FAIL
 
 
 def _refused(command: str, report, fmt: str, reason: str | None = None) -> bool:
@@ -60,6 +64,16 @@ def _flat(command: str, structure, value, fmt: str, reason: str):
     if report.passed:
         return report
     _emit(command, report, fmt, "%s: %r" % (reason, report.residual), reason=reason)
+
+
+def _written(command: str, fmt: str, cap: int, document: str, out: str | None, line: str) -> int:
+    """Write ``document`` to ``out`` and print ``line``, or print the document; under JSON, a
+    passing payload with ``out`` or ``document`` instead."""
+    if out:
+        documents.write_document(out, document)
+        return _emit(command, None, fmt, line, cap=cap, passed=True, out=out)
+    # print adds back the newline that ends every document
+    return _emit(command, None, fmt, document.removesuffix("\n"), cap=cap, passed=True, document=document)
 
 
 def _cmd_check_linfty(args) -> int:
@@ -115,13 +129,8 @@ def _cmd_twist(args) -> int:
     if pi is None:
         return FAIL
     twisted = twist(structure, pi)
-    text = documents.algebra_to_document(twisted)
-    if args.out:
-        documents.write_document(args.out, text)
-        print("twisted structure written to %s (cap %d)" % (args.out, twisted.cap))
-    else:
-        sys.stdout.write(text)
-    return PASS
+    line = "twisted structure written to %s (cap %d)" % (args.out, twisted.cap)
+    return _written("twist", args.format, twisted.cap, documents.algebra_to_document(twisted), args.out, line)
 
 
 def _cmd_gauge_flow(args) -> int:
@@ -139,9 +148,7 @@ def _cmd_gauge_flow(args) -> int:
     except NonConvergenceError as exc:
         if args.format == "text":
             raise  # main reports it on stderr
-        payload = {"cap": structure.cap, "command": "gauge-flow", "passed": False, "reason": str(exc)}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return FAIL
+        return _emit("gauge-flow", None, args.format, cap=structure.cap, passed=False, reason=str(exc))
     report = FlowReport(structure, path)
     if args.out:
         # a reference resolves against the directory of the document holding it
@@ -171,12 +178,8 @@ def _cmd_lemma1(args) -> int:
         args.source_ref or "source.alg",
         args.target_ref or "target.alg",
     )
-    if args.out:
-        documents.write_document(args.out, text)
-        print("perturbed morphism written to %s (weight %d, cap %d)" % (args.out, weight, morphism.cap))
-    else:
-        sys.stdout.write(text)
-    return PASS
+    line = "perturbed morphism written to %s (weight %d, cap %d)" % (args.out, weight, morphism.cap)
+    return _written("lemma1", args.format, morphism.cap, text, args.out, line)
 
 
 def _cmd_homotopy_check(args) -> int:

@@ -5,14 +5,17 @@ Documents are line-oriented: ``key: value`` headers, then sections like
 scalars are exact rationals printed as ``p`` or ``p/q``; coefficients are
 always explicit (``1*x``, never ``x``), words are space-separated canonical
 factors, and entries are sorted by basis order, so parsing followed by
-serializing reproduces a canonical document byte for byte.  Objects refer
-to each other by relative file path, never by inline duplication.
+serializing reproduces a canonical document byte for byte.
 
-The layout rules live in one table, ``_LAYOUT``, and :func:`parse_document`
-checks them once, keying each section by its head and weight, so no loader
-reads a section name.  Map and homotopy sections share one entry reader and
-one section writer; every writer prints its kind and headers through one
-header writer.
+One table, ``_LAYOUT``, holds the layout rules: each kind's headers, the
+kind of document a header names by relative path, and the section heads.
+:func:`parse_document` checks them once, keying each section by its head
+and weight, and one loader resolves every reference against the directory
+of the document holding it.  One grammar reads every ``c*name + ...``
+combination: a coefficient is a rational ``c``, or ``[c0 c1 ...]``,
+polynomial in t, only in ``h0`` and ``h1`` sections.  Every map and
+homotopy section is read by one family reader, which builds each power of
+t once from integer rows, and written by one section writer.
 
 Morphisms, mapping-space elements and paths are built by the loaders that
 need them, which import their modules, so reading an algebra loads only
@@ -25,7 +28,7 @@ import os
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .grading import Element, GradedSpace, InputError, MultiMap, Word, canonicalize_word, tabulate
 from .algebra import LInftyStructure, make_linfty
@@ -34,16 +37,17 @@ if TYPE_CHECKING:
     from .morphism import HomElement
     from .homotopy import HomotopyElement
 
-# kind -> (its headers after ``kind``, in written order; its section heads).
-# ``basis`` is the one head without a weight: any other section is named by
-# its head and the weight of its entries, as in ``map 2``.
+# kind -> (its headers after ``kind``, in written order, each with the kind of
+# document it names by relative path or None; its section heads).  ``basis``
+# is the one head without a weight: any other section is named by its head
+# and the weight of its entries, as in ``map 2``.
 _LAYOUT = {
-    "algebra": (("cap",), ("basis", "map")),
-    "morphism": (("cap", "source", "target"), ("map",)),
-    "mc-element": (("algebra", "value"), ()),
-    "map": (("source", "target", "weight", "degree"), ("map",)),
-    "request": (("morphism", "weight"), ("map",)),
-    "homotopy": (("first", "second"), ("h0", "h1")),
+    "algebra": ({"cap": None}, ("basis", "map")),
+    "morphism": ({"cap": None, "source": "algebra", "target": "algebra"}, ("map",)),
+    "mc-element": ({"algebra": "algebra", "value": None}, ()),
+    "map": ({"source": "algebra", "target": "algebra", "weight": None, "degree": None}, ("map",)),
+    "request": ({"morphism": "morphism", "weight": None}, ("map",)),
+    "homotopy": ({"first": "morphism", "second": "morphism"}, ("h0", "h1")),
 }
 
 
@@ -51,17 +55,8 @@ class DocumentError(InputError):
     """Malformed document: unknown fields, bad rationals, unresolved names."""
 
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"-?\d+(/\d*[1-9]\d*)?")
 _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _parse_fraction(text: str) -> Fraction:
-    if not _RATIONAL.match(text):
-        raise DocumentError("bad rational %r (use p or p/q)" % text)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError("bad rational %r" % text) from exc
 
 
 def _integer(text: str, what: str) -> int:
@@ -77,10 +72,6 @@ def _header(doc: dict, key: str, integer: bool = False):
     if value is None:
         raise DocumentError("%s document lacks %r" % (doc["kind"], key))
     return _integer(value, key) if integer else value
-
-
-def _format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 def parse_document(text: str) -> dict:
@@ -136,75 +127,116 @@ def _document(kind: str, values: Iterable, sections: Iterable[str] = ()) -> str:
     return "\n".join(["kind: %s" % kind, *headers, *sections]) + "\n"
 
 
-def _terms(space: GradedSpace, text: str):
-    """Split ``c*name + ...`` into (coefficient text, name) pairs, names checked."""
+def _combination(space: GradedSpace, text: str, polynomial: bool = False) -> tuple[dict[str, list], int]:
+    """``c*name + ...`` as name -> its coefficients by power of t, and the one degree of its names.
+
+    A coefficient is a rational ``p`` or ``p/q``, or ``[c0 c1 ...]`` if
+    ``polynomial``; repeated names add up, and a name whose coefficients
+    are all zero is left out, but not every name may be.
+    """
+    combo: dict[str, list[Fraction]] = {}
     for term in text.split(" + "):
-        term = term.strip()
-        if not term:
-            raise DocumentError("empty term in %r" % text)
-        if "*" not in term:
-            raise DocumentError("term %r lacks an explicit coefficient" % term)
-        coeff_text, _, name = term.partition("*")
+        coeff_text, star, name = term.strip().partition("*")
+        if not star:
+            raise DocumentError("term %r of %r lacks an explicit coefficient" % (term, text))
         if name not in space:
             raise DocumentError("unknown basis name %r" % name)
-        yield coeff_text, name
-
-
-def _format_element(element: Element) -> str:
-    if element.is_zero():
-        raise DocumentError("zero combinations are omitted, not serialized")
-    return " + ".join("%s*%s" % (_format_fraction(c), n) for n, c in element.items())
+        bracketed = polynomial and coeff_text[:1] == "[" and coeff_text[-1:] == "]"
+        parts = coeff_text[1:-1].split() if bracketed else [coeff_text]
+        if not parts or not all(_RATIONAL.fullmatch(part) for part in parts):
+            spelled = "p, p/q or [c0 c1 ...]" if polynomial else "p or p/q"
+            raise DocumentError("bad coefficient %r in %r (use %s)" % (coeff_text, text, spelled))
+        summed = zip_longest(combo.get(name, ()), map(Fraction, parts), fillvalue=0)
+        combo[name] = [a + b for a, b in summed]
+    combo = {name: poly for name, poly in combo.items() if any(poly)}
+    if not combo:
+        raise DocumentError("empty combination %r" % text)
+    degrees = {space.degree(name) for name in combo}
+    if len(degrees) != 1:
+        raise DocumentError("combination %r mixes degrees" % text)
+    return combo, degrees.pop()
 
 
 def parse_element(space: GradedSpace, text: str) -> Element:
-    summed: dict[str, Fraction] = {}
-    for coeff_text, name in _terms(space, text):
-        summed[name] = summed.get(name, Fraction(0)) + _parse_fraction(coeff_text)
-    combo = {n: c for n, c in summed.items() if c}
-    if not combo:
-        raise DocumentError("empty combination %r" % text)
-    degrees = {space.degree(n) for n in combo}
-    if len(degrees) != 1:
-        raise DocumentError("combination %r mixes degrees" % text)
-    return Element(space, degrees.pop(), combo)
+    combo, degree = _combination(space, text)
+    return Element(space, degree, {name: poly[0] for name, poly in combo.items()})
 
 
-def _entries(lines: list[str], source: GradedSpace, weight: int):
-    """Each ``factors -> value`` entry as (canonical word, its sign, value text); no word may vanish or repeat."""
+def _families(
+    doc: dict, head: str, source: GradedSpace, target: GradedSpace, degree: int
+) -> dict[int, dict[int, MultiMap]]:
+    """Power of t -> the degree-``degree`` family (:func:`~linfty.grading.tabulate`) of the
+    ``head`` sections' ``factors -> value`` entries at that power.
+
+    Each entry is signed into its canonical word, which may not vanish or
+    repeat, and its value must have the degree of the word plus ``degree``
+    less its weight; coefficients are polynomial in t only in ``h0`` and
+    ``h1`` sections, so a ``map`` family sits at power 0.
+    """
+    totals: dict[int, dict[Word, dict[str, Fraction]]] = {}
     seen: set[Word] = set()
-    for line in lines:
-        if " -> " not in line:
-            raise DocumentError("map entry %r lacks ' -> '" % line)
-        lhs, _, rhs = line.partition(" -> ")
-        factors = tuple(lhs.split())
-        if len(factors) != weight:
-            raise DocumentError("entry %r has %d factors in a weight-%d map" % (line, len(factors), weight))
-        word, sign = canonicalize_word(factors, source)
-        if word is None:
-            raise DocumentError("entry %r is on a vanishing word" % line)
-        if word in seen:
-            raise DocumentError("duplicate entry for word %r" % (word.factors,))
-        seen.add(word)
-        yield word, sign, rhs
+    for (section, weight), lines in doc["sections"].items():
+        if section != head:
+            continue
+        for line in lines:
+            lhs, arrow, rhs = line.partition(" -> ")
+            if not arrow:
+                raise DocumentError("map entry %r lacks ' -> '" % line)
+            factors = tuple(lhs.split())
+            if len(factors) != weight:
+                raise DocumentError("entry %r has %d factors in a weight-%d map" % (line, len(factors), weight))
+            word, sign = canonicalize_word(factors, source)
+            if word is None:
+                raise DocumentError("entry %r is on a vanishing word" % line)
+            if word in seen:
+                raise DocumentError("duplicate entry for word %r" % (factors,))
+            seen.add(word)
+            combo, got = _combination(target, rhs, polynomial=head != "map")
+            expected = word.degree + degree - weight
+            if got != expected:
+                raise DocumentError("value on %r has degree %d, expected %d" % (factors, got, expected))
+            for name, poly in combo.items():
+                for power, coeff in enumerate(poly):
+                    if coeff:
+                        totals.setdefault(power, {}).setdefault(word, {})[name] = sign * coeff
+    return {power: tabulate(source, target, degree, per_word) for power, per_word in totals.items()}
 
 
-def _section_lines(
-    sections: Mapping[tuple[str, int], Mapping], space: GradedSpace, value_text: Callable
+def _format_poly(coeffs: list[Fraction]) -> str:
+    """``c`` for a constant, else ``[c0 c1 ...]``; the writer's polynomials end in a nonzero coefficient."""
+    text = " ".join(map(str, coeffs))
+    return text if len(coeffs) == 1 else "[%s]" % text
+
+
+def _format_combination(combo: Mapping[str, list[Fraction]], space: GradedSpace) -> str:
+    """``c*name + ...`` in basis order, each name's coefficients by power of t."""
+    if not combo:
+        raise DocumentError("zero combinations are omitted, not serialized")
+    return " + ".join("%s*%s" % (_format_poly(combo[name]), name) for name in sorted(combo, key=space.index))
+
+
+def _sections(
+    head: str, families: Mapping[int, Mapping[int, MultiMap]], source: GradedSpace, target: GradedSpace
 ) -> list[str]:
-    """A ``<head> <weight>:`` section per key, in key order, its ``word -> value`` entries in basis order."""
+    """A ``<head> <weight>:`` section per weight of ``families``, power of t -> weight -> map,
+    its ``word -> value`` entries in basis order, read from the maps' integer rows."""
+    # weight -> word factors -> name -> coefficients by power
+    entries: dict[int, dict[tuple[str, ...], dict[str, list[Fraction]]]] = {}
+    for power, family in families.items():
+        for weight, m in family.items():
+            den, rows = m.rows
+            for factors, row in rows.items():
+                combo = entries.setdefault(weight, {}).setdefault(factors, {})
+                for name, n in row:
+                    poly = combo.setdefault(name, [])
+                    poly.extend([Fraction(0)] * (power + 1 - len(poly)))
+                    poly[power] = Fraction(n, den)
     lines = []
-    for (head, weight), values in sorted(sections.items()):
+    for weight, values in sorted(entries.items()):
         lines.append("%s %d:" % (head, weight))
-        for word in sorted(values, key=lambda w: [space.index(n) for n in w.factors]):
-            lines.append("  %s -> %s" % (" ".join(word.factors), value_text(values[word])))
+        for factors in sorted(values, key=lambda f: [source.index(n) for n in f]):
+            lines.append("  %s -> %s" % (" ".join(factors), _format_combination(values[factors], target)))
     return lines
-
-
-def _parse_map_section(
-    lines: list[str], source: GradedSpace, target: GradedSpace, weight: int, degree: int
-) -> MultiMap:
-    values = {word: parse_element(target, rhs).scale(sign) for word, sign, rhs in _entries(lines, source, weight)}
-    return MultiMap(source, target, weight, degree, values)
 
 
 def _sole_map(
@@ -213,12 +245,8 @@ def _sole_map(
     """The map in the one section of a map or request document, ``map <weight>``."""
     if list(doc["sections"]) != [("map", weight)]:
         raise DocumentError("%s document needs one section, 'map %d'" % (doc["kind"], weight))
-    return _parse_map_section(doc["sections"]["map", weight], source.space, target.space, weight, degree)
-
-
-def _map_sections(maps: Mapping[int, MultiMap], space: GradedSpace) -> list[str]:
-    """One ``map n:`` section per weight n."""
-    return _section_lines({("map", weight): m.values for weight, m in maps.items()}, space, _format_element)
+    family = _families(doc, "map", source.space, target.space, degree + weight).get(0)
+    return family[weight] if family else MultiMap(source.space, target.space, weight, degree)
 
 
 # -- algebra ---------------------------------------------------------------
@@ -235,20 +263,14 @@ def algebra_from_document(doc: dict, cap_override: int | None = None) -> LInftyS
             raise DocumentError("basis entry %r is not 'name degree'" % line)
         basis.append((parts[0], _integer(parts[1], "degree in basis entry %r" % line)))
     space = GradedSpace(basis)
-    cap = cap_override if cap_override is not None else _integer(doc["headers"].get("cap", "0"), "cap")
-    if cap < 1:
-        raise DocumentError("algebra cap must be a positive integer")
-    maps: dict[int, MultiMap] = {}
-    for (head, weight), lines in sections.items():
-        if head == "map":
-            maps[weight] = _parse_map_section(lines, space, space, weight, 2 - weight)
-    return make_linfty(space, maps, cap)
+    cap = cap_override if cap_override is not None else _header(doc, "cap", integer=True)
+    return make_linfty(space, _families(doc, "map", space, space, 2).get(0, {}), cap)
 
 
 def algebra_to_document(structure: LInftyStructure) -> str:
     space = structure.space
     basis = ["basis:"] + ["  %s %d" % (name, space.degree(name)) for name in space.names]
-    return _document("algebra", [structure.cap], basis + _map_sections(structure.maps, space))
+    return _document("algebra", [structure.cap], basis + _sections("map", {0: structure.maps}, space, space))
 
 
 # -- loading with cross-references ------------------------------------------
@@ -275,8 +297,17 @@ def write_document(path: str, text: str) -> None:
         raise DocumentError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def _resolve(base_path: str, reference: str) -> str:
-    return os.path.normpath(os.path.join(os.path.dirname(base_path), reference))
+def _load(path: str, kind: str, cap_override: int | None) -> tuple[dict, dict]:
+    """The ``kind`` document at ``path``, and by header the objects it names (``_LAYOUT``),
+    each loaded from its path taken relative to the directory of ``path``."""
+    doc = load_document(path, kind)
+    loaders = {"algebra": load_algebra, "morphism": load_morphism}  # read when called, as rebound
+    references = {}
+    for key, named in _LAYOUT[kind][0].items():
+        if named is not None:
+            resolved = os.path.normpath(os.path.join(os.path.dirname(path), _header(doc, key)))
+            references[key] = loaders[named](resolved, cap_override)
+    return doc, references
 
 
 def load_algebra(path: str, cap_override: int | None = None) -> LInftyStructure:
@@ -288,58 +319,50 @@ def load_morphism(
 ) -> HomElement:
     from .morphism import HomElement
 
-    doc = load_document(path, "morphism")
-    source = load_algebra(_resolve(path, _header(doc, "source")), cap_override)
-    target = load_algebra(_resolve(path, _header(doc, "target")), cap_override)
-    cap = _header(doc, "cap", integer=True)
-    if cap_override is not None:
-        cap = cap_override
+    doc, refs = _load(path, "morphism", cap_override)
+    source, target = refs["source"], refs["target"]
+    cap = cap_override if cap_override is not None else _header(doc, "cap", integer=True)
     if source.cap != cap or target.cap != cap:
         raise DocumentError("morphism cap %d disagrees with its structures" % cap)
-    components: dict[int, MultiMap] = {}
-    for (_, weight), lines in doc["sections"].items():
-        components[weight] = _parse_map_section(lines, source.space, target.space, weight, 1 - weight)
-    return HomElement(source, target, 1, components)
+    return HomElement(source, target, 1, _families(doc, "map", source.space, target.space, 1).get(0, {}))
 
 
 def morphism_to_document(
     morphism: HomElement, source_ref: str, target_ref: str
 ) -> str:
-    sections = _map_sections(morphism.components, morphism.source.space)
+    sections = _sections("map", {0: morphism.components}, morphism.source.space, morphism.target.space)
     return _document("morphism", [morphism.cap, source_ref, target_ref], sections)
 
 
 def load_mc_element(path: str, cap_override: int | None = None):
-    doc = load_document(path, "mc-element")
-    structure = load_algebra(_resolve(path, _header(doc, "algebra")), cap_override)
-    value = parse_element(structure.space, _header(doc, "value"))
-    return structure, value
+    doc, refs = _load(path, "mc-element", cap_override)
+    structure = refs["algebra"]
+    return structure, parse_element(structure.space, _header(doc, "value"))
 
 
 def mc_to_document(value: Element, algebra_ref: str) -> str:
-    return _document("mc-element", [algebra_ref, _format_element(value)])
+    combo = {name: [coeff] for name, coeff in value.coeffs.items()}
+    return _document("mc-element", [algebra_ref, _format_combination(combo, value.space)])
 
 
 def load_map(path: str, cap_override: int | None = None):
-    doc = load_document(path, "map")
-    source = load_algebra(_resolve(path, _header(doc, "source")), cap_override)
-    target = load_algebra(_resolve(path, _header(doc, "target")), cap_override)
+    doc, refs = _load(path, "map", cap_override)
+    source, target = refs["source"], refs["target"]
     weight = _header(doc, "weight", integer=True)
     degree = _header(doc, "degree", integer=True)
-    m = _sole_map(doc, weight, source, target, degree)
-    return source, target, m
+    return source, target, _sole_map(doc, weight, source, target, degree)
 
 
 def map_to_document(
     m: MultiMap, source_ref: str, target_ref: str
 ) -> str:
-    sections = _map_sections({m.weight: m}, m.source)
+    sections = _sections("map", {0: {m.weight: m}}, m.source, m.target)
     return _document("map", [source_ref, target_ref, m.weight, m.degree], sections)
 
 
 def load_request(path: str, cap_override: int | None = None):
-    doc = load_document(path, "request")
-    morphism = load_morphism(_resolve(path, _header(doc, "morphism")), cap_override)
+    doc, refs = _load(path, "request", cap_override)
+    morphism = refs["morphism"]
     weight = _header(doc, "weight", integer=True)
     correction = _sole_map(doc, weight, morphism.source, morphism.target, -weight)
     return morphism, weight, correction
@@ -348,79 +371,38 @@ def load_request(path: str, cap_override: int | None = None):
 # -- homotopy documents ------------------------------------------------------
 
 
-def _parse_poly(text: str) -> list[Fraction]:
-    parts = text[1:-1].split() if text.startswith("[") and text.endswith("]") else [text]
-    if not parts:
-        raise DocumentError("bad polynomial %r (use [c0 c1 ...] or c)" % text)
-    return [_parse_fraction(p) for p in parts]
-
-
-def _format_poly(coeffs: list[Fraction]) -> str:
-    """``[c0 c1 ...]``, or ``c0`` alone; the writer's polynomials end in a nonzero coefficient."""
-    if len(coeffs) == 1:
-        return _format_fraction(coeffs[0])
-    return "[%s]" % " ".join(_format_fraction(c) for c in coeffs)
-
-
 def load_homotopy(
     path: str, cap_override: int | None = None
 ) -> tuple[HomElement, HomElement, HomotopyElement]:
     """The two morphisms a homotopy document names, and the homotopy between them.
 
     A ``h0 n:`` or ``h1 n:`` entry takes a weight-n word to target names
-    with coefficients polynomial in t, ``[c0 c1 ...]`` or a constant ``c``;
-    repeated names add up.  The homotopy lives over a newly built mapping
-    space of the first morphism's source and target.
+    with coefficients polynomial in t, ``[c0 c1 ...]`` or a constant ``c``.
+    The homotopy lives over a newly built mapping space of the first
+    morphism's source and target.
     """
     from .morphism import HomElement
     from .convolution import build_convolution
     from .mc import PolyPath
     from .homotopy import HomotopyElement
 
-    doc = load_document(path, "homotopy")
-    first = load_morphism(_resolve(path, _header(doc, "first")), cap_override)
-    second = load_morphism(_resolve(path, _header(doc, "second")), cap_override)
-    source, target = first.source.space, first.target.space
-    # head -> power -> word -> name -> coefficient, zeros left out
-    parts: dict[str, dict[int, dict[Word, dict[str, Fraction]]]] = {"h0": {}, "h1": {}}
-    for (head, weight), lines in doc["sections"].items():
-        for word, sign, rhs in _entries(lines, source, weight):
-            combo: dict[str, list[Fraction]] = {}
-            for coeff_text, name in _terms(target, rhs):
-                poly = [c * sign for c in _parse_poly(coeff_text)]
-                summed = zip_longest(combo.get(name, []), poly, fillvalue=0)
-                combo[name] = [a + b for a, b in summed]
-            if not any(any(poly) for poly in combo.values()):
-                raise DocumentError("empty combination %r" % rhs)
-            for name, poly in combo.items():
-                for power, coeff in enumerate(poly):
-                    if coeff:
-                        parts[head].setdefault(power, {}).setdefault(word, {})[name] = coeff
+    doc, refs = _load(path, "homotopy", cap_override)
+    first, second = refs["first"], refs["second"]
     conv = build_convolution(first.source, first.target, first.cap)
 
-    def build(per_power, degree: int) -> PolyPath:
-        coefficients = {}
-        for power, combos in per_power.items():
-            coefficients[power] = HomElement(first.source, first.target, degree, tabulate(source, target, degree, combos))
+    def path_of(head: str, degree: int) -> PolyPath:
+        families = _families(doc, head, first.source.space, first.target.space, degree)
+        coefficients = {power: HomElement(first.source, first.target, degree, family)
+                        for power, family in families.items()}
         return PolyPath(conv, degree, coefficients)
 
-    return first, second, HomotopyElement(conv, build(parts["h0"], 1), build(parts["h1"], 0))
+    return first, second, HomotopyElement(conv, path_of("h0", 1), path_of("h1", 0))
 
 
 def homotopy_to_document(h: HomotopyElement, first_ref: str, second_ref: str) -> str:
     source, target = h.conv.source.space, h.conv.target.space
-
-    def terms(combo: dict[str, list[Fraction]]) -> str:
-        return " + ".join("%s*%s" % (_format_poly(combo[n]), n) for n in target.names if n in combo)
-
-    # (head, weight) -> word -> name -> coefficients by power
-    sections: dict[tuple[str, int], dict[Word, dict[str, list[Fraction]]]] = {}
+    sections = []
     for head, path in (("h0", h.h0), ("h1", h.h1)):
-        for power, value in path.coefficients.items():
-            for weight, comp in value.components.items():
-                for word, element in comp.values.items():
-                    for name, coeff in element.coeffs.items():
-                        poly = sections.setdefault((head, weight), {}).setdefault(word, {}).setdefault(name, [])
-                        poly.extend([Fraction(0)] * (power + 1 - len(poly)))
-                        poly[power] = coeff
-    return _document("homotopy", [first_ref, second_ref], _section_lines(sections, source, terms))
+        families = {power: value.components for power, value in path.coefficients.items()}
+        sections += _sections(head, families, source, target)
+    return _document("homotopy", [first_ref, second_ref], sections)

@@ -43,7 +43,7 @@ from .grading import (
     Totals,
     integer_rows,
 )
-from .algebra import LInftyStructure, compositions, entry_index, entry_splittings, lower_central_series
+from .algebra import LInftyStructure, compositions, entry_index, entry_splittings
 
 # the times at which flow and homotopy reports evaluate the curvature of a path
 SAMPLE_TIMES = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -100,21 +100,13 @@ def series_totals(algebra, pi, args: Sequence = (), sign: int = 1) -> dict[int, 
     return totals
 
 
-def mc_residual(algebra, value: Element, require_nilpotent: bool = False) -> Element:
+def mc_residual(algebra, value: Element) -> Element:
     """Exact curvature of a degree-1 element, summed up to the cap.
 
-    Termination is automatic because maps above the cap vanish; pass
-    ``require_nilpotent=True`` (structures only) to refuse instead when the
-    lower central series does not certify nilpotency.
+    Termination is automatic because maps above the cap vanish.
     """
     if value.degree != 1:
         raise InputError("Maurer-Cartan candidates must have degree 1")
-    if require_nilpotent:
-        if not lower_central_series(algebra).nilpotent:
-            raise NonConvergenceError(
-                "structure is not certified nilpotent within the bound; "
-                "the curvature sum is only guaranteed up to cap %d" % algebra.cap
-            )
     return twisting_series(algebra, value)
 
 

@@ -8,7 +8,6 @@ from linfty import (
     GradedSpace,
     InputError,
     MultiMap,
-    NonConvergenceError,
     StructureError,
     algebra,
     build_convolution,
@@ -20,7 +19,6 @@ from linfty import (
     identity_morphism,
     lower_central_series,
     make_linfty,
-    mc_residual,
     twist,
     unshuffle_residual,
 )
@@ -506,8 +504,7 @@ def test_lower_central_series_matches_the_reference(
 
 def test_lower_central_series_reads_arities_above_the_level(high_arity_loop):
     # no composition of exactly 2 has three or four parts, so level 2 used to
-    # miss Q3 and Q4 and certify depth 2 for this structure, whose curvature
-    # sum is then trusted under require_nilpotent
+    # miss Q3 and Q4 and certify depth 2 for this structure
     space = high_arity_loop.space
     chain = lower_central_series(high_arity_loop)
     assert not chain.nilpotent and chain.verdict() == "not within bound"
@@ -515,8 +512,6 @@ def test_lower_central_series_reads_arities_above_the_level(high_arity_loop):
         Element(space, -1, {"a": F(1)}),
         Element(space, 1, {"c": F(1)}),
     ]
-    with pytest.raises(NonConvergenceError, match="not certified nilpotent"):
-        mc_residual(high_arity_loop, Element(space, 1, {"c": F(1)}), require_nilpotent=True)
 
 
 def test_work_of_relation_checks_and_series(monkeypatch):

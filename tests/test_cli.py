@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from linfty.cli import main
+from linfty.documents import _LAYOUT
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -434,13 +436,28 @@ MALFORMED = {
     "homotopy-cancelling-entry": (
         "homotopy-check", "flow.hom", r"^  b b -> 1\*a$", "  b b -> [1 -1]*a + [-1 1]*a"
     ),
+    # every map and homotopy value is built once, from the entries' rows;
+    # its degree and its coefficients are checked entry by entry
+    "algebra-value-of-two-degrees": ("check-linfty", "heis.alg", r"^  x y -> 1\*z$", "  x y -> 1*z + 1*x"),
+    "algebra-value-of-wrong-degree": ("check-linfty", "heis.alg", r"^  x y -> 1\*z$", "  x y -> 1*x"),
+    "algebra-polynomial-value": ("check-linfty", "heis.alg", r"^  x y -> 1\*z$", "  x y -> [1 2]*z"),
+    "algebra-cancelling-entry": ("check-linfty", "heis.alg", r"^  x y -> 1\*z$", "  x y -> 1*z + -1*z"),
+    "homotopy-value-of-wrong-degree": ("homotopy-check", "flow.hom", r"^  b -> 1\*b$", "  b -> 1*a"),
+}
+
+# case -> what its refusal names: the entry's word or its combination
+NAMED_IN_REFUSAL = {
+    "algebra-value-of-two-degrees": "'1*z + 1*x'",
+    "algebra-value-of-wrong-degree": "value on ('x', 'y') has degree 1, expected 2",
+    "algebra-polynomial-value": "'[1 2]*z'",
+    "algebra-cancelling-entry": "'1*z + -1*z'",
+    "homotopy-value-of-wrong-degree": "value on ('b',) has degree 0, expected 1",
 }
 
 
-@pytest.mark.parametrize(
-    "command, name, pattern, replacement", list(MALFORMED.values()), ids=list(MALFORMED)
-)
-def test_malformed_document_is_an_input_error(tmp_path, command, name, pattern, replacement):
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document_is_an_input_error(tmp_path, case):
+    command, name, pattern, replacement = MALFORMED[case]
     corpus = tmp_path / "data"
     shutil.copytree(DATA, corpus)
     with open(corpus / name) as fh:
@@ -456,6 +473,7 @@ def test_malformed_document_is_an_input_error(tmp_path, command, name, pattern, 
     assert done.returncode == 2
     assert done.stderr.startswith("input error:")
     assert "Traceback" not in done.stderr
+    assert NAMED_IN_REFUSAL.get(case, "") in done.stderr
 
 
 def test_corpus_commands_reproduce_their_recorded_outputs(tmp_path, monkeypatch):
@@ -495,6 +513,8 @@ JSON_REPORTS = [
     (["homotopy-check", "flow.hom"], "homotopy-check"),
     (["convolution-mc", "id_twoterm.mor"], "convolution-mc"),
     (["convolution-mc", "badchain.mor"], "convolution-mc"),
+    (["twist", "heis.alg", "--pi", "1*x"], "twist"),
+    (["lemma1", "id_twoterm.mor", "--request", "pert.req"], "lemma1"),
 ]
 
 
@@ -502,10 +522,83 @@ JSON_REPORTS = [
     "argv, command", JSON_REPORTS, ids=[" ".join(argv) for argv, _ in JSON_REPORTS]
 )
 def test_json_report_names_its_command_and_agrees_with_the_exit_code(argv, command):
-    code, out, err = run(argv[0], path(argv[1]), *argv[2:], "--format", "json")
+    # every argument that names a corpus document is read from the corpus
+    code, out, err = run(*[path(a) if os.path.isfile(path(a)) else a for a in argv], "--format", "json")
     payload = json.loads(out)
     assert isinstance(payload, dict) and err == ""
     assert payload["command"] == command and "cap" in payload
     assert code in (0, 1)
     if "passed" in payload:
         assert code == (0 if payload["passed"] else 1)
+
+
+# document kind -> the command that reads it, given the document's name
+# last, and the corpus document it reads
+READERS = {
+    "morphism": (["check-morphism"], "id_twoterm.mor"),
+    "mc-element": (["mc-check"], "heis_pi.mc"),
+    "map": (["lemma1", "id_twoterm.mor", "--n", "2", "--H"], "corr.map"),
+    "request": (["lemma1", "id_twoterm.mor", "--request"], "pert.req"),
+    "homotopy": (["homotopy-check"], "flow.hom"),
+}
+# kind a reference names -> a corpus document of another kind
+OTHER_KIND = {"algebra": ("id_twoterm.mor", "morphism"), "morphism": ("twoterm.alg", "algebra")}
+REFERENCES = [(kind, key, named) for kind, (headers, _) in _LAYOUT.items() for key, named in headers.items() if named]
+
+
+def test_every_kind_with_a_reference_has_a_reader():
+    assert {kind for kind, _, _ in REFERENCES} == set(READERS)
+
+
+@pytest.mark.parametrize("kind, key, named", REFERENCES, ids=["%s-%s" % ref[:2] for ref in REFERENCES])
+def test_a_reference_to_a_document_of_another_kind_is_an_input_error(tmp_path, monkeypatch, kind, key, named):
+    command, name = READERS[kind]
+    other, other_kind = OTHER_KIND[named]
+    shutil.copytree(DATA, tmp_path / "data")
+    monkeypatch.chdir(tmp_path / "data")
+    with open(name, encoding="utf-8") as fh:
+        text = fh.read()
+    broken = re.sub(r"^%s: .*$" % key, "%s: %s" % (key, other), text, count=1, flags=re.M)
+    assert broken != text
+    with open(name, "w", encoding="utf-8") as fh:
+        fh.write(broken)
+    code, out, err = run(*command, name)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s is a %s document, expected %s\n" % (other, other_kind, named)
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+def test_a_reference_resolves_against_the_referring_document(tmp_path, monkeypatch, kind):
+    # the document moves into a subdirectory and names what it refers to as ../name
+    command, name = READERS[kind]
+    keys = [key for k, key, _ in REFERENCES if k == kind]
+    shutil.copytree(DATA, tmp_path / "data")
+    monkeypatch.chdir(tmp_path / "data")
+    os.mkdir("sub")
+    with open(name, encoding="utf-8") as fh:
+        text = fh.read()
+    moved = re.sub(r"^(%s): " % "|".join(keys), r"\1: ../", text, flags=re.M)
+    assert moved.count(": ../") == len(keys)
+    with open(os.path.join("sub", name), "w", encoding="utf-8") as fh:
+        fh.write(moved)
+    assert run(*command, os.path.join("sub", name)) == run(*command, name)
+    assert run(*command, name)[0] == 0
+
+
+def test_readme_command_block_runs(tmp_path):
+    # each ``linfty`` line of the README's "Command line" block, run where
+    # tests/data is, exits 0 or with the code its comment gives ("# exit 1")
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("linfty ")]
+    assert lines
+    shutil.copytree(DATA, tmp_path / "tests" / "data")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for line in lines:
+        expected = re.search(r"# exit (\d)", line)
+        done = subprocess.run(
+            [sys.executable, "-m", "linfty.cli", *shlex.split(line, comments=True)[1:]],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == (int(expected.group(1)) if expected else 0), (line, done.stderr)

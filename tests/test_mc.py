@@ -74,14 +74,12 @@ def test_residual_requires_degree_one(heisenberg):
         mc_residual(heisenberg, Element(heisenberg.space, 2, {"z": F(1)}))
 
 
-def test_residual_strict_mode(non_nilpotent, heisenberg):
+def test_residual_is_computed_nilpotent_or_not(non_nilpotent, heisenberg):
     pi = Element(non_nilpotent.space, 1, {"v": F(1)})
-    # truncation semantics always computes; strict mode refuses
+    # truncation semantics always computes, nilpotent or not
     assert mc_residual(non_nilpotent, pi).is_zero()
-    with pytest.raises(NonConvergenceError):
-        mc_residual(non_nilpotent, pi, require_nilpotent=True)
     flat = Element(heisenberg.space, 1, {"x": F(1)})
-    assert mc_residual(heisenberg, flat, require_nilpotent=True).is_zero()
+    assert mc_residual(heisenberg, flat).is_zero()
 
 
 def test_twist_abelian_unchanged(heisenberg):
@@ -444,15 +442,16 @@ def random_vector(structure, degree, rng):
 
 
 def spy_on_series(monkeypatch):
-    """Record every structure that ``mc.lower_central_series`` is called on."""
+    """Record every structure that ``algebra.lower_central_series``, the one
+    definition, is called on; ``mc`` does not import it."""
     read = []
-    series = mc.lower_central_series
+    series = algebra.lower_central_series
 
     def spy(structure):
         read.append(structure)
         return series(structure)
 
-    monkeypatch.setattr(mc, "lower_central_series", spy)
+    monkeypatch.setattr(algebra, "lower_central_series", spy)
     return read
 
 
