@@ -8,11 +8,11 @@ from importlib import import_module
 
 # exported name -> the module that defines it
 _EXPORTS = {
-    "CoalgebraElement": "grading",
+    "CoalgebraElement": "coalgebra",
     "CohomologyReport": "morphism",
     "ConvolutionAlgebra": "convolution",
     "Element": "grading",
-    "FiltrationChain": "algebra",
+    "FiltrationChain": "filtration",
     "FlatnessError": "grading",
     "GradedSpace": "grading",
     "HomElement": "morphism",
@@ -43,14 +43,14 @@ _EXPORTS = {
     "identity_morphism": "morphism",
     "is_quasi_iso": "morphism",
     "koszul_sign": "grading",
-    "lower_central_series": "algebra",
+    "lower_central_series": "filtration",
     "make_linfty": "algebra",
     "mc_element": "mc",
     "mc_residual": "mc",
     "morphism_to_mc": "convolution",
     "perturb": "perturbation",
     "twist": "mc",
-    "unshuffle_residual": "algebra",
+    "unshuffle_residual": "coalgebra",
     "unsplit_residual": "homotopy",
     "wedge_basis": "grading",
 }

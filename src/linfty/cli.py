@@ -20,7 +20,6 @@ loads only the modules it executes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -37,6 +36,8 @@ def _emit(command: str, report, fmt: str, text: str | None = None, **extra) -> i
     """Print ``report`` (None for a payload of ``extra`` alone) as JSON or as ``text``, its
     summary by default; the exit code."""
     if fmt == "json":
+        import json  # only here, so that text output skips the import
+
         payload = dict({} if report is None else report.to_json(), command=command, **extra)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -19,8 +19,7 @@ basis of the n-th graded wedge power.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations, product
+from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -79,91 +78,6 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
         exponent += degrees[a] * degrees[b]
     # sgn(permutation) times the classical Koszul sign.
     return -1 if (exponent + inversions) % 2 else 1
-
-
-def classical_koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
-    """Classical Koszul sign: ``(-1)**(p*q)`` per adjacent transposition."""
-    exponent = sum(degrees[a] * degrees[b] for a, b in _inversion_pairs(permutation))
-    return -1 if exponent % 2 else 1
-
-
-def desuspension_sign(degrees: Sequence[int]) -> int:
-    """Sign of pulling one suspension out of each tensor factor in turn.
-
-    Equals ``(-1)**sum(degrees[i] for i < j)`` over pairs i < j; it converts
-    between the convention above and the classical one on shifted degrees.
-    """
-    exponent = 0
-    running = 0
-    for d in reversed(degrees):
-        exponent += running * d
-        running += 1
-    return -1 if exponent % 2 else 1
-
-
-def _partitions(items: tuple[int, ...]):
-    """Unordered partitions into nonempty blocks, blocks ordered by minimum."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partitions(rest):
-        yield ((first,),) + sub
-        for i in range(len(sub)):
-            yield ((first,) + sub[i],) + sub[:i] + sub[i + 1 :]
-
-
-@lru_cache(maxsize=None)
-def signed_blocks(degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """Block splittings of a word with these factor degrees, with their signs.
-
-    The splittings are the unordered set partitions of the positions, blocks
-    ordered by their minimum: the comultiplication of the cofree coalgebra in
-    component form, which the reference lift
-    :meth:`~linfty.morphism.MorphismLift.on_word` reads.  The sign of blocks
-    B_1, ..., B_n is the desuspension sign of the word, times the classical
-    Koszul sign of the rearrangement B_1 ... B_n on degrees lowered by one,
-    times the desuspension sign of each block, times that of the blocks'
-    suspended degrees ``plain + 1 - weight``.  The same formula signs the
-    ordered splittings that :func:`linfty.algebra.entry_splittings`
-    counts.  Blocks are tuples of sorted positions.
-
-    >>> signed_blocks((0, 1))
-    ((1, ((0,), (1,))), (1, ((0, 1),)))
-    """
-    word_sign = desuspension_sign(degrees)
-    shifted = [d - 1 for d in degrees]
-    out = []
-    for blocks in _partitions(tuple(range(len(degrees)))):
-        arrangement = [p for block in blocks for p in block]
-        sign = word_sign * classical_koszul_sign(arrangement, shifted)
-        suspended = []
-        for block in blocks:
-            block_degrees = [degrees[p] for p in block]
-            sign *= desuspension_sign(block_degrees)
-            suspended.append(sum(block_degrees) + 1 - len(block))
-        out.append((sign * desuspension_sign(suspended), blocks))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def unshuffles(degrees: tuple[int, ...], k: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """Signed (k, m - k)-unshuffles ``(sign, chosen, rest)`` of a word.
-
-    ``chosen`` runs over the sorted k-subsets of the positions and ``rest``
-    is its sorted complement.  The sign is the coderivation lift's,
-    ``(-1)**(k*(m-k))`` times the sign of moving ``chosen`` to the front.
-
-    >>> unshuffles((0, 1), 1)
-    ((-1, (0,), (1,)), (1, (1,), (0,)))
-    """
-    m = len(degrees)
-    cross = -1 if (k * (m - k)) % 2 else 1
-    out = []
-    for chosen in combinations(range(m), k):
-        rest = tuple(p for p in range(m) if p not in chosen)
-        out.append((cross * koszul_sign(chosen + rest, degrees), chosen, rest))
-    return tuple(out)
 
 
 class GradedSpace:
@@ -800,51 +714,3 @@ def tabulate(
     name -> coefficient dict, zeros dropped, through :meth:`Totals.family`."""
     den, rows = integer_rows(totals.values())
     return Totals({word: dict(row) for word, row in zip(totals, rows)}, den).family(source, target, degree)
-
-
-class CoalgebraElement(Combination):
-    """Sparse combination of canonical words across weights 1..cap."""
-
-    __slots__ = ("space",)
-
-    def __init__(self, space: GradedSpace, terms: Mapping[Word, Fraction] | None = None):
-        self.space = space
-        self.terms: dict[Word, Fraction] = {w: c for w, c in (terms or {}).items() if c}
-
-    def _home(self) -> tuple:
-        return (self.space,)
-
-    def _like(self, terms: dict) -> "CoalgebraElement":
-        return CoalgebraElement(self.space, terms)
-
-    @classmethod
-    def from_word(cls, space: GradedSpace, word: Word, coeff=Fraction(1)):
-        return cls(space, {word: coeff})
-
-    @classmethod
-    def wedge(cls, space: GradedSpace, values: Sequence[Element]) -> "CoalgebraElement":
-        """The product of ``values``, expanded over their supports and canonicalised."""
-        terms: dict = {}
-        for combo in product(*(v.items() for v in values)):
-            word, sign = canonicalize_word(tuple(name for name, _ in combo), space)
-            if word is None:
-                continue
-            coeff = sign
-            for _, c in combo:
-                coeff *= c
-            add_scaled(terms, cls.from_word(space, word), coeff)
-        return cls(space, terms)
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].factors)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("%s*(%s)" % (c, w.label()) for w, c in self.items())
-
-
-def subword(word: Word, positions: Sequence[int], space: GradedSpace) -> Word:
-    """Sub-word at the given (sorted) positions; stays canonical."""
-    names = tuple(word.factors[i] for i in positions)
-    return Word(names, sum(space.degree(n) for n in names))

@@ -301,7 +301,7 @@ def gauge_flow(algebra, pi0, xi, iteration_bound: int | None = None) -> PolyPath
     linfty.grading.NonConvergenceError: gauge flow did not reach a fixpoint within 3 iterations; the structure is not nilpotent within the bound
 
     The default bound, ``dim + 3`` powers, covers every structure that
-    :func:`~linfty.algebra.lower_central_series` certifies nilpotent (see
+    :func:`~linfty.filtration.lower_central_series` certifies nilpotent (see
     the module's docstring); other structures are refused by power dim + 3,
     at a cost polynomial in the bound.  The flow never computes the series;
     the mapping space offers no ``space.dimension()``, so its flows pass a bound.

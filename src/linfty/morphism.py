@@ -30,10 +30,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .grading import (
-    CoalgebraElement,
     Combination,
     Element,
     GradedSpace,
@@ -44,13 +43,14 @@ from .grading import (
     add_scaled,
     family_rows,
     map_family,
-    signed_blocks,
-    subword,
 )
 from .algebra import (
     Coderivation, LInftyStructure, ResidualReport, entry_index, entry_splittings, require_verified, same_structure,
 )
 from . import linalg
+
+if TYPE_CHECKING:
+    from .coalgebra import CoalgebraElement
 
 
 class HomElement(Combination):
@@ -173,6 +173,7 @@ class MorphismLift:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
+        from .coalgebra import CoalgebraElement, signed_blocks, subword
         F = self.morphism
         src = F.source.space
         space = F.target.space

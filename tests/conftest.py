@@ -6,7 +6,6 @@ from math import factorial
 import pytest
 
 from linfty import (
-    CoalgebraElement,
     Element,
     FlatnessError,
     GradedSpace,
@@ -20,9 +19,11 @@ from linfty import (
     make_linfty,
     wedge_basis,
 )
-from linfty.algebra import Coderivation, FiltrationChain, LInftyStructure
+from linfty.algebra import Coderivation, LInftyStructure
+from linfty.coalgebra import CoalgebraElement, signed_blocks, subword, unshuffles
 from linfty.convolution import HomElement
-from linfty.grading import add_scaled, signed_blocks, subword, unshuffles
+from linfty.filtration import FiltrationChain
+from linfty.grading import add_scaled
 from linfty.homotopy import PathElement
 from linfty.mc import MCElement, PolyPath, mc_element, twisting_series
 
@@ -694,7 +695,7 @@ def reference_twist(structure, pi):
     return LInftyStructure(space, maps, structure.cap)
 
 
-# Test reference for linfty.algebra.lower_central_series: level i is the
+# Test reference for linfty.filtration.lower_central_series: level i is the
 # Q_1-closure of Q_k on every ordered composition of every total >= i with
 # parts below i, each level's spanning elements rebuilt for every
 # composition.
@@ -760,7 +761,7 @@ def reference_lower_central_series(structure):
 
 
 # Test reference for the block-splitting signs, the kernel
-# ``linfty.grading.signed_blocks`` and the closed form of
+# ``linfty.coalgebra.signed_blocks`` and the closed form of
 # ``linfty.algebra.entry_splittings``: the sign of
 # each call site (morphism lift, mapping-space bracket, the two coproducts)
 # written out in full, on sign helpers independent of linfty.grading.  The

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linfty import (
-    CoalgebraElement,
     Element,
     GradedSpace,
     InputError,
@@ -19,6 +18,7 @@ from linfty import (
     wedge_basis,
 )
 from linfty.algebra import LInftyStructure
+from linfty.coalgebra import CoalgebraElement
 from linfty.convolution import HomElement
 from linfty.mc import PolyPath
 

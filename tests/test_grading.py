@@ -18,7 +18,8 @@ from linfty import (
     wedge_basis,
 )
 from linfty.algebra import LInftyStructure, entry_index, entry_splittings
-from linfty.grading import Totals, signed_blocks, unshuffles
+from linfty.coalgebra import signed_blocks, unshuffles
+from linfty.grading import Totals
 
 from conftest import (
     SMALL_SPACES,

@@ -24,7 +24,7 @@ from linfty import (
     morphism_to_mc,
     twist,
 )
-from linfty import algebra, grading
+from linfty import algebra, filtration, grading
 from linfty.convolution import ConvolutionAlgebra
 from linfty.homotopy import PathElement
 from linfty.morphism import HomElement
@@ -442,16 +442,16 @@ def random_vector(structure, degree, rng):
 
 
 def spy_on_series(monkeypatch):
-    """Record every structure that ``algebra.lower_central_series``, the one
+    """Record every structure that ``filtration.lower_central_series``, the one
     definition, is called on; ``mc`` does not import it."""
     read = []
-    series = algebra.lower_central_series
+    series = filtration.lower_central_series
 
     def spy(structure):
         read.append(structure)
         return series(structure)
 
-    monkeypatch.setattr(algebra, "lower_central_series", spy)
+    monkeypatch.setattr(filtration, "lower_central_series", spy)
     return read
 
 
